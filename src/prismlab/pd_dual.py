@@ -9,6 +9,7 @@ e_n = (delta_1 - delta_0)^n / n! with delta_m delta_n = delta_{m+n}.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -228,6 +229,7 @@ def log_sharp_power(k: int, N: int) -> PDElem:
     return PDElem(tuple(out))
 
 
+@functools.lru_cache(maxsize=None)
 def stirling_first(n: int, k: int) -> int:
     """Signed Stirling numbers of the first kind via the recurrence
     s(n+1, k) = s(n, k-1) - n s(n, k)."""

@@ -8,6 +8,8 @@ agreement is part of the test suite.
 from __future__ import annotations
 
 import threading
+from functools import reduce
+from operator import or_
 
 from .ringcore import (
     IntModRing, IntRing, PrecisionExhausted, PrismlabError, Ring,
@@ -175,36 +177,62 @@ def from_ghost(ring, p, ghosts) -> WittVector:
 
 # --- universal polynomial backend -------------------------------------------
 #
-# The tables are built once per (p, L, op) with raw integer-dict polynomial
-# arithmetic: the p=5, L=4 entries run to tens of thousands of monomials and
-# Fraction overhead would dominate.
+# The tables are built once per (op, p, L) in plain integer arithmetic: the
+# p=5, L=4 entries run to tens of thousands of monomials and Fraction
+# overhead would dominate.  During the build a monomial prod x_i^e_i is one
+# int, sum e_i << (i*B) (Kronecker packing), so multiplying two monomials is
+# one int addition.  The width B is fixed by (p, L), not chosen: with a_i and
+# b_i of weight p^i, every polynomial the build forms is isobaric of weight
+# at most p^(L-1) in the a's and, separately, in the b's, so no exponent
+# exceeds p^(L-1).  B holds that bound plus a guard bit, so adding two
+# in-bound fields never carries.  Every product checks its operands' guard
+# bits and the unpacked exponents are checked against the bound, so an
+# overflow raises instead of corrupting a table.
 
 _universal_cache: dict = {}
+_universal_locks: dict = {}
 _universal_lock = threading.Lock()
+_UNIVERSAL_OPS = ("add", "mul", "neg", "frobenius")
 
 
-def _ip_mul(a: dict, b: dict) -> dict:
+def _pk_mul(a: dict, b: dict, guard: int) -> dict:
+    """Product of packed polynomials; a square visits each pair once."""
+    if (reduce(or_, a, 0) | reduce(or_, b, 0)) & guard:
+        raise PrismlabError("packed exponent reached its guard bit")
     out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            v = out.get(e)
-            out[e] = c1 * c2 if v is None else v + c1 * c2
+    get = out.get
+    if a is b:
+        items = list(a.items())
+        for k, (e1, c1) in enumerate(items):
+            e = e1 + e1
+            out[e] = get(e, 0) + c1 * c1
+            c1 *= 2
+            for e2, c2 in items[k + 1:]:
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+    else:
+        if len(a) < len(b):
+            a, b = b, a
+        inner = list(b.items())
+        for e1, c1 in a.items():
+            for e2, c2 in inner:
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
 
 
-def _ip_pow(a: dict, n: int, nvars: int) -> dict:
-    acc = {(0,) * nvars: 1}
-    base = a
-    while n:
+def _pk_pow(a: dict, n: int, guard: int) -> dict:
+    acc = None
+    while True:
         if n & 1:
-            acc = _ip_mul(acc, base)
-        base = _ip_mul(base, base) if n > 1 else base
+            acc = a if acc is None else _pk_mul(acc, a, guard)
         n >>= 1
-    return acc
+        if not n:
+            return acc
+        a = _pk_mul(a, a, guard)
 
 
-def _ip_axpy(acc: dict, s: int, b: dict) -> dict:
+def _pk_axpy(acc: dict, s: int, b: dict) -> dict:
     for e, c in b.items():
         v = acc.get(e, 0) + s * c
         if v:
@@ -214,7 +242,7 @@ def _ip_axpy(acc: dict, s: int, b: dict) -> dict:
     return acc
 
 
-def _ip_div_exact(a: dict, d: int) -> dict:
+def _pk_div_exact(a: dict, d: int) -> dict:
     out = {}
     for e, c in a.items():
         q, r = divmod(c, d)
@@ -224,110 +252,136 @@ def _ip_div_exact(a: dict, d: int) -> dict:
     return out
 
 
-def _ghost_int_polys(p, L, nvars, offset) -> list:
+def _pk_ghosts(p, L, offset, width) -> list:
     """Ghost components of a generic vector whose i-th coordinate is
-    variable offset+i, as integer-dict polynomials."""
-    out = []
-    for n in range(L):
-        acc: dict = {}
-        for i in range(n + 1):
-            e = [0] * nvars
-            e[offset + i] = p ** (n - i)
-            _ip_axpy(acc, 1, {tuple(e): p ** i})
-        out.append(acc)
+    variable offset+i, as packed polynomials."""
+    return [{p ** (n - i) << ((offset + i) * width): p ** i
+             for i in range(n + 1)} for n in range(L)]
+
+
+def _pk_solve_ghosts(p, ghosts, guard) -> list:
+    """Witt components with the given ghost components.  pows[i] holds
+    S_i^(p^(n-i)) and is raised to the p-th power once per step."""
+    sols: list = []
+    pows: list = []
+    for n, g in enumerate(ghosts):
+        acc = dict(g)
+        pows = [_pk_pow(x, p, guard) for x in pows]
+        for i, x in enumerate(pows):
+            _pk_axpy(acc, -(p ** i), x)
+        sols.append(_pk_div_exact(acc, p ** n))
+        pows.append(sols[-1])
+    return sols
+
+
+def _pk_unpack(poly: dict, nvars: int, width: int, bound: int) -> dict:
+    """{exponent tuple: coefficient}; raises if an exponent exceeds bound."""
+    mask = (1 << width) - 1
+    out = {}
+    for e, c in poly.items():
+        exps = tuple((e >> (i * width)) & mask for i in range(nvars))
+        if max(exps) > bound or e >> (nvars * width):
+            raise PrismlabError("packed exponent %#x exceeds %d" % (e, bound))
+        out[exps] = c
     return out
 
 
-def _solve_ghost_int(p, ghosts, nvars) -> list:
-    sols = []
-    for n, g in enumerate(ghosts):
-        acc = dict(g)
-        for i in range(n):
-            _ip_axpy(acc, -(p ** i), _ip_pow(sols[i], p ** (n - i), nvars))
-        sols.append(_ip_div_exact(acc, p ** n))
-    return sols
+def _build_universal(op: str, p: int, L: int) -> tuple:
+    bound = p ** (L - 1) if L else 1
+    width = bound.bit_length() + 1
+    guard = sum(1 << (i * width + width - 1) for i in range(2 * L))
+    avars = tuple("a%d" % i for i in range(L))
+    if op in ("add", "mul"):
+        names = avars + tuple("b%d" % i for i in range(L))
+        ga = _pk_ghosts(p, L, 0, width)
+        gb = _pk_ghosts(p, L, L, width)
+        if op == "add":
+            combined = [_pk_axpy(x, 1, y) for x, y in zip(ga, gb)]
+        else:
+            combined = [_pk_mul(x, y, guard) for x, y in zip(ga, gb)]
+    else:
+        names = avars
+        ga = _pk_ghosts(p, L, 0, width)
+        if op == "neg":
+            combined = [{e: -c for e, c in g.items()} for g in ga]
+        else:
+            combined = ga[1:]
+    Z = IntRing()
+    return tuple(TruncSeries(Z, names, _pk_unpack(s, len(names), width, bound),
+                             None)
+                 for s in _pk_solve_ghosts(p, combined, guard))
 
 
 def witt_universal(op: str, p: int, L: int):
     """Universal polynomials for add/mul/neg/frobenius, memoized per (p, L, op).
 
     add/mul: polynomials in a0..a_{L-1}, b0..b_{L-1}; neg: in a_i;
-    frobenius: L-1 polynomials in a0..a_{L-1}.
+    frobenius: L-1 polynomials in a0..a_{L-1}.  Each table is built once,
+    under a lock per (op, p, L), however many threads ask for it.
     """
-    key = (op, p, L)
-    with _universal_lock:
-        if key in _universal_cache:
-            return _universal_cache[key]
-    avars = tuple("a%d" % i for i in range(L))
-    bvars = tuple("b%d" % i for i in range(L))
-    Z = IntRing()
-    if op in ("add", "mul"):
-        names = avars + bvars
-        nv = 2 * L
-        ga = _ghost_int_polys(p, L, nv, 0)
-        gb = _ghost_int_polys(p, L, nv, L)
-        if op == "add":
-            combined = [_ip_axpy(dict(x), 1, y) for x, y in zip(ga, gb)]
-        else:
-            combined = [_ip_mul(x, y) for x, y in zip(ga, gb)]
-        sols = _solve_ghost_int(p, combined, nv)
-    elif op == "neg":
-        names, nv = avars, L
-        ga = _ghost_int_polys(p, L, nv, 0)
-        sols = _solve_ghost_int(p, [{e: -c for e, c in g.items()} for g in ga], nv)
-    elif op == "frobenius":
-        names, nv = avars, L
-        ga = _ghost_int_polys(p, L, nv, 0)
-        sols = _solve_ghost_int(p, ga[1:], nv)
-    else:
+    if op not in _UNIVERSAL_OPS:
         raise ValueError("unknown op %r" % op)
-    polys = tuple(TruncSeries(Z, names, s, None) for s in sols)
+    key = (op, p, L)
+    polys = _universal_cache.get(key)
+    if polys is not None:
+        return polys
     with _universal_lock:
-        _universal_cache[key] = polys
+        key_lock = _universal_locks.setdefault(key, threading.Lock())
+    with key_lock:
+        polys = _universal_cache.get(key)
+        if polys is None:
+            polys = _build_universal(op, p, L)
+            _universal_cache[key] = polys
     return polys
 
 
+# id(poly) -> (poly, evaluator, max exponents).  The entry holds poly, so
+# its id cannot pass to another polynomial while the entry exists.
 _compiled_cache: dict = {}
 _COMPILE_THRESHOLD = 512
 
 
 def _compile_int_poly(poly: TruncSeries):
-    """Compile a large integer polynomial to a plain-int evaluator using
-    per-call power tables; worthwhile for the big p=5 tables."""
-    key = id(poly)
-    fn = _compiled_cache.get(key)
-    if fn is not None:
-        return fn
+    """Compile a large integer polynomial to a plain-int function of one
+    power table per variable; worthwhile for the big p=5 tables."""
+    entry = _compiled_cache.get(id(poly))
+    if entry is not None and entry[0] is poly:
+        return entry[1], entry[2]
     nv = len(poly.variables)
     terms = []
     for e, c in poly.coeffs.items():
         factors = ["_p%d[%d]" % (i, n) for i, n in enumerate(e) if n]
         terms.append("*".join([repr(c)] + factors))
     maxdeg = [max((e[i] for e in poly.coeffs), default=0) for i in range(nv)]
-    lines = ["def _f(vals):"]
-    for i in range(nv):
-        lines.append("    _v = vals[%d]" % i)
-        lines.append("    _p%d = [1] * %d" % (i, maxdeg[i] + 1))
-        lines.append("    for _k in range(1, %d): _p%d[_k] = _p%d[_k-1] * _v"
-                     % (maxdeg[i] + 1, i, i))
-    lines.append("    _acc = 0")
+    lines = ["def _f(%s):" % ", ".join("_p%d" % i for i in range(nv)),
+             "    _acc = 0"]
     for k in range(0, len(terms), 400):
         lines.append("    _acc += " + " + ".join(terms[k:k + 400]))
     lines.append("    return _acc")
     ns: dict = {}
     exec("\n".join(lines), ns)  # noqa: S102 - generated from trusted table
-    fn = ns["_f"]
-    _compiled_cache[key] = fn
-    return fn
+    _compiled_cache[id(poly)] = (poly, ns["_f"], maxdeg)
+    return ns["_f"], maxdeg
 
 
 def eval_int_poly(poly: TruncSeries, ring: Ring, values: list):
-    """Evaluate an integer polynomial at ring elements, caching powers."""
+    """Evaluate an integer polynomial at ring elements, caching powers.
+    Over Z/m the compiled path reduces its power tables mod m, which leaves
+    the result mod m unchanged and keeps the factors small."""
     if (len(poly.coeffs) >= _COMPILE_THRESHOLD
             and all(isinstance(v, int) for v in values)
             and isinstance(ring, (IntRing, IntModRing))):
-        out = _compile_int_poly(poly)(values)
-        return out if isinstance(ring, IntRing) else out % ring.m
+        fn, maxdeg = _compile_int_poly(poly)
+        m = ring.m if isinstance(ring, IntModRing) else None
+        tables = []
+        for v, d in zip(values, maxdeg):
+            table = [1]
+            for _ in range(d):
+                x = table[-1] * v
+                table.append(x if m is None else x % m)
+            tables.append(table)
+        out = fn(*tables)
+        return out if m is None else out % m
     pows = [{} for _ in values]
     acc = ring.zero
     for e, c in poly.coeffs.items():

@@ -128,6 +128,17 @@ def test_log_sharp_stirling_certificate():
                 assert got == stirling_first(n, k)
 
 
+def test_stirling_first_is_falling_factorial_coefficients():
+    # x (x - 1) ... (x - n + 1) = sum_k s(n, k) x^k, up to n where the
+    # unmemoized recursion would take about 2^n calls
+    falling = [1]
+    for n in range(61):
+        assert [stirling_first(n, k) for k in range(n + 1)] == falling
+        falling = [(falling[k - 1] if k else 0)
+                   - n * (falling[k] if k < len(falling) else 0)
+                   for k in range(n + 2)]
+
+
 def test_mu_p_pd_check():
     rng = random.Random(1)
     for p in (2, 3, 5):
