@@ -13,13 +13,15 @@ in this representation, so no precision is lost inside a computation.
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
+from typing import NamedTuple
 
 from .qhopf import _c_monomial, _from_monomial
 from .ringcore import (
     CyclotomicRing, IntModRing, PolyQuotRing, PrismlabError,
     QSeriesRing, RatRing, TruncSeries, h_element, phi_p_element,
-    q_element,
+    q_element, valuation,
 )
 from .witt import (
     DeltaRing, WittVector, from_ghost, joyal_lift, teichmuller, witt_op,
@@ -62,19 +64,16 @@ def _c_mono_in(R: PolyQuotRing, n: int) -> tuple:
     return R.make([H.make(list(c)) for c in mono])
 
 
-def frac_vp(f: Fraction, p: int) -> float:
+def frac_vp(f: Fraction, p: int) -> int | None:
+    """v_p of a rational number; None for 0, whose valuation is infinite."""
     if f == 0:
-        return math.inf
-    v = 0
-    n = f.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = f.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+        return None
+    return valuation(f.numerator, p) - valuation(f.denominator, p)
+
+
+def vp_at_least(f: Fraction, p: int, n: int) -> bool:
+    """v_p(f) >= n, counting v_p(0) as infinite."""
+    return f == 0 or frac_vp(f, p) >= n
 
 
 def bh_in_box(R: PolyQuotRing, a, p: int, n_p: int, n_q: int,
@@ -85,7 +84,7 @@ def bh_in_box(R: PolyQuotRing, a, p: int, n_p: int, n_q: int,
         if t_deg is not None and i > t_deg:
             continue
         for j, f in enumerate(hc):
-            if j < n_q and frac_vp(f, p) < n_p:
+            if j < n_q and not vp_at_least(f, p, n_p):
                 return False
     return True
 
@@ -200,7 +199,7 @@ def q_exp_agreement(p: int, n_p: int, n_q: int, t_deg: int) -> dict:
         b = c2[k] if k < len(c2) else H.zero
         diff = H.sub(a, b)
         ok_agree = ok_agree and all(
-            frac_vp(f, p) >= n_p for j, f in enumerate(diff) if j < n_q)
+            vp_at_least(f, p, n_p) for j, f in enumerate(diff) if j < n_q)
     return {"coords_are_phi_powers": ok_phi, "agree": ok_agree,
             "tails": (e1["tail"], e2["tail"])}
 
@@ -209,11 +208,43 @@ def q_exp_agreement(p: int, n_p: int, n_q: int, t_deg: int) -> dict:
 # the canonical Witt point
 
 
-def canonical_point(p: int, n_p: int, n_q: int, L: int = 2,
-                    t_deg: int = 4) -> dict:
-    """x = (Joyal lift of (X-1)/Phi): the 0-th component is the explicit
-    series, 1 + Phi_p([q]) x is the Teichmuller lift of X componentwise in
-    the box, and phi(X) = X^p (the rank-one condition)."""
+class _Canonical(NamedTuple):
+    """The part of canonical_point that does not depend on t_deg."""
+
+    ring: PolyQuotRing
+    x0: tuple
+    X: tuple
+    x: WittVector
+    phi_X: tuple                # phi(X)
+    X_p: tuple                  # X^p
+    teich_lhs: WittVector       # 1 + Phi_p([q]) x
+    teich_rhs: WittVector       # [X]
+    tail: int
+
+
+_canonical_cache: dict = {}
+_canonical_locks: dict = {}
+_canonical_lock = threading.Lock()
+
+
+def _canonical_construction(p: int, n_p: int, n_q: int, L: int) -> _Canonical:
+    """The construction behind canonical_point, built once per
+    (p, n_p, n_q, L), under a lock per key, however many threads ask."""
+    key = (p, n_p, n_q, L)
+    built = _canonical_cache.get(key)
+    if built is not None:
+        return built
+    with _canonical_lock:
+        key_lock = _canonical_locks.setdefault(key, threading.Lock())
+    with key_lock:
+        built = _canonical_cache.get(key)
+        if built is None:
+            built = _build_canonical(p, n_p, n_q, L)
+            _canonical_cache[key] = built
+    return built
+
+
+def _build_canonical(p: int, n_p: int, n_q: int, L: int) -> _Canonical:
     slack = L + 6
     h_prec = n_q
     R = bhat_ring(h_prec)
@@ -240,25 +271,37 @@ def canonical_point(p: int, n_p: int, n_q: int, L: int = 2,
     lhs = witt_op(teichmuller(R, p, L, R.one),
                   witt_op(phi_teich, x, "mul"), "add")
     rhs = teichmuller(R, p, L, X)
+    return _Canonical(R, x0, X, x, phi_endo(X), R.pow(X, p), lhs, rhs, n_max)
+
+
+def canonical_point(p: int, n_p: int, n_q: int, L: int = 2,
+                    t_deg: int = 4) -> dict:
+    """x = (Joyal lift of (X-1)/Phi): the 0-th component is the explicit
+    series, 1 + Phi_p([q]) x is the Teichmuller lift of X componentwise in
+    the box, and phi(X) = X^p (the rank-one condition).
+
+    The construction is memoized per (p, n_p, n_q, L); the box checks at
+    t_deg run on every call, and every call returns a new dict."""
+    c = _canonical_construction(p, n_p, n_q, L)
+    R = c.ring
     teich_ok = all(bh_eq_box(R, a, b, p, n_p, n_q, t_deg)
-                   for a, b in zip(lhs.components, rhs.components))
-    # rank one: phi(X) = X^p
-    rank_one = bh_eq_box(R, phi_endo(X), R.pow(X, p), p, n_p, n_q, t_deg)
+                   for a, b in zip(c.teich_lhs.components,
+                                   c.teich_rhs.components))
+    rank_one = bh_eq_box(R, c.phi_X, c.X_p, p, n_p, n_q, t_deg)
     # 0-th component is the explicit series by construction
-    zeroth = x.components[0] == x0
-    return {"ring": R, "x": x, "X": X, "x0": x0,
+    zeroth = c.x.components[0] == c.x0
+    return {"ring": R, "x": c.x, "X": c.X, "x0": c.x0,
             "teichmuller": teich_ok, "rank_one": rank_one,
-            "zeroth_component": zeroth, "tail": n_max}
+            "zeroth_component": zeroth, "tail": c.tail}
 
 
 def derham_specialization_of_x0(p: int, n_p: int, n_q: int,
                                 t_deg: int = 6) -> bool:
     """At q = 1 the 0-th component becomes (exp(pt) - 1)/p."""
-    cp = canonical_point(p, n_p, n_q, L=2, t_deg=t_deg)
-    R = cp["ring"]
-    x0 = cp["x0"]
+    c = _canonical_construction(p, n_p, n_q, 2)
+    x0 = c.x0
     for i in range(1, t_deg + 1):
-        hc = x0[i] if i < len(x0) else _hring(R).zero
+        hc = x0[i] if i < len(x0) else _hring(c.ring).zero
         const = hc[0] if hc else Fraction(0)
         if const != Fraction(p ** (i - 1), math.factorial(i)):
             return False
@@ -269,21 +312,21 @@ def r0_relation_check(p: int, n_p: int, n_q: int, t_deg: int = 4) -> dict:
     """delta(1 + Phi_p(q) x0) = 0: the rank-one condition phi(X) = X^p,
     plus its t = 0 and q = 1 degenerations."""
     cp = canonical_point(p, n_p, n_q, L=2, t_deg=t_deg)
-    R, X = cp["ring"], cp["X"]
-    H = _hring(R)
-    phi_endo = bh_phi_endo(R, p)
+    c = _canonical_construction(p, n_p, n_q, 2)
+    X = c.X
+    H = _hring(c.ring)
     out = {"rank_one": cp["rank_one"]}
     # t = 0 fiber: X(0) = 1
     out["t0_fiber"] = H.eq(X[0] if X else H.zero, H.one)
     # q = 1 fiber: phi(X) and X^p both specialize to exp(p^2 t) in the box
-    lhs, rhs = phi_endo(X), R.pow(X, p)
+    lhs, rhs = c.phi_X, c.X_p
     ok = True
     for i in range(t_deg + 1):
         la = lhs[i][0] if i < len(lhs) and lhs[i] else Fraction(0)
         rb = rhs[i][0] if i < len(rhs) and rhs[i] else Fraction(0)
         target = Fraction(p ** (2 * i), math.factorial(i))
-        ok = ok and frac_vp(la - target, p) >= n_p \
-            and frac_vp(rb - target, p) >= n_p
+        ok = ok and vp_at_least(la - target, p, n_p) \
+            and vp_at_least(rb - target, p, n_p)
     out["q1_fiber"] = ok
     return out
 
@@ -482,8 +525,8 @@ def q_log_precision_loss(p: int, n_q: int) -> int:
     worst = 0
     for c in inv:
         v = frac_vp(c, p)
-        if v < 0:
-            worst = max(worst, -int(v))
+        if v is not None and v < 0:
+            worst = max(worst, -v)
     return 1 + worst
 
 

@@ -52,6 +52,24 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def floor_log(k: int, p: int) -> int:
+    """The largest e with p^e <= k, for k >= 1."""
+    e = 0
+    while k >= p:
+        k //= p
+        e += 1
+    return e
+
+
+def valuation(n: int, p: int) -> int:
+    """The exponent of p in the nonzero integer n."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 @dataclass(frozen=True)
 class Prec:
     """Truncation parameters shared by every suite.
@@ -307,20 +325,36 @@ class PolyQuotRing(Ring):
     Elements are tuples of scalar elements (coefficients of 1, x, x^2, ...)
     with trailing zeros stripped.  modulus is a monic integer polynomial
     given by its coefficient tuple; None means no reduction.
+
+    Over Fraction scalars (Q[x], Q[x]/(modulus), and Q[h][t] or
+    Q[h]/(h^N)[t]) mul is an integer kernel that __init__ binds to the
+    instance; every other ring uses the class method, the schoolbook.
     """
 
     def __init__(self, scalar: Ring, modulus: tuple | None, var: str = "h"):
         self.scalar = scalar
         self.var = var
         self.modulus = tuple(modulus) if modulus is not None else None
+        self._monomial = False
         if self.modulus is not None:
             if self.modulus[-1] != 1:
                 raise ValueError("modulus must be monic")
             self.deg = len(self.modulus) - 1
             # x^deg = -(m_0 + m_1 x + ...): precompute the scalar images
             self._top = tuple(scalar.from_int(-c) for c in self.modulus[:-1])
+            self._monomial = not any(self.modulus[:-1])
+            if self._monomial:
+                self._reduce = self._truncate
         else:
             self.deg = None
+        if type(scalar) is RatRing:
+            # integer products are reduced in this twin, then divided once
+            self._int_twin = PolyQuotRing(IntRing(), self.modulus, var)
+            self.mul = self._mul_rat
+        elif (type(scalar) is PolyQuotRing and type(scalar.scalar) is RatRing
+              and self.modulus is None
+              and (scalar.modulus is None or scalar._monomial)):
+            self.mul = self._mul_rat_bivariate
         self.is_torsion_free = scalar.is_torsion_free
         mod_tag = "" if modulus is None else "/(%s)" % self._fmt_modulus()
         self.name = "%s[%s]%s" % (scalar.name, var, mod_tag)
@@ -350,6 +384,11 @@ class PolyQuotRing(Ring):
                 for j, t in enumerate(self._top):
                     coeffs[i - d + j] = s.add(coeffs[i - d + j], s.mul(c, t))
             coeffs.pop()
+        return self._strip(coeffs)
+
+    def _truncate(self, coeffs: list) -> tuple:
+        """_reduce for a modulus x^deg, bound in __init__: x^deg = 0."""
+        del coeffs[self.deg:]
         return self._strip(coeffs)
 
     def make(self, coeffs) -> tuple:
@@ -385,6 +424,41 @@ class PolyQuotRing(Ring):
             for j, cb in enumerate(b):
                 out[i + j] = s.add(out[i + j], s.mul(ca, cb))
         return self._reduce(out)
+
+    def _mul_rat(self, a, b):
+        """mul over Q: each operand as integer numerators over one common
+        denominator, one Kronecker product, the reduction on integers and
+        one Fraction per coefficient of the result."""
+        if not a or not b:
+            return ()
+        na, da = _numerators(a)
+        nb, db = _numerators(b)
+        prod = self._int_twin._reduce(_kronecker_mul(na, nb))
+        d = da * db
+        return tuple([Fraction(c, d) for c in prod])
+
+    def _mul_rat_bivariate(self, a, b):
+        """mul over Q[h][t] or Q[h]/(h^N)[t]: the coefficient of t^i h^j
+        goes to slot i*S + j of one integer vector, with S one more than the
+        largest h-degree of the product, so a single Kronecker product
+        multiplies in both variables at once."""
+        if not a or not b:
+            return ()
+        stride = max(map(len, a)) + max(map(len, b)) - 1
+        na, da = _numerators(_flatten(a, stride))
+        nb, db = _numerators(_flatten(b, stride))
+        prod = _kronecker_mul(na, nb)
+        d = da * db
+        keep = stride if self.scalar.deg is None else min(stride, self.scalar.deg)
+        out = []
+        for i in range(0, len(prod), stride):
+            block = prod[i:i + keep]
+            while block and not block[-1]:
+                block.pop()
+            out.append(tuple([Fraction(c, d) for c in block]))
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
 
     def from_int(self, n):
         c = self.scalar.from_int(n)
@@ -485,6 +559,77 @@ class PolyQuotRing(Ring):
 
     def __hash__(self):
         return hash(("PolyQuot", self.scalar, self.modulus, self.var))
+
+
+# --- the integer kernel behind mul over Q ----------------------------------
+
+
+def _numerators(coeffs) -> tuple:
+    """(integer numerators, common denominator) of rational coefficients."""
+    den = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _flatten(a, stride: int) -> list:
+    """The coefficients of a bivariate element, t^i h^j at i*stride + j."""
+    flat = [0] * (stride * (len(a) - 1) + len(a[-1]))
+    for i, hc in enumerate(a):
+        flat[i * stride:i * stride + len(hc)] = hc
+    return flat
+
+
+def _kronecker_mul(a: list, b: list) -> list:
+    """Coefficients of the product of two integer polynomials (low degree
+    first) by one big-integer multiplication: each operand is packed into
+    one integer in digits of nb bytes, wide enough that every coefficient
+    of the product, with its sign, fits in one digit."""
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    if not bound:
+        # an all-zero operand: the other one need not fit the digits
+        return [0] * (len(a) + len(b) - 1)
+    nb = bound.bit_length() // 8 + 1
+    return _unpack(_pack(a, nb) * _pack(b, nb), nb, len(a) + len(b) - 1)
+
+
+# Up to this many coefficients, packing and unpacking by shifts is faster;
+# past it the shifts copy ever longer integers, and the bytes take over.
+_SHIFT_MAX = 8
+
+
+def _pack(coeffs: list, nb: int) -> int:
+    """sum c_i 2^(8 nb i)."""
+    if len(coeffs) <= _SHIFT_MAX:
+        w = 8 * nb
+        x = 0
+        for c in reversed(coeffs):
+            x = (x << w) + c
+        return x
+    # from the positive and the negative parts, each in time linear in size
+    pos = b"".join([(c if c > 0 else 0).to_bytes(nb, "little") for c in coeffs])
+    neg = b"".join([(-c if c < 0 else 0).to_bytes(nb, "little") for c in coeffs])
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _unpack(x: int, nb: int, n: int) -> list:
+    """The n signed digits of x, each below 2^(8 nb - 1) in absolute value."""
+    half = 1 << (8 * nb - 1)
+    if n <= _SHIFT_MAX:
+        w = 8 * nb
+        mask = (1 << w) - 1
+        out = []
+        for _ in range(n):
+            d = x & mask
+            if d >= half:
+                d -= 1 << w
+            out.append(d)
+            x = (x - d) >> w
+        return out
+    # adding 2^(8 nb - 1) to every digit makes them all nonnegative, so
+    # they can be read off the bytes of x
+    bias = int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
+    raw = (x + bias).to_bytes(n * nb, "little")
+    return [int.from_bytes(raw[i:i + nb], "little") - half
+            for i in range(0, n * nb, nb)]
 
 
 # --- named constructors ----------------------------------------------------
@@ -1080,7 +1225,7 @@ def _log_term_bound(ring) -> int | None:
     target = n_p + extra
     n = 1
     while True:
-        if all(Fraction(k, p - 1) - math.floor(math.log(k, p)) >= target
+        if all(Fraction(k, p - 1) - floor_log(k, p) >= target
                for k in range(n, 4 * n + 8)):
             return 4 * n + 8
         n += 1
@@ -1091,8 +1236,7 @@ def _padic_profile(ring):
     if isinstance(ring, IntModRing):
         if ring.p is None:
             return None, None, None
-        n_p = round(math.log(ring.m, ring.p))
-        return ring.p, n_p, 0
+        return ring.p, valuation(ring.m, ring.p), 0
     if isinstance(ring, PolyQuotRing):
         p, n_p, extra = _padic_profile(ring.scalar)
         if p is None:

@@ -1,8 +1,13 @@
+import hashlib
 import random
+import sys
+import threading
+import time
 
 import pytest
 from fractions import Fraction
 
+from prismlab import qprism
 from prismlab.derham import NotTeichmuller
 from prismlab.qprism import (
     GQPoint, TailNotStabilized, bh_coords,
@@ -11,7 +16,7 @@ from prismlab.qprism import (
     gq_op, gq_ring, gq_to_unit, hodge_tate_check, phi_of_section_identity,
     q_exp_agreement, q_exponential, q_log,
     q_log_of_sigma, q_log_precision_loss, q_power_substitute, sample_gq,
-    sigma_point, zp_action,
+    sigma_point, zp_action, bh_in_box, bhat_ring, frac_vp, vp_at_least,
 )
 from prismlab.ringcore import TruncSeries, h_element, q_element
 from prismlab.witt import WittVector, witt_op, zero_vector
@@ -113,6 +118,71 @@ def test_canonical_point_criterion():
         assert cp["teichmuller"]
         assert cp["rank_one"]
         assert cp["zeroth_component"]
+
+
+# sha256 of repr, first 16 hex digits, as computed by the Fraction
+# schoolbook before the integer kernel: (x.components, X, x0)
+CANONICAL_DIGESTS = {
+    2: ("b39e24865c0e78e4", "7949eed0c580b2ae", "5987162d3efc7ec7"),
+    3: ("16a5b6ce1e68d3a1", "273614b876d3407b", "13c9e8c2ee81bc0c"),
+}
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+def test_canonical_point_is_bit_identical():
+    for p, digests in CANONICAL_DIGESTS.items():
+        cp = canonical_point(p, 4, 4, L=2, t_deg=4)
+        assert (_digest(cp["x"].components), _digest(cp["X"]),
+                _digest(cp["x0"])) == digests
+
+
+def test_canonical_point_returns_a_new_dict():
+    first = canonical_point(2, 2, 2, L=2, t_deg=2)
+    first["x0"] = None
+    first["teichmuller"] = False
+    second = canonical_point(2, 2, 2, L=2, t_deg=2)
+    assert second is not first
+    assert second["x0"] is not None and second["teichmuller"]
+
+
+def test_concurrent_requests_build_the_canonical_point_once(monkeypatch):
+    monkeypatch.setattr(qprism, "_canonical_cache", {})
+    monkeypatch.setattr(qprism, "_canonical_locks", {})
+    real_build = qprism._build_canonical
+    builds = []
+
+    def slow_build(*key):
+        builds.append(key)
+        time.sleep(0.05)
+        return real_build(*key)
+
+    monkeypatch.setattr(qprism, "_build_canonical", slow_build)
+    workers = 4
+    barrier = threading.Barrier(workers)
+    results = [None] * workers
+
+    def ask(i):
+        barrier.wait(timeout=10)
+        results[i] = canonical_point(2, 2, 2, L=2, t_deg=2 + i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(i,))
+                   for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert builds == [(2, 2, 2, 2)]
+    assert all(r["x"] is results[0]["x"] for r in results)
+    assert all(r["teichmuller"] and r["rank_one"] for r in results)
 
 
 def test_canonical_point_derham_specialization():
@@ -226,3 +296,36 @@ def test_section_vanishes_exactly_on_cyclotomic_fiber():
             f = P.make_ints([rng.randrange(-9, 10) for _ in range(4)])
             if not P.is_zero(f):
                 assert not P.is_zero(P.mul(phi, f))
+
+
+# --- exact valuations in the box checks ------------------------------------------
+
+
+def test_frac_vp_is_exact():
+    assert frac_vp(Fraction(0), 3) is None
+    assert frac_vp(Fraction(243), 3) == 5
+    for p in (2, 3, 5):
+        for k in range(1, 30):
+            assert frac_vp(Fraction(p ** k), p) == k
+            assert frac_vp(Fraction(p ** k - 1), p) == 0
+            assert frac_vp(Fraction(1, p ** k), p) == -k
+            assert frac_vp(Fraction(p ** k, 7 * p ** (k + 1)), p) == -1
+            assert type(frac_vp(Fraction(p ** k, 7), p)) is int
+    assert vp_at_least(Fraction(0), 3, 10 ** 9)
+    assert vp_at_least(Fraction(-3 ** 5, 2), 3, 5)
+    assert not vp_at_least(Fraction(3 ** 5, 2), 3, 6)
+
+
+def test_bh_in_box_at_the_boundary():
+    R = bhat_ring(4)
+    H = R.scalar
+    for p, n_p in ((2, 4), (3, 5)):
+        inside = R.make([H.make([Fraction(p ** n_p, 11)])])
+        outside = R.make([H.make([Fraction(p ** (n_p - 1))])])
+        assert bh_in_box(R, inside, p, n_p, 4)
+        assert not bh_in_box(R, outside, p, n_p, 4)
+        # h^n_q lies outside the checked h-degrees, t^2 outside t_deg 1
+        far = R.make([H.make([0, 0, 0, Fraction(1)])])
+        assert bh_in_box(R, far, p, n_p, 3)
+        assert bh_in_box(R, R.make([(), (), H.one]), p, n_p, 4, t_deg=1)
+        assert not bh_in_box(R, R.make([(), (), H.one]), p, n_p, 4, t_deg=2)
