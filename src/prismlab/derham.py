@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .ringcore import (
-    DoesNotConverge, IntModRing, ModP, PrismlabError, Ring,
+    DoesNotConverge, IntModRing, ModP, PrismlabError,
 )
 from .witt import (
     WittVector, frobenius, scalar_mul, teichmuller, verschiebung, witt_neg,
@@ -92,17 +92,6 @@ def gdr_zero(ring, p, L) -> GdRPoint:
 # --- series evaluation on Witt vectors ---------------------------------------
 
 
-def _scalar_rep(ring: Ring, frac: Fraction, p: int) -> int:
-    """Integer representative of a p-adically integral rational, at the
-    ring's precision plus a margin covering scalar-multiplication slack."""
-    _, n_p = _base_scalar(ring)
-    target = ModP(p, n_p + 4)
-    img = target.from_rational(frac)
-    if img is None:
-        raise DoesNotConverge("coefficient %s is not p-integral" % frac)
-    return img
-
-
 def witt_series_eval(coeff, x: WittVector, bound: int) -> WittVector:
     """sum_{n>=1} coeff(n) . x^n, where coeff(n) is a p-integral rational.
 
@@ -111,11 +100,18 @@ def witt_series_eval(coeff, x: WittVector, bound: int) -> WittVector:
     the final terms contribute nothing.
     """
     ring, p = x.ring, x.p
+    # integer representatives at the ring's precision plus a margin
+    # covering scalar-multiplication slack
+    _, n_p = _base_scalar(ring)
+    target = ModP(p, n_p + 4)
     acc = zero_vector(ring, p, x.L)
     power = x
     tail_zero = True
     for n in range(1, bound + 1):
-        c = _scalar_rep(ring, Fraction(coeff(n)), p)
+        frac = Fraction(coeff(n))
+        c = target.from_rational(frac)
+        if c is None:
+            raise DoesNotConverge("coefficient %s is not p-integral" % frac)
         term = scalar_mul(c, power)
         acc = _wadd(acc, term)
         if n >= bound - 1:

@@ -282,7 +282,3 @@ def delta_basis_combine(coords: dict, p: int) -> tuple:
     for n, c in coords.items():
         acc = R.add(acc, tuple(c * b for b in delta_basis(p, n)))
     return acc
-
-
-def rational_of_intpoly(x: IntPoly) -> tuple:
-    return x.to_rational()

@@ -216,15 +216,11 @@ class B0Elem:
         for n, c in enumerate(self.coords):
             if QH.is_zero(c):
                 continue
-            cs = QH.fmt(_pretty(c))
+            cs = QH.fmt(c)
             base = "1" if n == 0 else "c%d" % n
             parts.append(base if cs == "1" and n else
                          cs if n == 0 else "(%s)*%s" % (cs, base))
         return " + ".join(parts)
-
-
-def _pretty(c):
-    return c
 
 
 def b0_mul(a: B0Elem, b: B0Elem) -> B0Elem:

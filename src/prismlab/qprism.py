@@ -53,10 +53,6 @@ def bh_phi_scalar(R: PolyQuotRing, p: int):
     return phi_p_element(_hring(R), p)
 
 
-def bh_embed_scalar(R: PolyQuotRing, c) -> tuple:
-    return R.make([c])
-
-
 def _c_mono_in(R: PolyQuotRing, n: int) -> tuple:
     """c_n(t, h) inside the truncated exact ring."""
     H = _hring(R)

@@ -140,14 +140,14 @@ class Ring:
     def pow(self, a, n: int):
         if n < 0:
             raise ValueError("negative powers not supported")
-        result = self.one
-        base = a
+        result = None
         while n:
             if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = a if result is None else self.mul(result, a)
             n >>= 1
-        return result
+            if n:
+                a = self.mul(a, a)
+        return self.one if result is None else result
 
     def mul_int(self, a, n: int):
         return self.mul(a, self.from_int(n))
@@ -202,6 +202,9 @@ class IntRing(Ring):
 
     def pow(self, a, n):
         return a ** n
+
+    def mul_int(self, a, n):
+        return a * n
 
     def inv_int(self, n):
         return n if n in (1, -1) else None
@@ -424,6 +427,10 @@ class PolyQuotRing(Ring):
             for j, cb in enumerate(b):
                 out[i + j] = s.add(out[i + j], s.mul(ca, cb))
         return self._reduce(out)
+
+    def mul_int(self, a, n):
+        s = self.scalar
+        return self._strip([s.mul_int(c, n) for c in a])
 
     def _mul_rat(self, a, b):
         """mul over Q: each operand as integer numerators over one common
@@ -1043,10 +1050,6 @@ def clear_denominators(f: TruncSeries, target: Ring) -> TruncSeries:
                 % (f.ring.fmt(c), mono, target))
         out[e] = img
     return TruncSeries(target, f.variables, out, f.order)
-
-
-def embed_exact(f: TruncSeries, rat_ring: Ring, to_rat) -> TruncSeries:
-    return f.map_coeffs(to_rat, rat_ring)
 
 
 def series_inverse(f: TruncSeries) -> TruncSeries:

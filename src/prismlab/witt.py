@@ -98,33 +98,41 @@ def from_int_vector(ring, p, L, n: int) -> WittVector:
 
 def ghost_in_ring(w: WittVector) -> list:
     """Ghost components computed with the vector's own ring arithmetic
-    (polynomial data, no division)."""
+    (polynomial data, no division).  pows[i] holds x_i^(p^(n-i)) and is
+    raised to the p-th power once per step."""
     ring, p = w.ring, w.p
-    out = []
-    for n in range(len(w.components)):
-        acc = ring.zero
-        for i in range(n + 1):
-            acc = ring.add(acc, ring.mul_int(
-                ring.pow(w.components[i], p ** (n - i)), p ** i))
-        out.append(acc)
+    out: list = []
+    pows: list = []
+    for x in w.components:
+        pows = [ring.pow(y, p) for y in pows] + [x]
+        out.append(reduce(ring.add, [ring.mul_int(y, p ** i)
+                                     for i, y in enumerate(pows)]))
     return out
+
+
+def _solve_ghosts(ring, p, ghosts, divide) -> list:
+    """x_n = (g_n - sum_{i<n} p^i x_i^(p^(n-i))) / p^n, where divide(a, d)
+    is a / d or None; pows[i] holds x_i^(p^(n-i)) as in ghost_in_ring."""
+    comps: list = []
+    pows: list = []
+    for n, acc in enumerate(ghosts):
+        pows = [ring.pow(x, p) for x in pows]
+        for i, x in enumerate(pows):
+            acc = ring.sub(acc, ring.mul_int(x, p ** i))
+        if n:
+            acc = divide(acc, p ** n)
+            if acc is None:
+                raise NonIntegralGhost("ghost component %d is not integral" % n)
+        comps.append(acc)
+        pows.append(acc)
+    return comps
 
 
 def from_ghost_exact(ring, p, ghosts) -> WittVector:
     """Ghost solve by exact integer division inside the ring; raises on a
     non-integral component.  Internal fast path for torsion-free rings."""
-    comps = []
-    for n, g in enumerate(ghosts):
-        acc = g
-        for i in range(n):
-            acc = ring.sub(acc, ring.mul_int(
-                ring.pow(comps[i], p ** (n - i)), p ** i))
-        if n:
-            acc = ring.div_int_exact(acc, p ** n)
-            if acc is None:
-                raise NonIntegralGhost("ghost component %d is not integral" % n)
-        comps.append(acc)
-    return WittVector(ring, p, comps)
+    return WittVector(ring, p, _solve_ghosts(ring, p, ghosts,
+                                             ring.div_int_exact))
 
 
 def _has_exact_division(ring) -> bool:
@@ -137,17 +145,12 @@ def ghost(w: WittVector) -> list:
     if rat is None:
         raise NonIntegralGhost("ring %s has no fraction cover; "
                                "use the universal backend" % w.ring)
+    return ghost_in_ring(_rationalize(w, rat))
+
+
+def _rationalize(w: WittVector, rat) -> WittVector:
     rring, to_rat, _ = rat
-    p = w.p
-    comps = [to_rat(c) for c in w.components]
-    out = []
-    for n in range(len(comps)):
-        acc = rring.zero
-        for i in range(n + 1):
-            acc = rring.add(acc, rring.mul_int(
-                rring.pow(comps[i], p ** (n - i)), p ** i))
-        out.append(acc)
-    return out
+    return WittVector(rring, w.p, [to_rat(c) for c in w.components])
 
 
 def from_ghost(ring, p, ghosts) -> WittVector:
@@ -155,24 +158,45 @@ def from_ghost(ring, p, ghosts) -> WittVector:
     rat = ring.rationalized()
     if rat is None:
         raise NonIntegralGhost("ring %s has no fraction cover" % ring)
+    return _from_rational_ghosts(ring, p, ghosts, rat)
+
+
+def _from_rational_ghosts(ring, p, ghosts, rat) -> WittVector:
     rring, _, from_rat = rat
-    inv_p = rring.inv_int(p)
-    comps_rat = []
     comps = []
-    for n, g in enumerate(ghosts):
-        acc = g
-        for i in range(n):
-            acc = rring.sub(acc, rring.mul_int(
-                rring.pow(comps_rat[i], p ** (n - i)), p ** i))
-        for _ in range(n):
-            acc = rring.mul(acc, inv_p)
-        comps_rat.append(acc)
-        img = from_rat(acc)
+    for n, c in enumerate(_solve_ghosts(
+            rring, p, ghosts, lambda a, d: rring.mul(a, rring.inv_int(d)))):
+        img = from_rat(c)
         if img is None:
             raise NonIntegralGhost("ghost component %d solves to %s"
-                                   % (n, rring.fmt(acc)))
+                                   % (n, rring.fmt(c)))
         comps.append(img)
     return WittVector(ring, p, comps)
+
+
+def _via_ghosts(vectors, combine):
+    """The Witt vector whose ghost components are combine(R, ghosts), where
+    ghosts holds the ghost lists of the vectors computed in the ring R:
+    the coefficient ring itself when it divides exactly, else its
+    rationalization, else an integral lift, whose result is reduced back
+    (reduction W(lift) -> W(ring) is a ring map).  One ghost solve for the
+    whole operation; None when only the universal tables apply."""
+    ring, p = vectors[0].ring, vectors[0].p
+    if ring.is_torsion_free and _has_exact_division(ring):
+        ghosts = [ghost_in_ring(v) for v in vectors]
+        return from_ghost_exact(ring, p, combine(ring, ghosts))
+    rat = ring.rationalized()
+    if rat is not None:
+        ghosts = [ghost_in_ring(_rationalize(v, rat)) for v in vectors]
+        return _from_rational_ghosts(ring, p, combine(rat[0], ghosts), rat)
+    lifted = ring.lifted()
+    if lifted is None:
+        return None
+    lring, up, down = lifted
+    out = _via_ghosts([WittVector(lring, p, [up(c) for c in v.components])
+                       for v in vectors], combine)
+    return None if out is None else WittVector(
+        ring, p, [down(c) for c in out.components])
 
 
 # --- universal polynomial backend -------------------------------------------
@@ -400,104 +424,66 @@ def witt_op(a: WittVector, b: WittVector, op: str) -> WittVector:
     a._check(b)
     if len(a.components) != len(b.components):
         raise RingMismatch("Witt lengths differ")
-    ring, p, L = a.ring, a.p, a.L
     if op not in ("add", "mul"):
         raise ValueError("op must be add or mul")
-    if ring.is_torsion_free and _has_exact_division(ring):
-        ga, gb = ghost_in_ring(a), ghost_in_ring(b)
-        combine = ring.add if op == "add" else ring.mul
-        return from_ghost_exact(ring, p, [combine(x, y)
-                                          for x, y in zip(ga, gb)])
-    if ring.rationalized() is not None:
-        ga, gb = ghost(a), ghost(b)
-        rring = ring.rationalized()[0]
-        if op == "add":
-            gs = [rring.add(x, y) for x, y in zip(ga, gb)]
-        else:
-            gs = [rring.mul(x, y) for x, y in zip(ga, gb)]
-        return from_ghost(ring, p, gs)
-    lifted = ring.lifted()
-    if lifted is not None:
-        # compute on integral lifts and reduce: identical to evaluating the
-        # universal integer polynomials, but far cheaper at length 4
-        lring, up, down = lifted
-        la = WittVector(lring, p, [up(c) for c in a.components])
-        lb = WittVector(lring, p, [up(c) for c in b.components])
-        out = witt_op(la, lb, op)
-        return WittVector(ring, p, [down(c) for c in out.components])
-    polys = witt_universal(op, p, L)
-    values = list(a.components) + list(b.components)
-    return WittVector(ring, p, [eval_int_poly(s, ring, values) for s in polys])
+    out = _via_ghosts((a, b), lambda r, g: list(map(getattr(r, op), *g)))
+    return witt_op_universal(a, b, op) if out is None else out
 
 
 def witt_neg(a: WittVector) -> WittVector:
-    ring, p = a.ring, a.p
-    if ring.is_torsion_free and _has_exact_division(ring):
-        return from_ghost_exact(ring, p,
-                                [ring.neg(g) for g in ghost_in_ring(a)])
-    if ring.rationalized() is not None:
-        rring = ring.rationalized()[0]
-        return from_ghost(ring, p, [rring.neg(g) for g in ghost(a)])
-    lifted = ring.lifted()
-    if lifted is not None:
-        lring, up, down = lifted
-        out = witt_neg(WittVector(lring, p, [up(c) for c in a.components]))
-        return WittVector(ring, p, [down(c) for c in out.components])
-    polys = witt_universal("neg", p, a.L)
-    return WittVector(ring, p, [eval_int_poly(s, ring, list(a.components))
-                                for s in polys])
+    out = _via_ghosts((a,), lambda r, g: [r.neg(x) for x in g[0]])
+    return _universal("neg", a) if out is None else out
 
 
 def witt_op_universal(a: WittVector, b: WittVector, op: str) -> WittVector:
     """Force the universal-polynomial backend (oracle cross-checks)."""
-    polys = witt_universal(op, a.p, a.L)
-    values = list(a.components) + list(b.components)
-    return WittVector(a.ring, a.p, [eval_int_poly(s, a.ring, values)
-                                    for s in polys])
+    return _universal(op, a, b)
+
+
+def _universal(op: str, *vectors) -> WittVector:
+    w = vectors[0]
+    values = [c for v in vectors for c in v.components]
+    return WittVector(w.ring, w.p, [eval_int_poly(s, w.ring, values)
+                                    for s in witt_universal(op, w.p, w.L)])
 
 
 def scalar_mul(n: int, w: WittVector) -> WittVector:
-    """n . w = w + ... + w for an integer n (Witt addition)."""
+    """n . w for an integer n, as one ghost scaling: ghost(n.w) = n.ghost(w).
+    Only over rings with no ghost backend is it the n-fold Witt sum, by
+    double-and-add on the universal tables."""
+    out = _via_ghosts((w,), lambda r, g: [r.mul_int(x, n) for x in g[0]])
+    if out is not None:
+        return out
     if n < 0:
-        return scalar_mul(-n, witt_neg(w))
+        n, w = -n, witt_neg(w)
     acc = zero_vector(w.ring, w.p, w.L)
-    base = w
     while n:
         if n & 1:
-            acc = witt_op(acc, base, "add")
-        base = witt_op(base, base, "add")
+            acc = witt_op(acc, w, "add")
         n >>= 1
+        if n:
+            w = witt_op(w, w, "add")
     return acc
 
 
 def witt_pow(w: WittVector, n: int) -> WittVector:
+    """w^n for an integer n >= 0, by square-and-multiply on Witt products."""
+    if n < 0:
+        raise ValueError("negative powers not supported")
     acc = teichmuller(w.ring, w.p, w.L, w.ring.one)
-    base = w
     while n:
         if n & 1:
-            acc = witt_op(acc, base, "mul")
-        base = witt_op(base, base, "mul")
+            acc = witt_op(acc, w, "mul")
         n >>= 1
+        if n:
+            w = witt_op(w, w, "mul")
     return acc
 
 
 def frobenius(w: WittVector) -> WittVector:
     """F: W_L -> W_{L-1}; ghost(Fw)_n = ghost(w)_{n+1}."""
-    ring, p, L = w.ring, w.p, w.L
-    if L < 2:
-        return WittVector(ring, p, [])
-    if ring.is_torsion_free and _has_exact_division(ring):
-        return from_ghost_exact(ring, p, ghost_in_ring(w)[1:])
-    if ring.rationalized() is not None:
-        return from_ghost(ring, p, ghost(w)[1:])
-    lifted = ring.lifted()
-    if lifted is not None:
-        lring, up, down = lifted
-        out = frobenius(WittVector(lring, p, [up(c) for c in w.components]))
-        return WittVector(ring, p, [down(c) for c in out.components])
-    polys = witt_universal("frobenius", p, L)
-    vals = list(w.components)
-    return WittVector(ring, p, [eval_int_poly(s, ring, vals) for s in polys])
+    out = _via_ghosts((w,), lambda r, g: g[0][1:])
+    return _universal("frobenius", w) if out is None else out
 
 
 def verschiebung(w: WittVector) -> WittVector:
@@ -806,19 +792,6 @@ def frobenius_big(w: BigWitt, m: int) -> BigWitt:
     gs = ghost_big(w)
     return from_ghost_big(w.ring, N_out,
                           [gs[m * d - 1] for d in range(1, N_out + 1)])
-
-
-def bigwitt_scalar_mul(n: int, w: BigWitt) -> BigWitt:
-    if n < 0:
-        return bigwitt_scalar_mul(-n, -w)
-    acc = BigWitt.one(w.ring, w.N)
-    base = w
-    while n:
-        if n & 1:
-            acc = acc + base
-        base = base + base
-        n >>= 1
-    return acc
 
 
 # ---------------------------------------------------------------------------

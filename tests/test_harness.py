@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import prismlab
 from prismlab.harness import (
     ConfigError, SuiteConfig, check_stream, list_suites, run, select_suites,
     strip_elapsed,
@@ -58,19 +60,24 @@ def test_check_streams_independent():
     assert check_stream(1, "x").randrange(1 << 30) == a
 
 
+def run_cli(*args):
+    # the child imports the same prismlab as this process, installed or not
+    src = os.path.dirname(os.path.dirname(prismlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "prismlab.harness", *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
 def test_cli_smoke():
-    out = subprocess.run(
-        [sys.executable, "-m", "prismlab.harness", "--suite",
-         "fgl.deformation", "--trials", "2", "--format", "json"],
-        capture_output=True, text=True)
+    out = run_cli("--suite", "fgl.deformation", "--trials", "2",
+                  "--format", "json")
     assert out.returncode == 0
     rep = json.loads(out.stdout)
     assert rep["failed"] == 0
 
 
 def test_cli_bad_p():
-    out = subprocess.run(
-        [sys.executable, "-m", "prismlab.harness", "--p", "1"],
-        capture_output=True, text=True)
+    out = run_cli("--p", "1")
     assert out.returncode == 2
     assert "p must be prime" in out.stderr

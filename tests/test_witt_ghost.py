@@ -1,0 +1,164 @@
+"""Ghost-side Witt operations checked against independent algorithms:
+scalar_mul against n-fold Witt addition by double-and-add, witt_pow against
+one ghost power on an integral lift, and the p-power ladders of the ghost
+maps against the ghost formula written out term by term."""
+from functools import reduce
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from prismlab.derham import generic_vector
+from prismlab.ringcore import ExactInt, ModP, PolyQuotRing, SeriesCoeffRing
+from prismlab.witt import (
+    WittVector, from_ghost_exact, ghost_in_ring, scalar_mul, teichmuller,
+    witt_neg, witt_op, witt_pow, zero_vector,
+)
+
+
+def double_and_add(n, w):
+    if n < 0:
+        return double_and_add(-n, witt_neg(w))
+    acc, base = zero_vector(w.ring, w.p, w.L), w
+    while n:
+        if n & 1:
+            acc = witt_op(acc, base, "add")
+        base = witt_op(base, base, "add")
+        n >>= 1
+    return acc
+
+
+def ghost_power(w, n):
+    """w^n as one ghost power, ghost(w^n) = ghost(w)^n, on an integral lift
+    of the coefficient ring, reduced back."""
+    lifted = w.ring.lifted()
+    if lifted is None:
+        ring, up, down = w.ring, (lambda c: c), (lambda c: c)
+    else:
+        ring, up, down = lifted
+    x = WittVector(ring, w.p, [up(c) for c in w.components])
+    out = from_ghost_exact(ring, w.p, [ring.pow(g, n) for g in ghost_in_ring(x)])
+    return WittVector(w.ring, w.p, [down(c) for c in out.components])
+
+
+def power_by_products(ring, x, e):
+    out = ring.one
+    for _ in range(e):
+        out = ring.mul(out, x)
+    return out
+
+
+def ghost_direct(w):
+    """sum_i p^i x_i^(p^(n-i)), each power a chain of e products."""
+    r, p, xs = w.ring, w.p, w.components
+    return [reduce(r.add, [
+        r.mul_int(power_by_products(r, xs[i], p ** (n - i)), p ** i)
+        for i in range(n + 1)]) for n in range(len(xs))]
+
+
+def trunc_poly(scalar):
+    """scalar[a]/(a^3)"""
+    return PolyQuotRing(scalar, (0, 0, 0, 1), "a")
+
+
+# (ring, p-adic precision n_p used for the value p^(n_p+4), component values)
+def rings(p):
+    mods = [(ModP(p, n_p), n_p, st.integers(0, p ** n_p - 1))
+            for n_p in (1, 2, 4)]
+    fp_a3 = trunc_poly(ModP(p, 1))
+    return st.sampled_from(
+        [(ExactInt(), 4, st.integers(-20, 20))] + mods
+        + [(fp_a3, 1, st.lists(st.integers(0, p - 1), max_size=3)
+            .map(fp_a3.make_ints))])
+
+
+@st.composite
+def vectors(draw, max_len=4):
+    p = draw(st.sampled_from((2, 3, 5)))
+    ring, n_p, comps = draw(rings(p))
+    L = draw(st.integers(1, max_len))
+    comps = draw(st.lists(comps, min_size=L, max_size=L))
+    return WittVector(ring, p, comps), n_p
+
+
+def multipliers(p, n_p):
+    special = [0, 1, -1, p, -p, p ** (n_p + 4)]
+    return st.sampled_from(special) | st.integers(-(2 ** 20 - 1), 2 ** 20 - 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_scalar_mul_matches_double_and_add(data):
+    w, n_p = data.draw(vectors())
+    n = data.draw(multipliers(w.p, n_p))
+    assert scalar_mul(n, w).components == double_and_add(n, w).components
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_witt_pow_matches_ghost_power(data):
+    # the lift's ghost components grow linearly in n, so n stays small here
+    w, _ = data.draw(vectors())
+    n = data.draw(st.sampled_from([0, 1, w.p, w.p ** 2]) | st.integers(0, 12))
+    assert witt_pow(w, n).components == ghost_power(w, n).components
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_witt_pow_adds_exponents(data):
+    # large exponents over rings with torsion: w^(a+b) = w^a . w^b
+    w, n_p = data.draw(vectors().filter(lambda v: not v[0].ring.is_torsion_free))
+    a, b = (data.draw(st.sampled_from([0, 1, w.p, w.p ** (n_p + 4)])
+                      | st.integers(0, 2 ** 20 - 1)) for _ in range(2))
+    assert witt_pow(w, a + b).components == witt_op(
+        witt_pow(w, a), witt_pow(w, b), "mul").components
+
+
+def test_witt_pow_rejects_negative_exponent():
+    w = teichmuller(ExactInt(), 2, 3, 5)
+    with pytest.raises(ValueError):
+        witt_pow(w, -1)
+
+
+@pytest.mark.parametrize("p,L", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)])
+@settings(max_examples=15, deadline=None)
+@given(n=st.sampled_from([0, 1, -1, 2, -3, 5 ** 5])
+       | st.integers(-(2 ** 20 - 1), 2 ** 20 - 1))
+def test_universal_fallback_matches_integral_ghosts(p, L, n):
+    # generic_vector's F_p series ring has no ghost backend: scalar_mul keeps
+    # double-and-add there, and witt_pow multiplies on the universal tables.
+    # The same symbolic vector over Z takes the ghost path, and reduction
+    # mod p is a ring map.
+    ring, x = generic_vector(p, L)
+    Z = SeriesCoeffRing(ExactInt(), ring.variables, ring.order)
+    xz = WittVector(Z, p, [Z.var(v) for v in ring.variables])
+
+    def mod_p(w):
+        return [{e: c % p for e, c in comp.coeffs.items() if c % p}
+                for comp in w.components]
+
+    got = scalar_mul(n, x)
+    assert got.components == double_and_add(n, x).components
+    assert [c.coeffs for c in got.components] == mod_p(scalar_mul(n, xz))
+    k = abs(n) % 7
+    got = witt_pow(x, k)
+    assert [c.coeffs for c in got.components] == mod_p(ghost_power(xz, k))
+
+
+@st.composite
+def ladder_vectors(draw):
+    p = draw(st.sampled_from((2, 3)))
+    L = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        ring, comps = ExactInt(), st.integers(-50, 50)
+    else:
+        ring = trunc_poly(ExactInt())
+        comps = st.lists(st.integers(-9, 9), max_size=3).map(ring.make_ints)
+    return WittVector(ring, p, draw(st.lists(comps, min_size=L, max_size=L)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(w=ladder_vectors())
+def test_ghost_ladder_matches_direct_formula(w):
+    ghosts = ghost_in_ring(w)
+    assert ghosts == ghost_direct(w)
+    assert from_ghost_exact(w.ring, w.p, ghosts).components == w.components
