@@ -15,20 +15,13 @@ from fractions import Fraction
 from .fgl import h_law, n_series
 from .intpoly import IntPoly, lambda_op
 from .qhopf import QH, QHT, B0Elem, B0Ring, _c_monomial
-from .ringcore import (
-    PrismlabError, Ring, TruncSeries, h_element, q_element,
+from .ringcore import (  # noqa: F401 - the exception classes are re-exported
+    EigenCheckFailed, IdentityFailed, PrismlabError, TruncSeries, h_element,
+    q_element, q_number,
 )
 from .witt import (
     BigWitt, frobenius_big, from_int_vector, teich_mul, witt_to_bj,
 )
-
-
-class EigenCheckFailed(PrismlabError):
-    pass
-
-
-class IdentityFailed(PrismlabError):
-    pass
 
 
 class BoundExceeded(PrismlabError):
@@ -146,21 +139,10 @@ def psi_map(variant: str, n: int, w: BigWitt, q) -> tuple:
     ring = w.ring
     qn = ring.pow(q, n)
     if variant == "I":
-        h = ring.sub(q, ring.one)
-        v = _one_plus_q_sum(ring, q, n)  # (q^n - 1)/(q - 1)
-        _ = h
-        return teich_mul(v, w), qn
+        return teich_mul(q_number(ring, n, q), w), qn
     if variant == "II":
         return frobenius_big(w, n), qn
     raise ValueError("variant must be I or II")
-
-
-def _one_plus_q_sum(ring: Ring, q, n: int):
-    acc, power = ring.zero, ring.one
-    for _ in range(n):
-        acc = ring.add(acc, power)
-        power = ring.mul(power, q)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +259,7 @@ def hom_pullback_check(n: int, order: int = 6) -> dict:
     from .ringcore import QPoly
     P = QPoly()
     q = q_element(P)
-    v = _one_plus_q_sum(P, q, n)
+    v = q_number(P, n)
     exact = P.eq(P.sub(P.pow(q, n), P.one), P.mul(h_element(P), v))
     src = h_law(P, P.sub(P.pow(q, n), P.one), order)
     tgt = h_law(P, h_element(P), order)

@@ -13,7 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .ringcore import (
-    DoesNotConverge, IntModRing, ModP, PrismlabError,
+    DoesNotConverge, EigenCheckFailed, IdentityFailed, IntModRing, ModP,
+    PrismlabError,
 )
 from .witt import (
     WittVector, frobenius, scalar_mul, teichmuller, verschiebung, witt_neg,
@@ -22,14 +23,6 @@ from .witt import (
 
 
 class NotTeichmuller(PrismlabError):
-    pass
-
-
-class EigenCheckFailed(PrismlabError):
-    pass
-
-
-class IdentityFailed(PrismlabError):
     pass
 
 
@@ -273,21 +266,6 @@ def sample_eigen(ring, p, L, rng, tries: int = 64) -> WittVector:
         if is_eigen(y):
             return y
     raise DoesNotConverge("no eigen point found")
-
-
-def sample_f_kernel(ring, p, L, rng) -> WittVector:
-    """Random x with Fx = 0 over a char-p coefficient ring: components are
-    p-power nilpotents."""
-    comps = []
-    for _ in range(L):
-        for _ in range(64):
-            c = ring.rand(rng)
-            if ring.is_zero(ring.pow(c, p)):
-                comps.append(c)
-                break
-        else:
-            comps.append(ring.zero)
-    return WittVector(ring, p, comps)
 
 
 # --- characteristic-p checks ---------------------------------------------------

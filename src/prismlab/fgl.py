@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .ringcore import (
     PrismlabError, Ring, RingMismatch, SeriesCoeffRing, TruncSeries,
-    phi_p_element, q_element,
+    q_element, q_number,
 )
 
 
@@ -273,4 +273,4 @@ def phi_q_hom(ring: Ring, p: int, order: int) -> FGLHom:
     src = f_pullback_h_law(ring, p, order)
     tgt = h_law(ring, ring.sub(q_element(ring), ring.one), order)
     y = TruncSeries.var(ring, ("z",), order, "z")
-    return FGLHom(y.scale(phi_p_element(ring, p)), src, tgt)
+    return FGLHom(y.scale(q_number(ring, p)), src, tgt)

@@ -18,6 +18,7 @@ from fractions import Fraction
 from .intpoly import IntPoly
 from .ringcore import (
     IntRing, PolyQuotRing, PrismlabError, RatRing, Ring, TruncSeries,
+    q_number,
 )
 
 
@@ -303,12 +304,7 @@ def _coproduct_of_basis(n: int) -> dict:
 
 def v_scalar(n: int) -> tuple:
     """(q^n - 1)/(q - 1) = 1 + q + ... + q^(n-1) in Q[h]."""
-    q = B0Elem.q_scalar()
-    acc, power = QH.zero, QH.one
-    for _ in range(n):
-        acc = QH.add(acc, power)
-        power = QH.mul(power, q)
-    return acc
+    return q_number(QH, n, B0Elem.q_scalar())
 
 
 def adams(n: int, a: B0Elem) -> B0Elem:

@@ -19,15 +19,15 @@ from typing import NamedTuple
 
 from .qhopf import _c_monomial, _from_monomial
 from .ringcore import (
-    CyclotomicRing, IntModRing, PolyQuotRing, PrismlabError,
-    QSeriesRing, RatRing, TruncSeries, h_element, phi_p_element,
-    q_element, valuation,
+    CyclotomicRing, IdentityFailed, IntModRing, PolyQuotRing, PrismlabError,
+    QSeriesRing, RatRing, TruncSeries, h_element, q_element, q_number,
+    valuation,
 )
 from .witt import (
     DeltaRing, WittVector, from_ghost, joyal_lift, teichmuller, witt_op,
     zero_vector,
 )
-from .derham import NotTeichmuller, IdentityFailed, is_teichmuller
+from .derham import NotTeichmuller, is_teichmuller
 
 
 class TailNotStabilized(PrismlabError):
@@ -50,7 +50,7 @@ def _hring(R: PolyQuotRing) -> PolyQuotRing:
 
 def bh_phi_scalar(R: PolyQuotRing, p: int):
     """Phi_p(q) as an h-ring scalar."""
-    return phi_p_element(_hring(R), p)
+    return q_number(_hring(R), p)
 
 
 def _c_mono_in(R: PolyQuotRing, n: int) -> tuple:
@@ -419,15 +419,15 @@ def sample_gq(ring, p, L, rng, tries: int = 32) -> GQPoint:
     for _ in range(tries):
         r = [rng.randrange(-9, 10) for _ in range(n_q)]
         U = rring.add(rring.one,
-                      rring.mul(phi_p_element(rring, p), rring.make(
+                      rring.mul(q_number(rring, p), rring.make(
                           [Fraction(c) for c in r])))
         ghosts = []
         ok = True
         for i in range(L):
             # ghost_i(x) = (U^(p^i) - 1) / Phi_p(q^(p^i))
             num = rring.sub(rring.pow(U, p ** i), rring.one)
-            den = phi_p_element(rring, p) if i == 0 else \
-                q_power_substitute(rring, phi_p_element(rring, p), p ** i)
+            den = q_number(rring, p) if i == 0 else \
+                q_power_substitute(rring, q_number(rring, p), p ** i)
             inv = _invert_unit_poly(rring, den)
             if inv is None:
                 ok = False
@@ -545,21 +545,12 @@ def h_n_series(ring, n: int, order: int) -> TruncSeries:
     return TruncSeries(ring, ("z",), coeffs, order)
 
 
-def v_n_scalar(ring, n: int):
-    q = q_element(ring)
-    acc, power = ring.zero, ring.one
-    for _ in range(n):
-        acc = ring.add(acc, power)
-        power = ring.mul(power, q)
-    return acc
-
-
 def zp_action(ring, n: int, order: int) -> TruncSeries:
     """The action of the unit n on the coordinate z, as a series:
     z -> h_n(z, q)/h_n(1, q); needs v_n = h_n(1,q) invertible (n prime
     to p)."""
     hn = h_n_series(ring, n, order)
-    vn = v_n_scalar(ring, n)
+    vn = q_number(ring, n)
     inv = _invert_scalar(ring, vn)
     if inv is None:
         raise IdentityFailed("h_n(1, q) is not invertible for n = %d" % n)
@@ -691,7 +682,7 @@ def factorization_identity(p: int) -> bool:
     P = QPoly()
     q = q_element(P)
     return P.eq(P.sub(P.pow(q, p), P.one),
-                P.mul(h_element(P), phi_p_element(P, p)))
+                P.mul(h_element(P), q_number(P, p)))
 
 
 def phi_of_section_identity(p: int) -> bool:
@@ -702,20 +693,15 @@ def phi_of_section_identity(p: int) -> bool:
     P = QPoly()
     q = q_element(P)
     h = h_element(P)
-    phi = phi_p_element(P, p)
+    phi = q_number(P, p)
     # [p]-series of z1+z2+(q-1)z1z2 is ((1+(q-1)z)^p - 1)/(q-1); at z = Phi:
     # (1+(q-1)Phi) = q^p, so the value is (q^(p^2)-1)/(q-1) = v_{p^2}
-    val = v_n_scalar(P, p * p)
+    val = q_number(P, p * p)
     lhs_num = P.sub(P.pow(P.add(P.one, P.mul(h, phi)), p), P.one)
     ok1 = P.eq(lhs_num, P.mul(h, val))
-    phi_qp = q_power_substitute_poly(P, phi, p)
+    phi_qp = q_power_substitute(P, phi, p)
     ok2 = P.eq(P.mul(phi, phi_qp), val)
     return ok1 and ok2
-
-
-def q_power_substitute_poly(P, elem, n: int):
-    target = P.sub(P.pow(P.add(P.one, P.x), n), P.one)
-    return P.subst(elem, target)
 
 
 def gq_at_q1_matches_derham(p: int, n_p: int, L: int, rng, trials: int = 5) -> bool:

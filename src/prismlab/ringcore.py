@@ -37,6 +37,14 @@ class PrecisionExhausted(PrismlabError):
     pass
 
 
+class EigenCheckFailed(PrismlabError):
+    pass
+
+
+class IdentityFailed(PrismlabError):
+    pass
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -679,14 +687,15 @@ def h_element(ring: PolyQuotRing) -> tuple:
     return ring.make_ints([0, 1])
 
 
-def phi_p_element(ring: PolyQuotRing, p: int) -> tuple:
-    """Phi_p(q) = 1 + q + ... + q^(p-1) inside the given ring."""
-    q = q_element(ring)
-    acc = ring.zero
-    term = ring.one
-    for _ in range(p):
-        acc = ring.add(acc, term)
-        term = ring.mul(term, q)
+def q_number(ring: Ring, n: int, q=None):
+    """[n]_q = (q^n - 1)/(q - 1) = 1 + q + ... + q^(n-1) inside the given
+    ring, Phi_p(q) for n = p prime; q defaults to q_element(ring)."""
+    if q is None:
+        q = q_element(ring)
+    acc, power = ring.zero, ring.one
+    for _ in range(n):
+        acc = ring.add(acc, power)
+        power = ring.mul(power, q)
     return acc
 
 

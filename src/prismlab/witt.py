@@ -804,7 +804,7 @@ def wf_kernel_report(ring, p: int, L: int, trials: int, rng) -> dict:
     checks = {"fx0_px": 0, "fx0_xp": 0, "eigen_equiv": 0}
     failures = []
     for _ in range(trials):
-        x = _random_f_kernel(ring, p, L, rng)
+        x = sample_f_kernel(ring, p, L, rng)
         fx = frobenius(x)
         if not fx.is_zero():
             failures.append(("Fx", repr(x)))
@@ -826,12 +826,12 @@ def wf_kernel_report(ring, p: int, L: int, trials: int, rng) -> dict:
     return {"trials": trials, "checks": checks, "failures": failures}
 
 
-def _random_f_kernel(ring, p, L, rng):
+def sample_f_kernel(ring, p, L, rng) -> WittVector:
     """Random x over a char-p ring with Fx = 0, i.e. every component a
     p-th-power nilpotent (F is the componentwise p-power map in char p)."""
     comps = []
     for _ in range(L):
-        for _ in range(40):
+        for _ in range(64):
             c = ring.rand(rng)
             if ring.is_zero(ring.pow(c, p)):
                 comps.append(c)

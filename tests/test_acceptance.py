@@ -1,15 +1,18 @@
 """Acceptance criteria: one test per numbered criterion, one printed
 pass/fail line each.  All tolerances are zero: every assertion is an exact
-equality at the stated truncation.  The bodies live in
-prismlab.acceptance so the CLI criteria suites run the same checks."""
-from prismlab.acceptance import CRITERIA
+equality at the stated truncation.  A criterion is a named group of verify
+suites (harness.CRITERIA); its test runs `verify --suite criteria.N`, which
+runs the member suites once each and passes when all their checks pass."""
+from prismlab.harness import SuiteConfig, run
 
 
 def _run(num):
-    fn = dict(CRITERIA)[num]
-    ok, detail = fn(seed=0, scale=1.0)
-    print("[%s] criterion %d: %s" % ("PASS" if ok else "FAIL", num, detail))
-    assert ok, "criterion %d failed (%s)" % (num, detail)
+    report, code = run(SuiteConfig(suite="criteria.%d" % num))
+    crit = report["checks"][-1]
+    assert crit["id"] == "criteria.%d" % num
+    print("[%s] criterion %d: %s" % (crit["status"].upper(), num,
+                                      crit["detail"]))
+    assert code == 0, "criterion %d failed (%s)" % (num, crit["detail"])
 
 
 def test_criterion_01_witt_kernel():

@@ -7,12 +7,12 @@ from prismlab.derham import (
     EigenCheckFailed, GdRPoint, NotTeichmuller, discrepancy_check, f_log,
     frob_power_identity, g_eta_check, g_exp, gdr_op, gdr_zero,
     generic_vector, id_minus_V, is_eigen, sample_eigen,
-    sample_f_kernel, sample_gdr, v_geometric,
+    sample_gdr, v_geometric,
 )
 from prismlab.ringcore import ModP, PolyQuotRing
 from prismlab.witt import (
-    WittVector, frobenius, scalar_mul, teichmuller, verschiebung,
-    witt_op, zero_vector,
+    WittVector, frobenius, sample_f_kernel, scalar_mul, teichmuller,
+    verschiebung, witt_op, zero_vector,
 )
 
 
@@ -187,3 +187,11 @@ def test_gdr_vs_qprism_law_shape():
         direct = witt_op(witt_op(a.x, b.x, "add"),
                          scalar_mul(3, witt_op(a.x, b.x, "mul")), "add")
         assert gdr_op(a, b).x == direct
+
+
+def test_exception_classes_are_defined_once():
+    from prismlab import cartier_witt, derham, ringcore
+    assert derham.IdentityFailed is cartier_witt.IdentityFailed \
+        is ringcore.IdentityFailed
+    assert derham.EigenCheckFailed is cartier_witt.EigenCheckFailed \
+        is ringcore.EigenCheckFailed

@@ -7,8 +7,8 @@ from prismlab.ringcore import (
     CyclotomicRing, DoesNotConverge, ExactInt, ExactRat, IntModRing, ModP,
     NonIntegralCoefficient, NonzeroConstantTerm, Prec, QPoly, QSeriesRing,
     RingMismatch, TruncSeries, _log_term_bound, _padic_profile,
-    clear_denominators, floor_log, h_element, padic_log, phi_p_element,
-    q_element, series_arith, series_compose, series_exp, series_inverse,
+    clear_denominators, floor_log, h_element, padic_log, q_element,
+    q_number as phi_p_element, series_arith, series_compose, series_exp, series_inverse,
     valuation,
 )
 
