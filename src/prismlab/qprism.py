@@ -428,7 +428,7 @@ def sample_gq(ring, p, L, rng, tries: int = 32) -> GQPoint:
             num = rring.sub(rring.pow(U, p ** i), rring.one)
             den = q_number(rring, p) if i == 0 else \
                 q_power_substitute(rring, q_number(rring, p), p ** i)
-            inv = _invert_unit_poly(rring, den)
+            inv = rring.inv(den)
             if inv is None:
                 ok = False
                 break
@@ -452,19 +452,6 @@ def sample_gq(ring, p, L, rng, tries: int = 32) -> GQPoint:
         if is_teichmuller(_one_plus_phi_x(pt.x)):
             return pt
     raise TailNotStabilized("no q-deformed point found")
-
-
-def _invert_unit_poly(rring: PolyQuotRing, a):
-    """Inverse in Q[h]/(h^n) of an element with nonzero constant term."""
-    if not a or a[0] == 0:
-        return None
-    inv0 = Fraction(1) / a[0]
-    u = rring.sub(rring.mul(rring.make([inv0]), a), rring.one)
-    acc, term = rring.one, rring.one
-    for _ in range(rring.deg):
-        term = rring.mul(term, rring.neg(u))
-        acc = rring.add(acc, term)
-    return rring.mul(rring.make([inv0]), acc)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +483,7 @@ def q_log(a: GQPoint, n_p: int, n_q: int) -> tuple:
                           rring.mul(power, rring.make([Fraction((-1) ** (n - 1), n)])))
     # R_log = log(1+h)/h, a unit in Q[h]/(h^n)
     rlog = rring.make([Fraction((-1) ** k, k + 1) for k in range(rring.deg)])
-    inv = _invert_unit_poly(rring, rlog)
+    inv = rring.inv(rlog)
     val = rring.mul(log_u, inv)
     val = rring.make([c / p for c in val])
     out_np = n_p - q_log_precision_loss(p, n_q)
@@ -517,7 +504,7 @@ def q_log_precision_loss(p: int, n_q: int) -> int:
     coefficients."""
     rring = PolyQuotRing(RatRing(), (0,) * n_q + (1,), "h")
     rlog = rring.make([Fraction((-1) ** k, k + 1) for k in range(n_q)])
-    inv = _invert_unit_poly(rring, rlog)
+    inv = rring.inv(rlog)
     worst = 0
     for c in inv:
         v = frac_vp(c, p)
@@ -551,27 +538,10 @@ def zp_action(ring, n: int, order: int) -> TruncSeries:
     to p)."""
     hn = h_n_series(ring, n, order)
     vn = q_number(ring, n)
-    inv = _invert_scalar(ring, vn)
+    inv = ring.inv(vn)
     if inv is None:
         raise IdentityFailed("h_n(1, q) is not invertible for n = %d" % n)
     return hn.scale(inv)
-
-
-def _invert_scalar(ring: PolyQuotRing, a):
-    """Invert an element of Z/p^k[h]/(h^n) whose constant term is a unit."""
-    if not a:
-        return None
-    c0 = a[0]
-    scalar = ring.scalar
-    inv0 = scalar.inv_int(c0 if isinstance(c0, int) else 0)
-    if inv0 is None:
-        return None
-    u = ring.sub(ring.mul(ring.make([inv0]), a), ring.one)
-    acc, term = ring.one, ring.one
-    for _ in range(ring.deg):
-        term = ring.mul(term, ring.neg(u))
-        acc = ring.add(acc, term)
-    return ring.mul(ring.make([inv0]), acc)
 
 
 def sigma_star(ring, z: TruncSeries) -> TruncSeries:

@@ -9,6 +9,7 @@ rings are stateless and freely shareable across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -166,6 +167,15 @@ class Ring:
         """Inverse of the integer n in this ring, or None."""
         return None
 
+    def inv(self, a):
+        """Inverse of the element a when it is a unit this ring can see, or
+        None; here only 1 and -1 are seen."""
+        one = self.one
+        if self.eq(a, one):
+            return one
+        minus_one = self.neg(one)
+        return minus_one if self.eq(a, minus_one) else None
+
     def div_int_exact(self, a, n: int):
         """a / n when exactly divisible, else None (None also when the ring
         cannot divide); lets ghost solvers stay in integer arithmetic."""
@@ -217,6 +227,8 @@ class IntRing(Ring):
     def inv_int(self, n):
         return n if n in (1, -1) else None
 
+    inv = inv_int
+
     def div_int_exact(self, a, n):
         q, r = divmod(a, n)
         return q if r == 0 else None
@@ -258,6 +270,9 @@ class RatRing(Ring):
 
     def inv_int(self, n):
         return Fraction(1, n) if n != 0 else None
+
+    def inv(self, a):
+        return 1 / Fraction(a) if a else None
 
     def div_int_exact(self, a, n):
         return a / n
@@ -309,6 +324,8 @@ class IntModRing(Ring):
         if math.gcd(n, self.m) != 1:
             return None
         return pow(n, -1, self.m)
+
+    inv = inv_int
 
     def from_rational(self, x):
         x = Fraction(x)
@@ -488,6 +505,17 @@ class PolyQuotRing(Ring):
     def inv_int(self, n):
         inv = self.scalar.inv_int(n)
         return None if inv is None else self._strip([inv])
+
+    def inv(self, a):
+        """Modulo x^N, a is a unit when its constant term is a unit of the
+        scalar ring; Newton lifts that inverse to all N coefficients."""
+        if not self._monomial:
+            return super().inv(a)
+        inv0 = self.scalar.inv(self.coeff(a, 0))
+        if inv0 is None:
+            return None
+        return newton_inverse(a, self._strip([inv0]), self.one, self.mul,
+                              self.sub, self.deg.bit_length())
 
     def div_int_exact(self, a, n):
         out = []
@@ -1061,55 +1089,36 @@ def clear_denominators(f: TruncSeries, target: Ring) -> TruncSeries:
     return TruncSeries(target, f.variables, out, f.order)
 
 
+def newton_inverse(a, u0, one, mul, sub, steps: int):
+    """The inverse of a, from an inverse u0 of a modulo a nilpotent ideal I,
+    by Newton's iteration u <- u - u(a u - 1): after k steps a u - 1 lies in
+    I^(2^k) (von zur Gathen & Gerhard, Modern Computer Algebra, 9.1).
+    Returns u as soon as a u == one, tested before each of at most steps
+    steps and after the last; None if it never holds.  Needs only mul, sub
+    and == on the elements."""
+    u = u0
+    for _ in range(steps):
+        au = mul(a, u)
+        if au == one:
+            return u
+        u = sub(u, mul(u, sub(au, one)))
+    return u if mul(a, u) == one else None
+
+
 def series_inverse(f: TruncSeries) -> TruncSeries:
-    """1/f for f with constant term a unit (constant term 1 or -1 over
-    non-rational rings; any nonzero constant over Q-type rings)."""
+    """1/f for f whose constant term is a unit of the ring (Ring.inv)."""
     r = f.ring
-    c0 = f.constant_term()
-    inv0 = None
-    if r.eq(c0, r.one):
-        inv0 = r.one
-    elif r.eq(c0, r.neg(r.one)):
-        inv0 = r.neg(r.one)
-    else:
-        rat = r.rationalized()
-        if rat is not None and rat[0] == r:
-            # invert the constant inside the fraction field representation
-            inv0 = _invert_rat_elem(r, c0)
+    inv0 = r.inv(f.constant_term())
     if inv0 is None:
         raise NonzeroConstantTerm("constant term is not a visible unit")
     if f.order is None:
         raise PrecisionExhausted("series inverse needs a finite order")
     one = TruncSeries.one(r, f.variables, f.order)
-    u = one - f.scale(inv0)  # positive order
-    out = one
-    term = one
-    for _ in range(f.order):
-        term = term * u
-        if term.is_zero():
-            break
-        out = out + term
-    return out.scale(inv0)
-
-
-def _invert_rat_elem(ring, c):
-    if isinstance(c, Fraction):
-        return Fraction(c.denominator, c.numerator) if c != 0 else None
-    if isinstance(ring, PolyQuotRing) and isinstance(c, tuple):
-        # invert c = c0(1 + n) with n of positive var-order, c0 in Q
-        if not c or c[0] == 0:
-            return None
-        if ring.modulus is None or ring.modulus[:-1].count(0) != len(ring.modulus) - 1:
-            return None  # only for truncation quotients
-        inv0 = Fraction(1) / c[0]
-        n = ring.mul(ring._strip([inv0]), c)  # 1 + positive order
-        n = ring.sub(n, ring.one)
-        acc, term = ring.one, ring.one
-        for _ in range(ring.deg):
-            term = ring.mul(term, ring.neg(n))
-            acc = ring.add(acc, term)
-        return ring.mul(ring._strip([inv0]), acc)
-    return None
+    u = newton_inverse(f, TruncSeries.const(r, f.variables, f.order, inv0), one,
+                       operator.mul, operator.sub, f.order.bit_length())
+    if u is None:
+        raise IdentityFailed("series inverse did not reach 1")
+    return u
 
 
 def series_log(f: TruncSeries) -> TruncSeries:

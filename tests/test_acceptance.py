@@ -13,6 +13,7 @@ def _run(num):
     print("[%s] criterion %d: %s" % (crit["status"].upper(), num,
                                       crit["detail"]))
     assert code == 0, "criterion %d failed (%s)" % (num, crit["detail"])
+    return report
 
 
 def test_criterion_01_witt_kernel():
@@ -24,7 +25,11 @@ def test_criterion_02_derham_isomorphism():
 
 
 def test_criterion_03_char_p_discrepancy():
-    _run(3)
+    report = _run(3)
+    # every kernel vector over F_p[a]/(a^3): x_i with x_i^p = 0, 2^3 and 9^3
+    details = {c["id"]: c["detail"] for c in report["checks"]}
+    assert details["derham.discrepancy.p2"] == "exhaustive over 8 kernel vectors"
+    assert details["derham.discrepancy.p3"] == "exhaustive over 729 kernel vectors"
 
 
 def test_criterion_04_canonical_point():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from prismlab.derham import (
-    EigenCheckFailed, GdRPoint, NotTeichmuller, discrepancy_check, f_log,
+    EigenCheckFailed, GdRPoint, NotTeichmuller, f_log,
     frob_power_identity, g_eta_check, g_exp, gdr_op, gdr_zero,
     generic_vector, id_minus_V, is_eigen, sample_eigen,
     sample_gdr, v_geometric,
@@ -132,25 +132,6 @@ def test_eigen_condition_is_kernel_in_char_p():
         y = WittVector(R, 2, comps)
         if is_eigen(y):
             assert frobenius(y).is_zero()
-
-
-def test_discrepancy_exhaustive():
-    for p in (2, 3):
-        R = fp_poly_ring(p, 3)
-        nilp = [c for c in _all_elements(R, p)
-                if R.is_zero(R.pow(c, p))]
-        xs = [WittVector(R, p, comps)
-              for comps in itertools.product(nilp, repeat=3)]
-        rep = discrepancy_check(R, p, 3, xs)
-        assert not rep["failures"]
-        assert rep["differs_from_identity"]
-        assert rep["count"] == len(nilp) ** 3
-
-
-def _all_elements(R, p):
-    k = R.deg
-    vals = itertools.product(range(p), repeat=k)
-    return [R.make_ints(v) for v in vals]
 
 
 def test_g_eta_check():

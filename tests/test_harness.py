@@ -113,6 +113,21 @@ def test_each_member_suite_runs_once(fake_suites, suite):
     assert len(ids) == len(expected) + 12
 
 
+def test_series_compose_runs_at_least_one_trial(monkeypatch):
+    from prismlab.ringcore import TruncSeries
+    calls = []
+    compose = TruncSeries.compose
+
+    def counting(self, g):
+        calls.append(g)
+        return compose(self, g)
+
+    monkeypatch.setattr(TruncSeries, "compose", counting)
+    checks = harness.suite_ringcore_series(fast_cfg(trials=1), [])
+    assert calls
+    assert [c["status"] for c in checks] == ["pass"] * 3
+
+
 def test_p_must_be_prime():
     with pytest.raises(ConfigError):
         run(fast_cfg(suite="fgl", p=4))
