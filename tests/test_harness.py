@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -146,6 +147,21 @@ def test_determinism():
     r1, _ = run(fast_cfg(suite="intpoly.basis"))
     r2, _ = run(fast_cfg(suite="intpoly.basis"))
     assert json.dumps(strip_elapsed(r1)) == json.dumps(strip_elapsed(r2))
+
+
+# sha256 of json.dumps(strip_elapsed(report), indent=2) for
+# run(SuiteConfig(suite="all", trials=1, seed=0)), recorded before the
+# suites moved to one registration and one trial loop each.  It pins every
+# check id and its order, status, detail and paper_ref, and the params.
+GOLDEN_ALL_TRIALS1 = (
+    "5ab3196d12f96f8dba2bd2db70076cff41d624dadcc986639c509a2117832087")
+
+
+def test_golden_report():
+    report, code = run(SuiteConfig(suite="all", trials=1, seed=0))
+    assert code == 0 and len(report["checks"]) == 130
+    text = json.dumps(strip_elapsed(report), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_ALL_TRIALS1
 
 
 def test_check_streams_independent():
