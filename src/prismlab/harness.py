@@ -4,24 +4,63 @@ emits machine-readable reports.
 Every check carries a stable id and a reference tag; a run is deterministic
 for a fixed (config, seed): randomized checks draw from per-check streams
 derived by hashing the seed with the check id, so execution order never
-matters.  The twelve acceptance criteria are named groups of suites
-(CRITERIA): selecting `criteria.N`, `criteria` or `all` runs each member
-suite once and adds one `criteria.N` check that passes exactly when every
-check of its members passed.  Exit code 0 means every check passed, 1 some
-check failed, 2 configuration error.
+matters.  Each suite registers once with `@suite(sid, ref)` and records its
+checks on a `Recorder`.  The twelve acceptance criteria are named groups of
+suites (CRITERIA): selecting `criteria.N`, `criteria` or `all` runs each
+member suite once and adds one `criteria.N` check that passes exactly when
+every check of its members passed.  Exit code 0 means every check passed,
+1 some check failed, 2 configuration error.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
+import os
 import random
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 
-from .ringcore import Prec
+from .cartier_witt import (eigencheck_I, eigencheck_II, eigencheck_R,
+                           embed_G_I, embed_G_II, eval_bj_poly,
+                           fixed_point_bj_values, hom_pullback_check,
+                           m_series_identity, MultHomSeries, psi_map,
+                           specialize_pairing_at_t, universal_pairing,
+                           wf_ring_reduce)
+from .derham import (discrepancy_check, f_log, frob_power_identity,
+                     g_eta_check, g_exp, gdr_op, id_minus_V, is_eigen,
+                     sample_eigen, sample_gdr, v_geometric)
+from .fgl import (additive_law, deformation_family, f_pullback_h_law,
+                  FormalGroupLaw, h_law, multiplicative_law, n_series, rescale,
+                  scaling_map, specialize_deformation, verify_hom)
+from .intpoly import (delta_basis_combine, delta_basis_expand, gen_binom,
+                      int_mul, IntPoly, mahler_table, to_binomial)
+from .pd_dual import (delta_to_e, distr_mul, exact_sequence_check,
+                      gsharp_comparison, log_sharp_power, mu_p_pd_check,
+                      pair_distr, pair_xu, PDElem, stirling_first)
+from .qhopf import (adams, b0_coproduct, b0_delta, b0_from_filtration, b0_mul,
+                    b0_to_int_h, B0Elem, QH, structure_constants, v_scalar)
+from .qprism import (canonical_point, derham_specialization_of_x0,
+                     equivariance_report, factorization_identity,
+                     frobenius_of_point, gq_at_q1_matches_derham, gq_op,
+                     gq_ring, gq_to_unit, GQPoint, hodge_tate_check,
+                     phi_of_section_identity, q_exp_agreement, q_log,
+                     q_log_of_sigma, q_log_precision_loss, sample_gq,
+                     sigma_point)
+from .ringcore import (clear_denominators, CyclotomicRing, ExactInt, ExactRat,
+                       h_element, is_prime, ModP, NonIntegralCoefficient,
+                       padic_log, PolyQuotRing, q_element, QPoly, QSeriesRing,
+                       TruncSeries)
+from .witt import (BigWitt, DeltaRing, frobenius, frobenius_big, from_ghost,
+                   from_int_vector, ghost, joyal_lift, sample_f_kernel,
+                   scalar_mul, teichmuller, teichmuller_big, verschiebung,
+                   wf_kernel_report, witt_neg, witt_op, witt_op_universal,
+                   witt_pow, WittVector, zero_vector)
 
 SCHEMA = "prismlab-report/1"
 
@@ -32,6 +71,11 @@ class ConfigError(Exception):
 
 @dataclass
 class SuiteConfig:
+    """What to run, and the truncation: coefficients are tracked mod
+    p^n_p, n_q is the (q-1)-adic cutoff, n_z the series order cutoff per
+    formal variable block, L the p-typical Witt length and N_big the
+    big-Witt series cutoff."""
+
     suite: str = "all"
     p: int | None = None          # None: every prime in the suite's grid
     n_p: int = 8
@@ -50,6 +94,18 @@ class SuiteConfig:
     def count(self, default: int) -> int:
         return self.trials if self.trials is not None else default
 
+    def validate(self):
+        """Raise ConfigError naming the first invalid field."""
+        if self.p is not None and not is_prime(self.p):
+            raise ConfigError("p must be prime")
+        for field in ("n_p", "n_q", "n_z", "L", "N_big", "trials"):
+            value = getattr(self, field)
+            if value is not None and value < 1:
+                raise ConfigError("%s must be >= 1" % field)
+        if self.format not in ("text", "json"):
+            raise ConfigError("format must be text or json")
+        select_suites(self.suite)
+
 
 def check_stream(seed: int, check_id: str) -> random.Random:
     """Independent, order-insensitive randomness per check."""
@@ -58,228 +114,250 @@ def check_stream(seed: int, check_id: str) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
-def _check(checks, cid, ref, ok, detail=""):
-    checks.append({"id": cid, "paper_ref": ref,
-                   "status": "pass" if ok else "fail",
-                   "detail": detail})
-    return ok
+def _record(cid, ref, ok, detail, elapsed) -> dict:
+    return {"id": cid, "paper_ref": ref, "status": "pass" if ok else "fail",
+            "detail": detail, "elapsed": elapsed}
+
+
+class Recorder:
+    """The checks of one suite run.  A check's elapsed is the time since the
+    suite's previous check, or since the suite started, between offsets
+    rounded to the microsecond: a suite's values add up to its time."""
+
+    def __init__(self, cfg: SuiteConfig, ref: str):
+        self.cfg, self.ref = cfg, ref
+        self.checks: list = []
+        self._start = time.monotonic()
+        self._offset = 0.0
+
+    def check(self, cid: str, ok, detail: str = "", ref: str | None = None):
+        """Record check `cid`, under the suite's reference tag or `ref`."""
+        offset = round(time.monotonic() - self._start, 6)
+        self.checks.append(_record(cid, ref or self.ref, ok, detail,
+                                   round(offset - self._offset, 6)))
+        self._offset = offset
+
+    def trials(self, cid: str, default: int, trial, stream=None, *,
+               primes=None, then=None, count=None, ref: str | None = None):
+        """Record check `cid` from randomized trials on one stream: the one
+        named `stream` (by default `cid`), or `stream` itself if it is a
+        stream already in use.  trial(rng) runs cfg.count(default) times,
+        or `count` times; with `primes`, trial(rng, p) runs that often for
+        each p in turn.  then(rng), if given, runs once after them.  The
+        check fails at the first trial that returns False, and its detail
+        names that trial, the trial count and the seed."""
+        seed = self.cfg.seed
+        rng = (stream if isinstance(stream, random.Random)
+               else check_stream(seed, stream or cid))
+        n = self.cfg.count(default) if count is None else count
+        for args in [(p,) for p in primes] if primes else [()]:
+            for i in range(n):
+                if not trial(rng, *args):
+                    at = "p=%d, " % args if args else ""
+                    return self.check(cid, False, "failed at %strial index "
+                                      "%d of %d trials, seed %d"
+                                      % (at, i, n, seed), ref)
+        if then is None or then(rng):
+            return self.check(cid, True, ref=ref)
+        self.check(cid, False, "failed after %d passing trials, seed %d"
+                   % (n, seed), ref)
+
+
+SUITES: list = []
+"""(suite id, reference tag, suite function), in registration order."""
+
+
+def suite(sid: str, ref: str):
+    """Register the decorated suite_* function as suite `sid`; its checks
+    take the reference tag `ref` unless they name their own."""
+    def register(fn):
+        SUITES.append((sid, ref, fn))
+        return fn
+    return register
 
 
 # ---------------------------------------------------------------------------
 # suites
 
 
-def suite_ringcore_series(cfg, checks):
-    from .ringcore import ExactInt, TruncSeries
-    ref = "invented — artifact plumbing"
+@suite("ringcore.series_arith", "invented — artifact plumbing")
+def suite_ringcore_series(cfg, out):
     Z = ExactInt()
-    rng = check_stream(cfg.seed, "ringcore.series_arith")
 
-    def rand_series():
+    def rand_series(rng):
         return TruncSeries(Z, ("z1", "z2"),
                            {(i, j): rng.randrange(-4, 5)
                             for i in range(3) for j in range(3)}, cfg.n_z)
 
-    ok = True
-    for _ in range(cfg.count(50)):
-        a, b, c = rand_series(), rand_series(), rand_series()
-        ok = ok and (a * b) * c == a * (b * c)
-        ok = ok and a * (b + c) == a * b + a * c and a * b == b * a
-    _check(checks, "ringcore.series_arith.axioms", ref, ok)
+    def axioms(rng):
+        a, b, c = rand_series(rng), rand_series(rng), rand_series(rng)
+        return ((a * b) * c == a * (b * c) and
+                a * (b + c) == a * b + a * c and a * b == b * a)
+
+    def compose(rng):
+        f, g, h = (TruncSeries(Z, ("z",), {(n,): rng.randrange(-4, 5)
+                                           for n in range(1, 5)}, cfg.n_z)
+                   for _ in range(3))
+        return f.compose(g).compose(h) == f.compose(g.compose(h))
+
+    rng = check_stream(cfg.seed, "ringcore.series_arith")
+    out.trials("ringcore.series_arith.axioms", 50, axioms, rng)
     z = TruncSeries.var(Z, ("z",), cfg.n_z, "z")
     one = TruncSeries.one(Z, ("z",), cfg.n_z)
-    got = (one + z) * (one - z)
-    want = one - z * z
-    _check(checks, "ringcore.series_arith.sample", ref, got == want)
-    ok = True
-    for _ in range(max(1, cfg.count(50) // 5)):
-        f = TruncSeries(Z, ("z",), {(n,): rng.randrange(-4, 5)
-                                    for n in range(1, 5)}, cfg.n_z)
-        g = TruncSeries(Z, ("z",), {(n,): rng.randrange(-4, 5)
-                                    for n in range(1, 5)}, cfg.n_z)
-        h = TruncSeries(Z, ("z",), {(n,): rng.randrange(-4, 5)
-                                    for n in range(1, 5)}, cfg.n_z)
-        ok = ok and f.compose(g).compose(h) == f.compose(g.compose(h))
-    _check(checks, "ringcore.series_compose.assoc", ref, ok)
-    return checks
+    out.check("ringcore.series_arith.sample",
+              (one + z) * (one - z) == one - z * z)
+    # a fifth of the axiom trials, at least one, on the same stream
+    out.trials("ringcore.series_compose.assoc", 10, compose, rng,
+               count=max(1, cfg.count(50) // 5))
 
 
-def suite_ringcore_clear(cfg, checks):
-    from fractions import Fraction
-    from .ringcore import (ExactInt, ExactRat, ModP, NonIntegralCoefficient,
-                           TruncSeries, clear_denominators)
-    ref = "invented — artifact plumbing"
+@suite("ringcore.clear_denominators", "invented — artifact plumbing")
+def suite_ringcore_clear(cfg, out):
     Q = ExactRat()
     f = TruncSeries(Q, ("z",), {(3,): Fraction(4, 3)}, 4)
     got = clear_denominators(f, ModP(2, 4))
-    _check(checks, "ringcore.clear_denominators.mod16", ref,
-           got.coefficient((3,)) == 12)
+    out.check("ringcore.clear_denominators.mod16", got.coefficient((3,)) == 12)
     try:
         clear_denominators(TruncSeries(Q, ("z",), {(1,): Fraction(1, 2)}, 2),
                            ModP(2, 4))
         ok = False
     except NonIntegralCoefficient:
         ok = True
-    _check(checks, "ringcore.clear_denominators.rejects", ref, ok)
-    rng = check_stream(cfg.seed, "ringcore.clear")
+    out.check("ringcore.clear_denominators.rejects", ok)
     Z = ExactInt()
-    ok = True
-    for _ in range(cfg.count(50)):
+
+    def roundtrip(rng):
         f = TruncSeries(Z, ("z",), {(n,): rng.randrange(-9, 10)
                                     for n in range(5)}, 4)
-        ok = ok and clear_denominators(f.map_coeffs(Fraction, Q), Z) == f
-    _check(checks, "ringcore.clear_denominators.roundtrip", ref, ok)
-    return checks
+        return clear_denominators(f.map_coeffs(Fraction, Q), Z) == f
+
+    out.trials("ringcore.clear_denominators.roundtrip", 50, roundtrip,
+               "ringcore.clear")
 
 
-def suite_ringcore_padic_log(cfg, checks):
-    from .ringcore import (CyclotomicRing, QSeriesRing, TruncSeries,
-                           padic_log, q_element)
-    ref = "e:restriction of H_Q^alg"
+@suite("ringcore.padic_log", "e:restriction of H_Q^alg")
+def suite_ringcore_padic_log(cfg, out):
     for p in cfg.primes((2, 3, 5)):
         C = CyclotomicRing(p, n_p=min(cfg.n_p, 6))
         u = TruncSeries.const(C, ("z",), 1, q_element(C))
-        _check(checks, "ringcore.padic_log.zeta.p%d" % p, ref,
-               padic_log(u).is_zero())
-    rng = check_stream(cfg.seed, "ringcore.padic_log")
+        out.check("ringcore.padic_log.zeta.p%d" % p, padic_log(u).is_zero())
     p = 3
     R = QSeriesRing(4, p=p, n_p=4)
-    ok = True
-    for _ in range(cfg.count(20)):
+
+    def product_rule(rng):
         a = TruncSeries(R, ("z",), {
             (0,): R.one, (1,): R.make_ints([3 * rng.randrange(9)]),
             (2,): R.make_ints([0, 3 * rng.randrange(5)])}, 4)
         b = TruncSeries(R, ("z",), {
             (0,): R.one, (1,): R.make_ints([3 * rng.randrange(-4, 5)])}, 4)
-        ok = ok and padic_log(a * b).eq(padic_log(a) + padic_log(b))
-    _check(checks, "ringcore.padic_log.product_rule", ref, ok)
-    return checks
+        return padic_log(a * b).eq(padic_log(a) + padic_log(b))
+
+    out.trials("ringcore.padic_log.product_rule", 20, product_rule,
+               "ringcore.padic_log")
 
 
-def suite_witt_ghost(cfg, checks):
-    from .ringcore import ExactInt
-    from .witt import WittVector, from_ghost, ghost
-    ref = "invented — artifact plumbing"
+@suite("witt.ghost", "invented — artifact plumbing")
+def suite_witt_ghost(cfg, out):
     Z = ExactInt()
     for p in cfg.primes((2, 3, 5)):
-        rng = check_stream(cfg.seed, "witt.ghost.p%d" % p)
-        ok = True
-        for _ in range(cfg.count(1000)):
+        def roundtrip(rng):
             w = WittVector(Z, p, [rng.randrange(-9, 10)
                                   for _ in range(min(cfg.L, 4))])
-            ok = ok and from_ghost(Z, p, ghost(w)) == w
-        _check(checks, "witt.ghost_roundtrip.p%d" % p, ref, ok)
-    return checks
+            return from_ghost(Z, p, ghost(w)) == w
+
+        out.trials("witt.ghost_roundtrip.p%d" % p, 1000, roundtrip,
+                   "witt.ghost.p%d" % p)
 
 
-def suite_witt_universal(cfg, checks):
-    from .ringcore import ExactInt
-    from .witt import WittVector, witt_op, witt_op_universal
-    ref = "invented — artifact plumbing"
+@suite("witt.universal", "invented — artifact plumbing")
+def suite_witt_universal(cfg, out):
     Z = ExactInt()
     for p in cfg.primes((2, 3, 5)):
-        rng = check_stream(cfg.seed, "witt.universal.p%d" % p)
         L = min(cfg.L, 4)
         bound = 2 if p == 5 else 9
-        ok = True
-        for _ in range(cfg.count(1000)):
+
+        def agree(rng):
             a = WittVector(Z, p, [rng.randrange(-bound, bound + 1)
                                   for _ in range(L)])
             b = WittVector(Z, p, [rng.randrange(-bound, bound + 1)
                                   for _ in range(L)])
-            for op in ("add", "mul"):
-                ok = ok and witt_op_universal(a, b, op) == witt_op(a, b, op)
-        _check(checks, "witt.universal_agreement.p%d" % p, ref, ok)
-    return checks
+            return all(witt_op_universal(a, b, op) == witt_op(a, b, op)
+                       for op in ("add", "mul"))
+
+        out.trials("witt.universal_agreement.p%d" % p, 1000, agree,
+                   "witt.universal.p%d" % p)
 
 
-def suite_witt_frobenius(cfg, checks):
-    from .ringcore import ExactInt, QPoly, h_element
-    from .witt import (BigWitt, WittVector, frobenius, frobenius_big,
-                       from_int_vector, teichmuller, teichmuller_big,
-                       verschiebung, witt_op)
-    ref = "§sss:examples of group delta-schemes"
+@suite("witt.frobenius", "§sss:examples of group delta-schemes")
+def suite_witt_frobenius(cfg, out):
     Z = ExactInt()
     for p in cfg.primes((2, 3, 5)):
-        rng = check_stream(cfg.seed, "witt.frobenius.p%d" % p)
         L = min(cfg.L, 4)
-        ok = all(frobenius(teichmuller(Z, p, L, a)) ==
-                 teichmuller(Z, p, L - 1, a ** p) for a in (3, 5))
-        fv = frobenius(verschiebung(teichmuller(Z, p, L, 1)))
-        ok = ok and fv == from_int_vector(Z, p, L - 1, p)
-        for _ in range(cfg.count(100)):
+
+        def multiplicative(rng):
             a = WittVector(Z, p, [rng.randrange(-5, 6) for _ in range(L)])
             b = WittVector(Z, p, [rng.randrange(-5, 6) for _ in range(L)])
-            ok = ok and frobenius(witt_op(a, b, "mul")) == \
+            return frobenius(witt_op(a, b, "mul")) == \
                 witt_op(frobenius(a), frobenius(b), "mul")
-        _check(checks, "witt.frobenius.p%d" % p, ref, ok)
+
+        def fixed_points(rng):  # F[a] = [a^p] and FV = p
+            return all(frobenius(teichmuller(Z, p, L, a)) ==
+                       teichmuller(Z, p, L - 1, a ** p) for a in (3, 5)) and \
+                frobenius(verschiebung(teichmuller(Z, p, L, 1))) == \
+                from_int_vector(Z, p, L - 1, p)
+
+        out.trials("witt.frobenius.p%d" % p, 100, multiplicative,
+                   then=fixed_points)
     P = QPoly()
     rng = check_stream(cfg.seed, "witt.frobenius_big.composition")
     ws = (teichmuller_big(P, cfg.N_big, h_element(P)),
           BigWitt(Z, cfg.N_big, {k: rng.randrange(-3, 4)
                                  for k in range(1, cfg.N_big + 1)}))
-    ok = True
-    for m, n in ((2, 2), (2, 3)) if cfg.N_big >= 6 else ((2, 2),):
-        for w in ws:
-            lhs = frobenius_big(frobenius_big(w, m), n)
-            rhs = frobenius_big(w, m * n).truncate(cfg.N_big // m // n)
-            ok = ok and lhs == rhs
-    _check(checks, "witt.frobenius_big.composition",
-           "Appendix C §sss:W_big", ok)
-    return checks
+    out.check("witt.frobenius_big.composition", all(
+        frobenius_big(frobenius_big(w, m), n) ==
+        frobenius_big(w, m * n).truncate(cfg.N_big // m // n)
+        for m, n in (((2, 2), (2, 3)) if cfg.N_big >= 6 else ((2, 2),))
+        for w in ws), ref="Appendix C §sss:W_big")
 
 
-def suite_witt_joyal(cfg, checks):
-    from .ringcore import ExactInt, QPoly, q_element
-    from .witt import DeltaRing, joyal_lift, ghost, teichmuller, witt_op
-    ref = "e:psi"
+@suite("witt.joyal_lift", "e:psi")
+def suite_witt_joyal(cfg, out):
     Z = ExactInt()
     for p in cfg.primes((2, 3)):
         dr = DeltaRing(Z, p, lambda x: x)
-        rng = check_stream(cfg.seed, "witt.joyal.p%d" % p)
-        ok = True
         L = min(cfg.L, 3)
-        for _ in range(cfg.count(50)):
+
+        def hom(rng):
             a, b = rng.randrange(-9, 10), rng.randrange(-9, 10)
-            ok = ok and joyal_lift(dr, a + b, L) == witt_op(
-                joyal_lift(dr, a, L), joyal_lift(dr, b, L), "add")
-            ok = ok and joyal_lift(dr, a * b, L) == witt_op(
-                joyal_lift(dr, a, L), joyal_lift(dr, b, L), "mul")
-            ok = ok and ghost(joyal_lift(dr, a, L)) == [a] * L
-        _check(checks, "witt.joyal_lift.hom.p%d" % p, ref, ok)
+            ja, jb = joyal_lift(dr, a, L), joyal_lift(dr, b, L)
+            return (joyal_lift(dr, a + b, L) == witt_op(ja, jb, "add") and
+                    joyal_lift(dr, a * b, L) == witt_op(ja, jb, "mul") and
+                    ghost(ja) == [a] * L)
+
+        out.trials("witt.joyal_lift.hom.p%d" % p, 50, hom,
+                   "witt.joyal.p%d" % p)
     P = QPoly()
     p = cfg.primes((3,))[0]
-
-    def phi(f):
-        target = P.sub(P.pow(P.add(P.one, P.x), p), P.one)
-        return P.subst(f, target)
-
-    dr = DeltaRing(P, p, phi)
+    target = P.sub(P.pow(P.add(P.one, P.x), p), P.one)  # phi(x) = (1+x)^p - 1
+    dr = DeltaRing(P, p, lambda f: P.subst(f, target))
     q = q_element(P)
-    _check(checks, "witt.joyal_lift.teichmuller", ref,
-           joyal_lift(dr, q, min(cfg.L, 3)) ==
-           teichmuller(P, p, min(cfg.L, 3), q))
-    return checks
+    out.check("witt.joyal_lift.teichmuller",
+              joyal_lift(dr, q, min(cfg.L, 3)) ==
+              teichmuller(P, p, min(cfg.L, 3), q))
 
 
-def suite_witt_wf_kernel(cfg, checks):
-    from .ringcore import ModP, PolyQuotRing
-    from .witt import wf_kernel_report
-    ref = "Lemma l:W^F in characteristic p"
+@suite("witt.wf_kernel", "Lemma l:W^F in characteristic p")
+def suite_witt_wf_kernel(cfg, out):
     for p in cfg.primes((2, 3)):
         R = PolyQuotRing(ModP(p, 1), (0, 0, 0, 1), "a")
         rng = check_stream(cfg.seed, "witt.wf_kernel.p%d" % p)
         rep = wf_kernel_report(R, p, 3, cfg.count(200), rng)
-        _check(checks, "witt.wf_kernel.p%d" % p, ref, not rep["failures"],
-               "trials=%d" % rep["trials"])
-    return checks
+        out.check("witt.wf_kernel.p%d" % p, not rep["failures"],
+                  "trials=%d" % rep["trials"])
 
 
-def suite_fgl_axioms(cfg, checks):
-    from .fgl import (additive_law, f_pullback_h_law, FormalGroupLaw, h_law,
-                      multiplicative_law, n_series)
-    from .ringcore import QPoly, h_element
-    ref = "e:group law for H_Q"
+@suite("fgl.axioms", "e:group law for H_Q")
+def suite_fgl_axioms(cfg, out):
     P = QPoly()
     order = max(cfg.n_z, 8)
     for name, laws in (
@@ -292,434 +370,363 @@ def suite_fgl_axioms(cfg, checks):
             for law in laws:
                 FormalGroupLaw(law.law)
         except Exception as err:  # noqa: BLE001 - report any axiom break
-            _check(checks, "fgl.axioms.%s" % name, ref, False, str(err))
-            continue
-        _check(checks, "fgl.axioms.%s" % name, ref, True)
+            out.check("fgl.axioms.%s" % name, False, str(err))
+        else:
+            out.check("fgl.axioms.%s" % name, True)
     for p in cfg.primes((2, 3, 5)):
-        F = h_law(P, h_element(P), p + 2)
-        sp = n_series(F, p).series
-        ok = True
-        for n in range(1, p):
-            c = sp.coefficient((n,))
-            const = c[0] if c else 0
-            ok = ok and const % p == 0
-        _check(checks, "fgl.p_series.height.p%d" % p,
-               "Lemma l:s_Q generates H_Q", ok)
-    return checks
+        sp = n_series(h_law(P, h_element(P), p + 2), p).series
+        consts = (sp.coefficient((n,)) for n in range(1, p))
+        out.check("fgl.p_series.height.p%d" % p,
+                  all((c[0] if c else 0) % p == 0 for c in consts),
+                  ref="Lemma l:s_Q generates H_Q")
 
 
-def suite_fgl_rescale(cfg, checks):
-    from .fgl import multiplicative_law, rescale, h_law, verify_hom, scaling_map
-    from .ringcore import ExactInt, QPoly, h_element
-    ref = "e:action of alpha on morphisms"
+@suite("fgl.rescale", "e:action of alpha on morphisms")
+def suite_fgl_rescale(cfg, out):
     P = QPoly()
     h = h_element(P)
     order = max(cfg.n_z, 8)
-    _check(checks, "fgl.rescale.h_law", ref,
-           rescale(multiplicative_law(P, order), h).law == h_law(P, h, order).law)
+    out.check("fgl.rescale.h_law",
+              rescale(multiplicative_law(P, order), h).law ==
+              h_law(P, h, order).law)
     Z = ExactInt()
     F = multiplicative_law(Z, order)
-    rng = check_stream(cfg.seed, "fgl.rescale")
-    ok = True
-    for _ in range(cfg.count(20)):
+
+    def monoidal(rng):
         a, b = rng.randrange(-5, 6), rng.randrange(-5, 6)
-        ok = ok and rescale(rescale(F, a), b).law == rescale(F, a * b).law
-    _check(checks, "fgl.rescale.monoidal", ref, ok)
+        return rescale(rescale(F, a), b).law == rescale(F, a * b).law
+
+    out.trials("fgl.rescale.monoidal", 20, monoidal, "fgl.rescale")
     Fh = rescale(multiplicative_law(P, order), h)
-    _check(checks, "fgl.rescale.psi_alpha", "Lemma l:univ property of sX(-D)",
-           verify_hom(scaling_map(Fh, multiplicative_law(P, order), h))["ok"])
-    return checks
+    psi = scaling_map(Fh, multiplicative_law(P, order), h)
+    out.check("fgl.rescale.psi_alpha", verify_hom(psi)["ok"],
+              ref="Lemma l:univ property of sX(-D)")
 
 
-def suite_fgl_deformation(cfg, checks):
-    from .fgl import (additive_law, deformation_family, multiplicative_law,
-                      specialize_deformation)
-    from .ringcore import ExactInt
-    ref = "sss:deformation to normal cone"
+@suite("fgl.deformation", "sss:deformation to normal cone")
+def suite_fgl_deformation(cfg, out):
     Z = ExactInt()
     order = max(cfg.n_z, 6)
     F = multiplicative_law(Z, order)
     fam = deformation_family(F)
-    _check(checks, "fgl.deformation.a0", ref,
-           specialize_deformation(fam, 0).law == additive_law(Z, order).law)
-    _check(checks, "fgl.deformation.a1", ref,
-           specialize_deformation(fam, 1).law == F.law)
-    return checks
+    out.check("fgl.deformation.a0",
+              specialize_deformation(fam, 0).law == additive_law(Z, order).law)
+    out.check("fgl.deformation.a1",
+              specialize_deformation(fam, 1).law == F.law)
 
 
-def suite_intpoly_basis(cfg, checks):
-    from fractions import Fraction
-    from .intpoly import IntPoly, int_mul, to_binomial
-    ref = "Prop p:Newton's description of sR"
-    u = IntPoly.u()
-    _check(checks, "intpoly.basis.u_squared", ref,
-           to_binomial((Fraction(0), Fraction(0), Fraction(1))) == IntPoly((0, 1, 2)))
-    rng = check_stream(cfg.seed, "intpoly.basis")
-    ok = True
-    for _ in range(cfg.count(50)):
+@suite("intpoly.basis", "Prop p:Newton's description of sR")
+def suite_intpoly_basis(cfg, out):
+    out.check("intpoly.basis.u_squared",
+              to_binomial((Fraction(0), Fraction(0), Fraction(1))) ==
+              IntPoly((0, 1, 2)))
+
+    def evaluation_hom(rng):
         a = IntPoly(tuple(rng.randrange(-5, 6) for _ in range(4)))
         b = IntPoly(tuple(rng.randrange(-5, 6) for _ in range(4)))
         m = rng.randrange(-10, 11)
-        ok = ok and int_mul(a, b)(m) == a(m) * b(m)
-    _check(checks, "intpoly.evaluation_hom", ref, ok)
-    return checks
+        return int_mul(a, b)(m) == a(m) * b(m)
+
+    out.trials("intpoly.evaluation_hom", 50, evaluation_hom, "intpoly.basis")
 
 
-def suite_intpoly_wilkerson(cfg, checks):
-    from .intpoly import IntPoly
-    ref = "Lemma l:Fr=id"
+@suite("intpoly.wilkerson", "Lemma l:Fr=id")
+def suite_intpoly_wilkerson(cfg, out):
     for p in cfg.primes((2, 3, 5)):
-        rng = check_stream(cfg.seed, "intpoly.wilkerson.p%d" % p)
-        ok = True
-        for _ in range(cfg.count(300)):
+        def frobenius_lift(rng):
             x = IntPoly(tuple(rng.randrange(-9, 10) for _ in range(11)))
-            diff = (x ** p) - x
-            ok = ok and all(c % p == 0 for c in diff.coords)
-        _check(checks, "intpoly.wilkerson.p%d" % p, ref, ok)
-    return checks
+            return all(c % p == 0 for c in ((x ** p) - x).coords)
+
+        out.trials("intpoly.wilkerson.p%d" % p, 300, frobenius_lift)
 
 
-def suite_intpoly_mahler(cfg, checks):
-    from .intpoly import IntPoly, mahler_table
-    ref = "e:3Mahler"
+@suite("intpoly.mahler", "e:3Mahler")
+def suite_intpoly_mahler(cfg, out):
     t = mahler_table(IntPoly.basis(2), 2, 1)
-    _check(checks, "intpoly.mahler.c2_mod2", ref,
-           t["period"] == 4 and t["residues"] == [0, 0, 1, 1])
-    rng = check_stream(cfg.seed, "intpoly.mahler")
-    ok = True
-    for p in cfg.primes((2, 3)):
-        for _ in range(cfg.count(10)):
-            x = IntPoly(tuple(rng.randrange(-9, 10) for _ in range(5)))
-            tab = mahler_table(x, p, 2)
-            P, mod = tab["period"], p ** 2
-            ok = ok and all(x(m) % mod == tab["residues"][m % P]
-                            for m in range(-P, 2 * P))
-    _check(checks, "intpoly.mahler.evaluation", ref, ok)
-    return checks
+    out.check("intpoly.mahler.c2_mod2",
+              t["period"] == 4 and t["residues"] == [0, 0, 1, 1])
+
+    def evaluation(rng, p):
+        x = IntPoly(tuple(rng.randrange(-9, 10) for _ in range(5)))
+        tab = mahler_table(x, p, 2)
+        P, mod = tab["period"], p ** 2
+        return all(x(m) % mod == tab["residues"][m % P]
+                   for m in range(-P, 2 * P))
+
+    out.trials("intpoly.mahler.evaluation", 10, evaluation, "intpoly.mahler",
+               primes=cfg.primes((2, 3)))
 
 
-def suite_intpoly_delta_basis(cfg, checks):
-    from .intpoly import IntPoly, delta_basis_combine, delta_basis_expand
-    ref = "Lemma l:generators of Int otimesZ_p"
+@suite("intpoly.delta_basis", "Lemma l:generators of Int otimesZ_p")
+def suite_intpoly_delta_basis(cfg, out):
     for p in cfg.primes((2, 3)):
-        rng = check_stream(cfg.seed, "intpoly.delta_basis.p%d" % p)
-        ok = True
-        for _ in range(cfg.count(10)):
+        def roundtrip(rng):
             x = IntPoly(tuple(rng.randrange(-9, 10)
                               for _ in range(p ** 3 + 1)))
             coords = delta_basis_expand(x, p, 3)
-            ok = ok and delta_basis_combine(coords, p) == x.to_rational()
-            ok = ok and all(c.denominator % p != 0 for c in coords.values())
-        _check(checks, "intpoly.delta_basis.p%d" % p, ref, ok)
-    return checks
+            return (delta_basis_combine(coords, p) == x.to_rational() and
+                    all(c.denominator % p != 0 for c in coords.values()))
+
+        out.trials("intpoly.delta_basis.p%d" % p, 10, roundtrip)
 
 
-def suite_qhopf_structure(cfg, checks):
-    from .qhopf import QH, structure_constants
-    ref = "Prop p:G=Spec B_0"
-    ok = True
-    for m in range(7):
-        for n in range(m, 13 - m):
-            for g in structure_constants(m, n):
-                ok = ok and (QH.is_zero(g) or all(f.denominator == 1 for f in g))
-    _check(checks, "qhopf.structure_constants.integral_12", ref, ok)
-    from fractions import Fraction
-    from .intpoly import IntPoly, int_mul
-    from .qhopf import B0Elem, b0_mul
-    rng = check_stream(cfg.seed, "qhopf.structure")
-    ok = True
-    for _ in range(cfg.count(20)):
+@suite("qhopf.structure_constants", "Prop p:G=Spec B_0")
+def suite_qhopf_structure(cfg, out):
+    out.check("qhopf.structure_constants.integral_12", all(
+        QH.is_zero(g) or all(f.denominator == 1 for f in g)
+        for m in range(7) for n in range(m, 13 - m)
+        for g in structure_constants(m, n)))
+
+    def at_h1(x):
+        return sum((IntPoly.basis(n).scale(int(c[0] if c else 0))
+                    for n, c in enumerate(x.specialize_h(Fraction(1)))),
+                   IntPoly(()))
+
+    def h1_product(rng):
         a = B0Elem(tuple(QH.make([Fraction(rng.randrange(-3, 4))])
                          for _ in range(4)))
         b = B0Elem(tuple(QH.make([Fraction(rng.randrange(-3, 4))])
                          for _ in range(4)))
+        return at_h1(b0_mul(a, b)) == int_mul(at_h1(a), at_h1(b))
 
-        def at_h1(x):
-            out = IntPoly(())
-            for n, c in enumerate(x.specialize_h(Fraction(1))):
-                v = c[0] if c else Fraction(0)
-                out = out + IntPoly.basis(n).scale(int(v))
-            return out
-
-        ok = ok and at_h1(b0_mul(a, b)) == int_mul(at_h1(a), at_h1(b))
-    _check(checks, "qhopf.h1_matches_int", "e:B_0 in terms of Int", ok)
-    ok = True
-    for m in range(5):
-        for n in range(5):
-            prod = b0_mul(B0Elem.basis(m), B0Elem.basis(n))
-            spec = prod.specialize_h(Fraction(0))
-            for k, c in enumerate(spec):
-                v = c[0] if c else Fraction(0)
-                ok = ok and v == (math.comb(m + n, n) if k == m + n else 0)
-    _check(checks, "qhopf.h0_divided_powers", "§sss:remarks on B_0", ok)
-    return checks
+    out.trials("qhopf.h1_matches_int", 20, h1_product, "qhopf.structure",
+               ref="e:B_0 in terms of Int")
+    out.check("qhopf.h0_divided_powers", all(
+        (c[0] if c else 0) == (math.comb(m + n, n) if k == m + n else 0)
+        for m in range(5) for n in range(5)
+        for k, c in enumerate(b0_mul(B0Elem.basis(m), B0Elem.basis(n))
+                              .specialize_h(Fraction(0)))),
+        ref="§sss:remarks on B_0")
 
 
-def suite_qhopf_adams(cfg, checks):
-    from fractions import Fraction
-    from .qhopf import QH, B0Elem, adams, b0_coproduct, v_scalar
-    ref = "Lemma l:B_0 as lambda-ring"
-    rng = check_stream(cfg.seed, "qhopf.adams")
-    ok_hom, ok_semi = True, True
-    for _ in range(cfg.count(10)):
+@suite("qhopf.adams", "Lemma l:B_0 as lambda-ring")
+def suite_qhopf_adams(cfg, out):
+    def pair(rng):
         a = B0Elem(tuple(QH.make([Fraction(rng.randrange(-2, 3)),
                                   Fraction(rng.randrange(-2, 3))])
                          for _ in range(8)))
         b = B0Elem(tuple(QH.make([Fraction(rng.randrange(-2, 3))])
                          for _ in range(8)))
-        for n in (2, 3, 4):
-            ok_hom = ok_hom and adams(n, a * b) == adams(n, a) * adams(n, b)
-        ok_semi = ok_semi and adams(2, adams(3, a)) == adams(6, a)
-    _check(checks, "qhopf.adams.ring_hom", ref, ok_hom)
-    _check(checks, "qhopf.adams.semigroup", ref, ok_semi)
-    ok = True
-    for n in (2, 3, 4):
-        for d in range(9):
-            x = B0Elem.basis(d)
-            lhs = b0_coproduct(adams(n, x))
-            rhs = {}
-            for (i, j), c in b0_coproduct(x).items():
-                for k, f in enumerate(c):
-                    if f:
-                        term = QH.mul(QH.make([Fraction(0)] * k + [f]),
-                                      QH.pow(v_scalar(n), i + j + k))
-                        rhs[(i, j)] = QH.add(rhs.get((i, j), QH.zero), term)
-            rhs = {k: v for k, v in rhs.items() if not QH.is_zero(v)}
-            ok = ok and lhs == rhs
-    _check(checks, "qhopf.adams.coproduct", ref, ok)
-    return checks
+        return a, b
+
+    def ring_hom(rng):
+        a, b = pair(rng)
+        return all(adams(n, a * b) == adams(n, a) * adams(n, b)
+                   for n in (2, 3, 4))
+
+    def semigroup(rng):
+        a, _ = pair(rng)
+        return adams(2, adams(3, a)) == adams(6, a)
+
+    # both checks draw the same pairs: each starts the stream afresh
+    out.trials("qhopf.adams.ring_hom", 10, ring_hom, "qhopf.adams")
+    out.trials("qhopf.adams.semigroup", 10, semigroup, "qhopf.adams")
+
+    def coproduct(n, d):
+        x = B0Elem.basis(d)
+        lhs = b0_coproduct(adams(n, x))
+        rhs = {}
+        for (i, j), c in b0_coproduct(x).items():
+            for k, f in enumerate(c):
+                if f:
+                    term = QH.mul(QH.make([Fraction(0)] * k + [f]),
+                                  QH.pow(v_scalar(n), i + j + k))
+                    rhs[(i, j)] = QH.add(rhs.get((i, j), QH.zero), term)
+        return lhs == {k: v for k, v in rhs.items() if not QH.is_zero(v)}
+
+    out.check("qhopf.adams.coproduct",
+              all(coproduct(n, d) for n in (2, 3, 4) for d in range(9)))
 
 
-def suite_qhopf_delta(cfg, checks):
-    from fractions import Fraction
-    from .qhopf import QH, B0Elem, adams, b0_delta
-    ref = "e:defining relation"
-    got = b0_delta(B0Elem.t(), 2)
-    _check(checks, "qhopf.delta.t_p2", ref,
-           got == B0Elem((QH.zero, QH.make([Fraction(1)]),
-                          QH.make([Fraction(-1)]))))
-    rng = check_stream(cfg.seed, "qhopf.delta")
-    ok = True
-    for p in cfg.primes((2, 3, 5)):
-        for _ in range(cfg.count(10)):
-            x = B0Elem(tuple(QH.make([Fraction(rng.randrange(-2, 3)),
-                                      Fraction(rng.randrange(-2, 3))])
-                             for _ in range(3)))
-            diff = adams(p, x) - x ** p
-            ok = ok and all(
-                all(f.denominator == 1 and f.numerator % p == 0 for f in c)
-                for c in diff.coords)
-    _check(checks, "qhopf.wilkerson", "§sss:Wilkerson", ok)
-    return checks
+@suite("qhopf.delta", "e:defining relation")
+def suite_qhopf_delta(cfg, out):
+    out.check("qhopf.delta.t_p2", b0_delta(B0Elem.t(), 2) ==
+              B0Elem((QH.zero, QH.make([Fraction(1)]),
+                      QH.make([Fraction(-1)]))))
+
+    def wilkerson(rng, p):
+        x = B0Elem(tuple(QH.make([Fraction(rng.randrange(-2, 3)),
+                                  Fraction(rng.randrange(-2, 3))])
+                         for _ in range(3)))
+        diff = adams(p, x) - x ** p
+        return all(f.denominator == 1 and f.numerator % p == 0
+                   for c in diff.coords for f in c)
+
+    out.trials("qhopf.wilkerson", 10, wilkerson, "qhopf.delta",
+               primes=cfg.primes((2, 3, 5)), ref="§sss:Wilkerson")
 
 
-def suite_qhopf_int(cfg, checks):
-    from .intpoly import IntPoly
-    from .qhopf import B0Elem, b0_from_filtration, b0_to_int_h
-    ref = "e:B_0 in terms of Int"
-    ok = all(b0_to_int_h(B0Elem.basis(n)) == {n: IntPoly.basis(n)}
-             for n in range(1, 5))
-    ok = ok and b0_to_int_h(B0Elem.t()) == {1: IntPoly.u()}
-    _check(checks, "qhopf.to_int_h.basis", ref, ok)
-    rng = check_stream(cfg.seed, "qhopf.int")
-    ok = True
-    for _ in range(cfg.count(20)):
+@suite("qhopf.int_comparison", "e:B_0 in terms of Int")
+def suite_qhopf_int(cfg, out):
+    out.check("qhopf.to_int_h.basis",
+              all(b0_to_int_h(B0Elem.basis(n)) == {n: IntPoly.basis(n)}
+                  for n in range(1, 5)) and
+              b0_to_int_h(B0Elem.t()) == {1: IntPoly.u()})
+
+    def roundtrip(rng):
         f = IntPoly(tuple(rng.randrange(-4, 5) for _ in range(3)))
         n = max(f.degree(), 0) + rng.randrange(2)
         back = b0_to_int_h(b0_from_filtration(f, n))
-        ok = ok and back == ({n: f} if f.coords else {})
-    _check(checks, "qhopf.filtration_roundtrip", ref, ok)
-    return checks
+        return back == ({n: f} if f.coords else {})
+
+    out.trials("qhopf.filtration_roundtrip", 20, roundtrip, "qhopf.int")
 
 
-def suite_pd_pairing(cfg, checks):
-    from .intpoly import gen_binom
-    from .pd_dual import PDElem, delta_to_e, distr_mul, pair_distr, pair_xu
-    ref = "e:BM_m times Gamma^+ to BM_m"
-    ok = all(pair_xu(m, PDElem.gamma(n)) == gen_binom(m, n)
-             for m in range(-6, 7) for n in range(13))
-    _check(checks, "pd_dual.pairing.matrix", ref, ok)
-    ok = all(pair_distr(delta_to_e(m, 14), PDElem.gamma(n)) == gen_binom(m, n)
-             for m in range(-6, 7) for n in range(13))
-    _check(checks, "pd_dual.pairing.distr", "Lemma l:the dual of G_m^sharp", ok)
-    ok = all(distr_mul(delta_to_e(m, 10 + abs(m) + abs(n)),
-                       delta_to_e(n, 10 + abs(m) + abs(n)))
-             == delta_to_e(m + n, 10 + abs(m) + abs(n))
-             for m in range(-3, 4) for n in range(-3, 4))
-    _check(checks, "pd_dual.delta_to_e.convolution",
-           "§sss:Distributions", ok)
-    return checks
+@suite("pd_dual.pairing", "e:BM_m times Gamma^+ to BM_m")
+def suite_pd_pairing(cfg, out):
+    out.check("pd_dual.pairing.matrix",
+              all(pair_xu(m, PDElem.gamma(n)) == gen_binom(m, n)
+                  for m in range(-6, 7) for n in range(13)))
+    out.check("pd_dual.pairing.distr",
+              all(pair_distr(delta_to_e(m, 14), PDElem.gamma(n)) ==
+                  gen_binom(m, n) for m in range(-6, 7) for n in range(13)),
+              ref="Lemma l:the dual of G_m^sharp")
+    out.check("pd_dual.delta_to_e.convolution",
+              all(distr_mul(delta_to_e(m, 10 + abs(m) + abs(n)),
+                            delta_to_e(n, 10 + abs(m) + abs(n)))
+                  == delta_to_e(m + n, 10 + abs(m) + abs(n))
+                  for m in range(-3, 4) for n in range(-3, 4)),
+              ref="§sss:Distributions")
 
 
-def suite_pd_log_sharp(cfg, checks):
-    from .pd_dual import log_sharp_power, stirling_first
-    ref = "Lemma l:factorization of log"
-    ok = True
-    for n in range(21):
-        for k in range(1, 11):
-            if k <= n:
-                ok = ok and log_sharp_power(k, n).coord(n) == stirling_first(n, k)
-    _check(checks, "pd_dual.log_sharp.stirling", ref, ok)
-    _check(checks, "pd_dual.log_sharp.k2", ref,
-           log_sharp_power(2, 4).coords == (0, 0, 1, -3, 11))
-    return checks
+@suite("pd_dual.log_sharp", "Lemma l:factorization of log")
+def suite_pd_log_sharp(cfg, out):
+    out.check("pd_dual.log_sharp.stirling",
+              all(log_sharp_power(k, n).coord(n) == stirling_first(n, k)
+                  for n in range(21) for k in range(1, min(n, 10) + 1)))
+    out.check("pd_dual.log_sharp.k2",
+              log_sharp_power(2, 4).coords == (0, 0, 1, -3, 11))
 
 
-def suite_pd_mu_p(cfg, checks):
-    from .pd_dual import mu_p_pd_check
-    ref = "Lemma l:mu_p in G_m^sharp"
+@suite("pd_dual.mu_p", "Lemma l:mu_p in G_m^sharp")
+def suite_pd_mu_p(cfg, out):
     for p in cfg.primes((2, 3, 5)):
         rng = check_stream(cfg.seed, "pd_dual.mu_p.p%d" % p)
         rep = mu_p_pd_check(p, cfg.count(200), rng)
-        _check(checks, "pd_dual.mu_p.p%d" % p, ref, not rep["failures"],
-               "trials=%d" % rep["trials"])
-    return checks
+        out.check("pd_dual.mu_p.p%d" % p, not rep["failures"],
+                  "trials=%d" % rep["trials"])
 
 
-def suite_pd_gsharp(cfg, checks):
-    from .pd_dual import gsharp_comparison
-    ref = "Prop p:G_m^sharp/mu_p"
+@suite("pd_dual.gsharp", "Prop p:G_m^sharp/mu_p")
+def suite_pd_gsharp(cfg, out):
     for p in cfg.primes((2, 3)):
         rng = check_stream(cfg.seed, "pd_dual.gsharp.p%d" % p)
         rep = gsharp_comparison(p, 12, cfg.count(25), rng)
         expected = {2: (0, 1, 1), 3: (0, 1, 2, 2)}.get(p)
-        ok = not rep["failures"]
-        if expected is not None:
-            ok = ok and tuple(rep["z_coords"]) == expected
-        _check(checks, "pd_dual.gsharp.p%d" % p, ref, ok)
-    return checks
+        out.check("pd_dual.gsharp.p%d" % p, not rep["failures"] and (
+            expected is None or tuple(rep["z_coords"]) == expected))
 
 
-def suite_pd_exact_sequence(cfg, checks):
-    from .pd_dual import exact_sequence_check
-    ref = "e:G_m^sharp sequence"
+@suite("pd_dual.exact_sequence", "e:G_m^sharp sequence")
+def suite_pd_exact_sequence(cfg, out):
     for p in cfg.primes((2, 3)):
         rep = exact_sequence_check(p, min(cfg.n_p, 6), 5)
-        _check(checks, "pd_dual.exact_sequence.p%d" % p, ref,
-               rep["log_xu"] and rep["log_mu_p"] and rep["exp_pairing"])
-    return checks
+        out.check("pd_dual.exact_sequence.p%d" % p,
+                  rep["log_xu"] and rep["log_mu_p"] and rep["exp_pairing"])
 
 
-def suite_cw_universal(cfg, checks):
-    from fractions import Fraction
-    from .cartier_witt import specialize_pairing_at_t, universal_pairing
-    from .qhopf import QH
-    ref = "e:Euler series"
+@suite("cartier_witt.universal_pairing", "e:Euler series")
+def suite_cw_universal(cfg, out):
     f = universal_pairing(min(cfg.n_z, 8))
-    _check(checks, "cartier_witt.universal_pairing.equation", ref, f.verify())
+    out.check("cartier_witt.universal_pairing.equation", f.verify())
     h = QH.make([Fraction(0), Fraction(1)])
     spec = specialize_pairing_at_t(6, h)
-    ok = QH.eq(spec.coefficient((1,)), h) and all(
-        QH.is_zero(spec.coefficient((n,))) for n in range(2, 7))
-    _check(checks, "cartier_witt.universal_pairing.t_h", "Prop p:G_Q^!=SpfB", ok)
-    return checks
+    out.check("cartier_witt.universal_pairing.t_h",
+              QH.eq(spec.coefficient((1,)), h) and all(
+                  QH.is_zero(spec.coefficient((n,))) for n in range(2, 7)),
+              ref="Prop p:G_Q^!=SpfB")
 
 
-def suite_cw_eigen(cfg, checks):
-    from fractions import Fraction
-    from .cartier_witt import (MultHomSeries, embed_G_I, embed_G_II,
-                               eigencheck_I, eigencheck_II, eigencheck_R,
-                               universal_pairing)
-    from .intpoly import gen_binom
-    from .qhopf import QH, B0Elem
-    from .ringcore import ExactInt, TruncSeries
-    ref = "e:G^!? in terms of big Witt"
+@suite("cartier_witt.eigen", "e:G^!? in terms of big Witt")
+def suite_cw_eigen(cfg, out):
     N = cfg.N_big
     f = universal_pairing(N)
     q = B0Elem((QH.make([Fraction(1), Fraction(1)]),))
     wI, wII = embed_G_I(f), embed_G_II(f)
-    ok = f.verify() and all(eigencheck_I(wI, q, m) for m in (2, 3))
-    _check(checks, "cartier_witt.eigen_I.universal", ref, ok)
-    ok = eigencheck_II(wII, q, 2) and (N < 9 or eigencheck_II(wII, q, 3))
-    _check(checks, "cartier_witt.eigen_II.universal",
-           "e:G^!! in terms of big Witt", ok)
+    out.check("cartier_witt.eigen_I.universal",
+              f.verify() and all(eigencheck_I(wI, q, m) for m in (2, 3)))
+    out.check("cartier_witt.eigen_II.universal",
+              eigencheck_II(wII, q, 2) and (N < 9 or eigencheck_II(wII, q, 3)),
+              ref="e:G^!! in terms of big Witt")
     Z = ExactInt()
-    rng = check_stream(cfg.seed, "cartier_witt.eigen")
-    ok, okq2 = True, True
-    for _ in range(cfg.count(50)):
-        qv = rng.randrange(2, 8)
-        k = rng.randrange(-5, 6)
+
+    def series(qv, k):
+        """sum_n binom(k, n) h^n z^n with h = qv - 1."""
         h = qv - 1
         coeffs = {(n,): gen_binom(k, n) * h ** n for n in range(N + 1)}
-        g = MultHomSeries(TruncSeries(Z, ("z",), coeffs, N), "G", h)
+        return MultHomSeries(TruncSeries(Z, ("z",), coeffs, N), "G", h)
+
+    def degenerates(k):
+        vI = embed_G_I(series(2, k))
+        return all(eigencheck_R(vI, m) for m in (2, 3, 4))
+
+    def numeric(rng):
+        qv, k = rng.randrange(2, 8), rng.randrange(-5, 6)
+        g = series(qv, k)
         vI, vII = embed_G_I(g), embed_G_II(g)
-        for m in (2, 3):
-            ok = ok and eigencheck_I(vI, qv, m) and eigencheck_II(vII, qv, m)
-        if qv == 2:
-            okq2 = okq2 and all(eigencheck_R(vI, m) for m in (2, 3, 4))
-    coeffs = {(n,): gen_binom(3, n) for n in range(N + 1)}
-    vI = embed_G_I(MultHomSeries(TruncSeries(Z, ("z",), coeffs, N), "G", 1))
-    okq2 = okq2 and all(eigencheck_R(vI, m) for m in (2, 3, 4))
-    _check(checks, "cartier_witt.eigen.numeric", ref, ok)
-    _check(checks, "cartier_witt.eigen.q2_degeneration", "§sss:[h]", okq2)
-    return checks
+        return all(eigencheck_I(vI, qv, m) and eigencheck_II(vII, qv, m)
+                   for m in (2, 3))
+
+    def q2(rng):
+        qv, k = rng.randrange(2, 8), rng.randrange(-5, 6)
+        return qv != 2 or degenerates(k)
+
+    # both checks draw the same (q, k): each starts the stream afresh
+    out.trials("cartier_witt.eigen.numeric", 50, numeric, "cartier_witt.eigen")
+    out.trials("cartier_witt.eigen.q2_degeneration", 50, q2,
+               "cartier_witt.eigen", then=lambda rng: degenerates(3),
+               ref="§sss:[h]")
 
 
-def suite_cw_psi(cfg, checks):
-    from .cartier_witt import (eigencheck_I, eigencheck_II, psi_map)
-    from .ringcore import QPoly, h_element, q_element
-    from .witt import teichmuller_big
-    ref = "e:3 Psi_n"
+@suite("cartier_witt.psi", "e:3 Psi_n")
+def suite_cw_psi(cfg, out):
     P = QPoly()
     h, q = h_element(P), q_element(P)
     N = cfg.N_big
     w = teichmuller_big(P, N, h)
     w2, q2 = psi_map("I", 2, w, q)
-    ok = w2 == teichmuller_big(P, N, P.sub(P.pow(q, 2), P.one))
-    ok = ok and eigencheck_I(w2, q2, 2)
-    _check(checks, "cartier_witt.psi_I", "e:2 Psi_n(w,q)", ok)
+    out.check("cartier_witt.psi_I",
+              w2 == teichmuller_big(P, N, P.sub(P.pow(q, 2), P.one)) and
+              eigencheck_I(w2, q2, 2), ref="e:2 Psi_n(w,q)")
     v = teichmuller_big(P, N, q) - teichmuller_big(P, N, P.one)
     v2, q2 = psi_map("II", 2, v, q)
-    ok = v2 == (teichmuller_big(P, N // 2, P.pow(q, 2)) -
-                teichmuller_big(P, N // 2, P.one))
-    ok = ok and eigencheck_II(v2, q2, 2)
-    _check(checks, "cartier_witt.psi_II", ref, ok)
-    return checks
+    out.check("cartier_witt.psi_II",
+              v2 == (teichmuller_big(P, N // 2, P.pow(q, 2)) -
+                     teichmuller_big(P, N // 2, P.one)) and
+              eigencheck_II(v2, q2, 2))
 
 
-def suite_cw_wf_ring(cfg, checks):
-    from .cartier_witt import (eval_bj_poly, fixed_point_bj_values,
-                               wf_ring_reduce)
-    ref = "e:equations for W^F"
-    ok = all(wf_ring_reduce({(p,): 1}, p, 4) == {(1,): 1, (0, 1): -p}
-             for p in cfg.primes((2, 3, 5)))
-    _check(checks, "cartier_witt.wf_ring.rewrite", ref, ok)
-    rng = check_stream(cfg.seed, "cartier_witt.wf_ring")
-    ok = True
-    for p in cfg.primes((2, 3)):
-        for _ in range(cfg.count(20)):
-            expr = {tuple(rng.randrange(0, 2 * p) for _ in range(2)):
-                    rng.randrange(-5, 6) for _ in range(4)}
-            red = wf_ring_reduce(expr, p, 6)
-            ok = ok and all(all(v < p for v in e) for e in red)
-            for m in (-2, 1, 3):
-                vals = fixed_point_bj_values(m, p, 7)
-                ok = ok and eval_bj_poly(expr, vals) == eval_bj_poly(red, vals)
-    _check(checks, "cartier_witt.wf_ring.evaluation",
-           "§sss:proof of flatness of W^F", ok)
-    return checks
+@suite("cartier_witt.wf_ring", "e:equations for W^F")
+def suite_cw_wf_ring(cfg, out):
+    out.check("cartier_witt.wf_ring.rewrite",
+              all(wf_ring_reduce({(p,): 1}, p, 4) == {(1,): 1, (0, 1): -p}
+                  for p in cfg.primes((2, 3, 5))))
+
+    def evaluation(rng, p):
+        expr = {tuple(rng.randrange(0, 2 * p) for _ in range(2)):
+                rng.randrange(-5, 6) for _ in range(4)}
+        red = wf_ring_reduce(expr, p, 6)
+        return all(all(v < p for v in e) for e in red) and all(
+            eval_bj_poly(expr, vals) == eval_bj_poly(red, vals)
+            for vals in (fixed_point_bj_values(m, p, 7) for m in (-2, 1, 3)))
+
+    out.trials("cartier_witt.wf_ring.evaluation", 20, evaluation,
+               "cartier_witt.wf_ring", primes=cfg.primes((2, 3)),
+               ref="§sss:proof of flatness of W^F")
 
 
-def suite_cw_m_series(cfg, checks):
-    from .cartier_witt import m_series_identity
-    ref = "Lemma l:simple lemma"
-    ok = True
-    for m in (1, 2, 3):
-        rep = m_series_identity(m, min(cfg.n_z, 6))
-        ok = ok and rep["power"] and rep["compose"] and rep["int_h1"]
-    _check(checks, "cartier_witt.m_series", ref, ok)
-    return checks
+@suite("cartier_witt.m_series", "Lemma l:simple lemma")
+def suite_cw_m_series(cfg, out):
+    reps = [m_series_identity(m, min(cfg.n_z, 6)) for m in (1, 2, 3)]
+    out.check("cartier_witt.m_series", all(
+        rep["power"] and rep["compose"] and rep["int_h1"] for rep in reps))
 
 
-def suite_cw_hom_pullback(cfg, checks):
-    from .cartier_witt import hom_pullback_check
-    ref = "Lemma l:motivation of lambda-structure"
-    ok = True
-    for n in (1, 2, 3, 6):
-        rep = hom_pullback_check(n)
-        ok = ok and rep["scalar_identity"] and rep["hom"]
-    _check(checks, "cartier_witt.hom_pullback", ref, ok)
-    return checks
+@suite("cartier_witt.hom_pullback", "Lemma l:motivation of lambda-structure")
+def suite_cw_hom_pullback(cfg, out):
+    reps = [hom_pullback_check(n) for n in (1, 2, 3, 6)]
+    out.check("cartier_witt.hom_pullback", all(
+        rep["scalar_identity"] and rep["hom"] for rep in reps))
 
 
 def _derham_grid(cfg):
@@ -729,69 +736,61 @@ def _derham_grid(cfg):
     return [(min(cfg.L, 4), cfg.n_p)]
 
 
-def suite_derham_log_exp(cfg, checks):
-    from .derham import f_log, g_exp, gdr_op, is_eigen, sample_eigen, sample_gdr
-    from .ringcore import ModP
-    from .witt import witt_op
-    ref = "Lemma l:G_dR=W^{F=p}"
+@suite("derham.log_exp", "Lemma l:G_dR=W^{F=p}")
+def suite_derham_log_exp(cfg, out):
     for p in cfg.primes((2, 3)):
         for L, n_p in _derham_grid(cfg):
-            cid = "derham.log_exp.p%d.L%d.np%d" % (p, L, n_p)
-            rng = check_stream(cfg.seed, cid)
             R = ModP(p, n_p)
-            ok = True
-            for _ in range(cfg.count(100)):
+
+            def roundtrip(rng):
                 a = sample_gdr(R, p, L, rng)
                 y = f_log(a)
-                ok = ok and is_eigen(y) and g_exp(y) == a
-            y = sample_eigen(R, p, L, rng)
-            ok = ok and f_log(g_exp(y)) == y
-            a, b = sample_gdr(R, p, L, rng), sample_gdr(R, p, L, rng)
-            ok = ok and f_log(gdr_op(a, b)) == witt_op(f_log(a), f_log(b), "add")
-            _check(checks, cid, ref, ok)
-    return checks
+                return is_eigen(y) and g_exp(y) == a
+
+            def inverse_and_additive(rng):
+                y = sample_eigen(R, p, L, rng)
+                a, b = sample_gdr(R, p, L, rng), sample_gdr(R, p, L, rng)
+                return f_log(g_exp(y)) == y and \
+                    f_log(gdr_op(a, b)) == witt_op(f_log(a), f_log(b), "add")
+
+            out.trials("derham.log_exp.p%d.L%d.np%d" % (p, L, n_p), 100,
+                       roundtrip, then=inverse_and_additive)
 
 
-def suite_derham_frobenius(cfg, checks):
-    from .derham import frob_power_identity, sample_gdr
-    from .ringcore import ModP
-    ref = "e:Fx=h(x)"
+@suite("derham.frobenius_power", "e:Fx=h(x)")
+def suite_derham_frobenius(cfg, out):
     for p in cfg.primes((2, 3)):
-        rng = check_stream(cfg.seed, "derham.frob.p%d" % p)
         R = ModP(p, min(cfg.n_p, 6))
-        ok = all(frob_power_identity(sample_gdr(R, p, min(cfg.L, 3), rng))["ok"]
-                 for _ in range(cfg.count(50)))
-        # and one point in every cell of derham.log_exp's grid
-        ok = ok and all(
-            frob_power_identity(sample_gdr(ModP(p, n_p), p, L, rng))["ok"]
-            for L, n_p in _derham_grid(cfg))
-        _check(checks, "derham.frobenius_power.p%d" % p, ref, ok)
-    return checks
+
+        def identity(rng):
+            x = sample_gdr(R, p, min(cfg.L, 3), rng)
+            return frob_power_identity(x)["ok"]
+
+        def on_grid(rng):  # one point in every cell of derham.log_exp's grid
+            return all(
+                frob_power_identity(sample_gdr(ModP(p, n_p), p, L, rng))["ok"]
+                for L, n_p in _derham_grid(cfg))
+
+        out.trials("derham.frobenius_power.p%d" % p, 50, identity,
+                   "derham.frob.p%d" % p, then=on_grid)
 
 
-def suite_derham_id_minus_v(cfg, checks):
-    from .derham import id_minus_V, sample_eigen, v_geometric
-    from .ringcore import ModP
-    from .witt import frobenius
-    ref = "e:1-V"
+@suite("derham.id_minus_v", "e:1-V")
+def suite_derham_id_minus_v(cfg, out):
     for p in cfg.primes((2, 3)):
-        rng = check_stream(cfg.seed, "derham.idv.p%d" % p)
         R = ModP(p, min(cfg.n_p, 6))
-        ok = True
-        for _ in range(cfg.count(50)):
+
+        def inverts_v(rng):
             y = sample_eigen(R, p, min(cfg.L, 4), rng)
             z = id_minus_V(y)
-            ok = ok and frobenius(z).is_zero() and v_geometric(z) == y
-        _check(checks, "derham.id_minus_v.p%d" % p, ref, ok)
-    return checks
+            return frobenius(z).is_zero() and v_geometric(z) == y
+
+        out.trials("derham.id_minus_v.p%d" % p, 50, inverts_v,
+                   "derham.idv.p%d" % p)
 
 
-def suite_derham_discrepancy(cfg, checks):
-    import itertools
-    from .derham import discrepancy_check
-    from .ringcore import ModP, PolyQuotRing
-    from .witt import WittVector, frobenius, scalar_mul, witt_pow
-    ref = "e:f_naive & f"
+@suite("derham.discrepancy", "e:f_naive & f")
+def suite_derham_discrepancy(cfg, out):
     for p in cfg.primes((2, 3)):
         R = PolyQuotRing(ModP(p, 1), (0, 0, 0, 1), "a")
         elems = [R.make_ints(v) for v in itertools.product(range(p), repeat=3)]
@@ -802,154 +801,119 @@ def suite_derham_discrepancy(cfg, checks):
         # the kernel lemma: Fx = 0 gives px = x^p = 0
         kernel = all(frobenius(x).is_zero() and scalar_mul(p, x).is_zero()
                      and witt_pow(x, p).is_zero() for x in xs)
-        _check(checks, "derham.discrepancy.p%d" % p, ref,
-               not rep["failures"] and rep["differs_from_identity"] and kernel,
-               "exhaustive over %d kernel vectors" % rep["count"])
-    return checks
+        out.check("derham.discrepancy.p%d" % p,
+                  not rep["failures"] and rep["differs_from_identity"] and kernel,
+                  "exhaustive over %d kernel vectors" % rep["count"])
 
 
-def suite_derham_g_eta(cfg, checks):
-    from .derham import g_eta_check
-    from .ringcore import ModP, PolyQuotRing
-    from .witt import WittVector, sample_f_kernel
-    ref = "Prop p:G_eta"
+@suite("derham.g_eta", "Prop p:G_eta")
+def suite_derham_g_eta(cfg, out):
     for p in cfg.primes((2, 3)):
-        rng = check_stream(cfg.seed, "derham.g_eta.p%d" % p)
         R = PolyQuotRing(ModP(p, 1), (0, 0, 0, 1), "a")
-        pairs = []
-        for _ in range(cfg.count(40)):
-            pairs.append((sample_f_kernel(R, p, 3, rng),
-                          sample_f_kernel(R, p, 3, rng)))
-            pairs.append((WittVector(R, p, [R.rand(rng) for _ in range(3)]),
-                          sample_f_kernel(R, p, 3, rng)))
-        rep = g_eta_check(R, p, 3, pairs)
-        _check(checks, "derham.g_eta.p%d" % p, ref, not rep["failures"])
-    return checks
+
+        def two_pairs(rng):
+            pairs = [(sample_f_kernel(R, p, 3, rng),
+                      sample_f_kernel(R, p, 3, rng)),
+                     (WittVector(R, p, [R.rand(rng) for _ in range(3)]),
+                      sample_f_kernel(R, p, 3, rng))]
+            return not g_eta_check(R, p, 3, pairs)["failures"]
+
+        out.trials("derham.g_eta.p%d" % p, 40, two_pairs)
 
 
-def suite_qprism_law(cfg, checks):
-    from .qprism import (gq_at_q1_matches_derham, gq_op, gq_ring, gq_to_unit,
-                         sample_gq)
-    from .witt import zero_vector
-    from .qprism import GQPoint
-    ref = "e:G_Q(A)"
+@suite("qprism.group_law", "e:G_Q(A)")
+def suite_qprism_law(cfg, out):
     for p in cfg.primes((2, 3)):
-        cid = "qprism.group_law.p%d" % p
-        rng = check_stream(cfg.seed, cid)
         ring = gq_ring(p, min(cfg.n_p, 4), min(cfg.n_q, 4))
-        ok = True
-        for _ in range(cfg.count(5)):
+        zero = GQPoint(zero_vector(ring, p, 2), check=False)
+
+        def law(rng):
             a = sample_gq(ring, p, 2, rng)
             b = sample_gq(ring, p, 2, rng)
-            s = gq_op(a, b)
-            ok = ok and ring.eq(gq_to_unit(s),
-                                ring.mul(gq_to_unit(a), gq_to_unit(b)))
-            zero = GQPoint(zero_vector(ring, p, 2), check=False)
-            ok = ok and gq_op(a, zero) == a
-        ok = ok and gq_at_q1_matches_derham(p, min(cfg.n_p, 4), 2, rng)
-        _check(checks, cid, ref, ok)
-    return checks
+            return ring.eq(gq_to_unit(gq_op(a, b)),
+                           ring.mul(gq_to_unit(a), gq_to_unit(b))) and \
+                gq_op(a, zero) == a
+
+        out.trials("qprism.group_law.p%d" % p, 5, law, then=lambda rng:
+                   gq_at_q1_matches_derham(p, min(cfg.n_p, 4), 2, rng))
 
 
-def suite_qprism_sigma(cfg, checks):
-    from .qprism import frobenius_of_point, gq_ring, gq_to_unit, sigma_point
-    from .ringcore import q_element
-    from .witt import teichmuller, witt_neg, witt_op
-    ref = "e:sigma(q)"
+@suite("qprism.sigma", "e:sigma(q)")
+def suite_qprism_sigma(cfg, out):
     for p in cfg.primes((2, 3)):
         ring = gq_ring(p, min(cfg.n_p, 4), min(cfg.n_q, 4))
         s = sigma_point(ring, p, 3)
-        ok = ring.eq(gq_to_unit(s), ring.pow(q_element(ring), p))
-        fs = frobenius_of_point(s)
         qp = ring.pow(q_element(ring), p)
         expected = witt_op(teichmuller(ring, p, 2, qp),
                            witt_neg(teichmuller(ring, p, 2, ring.one)), "add")
-        ok = ok and fs.x == expected
-        _check(checks, "qprism.sigma.p%d" % p, ref, ok)
-    return checks
+        out.check("qprism.sigma.p%d" % p, ring.eq(gq_to_unit(s), qp) and
+                  frobenius_of_point(s).x == expected)
 
 
-def suite_qprism_qexp(cfg, checks):
-    from .qprism import q_exp_agreement
-    ref = "Prop p:G_Q^!=SpfB"
+@suite("qprism.q_exponential", "Prop p:G_Q^!=SpfB")
+def suite_qprism_qexp(cfg, out):
     for p in cfg.primes((2, 3)):
         rep = q_exp_agreement(p, min(cfg.n_p, 4), min(cfg.n_q, 4), 4)
-        _check(checks, "qprism.q_exponential.p%d" % p, ref,
-               rep["coords_are_phi_powers"] and rep["agree"],
-               "tails=%s" % (rep["tails"],))
-    return checks
+        out.check("qprism.q_exponential.p%d" % p,
+                  rep["coords_are_phi_powers"] and rep["agree"],
+                  "tails=%s" % (rep["tails"],))
 
 
-def suite_qprism_canonical(cfg, checks):
-    from .qprism import canonical_point, derham_specialization_of_x0
-    ref = "Prop p:formula for tilde x"
+@suite("qprism.canonical_point", "Prop p:formula for tilde x")
+def suite_qprism_canonical(cfg, out):
     for p in cfg.primes((2, 3)):
         rep = canonical_point(p, min(cfg.n_p, 4), min(cfg.n_q, 4), L=2, t_deg=4)
         ok = rep["teichmuller"] and rep["rank_one"] and rep["zeroth_component"]
-        ok = ok and derham_specialization_of_x0(p, min(cfg.n_p, 4),
-                                                min(cfg.n_q, 4))
-        _check(checks, "qprism.canonical_point.p%d" % p, ref, ok,
-               "tail=%d" % rep["tail"])
-    return checks
+        out.check("qprism.canonical_point.p%d" % p, ok and
+                  derham_specialization_of_x0(p, min(cfg.n_p, 4),
+                                              min(cfg.n_q, 4)),
+                  "tail=%d" % rep["tail"])
 
 
-def suite_qprism_qlog(cfg, checks):
-    from .qprism import (gq_op, gq_ring, q_log, q_log_of_sigma,
-                         q_log_precision_loss, sample_gq)
-    ref = "e:t=log_q(u)"
+@suite("qprism.q_log", "e:t=log_q(u)")
+def suite_qprism_qlog(cfg, out):
     for p in cfg.primes((2, 3)):
         n_q = min(cfg.n_q, 4)
         n_p = max(min(cfg.n_p, 6), q_log_precision_loss(p, n_q) + 2)
-        ok = q_log_of_sigma(p, n_p, n_q)[0]
-        cid = "qprism.q_log.p%d" % p
-        rng = check_stream(cfg.seed, cid)
         ring = gq_ring(p, n_p, n_q)
-        for _ in range(cfg.count(3)):
+
+        def additive(rng):
             a = sample_gq(ring, p, 2, rng)
             b = sample_gq(ring, p, 2, rng)
             oring, vs = q_log(gq_op(a, b), n_p, n_q)
-            _, va = q_log(a, n_p, n_q)
-            _, vb = q_log(b, n_p, n_q)
-            ok = ok and oring.eq(vs, oring.add(va, vb))
-        _check(checks, cid, ref, ok)
-    return checks
+            va, vb = q_log(a, n_p, n_q)[1], q_log(b, n_p, n_q)[1]
+            return oring.eq(vs, oring.add(va, vb))
+
+        out.trials("qprism.q_log.p%d" % p, 3, additive,
+                   then=lambda rng: q_log_of_sigma(p, n_p, n_q)[0])
 
 
-def suite_qprism_zp(cfg, checks):
-    from .qprism import equivariance_report
-    ref = "Cor c:Z_p^times-action on H_Q"
+@suite("qprism.zp_action", "Cor c:Z_p^times-action on H_Q")
+def suite_qprism_zp(cfg, out):
     for p in cfg.primes((2, 3, 5)):
-        ok = True
-        for n in (2, 3, 4):
-            if n % p == 0:
-                continue
-            rep = equivariance_report(p, n, min(cfg.n_p, 6),
-                                      min(cfg.n_q, 6), min(cfg.n_z, 6))
-            ok = ok and rep["equivariant"] and rep["composes"] \
-                and rep["exact_polynomial_identity"]
-        _check(checks, "qprism.zp_action.p%d" % p, ref, ok)
-    return checks
+        reps = [equivariance_report(p, n, min(cfg.n_p, 6), min(cfg.n_q, 6),
+                                    min(cfg.n_z, 6))
+                for n in (2, 3, 4) if n % p != 0]
+        out.check("qprism.zp_action.p%d" % p, all(
+            rep["equivariant"] and rep["composes"] and
+            rep["exact_polynomial_identity"] for rep in reps))
 
 
-def suite_qprism_hodge_tate(cfg, checks):
-    from .qprism import hodge_tate_check
-    ref = "e:restriction of H_Q^alg to Delta_0_Q"
+@suite("qprism.hodge_tate", "e:restriction of H_Q^alg to Delta_0_Q")
+def suite_qprism_hodge_tate(cfg, out):
     for p in cfg.primes((2, 3, 5)):
         rep = hodge_tate_check(p, 6, 5)
-        _check(checks, "qprism.hodge_tate.p%d" % p, ref,
-               rep["additive"] and rep["kills_torsion_point"]
-               and rep["leading_one"])
-    return checks
+        out.check("qprism.hodge_tate.p%d" % p, rep["additive"] and
+                  rep["kills_torsion_point"] and rep["leading_one"])
 
 
-def suite_qprism_sections(cfg, checks):
-    from .qprism import factorization_identity, phi_of_section_identity
-    ref = "e:s_Q & varphi_Q"
-    ok = all(factorization_identity(p) for p in cfg.primes((2, 3, 5)))
-    _check(checks, "qprism.factorization", "e:F^{-1}(D)", ok)
-    ok = all(phi_of_section_identity(p) for p in cfg.primes((2, 3)))
-    _check(checks, "qprism.phi_section", ref, ok)
-    return checks
+@suite("qprism.sections", "e:s_Q & varphi_Q")
+def suite_qprism_sections(cfg, out):
+    out.check("qprism.factorization",
+              all(factorization_identity(p) for p in cfg.primes((2, 3, 5))),
+              ref="e:F^{-1}(D)")
+    out.check("qprism.phi_section",
+              all(phi_of_section_identity(p) for p in cfg.primes((2, 3))))
 
 
 CRITERIA = {
@@ -984,52 +948,6 @@ CRITERION_REFS = {
     12: "e:group law for H_Q",
 }
 
-SUITES = [
-    ("ringcore.series_arith", "invented — artifact plumbing", suite_ringcore_series),
-    ("ringcore.clear_denominators", "invented — artifact plumbing", suite_ringcore_clear),
-    ("ringcore.padic_log", "e:restriction of H_Q^alg", suite_ringcore_padic_log),
-    ("witt.ghost", "invented — artifact plumbing", suite_witt_ghost),
-    ("witt.universal", "invented — artifact plumbing", suite_witt_universal),
-    ("witt.frobenius", "§sss:examples of group delta-schemes", suite_witt_frobenius),
-    ("witt.joyal_lift", "e:psi", suite_witt_joyal),
-    ("witt.wf_kernel", "Lemma l:W^F in characteristic p", suite_witt_wf_kernel),
-    ("fgl.axioms", "e:group law for H_Q", suite_fgl_axioms),
-    ("fgl.rescale", "e:action of alpha on morphisms", suite_fgl_rescale),
-    ("fgl.deformation", "sss:deformation to normal cone", suite_fgl_deformation),
-    ("intpoly.basis", "Prop p:Newton's description of sR", suite_intpoly_basis),
-    ("intpoly.wilkerson", "Lemma l:Fr=id", suite_intpoly_wilkerson),
-    ("intpoly.mahler", "e:3Mahler", suite_intpoly_mahler),
-    ("intpoly.delta_basis", "Lemma l:generators of Int otimesZ_p", suite_intpoly_delta_basis),
-    ("qhopf.structure_constants", "Prop p:G=Spec B_0", suite_qhopf_structure),
-    ("qhopf.adams", "Lemma l:B_0 as lambda-ring", suite_qhopf_adams),
-    ("qhopf.delta", "e:defining relation", suite_qhopf_delta),
-    ("qhopf.int_comparison", "e:B_0 in terms of Int", suite_qhopf_int),
-    ("pd_dual.pairing", "e:BM_m times Gamma^+ to BM_m", suite_pd_pairing),
-    ("pd_dual.log_sharp", "Lemma l:factorization of log", suite_pd_log_sharp),
-    ("pd_dual.mu_p", "Lemma l:mu_p in G_m^sharp", suite_pd_mu_p),
-    ("pd_dual.gsharp", "Prop p:G_m^sharp/mu_p", suite_pd_gsharp),
-    ("pd_dual.exact_sequence", "e:G_m^sharp sequence", suite_pd_exact_sequence),
-    ("cartier_witt.universal_pairing", "e:Euler series", suite_cw_universal),
-    ("cartier_witt.eigen", "e:G^!? in terms of big Witt", suite_cw_eigen),
-    ("cartier_witt.psi", "e:3 Psi_n", suite_cw_psi),
-    ("cartier_witt.wf_ring", "e:equations for W^F", suite_cw_wf_ring),
-    ("cartier_witt.m_series", "Lemma l:simple lemma", suite_cw_m_series),
-    ("cartier_witt.hom_pullback", "Lemma l:motivation of lambda-structure", suite_cw_hom_pullback),
-    ("derham.log_exp", "Lemma l:G_dR=W^{F=p}", suite_derham_log_exp),
-    ("derham.frobenius_power", "e:Fx=h(x)", suite_derham_frobenius),
-    ("derham.id_minus_v", "e:1-V", suite_derham_id_minus_v),
-    ("derham.discrepancy", "e:f_naive & f", suite_derham_discrepancy),
-    ("derham.g_eta", "Prop p:G_eta", suite_derham_g_eta),
-    ("qprism.group_law", "e:G_Q(A)", suite_qprism_law),
-    ("qprism.sigma", "e:sigma(q)", suite_qprism_sigma),
-    ("qprism.q_exponential", "Prop p:G_Q^!=SpfB", suite_qprism_qexp),
-    ("qprism.canonical_point", "Prop p:formula for tilde x", suite_qprism_canonical),
-    ("qprism.q_log", "e:t=log_q(u)", suite_qprism_qlog),
-    ("qprism.zp_action", "Cor c:Z_p^times-action on H_Q", suite_qprism_zp),
-    ("qprism.hodge_tate", "e:restriction of H_Q^alg to Delta_0_Q", suite_qprism_hodge_tate),
-    ("qprism.sections", "e:s_Q & varphi_Q", suite_qprism_sections),
-]
-
 
 def _named(sid: str, name: str) -> bool:
     return name == "all" or sid == name or sid.startswith(name + ".")
@@ -1061,41 +979,25 @@ def select_suites(name: str) -> list:
 
 def run(cfg: SuiteConfig) -> tuple:
     """Execute the configured suites; returns (report dict, exit code)."""
-    try:
-        # p = None means each suite's own primes; check the other fields
-        Prec(p=2 if cfg.p is None else cfg.p, n_p=cfg.n_p, n_q=cfg.n_q,
-             n_z=cfg.n_z, L=cfg.L, N_big=cfg.N_big)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-    if cfg.trials is not None and cfg.trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if cfg.format not in ("text", "json"):
-        raise ConfigError("format must be text or json")
-    chosen = select_suites(cfg.suite)
+    cfg.validate()
     checks: list = []
     produced: dict = {}
-    for sid, ref, fn in chosen:
-        start = time.monotonic()
-        before = len(checks)
+    for sid, ref, fn in select_suites(cfg.suite):
+        out = Recorder(cfg, ref)
         try:
-            fn(cfg, checks)
+            fn(cfg, out)
         except Exception as err:  # noqa: BLE001 - suites must not crash the run
-            checks.append({"id": sid + ".error", "paper_ref": ref,
-                           "status": "fail",
-                           "detail": "%s: %s" % (type(err).__name__, err)})
-        elapsed = time.monotonic() - start
-        n_new = max(len(checks) - before, 1)
-        for c in checks[before:]:
-            c.setdefault("elapsed", round(elapsed / n_new, 6))
-        produced[sid] = checks[before:]
+            out.check(sid + ".error", False,
+                      "%s: %s" % (type(err).__name__, err))
+        produced[sid] = out.checks
+        checks += out.checks
     for num in select_criteria(cfg.suite):
         members = [c for sid in CRITERIA[num] for c in produced[sid]]
         bad = [c["id"] for c in members if c["status"] != "pass"]
         detail = ("failing: " + ", ".join(bad) if bad else
                   "%d checks of %s" % (len(members), ", ".join(CRITERIA[num])))
-        _check(checks, "criteria.%d" % num, CRITERION_REFS[num],
-               bool(members) and not bad, detail)
-        checks[-1]["elapsed"] = 0.0
+        checks.append(_record("criteria.%d" % num, CRITERION_REFS[num],
+                              bool(members) and not bad, detail, 0.0))
     failed = sum(1 for c in checks if c["status"] == "fail")
     report = {
         "schema": SCHEMA,
@@ -1126,7 +1028,6 @@ def strip_elapsed(report: dict) -> dict:
 
 
 def main(argv=None) -> int:
-    import os
     parser = argparse.ArgumentParser(
         prog="verify",
         description="Run exact-arithmetic verification suites.")
@@ -1148,25 +1049,27 @@ def main(argv=None) -> int:
     if args.list:
         print("\n".join(list_suites()))
         return 0
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("PRISMLAB_SEED", "0"))
+    try:
+        seed = (int(os.environ.get("PRISMLAB_SEED", "0"))
+                if args.seed is None else args.seed)
+    except ValueError:
+        print("error: PRISMLAB_SEED must be an integer", file=sys.stderr)
+        return 2
     cfg = SuiteConfig(suite=args.suite, p=args.p, n_p=args.n_p, n_q=args.n_q,
                       n_z=args.n_z, L=args.L, N_big=args.N_big,
                       trials=args.trials, seed=seed, format=args.format,
                       out=args.out)
     try:
-        report, code = run(cfg)
-    except ConfigError as err:
+        cfg.validate()
+        # open --out before any suite runs, so a bad path costs no run
+        dest = open(cfg.out, "w") if cfg.out else nullcontext(sys.stdout)
+    except (ConfigError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
-    text = (json.dumps(report, indent=2) if cfg.format == "json"
-            else render_text(report))
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with dest as fh:
+        report, code = run(cfg)
+        print(json.dumps(report, indent=2) if cfg.format == "json"
+              else render_text(report), file=fh)
     return code
 
 

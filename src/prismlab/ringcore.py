@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -77,30 +76,6 @@ def valuation(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-@dataclass(frozen=True)
-class Prec:
-    """Truncation parameters shared by every suite.
-
-    p: prime; n_p: coefficients are tracked mod p^n_p; n_q: (q-1)-adic cutoff;
-    n_z: series order cutoff per formal variable block; L: p-typical Witt
-    length; N_big: big-Witt series cutoff.
-    """
-
-    p: int = 2
-    n_p: int = 8
-    n_q: int = 8
-    n_z: int = 8
-    L: int = 4
-    N_big: int = 12
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError("p must be prime")
-        for field in ("n_p", "n_q", "n_z", "L", "N_big"):
-            if getattr(self, field) < 1:
-                raise ValueError("%s must be >= 1" % field)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """p-typical and big Witt vectors.
 
-Two arithmetic backends: ghost components over torsion-free rings (exact,
-with integrality certificates) and memoized universal polynomials, valid
-over any coefficient ring.  The two must agree wherever both apply; that
-agreement is part of the test suite.
+Each p-typical operation is one ghost solve (`_via_ghosts`) over the ring,
+its rationalization or an integral lift, with integrality certificates;
+memoized universal polynomial tables serve rings with none of these, and
+over Z the two must agree (`verify --suite witt.universal`).
 """
 from __future__ import annotations
 

@@ -57,13 +57,11 @@ def fake_suites(monkeypatch):
     behaviour: dict = {}
 
     def fake(sid):
-        def suite(cfg, checks):
+        def suite(cfg, out):
             calls[sid] = calls.get(sid, 0) + 1
             if behaviour.get(sid) == "raise":
                 raise RuntimeError("boom")
-            checks.append({"id": sid + ".x", "paper_ref": "-",
-                           "status": "fail" if behaviour.get(sid) == "fail"
-                           else "pass", "detail": ""})
+            out.check(sid + ".x", behaviour.get(sid) != "fail", ref="-")
         return suite
 
     monkeypatch.setattr(harness, "SUITES", [
@@ -124,9 +122,91 @@ def test_series_compose_runs_at_least_one_trial(monkeypatch):
         return compose(self, g)
 
     monkeypatch.setattr(TruncSeries, "compose", counting)
-    checks = harness.suite_ringcore_series(fast_cfg(trials=1), [])
+    report, _ = run(fast_cfg(suite="ringcore.series_arith", trials=1))
     assert calls
-    assert [c["status"] for c in checks] == ["pass"] * 3
+    assert [c["status"] for c in report["checks"]] == ["pass"] * 3
+
+
+def test_trials_stop_at_first_failing_trial():
+    calls = []
+
+    def trial(rng):
+        calls.append(rng.random())
+        return len(calls) != 4          # index 3 fails
+
+    out = harness.Recorder(fast_cfg(trials=10, seed=7), "ref")
+    out.trials("x.check", 50, trial)
+    assert len(calls) == 4
+    [check] = out.checks
+    assert check["status"] == "fail" and check["paper_ref"] == "ref"
+    assert check["detail"] == "failed at trial index 3 of 10 trials, seed 7"
+    # the trials drew from the check's own stream
+    rng = check_stream(7, "x.check")
+    assert calls == [rng.random() for _ in range(4)]
+
+
+def test_trials_over_primes_share_one_stream():
+    seen = []
+
+    def trial(rng, p):
+        seen.append((p, rng.random()))
+        return p != 3 or len(seen) < 4
+
+    out = harness.Recorder(fast_cfg(trials=2, seed=1), "ref")
+    out.trials("x.check", 5, trial, "x", primes=(2, 3, 5), ref="own")
+    rng = check_stream(1, "x")
+    assert seen == [(p, rng.random()) for p in (2, 2, 3, 3)]
+    [check] = out.checks
+    assert check["paper_ref"] == "own"
+    assert check["detail"] == "failed at p=3, trial index 1 of 2 trials, seed 1"
+
+
+def test_trials_then_runs_after_passing_trials():
+    out = harness.Recorder(fast_cfg(trials=None, seed=2), "ref")
+    order = []
+    out.trials("a", 3, lambda rng: order.append("t") or True,
+               then=lambda rng: order.append("then") or True)
+    out.trials("b", 3, lambda rng: True, then=lambda rng: False)
+    out.trials("c", 3, lambda rng: False, then=lambda rng: order.append("x"))
+    assert order == ["t", "t", "t", "then"]
+    assert [(c["status"], c["detail"]) for c in out.checks] == [
+        ("pass", ""), ("fail", "failed after 3 passing trials, seed 2"),
+        ("fail", "failed at trial index 0 of 3 trials, seed 2")]
+
+
+def test_elapsed_is_each_checks_own_interval(monkeypatch):
+    now = [100.0]
+    monkeypatch.setattr(harness.time, "monotonic", lambda: now[0])
+
+    def timed(cfg, out):
+        for cid, seconds in (("a", 1.5), ("b", 0.25), ("c", 2.0)):
+            now[0] += seconds
+            out.check(cid, True)
+
+    monkeypatch.setattr(harness, "SUITES", [("t", "-", timed)])
+    report, code = run(SuiteConfig(suite="t"))
+    assert code == 0
+    assert [c["elapsed"] for c in report["checks"]] == [1.5, 0.25, 2.0]
+
+
+def test_suite_config_validates():
+    # p = 5 is accepted; p = 4 and n_p = 0 are rejected, with exit code 2
+    # through the CLI (test_cli_bad_p, test_cli_rejects_invalid_config)
+    SuiteConfig(p=5).validate()
+    assert run(fast_cfg(suite="fgl.deformation", p=5))[1] == 0
+    for bad in (dict(p=4), dict(p=2, n_p=0)):
+        with pytest.raises(ConfigError):
+            SuiteConfig(**bad).validate()
+        with pytest.raises(ConfigError):
+            run(fast_cfg(suite="fgl.deformation", **bad))
+
+
+def test_every_suite_registers_once():
+    ids = [sid for sid, _, _ in harness.SUITES]
+    assert len(ids) == len(set(ids)) == 43
+    for sid, ref, fn in harness.SUITES:
+        assert fn.__name__.startswith("suite_") and ref
+        assert getattr(harness, fn.__name__) is fn
 
 
 def test_p_must_be_prime():
@@ -162,6 +242,9 @@ def test_golden_report():
     assert code == 0 and len(report["checks"]) == 130
     text = json.dumps(strip_elapsed(report), indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_ALL_TRIALS1
+    # each check is timed on its own: 729 kernel vectors take longer than 8
+    elapsed = {c["id"]: c["elapsed"] for c in report["checks"]}
+    assert elapsed["derham.discrepancy.p3"] > elapsed["derham.discrepancy.p2"]
 
 
 def test_check_streams_independent():
@@ -172,13 +255,14 @@ def test_check_streams_independent():
     assert check_stream(1, "x").randrange(1 << 30) == a
 
 
-def run_cli(*args):
+def run_cli(*args, **env):
     # the child imports the same prismlab as this process, installed or not
     src = os.path.dirname(os.path.dirname(prismlab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "prismlab.harness", *args],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path, **env))
 
 
 def test_cli_smoke():
@@ -187,6 +271,22 @@ def test_cli_smoke():
     assert out.returncode == 0
     rep = json.loads(out.stdout)
     assert rep["failed"] == 0
+
+
+def test_cli_bad_env_seed():
+    out = run_cli("--suite", "fgl.deformation", PRISMLAB_SEED="abc")
+    assert out.returncode == 2
+    assert out.stderr == "error: PRISMLAB_SEED must be an integer\n"
+    assert out.stdout == ""
+
+
+def test_cli_unwritable_out(tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    out = run_cli("--suite", "fgl.deformation", "--out", str(path))
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ")
+    assert "No such file or directory" in out.stderr
+    assert out.stdout == "" and not path.exists()
 
 
 def test_cli_bad_p():

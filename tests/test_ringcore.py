@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from prismlab.ringcore import (
     CyclotomicRing, DoesNotConverge, ExactInt, ExactRat, IntModRing, ModP,
-    NonIntegralCoefficient, NonzeroConstantTerm, Prec, QPoly, QSeriesRing,
+    NonIntegralCoefficient, NonzeroConstantTerm, QPoly, QSeriesRing,
     RingMismatch, TruncSeries, _log_term_bound, _padic_profile,
     clear_denominators, floor_log, h_element, padic_log, q_element,
     q_number as phi_p_element, series_arith, series_compose, series_exp, series_inverse,
@@ -15,14 +15,6 @@ from prismlab.ringcore import (
 
 def z_series(ring, order, var="z"):
     return TruncSeries.var(ring, (var,), order, var)
-
-
-def test_prec_validates():
-    Prec(p=5)
-    with pytest.raises(ValueError):
-        Prec(p=4)
-    with pytest.raises(ValueError):
-        Prec(p=2, n_p=0)
 
 
 def test_ring_basics():
