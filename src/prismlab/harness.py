@@ -56,9 +56,10 @@ from .ringcore import (clear_denominators, CyclotomicRing, ExactInt, ExactRat,
                        h_element, is_prime, ModP, NonIntegralCoefficient,
                        padic_log, PolyQuotRing, q_element, QPoly, QSeriesRing,
                        TruncSeries)
-from .witt import (BigWitt, DeltaRing, frobenius, frobenius_big, from_ghost,
-                   from_int_vector, ghost, joyal_lift, sample_f_kernel,
-                   scalar_mul, teichmuller, teichmuller_big, verschiebung,
+from .witt import (BigWitt, check_universal_size, DeltaRing, frobenius,
+                   frobenius_big, from_ghost, from_int_vector, ghost,
+                   joyal_lift, sample_f_kernel, scalar_mul, TableTooLarge,
+                   teichmuller, teichmuller_big, verschiebung,
                    wf_kernel_report, witt_neg, witt_op, witt_op_universal,
                    witt_pow, WittVector, zero_vector)
 
@@ -95,7 +96,9 @@ class SuiteConfig:
         return self.trials if self.trials is not None else default
 
     def validate(self):
-        """Raise ConfigError naming the first invalid field."""
+        """Raise ConfigError naming the first invalid field, or the first
+        universal table of a witt.universal run that is too large to build
+        (witt.check_universal_size)."""
         if self.p is not None and not is_prime(self.p):
             raise ConfigError("p must be prime")
         for field in ("n_p", "n_q", "n_z", "L", "N_big", "trials"):
@@ -104,7 +107,14 @@ class SuiteConfig:
                 raise ConfigError("%s must be >= 1" % field)
         if self.format not in ("text", "json"):
             raise ConfigError("format must be text or json")
-        select_suites(self.suite)
+        if any(sid == "witt.universal" for sid, _, _ in
+               select_suites(self.suite)):
+            for p in self.primes(UNIVERSAL_PRIMES):
+                for op in ("add", "mul"):
+                    try:
+                        check_universal_size(op, p, self.L)
+                    except TableTooLarge as err:
+                        raise ConfigError("witt.universal: %s" % err) from err
 
 
 def check_stream(seed: int, check_id: str) -> random.Random:
@@ -269,11 +279,14 @@ def suite_witt_ghost(cfg, out):
                    "witt.ghost.p%d" % p)
 
 
+UNIVERSAL_PRIMES = (2, 3, 5)
+
+
 @suite("witt.universal", "invented — artifact plumbing")
 def suite_witt_universal(cfg, out):
     Z = ExactInt()
-    for p in cfg.primes((2, 3, 5)):
-        L = min(cfg.L, 4)
+    L = cfg.L
+    for p in cfg.primes(UNIVERSAL_PRIMES):
         bound = 2 if p == 5 else 9
 
         def agree(rng):

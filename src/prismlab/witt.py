@@ -25,6 +25,10 @@ class NotADeltaRing(PrismlabError):
     pass
 
 
+class TableTooLarge(PrismlabError):
+    """A universal table over UNIVERSAL_MAX_MONOMIALS, refused unbuilt."""
+
+
 # ---------------------------------------------------------------------------
 # p-typical vectors
 
@@ -217,6 +221,10 @@ _universal_cache: dict = {}
 _universal_locks: dict = {}
 _universal_lock = threading.Lock()
 _UNIVERSAL_OPS = ("add", "mul", "neg", "frobenius")
+# (5, 4) addition, the largest table in use, has 37,760 monomials in its
+# last component and builds in about 1.5 s; (3, 5) addition (83,640) takes
+# about 6 s, and (7, 4) addition, bounded by 706,814, did not finish in 150 s.
+UNIVERSAL_MAX_MONOMIALS = 200_000
 
 
 def _pk_mul(a: dict, b: dict, guard: int) -> dict:
@@ -336,12 +344,50 @@ def _build_universal(op: str, p: int, L: int) -> tuple:
                  for s in _pk_solve_ghosts(p, combined, guard))
 
 
+def universal_size_bound(op: str, p: int, L: int) -> int:
+    """The most monomials one polynomial of the (op, p, L) table can have,
+    counted without building it.  With a_i and b_i of weight p^i, component
+    n is isobaric of weight at most p^(L-1), and multiplying by a0 embeds
+    the monomials of one weight in those of the next, so the monomials of
+    weight p^(L-1), counted by the coin-change recurrence over the weights,
+    bound every component.  A product component is isobaric in the a's
+    and, separately, in the b's: its bound is the one-vector count
+    squared."""
+    weight = p ** (L - 1) if L else 0
+    ways = [1] + [0] * weight
+    copies = 2 if op == "add" else 1
+    for i in range(L):
+        for _ in range(copies):
+            for t in range(p ** i, weight + 1):
+                ways[t] += ways[t - p ** i]
+    return ways[weight] ** 2 if op == "mul" else ways[weight]
+
+
+def check_universal_size(op: str, p: int, L: int) -> None:
+    """Raise TableTooLarge if the (op, p, L) table may exceed
+    UNIVERSAL_MAX_MONOMIALS.  A weight p^(L-1) above the limit is refused
+    uncounted: the count would take that many steps, and the build raises
+    polynomials to that power."""
+    limit = UNIVERSAL_MAX_MONOMIALS
+    weight = p ** (L - 1) if L else 0
+    if weight > limit:
+        raise TableTooLarge(
+            "the %s table for p=%d, L=%d has weight p^(L-1) = %d, over the "
+            "limit of %d monomials" % (op, p, L, weight, limit))
+    estimate = universal_size_bound(op, p, L)
+    if estimate > limit:
+        raise TableTooLarge(
+            "the %s table for p=%d, L=%d may have %d monomials in one "
+            "polynomial, over the limit of %d" % (op, p, L, estimate, limit))
+
+
 def witt_universal(op: str, p: int, L: int):
     """Universal polynomials for add/mul/neg/frobenius, memoized per (p, L, op).
 
     add/mul: polynomials in a0..a_{L-1}, b0..b_{L-1}; neg: in a_i;
     frobenius: L-1 polynomials in a0..a_{L-1}.  Each table is built once,
-    under a lock per (op, p, L), however many threads ask for it.
+    under a lock per (op, p, L), however many threads ask for it; one that
+    check_universal_size refuses raises TableTooLarge before any build.
     """
     if op not in _UNIVERSAL_OPS:
         raise ValueError("unknown op %r" % op)
@@ -349,6 +395,7 @@ def witt_universal(op: str, p: int, L: int):
     polys = _universal_cache.get(key)
     if polys is not None:
         return polys
+    check_universal_size(op, p, L)
     with _universal_lock:
         key_lock = _universal_locks.setdefault(key, threading.Lock())
     with key_lock:
@@ -362,39 +409,89 @@ def witt_universal(op: str, p: int, L: int):
 # id(poly) -> (poly, evaluator, max exponents).  The entry holds poly, so
 # its id cannot pass to another polynomial while the entry exists.
 _compiled_cache: dict = {}
-_COMPILE_THRESHOLD = 512
+# Parentheses a Horner evaluator nests before it moves the expression to a
+# local; Python's parser refuses more than 200.
+_HORNER_DEPTH = 64
+
+
+def _horner_source(poly: TruncSeries, maxdeg: list) -> str:
+    """Source of _f(_p0, _p1, ...) computing poly in nested Horner form from
+    one power table _pi per variable: the terms are grouped by the exponent
+    of the outer variable, each group's cofactor is a polynomial in the
+    remaining variables, and a gap between two exponents is one factor
+    _pi[gap], bound once to a local.  The variables nest by falling degree.
+    In a table a_i and b_i both have degree p^(n-i) in component n, so the
+    order interleaves them, a0, b0, a1, b1, ...: the outer levels split on
+    the variables with the most distinct exponents, and the cofactors
+    inside stay few and small."""
+    nv = len(maxdeg)
+    order = sorted(range(nv), key=lambda i: -maxdeg[i])
+    terms = sorted(((tuple(e[i] for i in order), c)
+                    for e, c in poly.coeffs.items()), reverse=True)
+    powers: set = set()
+    hoisted: list = []
+
+    def power(d, x):
+        powers.add((order[d], x))
+        return "_x%d_%d" % (order[d], x)
+
+    def emit(lo, hi, d):
+        # (expression, parenthesis depth) for the sum of terms[lo:hi]
+        if hi - lo == 1:
+            e, c = terms[lo]
+            factors = [power(k, e[k]) for k in range(d, nv) if e[k]]
+            return "*".join(factors if c == 1 and factors
+                            else [repr(c)] + factors), 0
+        out = depth = prev = None
+        while lo < hi:
+            x = terms[lo][0][d]
+            mid = lo + 1
+            while mid < hi and terms[mid][0][d] == x:
+                mid += 1
+            inner, idepth = emit(lo, mid, d + 1)
+            if out is None:
+                out, depth = inner, idepth
+            else:
+                out = "%s+%s*(%s)" % (inner, power(d, prev - x), out)
+                depth = max(idepth, depth + 1)
+            if depth >= _HORNER_DEPTH:
+                hoisted.append("    _t%d = %s" % (len(hoisted), out))
+                out, depth = "_t%d" % (len(hoisted) - 1), 0
+            prev, lo = x, mid
+        if prev:
+            return "%s*(%s)" % (power(d, prev), out), depth + 1
+        return out, depth
+
+    body = emit(0, len(terms), 0)[0] if terms else "0"
+    return "\n".join(
+        ["def _f(%s):" % ", ".join("_p%d" % i for i in range(nv))]
+        + ["    _x%d_%d = _p%d[%d]" % (i, x, i, x) for i, x in sorted(powers)]
+        + hoisted + ["    return " + body])
 
 
 def _compile_int_poly(poly: TruncSeries):
-    """Compile a large integer polynomial to a plain-int function of one
-    power table per variable; worthwhile for the big p=5 tables."""
+    """The plain-int evaluator of an integer polynomial, a function of one
+    power table per variable, with the table lengths it needs."""
     entry = _compiled_cache.get(id(poly))
     if entry is not None and entry[0] is poly:
         return entry[1], entry[2]
     nv = len(poly.variables)
-    terms = []
-    for e, c in poly.coeffs.items():
-        factors = ["_p%d[%d]" % (i, n) for i, n in enumerate(e) if n]
-        terms.append("*".join([repr(c)] + factors))
     maxdeg = [max((e[i] for e in poly.coeffs), default=0) for i in range(nv)]
-    lines = ["def _f(%s):" % ", ".join("_p%d" % i for i in range(nv)),
-             "    _acc = 0"]
-    for k in range(0, len(terms), 400):
-        lines.append("    _acc += " + " + ".join(terms[k:k + 400]))
-    lines.append("    return _acc")
     ns: dict = {}
-    exec("\n".join(lines), ns)  # noqa: S102 - generated from trusted table
+    exec(_horner_source(poly, maxdeg), ns)  # noqa: S102 - from a trusted table
     _compiled_cache[id(poly)] = (poly, ns["_f"], maxdeg)
     return ns["_f"], maxdeg
 
 
 def eval_int_poly(poly: TruncSeries, ring: Ring, values: list):
-    """Evaluate an integer polynomial at ring elements, caching powers.
-    Over Z/m the compiled path reduces its power tables mod m, which leaves
-    the result mod m unchanged and keeps the factors small."""
-    if (len(poly.coeffs) >= _COMPILE_THRESHOLD
-            and all(isinstance(v, int) for v in values)
-            and isinstance(ring, (IntRing, IntModRing))):
+    """Evaluate an integer polynomial at ring elements.  Over Z and Z/m at
+    int values every polynomial is compiled once to its Horner evaluator
+    (_compile_int_poly), fed one power table per variable; over Z/m the
+    tables are reduced mod m, which leaves the result mod m unchanged and
+    keeps the factors small.  Other rings and values go term by term,
+    caching powers."""
+    if (isinstance(ring, (IntRing, IntModRing))
+            and all(isinstance(v, int) for v in values)):
         fn, maxdeg = _compile_int_poly(poly)
         m = ring.m if isinstance(ring, IntModRing) else None
         tables = []

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -287,6 +288,27 @@ def test_cli_unwritable_out(tmp_path):
     assert out.stderr.startswith("error: ")
     assert "No such file or directory" in out.stderr
     assert out.stdout == "" and not path.exists()
+
+
+def test_cli_refuses_an_infeasible_universal_table():
+    start = time.monotonic()
+    out = run_cli("--suite", "witt.universal", "--p", "7", "--trials", "1")
+    assert time.monotonic() - start < 2
+    assert out.returncode == 2 and out.stdout == ""
+    for part in ("witt.universal", "p=7, L=4", "706814", "200000"):
+        assert part in out.stderr
+
+
+def test_witt_universal_honours_witt_len(monkeypatch):
+    lengths = []
+
+    def spy(a, b, op):
+        lengths.append(a.L)
+        return harness.witt_op(a, b, op)
+
+    monkeypatch.setattr(harness, "witt_op_universal", spy)
+    assert run(fast_cfg(suite="witt.universal", p=2, L=5, trials=2))[1] == 0
+    assert lengths and set(lengths) == {5}
 
 
 def test_cli_bad_p():

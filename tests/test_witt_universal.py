@@ -1,5 +1,6 @@
 """The universal Witt tables: an independent symbolic oracle, the packed
-build's overflow checks, evaluation over Z/p^n and the caches around them."""
+build's overflow checks, the size gate, the compiled Horner evaluator
+against direct evaluation over Z and Z/p^n, and the caches around them."""
 import gc
 import hashlib
 import json
@@ -14,7 +15,8 @@ import sympy
 
 from prismlab import witt
 from prismlab.ringcore import ExactInt, ModP, PrismlabError, TruncSeries
-from prismlab.witt import eval_int_poly, witt_universal
+from prismlab.witt import (eval_int_poly, TableTooLarge, universal_size_bound,
+                           witt_universal)
 
 REFERENCES = (pathlib.Path(__file__).resolve().parents[1]
               / "perfbench" / "references.json")
@@ -56,12 +58,17 @@ def test_tables_match_sympy_ghost_solve(op, p, L):
         assert poly.coeffs == {e: int(c) for e, c in sym.as_dict().items()}
 
 
-def test_tables_match_reference_digests():
+def reference_tables():
     tables = json.loads(REFERENCES.read_text())["tables"]
     assert len(tables) == 24
     for name, ref in tables.items():
         op, p, L = name.split("/")
-        polys = witt_universal(op, int(p), int(L))
+        yield name, ref, op, int(p), int(L)
+
+
+def test_tables_match_reference_digests():
+    for name, ref, op, p, L in reference_tables():
+        polys = witt_universal(op, p, L)
         digest = hashlib.sha256(repr([sorted(s.coeffs.items())
                                       for s in polys]).encode()).hexdigest()
         assert sum(len(s.coeffs) for s in polys) == ref["monomials"], name
@@ -72,7 +79,8 @@ def direct_eval(poly, values):
     out = 0
     for e, c in poly.coeffs.items():
         for v, n in zip(values, e):
-            c *= v ** n
+            if n:
+                c *= v ** n
         out += c
     return out
 
@@ -82,7 +90,6 @@ def test_mod_pn_evaluation_is_integer_evaluation_reduced(op, p, L):
     m = p ** 6
     R, Z = ModP(p, 6), ExactInt()
     table = witt_universal(op, p, L)
-    assert max(len(s.coeffs) for s in table) >= witt._COMPILE_THRESHOLD
     rng = random.Random(6)
     for trial in range(4):
         values = [rng.randrange(m) for _ in range(2 * L)]
@@ -91,6 +98,41 @@ def test_mod_pn_evaluation_is_integer_evaluation_reduced(op, p, L):
             assert eval_int_poly(poly, R, values) == exact % m
             if trial == 0:
                 assert exact == direct_eval(poly, values)
+    assert all(witt._compiled_cache[id(poly)][0] is poly for poly in table)
+
+
+def test_horner_evaluator_matches_direct_evaluation():
+    """Every component of the 24 reference tables at 20 seeded points over
+    Z (entries up to 9 in size) and 20 over Z/p^6."""
+    Z = ExactInt()
+    for name, _, op, p, L in reference_tables():
+        m, R = p ** 6, ModP(p, 6)
+        rng = random.Random(name)
+        for poly in witt_universal(op, p, L):
+            n = len(poly.variables)
+            for _ in range(20):
+                values = [rng.randrange(-9, 10) for _ in range(n)]
+                assert eval_int_poly(poly, Z, values) == \
+                    direct_eval(poly, values), name
+                values = [rng.randrange(m) for _ in range(n)]
+                assert eval_int_poly(poly, R, values) == \
+                    direct_eval(poly, values) % m, name
+
+
+@pytest.mark.parametrize("coeffs", [
+    {},                                      # empty: compiles to 0
+    {(0, 0): -7},                            # constant
+    {(e,): e - 150 for e in range(300)},     # nests past the hoisting depth
+    {(0, 5): 3, (200, 0): 1, (7, 9): -2},    # gaps between exponents
+])
+def test_horner_evaluator_edge_polynomials(coeffs):
+    Z = ExactInt()
+    nv = len(next(iter(coeffs), (0, 0)))
+    poly = TruncSeries(Z, ("x", "y")[:nv], coeffs, None)
+    for values in ([0] * nv, [1] * nv, [-3, 2][:nv], [7, -1][:nv]):
+        assert eval_int_poly(poly, Z, values) == direct_eval(poly, values)
+        assert eval_int_poly(poly, ModP(3, 4), [v % 81 for v in values]) == \
+            direct_eval(poly, values) % 81
 
 
 def test_compiled_evaluator_follows_its_polynomial(monkeypatch):
@@ -103,8 +145,8 @@ def test_compiled_evaluator_follows_its_polynomial(monkeypatch):
                                            for j in range(24)}, None)
 
     first = poly(1)
-    assert len(first.coeffs) >= witt._COMPILE_THRESHOLD
     assert eval_int_poly(first, Z, [2, 3]) == direct_eval(first, [2, 3])
+    assert witt._compiled_cache[id(first)][0] is first
     del first
     gc.collect()
     # fresh polynomials of the same shape, which may reuse the freed id
@@ -158,3 +200,34 @@ def test_packed_exponent_overflow_raises():
     with pytest.raises(PrismlabError):
         witt._pk_mul({4: 1}, {1: 1}, 0b100100)
     assert witt._pk_unpack({3 | 2 << 3: 5}, 2, 3, 3) == {(3, 2): 5}
+
+
+@pytest.mark.parametrize("op,p,L,bound", [
+    ("add", 2, 6, 23_400), ("add", 5, 4, 47_098), ("add", 3, 5, 115_602),
+    ("add", 7, 4, 706_814), ("add", 2, 7, 1_357_608),
+    ("add", 3, 6, 62_251_674), ("mul", 5, 4, 82 ** 2), ("neg", 5, 4, 82),
+])
+def test_size_bound_values(op, p, L, bound):
+    assert universal_size_bound(op, p, L) == bound
+
+
+def test_size_bound_covers_every_reference_table():
+    for name, _, op, p, L in reference_tables():
+        size = max((len(s.coeffs) for s in witt_universal(op, p, L)),
+                   default=0)
+        assert size <= universal_size_bound(op, p, L), name
+
+
+def test_infeasible_table_is_refused_unbuilt(monkeypatch):
+    monkeypatch.setattr(witt, "_universal_cache", {})
+
+    def no_build(op, p, L):
+        raise AssertionError("built %s table for p=%d, L=%d" % (op, p, L))
+
+    monkeypatch.setattr(witt, "_build_universal", no_build)
+    for op, p, L in [("add", 7, 4), ("mul", 2, 7), ("neg", 2, 30)]:
+        with pytest.raises(TableTooLarge) as err:
+            witt_universal(op, p, L)
+        assert "p=%d, L=%d" % (p, L) in str(err.value)
+        assert str(witt.UNIVERSAL_MAX_MONOMIALS) in str(err.value)
+    assert issubclass(TableTooLarge, PrismlabError)
