@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from functools import reduce
 from typing import NamedTuple
 
 from .qhopf import _c_monomial, _from_monomial
@@ -24,8 +25,8 @@ from .ringcore import (
     valuation,
 )
 from .witt import (
-    DeltaRing, WittVector, from_ghost, joyal_lift, teichmuller, witt_op,
-    zero_vector,
+    DeltaRing, NonIntegralGhost, WittVector, from_ghost, joyal_lift,
+    teichmuller, witt_op, zero_vector,
 )
 from .derham import NotTeichmuller, is_teichmuller
 
@@ -410,45 +411,25 @@ def q_power_substitute(ring: PolyQuotRing, elem, n: int):
 
 
 def sample_gq(ring, p, L, rng, tries: int = 32) -> GQPoint:
-    """Random point: lift U = 1 + Phi_p(q) r exactly, solve the ghost
-    equations of Phi_p([q]) x = [U] - 1 over Q[h], certify p-integrality,
-    reduce back."""
-    lring, lift, reduce_ = ring.lifted()
-    rring, to_rat, _ = lring.rationalized()
-    n_q = ring.deg
+    """Random point: lift U = 1 + Phi_p(q) r exactly and solve the ghost
+    equations of Phi_p([q]) x = [U] - 1 over Q[h], where Phi_p(q^(p^i)),
+    p modulo h, is a unit; from_ghost certifies p-integrality and reduces
+    back."""
+    rring = ring.rational_cover()[0]
+    phi = q_number(rring, p)
     for _ in range(tries):
-        r = [rng.randrange(-9, 10) for _ in range(n_q)]
+        r = [rng.randrange(-9, 10) for _ in range(ring.deg)]
         U = rring.add(rring.one,
-                      rring.mul(q_number(rring, p), rring.make(
-                          [Fraction(c) for c in r])))
-        ghosts = []
-        ok = True
-        for i in range(L):
-            # ghost_i(x) = (U^(p^i) - 1) / Phi_p(q^(p^i))
-            num = rring.sub(rring.pow(U, p ** i), rring.one)
-            den = q_number(rring, p) if i == 0 else \
-                q_power_substitute(rring, q_number(rring, p), p ** i)
-            inv = rring.inv(den)
-            if inv is None:
-                ok = False
-                break
-            ghosts.append(rring.mul(num, inv))
-        if not ok:
-            continue
+                      rring.mul(phi, rring.make([Fraction(c) for c in r])))
+        # ghost_i(x) = (U^(p^i) - 1) / Phi_p(q^(p^i))
+        ghosts = [rring.mul(rring.sub(rring.pow(U, p ** i), rring.one),
+                            rring.inv(q_power_substitute(rring, phi, p ** i)
+                                      if i else phi))
+                  for i in range(L)]
         try:
-            xq = from_ghost(rring, p, ghosts)
-        except Exception:
+            pt = GQPoint(from_ghost(ring, p, ghosts), check=False)
+        except NonIntegralGhost:
             continue
-        comps = []
-        for c in xq.components:
-            img = ring.from_rational(c)
-            if img is None:
-                comps = None
-                break
-            comps.append(img)
-        if comps is None:
-            continue
-        pt = GQPoint(WittVector(ring, p, comps), check=False)
         if is_teichmuller(_one_plus_phi_x(pt.x)):
             return pt
     raise TailNotStabilized("no q-deformed point found")
@@ -456,6 +437,20 @@ def sample_gq(ring, p, L, rng, tries: int = 32) -> GQPoint:
 
 # ---------------------------------------------------------------------------
 # the q-logarithm
+
+
+def _h_over_log(n_q: int) -> tuple:
+    """h / log(1+h), the inverse of R_log = log(1+h)/h, in Q[h]/(h^n_q)."""
+    rring = PolyQuotRing(RatRing(), (0,) * n_q + (1,), "h")
+    return rring.inv(rring.make([Fraction((-1) ** k, k + 1)
+                                 for k in range(n_q)]))
+
+
+def _precision_loss(p: int, h_over_log: tuple) -> int:
+    """One digit for the division by p plus the worst p-adic denominator
+    among the coefficients of h/log(1+h)."""
+    return 1 + max([-v for v in (frac_vp(c, p) for c in h_over_log)
+                    if v is not None and v < 0], default=0)
 
 
 def q_log(a: GQPoint, n_p: int, n_q: int) -> tuple:
@@ -468,9 +463,8 @@ def q_log(a: GQPoint, n_p: int, n_q: int) -> tuple:
     """
     ring = a.x.ring
     p = _p_of(ring)
-    lring, lift, _ = ring.lifted()
-    rring, to_rat, _ = lring.rationalized()
-    U = to_rat(lift(gq_to_unit(a)))
+    rring, to_rat, _ = ring.rational_cover()
+    U = to_rat(gq_to_unit(a))
     # log(U): U - 1 is in (p, h), so v_p of the n-th term grows like
     # n/(p-1)-ish minus log_p n; cut generously
     n_max = (n_p + n_q + 4) * max(1, p - 1)
@@ -481,17 +475,14 @@ def q_log(a: GQPoint, n_p: int, n_q: int) -> tuple:
         power = rring.mul(power, w)
         log_u = rring.add(log_u,
                           rring.mul(power, rring.make([Fraction((-1) ** (n - 1), n)])))
-    # R_log = log(1+h)/h, a unit in Q[h]/(h^n)
-    rlog = rring.make([Fraction((-1) ** k, k + 1) for k in range(rring.deg)])
-    inv = rring.inv(rlog)
+    inv = _h_over_log(n_q)
     val = rring.mul(log_u, inv)
     val = rring.make([c / p for c in val])
-    out_np = n_p - q_log_precision_loss(p, n_q)
-    if out_np < 1:
+    loss = _precision_loss(p, inv)
+    if n_p - loss < 1:
         raise TailNotStabilized(
-            "q-log needs input precision above %d at n_q = %d"
-            % (q_log_precision_loss(p, n_q), n_q))
-    out_ring = QSeriesRing(n_q, p=p, n_p=out_np)
+            "q-log needs input precision above %d at n_q = %d" % (loss, n_q))
+    out_ring = QSeriesRing(n_q, p=p, n_p=n_p - loss)
     out = out_ring.from_rational(val)
     if out is None:
         raise TailNotStabilized("q-log value is not p-integral at this precision")
@@ -502,15 +493,7 @@ def q_log_precision_loss(p: int, n_q: int) -> int:
     """Digits of p-precision consumed by q_log: one for the division by p
     plus the worst denominator of ((q-1)/log q), measured on its actual
     coefficients."""
-    rring = PolyQuotRing(RatRing(), (0,) * n_q + (1,), "h")
-    rlog = rring.make([Fraction((-1) ** k, k + 1) for k in range(n_q)])
-    inv = rring.inv(rlog)
-    worst = 0
-    for c in inv:
-        v = frac_vp(c, p)
-        if v is not None and v < 0:
-            worst = max(worst, -v)
-    return 1 + worst
+    return _precision_loss(p, _h_over_log(n_q))
 
 
 def q_log_of_sigma(p: int, n_p: int, n_q: int):
@@ -602,21 +585,8 @@ def hodge_tate_check(p: int, n_p: int, order: int) -> dict:
     ok_add = lhs == rhs
     # (b) lambda(1) = (zeta-1)^{-1} log(zeta) = 0: the infinite sum needs
     # its own stabilization bound, (p-1) steps per p-adic digit
-    exact = CyclotomicRing(p)
-    rring, _, _ = exact.rationalized()
-    zeta1 = rring.sub(q_element(rring), rring.one)
-    n_max = (p - 1) * (n_p + 4) + 8
-    val = C.zero
-    power = rring.one
-    for n in range(1, n_max + 1):
-        if n > 1:
-            power = rring.mul(power, zeta1)
-        term = C.from_rational(
-            rring.mul(power, rring.make([Fraction((-1) ** (n - 1), n)])))
-        if term is None:
-            raise TailNotStabilized("lambda(1) term %d not p-integral" % n)
-        val = C.add(val, term)
-    ok_kernel = C.is_zero(val)
+    lam_1 = _lambda_series(C, p, n_p, (p - 1) * (n_p + 4) + 8)
+    ok_kernel = C.is_zero(reduce(C.add, lam_1.coeffs.values(), C.zero))
     # (c) leading coefficient
     ok_lead = C.eq(lam.coefficient((1,)), C.one)
     return {"additive": ok_add, "kills_torsion_point": ok_kernel,

@@ -168,6 +168,21 @@ class Ring:
         """(torsion-free cover, lift, reduce) for torsion rings, else None."""
         return None
 
+    def rational_cover(self):
+        """(ring over Q, to_rat, from_rat) where exact computations run:
+        rationalized(), else the rationalization of lifted() entered through
+        the lift and left by from_rational; None when neither exists."""
+        rat = self.rationalized()
+        if rat is not None:
+            return rat
+        lift = self.lifted()
+        rat = None if lift is None else lift[0].rationalized()
+        if rat is None:
+            return None
+        rring, to_rat, _ = rat
+        up = lift[1]
+        return rring, (lambda a: to_rat(up(a))), self.from_rational
+
     def rand(self, rng):
         raise NotImplementedError
 
@@ -1150,43 +1165,30 @@ def padic_log(u: TruncSeries, n_terms: int | None = None) -> TruncSeries:
     """log of a series congruent to 1 modulo the augmentation ideal plus the
     topologically nilpotent part of the coefficient ring.
 
-    Over torsion-free rings the positive-order case is computed exactly over
-    Q and cleared back (NonIntegralCoefficient if the result does not live in
-    the ring).  When the constant term differs from 1 the coefficient ring
-    must be a mod-p^n quotient; terms are then summed to the analytic
+    Both cases are computed exactly over the ring's rational cover and
+    cleared back (NonIntegralCoefficient if the result does not live in the
+    ring).  When the constant term differs from 1 the coefficient ring must
+    be a mod-p^n quotient; terms are then summed to the analytic
     stabilization bound.
     """
     r = u.ring
     w = u - TruncSeries.one(r, u.variables, u.order)
     if w.is_zero():
         return w
-    if w.low_order() and w.low_order() > 0:
-        rat = r.rationalized()
-        if rat is not None:
-            rring, to_rat, _ = rat
-            res = series_log(u.map_coeffs(to_rat, rring))
-            return clear_denominators(res, r)
-        lift = r.lifted()
-        if lift is None:
-            raise DoesNotConverge("no exact cover for %s" % r)
-        lring, up, _ = lift
-        rring, to_rat, _ = lring.rationalized()
-        res = series_log(u.map_coeffs(lambda c: to_rat(up(c)), rring))
-        return clear_denominators(res, r)
-    # constant part: need a p-adically truncated coefficient ring
-    bound = n_terms or _log_term_bound(r)
-    if bound is None:
-        raise DoesNotConverge(
-            "constant term differs from 1 and %s carries no p-adic modulus" % r)
-    lift = r.lifted()
-    if lift is None:
+    positive = w.low_order() and w.low_order() > 0
+    if not positive:
+        # constant part: need a p-adically truncated coefficient ring
+        bound = n_terms or _log_term_bound(r)
+        if bound is None or r.is_torsion_free:
+            raise DoesNotConverge("constant term differs from 1 and %s "
+                                  "carries no p-adic modulus" % r)
+    cover = r.rational_cover()
+    if cover is None:
         raise DoesNotConverge("no exact cover for %s" % r)
-    lring, up, down = lift
-    rat = lring.rationalized()
-    if rat is None:
-        raise DoesNotConverge("cover of %s has no fraction field" % r)
-    rring, to_rat, _ = rat
-    wq = w.map_coeffs(lambda c: to_rat(up(c)), rring)
+    rring, to_rat, _ = cover
+    if positive:
+        return clear_denominators(series_log(u.map_coeffs(to_rat, rring)), r)
+    wq = w.map_coeffs(to_rat, rring)
     out = TruncSeries.zero(r, u.variables, u.order)
     power = TruncSeries.one(rring, u.variables, u.order)
     for n in range(1, bound + 1):

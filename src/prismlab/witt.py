@@ -1,9 +1,12 @@
 """p-typical and big Witt vectors.
 
-Each p-typical operation is one ghost solve (`_via_ghosts`) over the ring,
-its rationalization or an integral lift, with integrality certificates;
-memoized universal polynomial tables serve rings with none of these, and
-over Z the two must agree (`verify --suite witt.universal`).
+Every Witt operation, p-typical or big, is one ghost solve through one
+dispatch (`_via_ghosts`): over the ring itself when it divides exactly,
+else over its rationalization, else over an integral lift reduced back,
+with integrality certificates.  Solving from given ghosts (`from_ghost`,
+`from_ghost_big`) runs over `Ring.rational_cover`.  Memoized universal
+polynomial tables serve p-typical vectors over rings with none of these,
+and over Z the two must agree (`verify --suite witt.universal`).
 """
 from __future__ import annotations
 
@@ -83,6 +86,47 @@ class WittVector:
     def __repr__(self):
         return "W(%s)" % ", ".join(self.ring.fmt(c) for c in self.components)
 
+    # the three hooks of the ghost dispatch _via_ghosts
+
+    def _ghosts(self) -> list:
+        return ghost_in_ring(self)
+
+    def _solve(self, ring, ghosts, divide) -> "WittVector":
+        """The vector over ring with these ghost components:
+        x_n = (g_n - sum_{i<n} p^i x_i^(p^(n-i))) / p^n, where divide(a, d)
+        is a / d or None; pows[i] holds x_i^(p^(n-i)) as in ghost_in_ring."""
+        p = self.p
+        comps: list = []
+        pows: list = []
+        for n, acc in enumerate(ghosts):
+            pows = [ring.pow(x, p) for x in pows]
+            for i, x in enumerate(pows):
+                acc = ring.sub(acc, ring.mul_int(x, p ** i))
+            if n:
+                acc = divide(acc, p ** n)
+                if acc is None:
+                    raise NonIntegralGhost(
+                        "ghost component %d is not integral" % n)
+            comps.append(acc)
+            pows.append(acc)
+        return WittVector(ring, p, comps)
+
+    def _map(self, ring, fn) -> "WittVector":
+        """fn applied to each component, into ring."""
+        return WittVector(ring, self.p, _images(
+            self.ring, fn, self.components, "ghost component"))
+
+
+def _images(ring, fn, items, what: str) -> list:
+    """[fn(c) for c in items]; NonIntegralGhost at the first c with fn(c)
+    None, i.e. with no image in the target ring."""
+    out = [fn(c) for c in items]
+    for n, img in enumerate(out):
+        if img is None:
+            raise NonIntegralGhost("%s %d solves to %s"
+                                   % (what, n, ring.fmt(items[n])))
+    return out
+
 
 def zero_vector(ring, p, L) -> WittVector:
     return WittVector(ring, p, [ring.zero] * L)
@@ -114,93 +158,65 @@ def ghost_in_ring(w: WittVector) -> list:
     return out
 
 
-def _solve_ghosts(ring, p, ghosts, divide) -> list:
-    """x_n = (g_n - sum_{i<n} p^i x_i^(p^(n-i))) / p^n, where divide(a, d)
-    is a / d or None; pows[i] holds x_i^(p^(n-i)) as in ghost_in_ring."""
-    comps: list = []
-    pows: list = []
-    for n, acc in enumerate(ghosts):
-        pows = [ring.pow(x, p) for x in pows]
-        for i, x in enumerate(pows):
-            acc = ring.sub(acc, ring.mul_int(x, p ** i))
-        if n:
-            acc = divide(acc, p ** n)
-            if acc is None:
-                raise NonIntegralGhost("ghost component %d is not integral" % n)
-        comps.append(acc)
-        pows.append(acc)
-    return comps
-
-
-def from_ghost_exact(ring, p, ghosts) -> WittVector:
-    """Ghost solve by exact integer division inside the ring; raises on a
-    non-integral component.  Internal fast path for torsion-free rings."""
-    return WittVector(ring, p, _solve_ghosts(ring, p, ghosts,
-                                             ring.div_int_exact))
-
-
 def _has_exact_division(ring) -> bool:
     return ring.div_int_exact(ring.one, 1) is not None
 
 
-def ghost(w: WittVector) -> list:
-    """Ghost components in the rationalized coefficient ring."""
+def ghost(w):
+    """Ghost components of a p-typical or big Witt vector in the
+    rationalized coefficient ring.  A torsion ring raises: there the ghosts
+    would depend on the lift chosen."""
     rat = w.ring.rationalized()
     if rat is None:
         raise NonIntegralGhost("ring %s has no fraction cover; "
                                "use the universal backend" % w.ring)
-    return ghost_in_ring(_rationalize(w, rat))
+    return w._map(rat[0], rat[1])._ghosts()
 
 
-def _rationalize(w: WittVector, rat) -> WittVector:
-    rring, to_rat, _ = rat
-    return WittVector(rring, w.p, [to_rat(c) for c in w.components])
+def _solve_in_cover(w, cover, ghosts):
+    """w's kind of vector over w.ring with these ghost components, which
+    live in the ring of cover = (ring over Q, to_rat, from_rat); the solve
+    runs there and from_rat certifies each result component."""
+    rring, _, from_rat = cover
+    x = w._solve(rring, ghosts, lambda a, d: rring.mul(a, rring.inv_int(d)))
+    return x._map(w.ring, from_rat)
+
+
+def _cover(ring):
+    cover = ring.rational_cover()
+    if cover is None:
+        raise NonIntegralGhost("ring %s has no fraction cover" % ring)
+    return cover
 
 
 def from_ghost(ring, p, ghosts) -> WittVector:
-    """Solve the ghost equations; error if a component is not integral."""
-    rat = ring.rationalized()
-    if rat is None:
-        raise NonIntegralGhost("ring %s has no fraction cover" % ring)
-    return _from_rational_ghosts(ring, p, ghosts, rat)
-
-
-def _from_rational_ghosts(ring, p, ghosts, rat) -> WittVector:
-    rring, _, from_rat = rat
-    comps = []
-    for n, c in enumerate(_solve_ghosts(
-            rring, p, ghosts, lambda a, d: rring.mul(a, rring.inv_int(d)))):
-        img = from_rat(c)
-        if img is None:
-            raise NonIntegralGhost("ghost component %d solves to %s"
-                                   % (n, rring.fmt(c)))
-        comps.append(img)
-    return WittVector(ring, p, comps)
+    """Solve the ghost equations over ring.rational_cover(), in whose ring
+    the ghosts live; error if a component is not integral."""
+    return _solve_in_cover(WittVector(ring, p, ()), _cover(ring), ghosts)
 
 
 def _via_ghosts(vectors, combine):
-    """The Witt vector whose ghost components are combine(R, ghosts), where
-    ghosts holds the ghost lists of the vectors computed in the ring R:
-    the coefficient ring itself when it divides exactly, else its
-    rationalization, else an integral lift, whose result is reduced back
-    (reduction W(lift) -> W(ring) is a ring map).  One ghost solve for the
-    whole operation; None when only the universal tables apply."""
-    ring, p = vectors[0].ring, vectors[0].p
+    """The Witt vector, p-typical or big, whose ghost components are
+    combine(R, ghosts), where ghosts holds the ghost lists of the vectors
+    computed in the ring R: the coefficient ring itself when it divides
+    exactly, else its rationalization, else an integral lift, whose result
+    is reduced back (reduction W(lift) -> W(ring) is a ring map).  One ghost
+    solve for the whole operation; None when only the universal tables
+    apply."""
+    w, ring = vectors[0], vectors[0].ring
     if ring.is_torsion_free and _has_exact_division(ring):
-        ghosts = [ghost_in_ring(v) for v in vectors]
-        return from_ghost_exact(ring, p, combine(ring, ghosts))
+        ghosts = [v._ghosts() for v in vectors]
+        return w._solve(ring, combine(ring, ghosts), ring.div_int_exact)
     rat = ring.rationalized()
     if rat is not None:
-        ghosts = [ghost_in_ring(_rationalize(v, rat)) for v in vectors]
-        return _from_rational_ghosts(ring, p, combine(rat[0], ghosts), rat)
+        ghosts = [v._map(rat[0], rat[1])._ghosts() for v in vectors]
+        return _solve_in_cover(w, rat, combine(rat[0], ghosts))
     lifted = ring.lifted()
     if lifted is None:
         return None
     lring, up, down = lifted
-    out = _via_ghosts([WittVector(lring, p, [up(c) for c in v.components])
-                       for v in vectors], combine)
-    return None if out is None else WittVector(
-        ring, p, [down(c) for c in out.components])
+    out = _via_ghosts([v._map(lring, up) for v in vectors], combine)
+    return None if out is None else out._map(ring, down)
 
 
 # --- universal polynomial backend -------------------------------------------
@@ -639,11 +655,8 @@ class DeltaRing:
 def joyal_lift(dr: DeltaRing, b, L: int) -> WittVector:
     """The unique delta-ring section of W(ring) -> ring, componentwise:
     ghost_n = phi^n(b), Buium-Joyal coordinates (b, delta b, delta^2 b, ...)."""
-    ghosts = [dr.phi_iter(b, n) for n in range(L)]
-    if _has_exact_division(dr.ring):
-        return from_ghost_exact(dr.ring, dr.p, ghosts)
-    rring, to_rat, _ = dr.ring.rationalized()
-    return from_ghost(dr.ring, dr.p, [to_rat(g) for g in ghosts])
+    return from_ghost(dr.ring, dr.p, [dr._to_rat(dr.phi_iter(b, n))
+                                      for n in range(L)])
 
 
 def bj_coordinates(dr: DeltaRing, b, L: int) -> list:
@@ -654,56 +667,41 @@ def bj_coordinates(dr: DeltaRing, b, L: int) -> list:
     return out
 
 
-def bj_to_witt(ring, p, coords) -> WittVector:
-    """Convert Buium-Joyal coordinates to Witt coordinates via the formal
-    Frobenius phi(c_j) = c_j^p + p c_{j+1} (c beyond the last index is 0)."""
-    rat = ring.rationalized()
-    if rat is None:
-        raise NonIntegralGhost("ring %s has no fraction cover" % ring)
-    rring, to_rat, _ = rat
-    cs = [to_rat(c) for c in coords]
-
+def _formal_phi(ring, p, cs):
+    """phi_of(j, k) = phi^k(c_j), expanding the Frobenius formally as
+    phi(c_j) = c_j^p + p c_{j+1}, with c_j = 0 beyond the list cs (read
+    at call time, so cs may grow between calls)."""
     def phi_of(j, k):
-        # phi^k(c_j), expanding phi formally
         if k == 0:
-            return cs[j] if j < len(cs) else rring.zero
-        prev = phi_of(j, k - 1)
-        nxt = phi_of(j + 1, k - 1)
-        return rring.add(rring.pow(prev, p), rring.mul_int(nxt, p))
+            return cs[j] if j < len(cs) else ring.zero
+        return ring.add(ring.pow(phi_of(j, k - 1), p),
+                        ring.mul_int(phi_of(j + 1, k - 1), p))
+    return phi_of
 
-    ghosts = [phi_of(0, n) for n in range(len(cs))]
-    return from_ghost(ring, p, ghosts)
+
+def bj_to_witt(ring, p, coords) -> WittVector:
+    """Convert Buium-Joyal coordinates to Witt coordinates: the ghost
+    components are phi^n(c_0) under the formal Frobenius."""
+    cover = _cover(ring)
+    phi_of = _formal_phi(cover[0], p, [cover[1](c) for c in coords])
+    return _solve_in_cover(WittVector(ring, p, ()), cover,
+                           [phi_of(0, n) for n in range(len(coords))])
 
 
 def witt_to_bj(w: WittVector) -> list:
     """Buium-Joyal coordinates of a Witt vector (torsion-free rings)."""
     ring, p = w.ring, w.p
-    rring, to_rat, from_rat = ring.rationalized()
-    gs = ghost(w)
+    rring, _, from_rat = ring.rationalized()
     cs: list = []
-
-    def phi_of(j, k):
-        # formal phi^k(c_j) with entries beyond the known prefix set to 0
-        if k == 0:
-            return cs[j] if j < len(cs) else rring.zero
-        prev = phi_of(j, k - 1)
-        nxt = phi_of(j + 1, k - 1)
-        return rring.add(rring.pow(prev, p), rring.mul_int(nxt, p))
-
+    phi_of = _formal_phi(rring, p, cs)
     inv_p = rring.inv_int(p)
-    for n, g in enumerate(gs):
+    for n, g in enumerate(ghost(w)):
         # c_n enters phi^n(c_0) only linearly, with coefficient p^n
         resid = rring.sub(g, phi_of(0, n))
         for _ in range(n):
             resid = rring.mul(resid, inv_p)
         cs.append(resid)
-    out = []
-    for c in cs:
-        img = from_rat(c)
-        if img is None:
-            raise NonIntegralGhost("BJ coordinate %s not integral" % rring.fmt(c))
-        out.append(img)
-    return out
+    return _images(rring, from_rat, cs, "BJ coordinate")
 
 
 # ---------------------------------------------------------------------------
@@ -788,6 +786,34 @@ class BigWitt:
     def __repr__(self):
         return "BigW(%s)" % self.to_series()
 
+    # the three hooks of the ghost dispatch _via_ghosts
+
+    def _ghosts(self) -> list:
+        return ghost_big_in_ring(self)
+
+    def _solve(self, ring, gs, divide) -> "BigWitt":
+        """The series of order len(gs) over ring with ghost components gs,
+        by Newton's identities n f_n = -sum_{d=1}^n g_d f_{n-d}, where
+        divide(a, d) is a / d or None."""
+        f = [ring.one]
+        for n in range(1, len(gs) + 1):
+            acc = ring.zero
+            for d in range(1, n + 1):
+                acc = ring.add(acc, ring.mul(gs[d - 1], f[n - d]))
+            q = divide(ring.neg(acc), n)
+            if q is None:
+                raise NonIntegralGhost(
+                    "big Witt coefficient %d is not integral" % n)
+            f.append(q)
+        return BigWitt(ring, len(gs), dict(enumerate(f)))
+
+    def _map(self, ring, fn) -> "BigWitt":
+        """fn applied to each coefficient, the constant 1 included, into
+        ring."""
+        f = [self.coefficient(n) for n in range(self.N + 1)]
+        return BigWitt(ring, self.N, dict(enumerate(
+            _images(self.ring, fn, f, "big Witt coefficient"))))
+
 
 def teichmuller_big(ring, N, a) -> BigWitt:
     """[a] = 1 - a z (the ring unit of W_big is 1 - z)."""
@@ -817,78 +843,37 @@ def ghost_big_in_ring(w: BigWitt) -> list:
 
 def ghost_big(w: BigWitt) -> list:
     """Ghost components over the rationalized ring."""
-    rat = w.ring.rationalized()
-    if rat is None:
-        raise NonIntegralGhost("ring %s has no fraction cover" % w.ring)
-    rring, to_rat, _ = rat
-    lifted = BigWitt(rring, w.N, {n: to_rat(c) for n, c in w.coeffs.items()})
-    return ghost_big_in_ring(lifted)
+    return ghost(w)
 
 
 def from_ghost_big(ring, N, gs) -> BigWitt:
     """Inverse of ghost_big with integrality certificate; ghosts live in the
-    rationalized ring."""
-    rat = ring.rationalized()
-    rring, _, from_rat = rat
-    f = [rring.one]
-    for n in range(1, N + 1):
-        acc = rring.zero
-        for d in range(1, n + 1):
-            acc = rring.add(acc, rring.mul(gs[d - 1], f[n - d]))
-        acc = rring.mul(rring.neg(acc), rring.inv_int(n))
-        f.append(acc)
-    out = {}
-    for n in range(1, N + 1):
-        img = from_rat(f[n])
-        if img is None:
-            raise NonIntegralGhost("big Witt coefficient %d solves to %s"
-                                   % (n, rring.fmt(f[n])))
-        out[n] = img
-    return BigWitt(ring, N, out)
+    ring of ring.rational_cover()."""
+    return _solve_in_cover(BigWitt.one(ring, N), _cover(ring), gs[:N])
 
 
-def _from_ghost_big_exact(ring, N, gs) -> BigWitt:
-    f = [ring.one]
-    for n in range(1, N + 1):
-        acc = ring.zero
-        for d in range(1, n + 1):
-            acc = ring.add(acc, ring.mul(gs[d - 1], f[n - d]))
-        q = ring.div_int_exact(ring.neg(acc), n)
-        if q is None:
-            raise NonIntegralGhost("big Witt coefficient %d is not integral" % n)
-        f.append(q)
-    return BigWitt(ring, N, {n: f[n] for n in range(1, N + 1)})
+def _big_via_ghosts(vectors, combine) -> BigWitt:
+    out = _via_ghosts(vectors, combine)
+    if out is None:
+        raise NonIntegralGhost("ring %s has no fraction cover"
+                               % vectors[0].ring)
+    return out
 
 
 def bigwitt_mul(a: BigWitt, b: BigWitt) -> BigWitt:
     a._check(b)
     N = min(a.N, b.N)
-    ring = a.ring
-    if ring.is_torsion_free and _has_exact_division(ring):
-        ga = ghost_big_in_ring(a.truncate(N))
-        gb = ghost_big_in_ring(b.truncate(N))
-        return _from_ghost_big_exact(ring, N,
-                                     [ring.mul(x, y) for x, y in zip(ga, gb)])
-    rring = ring.rationalized()[0]
-    ga, gb = ghost_big(a.truncate(N)), ghost_big(b.truncate(N))
-    return from_ghost_big(ring, N, [rring.mul(x, y) for x, y in zip(ga, gb)])
+    return _big_via_ghosts((a.truncate(N), b.truncate(N)),
+                           lambda r, g: list(map(r.mul, *g)))
 
 
 def frobenius_big(w: BigWitt, m: int) -> BigWitt:
     """F_m; ghost(F_m w)_d = ghost(w)_{m d}.  Output order floor(N/m)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    N_out = w.N // m
-    if N_out < 1:
+    if w.N < m:
         raise PrecisionExhausted("need N_big >= %d for F_%d" % (m, m))
-    ring = w.ring
-    if ring.is_torsion_free and _has_exact_division(ring):
-        gs = ghost_big_in_ring(w)
-        return _from_ghost_big_exact(
-            ring, N_out, [gs[m * d - 1] for d in range(1, N_out + 1)])
-    gs = ghost_big(w)
-    return from_ghost_big(w.ring, N_out,
-                          [gs[m * d - 1] for d in range(1, N_out + 1)])
+    return _big_via_ghosts((w,), lambda r, g: g[0][m - 1::m])
 
 
 # ---------------------------------------------------------------------------

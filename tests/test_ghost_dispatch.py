@@ -1,0 +1,114 @@
+"""The one ghost dispatch of p-typical and big Witt vectors on each of its
+branches: exact division in the ring (Z, Z[h]), the rationalization (B0),
+and an integral lift reduced back (Z/p^n, Z/p^n[h]); solving from given
+ghosts over Ring.rational_cover; and the strict ghost map."""
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from prismlab.qhopf import B0Ring
+from prismlab.ringcore import (
+    DoesNotConverge, ExactInt, ExactRat, ModP, PolyQuotRing, TruncSeries,
+    padic_log,
+)
+from prismlab.witt import (
+    BigWitt, NonIntegralGhost, WittVector, frobenius_big, from_ghost, ghost,
+    ghost_big, teichmuller_big,
+)
+
+P = 3
+Z = ExactInt()
+ZH = PolyQuotRing(Z, (0, 0, 1), "h")
+MOD = ModP(P, 4)
+MODH = PolyQuotRing(MOD, (0, 0, 1), "h")
+TORSION_FREE = {"Z": Z, "Z[h]": ZH, "B0": B0Ring()}
+# torsion ring -> its integral lift
+TORSION = {"Z/p^n": (MOD, Z), "Z/p^n[h]": (MODH, ZH)}
+
+
+def big(ring, N, coeffs):
+    return BigWitt(ring, N, dict(enumerate(coeffs, 1)))
+
+
+def random_pair(ring, N, rng):
+    return [big(ring, N, [ring.rand(rng) for _ in range(N)]) for _ in (0, 1)]
+
+
+def same(ring, xs, ys):
+    return len(xs) == len(ys) and all(map(ring.eq, xs, ys))
+
+
+@settings(max_examples=40, deadline=None)
+@given(key=st.sampled_from(sorted(TORSION_FREE)), N=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32), data=st.data())
+def test_bigwitt_ghost_map_is_a_ring_map(key, N, seed, data):
+    ring = TORSION_FREE[key]
+    rat = ring.rationalized()[0]
+    a, b = random_pair(ring, N, random.Random(seed))
+    m = data.draw(st.integers(1, N))
+    ga, gb = ghost_big(a), ghost_big(b)
+    assert same(rat, ghost_big(a + b), list(map(rat.add, ga, gb)))
+    assert same(rat, ghost_big(a * b), list(map(rat.mul, ga, gb)))
+    assert same(rat, ghost_big(frobenius_big(a, m)), ga[m - 1::m])
+    x, y = a.coefficient(1), b.coefficient(1)
+    assert (teichmuller_big(ring, N, x) * teichmuller_big(ring, N, y)
+            == teichmuller_big(ring, N, ring.mul(x, y)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(key=st.sampled_from(sorted(TORSION)), N=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32), data=st.data())
+def test_bigwitt_over_torsion_ring_is_integral_result_reduced(key, N, seed,
+                                                              data):
+    ring, lift = TORSION[key]
+    down = ring.lifted()[2]
+
+    def red(w):
+        return BigWitt(ring, w.N, {n: down(c) for n, c in w.coeffs.items()})
+
+    a, b = random_pair(lift, N, random.Random(seed))
+    m = data.draw(st.integers(1, N))
+    # raw coefficients: the results must be reduced, not just congruent
+    assert (red(a) + red(b)).coeffs == red(a + b).coeffs
+    assert (red(a) * red(b)).coeffs == red(a * b).coeffs
+    assert frobenius_big(red(a), m).coeffs == red(frobenius_big(a, m)).coeffs
+    x, y = down(a.coefficient(1)), down(b.coefficient(1))
+    assert (teichmuller_big(ring, N, x) * teichmuller_big(ring, N, y)
+            == teichmuller_big(ring, N, ring.mul(x, y)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.integers(1, 4), seed=st.integers(0, 2 ** 32))
+def test_from_ghost_over_torsion_ring_is_the_reduction(L, seed):
+    rng = random.Random(seed)
+    w = WittVector(ZH, P, [ZH.rand(rng) for _ in range(L)])
+    down = MODH.lifted()[2]
+    assert (from_ghost(MODH, P, ghost(w))
+            == WittVector(MODH, P, map(down, w.components)))
+
+
+def test_from_ghost_over_torsion_ring_certifies_p_integrality():
+    qh = MODH.rational_cover()[0]
+    half = qh.make([Fraction(1, 2)])
+    # 1/2 is 3-integral: 41 * 2 = 1 mod 81
+    assert from_ghost(MODH, P, [half]).components == (MODH.make([41]),)
+    with pytest.raises(NonIntegralGhost):
+        from_ghost(MODH, P, [qh.zero, qh.one])    # x_1 = 1/3
+
+
+def test_ghost_is_strict_over_torsion_rings():
+    for ghost_map, w in ((ghost, WittVector(MOD, P, [1, 2])),
+                         (ghost, WittVector(MODH, P, [MODH.one])),
+                         (ghost_big, big(MOD, 3, [1, 2, 3]))):
+        with pytest.raises(NonIntegralGhost):
+            ghost_map(w)
+
+
+@pytest.mark.parametrize("ring", [Z, ZH, ExactRat()], ids=repr)
+@pytest.mark.parametrize("n_terms", [None, 5])
+def test_padic_log_constant_term_needs_a_p_adic_ring(ring, n_terms):
+    u = TruncSeries(ring, ("z",), {(0,): ring.from_int(2), (1,): ring.one}, 3)
+    with pytest.raises(DoesNotConverge):
+        padic_log(u, n_terms)

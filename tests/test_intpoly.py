@@ -133,12 +133,6 @@ def test_difference():
     assert difference(IntPoly(()))[1] == 0
 
 
-def test_mahler_c2_mod2():
-    got = mahler_table(IntPoly.basis(2), 2, 1)
-    assert got["period"] == 4
-    assert got["residues"] == [0, 0, 1, 1]
-
-
 def test_mahler_u():
     for p, n in ((2, 2), (3, 1)):
         got = mahler_table(IntPoly.u(), p, n)

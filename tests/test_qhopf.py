@@ -6,8 +6,7 @@ from fractions import Fraction
 from prismlab.intpoly import IntPoly, int_mul
 from prismlab.qhopf import (
     QH, B0Elem, B0Ring, DegreeExceedsFiltration, adams, b0_coproduct,
-    b0_delta, b0_from_filtration, b0_mul, b0_to_int_h, structure_constants,
-    v_scalar,
+    b0_delta, b0_from_filtration, b0_mul, b0_to_int_h,
 )
 
 
@@ -33,13 +32,6 @@ def test_c1_c2():
     assert got == B0Elem((QH.zero, QH.zero, H(0, 2), H(3)))
 
 
-def test_structure_constants_integral_to_12():
-    for m in range(7):
-        for n in range(m, 13 - m):
-            for g in structure_constants(m, n):
-                assert QH.is_zero(g) or all(f.denominator == 1 for f in g)
-
-
 def test_h1_specialization_matches_intpoly():
     rng = random.Random(0)
     for _ in range(10):
@@ -55,18 +47,6 @@ def test_h1_specialization_matches_intpoly():
             return out
 
         assert at_h1(prod) == int_mul(at_h1(a), at_h1(b))
-
-
-def test_h0_divided_powers():
-    import math
-    for m in range(5):
-        for n in range(5):
-            prod = b0_mul(B0Elem.basis(m), B0Elem.basis(n))
-            spec = prod.specialize_h(Fraction(0))
-            for k, c in enumerate(spec):
-                v = c[0] if c else Fraction(0)
-                expected = math.comb(m + n, n) if k == m + n else 0
-                assert v == expected
 
 
 def test_coproduct_primitive_t():
@@ -150,27 +130,6 @@ def test_adams_ring_hom():
         for n in (2, 3, 4):
             assert adams(n, a * b) == adams(n, a) * adams(n, b)
             assert adams(n, a + b) == adams(n, a) + adams(n, b)
-
-
-def test_adams_commutes_with_coproduct():
-    for n in (2, 3):
-        for d in range(5):
-            # Delta(psi^n x) = (psi^n tensor psi^n) Delta(x), using that
-            # psi^n acts on c_i tensor c_j pieces by v^(i+j) times the
-            # h-degree correction: check via the (i,j) coefficient identity
-            x = B0Elem.basis(d)
-            lhs = b0_coproduct(adams(n, x))
-            rhs = {}
-            for (i, j), c in b0_coproduct(x).items():
-                # psi^n on both tensor legs: coefficient c(h) has h-degree
-                # pieces; total degree of c_i x c_j term is i + j + deg_h
-                for k, f in enumerate(c):
-                    if f:
-                        scale = QH.pow(v_scalar(n), i + j + k)
-                        term = QH.mul(QH.make([Fraction(0)] * k + [f]), scale)
-                        rhs[(i, j)] = QH.add(rhs.get((i, j), QH.zero), term)
-            rhs = {k: v for k, v in rhs.items() if not QH.is_zero(v)}
-            assert lhs == rhs
 
 
 def test_wilkerson_for_b0():

@@ -11,10 +11,10 @@ from prismlab import qprism
 from prismlab.derham import NotTeichmuller
 from prismlab.qprism import (
     GQPoint, TailNotStabilized, bh_coords,
-    canonical_point, derham_specialization_of_x0, equivariance_report,
+    canonical_point, derham_specialization_of_x0,
     factorization_identity, frobenius_of_point, gq_at_q1_matches_derham,
-    gq_op, gq_ring, gq_to_unit, hodge_tate_check, phi_of_section_identity,
-    q_exp_agreement, q_exponential, q_log,
+    gq_op, gq_ring, gq_to_unit, phi_of_section_identity,
+    q_exponential, q_log,
     q_log_of_sigma, q_log_precision_loss, q_power_substitute, sample_gq,
     sigma_point, zp_action, bh_in_box, bhat_ring, frac_vp, vp_at_least,
 )
@@ -91,13 +91,6 @@ def test_q_exponential_constant_term():
     assert H.eq(coords[0], H.one)
 
 
-def test_q_exp_agreement_criterion():
-    for p in (2, 3):
-        rep = q_exp_agreement(p, 4, 4, 4)
-        assert rep["coords_are_phi_powers"]
-        assert rep["agree"]
-
-
 def test_q_exp_mod_q_minus_1():
     # at q = 1 the coordinates Phi^k become p^k, the divided-power shape
     for p in (2, 3):
@@ -110,14 +103,6 @@ def test_q_exp_mod_q_minus_1():
 
 
 # --- canonical point -----------------------------------------------------------
-
-
-def test_canonical_point_criterion():
-    for p in (2, 3):
-        cp = canonical_point(p, 4, 4, L=2, t_deg=4)
-        assert cp["teichmuller"]
-        assert cp["rank_one"]
-        assert cp["zeroth_component"]
 
 
 # sha256 of repr, first 16 hex digits, as computed by the Fraction
@@ -252,26 +237,7 @@ def test_zp_action_identity():
     assert act == TruncSeries.var(ring, ("z",), 6, "z")
 
 
-def test_equivariance_criterion():
-    for p in (2, 3, 5):
-        for n in (2, 3, 4):
-            if n % p == 0:
-                continue
-            rep = equivariance_report(p, n, 6, 6, 6)
-            assert rep["equivariant"]
-            assert rep["composes"]
-            assert rep["exact_polynomial_identity"]
-
-
 # --- Hodge-Tate fiber -------------------------------------------------------------
-
-
-def test_hodge_tate_criterion():
-    for p in (2, 3, 5):
-        rep = hodge_tate_check(p, 6, 5)
-        assert rep["additive"]
-        assert rep["kills_torsion_point"]
-        assert rep["leading_one"]
 
 
 def test_q_power_substitute():
