@@ -312,13 +312,17 @@ def adams(n: int, a: B0Elem) -> B0Elem:
     if n < 1:
         raise ValueError("Adams operations are indexed by positive integers")
     v = v_scalar(n)
+    powers = [QH.one]           # powers[k] = v^k
+    zero = QH.scalar.zero
     out: list = []
     for m, c in enumerate(a.coords):
         acc = QH.zero
         for j, f in enumerate(c):
             if f:
-                term = QH.mul(QH.make([Fraction(0)] * j + [f]),
-                              QH.pow(v, m + j))
+                while len(powers) <= m + j:
+                    powers.append(QH.mul(powers[-1], v))
+                # f h^j v^(m+j): v^(m+j) scaled by f and shifted by j
+                term = (zero,) * j + tuple([f * x for x in powers[m + j]])
                 acc = QH.add(acc, term)
         out.append(acc)
     return B0Elem(tuple(out))

@@ -54,11 +54,18 @@ def bh_phi_scalar(R: PolyQuotRing, p: int):
     return q_number(_hring(R), p)
 
 
+_c_mono_in_cache: dict = {}
+
+
 def _c_mono_in(R: PolyQuotRing, n: int) -> tuple:
-    """c_n(t, h) inside the truncated exact ring."""
-    H = _hring(R)
-    mono = _c_monomial(n)
-    return R.make([H.make(list(c)) for c in mono])
+    """c_n(t, h) inside the truncated exact ring, memoized per (R, n)."""
+    key = (R, n)
+    hit = _c_mono_in_cache.get(key)
+    if hit is None:
+        H = _hring(R)
+        hit = R.make([H.make(list(c)) for c in _c_monomial(n)])
+        hit = _c_mono_in_cache.setdefault(key, hit)
+    return hit
 
 
 def frac_vp(f: Fraction, p: int) -> int | None:

@@ -195,6 +195,7 @@ class Ring:
 
 class IntRing(Ring):
     name = "Z"
+    zero = 0
 
     def add(self, a, b):
         return a + b
@@ -202,11 +203,17 @@ class IntRing(Ring):
     def neg(self, a):
         return -a
 
+    def sub(self, a, b):
+        return a - b
+
     def mul(self, a, b):
         return a * b
 
     def from_int(self, n):
         return n
+
+    def is_zero(self, a):
+        return not a
 
     def pow(self, a, n):
         return a ** n
@@ -242,6 +249,7 @@ class IntRing(Ring):
 
 class RatRing(Ring):
     name = "Q"
+    zero = Fraction(0)
 
     def add(self, a, b):
         return a + b
@@ -254,6 +262,9 @@ class RatRing(Ring):
 
     def from_int(self, n):
         return Fraction(n)
+
+    def is_zero(self, a):
+        return not a
 
     def pow(self, a, n):
         return a ** n
@@ -287,6 +298,7 @@ class IntModRing(Ring):
     """Z/m, normally with m = p^n_p."""
 
     is_torsion_free = False
+    zero = 0
 
     def __init__(self, m: int, p: int | None = None):
         if m < 2:
@@ -301,11 +313,17 @@ class IntModRing(Ring):
     def neg(self, a):
         return (-a) % self.m
 
+    def sub(self, a, b):
+        return (a - b) % self.m
+
     def mul(self, a, b):
         return (a * b) % self.m
 
     def from_int(self, n):
         return n % self.m
+
+    def is_zero(self, a):
+        return not a
 
     def pow(self, a, n):
         return pow(a, n, self.m)
@@ -346,8 +364,14 @@ class PolyQuotRing(Ring):
 
     Over Fraction scalars (Q[x], Q[x]/(modulus), and Q[h][t] or
     Q[h]/(h^N)[t]) mul is an integer kernel that __init__ binds to the
-    instance; every other ring uses the class method, the schoolbook.
+    instance; over Q[x] and Q[x]/(modulus) so is add, which adds two
+    integral coefficients as integers.  Every other ring multiplies by the
+    class method, the schoolbook, and adds in one pass through the scalar
+    ring's add.  Elements stay tuples of Fractions over Q: the integer work
+    happens inside each operation.
     """
+
+    zero = ()
 
     def __init__(self, scalar: Ring, modulus: tuple | None, var: str = "h"):
         self.scalar = scalar
@@ -369,6 +393,7 @@ class PolyQuotRing(Ring):
             # integer products are reduced in this twin, then divided once
             self._int_twin = PolyQuotRing(IntRing(), self.modulus, var)
             self.mul = self._mul_rat
+            self.add = self._add_rat
         elif (type(scalar) is PolyQuotRing and type(scalar.scalar) is RatRing
               and self.modulus is None
               and (scalar.modulus is None or scalar._monomial)):
@@ -424,12 +449,25 @@ class PolyQuotRing(Ring):
         return self.make_ints([0, 1])
 
     def add(self, a, b):
-        n = max(len(a), len(b))
-        s = self.scalar
-        return self._strip([s.add(self.coeff(a, i), self.coeff(b, i)) for i in range(n)])
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        add = self.scalar.add
+        for i, c in enumerate(b):
+            out[i] = add(out[i], c)
+        return self._strip(out)
 
     def neg(self, a):
         return tuple(self.scalar.neg(c) for c in a)
+
+    def sub(self, a, b):
+        s = self.scalar
+        out = list(a)
+        out += [s.zero] * (len(b) - len(a))
+        sub = s.sub
+        for i, c in enumerate(b):
+            out[i] = sub(out[i], c)
+        return self._strip(out)
 
     def mul(self, a, b):
         if not a or not b:
@@ -447,6 +485,22 @@ class PolyQuotRing(Ring):
         s = self.scalar
         return self._strip([s.mul_int(c, n) for c in a])
 
+    def _add_rat(self, a, b):
+        """add over Q: two integral coefficients add as integers, the rest
+        as Fractions."""
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            x = out[i]
+            if x.denominator == 1 == c.denominator:
+                out[i] = Fraction(x.numerator + c.numerator)
+            else:
+                out[i] = x + c
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
+
     def _mul_rat(self, a, b):
         """mul over Q: each operand as integer numerators over one common
         denominator, one Kronecker product, the reduction on integers and
@@ -457,6 +511,8 @@ class PolyQuotRing(Ring):
         nb, db = _numerators(b)
         prod = self._int_twin._reduce(_kronecker_mul(na, nb))
         d = da * db
+        if d == 1:
+            return tuple(map(Fraction, prod))
         return tuple([Fraction(c, d) for c in prod])
 
     def _mul_rat_bivariate(self, a, b):
@@ -477,7 +533,8 @@ class PolyQuotRing(Ring):
             block = prod[i:i + keep]
             while block and not block[-1]:
                 block.pop()
-            out.append(tuple([Fraction(c, d) for c in block]))
+            out.append(tuple(map(Fraction, block)) if d == 1 else
+                       tuple([Fraction(c, d) for c in block]))
         while out and not out[-1]:
             out.pop()
         return tuple(out)
@@ -487,10 +544,10 @@ class PolyQuotRing(Ring):
         return (c,) if not self.scalar.is_zero(c) else ()
 
     def is_zero(self, a):
-        return a == ()
+        return not a
 
     def eq(self, a, b):
-        return self.sub(a, b) == ()
+        return not self.sub(a, b)
 
     def inv_int(self, n):
         inv = self.scalar.inv_int(n)
@@ -600,6 +657,8 @@ class PolyQuotRing(Ring):
 def _numerators(coeffs) -> tuple:
     """(integer numerators, common denominator) of rational coefficients."""
     den = math.lcm(*[c.denominator for c in coeffs])
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 

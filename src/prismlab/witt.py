@@ -233,6 +233,7 @@ def _via_ghosts(vectors, combine):
 # bits and the unpacked exponents are checked against the bound, so an
 # overflow raises instead of corrupting a table.
 
+# (op, p, L) -> (polynomials, their compiled evaluators or None)
 _universal_cache: dict = {}
 _universal_locks: dict = {}
 _universal_lock = threading.Lock()
@@ -408,23 +409,34 @@ def witt_universal(op: str, p: int, L: int):
     if op not in _UNIVERSAL_OPS:
         raise ValueError("unknown op %r" % op)
     key = (op, p, L)
-    polys = _universal_cache.get(key)
-    if polys is not None:
-        return polys
+    entry = _universal_cache.get(key)
+    if entry is not None:
+        return entry[0]
     check_universal_size(op, p, L)
     with _universal_lock:
         key_lock = _universal_locks.setdefault(key, threading.Lock())
     with key_lock:
-        polys = _universal_cache.get(key)
-        if polys is None:
-            polys = _build_universal(op, p, L)
-            _universal_cache[key] = polys
-    return polys
+        entry = _universal_cache.get(key)
+        if entry is None:
+            entry = _universal_cache[key] = (_build_universal(op, p, L), None)
+    return entry[0]
 
 
-# id(poly) -> (poly, evaluator, max exponents).  The entry holds poly, so
-# its id cannot pass to another polynomial while the entry exists.
-_compiled_cache: dict = {}
+def _table_evaluators(op: str, p: int, L: int) -> list:
+    """The compiled evaluators of the components of a memoized table,
+    compiled under the table's lock the first time an evaluation over Z or
+    Z/m asks for them and kept with the polynomials in _universal_cache."""
+    key = (op, p, L)
+    polys, evaluators = _universal_cache[key]
+    if evaluators is None:
+        with _universal_locks[key]:
+            polys, evaluators = _universal_cache[key]
+            if evaluators is None:
+                evaluators = [_compile_int_poly(s) for s in polys]
+                _universal_cache[key] = (polys, evaluators)
+    return evaluators
+
+
 # Parentheses a Horner evaluator nests before it moves the expression to a
 # local; Python's parser refuses more than 200.
 _HORNER_DEPTH = 64
@@ -488,27 +500,23 @@ def _horner_source(poly: TruncSeries, maxdeg: list) -> str:
 def _compile_int_poly(poly: TruncSeries):
     """The plain-int evaluator of an integer polynomial, a function of one
     power table per variable, with the table lengths it needs."""
-    entry = _compiled_cache.get(id(poly))
-    if entry is not None and entry[0] is poly:
-        return entry[1], entry[2]
     nv = len(poly.variables)
     maxdeg = [max((e[i] for e in poly.coeffs), default=0) for i in range(nv)]
     ns: dict = {}
     exec(_horner_source(poly, maxdeg), ns)  # noqa: S102 - from a trusted table
-    _compiled_cache[id(poly)] = (poly, ns["_f"], maxdeg)
     return ns["_f"], maxdeg
 
 
-def eval_int_poly(poly: TruncSeries, ring: Ring, values: list):
+def eval_int_poly(poly: TruncSeries, ring: Ring, values: list,
+                  compiled=None):
     """Evaluate an integer polynomial at ring elements.  Over Z and Z/m at
-    int values every polynomial is compiled once to its Horner evaluator
-    (_compile_int_poly), fed one power table per variable; over Z/m the
-    tables are reduced mod m, which leaves the result mod m unchanged and
-    keeps the factors small.  Other rings and values go term by term,
-    caching powers."""
-    if (isinstance(ring, (IntRing, IntModRing))
-            and all(isinstance(v, int) for v in values)):
-        fn, maxdeg = _compile_int_poly(poly)
+    int values, compiled, the evaluator of poly from _compile_int_poly, is
+    fed one power table per variable; over Z/m the tables are reduced mod
+    m, which leaves the result mod m unchanged and keeps the factors small.
+    Without an evaluator the polynomial goes term by term, caching
+    powers."""
+    if compiled is not None:
+        fn, maxdeg = compiled
         m = ring.m if isinstance(ring, IntModRing) else None
         tables = []
         for v, d in zip(values, maxdeg):
@@ -554,10 +562,18 @@ def witt_op_universal(a: WittVector, b: WittVector, op: str) -> WittVector:
 
 
 def _universal(op: str, *vectors) -> WittVector:
-    w = vectors[0]
+    """The table for op evaluated at the components of vectors: by the
+    table's compiled evaluators over Z and Z/m at int values, else term by
+    term."""
+    w, ring = vectors[0], vectors[0].ring
     values = [c for v in vectors for c in v.components]
-    return WittVector(w.ring, w.p, [eval_int_poly(s, w.ring, values)
-                                    for s in witt_universal(op, w.p, w.L)])
+    polys = witt_universal(op, w.p, w.L)
+    compiled = [None] * len(polys)
+    if (isinstance(ring, (IntRing, IntModRing))
+            and all(isinstance(v, int) for v in values)):
+        compiled = _table_evaluators(op, w.p, w.L)
+    return WittVector(ring, w.p, [eval_int_poly(s, ring, values, f)
+                                  for s, f in zip(polys, compiled)])
 
 
 def scalar_mul(n: int, w: WittVector) -> WittVector:

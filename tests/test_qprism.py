@@ -102,6 +102,17 @@ def test_q_exp_mod_q_minus_1():
             assert const == p ** k
 
 
+def test_c_mono_in_memo_is_per_ring():
+    # c_n truncated at h^2 and at h^5 differ from n = 3 on; the memo must
+    # serve each ring its own, in either order
+    from prismlab.qhopf import _c_monomial
+    for h_prec in (2, 5, 2):
+        R = bhat_ring(h_prec)
+        for n in range(7):
+            want = R.make([R.scalar.make(list(c)) for c in _c_monomial(n)])
+            assert qprism._c_mono_in(R, n) == want
+
+
 # --- canonical point -----------------------------------------------------------
 
 

@@ -14,12 +14,13 @@ from prismlab.ringcore import (
 
 def schoolbook(ring):
     """The same ring with the Fraction schoolbook at every level: dropping
-    the kernel chosen at construction leaves the class method."""
+    the kernels chosen at construction leaves the class methods."""
     scalar = ring.scalar
     if isinstance(scalar, PolyQuotRing):
         scalar = schoolbook(scalar)
     oracle = PolyQuotRing(scalar, ring.modulus, ring.var)
-    vars(oracle).pop("mul", None)
+    for attr in ("mul", "add"):
+        vars(oracle).pop(attr, None)
     return oracle
 
 
@@ -57,6 +58,8 @@ def assert_same_product(ring, a, b):
 @example(a=[], b=[Fraction(1)])
 @example(a=[Fraction(-3, 7)], b=[Fraction(5, 2 ** 61 - 1)])
 @example(a=[0, 0, 0, Fraction(1)], b=[0, Fraction(-1, 3)])
+# integral operands: the kernel's shortcut when every denominator is 1
+@example(a=[Fraction(2), 0, Fraction(-5)], b=[Fraction(3), Fraction(1)])
 def test_rat_kernel_matches_schoolbook(name, a, b):
     ring = UNIVARIATE[name]
     assert_same_product(ring, ring.make(a), ring.make(b))
@@ -69,6 +72,8 @@ def test_rat_kernel_matches_schoolbook(name, a, b):
 @example(a=[], b=[[Fraction(1)]])
 @example(a=[[Fraction(2, 3)]], b=[[Fraction(-1)]])
 @example(a=[[], [0, 0, Fraction(1)]], b=[[0, 0, Fraction(7, 9)]])
+@example(a=[[Fraction(2)], [0, Fraction(-1)]],
+         b=[[Fraction(3), Fraction(1)], [Fraction(4)]])
 def test_rat_bivariate_kernel_matches_schoolbook(name, a, b):
     R = BIVARIATE[name]
     H = R.scalar
@@ -115,13 +120,16 @@ def test_rat_kernel_edge_cases():
 
 def test_kernel_chosen_at_construction():
     # rings over Z, Z/m and the cyclotomic rings keep the class schoolbook:
-    # no per-instance kernel, so mul costs them nothing extra
+    # no per-instance kernel, so mul costs them nothing extra; add is bound
+    # over Q only, and the bivariate rings add through it
     for ring in (QPoly(), QSeriesRing(4), QSeriesRing(4, p=3, n_p=4),
                  CyclotomicRing(3), CyclotomicRing(5, n_p=3),
                  PolyQuotRing(QSeriesRing(3), None, "t")):
-        assert "mul" not in vars(ring)
-    for ring in list(UNIVARIATE.values()) + list(BIVARIATE.values()):
-        assert "mul" in vars(ring)
+        assert not {"mul", "add"} & set(vars(ring))
+    for ring in UNIVARIATE.values():
+        assert {"mul", "add"} <= set(vars(ring))
+    for ring in BIVARIATE.values():
+        assert "mul" in vars(ring) and "add" not in vars(ring)
 
 
 def test_monomial_modulus_truncates():

@@ -90,15 +90,16 @@ def test_mod_pn_evaluation_is_integer_evaluation_reduced(op, p, L):
     m = p ** 6
     R, Z = ModP(p, 6), ExactInt()
     table = witt_universal(op, p, L)
+    evaluators = witt._table_evaluators(op, p, L)
     rng = random.Random(6)
     for trial in range(4):
         values = [rng.randrange(m) for _ in range(2 * L)]
-        for poly in table:
-            exact = eval_int_poly(poly, Z, values)
-            assert eval_int_poly(poly, R, values) == exact % m
+        for poly, f in zip(table, evaluators):
+            exact = eval_int_poly(poly, Z, values, f)
+            assert eval_int_poly(poly, R, values, f) == exact % m
             if trial == 0:
                 assert exact == direct_eval(poly, values)
-    assert all(witt._compiled_cache[id(poly)][0] is poly for poly in table)
+    assert witt._universal_cache[(op, p, L)] == (table, evaluators)
 
 
 def test_horner_evaluator_matches_direct_evaluation():
@@ -108,14 +109,15 @@ def test_horner_evaluator_matches_direct_evaluation():
     for name, _, op, p, L in reference_tables():
         m, R = p ** 6, ModP(p, 6)
         rng = random.Random(name)
-        for poly in witt_universal(op, p, L):
+        for poly, f in zip(witt_universal(op, p, L),
+                           witt._table_evaluators(op, p, L)):
             n = len(poly.variables)
             for _ in range(20):
                 values = [rng.randrange(-9, 10) for _ in range(n)]
-                assert eval_int_poly(poly, Z, values) == \
+                assert eval_int_poly(poly, Z, values, f) == \
                     direct_eval(poly, values), name
                 values = [rng.randrange(m) for _ in range(n)]
-                assert eval_int_poly(poly, R, values) == \
+                assert eval_int_poly(poly, R, values, f) == \
                     direct_eval(poly, values) % m, name
 
 
@@ -126,33 +128,73 @@ def test_horner_evaluator_matches_direct_evaluation():
     {(0, 5): 3, (200, 0): 1, (7, 9): -2},    # gaps between exponents
 ])
 def test_horner_evaluator_edge_polynomials(coeffs):
-    Z = ExactInt()
+    Z, R = ExactInt(), ModP(3, 4)
     nv = len(next(iter(coeffs), (0, 0)))
     poly = TruncSeries(Z, ("x", "y")[:nv], coeffs, None)
-    for values in ([0] * nv, [1] * nv, [-3, 2][:nv], [7, -1][:nv]):
-        assert eval_int_poly(poly, Z, values) == direct_eval(poly, values)
-        assert eval_int_poly(poly, ModP(3, 4), [v % 81 for v in values]) == \
-            direct_eval(poly, values) % 81
+    for f in (witt._compile_int_poly(poly), None):
+        for values in ([0] * nv, [1] * nv, [-3, 2][:nv], [7, -1][:nv]):
+            assert eval_int_poly(poly, Z, values, f) == \
+                direct_eval(poly, values)
+            assert eval_int_poly(poly, R, [v % 81 for v in values], f) == \
+                direct_eval(poly, values) % 81
 
 
 def test_compiled_evaluator_follows_its_polynomial(monkeypatch):
-    monkeypatch.setattr(witt, "_compiled_cache", {})
+    """Evaluators are kept with their table, so a rebuilt table compiles
+    its own; a polynomial outside the tables is evaluated from its terms,
+    so a fresh one that may reuse a freed id gets its own value."""
+    monkeypatch.setattr(witt, "_universal_cache", {})
+    monkeypatch.setattr(witt, "_universal_locks", {})
     Z = ExactInt()
+    a = witt.WittVector(Z, 3, [2, -1, 4])
+    b = witt.WittVector(Z, 3, [-5, 3, 1])
+    values = list(a.components + b.components)
+    for op in ("add", "mul"):
+        first = witt.witt_op_universal(a, b, op)
+        polys, evaluators = witt._universal_cache[(op, 3, 3)]
+        assert len(evaluators) == len(polys) == 3
+        assert list(first.components) == [direct_eval(s, values)
+                                          for s in polys]
+        witt._universal_cache.clear()
+        del polys
+        gc.collect()
+        assert witt.witt_op_universal(a, b, op) == first
+        assert witt._universal_cache[(op, 3, 3)][1] is not evaluators
 
     def poly(scale):
         return TruncSeries(Z, ("x", "y"), {(i, j): scale * (i + 2 * j + 1)
                                            for i in range(24)
                                            for j in range(24)}, None)
 
-    first = poly(1)
-    assert eval_int_poly(first, Z, [2, 3]) == direct_eval(first, [2, 3])
-    assert witt._compiled_cache[id(first)][0] is first
-    del first
-    gc.collect()
-    # fresh polynomials of the same shape, which may reuse the freed id
-    for scale in range(2, 6):
+    for scale in range(1, 6):
         other = poly(scale)
         assert eval_int_poly(other, Z, [2, 3]) == direct_eval(other, [2, 3])
+        del other
+        gc.collect()
+
+
+def test_fresh_polynomials_are_not_retained():
+    """200 fresh 25-term polynomials, each evaluated from its terms and
+    through an evaluator compiled for it, leave nothing behind: kept, the
+    evaluators would hold about 350 KiB."""
+    import tracemalloc
+    Z = ExactInt()
+    polys = [TruncSeries(Z, ("x", "y"), {(i, j): k + i - j for i in range(5)
+                                         for j in range(5)}, None)
+             for k in range(200)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for f in polys:
+            expected = direct_eval(f, [2, -3])
+            assert eval_int_poly(f, Z, [2, -3]) == expected
+            assert eval_int_poly(f, Z, [2, -3],
+                                 witt._compile_int_poly(f)) == expected
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024, grown
 
 
 def test_concurrent_requests_build_a_table_once(monkeypatch):
