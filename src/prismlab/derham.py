@@ -3,10 +3,13 @@ mutually inverse log/exp maps onto the Frobenius eigen-space {Fy = py},
 the kernel description of the special fiber, and the characteristic-p
 discrepancy between the two identifications.
 
-Series are evaluated on Witt vectors in the Witt ring itself; every
-eigen-space input is certified first, since for p = 2 the exponential's
-coefficients do not tend to zero and only the argument's nilpotence makes
-the sum finite.
+The series, the eigen test F y = p y, the V-series and the group law are
+each one ghost solve (`witt.ghost_combine`).  A series sum c_n x^n is
+Horner's rule on every ghost component of x; its cutoff is certified by
+solving its last two terms c_n x^n separately and requiring both to
+vanish as Witt vectors.  Every eigen-space input is certified
+first, since for p = 2 the exponential's coefficients do not tend to zero
+and only the argument's nilpotence makes the sum finite.
 """
 from __future__ import annotations
 
@@ -17,8 +20,8 @@ from .ringcore import (
     PrismlabError, newton_inverse,
 )
 from .witt import (
-    WittVector, frobenius, scalar_mul, teichmuller, verschiebung, witt_neg,
-    witt_op, zero_vector,
+    WittVector, frobenius, ghost_combine, scalar_mul, teichmuller,
+    verschiebung, witt_neg, witt_op, witt_sub, zero_vector,
 )
 
 
@@ -32,10 +35,6 @@ def _wadd(a, b):
 
 def _wmul(a, b):
     return witt_op(a, b, "mul")
-
-
-def _wsub(a, b):
-    return witt_op(a, witt_neg(b), "add")
 
 
 def one_plus_p_x(x: WittVector) -> WittVector:
@@ -72,9 +71,11 @@ class GdRPoint:
 
 
 def gdr_op(a: GdRPoint, b: GdRPoint) -> GdRPoint:
-    """x1 + x2 + p x1 x2 in the Witt ring."""
-    x1, x2 = a.x, b.x
-    out = _wadd(_wadd(x1, x2), scalar_mul(x1.p, _wmul(x1, x2)))
+    """x1 + x2 + p x1 x2 in the Witt ring, one ghost solve."""
+    p = a.x.p
+    out = ghost_combine((a.x, b.x), lambda r, g: [
+        r.add(r.add(g1, g2), r.mul_int(r.mul(g1, g2), p))
+        for g1, g2 in zip(*g)])
     return GdRPoint(out, check=False)
 
 
@@ -85,35 +86,46 @@ def gdr_zero(ring, p, L) -> GdRPoint:
 # --- series evaluation on Witt vectors ---------------------------------------
 
 
+def _witt_poly(cs, x: WittVector, L: int) -> WittVector:
+    """sum_{n>=1} cs[n-1] . x^n for integers cs, truncated to length L <=
+    x.L, as one ghost solve: Horner's rule on each ghost component."""
+    def combine(r, g):
+        coeffs = [r.from_int(c) for c in reversed(cs)]
+        out = []
+        for gx in g[0][:L]:
+            acc = r.zero
+            for c in coeffs:
+                acc = r.mul(r.add(acc, c), gx)
+            out.append(acc)
+        return out
+    return ghost_combine((x,), combine)
+
+
 def witt_series_eval(coeff, x: WittVector, bound: int) -> WittVector:
-    """sum_{n>=1} coeff(n) . x^n, where coeff(n) is a p-integral rational.
+    """sum_{n=1}^{bound} coeff(n) . x^n, where coeff(n) is a p-integral
+    rational.
 
     Terms vanish once x^n does (componentwise p-valuations of x add up
     under Witt multiplication), so the cutoff is certified by checking that
-    the final terms contribute nothing.
+    the final terms, n = bound - 1 and bound, contribute nothing.
     """
-    ring, p = x.ring, x.p
+    p, L = x.p, x.L
     # integer representatives at the ring's precision plus a margin
     # covering scalar-multiplication slack
-    _, n_p = _base_scalar(ring)
+    _, n_p = _base_scalar(x.ring)
     target = ModP(p, n_p + 4)
-    acc = zero_vector(ring, p, x.L)
-    power = x
-    tail_zero = True
+    cs = []
     for n in range(1, bound + 1):
         frac = Fraction(coeff(n))
         c = target.from_rational(frac)
         if c is None:
             raise DoesNotConverge("coefficient %s is not p-integral" % frac)
-        term = scalar_mul(c, power)
-        acc = _wadd(acc, term)
-        if n >= bound - 1:
-            tail_zero = tail_zero and term.is_zero()
-        if n < bound:
-            power = _wmul(power, x)
-    if not tail_zero:
-        raise DoesNotConverge("series did not stabilize within %d terms" % bound)
-    return acc
+        cs.append(c)
+    for n in range(max(bound - 1, 1), bound + 1):
+        if not _witt_poly([0] * (n - 1) + cs[n - 1:n], x, L).is_zero():
+            raise DoesNotConverge(
+                "series did not stabilize within %d terms" % bound)
+    return _witt_poly(cs, x, L)
 
 
 def _base_scalar(ring) -> tuple:
@@ -135,15 +147,18 @@ def f_log(a: GdRPoint) -> WittVector:
     x = a.x
     p, n_p = _base_scalar(x.ring)
     y = witt_series_eval(lambda n: Fraction((-p) ** (n - 1), n), x, n_p + 2)
-    fy = frobenius(y)
-    if fy != scalar_mul(p, y).truncate(x.L - 1):
+    if not is_eigen(y):
         raise EigenCheckFailed("f_log output broke F y = p y")
     return y
 
 
 def is_eigen(y: WittVector) -> bool:
-    """F y = p y at the available length."""
-    return frobenius(y) == scalar_mul(y.p, y).truncate(y.L - 1)
+    """F y = p y at the available length: F y - p y, whose ghost
+    components are g_(n+1) - p g_n, is one ghost solve and must vanish."""
+    p = y.p
+    return ghost_combine((y,), lambda r, g: [
+        r.sub(g1, r.mul_int(g0, p)) for g0, g1 in zip(g[0], g[0][1:])
+    ]).is_zero()
 
 
 def g_exp(y: WittVector) -> GdRPoint:
@@ -163,15 +178,10 @@ def frob_power_identity(a: GdRPoint) -> dict:
     import math
     x = a.x
     p = x.p
-    acc = zero_vector(x.ring, p, x.L)
-    power = x
-    for i in range(1, p + 1):
-        c = math.comb(p, i) * p ** (i - 1)
-        acc = _wadd(acc, scalar_mul(c, power))
-        if i < p:
-            power = _wmul(power, x)
-    ok = frobenius(x) == acc.truncate(x.L - 1)
-    return {"ok": ok, "fx": frobenius(x), "h": acc.truncate(x.L - 1)}
+    h = _witt_poly([math.comb(p, i) * p ** (i - 1) for i in range(1, p + 1)],
+                   x, x.L - 1)
+    fx = frobenius(x)
+    return {"ok": fx == h, "fx": fx, "h": h}
 
 
 def id_minus_V(y: WittVector) -> WittVector:
@@ -179,20 +189,26 @@ def id_minus_V(y: WittVector) -> WittVector:
     summing Verschiebung iterates."""
     if not is_eigen(y):
         raise EigenCheckFailed("id - V is certified on Fy = py only")
-    out = _wsub(y, verschiebung(y))
+    out = witt_sub(y, verschiebung(y))
     if not frobenius(out).is_zero():
         raise EigenCheckFailed("F(y - Vy) did not vanish")
     return out
 
 
 def v_geometric(x: WittVector) -> WittVector:
-    """sum_k V^k x, the inverse of id - V at finite length."""
-    acc = zero_vector(x.ring, x.p, x.L)
-    v = x
-    for _ in range(x.L):
-        acc = _wadd(acc, v)
-        v = verschiebung(v)
-    return acc
+    """sum_k V^k x, the inverse of id - V at finite length, as one ghost
+    solve: ghost(V x)_n = p g_(n-1), so the sum has ghost components
+    sum_{k<=n} p^k g_(n-k), i.e. h_n = g_n + p h_(n-1)."""
+    p = x.p
+
+    def combine(r, g):
+        out = []
+        acc = r.zero
+        for gx in g[0]:
+            acc = r.add(gx, r.mul_int(acc, p))
+            out.append(acc)
+        return out
+    return ghost_combine((x,), combine)
 
 
 # --- samplers -----------------------------------------------------------------
@@ -205,7 +221,7 @@ def sample_gdr(ring, p, L, rng, tries: int = 64) -> GdRPoint:
     _, n_p = _base_scalar(ring)
     for _ in range(tries):
         u = ring.from_int(1 + p * rng.randrange(p ** (n_p - 1)))
-        target = _wsub(teichmuller(ring, p, L, u), one)
+        target = witt_sub(teichmuller(ring, p, L, u), one)
         x = _solve_scalar_p(target, rng)
         if x is not None:
             return GdRPoint(x)
@@ -290,16 +306,17 @@ def discrepancy_check(ring, p: int, L: int, xs) -> dict:
         if not frobenius(x).is_zero():
             failures.append(("not in kernel", repr(x)))
             continue
-        arg = _wsub(verschiebung(x), x)
+        arg = witt_sub(verschiebung(x), x)
+        geometric = v_geometric(arg)
         # the point of the rescaled group that the composite sends to arg
-        point = g_exp(v_geometric(arg))
+        point = g_exp(geometric)
         # triangular identity: sum_k V^k (Vx - x) = -x
-        if v_geometric(arg) != witt_neg(x):
+        if geometric != witt_neg(x):
             failures.append(("geometric series", repr(x)))
         # 1 + V(x) is 1 modulo V W, and (V W)^L = 0 in characteristic p:
         # V(a) V(b) = V^2(F(a) F(b))
         rep_f = newton_inverse(_wadd(one, verschiebung(point.x)), one, one,
-                               _wmul, _wsub, L.bit_length())
+                               _wmul, witt_sub, L.bit_length())
         if rep_f is None:
             raise IdentityFailed("unit inverse did not reach 1")
         rep_naive = _wadd(one, verschiebung(x))

@@ -85,11 +85,6 @@ class PDElem:
     def scale(self, n: int) -> "PDElem":
         return PDElem(tuple(n * c for c in self.coords), self.unit_power)
 
-    def to_rational_series(self) -> tuple:
-        """(x-1)-adic coefficients a_n / n! as Fractions."""
-        return tuple(Fraction(c, math.factorial(n))
-                     for n, c in enumerate(self.coords))
-
     def __repr__(self):
         head = "" if not self.unit_power else "x^%d * " % (-self.unit_power)
         if not self.coords:

@@ -71,14 +71,6 @@ def _from_monomial(P: tuple) -> tuple:
     return tuple(coords)
 
 
-def _to_monomial(coords) -> tuple:
-    acc = QHT.zero
-    for n, c in enumerate(coords):
-        if not QH.is_zero(c):
-            acc = QHT.add(acc, QHT.mul((c,), _c_monomial(n)))
-    return acc
-
-
 def structure_constants(m: int, n: int) -> tuple:
     """gamma^k_{mn}(h) with c_m c_n = sum_k gamma^k_{mn} c_k, integral."""
     key = (min(m, n), max(m, n))
@@ -130,10 +122,6 @@ class B0Elem:
         return cls.basis(1)
 
     @classmethod
-    def h_scalar(cls) -> tuple:
-        return QH.make([Fraction(0), Fraction(1)])
-
-    @classmethod
     def q_scalar(cls) -> tuple:
         return QH.make([Fraction(1), Fraction(1)])
 
@@ -182,24 +170,6 @@ class B0Elem:
             base = base * base
             n >>= 1
         return acc
-
-    def graded_pieces(self) -> dict:
-        """Decompose by total degree (deg h = deg t = 1): piece d collects
-        the h^j part of the c_n coordinate with n + j = d."""
-        pieces: dict = {}
-        for n, c in enumerate(self.coords):
-            for j, f in enumerate(c):
-                if f:
-                    d = n + j
-                    cur = pieces.setdefault(d, [QH.zero] * (n + 1))
-                    while len(cur) <= n:
-                        cur.append(QH.zero)
-                    mono = QH.make([Fraction(0)] * j + [f])
-                    cur[n] = QH.add(cur[n], mono)
-        return {d: B0Elem(tuple(v)) for d, v in pieces.items()}
-
-    def to_monomial(self) -> tuple:
-        return _to_monomial(self.coords)
 
     @classmethod
     def from_monomial(cls, P: tuple) -> "B0Elem":

@@ -26,7 +26,7 @@ from .ringcore import (
 )
 from .witt import (
     DeltaRing, NonIntegralGhost, WittVector, from_ghost, joyal_lift,
-    teichmuller, witt_op, zero_vector,
+    teichmuller, witt_op, witt_sub, zero_vector,
 )
 from .derham import NotTeichmuller, is_teichmuller
 
@@ -398,10 +398,9 @@ def gq_op(a: GQPoint, b: GQPoint) -> GQPoint:
 
 def sigma_point(ring, p, L) -> GQPoint:
     """sigma(q) = (q, [q] - 1); its unit is q^p."""
-    from .witt import witt_neg
     q = q_element(ring)
     one = teichmuller(ring, p, L, ring.one)
-    x = witt_op(teichmuller(ring, p, L, q), witt_neg(one), "add")
+    x = witt_sub(teichmuller(ring, p, L, q), one)
     return GQPoint(x)
 
 

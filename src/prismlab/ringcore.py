@@ -328,6 +328,9 @@ class IntModRing(Ring):
     def pow(self, a, n):
         return pow(a, n, self.m)
 
+    def mul_int(self, a, n):
+        return (a * n) % self.m
+
     def inv_int(self, n):
         if math.gcd(n, self.m) != 1:
             return None

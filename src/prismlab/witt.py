@@ -1,9 +1,14 @@
 """p-typical and big Witt vectors.
 
 Every Witt operation, p-typical or big, is one ghost solve through one
-dispatch (`_via_ghosts`): over the ring itself when it divides exactly,
-else over its rationalization, else over an integral lift reduced back,
-with integrality certificates.  Solving from given ghosts (`from_ghost`,
+dispatch (`_via_ghosts`, public as `ghost_combine` for whole expressions):
+over the ring itself when it divides exactly, else over its
+rationalization, else over a lift reduced back, with integrality
+certificates.  A p-typical vector of length L over Z/m with p | m, or over
+a polynomial ring over it, lifts to Z/(m p^(L-1)): since a = b mod p^k
+gives a^(p^j) = b^(p^j) mod p^(k+j), that bounded lift solves exactly mod m
+with integers below m p^(L-1) (`_bounded_lift`).  Other torsion rings lift
+to Z.  Solving from given ghosts (`from_ghost`,
 `from_ghost_big`) runs over `Ring.rational_cover`.  Memoized universal
 polynomial tables serve p-typical vectors over rings with none of these,
 and over Z the two must agree (`verify --suite witt.universal`).
@@ -15,8 +20,8 @@ from functools import reduce
 from operator import or_
 
 from .ringcore import (
-    IntModRing, IntRing, PrecisionExhausted, PrismlabError, Ring,
-    RingMismatch, TruncSeries, series_inverse,
+    IntModRing, IntRing, PolyQuotRing, PrecisionExhausted, PrismlabError,
+    Ring, RingMismatch, TruncSeries, series_inverse,
 )
 
 
@@ -53,6 +58,8 @@ class WittVector:
     def _check(self, other: "WittVector"):
         if self.ring != other.ring or self.p != other.p:
             raise RingMismatch("incompatible Witt vectors")
+        if len(self.components) != len(other.components):
+            raise RingMismatch("Witt lengths differ")
 
     def truncate(self, L: int) -> "WittVector":
         return WittVector(self.ring, self.p, self.components[:L])
@@ -81,7 +88,7 @@ class WittVector:
         return witt_neg(self)
 
     def __sub__(self, other):
-        return self + (-other)
+        return witt_sub(self, other)
 
     def __repr__(self):
         return "W(%s)" % ", ".join(self.ring.fmt(c) for c in self.components)
@@ -195,14 +202,48 @@ def from_ghost(ring, p, ghosts) -> WittVector:
     return _solve_in_cover(WittVector(ring, p, ()), _cover(ring), ghosts)
 
 
+# (ring, p, L) -> the bounded lift of _bounded_lift, or None
+_bounded_cache: dict = {}
+
+
+def _bounded_lift(ring, p: int, L: int):
+    """(Z/M ring, divide, reduce) for p-typical vectors of length at most L
+    over Z/m, or over a PolyQuotRing over Z/m, with p | m: the same ring with
+    Z/M, M = m p^(L-1), in place of Z/m; exact division of the
+    representatives in [0, M); reduction mod m.  None on any other ring.
+
+    A ghost solve of length at most L run there agrees mod m with the solve
+    over Z.  With p | m, a = b mod m p^j gives a^p = b^p mod m p^(j+1), so
+    if the components x_i solved so far are exact mod m p^(L-1-i), every
+    p^i x_i^(p^(n-i)) is exact mod M, and dividing the numerator of x_n by
+    p^n leaves it exact mod m p^(L-1-n).  Memoized per (ring, p, L): a
+    PolyQuotRing is too costly to build per operation."""
+    key = (ring, p, L)
+    try:
+        return _bounded_cache[key]
+    except KeyError:
+        pass
+    scalar = ring.scalar if type(ring) is PolyQuotRing else ring
+    out = None
+    if type(scalar) is IntModRing and scalar.m % p == 0:
+        wide = IntModRing(scalar.m * p ** max(L - 1, 0), p)
+        if scalar is not ring:
+            wide = PolyQuotRing(wide, ring.modulus, ring.var)
+        lring, _, down = ring.lifted()
+        out = wide, lring.div_int_exact, down
+    _bounded_cache[key] = out
+    return out
+
+
 def _via_ghosts(vectors, combine):
     """The Witt vector, p-typical or big, whose ghost components are
     combine(R, ghosts), where ghosts holds the ghost lists of the vectors
     computed in the ring R: the coefficient ring itself when it divides
-    exactly, else its rationalization, else an integral lift, whose result
-    is reduced back (reduction W(lift) -> W(ring) is a ring map).  One ghost
-    solve for the whole operation; None when only the universal tables
-    apply."""
+    exactly, else its rationalization, else for p-typical vectors over Z/m
+    with p | m (or a PolyQuotRing over it) the bounded lift Z/(m p^(L-1))
+    of _bounded_lift, else an integral lift; a lifted result is reduced
+    back (reduction W(lift) -> W(ring) is a ring map).  One ghost solve for
+    the whole operation; None when only the universal tables apply."""
     w, ring = vectors[0], vectors[0].ring
     if ring.is_torsion_free and _has_exact_division(ring):
         ghosts = [v._ghosts() for v in vectors]
@@ -211,12 +252,35 @@ def _via_ghosts(vectors, combine):
     if rat is not None:
         ghosts = [v._map(rat[0], rat[1])._ghosts() for v in vectors]
         return _solve_in_cover(w, rat, combine(rat[0], ghosts))
+    if isinstance(w, WittVector):
+        bounded = _bounded_lift(ring, w.p, max(v.L for v in vectors))
+        if bounded is not None:
+            bring, divide, down = bounded
+            ghosts = [WittVector(bring, v.p, v.components)._ghosts()
+                      for v in vectors]
+            out = w._solve(bring, combine(bring, ghosts), divide)
+            return out._map(ring, down)
     lifted = ring.lifted()
     if lifted is None:
         return None
     lring, up, down = lifted
     out = _via_ghosts([v._map(lring, up) for v in vectors], combine)
     return None if out is None else out._map(ring, down)
+
+
+def ghost_combine(vectors, combine):
+    """The Witt vector, p-typical or big, whose ghost components are
+    combine(R, ghosts), in one ghost solve however many operations combine
+    makes (see _via_ghosts).  combine must send ghost lists of Witt vectors
+    to the ghost list of a Witt vector: ring operations per component, F
+    (drop the first component) and V (g_n -> p g_(n-1)); its output is no
+    longer than its longest input.  NonIntegralGhost where only the
+    universal tables apply."""
+    out = _via_ghosts(vectors, combine)
+    if out is None:
+        raise NonIntegralGhost("ring %s has no ghost backend, only the "
+                               "universal tables" % vectors[0].ring)
+    return out
 
 
 # --- universal polynomial backend -------------------------------------------
@@ -543,12 +607,18 @@ def eval_int_poly(poly: TruncSeries, ring: Ring, values: list,
 
 def witt_op(a: WittVector, b: WittVector, op: str) -> WittVector:
     a._check(b)
-    if len(a.components) != len(b.components):
-        raise RingMismatch("Witt lengths differ")
     if op not in ("add", "mul"):
         raise ValueError("op must be add or mul")
     out = _via_ghosts((a, b), lambda r, g: list(map(getattr(r, op), *g)))
     return witt_op_universal(a, b, op) if out is None else out
+
+
+def witt_sub(a: WittVector, b: WittVector) -> WittVector:
+    """a - b, one ghost solve of g_a - g_b; a + (-b) on the universal
+    tables."""
+    a._check(b)
+    out = _via_ghosts((a, b), lambda r, g: list(map(r.sub, *g)))
+    return witt_op(a, witt_neg(b), "add") if out is None else out
 
 
 def witt_neg(a: WittVector) -> WittVector:
@@ -868,19 +938,11 @@ def from_ghost_big(ring, N, gs) -> BigWitt:
     return _solve_in_cover(BigWitt.one(ring, N), _cover(ring), gs[:N])
 
 
-def _big_via_ghosts(vectors, combine) -> BigWitt:
-    out = _via_ghosts(vectors, combine)
-    if out is None:
-        raise NonIntegralGhost("ring %s has no fraction cover"
-                               % vectors[0].ring)
-    return out
-
-
 def bigwitt_mul(a: BigWitt, b: BigWitt) -> BigWitt:
     a._check(b)
     N = min(a.N, b.N)
-    return _big_via_ghosts((a.truncate(N), b.truncate(N)),
-                           lambda r, g: list(map(r.mul, *g)))
+    return ghost_combine((a.truncate(N), b.truncate(N)),
+                         lambda r, g: list(map(r.mul, *g)))
 
 
 def frobenius_big(w: BigWitt, m: int) -> BigWitt:
@@ -889,7 +951,7 @@ def frobenius_big(w: BigWitt, m: int) -> BigWitt:
         raise ValueError("m must be >= 1")
     if w.N < m:
         raise PrecisionExhausted("need N_big >= %d for F_%d" % (m, m))
-    return _big_via_ghosts((w,), lambda r, g: g[0][m - 1::m])
+    return ghost_combine((w,), lambda r, g: g[0][m - 1::m])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,9 +9,9 @@ from prismlab.derham import (
     EigenCheckFailed, GdRPoint, NotTeichmuller, f_log,
     frob_power_identity, g_eta_check, g_exp, gdr_op, gdr_zero,
     generic_vector, id_minus_V, is_eigen, sample_eigen,
-    sample_gdr, v_geometric,
+    sample_gdr, v_geometric, witt_series_eval,
 )
-from prismlab.ringcore import ModP, PolyQuotRing
+from prismlab.ringcore import DoesNotConverge, ModP, PolyQuotRing
 from prismlab.witt import (
     WittVector, frobenius, sample_f_kernel, scalar_mul, teichmuller,
     verschiebung, witt_op, zero_vector,
@@ -176,3 +178,156 @@ def test_exception_classes_are_defined_once():
         is ringcore.IdentityFailed
     assert derham.EigenCheckFailed is cartier_witt.EigenCheckFailed \
         is ringcore.EigenCheckFailed
+
+
+# --- the step-by-step definitions that the one-solve forms replaced, kept
+# as oracles: one Witt operation, and one ghost solve, per step
+
+
+def series_by_steps(coeff, x, bound, n_p):
+    target = ModP(x.p, n_p + 4)
+    acc = zero_vector(x.ring, x.p, x.L)
+    power = x
+    tail_zero = True
+    for n in range(1, bound + 1):
+        c = target.from_rational(Fraction(coeff(n)))
+        if c is None:
+            raise DoesNotConverge("coefficient is not p-integral")
+        term = scalar_mul(c, power)
+        acc = witt_op(acc, term, "add")
+        if n >= bound - 1:
+            tail_zero = tail_zero and term.is_zero()
+        if n < bound:
+            power = witt_op(power, x, "mul")
+    if not tail_zero:
+        raise DoesNotConverge("series did not stabilize")
+    return acc
+
+
+def is_eigen_by_steps(y):
+    return frobenius(y) == scalar_mul(y.p, y).truncate(y.L - 1)
+
+
+def v_geometric_by_steps(x):
+    acc = zero_vector(x.ring, x.p, x.L)
+    v = x
+    for _ in range(x.L):
+        acc = witt_op(acc, v, "add")
+        v = verschiebung(v)
+    return acc
+
+
+def gdr_op_by_steps(x1, x2):
+    return witt_op(witt_op(x1, x2, "add"),
+                   scalar_mul(x1.p, witt_op(x1, x2, "mul")), "add")
+
+
+def frob_power_h_by_steps(x):
+    p = x.p
+    acc = zero_vector(x.ring, p, x.L)
+    power = x
+    for i in range(1, p + 1):
+        acc = witt_op(acc, scalar_mul(math.comb(p, i) * p ** (i - 1), power),
+                      "add")
+        if i < p:
+            power = witt_op(power, x, "mul")
+    return acc.truncate(x.L - 1)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DoesNotConverge:
+        return DoesNotConverge
+
+
+MODP_CELLS = [(p, L, n_p) for p in (2, 3) for L in (2, 3, 4) for n_p in (4, 6)]
+
+
+def random_vector(ring, p, L, rng, scale=1):
+    return WittVector(ring, p, [ring.mul_int(ring.rand(rng), scale)
+                                for _ in range(L)])
+
+
+@pytest.mark.parametrize("p,L,n_p", MODP_CELLS)
+def test_series_matches_steps(p, L, n_p):
+    rng = random.Random(p * 100 + L * 10 + n_p)
+    R = ModP(p, n_p)
+    ints = [rng.randrange(-50, 50) for _ in range(n_p + 2)]
+    series = [lambda n: Fraction((-p) ** (n - 1), n),
+              lambda n: Fraction(p ** (n - 1), math.factorial(n)),
+              lambda n: ints[n - 1]]
+    seen = set()
+    for _ in range(12):
+        x = random_vector(R, p, L, rng, rng.choice([1, p]))
+        coeff = rng.choice(series)
+        bound = rng.choice([1, 2, n_p, n_p + 2])
+        got = outcome(witt_series_eval, coeff, x, bound)
+        assert got == outcome(series_by_steps, coeff, x, bound, n_p)
+        seen.add(got is DoesNotConverge)
+    assert seen == {False, True}  # sums and non-vanishing tails both ran
+    a = sample_gdr(R, p, L, rng)
+    assert f_log(a) == series_by_steps(
+        lambda n: Fraction((-p) ** (n - 1), n), a.x, n_p + 2, n_p)
+
+
+def test_series_tail_that_does_not_vanish_raises():
+    R, p = ModP(3, 4), 3
+    one = teichmuller(R, p, 3, R.one)
+    with pytest.raises(DoesNotConverge):
+        witt_series_eval(lambda n: 1, one, 6)
+    # each of the two tail terms is certified on its own
+    x = WittVector(R, p, [3, 0, 0])  # x^n = 0 from n = 4 on
+    for bound, zero_at in ((4, 3), (5, 5)):
+        coeff = lambda n, z=zero_at: 0 if n == z else 1  # noqa: E731
+        assert witt_series_eval(coeff, x, bound + 1) == series_by_steps(
+            coeff, x, bound + 1, 4)
+        with pytest.raises(DoesNotConverge):
+            witt_series_eval(coeff, one, bound)
+        with pytest.raises(DoesNotConverge):
+            series_by_steps(coeff, one, bound, 4)
+    with pytest.raises(DoesNotConverge, match="not p-integral"):
+        witt_series_eval(lambda n: Fraction(1, 3), x, 6)
+
+
+@pytest.mark.parametrize("p,L,n_p", MODP_CELLS)
+def test_eigen_geometric_group_law_and_h_match_steps(p, L, n_p):
+    rng = random.Random(p * 1000 + L * 10 + n_p)
+    R = ModP(p, n_p)
+    for _ in range(6):
+        x = random_vector(R, p, L, rng)
+        y = sample_eigen(R, p, L, rng)
+        assert is_eigen(y) and is_eigen_by_steps(y)
+        assert is_eigen(x) == is_eigen_by_steps(x)
+        assert v_geometric(x) == v_geometric_by_steps(x)
+        a, b = sample_gdr(R, p, L, rng), sample_gdr(R, p, L, rng)
+        assert gdr_op(a, b).x == gdr_op_by_steps(a.x, b.x)
+        assert gdr_op(GdRPoint(x, check=False), b).x == gdr_op_by_steps(x, b.x)
+        rep = frob_power_identity(a)
+        assert rep["ok"] and rep["h"] == frob_power_h_by_steps(a.x)
+        assert frob_power_identity(GdRPoint(x, check=False))["h"] == \
+            frob_power_h_by_steps(x)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_char_p_forms_match_steps(p):
+    R = fp_poly_ring(p, 3)
+    rng = random.Random(p)
+    for _ in range(20):
+        x = WittVector(R, p, [R.rand(rng) for _ in range(3)])
+        k = sample_f_kernel(R, p, 3, rng)
+        for v in (x, k):
+            assert is_eigen(v) == is_eigen_by_steps(v)
+            assert v_geometric(v) == v_geometric_by_steps(v)
+
+
+def test_high_precision_round_trip():
+    # p = 3, n_p = 40, L = 4: the series runs to 42 terms
+    R, p, L = ModP(3, 40), 3, 4
+    rng = random.Random(40)
+    for _ in range(3):
+        a = sample_gdr(R, p, L, rng)
+        y = f_log(a)
+        assert is_eigen(y) and g_exp(y) == a
+        assert y == series_by_steps(lambda n: Fraction((-p) ** (n - 1), n),
+                                    a.x, 42, 40)
