@@ -202,7 +202,8 @@ def from_ghost(ring, p, ghosts) -> WittVector:
     return _solve_in_cover(WittVector(ring, p, ()), _cover(ring), ghosts)
 
 
-# (ring, p, L) -> the bounded lift of _bounded_lift, or None
+# (ring, p, L) -> the bounded lift of _bounded_lift, or None; two threads
+# that miss at once build equal entries, so no lock is needed
 _bounded_cache: dict = {}
 
 
