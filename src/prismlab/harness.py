@@ -43,8 +43,9 @@ from .intpoly import (delta_basis_combine, delta_basis_expand, gen_binom,
 from .pd_dual import (delta_to_e, distr_mul, exact_sequence_check,
                       gsharp_comparison, log_sharp_power, mu_p_pd_check,
                       pair_distr, pair_xu, PDElem, stirling_first)
-from .qhopf import (adams, b0_coproduct, b0_delta, b0_from_filtration, b0_mul,
-                    b0_to_int_h, B0Elem, QH, structure_constants, v_scalar)
+from .qhopf import (_c_monomial, _from_monomial, adams, b0_coproduct,
+                    b0_delta, b0_from_filtration, b0_mul, b0_to_int_h, B0Elem,
+                    QH, QHT, structure_constants, v_scalar)
 from .qprism import (canonical_point, derham_specialization_of_x0,
                      equivariance_report, factorization_identity,
                      frobenius_of_point, gq_at_q1_matches_derham, gq_op,
@@ -485,10 +486,12 @@ def suite_intpoly_delta_basis(cfg, out):
 
 @suite("qhopf.structure_constants", "Prop p:G=Spec B_0")
 def suite_qhopf_structure(cfg, out):
+    # the closed form against elimination of the monomial-form product
     out.check("qhopf.structure_constants.integral_12", all(
-        QH.is_zero(g) or all(f.denominator == 1 for f in g)
-        for m in range(7) for n in range(m, 13 - m)
-        for g in structure_constants(m, n)))
+        structure_constants(m, n) == _from_monomial(
+            QHT.mul(_c_monomial(m), _c_monomial(n))) and
+        all(f.denominator == 1 for g in structure_constants(m, n) for f in g)
+        for m in range(7) for n in range(m, 13 - m)))
 
     def at_h1(x):
         return sum((IntPoly.basis(n).scale(int(c[0] if c else 0))

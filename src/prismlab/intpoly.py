@@ -1,11 +1,16 @@
 """Integer-valued polynomials in the binomial basis.
 
 An element is a finite integer vector (a_0, ..., a_d) standing for
-sum a_n * C(u, n).  Monomial form over Q exists only transiently, for
-multiplication, lambda-operations and the delta operator.
+sum a_n * C(u, n).  Products use the Vandermonde constants of the basis
+(`vandermonde`).  Powers, lambda-operations and the delta operator work in
+value space: an element of degree <= D is fixed by its values at 0..D, the
+operation is integer work per value, and the coordinates are read back as
+forward differences at 0.  Monomial form over Q is kept for the oracle
+`int_mul_rational` and for the delta-basis expansion.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,10 +101,9 @@ class IntPoly:
         return IntPoly(tuple(n * a for a in self.coords))
 
     def __pow__(self, n: int) -> "IntPoly":
-        acc = IntPoly.from_int(1)
-        for _ in range(n):
-            acc = acc * self
-        return acc
+        if n < 0:
+            raise ValueError("negative powers not supported")
+        return _pointwise(self, n, lambda v: v ** n)
 
     def __repr__(self):
         if not self.coords:
@@ -140,23 +144,41 @@ def _shift_one(poly: tuple) -> tuple:
     return R.subst(poly, R.make([Fraction(1), Fraction(1)]))
 
 
+@functools.lru_cache(maxsize=None)
+def vandermonde(m: int, n: int) -> tuple:
+    """((k, C(k, m) C(m, m+n-k)) for max(m, n) <= k <= m+n): the constants of
+    C(u, m) C(u, n) = sum_k C(k, m) C(m, m+n-k) C(u, k)."""
+    return tuple((k, math.comb(k, m) * math.comb(m, m + n - k))
+                 for k in range(max(m, n), m + n + 1))
+
+
 def int_mul(a: IntPoly, b: IntPoly) -> IntPoly:
-    # Vandermonde-type structure constants: C(u,m) C(u,n) =
-    # sum_k C(k,m) C(m, m+n-k) C(u,k); integer arithmetic throughout,
-    # and int_mul_rational below is the independent oracle
-    out: dict = {}
+    # integer arithmetic throughout; int_mul_rational is the oracle
+    out = [0] * (len(a.coords) + len(b.coords) - 1)
     for m, am in enumerate(a.coords):
-        if not am:
-            continue
-        for n, bn in enumerate(b.coords):
-            if not bn:
-                continue
-            for k in range(max(m, n), m + n + 1):
-                c = math.comb(k, m) * math.comb(m, m + n - k)
-                if c:
-                    out[k] = out.get(k, 0) + am * bn * c
-    size = max(out, default=-1) + 1
-    return IntPoly(tuple(out.get(i, 0) for i in range(size)))
+        if am:
+            for n, bn in enumerate(b.coords):
+                if bn:
+                    c = am * bn
+                    for k, g in vandermonde(m, n):
+                        out[k] += c * g
+    return IntPoly(tuple(out))
+
+
+def _pointwise(x: IntPoly, n: int, f) -> IntPoly:
+    """The element of degree <= n deg(x) whose value at m is f(x(m))."""
+    vals = [0] * (n * max(x.degree(), 0) + 1)
+    # the values of Delta^i x from those of Delta^(i+1) x and Delta^i x(0)
+    for a in reversed(x.coords):
+        acc = a
+        for m, v in enumerate(vals):
+            vals[m], acc = acc, acc + v
+    vals = [f(v) for v in vals]
+    coords = []
+    while vals:
+        coords.append(vals[0])
+        vals = [b - a for a, b in zip(vals, vals[1:])]
+    return IntPoly(tuple(coords))
 
 
 def int_mul_rational(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -166,12 +188,9 @@ def int_mul_rational(a: IntPoly, b: IntPoly) -> IntPoly:
 
 def lambda_op(n: int, x: IntPoly) -> IntPoly:
     """lambda_n(x) = x(x-1)...(x-n+1)/n!, integer-valued by Wilkerson."""
-    R = _RATPOLY
-    fx = x.to_rational()
-    acc = R.one
-    for i in range(n):
-        acc = R.mul(acc, R.sub(fx, R.make([Fraction(i)])))
-    return to_binomial(tuple(c / math.factorial(n) for c in acc))
+    if n < 0:
+        raise ValueError("lambda operations are indexed by n >= 0")
+    return _pointwise(x, n, lambda v: gen_binom(v, n))
 
 
 def adams(n: int, x: IntPoly) -> IntPoly:
@@ -180,12 +199,15 @@ def adams(n: int, x: IntPoly) -> IntPoly:
 
 
 def delta_p(x: IntPoly, p: int) -> IntPoly:
-    """delta(x) = (x - x^p)/p; integrality is the Frobenius-fixed-point fact
-    and the conversion would fail loudly if it broke."""
-    R = _RATPOLY
-    fx = x.to_rational()
-    num = R.sub(fx, R.pow(fx, p))
-    return to_binomial(tuple(c / p for c in num))
+    """delta(x) = (x - x^p)/p; integrality is the Frobenius-fixed-point fact,
+    and each value's division fails loudly if it broke."""
+    def delta(v):
+        q, r = divmod(v - v ** p, p)
+        if r:
+            raise NotIntegerValued("%d - %d^%d is not divisible by %d"
+                                   % (v, v, p, p))
+        return q
+    return _pointwise(x, p, delta)
 
 
 def difference(x: IntPoly) -> tuple[IntPoly, int]:
@@ -223,9 +245,6 @@ def _shift_by(x: IntPoly, s: int) -> IntPoly:
 
 def _coords_vanish_mod(x: IntPoly, mod: int) -> bool:
     return all(a % mod == 0 for a in x.coords)
-
-
-import functools
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,24 +1,27 @@
 """The graded Hopf algebra over Z[h] on the q-binomial basis
-c_n = t(t-h)...(t-(n-1)h)/n!, with Adams operations, the delta operator,
-and the comparison with integer-valued polynomials at h = 1.
+c_n = t(t-h)...(t-(n-1)h)/n! = h^n C(t/h, n), with Adams operations, the
+delta operator, and the comparison with integer-valued polynomials at h = 1.
 
-Multiplication goes through a synchronized, append-only structure-constant
-cache; the constants are derived from the product identity
-(1+hz_1)^{t/h} (1+hz_2)^{t/h} = (1+h(z_1+z_2+hz_1z_2))^{t/h} or, concretely,
-by expanding in the monomial form over Q[h,t] and re-expressing in the basis,
-with integrality of every constant asserted.
+Under c_n -> h^n C(u, n) the basis is Int's binomial basis with h-weights,
+so the structure constants are closed forms:
+c_m c_n = sum_k C(k, m) C(m, m+n-k) h^(m+n-k) c_k (the Vandermonde constants
+of `intpoly.vandermonde`) and Delta c_n = sum_{i+j=n} c_i (x) c_j.  The
+monomial form of c_n over Q[h][t] comes from the signed Stirling numbers;
+`_from_monomial` re-expresses a monomial-form element in the basis by
+triangular elimination, which is also the harness's oracle for the closed
+forms.
 """
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intpoly import IntPoly
+from .intpoly import IntPoly, vandermonde
+from .pd_dual import stirling_first
 from .ringcore import (
-    IntRing, PolyQuotRing, PrismlabError, RatRing, Ring, TruncSeries,
-    q_number,
+    IntRing, PolyQuotRing, PrismlabError, RatRing, Ring, q_number,
 )
 
 
@@ -34,23 +37,20 @@ ZH = PolyQuotRing(IntRing(), None, "h")
 QH = PolyQuotRing(RatRing(), None, "h")
 QHT = PolyQuotRing(QH, None, "t")
 
-_c_mono: list = [QHT.one]
 _gamma_cache: dict = {}
-_coproduct_cache: dict = {}
-_cache_lock = threading.Lock()
 
 
+def _h_monomial(c, j: int) -> tuple:
+    """c h^j in Q[h] for a rational c."""
+    return (QH.scalar.zero,) * j + (Fraction(c),) if c else QH.zero
+
+
+@functools.lru_cache(maxsize=None)
 def _c_monomial(n: int) -> tuple:
-    """c_n in monomial form over Q[h][t]."""
-    with _cache_lock:
-        while len(_c_mono) <= n:
-            k = len(_c_mono) - 1
-            # c_{k+1} = c_k (t - k h) / (k+1)
-            factor = QHT.make([QH.make([Fraction(0), Fraction(-k)]), QH.one])
-            nxt = QHT.mul(_c_mono[k], factor)
-            inv = QHT.inv_int(k + 1)
-            _c_mono.append(QHT.mul(nxt, inv))
-    return _c_mono[n]
+    """c_n in monomial form over Q[h][t]: sum_k s(n, k) t^k h^(n-k) / n!."""
+    nf = math.factorial(n)
+    return QHT.make([_h_monomial(Fraction(stirling_first(n, k), nf), n - k)
+                     for k in range(n + 1)])
 
 
 def _from_monomial(P: tuple) -> tuple:
@@ -72,21 +72,16 @@ def _from_monomial(P: tuple) -> tuple:
 
 
 def structure_constants(m: int, n: int) -> tuple:
-    """gamma^k_{mn}(h) with c_m c_n = sum_k gamma^k_{mn} c_k, integral."""
+    """gamma^k_{mn}(h) with c_m c_n = sum_k gamma^k_{mn} c_k:
+    gamma^k_{mn} = C(k, m) C(m, m+n-k) h^(m+n-k) for max(m, n) <= k <= m+n."""
     key = (min(m, n), max(m, n))
-    with _cache_lock:
-        hit = _gamma_cache.get(key)
-    if hit is not None:
-        return hit
-    prod = QHT.mul(_c_monomial(key[0]), _c_monomial(key[1]))
-    coords = _from_monomial(prod)
-    for k, c in enumerate(coords):
-        if _qh_integral(c) is None:
-            raise NonIntegralStructureConstant(
-                "gamma^%d_{%d,%d} = %s" % (k, m, n, QH.fmt(c)))
-    with _cache_lock:
-        _gamma_cache[key] = coords
-    return coords
+    hit = _gamma_cache.get(key)
+    if hit is None:
+        coords = [QH.zero] * (m + n + 1)
+        for k, g in vandermonde(*key):
+            coords[k] = _h_monomial(g, m + n - k)
+        hit = _gamma_cache.setdefault(key, tuple(coords))
+    return hit
 
 
 def _qh_integral(c):
@@ -104,8 +99,8 @@ class B0Elem:
     coords: tuple
 
     def __post_init__(self):
-        coords = tuple(tuple(c) for c in self.coords)
-        while coords and QH.is_zero(coords[-1]):
+        coords = tuple(map(QH.make, self.coords))
+        while coords and not coords[-1]:
             coords = coords[:-1]
         object.__setattr__(self, "coords", coords)
 
@@ -162,14 +157,7 @@ class B0Elem:
         return self.scale(QH.make([Fraction(n)]))
 
     def __pow__(self, n: int) -> "B0Elem":
-        acc = B0Elem.from_int(1)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        return _B0.pow(self, n)
 
     @classmethod
     def from_monomial(cls, P: tuple) -> "B0Elem":
@@ -195,81 +183,26 @@ class B0Elem:
 
 
 def b0_mul(a: B0Elem, b: B0Elem) -> B0Elem:
-    out: list = []
+    out = [QH.zero] * (len(a.coords) + len(b.coords) - 1)
+    zero = QH.scalar.zero
     for m, am in enumerate(a.coords):
-        if QH.is_zero(am):
-            continue
-        for n, bn in enumerate(b.coords):
-            if QH.is_zero(bn):
-                continue
-            scale = QH.mul(am, bn)
-            for k, g in enumerate(structure_constants(m, n)):
-                if QH.is_zero(g):
-                    continue
-                while len(out) <= k:
-                    out.append(QH.zero)
-                out[k] = QH.add(out[k], QH.mul(scale, g))
+        if am:
+            for n, bn in enumerate(b.coords):
+                if bn:
+                    scale = QH.mul(am, bn)
+                    # g h^j scale: scale multiplied by g and shifted by j
+                    for k, g in vandermonde(m, n):
+                        term = (zero,) * (m + n - k) + (
+                            scale if g == 1 else tuple([g * x for x in scale]))
+                        out[k] = QH.add(out[k], term)
     return B0Elem(tuple(out))
 
 
 def b0_coproduct(a: B0Elem) -> dict:
-    """{(i, j): Q[h] coefficient} for Delta(a) = sum c_i tensor c_j terms."""
-    out: dict = {}
-    for n, c in enumerate(a.coords):
-        if QH.is_zero(c):
-            continue
-        for (i, j), g in _coproduct_of_basis(n).items():
-            cur = out.get((i, j), QH.zero)
-            cur = QH.add(cur, QH.mul(c, g))
-            if QH.is_zero(cur):
-                out.pop((i, j), None)
-            else:
-                out[(i, j)] = cur
-    return out
-
-
-def _coproduct_of_basis(n: int) -> dict:
-    with _cache_lock:
-        hit = _coproduct_cache.get(n)
-    if hit is not None:
-        return hit
-    # expand c_n(t1 + t2, h) and eliminate against c_i(t1) c_j(t2)
-    t1 = TruncSeries.var(QH, ("t1", "t2"), None, "t1")
-    t2 = TruncSeries.var(QH, ("t1", "t2"), None, "t2")
-    mono = _c_monomial(n)
-    acc = TruncSeries.zero(QH, ("t1", "t2"), None)
-    tsum = t1 + t2
-    power = TruncSeries.one(QH, ("t1", "t2"), None)
-    for i, ci in enumerate(mono):
-        if i:
-            power = power * tsum
-        if not QH.is_zero(ci):
-            acc = acc + power.scale(ci)
-    basis_products: dict = {}
-    out: dict = {}
-    while not acc.is_zero():
-        (i, j) = max(acc.coeffs, key=lambda e: (sum(e), e))
-        lead = acc.coeffs[(i, j)]
-        coord = QH.mul_int(lead, math.factorial(i) * math.factorial(j))
-        if _qh_integral(coord) is None:
-            raise NonIntegralStructureConstant(
-                "coproduct constant at (%d, %d) of c_%d" % (i, j, n))
-        out[(i, j)] = coord
-        key = (i, j)
-        if key not in basis_products:
-            mi, mj = _c_monomial(i), _c_monomial(j)
-            prod = TruncSeries.zero(QH, ("t1", "t2"), None)
-            for a_, ca in enumerate(mi):
-                for b_, cb in enumerate(mj):
-                    c = QH.mul(ca, cb)
-                    if not QH.is_zero(c):
-                        prod = prod + TruncSeries(QH, ("t1", "t2"),
-                                                  {(a_, b_): c}, None)
-            basis_products[key] = prod
-        acc = acc - basis_products[key].scale(coord)
-    with _cache_lock:
-        _coproduct_cache[n] = out
-    return out
+    """{(i, j): Q[h] coefficient} for Delta(a) = sum c_i tensor c_j terms;
+    Delta c_n = sum_{i+j=n} c_i tensor c_j."""
+    return {(i, n - i): c for n, c in enumerate(a.coords) if c
+            for i in range(n, -1, -1)}
 
 
 def v_scalar(n: int) -> tuple:
@@ -393,3 +326,6 @@ class B0Ring(Ring):
 
     def __hash__(self):
         return hash(("B0Ring", self.rational))
+
+
+_B0 = B0Ring()

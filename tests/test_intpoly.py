@@ -1,12 +1,15 @@
 import random
 
+import math
+
 import pytest
 from fractions import Fraction
+from hypothesis import example, given, settings, strategies as st
 
 from prismlab.intpoly import (
-    IntPoly, NotIntegerValued, adams, binom_poly,
+    _RATPOLY, IntPoly, NotIntegerValued, adams, binom_poly,
     delta_basis_combine, delta_basis_expand, delta_p, difference, gen_binom,
-    int_mul, lambda_op, mahler_table, to_binomial,
+    int_mul, lambda_op, mahler_table, to_binomial, vandermonde,
 )
 
 
@@ -196,3 +199,67 @@ def test_delta_basis_roundtrip():
             assert delta_basis_combine(coords, p) == x.to_rational()
             for c in coords.values():
                 assert c.denominator % p != 0
+
+
+# The Fraction monomial route, the reference for the value-space operations:
+# compute over Q[u] and convert back through finite differences.
+
+def _pow_rational(x, n):
+    return to_binomial(_RATPOLY.pow(x.to_rational(), n))
+
+
+def _lambda_rational(n, x):
+    R, fx = _RATPOLY, x.to_rational()
+    acc = R.one
+    for i in range(n):
+        acc = R.mul(acc, R.sub(fx, R.make([Fraction(i)])))
+    return to_binomial(tuple(c / math.factorial(n) for c in acc))
+
+
+def _delta_rational(x, p):
+    R, fx = _RATPOLY, x.to_rational()
+    return to_binomial(tuple(c / p for c in R.sub(fx, R.pow(fx, p))))
+
+
+int_polys = st.builds(IntPoly, st.lists(st.integers(-30, 30), max_size=6)
+                      .map(tuple))
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=int_polys, n=st.integers(0, 4))
+@example(x=IntPoly(()), n=0)
+@example(x=IntPoly(()), n=3)
+@example(x=IntPoly((-7,)), n=0)
+@example(x=IntPoly((-7,)), n=3)
+@example(x=IntPoly((0, 1)), n=4)
+def test_value_space_pow_and_lambda_match_monomial_route(x, n):
+    assert x ** n == _pow_rational(x, n)
+    assert lambda_op(n, x) == _lambda_rational(n, x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=int_polys, p=st.sampled_from((2, 3, 5)))
+@example(x=IntPoly(()), p=2)
+@example(x=IntPoly((5,)), p=3)
+@example(x=IntPoly((-4,)), p=5)
+@example(x=IntPoly((0, 0, 0, 0, 0, 1)), p=5)
+def test_value_space_delta_matches_monomial_route(x, p):
+    assert delta_p(x, p) == _delta_rational(x, p)
+
+
+def test_vandermonde_constants():
+    # C(u,m) C(u,n) = sum_k g_k C(u,k), checked on values at 0..m+n
+    for m in range(7):
+        for n in range(7):
+            consts = vandermonde(m, n)
+            assert [k for k, _ in consts] == list(range(max(m, n), m + n + 1))
+            for v in range(m + n + 1):
+                assert math.comb(v, m) * math.comb(v, n) == sum(
+                    g * math.comb(v, k) for k, g in consts)
+
+
+def test_negative_exponents_raise():
+    with pytest.raises(ValueError):
+        IntPoly((0, 1)) ** -1
+    with pytest.raises(ValueError):
+        lambda_op(-1, IntPoly((0, 1)))

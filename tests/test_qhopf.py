@@ -1,12 +1,14 @@
+import math
 import random
 
 import pytest
 from fractions import Fraction
 
+from prismlab.harness import SuiteConfig, run
 from prismlab.intpoly import IntPoly, int_mul
 from prismlab.qhopf import (
-    QH, B0Elem, B0Ring, DegreeExceedsFiltration, adams, b0_coproduct,
-    b0_delta, b0_from_filtration, b0_mul, b0_to_int_h,
+    QH, QHT, B0Elem, B0Ring, DegreeExceedsFiltration, _c_monomial, adams,
+    b0_coproduct, b0_delta, b0_from_filtration, b0_mul, b0_to_int_h,
 )
 
 
@@ -32,21 +34,56 @@ def test_c1_c2():
     assert got == B0Elem((QH.zero, QH.zero, H(0, 2), H(3)))
 
 
-def test_h1_specialization_matches_intpoly():
-    rng = random.Random(0)
-    for _ in range(10):
-        a = B0Elem(tuple(H(rng.randrange(-3, 4)) for _ in range(4)))
-        b = B0Elem(tuple(H(rng.randrange(-3, 4)) for _ in range(4)))
-        prod = b0_mul(a, b)
+def test_structure_constant_and_adams_checks_pass():
+    # the harness checks qhopf.h1_matches_int, qhopf.adams.ring_hom and
+    # qhopf.adams.semigroup (among others) at their documented trial counts
+    report, code = run(SuiteConfig(suite="criteria.6"))
+    ids = {c["id"] for c in report["checks"]}
+    assert {"qhopf.structure_constants.integral_12", "qhopf.h1_matches_int",
+            "qhopf.adams.ring_hom", "qhopf.adams.semigroup",
+            "qhopf.adams.coproduct"} <= ids
+    assert code == 0, [c for c in report["checks"] if c["status"] != "pass"]
 
-        def at_h1(x):
-            out = IntPoly(())
-            for n, c in enumerate(x.specialize_h(Fraction(1))):
-                v = c[0] if c else Fraction(0)
-                out = out + IntPoly.basis(n).scale(int(v))
-            return out
 
-        assert at_h1(prod) == int_mul(at_h1(a), at_h1(b))
+def test_c_monomial_is_the_falling_product():
+    # c_n = t(t-h)...(t-(n-1)h)/n!, multiplied out in Q[h][t]
+    prod = QHT.one
+    for n in range(13):
+        assert repr(_c_monomial(n)) == repr(
+            QHT.mul(prod, QHT.inv_int(math.factorial(n))))
+        prod = QHT.mul(prod, QHT.make([H(0, -n), QH.one]))
+
+
+def _at(c, h):
+    """A Q[h] element evaluated at a rational h."""
+    return sum(f * h ** j for j, f in enumerate(c))
+
+
+def _eval_basis(n, x, h):
+    """c_n(x, h) through the monomial form."""
+    return sum(_at(c, h) * x ** k for k, c in enumerate(_c_monomial(n)))
+
+
+def test_coproduct_is_the_addition_formula():
+    # Delta a = sum a_ij c_i (x) c_j means a(x + y) = sum a_ij c_i(x) c_j(y)
+    rng = random.Random(8)
+    elems = [B0Elem.basis(n) for n in range(9)] + [
+        B0Elem(tuple(H(rng.randrange(-3, 4), rng.randrange(-3, 4))
+                     for _ in range(6))) for _ in range(5)]
+    for a in elems:
+        delta = b0_coproduct(a)
+        for h in (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3)):
+            for x, y in ((0, 0), (1, 2), (-3, 5), (4, -1), (7, 6)):
+                lhs = sum(_at(c, h) * _eval_basis(n, x + y, h)
+                          for n, c in enumerate(a.coords))
+                rhs = sum(_at(c, h) * _eval_basis(i, x, h) *
+                          _eval_basis(j, y, h) for (i, j), c in delta.items())
+                assert lhs == rhs, (a, h, x, y)
+
+
+def test_negative_power_raises():
+    with pytest.raises(ValueError):
+        B0Elem.t() ** -1
 
 
 def test_coproduct_primitive_t():
@@ -112,24 +149,6 @@ def test_adams_c2():
     assert lhs == rhs
     # and it agrees with the grading definition: (q+1)^2 c_2
     assert lhs == B0Elem.basis(2).scale(QH.pow(H(2, 1), 2))
-
-
-def test_adams_semigroup():
-    rng = random.Random(1)
-    for _ in range(5):
-        a = B0Elem(tuple(H(rng.randrange(-2, 3), rng.randrange(-2, 3))
-                         for _ in range(3)))
-        assert adams(2, adams(3, a)) == adams(6, a)
-
-
-def test_adams_ring_hom():
-    rng = random.Random(2)
-    for _ in range(5):
-        a = B0Elem(tuple(H(rng.randrange(-2, 3)) for _ in range(3)))
-        b = B0Elem(tuple(H(rng.randrange(-2, 3)) for _ in range(3)))
-        for n in (2, 3, 4):
-            assert adams(n, a * b) == adams(n, a) * adams(n, b)
-            assert adams(n, a + b) == adams(n, a) + adams(n, b)
 
 
 def test_wilkerson_for_b0():
