@@ -527,7 +527,8 @@ def suite_qhopf_adams(cfg, out):
 
     def ring_hom(rng):
         a, b = pair(rng)
-        return all(adams(n, a * b) == adams(n, a) * adams(n, b)
+        return all(adams(n, a * b) == adams(n, a) * adams(n, b) and
+                   adams(n, a + b) == adams(n, a) + adams(n, b)
                    for n in (2, 3, 4))
 
     def semigroup(rng):
