@@ -34,6 +34,23 @@ def test_c1_c2():
     assert got == B0Elem((QH.zero, QH.zero, H(0, 2), H(3)))
 
 
+def test_h1_specialization_matches_intpoly():
+    rng = random.Random(0)
+    for _ in range(10):
+        a = B0Elem(tuple(H(rng.randrange(-3, 4)) for _ in range(4)))
+        b = B0Elem(tuple(H(rng.randrange(-3, 4)) for _ in range(4)))
+        prod = b0_mul(a, b)
+
+        def at_h1(x):
+            out = IntPoly(())
+            for n, c in enumerate(x.specialize_h(Fraction(1))):
+                v = c[0] if c else Fraction(0)
+                out = out + IntPoly.basis(n).scale(int(v))
+            return out
+
+        assert at_h1(prod) == int_mul(at_h1(a), at_h1(b))
+
+
 def test_structure_constant_and_adams_checks_pass():
     # the harness checks qhopf.h1_matches_int, qhopf.adams.ring_hom and
     # qhopf.adams.semigroup (among others) at their documented trial counts
@@ -149,6 +166,24 @@ def test_adams_c2():
     assert lhs == rhs
     # and it agrees with the grading definition: (q+1)^2 c_2
     assert lhs == B0Elem.basis(2).scale(QH.pow(H(2, 1), 2))
+
+
+def test_adams_semigroup():
+    rng = random.Random(1)
+    for _ in range(5):
+        a = B0Elem(tuple(H(rng.randrange(-2, 3), rng.randrange(-2, 3))
+                         for _ in range(3)))
+        assert adams(2, adams(3, a)) == adams(6, a)
+
+
+def test_adams_ring_hom():
+    rng = random.Random(2)
+    for _ in range(5):
+        a = B0Elem(tuple(H(rng.randrange(-2, 3)) for _ in range(3)))
+        b = B0Elem(tuple(H(rng.randrange(-2, 3)) for _ in range(3)))
+        for n in (2, 3, 4):
+            assert adams(n, a * b) == adams(n, a) * adams(n, b)
+            assert adams(n, a + b) == adams(n, a) + adams(n, b)
 
 
 def test_wilkerson_for_b0():
