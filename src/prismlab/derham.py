@@ -16,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .ringcore import (
-    DoesNotConverge, EigenCheckFailed, IdentityFailed, IntModRing, ModP,
-    PrismlabError, newton_inverse,
+    DoesNotConverge, EigenCheckFailed, IdentityFailed, ModP, PrismlabError,
+    _padic_profile, newton_inverse,
 )
 from .witt import (
     WittVector, frobenius, ghost_combine, scalar_mul, teichmuller,
@@ -112,7 +112,7 @@ def witt_series_eval(coeff, x: WittVector, bound: int) -> WittVector:
     p, L = x.p, x.L
     # integer representatives at the ring's precision plus a margin
     # covering scalar-multiplication slack
-    _, n_p = _base_scalar(x.ring)
+    n_p = _padic_profile(x.ring)[1]
     target = ModP(p, n_p + 4)
     cs = []
     for n in range(1, bound + 1):
@@ -128,24 +128,10 @@ def witt_series_eval(coeff, x: WittVector, bound: int) -> WittVector:
     return _witt_poly(cs, x, L)
 
 
-def _base_scalar(ring) -> tuple:
-    """(p, n_p) of a mod-p^n coefficient ring or of its scalar base."""
-    from .ringcore import PolyQuotRing
-    if isinstance(ring, PolyQuotRing):
-        return _base_scalar(ring.scalar)
-    if not isinstance(ring, IntModRing) or ring.p is None:
-        raise DoesNotConverge("de Rham maps run over Z/p^n coefficients")
-    n_p, m = 0, ring.m
-    while m % ring.p == 0:
-        m //= ring.p
-        n_p += 1
-    return ring.p, n_p
-
-
 def f_log(a: GdRPoint) -> WittVector:
     """p^{-1} log(1 + px) evaluated in the Witt ring; lands in {Fy = py}."""
     x = a.x
-    p, n_p = _base_scalar(x.ring)
+    p, n_p, _ = _padic_profile(x.ring)
     y = witt_series_eval(lambda n: Fraction((-p) ** (n - 1), n), x, n_p + 2)
     if not is_eigen(y):
         raise EigenCheckFailed("f_log output broke F y = p y")
@@ -165,7 +151,7 @@ def g_exp(y: WittVector) -> GdRPoint:
     """(exp(py) - 1)/p, defined only on certified {Fy = py} points."""
     if not is_eigen(y):
         raise EigenCheckFailed("g_exp needs Fy = py")
-    p, n_p = _base_scalar(y.ring)
+    p, n_p, _ = _padic_profile(y.ring)
     import math
     x = witt_series_eval(lambda n: Fraction(p ** (n - 1), math.factorial(n)),
                          y, n_p + 2)
@@ -218,7 +204,7 @@ def sample_gdr(ring, p, L, rng, tries: int = 64) -> GdRPoint:
     """Random point: pick a unit u in 1 + pA and solve p . x = [u] - 1
     triangularly, choosing p-adic digit branches at random."""
     one = teichmuller(ring, p, L, ring.one)
-    _, n_p = _base_scalar(ring)
+    n_p = _padic_profile(ring)[1]
     for _ in range(tries):
         u = ring.from_int(1 + p * rng.randrange(p ** (n_p - 1)))
         target = witt_sub(teichmuller(ring, p, L, u), one)
@@ -232,13 +218,13 @@ def _solve_scalar_p(target: WittVector, rng):
     """Solve p . x = target for x, one component at a time; (p.x)_i is
     p x_i plus a polynomial in earlier components."""
     ring, p, L = target.ring, target.p, target.L
-    _, n_p = _base_scalar(ring)
+    n_p = _padic_profile(ring)[1]
     comps = []
     for i in range(L):
         partial = WittVector(ring, p, comps + [ring.zero] * (L - i))
         base = scalar_mul(p, partial).components[i]
         resid = ring.sub(target.components[i], base)
-        inv = _divide_by_p(ring, resid, p, n_p)
+        inv = _divide_by_p(ring, resid, p)
         if inv is None:
             return None
         comps.append(ring.add(inv, ring.from_int(
@@ -249,19 +235,18 @@ def _solve_scalar_p(target: WittVector, rng):
     return x
 
 
-def _divide_by_p(ring, value, p, n_p):
-    if isinstance(ring, IntModRing) and isinstance(value, int):
-        v = value % ring.m
-        if v % p:
-            return None
-        return (v // p) % ring.m
-    return None
+def _divide_by_p(ring, value, p):
+    """A solution x of p x = value, divided on the ring's integral lift
+    and reduced back, or None."""
+    lring, up, down = ring.lifted()
+    q = lring.div_int_exact(up(value), p)
+    return None if q is None else down(q)
 
 
 def sample_eigen(ring, p, L, rng, tries: int = 64) -> WittVector:
     """Random y with Fy = py: solve F(y) - p.y = 0 triangularly; y_{i+1}
     enters the i-th equation linearly with coefficient p."""
-    _, n_p = _base_scalar(ring)
+    n_p = _padic_profile(ring)[1]
     for _ in range(tries):
         comps = [ring.mul_int(ring.from_int(rng.randrange(p ** (n_p - 1))), p)]
         ok = True
@@ -270,7 +255,7 @@ def sample_eigen(ring, p, L, rng, tries: int = 64) -> WittVector:
             lhs = frobenius(partial).components[i]
             rhs = scalar_mul(p, partial).components[i]
             resid = ring.sub(rhs, lhs)
-            div = _divide_by_p(ring, resid, p, n_p)
+            div = _divide_by_p(ring, resid, p)
             if div is None:
                 ok = False
                 break

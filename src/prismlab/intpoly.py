@@ -34,8 +34,9 @@ def gen_binom(m: int, n: int) -> int:
     return (-1) ** n * math.comb(n - m - 1, n)
 
 
+@functools.lru_cache(maxsize=None)
 def binom_poly(n: int) -> tuple:
-    """C(u, n) = u(u-1)...(u-n+1)/n! as a rational polynomial."""
+    """C(u, n) = u(u-1)...(u-n+1)/n! as a rational polynomial, memoized."""
     R = _RATPOLY
     out = R.one
     for i in range(n):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intpoly import gen_binom
+from .intpoly import binom_poly, gen_binom
 from .ringcore import (
     CyclotomicRing, IntRing, PolyQuotRing, PrismlabError, RatRing,
     TruncSeries, padic_log, q_element, series_log,
@@ -241,7 +241,6 @@ def stirling_first(n: int, k: int) -> int:
 
 def mu_p_pd_check(p: int, trials: int, rng) -> dict:
     """In Z[x]/(x^p - 1): f in (x-1) implies f^p in p (x-1)."""
-    R = PolyQuotRing(IntRing(), None, "x")
     modulus = tuple([-1] + [0] * (p - 1) + [1])
     Rq = PolyQuotRing(IntRing(), modulus, "x")
     xm1 = Rq.make_ints([-1, 1])
@@ -256,7 +255,6 @@ def mu_p_pd_check(p: int, trials: int, rng) -> dict:
         quot = tuple(c // p for c in fp)
         if sum(quot) != 0:  # evaluation at x = 1 detects (x-1)-membership
             failures.append(Rq.fmt(f))
-    _ = R
     return {"trials": trials, "failures": failures}
 
 
@@ -369,7 +367,7 @@ def exact_sequence_check(p: int, n_p: int, N: int) -> dict:
     u = QU.make([Fraction(0), Fraction(1)])
     # x^u = sum C(u,n) w^n with w = x - 1
     xu = TruncSeries(QU, ("w",), {
-        (n,): _binom_u(QU, n) for n in range(N + 1)}, N)
+        (n,): binom_poly(n) for n in range(N + 1)}, N)
     log_xu = series_log(xu)
     w = TruncSeries.var(QU, ("w",), N, "w")
     one = TruncSeries.one(QU, ("w",), N)
@@ -399,10 +397,3 @@ def exact_sequence_check(p: int, n_p: int, N: int) -> dict:
          (1 if i == j else 0)) for i in range(N + 1) for j in range(N + 1))
     out["exp_pairing"] = ok and matrix_ok
     return out
-
-
-def _binom_u(QU, n: int) -> tuple:
-    acc = QU.one
-    for i in range(n):
-        acc = QU.mul(acc, QU.make([Fraction(-i), Fraction(1)]))
-    return tuple(c / math.factorial(n) for c in acc)

@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 from .qhopf import _c_monomial, _from_monomial
 from .ringcore import (
-    CyclotomicRing, IdentityFailed, IntModRing, PolyQuotRing, PrismlabError,
-    QSeriesRing, RatRing, TruncSeries, h_element, q_element, q_number,
+    CyclotomicRing, IdentityFailed, PolyQuotRing, PrismlabError, QSeriesRing,
+    RatRing, TruncSeries, _padic_profile, h_element, q_element, q_number,
     valuation,
 )
 from .witt import (
@@ -362,12 +362,6 @@ class GQPoint:
         return "GQ(%r)" % (self.x,)
 
 
-def _p_of(ring) -> int:
-    scalar = ring.scalar
-    assert isinstance(scalar, IntModRing)
-    return scalar.p
-
-
 def phi_teich_vector(ring, p, L) -> WittVector:
     """Phi_p([q]) = 1 + [q] + ... + [q^(p-1)] in W(ring)."""
     q = q_element(ring)
@@ -468,7 +462,7 @@ def q_log(a: GQPoint, n_p: int, n_q: int) -> tuple:
     and is returned together with its output ring at that precision.
     """
     ring = a.x.ring
-    p = _p_of(ring)
+    p = _padic_profile(ring)[0]
     rring, to_rat, _ = ring.rational_cover()
     U = to_rat(gq_to_unit(a))
     # log(U): U - 1 is in (p, h), so v_p of the n-th term grows like

@@ -567,50 +567,25 @@ class PolyQuotRing(Ring):
         return newton_inverse(a, self._strip([inv0]), self.one, self.mul,
                               self.sub, self.deg.bit_length())
 
+    def _over(self, scalar) -> "PolyQuotRing":
+        return PolyQuotRing(scalar, self.modulus, self.var)
+
+    def _image(self, a, fn):
+        """The element with coefficients fn(c) for those c of a, or None."""
+        out = _images(fn, a)
+        return None if out is None else self._strip(out)
+
     def div_int_exact(self, a, n):
-        out = []
-        for c in a:
-            q = self.scalar.div_int_exact(c, n)
-            if q is None:
-                return None
-            out.append(q)
-        return self._strip(out)
+        return self._image(a, lambda c: self.scalar.div_int_exact(c, n))
 
     def from_rational(self, x):
-        out = []
-        for c in x:
-            img = self.scalar.from_rational(c)
-            if img is None:
-                return None
-            out.append(img)
-        return self._strip(out)
+        return self._image(x, self.scalar.from_rational)
 
     def rationalized(self):
-        base = self.scalar.rationalized()
-        if base is None:
-            return None
-        rat_scalar, to_rat, _ = base
-        rring = PolyQuotRing(rat_scalar, self.modulus, self.var)
-
-        def up(a):
-            return rring._strip([to_rat(c) for c in a])
-
-        return rring, up, self.from_rational
+        return _coefficientwise(self, self.scalar.rationalized())
 
     def lifted(self):
-        base = self.scalar.lifted()
-        if base is None:
-            return None
-        lift_scalar, up, down = base
-        lring = PolyQuotRing(lift_scalar, self.modulus, self.var)
-
-        def lift(a):
-            return lring._strip([up(c) for c in a])
-
-        def reduce(a):
-            return self._strip([down(c) for c in a])
-
-        return lring, lift, reduce
+        return _coefficientwise(self, self.scalar.lifted())
 
     def rand(self, rng):
         n = self.deg if self.deg is not None else rng.randrange(1, 4)
@@ -652,6 +627,30 @@ class PolyQuotRing(Ring):
 
     def __hash__(self):
         return hash(("PolyQuot", self.scalar, self.modulus, self.var))
+
+
+def _images(fn, items):
+    """[fn(c) for c in items], or None as soon as some fn(c) is None."""
+    out = []
+    for c in items:
+        img = fn(c)
+        if img is None:
+            return None
+        out.append(img)
+    return out
+
+
+def _coefficientwise(ring, base):
+    """(ring over R, up, down) for base = (R, up, down) of the coefficient
+    ring of a PolyQuotRing or SeriesCoeffRing, mapping coefficient by
+    coefficient (down gives None where a coefficient has no image); None
+    without base.  This builds both rationalized() and lifted()."""
+    if base is None:
+        return None
+    cring, up, down = base
+    over = ring._over(cring)
+    return (over, lambda a: over._image(a, up),
+            lambda a: ring._image(a, down))
 
 
 # --- the integer kernel behind mul over Q ----------------------------------
@@ -828,48 +827,30 @@ class SeriesCoeffRing(Ring):
             acc = self.base.add(acc, term)
         return acc
 
-    def rationalized(self):
-        rat = self.base.rationalized()
-        if rat is None:
-            return None
-        rbase, to_rat, from_rat = rat
-        rring = SeriesCoeffRing(rbase, self.variables, self.order)
+    def _over(self, base) -> "SeriesCoeffRing":
+        return SeriesCoeffRing(base, self.variables, self.order)
 
-        def up(a):
-            return a.map_coeffs(to_rat, rbase)
-
-        def down(a):
-            out = {}
-            for e, c in a.coeffs.items():
-                img = from_rat(c)
-                if img is None:
-                    return None
-                out[e] = img
-            return TruncSeries(self.base, self.variables, out, self.order)
-
-        return rring, up, down
+    def _image(self, a, fn):
+        """The series with coefficients fn(c) for those c of a, or None."""
+        out = _images(fn, a.coeffs.values())
+        return None if out is None else TruncSeries(
+            self.base, self.variables, dict(zip(a.coeffs, out)), self.order)
 
     def inv_int(self, n):
         inv = self.base.inv_int(n)
         return None if inv is None else self._const(inv)
 
     def div_int_exact(self, a, n):
-        out = {}
-        for e, c in a.coeffs.items():
-            q = self.base.div_int_exact(c, n)
-            if q is None:
-                return None
-            out[e] = q
-        return TruncSeries(self.base, self.variables, out, self.order)
+        return self._image(a, lambda c: self.base.div_int_exact(c, n))
 
     def from_rational(self, x):
-        out = {}
-        for e, c in x.coeffs.items():
-            img = self.base.from_rational(c)
-            if img is None:
-                return None
-            out[e] = img
-        return TruncSeries(self.base, self.variables, out, self.order)
+        return self._image(x, self.base.from_rational)
+
+    def rationalized(self):
+        return _coefficientwise(self, self.base.rationalized())
+
+    def lifted(self):
+        return _coefficientwise(self, self.base.lifted())
 
     def rand(self, rng):
         return TruncSeries(self.base, self.variables,
@@ -1261,14 +1242,16 @@ def padic_log(u: TruncSeries, n_terms: int | None = None) -> TruncSeries:
 
 
 def _log_term_bound(ring) -> int | None:
-    """Terms needed for log series stabilization at the ring's precision.
+    """Terms needed for log series stabilization at the ring's precision,
+    None on a ring with no p-adic modulus.
 
     Decay model: the n-th term (u-1)^n / n gains at least n/(p-1) in the
     (p, q-1, zeta-1)-adic filtration and loses v_p(n); the bound makes the
     net gain exceed the stored precision for every later term.
     """
-    p, n_p, extra = _padic_profile(ring)
-    if p is None:
+    try:
+        p, n_p, extra = _padic_profile(ring)
+    except DoesNotConverge:
         return None
     target = n_p + extra
     n = 1
@@ -1279,15 +1262,13 @@ def _log_term_bound(ring) -> int | None:
         n += 1
 
 
-def _padic_profile(ring):
-    """(p, n_p, extra_steps) if the ring is a mod-p^n quotient, else Nones."""
-    if isinstance(ring, IntModRing):
-        if ring.p is None:
-            return None, None, None
-        return ring.p, valuation(ring.m, ring.p), 0
-    if isinstance(ring, PolyQuotRing):
-        p, n_p, extra = _padic_profile(ring.scalar)
-        if p is None:
-            return None, None, None
-        return p, n_p, extra + (ring.deg or 0)
-    return None, None, None
+def _padic_profile(ring) -> tuple:
+    """(p, n_p, extra_steps) of a mod-p^n quotient: Z/m with its prime p
+    and n_p = v_p(m), or a PolyQuotRing over one, each of whose degrees
+    adds extra steps.  DoesNotConverge on a ring with no p-adic modulus."""
+    scalar, extra = ring, 0
+    while isinstance(scalar, PolyQuotRing):
+        scalar, extra = scalar.scalar, extra + (scalar.deg or 0)
+    if not isinstance(scalar, IntModRing) or scalar.p is None:
+        raise DoesNotConverge("%s carries no p-adic modulus" % ring)
+    return scalar.p, valuation(scalar.m, scalar.p), extra

@@ -1,17 +1,19 @@
 """p-typical and big Witt vectors.
 
 Every Witt operation, p-typical or big, is one ghost solve through one
-dispatch (`_via_ghosts`, public as `ghost_combine` for whole expressions):
-over the ring itself when it divides exactly, else over its
-rationalization, else over a lift reduced back, with integrality
-certificates.  A p-typical vector of length L over Z/m with p | m, or over
-a polynomial ring over it, lifts to Z/(m p^(L-1)): since a = b mod p^k
-gives a^(p^j) = b^(p^j) mod p^(k+j), that bounded lift solves exactly mod m
-with integers below m p^(L-1) (`_bounded_lift`).  Other torsion rings lift
-to Z.  Solving from given ghosts (`from_ghost`,
-`from_ghost_big`) runs over `Ring.rational_cover`.  Memoized universal
-polynomial tables serve p-typical vectors over rings with none of these,
-and over Z the two must agree (`verify --suite witt.universal`).
+dispatch (`ghost_combine`, which also runs whole expressions): over the
+ring itself when it divides exactly, else over its rationalization, else
+over a lift reduced back, with integrality certificates.  A p-typical
+vector of length L over Z/m with p | m, or over a polynomial ring over it,
+lifts to Z/(m p^(L-1)): since a = b mod p^k gives a^(p^j) = b^(p^j) mod
+p^(k+j), that bounded lift solves exactly mod m with integers below
+m p^(L-1) (`_bounded_lift`).  Other torsion rings, the F_p series ring of
+`derham.generic_vector` among them, lift to Z.  Solving from given ghosts
+(`from_ghost`, `from_ghost_big`) runs over `Ring.rational_cover`.  The
+memoized universal polynomial tables, evaluated in the coefficient ring
+with no lift, are an oracle only (`witt_op_universal`): no operation falls
+back to them, and over Z the two must agree (`verify --suite
+witt.universal`).
 """
 from __future__ import annotations
 
@@ -93,7 +95,7 @@ class WittVector:
     def __repr__(self):
         return "W(%s)" % ", ".join(self.ring.fmt(c) for c in self.components)
 
-    # the three hooks of the ghost dispatch _via_ghosts
+    # the three hooks of the ghost dispatch ghost_combine
 
     def _ghosts(self) -> list:
         return ghost_in_ring(self)
@@ -175,8 +177,8 @@ def ghost(w):
     would depend on the lift chosen."""
     rat = w.ring.rationalized()
     if rat is None:
-        raise NonIntegralGhost("ring %s has no fraction cover; "
-                               "use the universal backend" % w.ring)
+        raise NonIntegralGhost("ring %s has no rationalization: its ghost "
+                               "components would depend on a lift" % w.ring)
     return w._map(rat[0], rat[1])._ghosts()
 
 
@@ -236,15 +238,19 @@ def _bounded_lift(ring, p: int, L: int):
     return out
 
 
-def _via_ghosts(vectors, combine):
+def ghost_combine(vectors, combine):
     """The Witt vector, p-typical or big, whose ghost components are
     combine(R, ghosts), where ghosts holds the ghost lists of the vectors
     computed in the ring R: the coefficient ring itself when it divides
     exactly, else its rationalization, else for p-typical vectors over Z/m
     with p | m (or a PolyQuotRing over it) the bounded lift Z/(m p^(L-1))
     of _bounded_lift, else an integral lift; a lifted result is reduced
-    back (reduction W(lift) -> W(ring) is a ring map).  One ghost solve for
-    the whole operation; None when only the universal tables apply."""
+    back (reduction W(lift) -> W(ring) is a ring map).  One ghost solve
+    however many operations combine makes.  combine must send ghost lists
+    of Witt vectors to the ghost list of a Witt vector: ring operations per
+    component, F (drop the first component) and V (g_n -> p g_(n-1)); its
+    output is no longer than its longest input.  NonIntegralGhost on a ring
+    with neither a rationalization nor a lift."""
     w, ring = vectors[0], vectors[0].ring
     if ring.is_torsion_free and _has_exact_division(ring):
         ghosts = [v._ghosts() for v in vectors]
@@ -263,28 +269,14 @@ def _via_ghosts(vectors, combine):
             return out._map(ring, down)
     lifted = ring.lifted()
     if lifted is None:
-        return None
+        raise NonIntegralGhost("ring %s has neither a rationalization nor "
+                               "a lift" % ring)
     lring, up, down = lifted
-    out = _via_ghosts([v._map(lring, up) for v in vectors], combine)
-    return None if out is None else out._map(ring, down)
+    out = ghost_combine([v._map(lring, up) for v in vectors], combine)
+    return out._map(ring, down)
 
 
-def ghost_combine(vectors, combine):
-    """The Witt vector, p-typical or big, whose ghost components are
-    combine(R, ghosts), in one ghost solve however many operations combine
-    makes (see _via_ghosts).  combine must send ghost lists of Witt vectors
-    to the ghost list of a Witt vector: ring operations per component, F
-    (drop the first component) and V (g_n -> p g_(n-1)); its output is no
-    longer than its longest input.  NonIntegralGhost where only the
-    universal tables apply."""
-    out = _via_ghosts(vectors, combine)
-    if out is None:
-        raise NonIntegralGhost("ring %s has no ghost backend, only the "
-                               "universal tables" % vectors[0].ring)
-    return out
-
-
-# --- universal polynomial backend -------------------------------------------
+# --- universal polynomial tables, the oracle --------------------------------
 #
 # The tables are built once per (op, p, L) in plain integer arithmetic: the
 # p=5, L=4 entries run to tens of thousands of monomials and Fraction
@@ -610,21 +602,17 @@ def witt_op(a: WittVector, b: WittVector, op: str) -> WittVector:
     a._check(b)
     if op not in ("add", "mul"):
         raise ValueError("op must be add or mul")
-    out = _via_ghosts((a, b), lambda r, g: list(map(getattr(r, op), *g)))
-    return witt_op_universal(a, b, op) if out is None else out
+    return ghost_combine((a, b), lambda r, g: list(map(getattr(r, op), *g)))
 
 
 def witt_sub(a: WittVector, b: WittVector) -> WittVector:
-    """a - b, one ghost solve of g_a - g_b; a + (-b) on the universal
-    tables."""
+    """a - b, one ghost solve of g_a - g_b."""
     a._check(b)
-    out = _via_ghosts((a, b), lambda r, g: list(map(r.sub, *g)))
-    return witt_op(a, witt_neg(b), "add") if out is None else out
+    return ghost_combine((a, b), lambda r, g: list(map(r.sub, *g)))
 
 
 def witt_neg(a: WittVector) -> WittVector:
-    out = _via_ghosts((a,), lambda r, g: [r.neg(x) for x in g[0]])
-    return _universal("neg", a) if out is None else out
+    return ghost_combine((a,), lambda r, g: [r.neg(x) for x in g[0]])
 
 
 def witt_op_universal(a: WittVector, b: WittVector, op: str) -> WittVector:
@@ -648,22 +636,8 @@ def _universal(op: str, *vectors) -> WittVector:
 
 
 def scalar_mul(n: int, w: WittVector) -> WittVector:
-    """n . w for an integer n, as one ghost scaling: ghost(n.w) = n.ghost(w).
-    Only over rings with no ghost backend is it the n-fold Witt sum, by
-    double-and-add on the universal tables."""
-    out = _via_ghosts((w,), lambda r, g: [r.mul_int(x, n) for x in g[0]])
-    if out is not None:
-        return out
-    if n < 0:
-        n, w = -n, witt_neg(w)
-    acc = zero_vector(w.ring, w.p, w.L)
-    while n:
-        if n & 1:
-            acc = witt_op(acc, w, "add")
-        n >>= 1
-        if n:
-            w = witt_op(w, w, "add")
-    return acc
+    """n . w for an integer n, as one ghost scaling: ghost(n.w) = n.ghost(w)."""
+    return ghost_combine((w,), lambda r, g: [r.mul_int(x, n) for x in g[0]])
 
 
 def witt_pow(w: WittVector, n: int) -> WittVector:
@@ -682,8 +656,7 @@ def witt_pow(w: WittVector, n: int) -> WittVector:
 
 def frobenius(w: WittVector) -> WittVector:
     """F: W_L -> W_{L-1}; ghost(Fw)_n = ghost(w)_{n+1}."""
-    out = _via_ghosts((w,), lambda r, g: g[0][1:])
-    return _universal("frobenius", w) if out is None else out
+    return ghost_combine((w,), lambda r, g: g[0][1:])
 
 
 def verschiebung(w: WittVector) -> WittVector:
@@ -699,13 +672,11 @@ class DeltaRing:
     """A torsion-free ring with a Frobenius lift phi; delta comes for free."""
 
     def __init__(self, ring: Ring, p: int, phi):
-        rat = ring.rationalized()
-        if rat is None:
+        if ring.rationalized() is None:
             raise NotADeltaRing("delta structure needs a torsion-free ring")
         self.ring = ring
         self.p = p
         self.phi = phi
-        self._rring, self._to_rat, self._from_rat = rat
 
     def verify(self, samples) -> None:
         """Check phi(x) = x^p mod p on sample elements."""
@@ -717,12 +688,13 @@ class DeltaRing:
                                     % r.fmt(x))
 
     def _div_p(self, x):
-        q = self.ring.div_int_exact(x, self.p)
-        if q is not None or _has_exact_division(self.ring):
-            return q
-        rr = self._rring
-        y = rr.mul(self._to_rat(x), rr.inv_int(self.p))
-        return self._from_rat(y)
+        """x / p, or None: by exact division where the ring divides, else
+        over its rational cover, the choice the ghost dispatch makes."""
+        r = self.ring
+        if _has_exact_division(r):
+            return r.div_int_exact(x, self.p)
+        rring, to_rat, from_rat = r.rational_cover()
+        return from_rat(rring.mul(to_rat(x), rring.inv_int(self.p)))
 
     def delta(self, x):
         r = self.ring
@@ -742,7 +714,8 @@ class DeltaRing:
 def joyal_lift(dr: DeltaRing, b, L: int) -> WittVector:
     """The unique delta-ring section of W(ring) -> ring, componentwise:
     ghost_n = phi^n(b), Buium-Joyal coordinates (b, delta b, delta^2 b, ...)."""
-    return from_ghost(dr.ring, dr.p, [dr._to_rat(dr.phi_iter(b, n))
+    to_rat = dr.ring.rational_cover()[1]
+    return from_ghost(dr.ring, dr.p, [to_rat(dr.phi_iter(b, n))
                                       for n in range(L)])
 
 
@@ -873,7 +846,7 @@ class BigWitt:
     def __repr__(self):
         return "BigW(%s)" % self.to_series()
 
-    # the three hooks of the ghost dispatch _via_ghosts
+    # the three hooks of the ghost dispatch ghost_combine
 
     def _ghosts(self) -> list:
         return ghost_big_in_ring(self)

@@ -2,14 +2,16 @@
 or a PolyQuotRing over Z/m, with p | m run their ghost solve in
 Z/(m p^(L-1)) instead of Z.  Every operation is checked against the
 universal polynomial tables, which are built from a ghost solve over Z
-once and evaluated in the coefficient ring, with no lift at all."""
+once and evaluated in the coefficient ring, with no lift at all.  So is
+the F_p series ring of generic_vector, which runs on its lift to Z; a ring
+with neither a rationalization nor a lift is refused."""
 import random
 
 import pytest
 
 from prismlab import witt
 from prismlab.derham import generic_vector
-from prismlab.ringcore import IntModRing, ModP, PolyQuotRing
+from prismlab.ringcore import IntModRing, ModP, PolyQuotRing, Ring
 from prismlab.witt import (
     NonIntegralGhost, WittVector, frobenius, ghost_combine, scalar_mul,
     witt_neg, witt_op, witt_op_universal, witt_sub,
@@ -119,9 +121,36 @@ def test_long_vectors_stay_exact():
     assert lhs == rhs
 
 
-def test_tables_only_rings():
-    ring, x = generic_vector(2, 2)
-    y = WittVector(ring, 2, [ring.var("x1"), ring.var("x0")])
-    assert witt_sub(x, y) == witt_op(x, witt_neg(y), "add")
-    with pytest.raises(NonIntegralGhost, match="universal tables"):
-        ghost_combine((x,), lambda r, g: g[0])
+@pytest.mark.parametrize("p,L", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_generic_vector_runs_on_the_lift_and_matches_the_tables(p, L):
+    # generic_vector's F_p series ring has no rationalization: its
+    # coefficients lift to Z, and the result is reduced back.  The tables
+    # evaluate in the F_p series ring itself, with no lift at all.
+    ring, x = generic_vector(p, L)
+    assert ring.rationalized() is None and ring.lifted() is not None
+    assert witt._bounded_lift(ring, p, L) is None
+    y = WittVector(ring, p, [ring.var(v) for v in reversed(ring.variables)])
+    for a, b in ((x, y), (y, x)):
+        assert witt_op(a, b, "add") == witt_op_universal(a, b, "add")
+        assert witt_op(a, b, "mul") == witt_op_universal(a, b, "mul")
+        assert witt_neg(a) == neg_table(a)
+        assert witt_sub(a, b) == witt_op_universal(a, neg_table(b), "add")
+        for n in (-1, 2, p, p + 1, -7):
+            assert scalar_mul(n, a) == scalar_mul_table(n, a)
+        if L > 1:
+            assert frobenius(a) == frobenius_table(a)
+
+
+class Opaque(Ring):
+    """A ring with neither a rationalization nor a lift."""
+
+    name = "Opaque"
+
+    def from_int(self, n):
+        return n
+
+
+def test_ring_without_rationalization_or_lift_raises():
+    w = WittVector(Opaque(), 2, [0, 0])
+    with pytest.raises(NonIntegralGhost, match="Opaque has neither"):
+        ghost_combine((w,), lambda r, g: g[0])

@@ -11,7 +11,7 @@ from prismlab.derham import (
     generic_vector, id_minus_V, is_eigen, sample_eigen,
     sample_gdr, v_geometric, witt_series_eval,
 )
-from prismlab.ringcore import DoesNotConverge, ModP, PolyQuotRing
+from prismlab.ringcore import DoesNotConverge, ExactInt, ModP, PolyQuotRing
 from prismlab.witt import (
     WittVector, frobenius, sample_f_kernel, scalar_mul, teichmuller,
     verschiebung, witt_op, zero_vector,
@@ -47,6 +47,27 @@ def test_sample_gdr_and_roundtrip():
                     y = f_log(a)
                     assert is_eigen(y)
                     assert g_exp(y) == a
+
+
+def test_sample_over_polynomial_ring_over_z_mod_p_to_the_n():
+    # p x = value is divided on the integral lift Z[a]/(a^2), not only on
+    # bare Z/p^n ints
+    R, p = PolyQuotRing(ModP(3, 3), (0, 0, 1), "a"), 3
+    a = sample_gdr(R, p, 2, random.Random(1))
+    assert a.x == WittVector(R, p, [R.from_int(6), R.from_int(6)])
+    assert g_exp(f_log(a)) == a
+    rng = random.Random(2)
+    for _ in range(5):
+        y = sample_eigen(R, p, 3, rng)
+        assert f_log(g_exp(y)) == y
+
+
+def test_de_rham_maps_need_a_p_adic_modulus():
+    R = PolyQuotRing(ExactInt(), (0, 0, 1), "a")
+    with pytest.raises(DoesNotConverge, match="no p-adic modulus"):
+        sample_gdr(R, 3, 2, random.Random(0))
+    with pytest.raises(DoesNotConverge, match="no p-adic modulus"):
+        f_log(GdRPoint(zero_vector(R, 3, 2), check=False))
 
 
 def test_roundtrip_other_direction():

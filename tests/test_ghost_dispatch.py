@@ -1,7 +1,8 @@
 """The one ghost dispatch of p-typical and big Witt vectors on each of its
 branches: exact division in the ring (Z, Z[h]), the rationalization (B0),
 and an integral lift reduced back (Z/p^n, Z/p^n[h]); solving from given
-ghosts over Ring.rational_cover; and the strict ghost map."""
+ghosts over Ring.rational_cover, which every ring constructor has; and the
+strict ghost map."""
 import random
 from fractions import Fraction
 
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prismlab.qhopf import B0Ring
+from prismlab.qprism import bhat_ring
 from prismlab.ringcore import (
-    DoesNotConverge, ExactInt, ExactRat, ModP, PolyQuotRing, TruncSeries,
+    CyclotomicRing, DoesNotConverge, ExactInt, ExactRat, IntModRing, ModP,
+    PolyQuotRing, QPoly, QSeriesRing, SeriesCoeffRing, TruncSeries,
     padic_log,
 )
 from prismlab.witt import (
@@ -112,3 +115,14 @@ def test_padic_log_constant_term_needs_a_p_adic_ring(ring, n_terms):
     u = TruncSeries(ring, ("z",), {(0,): ring.from_int(2), (1,): ring.one}, 3)
     with pytest.raises(DoesNotConverge):
         padic_log(u, n_terms)
+
+
+@pytest.mark.parametrize("ring", [
+    ExactInt(), ExactRat(), ModP(3, 2), IntModRing(25), QPoly(),
+    QSeriesRing(3), QSeriesRing(3, p=2, n_p=3), CyclotomicRing(3),
+    CyclotomicRing(3, n_p=2), SeriesCoeffRing(ModP(2, 1), ("x", "y"), 4),
+    SeriesCoeffRing(ExactInt(), ("x",), 4), B0Ring(), bhat_ring(3),
+], ids=repr)
+def test_every_ring_constructor_has_a_rational_cover(ring):
+    # so the ghost dispatch reaches every ring the library builds
+    assert ring.rational_cover() is not None

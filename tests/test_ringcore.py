@@ -280,6 +280,10 @@ def test_valuation_and_padic_profile():
     for p in (2, 3, 5):
         for n_p in range(1, 30):
             assert _padic_profile(ModP(p, n_p)) == (p, n_p, 0)
+    # no prime to measure against: Z/25 built without p, and Z[h]/(h^4)
+    for ring in (IntModRing(25), QSeriesRing(4)):
+        with pytest.raises(DoesNotConverge, match="no p-adic modulus"):
+            _padic_profile(ring)
 
 
 def test_log_term_bound_is_exact():

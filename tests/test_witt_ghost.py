@@ -1,7 +1,8 @@
 """Ghost-side Witt operations checked against independent algorithms:
 scalar_mul against n-fold Witt addition by double-and-add, witt_pow against
-one ghost power on an integral lift, and the p-power ladders of the ghost
-maps against the ghost formula written out term by term."""
+one ghost power on an integral lift, both against the universal tables on
+generic_vector's F_p series ring, and the p-power ladders of the ghost maps
+against the ghost formula written out term by term."""
 from functools import reduce
 
 import pytest
@@ -10,21 +11,27 @@ from hypothesis import given, settings, strategies as st
 from prismlab.derham import generic_vector
 from prismlab.ringcore import ExactInt, ModP, PolyQuotRing, SeriesCoeffRing
 from prismlab.witt import (
-    WittVector, from_ghost, ghost, ghost_in_ring, scalar_mul, teichmuller,
-    witt_neg, witt_op, witt_pow, zero_vector,
+    WittVector, _universal, from_ghost, ghost, ghost_in_ring, scalar_mul,
+    teichmuller, witt_neg, witt_op, witt_op_universal, witt_pow, zero_vector,
 )
 
 
-def double_and_add(n, w):
+def double_and_add(n, w, add=lambda a, b: witt_op(a, b, "add"), neg=witt_neg):
     if n < 0:
-        return double_and_add(-n, witt_neg(w))
+        return double_and_add(-n, neg(w), add, neg)
     acc, base = zero_vector(w.ring, w.p, w.L), w
     while n:
         if n & 1:
-            acc = witt_op(acc, base, "add")
-        base = witt_op(base, base, "add")
+            acc = add(acc, base)
+        base = add(base, base)
         n >>= 1
     return acc
+
+
+def scalar_mul_table(n, w):
+    """n . w as n-fold addition on the universal tables."""
+    return double_and_add(n, w, lambda a, b: witt_op_universal(a, b, "add"),
+                          lambda a: _universal("neg", a))
 
 
 def ghost_power(w, n):
@@ -119,10 +126,10 @@ def test_witt_pow_rejects_negative_exponent():
 @given(n=st.sampled_from([0, 1, -1, 2, -3, 5 ** 5])
        | st.integers(-(2 ** 20 - 1), 2 ** 20 - 1))
 def test_universal_fallback_matches_integral_ghosts(p, L, n):
-    # generic_vector's F_p series ring has no ghost backend: scalar_mul keeps
-    # double-and-add there, and witt_pow multiplies on the universal tables.
-    # The same symbolic vector over Z takes the ghost path, and reduction
-    # mod p is a ring map.
+    # generic_vector's F_p series ring runs its ghost solves on the lift to
+    # Z coefficients.  Independent references: n-fold sums and products on
+    # the universal tables, which evaluate in the F_p ring itself, and the
+    # same symbolic vector over Z, since reduction mod p is a ring map.
     ring, x = generic_vector(p, L)
     Z = SeriesCoeffRing(ExactInt(), ring.variables, ring.order)
     xz = WittVector(Z, p, [Z.var(v) for v in ring.variables])
@@ -133,10 +140,15 @@ def test_universal_fallback_matches_integral_ghosts(p, L, n):
 
     got = scalar_mul(n, x)
     assert got.components == double_and_add(n, x).components
+    assert got.components == scalar_mul_table(n, x).components
     assert [c.coeffs for c in got.components] == mod_p(scalar_mul(n, xz))
     k = abs(n) % 7
     got = witt_pow(x, k)
     assert [c.coeffs for c in got.components] == mod_p(ghost_power(xz, k))
+    table_pow = teichmuller(ring, p, L, ring.one)
+    for _ in range(k):
+        table_pow = witt_op_universal(table_pow, x, "mul")
+    assert got.components == table_pow.components
 
 
 @st.composite
