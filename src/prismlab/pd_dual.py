@@ -175,10 +175,12 @@ def pair_distr(d: DistrElem, f: PDElem) -> Fraction:
     that come from integer points."""
     if f.unit_power:
         raise NotPD("pairing needs a pure PD element (unit_power 0)")
-    acc = Fraction(0)
-    for n, c in enumerate(d.coords):
-        acc += Fraction(c * f.coord(n), math.factorial(n))
-    return acc
+    if not d.coords:
+        return Fraction(0)
+    top = math.factorial(len(d.coords) - 1)
+    # sum c f_n / n! over the common denominator D! of the last index D
+    return Fraction(sum(c * f.coord(n) * (top // math.factorial(n))
+                        for n, c in enumerate(d.coords)), top)
 
 
 def f_ab(a: int, b: int) -> tuple:
@@ -210,10 +212,11 @@ def log_sharp_power(k: int, N: int) -> PDElem:
     """(log x)^k / k! with certified integral PD coordinates."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    acc = log_pd(N)
+    log = log_pd(N)
+    acc = log
     for _ in range(k - 1):
-        acc = acc * log_pd(N)
-    acc = PDElem(acc.coords[:N + 1])
+        # gamma_m gamma_n = C(m+n, n) gamma_(m+n) never lowers the degree
+        acc = PDElem((acc * log).coords[:N + 1])
     out = []
     for n, c in enumerate(acc.coords):
         q, r = divmod(c, math.factorial(k))

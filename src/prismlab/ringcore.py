@@ -653,7 +653,7 @@ def _coefficientwise(ring, base):
             lambda a: ring._image(a, down))
 
 
-# --- the integer kernel behind mul over Q ----------------------------------
+# --- the integer kernel behind mul over Q and series over Z ---------------
 
 
 def _numerators(coeffs) -> tuple:
@@ -712,6 +712,44 @@ def _unpack(x: int, w: int, n: int) -> list:
         out.append(d)
         x = (x - d) >> w
     return out
+
+
+def _int_series_mul(a: dict, b: dict, nvars: int, order) -> dict:
+    """The product of two series over Z, {exponents: coefficient}, by one
+    Kronecker product.  The monomial with exponents e goes to slot
+    sum e_i R_i with mixed-radix strides R_0 = 1, R_(i+1) = R_i s_i, where
+    s_i is one more than the largest i-th exponent in a plus that in b, so
+    adding slots adds exponents without a carry from one variable into the
+    next.  The strides come from the operands, not from order: an operand
+    of order None may carry exponents above the other one's order.  Terms
+    of total degree above order are dropped."""
+    if not a or not b:
+        return {}
+    sizes = tuple(max(e[i] for e in a) + max(e[i] for e in b) + 1
+                  for i in range(nvars))
+    radices = [math.prod(sizes[:i]) for i in range(nvars)]
+    prod = _kronecker_mul(_dense(a, radices), _dense(b, radices))
+    radices.reverse()
+    out = {}
+    for slot, c in enumerate(prod):
+        if c:
+            e = []
+            for radix in radices:
+                x, slot = divmod(slot, radix)
+                e.append(x)
+            e.reverse()
+            if order is None or sum(e) <= order:
+                out[tuple(e)] = c
+    return out
+
+
+def _dense(terms: dict, radices: list) -> list:
+    """The coefficients of a series as one vector, e at sum e_i R_i."""
+    slots = {sum(map(operator.mul, e, radices)): c for e, c in terms.items()}
+    vec = [0] * (max(slots) + 1)
+    for slot, c in slots.items():
+        vec[slot] = c
+    return vec
 
 
 # --- named constructors ----------------------------------------------------
@@ -984,6 +1022,11 @@ class TruncSeries:
         self._check(other)
         order = self._join_order(other)
         r = self.ring
+        if type(r) is IntRing:
+            return TruncSeries(r, self.variables,
+                               _int_series_mul(self.coeffs, other.coeffs,
+                                               len(self.variables), order),
+                               order)
         out = {}
         for e1, c1 in self.coeffs.items():
             d1 = sum(e1)
@@ -1055,13 +1098,14 @@ class TruncSeries:
             return cache[n]
 
         for e, c in self.coeffs.items():
-            term = TruncSeries.const(r, template.variables, order, c)
+            term = None
             for v, n in zip(self.variables, e):
                 if n:
                     if v not in mapping:
                         raise RingMismatch("no substitution given for %s" % v)
-                    term = term * power(v, n)
-            out = out + term
+                    term = power(v, n) if term is None else term * power(v, n)
+            out = out + (TruncSeries.const(r, template.variables, order, c)
+                         if term is None else term.scale(c))
         return out
 
     def compose(self, g: "TruncSeries"):

@@ -730,12 +730,21 @@ def bj_coordinates(dr: DeltaRing, b, L: int) -> list:
 def _formal_phi(ring, p, cs):
     """phi_of(j, k) = phi^k(c_j), expanding the Frobenius formally as
     phi(c_j) = c_j^p + p c_{j+1}, with c_j = 0 beyond the list cs (read
-    at call time, so cs may grow between calls)."""
+    at call time, so cs may grow between calls, by appending only).
+    phi^k(c_j) reads c_j, ..., c_(j+k), so a value is kept once all of
+    them exist: j + k < len(cs)."""
+    memo = {}
+
     def phi_of(j, k):
         if k == 0:
             return cs[j] if j < len(cs) else ring.zero
-        return ring.add(ring.pow(phi_of(j, k - 1), p),
-                        ring.mul_int(phi_of(j + 1, k - 1), p))
+        if (j, k) in memo:
+            return memo[j, k]
+        value = ring.add(ring.pow(phi_of(j, k - 1), p),
+                         ring.mul_int(phi_of(j + 1, k - 1), p))
+        if j + k < len(cs):
+            memo[j, k] = value
+        return value
     return phi_of
 
 

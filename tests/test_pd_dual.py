@@ -6,9 +6,9 @@ from fractions import Fraction
 
 from prismlab.intpoly import gen_binom
 from prismlab.pd_dual import (
-    NotPD, PDElem, delta_to_e, distr_mul, exact_sequence_check,
+    DistrElem, NotPD, PDElem, delta_to_e, distr_mul, exact_sequence_check,
     f_ab, gsharp_comparison, log_pd, log_sharp_power, mu_p_pd_check,
-    pair_xu, pairing_series, pd_normalize, rescaled_section, stirling_first,
+    pair_distr, pair_xu, pairing_series, pd_normalize, rescaled_section, stirling_first,
 )
 
 
@@ -160,3 +160,49 @@ def test_exact_sequence_check():
         assert rep["log_at_zero"]
         assert rep["log_mu_p"]
         assert rep["exp_pairing"]
+
+
+def test_log_sharp_power_is_stirling():
+    for N in range(21):
+        for k in range(1, 11):
+            want = [stirling_first(n, k) for n in range(N + 1)]
+            while want and want[-1] == 0:
+                want.pop()
+            assert log_sharp_power(k, N).coords == tuple(want), (k, N)
+
+
+def test_log_sharp_power_is_prefix_of_full_power():
+    # the untruncated (log x)^k / k!, with its k N + 1 coordinates
+    for N in range(13):
+        log = log_pd(N)
+        acc = log
+        for k in range(1, 5):
+            if k > 1:
+                acc = acc * log
+            full = [c // math.factorial(k) for c in acc.coords[:N + 1]]
+            assert log_sharp_power(k, N) == PDElem(tuple(full)), (k, N)
+
+
+def old_pair_distr(d, f):
+    acc = Fraction(0)
+    for n, c in enumerate(d.coords):
+        acc += Fraction(c * f.coord(n), math.factorial(n))
+    return acc
+
+
+def test_pair_distr_matches_fraction_sum():
+    rng = random.Random(5)
+    for m in range(-6, 7):
+        for order in range(15):
+            d = delta_to_e(m, order)
+            for n in range(order + 2):
+                g = PDElem.gamma(n)
+                assert pair_distr(d, g) == old_pair_distr(d, g)
+                assert n > order or pair_distr(d, g) == gen_binom(m, n)
+            f = PDElem(tuple(rng.randrange(-9, 10) for _ in range(order + 3)))
+            assert pair_distr(d, f) == old_pair_distr(d, f)
+    # a distribution that does not come from an integer point
+    d = DistrElem((1, -3, 5, 7), 3)
+    f = PDElem((2, 1, 1, 1))
+    assert pair_distr(d, f) == old_pair_distr(d, f) == Fraction(8, 3)
+    assert pair_distr(DistrElem((), 0), f) == 0

@@ -307,3 +307,83 @@ def _digits(k, p):
         k, r = divmod(k, p)
         out.append(r)
     return out
+
+
+# --- series over Z: the packed product against a schoolbook -------------
+
+
+def schoolbook_series_mul(a, b):
+    """(coefficients, order) of a * b, one pair of terms at a time."""
+    if a.order is None or b.order is None:
+        order = b.order if a.order is None else a.order
+    else:
+        order = min(a.order, b.order)
+    out = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if order is None or sum(e) <= order:
+                out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}, order
+
+
+def random_int_series(rng, variables, order, terms, top, coeff):
+    """A sparse series over Z with exponents up to top in each variable;
+    terms above order are dropped by the constructor."""
+    coeffs = {tuple(rng.randrange(top + 1) for _ in variables): coeff(rng)
+              for _ in range(terms)}
+    return TruncSeries(ExactInt(), variables, coeffs, order)
+
+
+SERIES_COEFFS = {
+    "small": lambda rng: rng.randrange(-9, 10),
+    "negative": lambda rng: -rng.randrange(1, 10 ** 6),
+    "near 2^64": lambda rng: rng.choice((1, -1)) * (2 ** 64 - rng.randrange(3)),
+}
+
+
+@pytest.mark.parametrize("coeff", sorted(SERIES_COEFFS))
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_int_series_mul_matches_schoolbook(nvars, coeff):
+    rng = random.Random(1000 * nvars + len(coeff))
+    variables = ("x", "y", "z")[:nvars]
+    orders = (None, 0, 4, 8)
+    for order_a in orders:
+        for order_b in orders:
+            for _ in range(3):
+                # an order-None operand reaches exponents above 4 and 8
+                a = random_int_series(rng, variables, order_a, rng.randrange(12),
+                                      9 if order_a is None else order_a,
+                                      SERIES_COEFFS[coeff])
+                b = random_int_series(rng, variables, order_b, rng.randrange(12),
+                                      9 if order_b is None else order_b,
+                                      SERIES_COEFFS[coeff])
+                prod = a * b
+                want, order = schoolbook_series_mul(a, b)
+                assert prod.coeffs == want, (a, b)
+                assert prod.order == order
+                assert all(prod.coeffs.values())
+
+
+def test_int_series_mul_edge_operands():
+    Z = ExactInt()
+    xy = ("x", "y")
+    zero = TruncSeries.zero(Z, xy, 4)
+    three = TruncSeries.const(Z, xy, 4, 3)
+    # exponents above 4 in the untruncated operand: x^5 y^0 and x^0 y^6
+    high = TruncSeries(Z, xy, {(5, 0): -7, (0, 6): 2 ** 64 - 1, (1, 1): -1}, None)
+    low = TruncSeries(Z, xy, {(0, 0): 1, (2, 1): -(2 ** 64 - 1), (1, 3): 5}, 4)
+    for a, b in [(zero, low), (high, zero), (three, low), (low, three),
+                 (high, low), (low, high), (high, high), (low, low),
+                 (three, three), (-low, low)]:
+        prod = a * b
+        want, order = schoolbook_series_mul(a, b)
+        assert prod.coeffs == want and prod.order == order
+        assert all(prod.coeffs.values())
+    # cancellation down to zero: (1 + x)(1 - x) = 1 - x^2 at order 1
+    one_x = TruncSeries(Z, ("x",), {(0,): 1, (1,): 1}, 1)
+    one_mx = TruncSeries(Z, ("x",), {(0,): 1, (1,): -1}, 1)
+    assert (one_x * one_mx).coeffs == {(0,): 1}
+    # no variables at all
+    c = TruncSeries(Z, (), {(): -4}, None)
+    assert (c * c).coeffs == {(): 16}

@@ -263,3 +263,14 @@ def test_one_minus_z_fixed_by_all_frobenii():
     w = teichmuller_big(Z, 12, 1)
     for m in (1, 2, 3, 4):
         assert frobenius_big(w, m) == w.truncate(12 // m)
+
+
+def test_bj_roundtrip_over_z():
+    Z = ExactInt()
+    rng = random.Random(17)
+    for p in (2, 3, 5):
+        for L in range(1, 8):
+            for _ in range(3):
+                w = WittVector(Z, p, tuple(rng.randrange(-20, 21)
+                                           for _ in range(L)))
+                assert bj_to_witt(Z, p, witt_to_bj(w)) == w, (p, w)
