@@ -79,37 +79,36 @@ def specialize_pairing_at_t(N: int, t_value) -> TruncSeries:
     return TruncSeries(QH, ("z",), out, N)
 
 
-def embed_R(f: MultHomSeries, N: int | None = None) -> BigWitt:
+def embed_R(f: MultHomSeries) -> BigWitt:
     """f -> f(1 - z): w = y - 1 becomes -z."""
     if f.tag != "R":
         raise IdentityFailed("embed_R needs an R-type series")
-    return _embed_minus_z(f.series, N)
+    return _embed_minus_z(f.series)
 
 
-def embed_G_I(f: MultHomSeries, N: int | None = None) -> BigWitt:
+def embed_G_I(f: MultHomSeries) -> BigWitt:
     """f -> f(-z)."""
     if f.tag != "G":
         raise IdentityFailed("embed_G_I needs a G-type series")
-    return _embed_minus_z(f.series, N)
+    return _embed_minus_z(f.series)
 
 
-def _embed_minus_z(series: TruncSeries, N) -> BigWitt:
+def _embed_minus_z(series: TruncSeries) -> BigWitt:
     ring = series.ring
-    N = N if N is not None else series.order
     coeffs = {e[0]: (ring.neg(c) if e[0] % 2 else c)
               for e, c in series.coeffs.items() if e[0] >= 1}
-    return BigWitt(ring, N, coeffs)
+    return BigWitt(ring, series.order, coeffs)
 
 
-def embed_G_II(f: MultHomSeries, N: int | None = None) -> BigWitt:
+def embed_G_II(f: MultHomSeries) -> BigWitt:
     """f -> f(z/(z-1)) = f(-z - z^2 - z^3 - ...)."""
     if f.tag != "G":
         raise IdentityFailed("embed_G_II needs a G-type series")
     ring = f.series.ring
-    N = N if N is not None else f.series.order
+    N = f.series.order
     inner = TruncSeries(ring, ("z",),
                         {(k,): ring.neg(ring.one) for k in range(1, N + 1)}, N)
-    return BigWitt.from_series(f.series.truncate(N).compose(inner))
+    return BigWitt.from_series(f.series.compose(inner))
 
 
 def eigencheck_R(w: BigWitt, m: int) -> bool:
@@ -252,11 +251,13 @@ def _basis_at_mt(n: int, m: int) -> B0Elem:
     return elem
 
 
-def hom_pullback_check(n: int, order: int = 6) -> dict:
+def hom_pullback_check(n: int) -> dict:
     """z = (q^n - 1)/(q - 1) y is a hom from the law with parameter q^n - 1
-    to the law with parameter q - 1; exact on the polynomial side."""
+    to the law with parameter q - 1, to order 6; exact on the polynomial
+    side."""
     from .fgl import FGLHom, verify_hom
     from .ringcore import QPoly
+    order = 6
     P = QPoly()
     q = q_element(P)
     v = q_number(P, n)

@@ -200,12 +200,12 @@ def v_geometric(x: WittVector) -> WittVector:
 # --- samplers -----------------------------------------------------------------
 
 
-def sample_gdr(ring, p, L, rng, tries: int = 64) -> GdRPoint:
+def sample_gdr(ring, p, L, rng) -> GdRPoint:
     """Random point: pick a unit u in 1 + pA and solve p . x = [u] - 1
     triangularly, choosing p-adic digit branches at random."""
     one = teichmuller(ring, p, L, ring.one)
     n_p = _padic_profile(ring)[1]
-    for _ in range(tries):
+    for _ in range(64):
         u = ring.from_int(1 + p * rng.randrange(p ** (n_p - 1)))
         target = witt_sub(teichmuller(ring, p, L, u), one)
         x = _solve_scalar_p(target, rng)
@@ -224,10 +224,10 @@ def _solve_scalar_p(target: WittVector, rng):
         partial = WittVector(ring, p, comps + [ring.zero] * (L - i))
         base = scalar_mul(p, partial).components[i]
         resid = ring.sub(target.components[i], base)
-        inv = _divide_by_p(ring, resid, p)
-        if inv is None:
+        div = ring.div_int_exact(resid, p)
+        if div is None:
             return None
-        comps.append(ring.add(inv, ring.from_int(
+        comps.append(ring.add(div, ring.from_int(
             p ** (n_p - 1) * rng.randrange(p))))
     x = WittVector(ring, p, comps)
     if scalar_mul(p, x) != target:
@@ -235,19 +235,11 @@ def _solve_scalar_p(target: WittVector, rng):
     return x
 
 
-def _divide_by_p(ring, value, p):
-    """A solution x of p x = value, divided on the ring's integral lift
-    and reduced back, or None."""
-    lring, up, down = ring.lifted()
-    q = lring.div_int_exact(up(value), p)
-    return None if q is None else down(q)
-
-
-def sample_eigen(ring, p, L, rng, tries: int = 64) -> WittVector:
+def sample_eigen(ring, p, L, rng) -> WittVector:
     """Random y with Fy = py: solve F(y) - p.y = 0 triangularly; y_{i+1}
     enters the i-th equation linearly with coefficient p."""
     n_p = _padic_profile(ring)[1]
-    for _ in range(tries):
+    for _ in range(64):
         comps = [ring.mul_int(ring.from_int(rng.randrange(p ** (n_p - 1))), p)]
         ok = True
         for i in range(L - 1):
@@ -255,7 +247,7 @@ def sample_eigen(ring, p, L, rng, tries: int = 64) -> WittVector:
             lhs = frobenius(partial).components[i]
             rhs = scalar_mul(p, partial).components[i]
             resid = ring.sub(rhs, lhs)
-            div = _divide_by_p(ring, resid, p)
+            div = ring.div_int_exact(resid, p)
             if div is None:
                 ok = False
                 break
@@ -325,7 +317,7 @@ def g_eta_check(ring, p: int, L: int, xs_pairs) -> dict:
         rhs = WittVector(ring, p, (ring.zero,) + frobenius(x).components)
         if lhs != rhs:
             failures.append(("projection formula", repr(x)))
-        in_kernel_v = _wmul(v1, x).is_zero()
+        in_kernel_v = lhs.is_zero()
         in_kernel_f = frobenius(x).is_zero()
         if in_kernel_v != in_kernel_f:
             failures.append(("kernel mismatch", repr(x)))
@@ -336,13 +328,13 @@ def g_eta_check(ring, p: int, L: int, xs_pairs) -> dict:
     return {"failures": failures}
 
 
-def generic_vector(p: int, L: int, prefix: str = "x", extra: int = 2):
+def generic_vector(p: int, L: int):
     """A Witt vector whose components are polynomial generators over F_p,
     for symbolic identity checks; the degree cap covers the largest power
     a length-L identity can produce."""
     from .ringcore import SeriesCoeffRing
     base = ModP(p, 1)
-    names = tuple("%s%d" % (prefix, i) for i in range(L))
-    ring = SeriesCoeffRing(base, names, p ** L + extra)
+    names = tuple("x%d" % i for i in range(L))
+    ring = SeriesCoeffRing(base, names, p ** L + 2)
     comps = [ring.var(n) for n in names]
     return ring, WittVector(ring, p, comps)

@@ -98,7 +98,7 @@ class PDElem:
         return head + " + ".join(parts)
 
 
-def pd_normalize(series, unit_power: int = 0) -> PDElem:
+def pd_normalize(series) -> PDElem:
     """From (x-1)-adic rational coefficients to PD coordinates; membership
     requires n! a_n integral, and the error names the first failing index."""
     coords = []
@@ -108,7 +108,7 @@ def pd_normalize(series, unit_power: int = 0) -> PDElem:
             raise NotPD("coefficient of (x-1)^%d is %s; n! a_n is not integral"
                         % (n, Fraction(a)))
         coords.append(int(c))
-    return PDElem(tuple(coords), unit_power)
+    return PDElem(tuple(coords))
 
 
 # ---------------------------------------------------------------------------

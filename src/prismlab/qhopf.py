@@ -234,8 +234,7 @@ def adams(n: int, a: B0Elem) -> B0Elem:
 def b0_delta(a: B0Elem, p: int) -> B0Elem:
     """delta(a) = (psi^p(a) - a^p)/p with a p-integrality certificate."""
     num = adams(p, a) - a ** p
-    inv_p = QH.inv_int(p)
-    out = B0Elem(tuple(QH.mul(c, inv_p) for c in num.coords))
+    out = B0Elem(tuple(QH.div_int_exact(c, p) for c in num.coords))
     if not out.is_p_integral(p):
         raise NonIntegralStructureConstant(
             "(psi^p - (.)^p)/p left a p in a denominator: %r" % (out,))
@@ -299,10 +298,11 @@ class B0Ring(Ring):
     def is_zero(self, a):
         return a.is_zero()
 
-    def inv_int(self, n):
-        if self.rational:
-            return B0Elem((QH.make([Fraction(1, n)]),))
-        return B0Elem.from_int(1) if n in (1, -1) else None
+    def div_int_exact(self, a, n):
+        """a / n coordinate by coordinate; over Z[h] (rational=False) None
+        unless every coordinate of the quotient is in Z[h]."""
+        out = B0Elem(tuple(QH.div_int_exact(c, n) for c in a.coords))
+        return out if self.rational or out.is_integral() else None
 
     def from_rational(self, x: B0Elem):
         if self.rational:

@@ -25,8 +25,8 @@ from .ringcore import (
     valuation,
 )
 from .witt import (
-    DeltaRing, NonIntegralGhost, WittVector, from_ghost, joyal_lift,
-    teichmuller, witt_op, witt_sub, zero_vector,
+    DeltaRing, NonIntegralGhost, WittVector, from_ghost, ghost_combine,
+    joyal_lift, teichmuller, witt_sub,
 )
 from .derham import NotTeichmuller, is_teichmuller
 
@@ -137,16 +137,14 @@ def tail_cut(p: int, n_p: int, n_q: int, slack: int) -> int:
     return n_p + n_q + slack
 
 
-def q_exponential(p: int, n_p: int, n_q: int, L: int = 2,
-                  h_prec: int | None = None) -> dict:
+def q_exponential(p: int, n_p: int, n_q: int) -> dict:
     """X = sum c_n(t,h) Phi_p(q)^n, cut where Phi^n falls outside the box.
 
     Returns the ring, the element, and the bookkeeping of the cut."""
-    h_prec = h_prec if h_prec is not None else n_q
-    R = bhat_ring(h_prec)
+    R = bhat_ring(n_q)
     H = _hring(R)
     phi = bh_phi_scalar(R, p)
-    n_max = tail_cut(p, n_p, n_q, L + 6)
+    n_max = tail_cut(p, n_p, n_q, 8)
     acc = R.zero
     power = H.one
     for n in range(n_max + 1):
@@ -160,14 +158,12 @@ def q_exponential(p: int, n_p: int, n_q: int, L: int = 2,
     return {"ring": R, "element": acc, "tail": n_max}
 
 
-def q_exp_alt(p: int, n_p: int, n_q: int, t_deg: int,
-              h_prec: int | None = None) -> dict:
+def q_exp_alt(p: int, n_p: int, n_q: int, t_deg: int) -> dict:
     """sum_n c_n(pt, h): the c_k-coordinate of the n-th summand is an
     integer polynomial divisible by h^(n-k), so coordinates of degree <= K
-    receive no contribution past n = K + h_prec."""
-    h_prec = h_prec if h_prec is not None else n_q
-    R = bhat_ring(h_prec)
-    n_max = t_deg + h_prec
+    receive no contribution past n = K + n_q."""
+    R = bhat_ring(n_q)
+    n_max = t_deg + n_q
     acc = R.zero
     for n in range(n_max + 1):
         acc = R.add(acc, _alpha_n(R, n, p))
@@ -266,14 +262,8 @@ def _build_canonical(p: int, n_p: int, n_q: int, L: int) -> _Canonical:
     phi_endo = bh_phi_endo(R, p)
     dr = DeltaRing(R, p, phi_endo)
     x = joyal_lift(dr, x0, L)
-    # Teichmuller identity: 1 + Phi_p([q]) x = [X]
-    q_scalar = R.make([H.make([Fraction(1), Fraction(1)])])
-    phi_teich = zero_vector(R, p, L)
-    for i in range(p):
-        phi_teich = witt_op(phi_teich,
-                            teichmuller(R, p, L, R.pow(q_scalar, i)), "add")
-    lhs = witt_op(teichmuller(R, p, L, R.one),
-                  witt_op(phi_teich, x, "mul"), "add")
+    # Teichmuller identity: 1 + Phi_p([q]) x = [X], with q = 1 + h
+    lhs = _one_plus_phi_x(x, R.make([H.make([Fraction(1), Fraction(1)])]))
     rhs = teichmuller(R, p, L, X)
     return _Canonical(R, x0, X, x, phi_endo(X), R.pow(X, p), lhs, rhs, n_max)
 
@@ -299,12 +289,12 @@ def canonical_point(p: int, n_p: int, n_q: int, L: int = 2,
             "zeroth_component": zeroth, "tail": c.tail}
 
 
-def derham_specialization_of_x0(p: int, n_p: int, n_q: int,
-                                t_deg: int = 6) -> bool:
-    """At q = 1 the 0-th component becomes (exp(pt) - 1)/p."""
+def derham_specialization_of_x0(p: int, n_p: int, n_q: int) -> bool:
+    """At q = 1 the 0-th component becomes (exp(pt) - 1)/p, checked up to
+    t^6."""
     c = _canonical_construction(p, n_p, n_q, 2)
     x0 = c.x0
-    for i in range(1, t_deg + 1):
+    for i in range(1, 7):
         hc = x0[i] if i < len(x0) else _hring(c.ring).zero
         const = hc[0] if hc else Fraction(0)
         if const != Fraction(p ** (i - 1), math.factorial(i)):
@@ -349,7 +339,7 @@ class GQPoint:
     __slots__ = ("x",)
 
     def __init__(self, x: WittVector, check: bool = True):
-        if check and not is_teichmuller(_one_plus_phi_x(x)):
+        if check and not is_teichmuller(_one_plus_phi_x(x, q_element(x.ring))):
             raise NotTeichmuller("1 + Phi_p([q]) x is not Teichmuller")
         self.x = x
 
@@ -362,32 +352,29 @@ class GQPoint:
         return "GQ(%r)" % (self.x,)
 
 
-def phi_teich_vector(ring, p, L) -> WittVector:
-    """Phi_p([q]) = 1 + [q] + ... + [q^(p-1)] in W(ring)."""
-    q = q_element(ring)
-    acc = zero_vector(ring, p, L)
-    for i in range(p):
-        acc = witt_op(acc, teichmuller(ring, p, L, ring.pow(q, i)), "add")
-    return acc
-
-
-def _one_plus_phi_x(x: WittVector) -> WittVector:
-    ring, p, L = x.ring, x.p, x.L
-    one = teichmuller(ring, p, L, ring.one)
-    return witt_op(one, witt_op(phi_teich_vector(ring, p, L), x, "mul"), "add")
+def _one_plus_phi_x(x: WittVector, q) -> WittVector:
+    """1 + Phi_p([q]) x, one ghost solve: [q] has n-th ghost q^(p^n), so
+    Phi_p([q]) = 1 + [q] + ... + [q^(p-1)] has n-th ghost Phi_p(q^(p^n))."""
+    p = x.p
+    return ghost_combine((x, teichmuller(x.ring, p, x.L, q)), lambda r, g: [
+        r.add(r.one, r.mul(q_number(r, p, gq), gx)) for gx, gq in zip(*g)])
 
 
 def gq_to_unit(a: GQPoint):
-    return _one_plus_phi_x(a.x).components[0]
+    return _one_plus_phi_x(a.x, q_element(a.x.ring)).components[0]
 
 
 def gq_op(a: GQPoint, b: GQPoint) -> GQPoint:
-    """x1 + x2 + Phi_p([q]) x1 x2."""
+    """x1 + x2 + Phi_p([q]) x1 x2, one ghost solve, with the ghosts of
+    Phi_p([q]) as in _one_plus_phi_x."""
     x1, x2 = a.x, b.x
-    ring, p, L = x1.ring, x1.p, x1.L
-    cross = witt_op(phi_teich_vector(ring, p, L),
-                    witt_op(x1, x2, "mul"), "mul")
-    return GQPoint(witt_op(witt_op(x1, x2, "add"), cross, "add"), check=False)
+    x1._check(x2)
+    p = x1.p
+    tq = teichmuller(x1.ring, p, x1.L, q_element(x1.ring))
+    out = ghost_combine((x1, x2, tq), lambda r, g: [
+        r.add(r.add(g1, g2), r.mul(q_number(r, p, gq), r.mul(g1, g2)))
+        for g1, g2, gq in zip(*g)])
+    return GQPoint(out, check=False)
 
 
 def sigma_point(ring, p, L) -> GQPoint:
@@ -410,14 +397,14 @@ def q_power_substitute(ring: PolyQuotRing, elem, n: int):
     return ring.subst(elem, target)
 
 
-def sample_gq(ring, p, L, rng, tries: int = 32) -> GQPoint:
+def sample_gq(ring, p, L, rng) -> GQPoint:
     """Random point: lift U = 1 + Phi_p(q) r exactly and solve the ghost
     equations of Phi_p([q]) x = [U] - 1 over Q[h], where Phi_p(q^(p^i)),
     p modulo h, is a unit; from_ghost certifies p-integrality and reduces
     back."""
     rring = ring.rational_cover()[0]
     phi = q_number(rring, p)
-    for _ in range(tries):
+    for _ in range(32):
         r = [rng.randrange(-9, 10) for _ in range(ring.deg)]
         U = rring.add(rring.one,
                       rring.mul(phi, rring.make([Fraction(c) for c in r])))
@@ -430,7 +417,7 @@ def sample_gq(ring, p, L, rng, tries: int = 32) -> GQPoint:
             pt = GQPoint(from_ghost(ring, p, ghosts), check=False)
         except NonIntegralGhost:
             continue
-        if is_teichmuller(_one_plus_phi_x(pt.x)):
+        if is_teichmuller(_one_plus_phi_x(pt.x, q_element(ring))):
             return pt
     raise TailNotStabilized("no q-deformed point found")
 
@@ -644,13 +631,14 @@ def phi_of_section_identity(p: int) -> bool:
     return ok1 and ok2
 
 
-def gq_at_q1_matches_derham(p: int, n_p: int, L: int, rng, trials: int = 5) -> bool:
-    """Specializing q to 1 collapses the deformed law onto the de Rham one."""
+def gq_at_q1_matches_derham(p: int, n_p: int, L: int, rng) -> bool:
+    """Specializing q to 1 collapses the deformed law onto the de Rham one,
+    on five random pairs."""
     from .derham import gdr_op, GdRPoint, sample_gdr
     from .ringcore import ModP
     ring = gq_ring(p, n_p, 1)  # h = 0: the ring is Z/p^n_p itself in degree 0
     base = ModP(p, n_p)
-    for _ in range(trials):
+    for _ in range(5):
         a = sample_gdr(base, p, L, rng)
         b = sample_gdr(base, p, L, rng)
         # transport to the h-adic ring with h = 0

@@ -138,10 +138,6 @@ class Ring:
 
     # --- optional capabilities -------------------------------------------
 
-    def inv_int(self, n: int):
-        """Inverse of the integer n in this ring, or None."""
-        return None
-
     def inv(self, a):
         """Inverse of the element a when it is a unit this ring can see, or
         None; here only 1 and -1 are seen."""
@@ -152,8 +148,11 @@ class Ring:
         return minus_one if self.eq(a, minus_one) else None
 
     def div_int_exact(self, a, n: int):
-        """a / n when exactly divisible, else None (None also when the ring
-        cannot divide); lets ghost solvers stay in integer arithmetic."""
+        """Some x with n x = a, or None (None also when the ring cannot
+        divide): the one division of every ghost solve.  On a torsion-free
+        ring x is unique.  On Z/m it is the quotient of the representative
+        of a in [0, m) when n divides that integer, else None, so 1 / 2 in
+        Z/9 is None although 2 * 5 = 1 there."""
         return None
 
     def from_rational(self, x):
@@ -221,10 +220,8 @@ class IntRing(Ring):
     def mul_int(self, a, n):
         return a * n
 
-    def inv_int(self, n):
-        return n if n in (1, -1) else None
-
-    inv = inv_int
+    def inv(self, a):
+        return a if a in (1, -1) else None
 
     def div_int_exact(self, a, n):
         q, r = divmod(a, n)
@@ -268,9 +265,6 @@ class RatRing(Ring):
 
     def pow(self, a, n):
         return a ** n
-
-    def inv_int(self, n):
-        return Fraction(1, n) if n != 0 else None
 
     def inv(self, a):
         return 1 / Fraction(a) if a else None
@@ -331,16 +325,18 @@ class IntModRing(Ring):
     def mul_int(self, a, n):
         return (a * n) % self.m
 
-    def inv_int(self, n):
-        if math.gcd(n, self.m) != 1:
+    def inv(self, a):
+        if math.gcd(a, self.m) != 1:
             return None
-        return pow(n, -1, self.m)
+        return pow(a, -1, self.m)
 
-    inv = inv_int
+    def div_int_exact(self, a, n):
+        q, r = divmod(a, n)
+        return q if r == 0 else None
 
     def from_rational(self, x):
         x = Fraction(x)
-        inv = self.inv_int(x.denominator)
+        inv = self.inv(x.denominator)
         if inv is None:
             return None
         return (x.numerator * inv) % self.m
@@ -551,10 +547,6 @@ class PolyQuotRing(Ring):
 
     def eq(self, a, b):
         return not self.sub(a, b)
-
-    def inv_int(self, n):
-        inv = self.scalar.inv_int(n)
-        return None if inv is None else self._strip([inv])
 
     def inv(self, a):
         """Modulo x^N, a is a unit when its constant term is a unit of the
@@ -874,10 +866,6 @@ class SeriesCoeffRing(Ring):
         return None if out is None else TruncSeries(
             self.base, self.variables, dict(zip(a.coeffs, out)), self.order)
 
-    def inv_int(self, n):
-        inv = self.base.inv_int(n)
-        return None if inv is None else self._const(inv)
-
     def div_int_exact(self, a, n):
         return self._image(a, lambda c: self.base.div_int_exact(c, n))
 
@@ -920,9 +908,9 @@ class TruncSeries:
         self.ring = ring
         self.variables = tuple(variables)
         self.order = order
-        if order is not None:
-            coeffs = {e: c for e, c in coeffs.items() if sum(e) <= order}
-        self.coeffs = {e: c for e, c in coeffs.items() if not ring.is_zero(c)}
+        self.coeffs = {e: c for e, c in coeffs.items()
+                       if (order is None or sum(e) <= order)
+                       and not ring.is_zero(c)}
 
     # --- constructors -----------------------------------------------------
 

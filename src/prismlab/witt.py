@@ -1,18 +1,20 @@
 """p-typical and big Witt vectors.
 
 Every Witt operation, p-typical or big, is one ghost solve through one
-dispatch (`ghost_combine`, which also runs whole expressions): over the
-ring itself when it divides exactly, else over its rationalization, else
-over a lift reduced back, with integrality certificates.  A p-typical
-vector of length L over Z/m with p | m, or over a polynomial ring over it,
-lifts to Z/(m p^(L-1)): since a = b mod p^k gives a^(p^j) = b^(p^j) mod
-p^(k+j), that bounded lift solves exactly mod m with integers below
-m p^(L-1) (`_bounded_lift`).  Other torsion rings, the F_p series ring of
-`derham.generic_vector` among them, lift to Z.  Solving from given ghosts
-(`from_ghost`, `from_ghost_big`) runs over `Ring.rational_cover`.  The
-memoized universal polynomial tables, evaluated in the coefficient ring
-with no lift, are an oracle only (`witt_op_universal`): no operation falls
-back to them, and over Z the two must agree (`verify --suite
+dispatch (`ghost_combine`, which also runs whole expressions), on one of
+three paths: over the ring itself when it is torsion-free and divides
+exactly (B_0 among them), over the bounded lift, or over the integral
+lift reduced back.  A p-typical vector of length L over Z/m with p | m, or
+over a polynomial ring over it, lifts to Z/(m p^(L-1)): since a = b mod
+p^k gives a^(p^j) = b^(p^j) mod p^(k+j), that bounded lift solves exactly
+mod m with integers below m p^(L-1) (`_bounded_lift`).  Other torsion
+rings, the F_p series ring of `derham.generic_vector` among them, lift to
+Z.  Solving from given ghosts (`from_ghost`, `from_ghost_big`) runs over
+`Ring.rational_cover`.  Every solve divides with its ring's
+`div_int_exact`, and a quotient outside the ring raises NonIntegralGhost.
+The memoized universal polynomial tables, evaluated in the coefficient
+ring with no lift, are an oracle only (`witt_op_universal`): no operation
+falls back to them, and over Z the two must agree (`verify --suite
 witt.universal`).
 """
 from __future__ import annotations
@@ -100,10 +102,11 @@ class WittVector:
     def _ghosts(self) -> list:
         return ghost_in_ring(self)
 
-    def _solve(self, ring, ghosts, divide) -> "WittVector":
+    def _solve(self, ring, ghosts) -> "WittVector":
         """The vector over ring with these ghost components:
-        x_n = (g_n - sum_{i<n} p^i x_i^(p^(n-i))) / p^n, where divide(a, d)
-        is a / d or None; pows[i] holds x_i^(p^(n-i)) as in ghost_in_ring."""
+        x_n = (g_n - sum_{i<n} p^i x_i^(p^(n-i))) / p^n, divided by
+        ring.div_int_exact, which also certifies x_0 = g_0 / 1; pows[i]
+        holds x_i^(p^(n-i)) as in ghost_in_ring."""
         p = self.p
         comps: list = []
         pows: list = []
@@ -111,11 +114,10 @@ class WittVector:
             pows = [ring.pow(x, p) for x in pows]
             for i, x in enumerate(pows):
                 acc = ring.sub(acc, ring.mul_int(x, p ** i))
-            if n:
-                acc = divide(acc, p ** n)
-                if acc is None:
-                    raise NonIntegralGhost(
-                        "ghost component %d is not integral" % n)
+            acc = ring.div_int_exact(acc, p ** n)
+            if acc is None:
+                raise NonIntegralGhost(
+                    "ghost component %d is not integral" % n)
             comps.append(acc)
             pows.append(acc)
         return WittVector(ring, p, comps)
@@ -186,9 +188,7 @@ def _solve_in_cover(w, cover, ghosts):
     """w's kind of vector over w.ring with these ghost components, which
     live in the ring of cover = (ring over Q, to_rat, from_rat); the solve
     runs there and from_rat certifies each result component."""
-    rring, _, from_rat = cover
-    x = w._solve(rring, ghosts, lambda a, d: rring.mul(a, rring.inv_int(d)))
-    return x._map(w.ring, from_rat)
+    return w._solve(cover[0], ghosts)._map(w.ring, cover[2])
 
 
 def _cover(ring):
@@ -210,9 +210,9 @@ _bounded_cache: dict = {}
 
 
 def _bounded_lift(ring, p: int, L: int):
-    """(Z/M ring, divide, reduce) for p-typical vectors of length at most L
-    over Z/m, or over a PolyQuotRing over Z/m, with p | m: the same ring with
-    Z/M, M = m p^(L-1), in place of Z/m; exact division of the
+    """(Z/M ring, reduce) for p-typical vectors of length at most L over
+    Z/m, or over a PolyQuotRing over Z/m, with p | m: the same ring with
+    Z/M, M = m p^(L-1), in place of Z/m, whose div_int_exact divides the
     representatives in [0, M); reduction mod m.  None on any other ring.
 
     A ghost solve of length at most L run there agrees mod m with the solve
@@ -232,8 +232,7 @@ def _bounded_lift(ring, p: int, L: int):
         wide = IntModRing(scalar.m * p ** max(L - 1, 0), p)
         if scalar is not ring:
             wide = PolyQuotRing(wide, ring.modulus, ring.var)
-        lring, _, down = ring.lifted()
-        out = wide, lring.div_int_exact, down
+        out = wide, ring.lifted()[2]
     _bounded_cache[key] = out
     return out
 
@@ -241,36 +240,33 @@ def _bounded_lift(ring, p: int, L: int):
 def ghost_combine(vectors, combine):
     """The Witt vector, p-typical or big, whose ghost components are
     combine(R, ghosts), where ghosts holds the ghost lists of the vectors
-    computed in the ring R: the coefficient ring itself when it divides
-    exactly, else its rationalization, else for p-typical vectors over Z/m
-    with p | m (or a PolyQuotRing over it) the bounded lift Z/(m p^(L-1))
-    of _bounded_lift, else an integral lift; a lifted result is reduced
-    back (reduction W(lift) -> W(ring) is a ring map).  One ghost solve
+    computed in the ring R, on one of three paths: the coefficient ring
+    itself when it is torsion-free and divides exactly (Z, Q, the
+    polynomial and series rings over them, B_0); for p-typical vectors
+    over Z/m with p | m, or a PolyQuotRing over it, the bounded lift
+    Z/(m p^(L-1)) of _bounded_lift; else the integral lift.  A lifted
+    result is reduced back (reduction W(lift) -> W(ring) is a ring map).
+    Every solve divides with its ring's div_int_exact.  One ghost solve
     however many operations combine makes.  combine must send ghost lists
     of Witt vectors to the ghost list of a Witt vector: ring operations per
     component, F (drop the first component) and V (g_n -> p g_(n-1)); its
     output is no longer than its longest input.  NonIntegralGhost on a ring
-    with neither a rationalization nor a lift."""
+    with neither exact division nor a lift."""
     w, ring = vectors[0], vectors[0].ring
     if ring.is_torsion_free and _has_exact_division(ring):
         ghosts = [v._ghosts() for v in vectors]
-        return w._solve(ring, combine(ring, ghosts), ring.div_int_exact)
-    rat = ring.rationalized()
-    if rat is not None:
-        ghosts = [v._map(rat[0], rat[1])._ghosts() for v in vectors]
-        return _solve_in_cover(w, rat, combine(rat[0], ghosts))
+        return w._solve(ring, combine(ring, ghosts))
     if isinstance(w, WittVector):
         bounded = _bounded_lift(ring, w.p, max(v.L for v in vectors))
         if bounded is not None:
-            bring, divide, down = bounded
+            bring, down = bounded
             ghosts = [WittVector(bring, v.p, v.components)._ghosts()
                       for v in vectors]
-            out = w._solve(bring, combine(bring, ghosts), divide)
-            return out._map(ring, down)
+            return w._solve(bring, combine(bring, ghosts))._map(ring, down)
     lifted = ring.lifted()
     if lifted is None:
-        raise NonIntegralGhost("ring %s has neither a rationalization nor "
-                               "a lift" % ring)
+        raise NonIntegralGhost("ring %s has neither exact division nor a "
+                               "lift" % ring)
     lring, up, down = lifted
     out = ghost_combine([v._map(lring, up) for v in vectors], combine)
     return out._map(ring, down)
@@ -683,23 +679,14 @@ class DeltaRing:
         r = self.ring
         for x in samples:
             diff = r.sub(self.phi(x), r.pow(x, self.p))
-            if self._div_p(diff) is None:
+            if r.div_int_exact(diff, self.p) is None:
                 raise NotADeltaRing("phi is not a Frobenius lift at %s"
                                     % r.fmt(x))
-
-    def _div_p(self, x):
-        """x / p, or None: by exact division where the ring divides, else
-        over its rational cover, the choice the ghost dispatch makes."""
-        r = self.ring
-        if _has_exact_division(r):
-            return r.div_int_exact(x, self.p)
-        rring, to_rat, from_rat = r.rational_cover()
-        return from_rat(rring.mul(to_rat(x), rring.inv_int(self.p)))
 
     def delta(self, x):
         r = self.ring
         num = r.sub(self.phi(x), r.pow(x, self.p))
-        out = self._div_p(num)
+        out = r.div_int_exact(num, self.p)
         if out is None:
             raise NotADeltaRing("(phi(x) - x^p)/p is not integral at %s"
                                 % r.fmt(x))
@@ -763,13 +750,9 @@ def witt_to_bj(w: WittVector) -> list:
     rring, _, from_rat = ring.rationalized()
     cs: list = []
     phi_of = _formal_phi(rring, p, cs)
-    inv_p = rring.inv_int(p)
     for n, g in enumerate(ghost(w)):
         # c_n enters phi^n(c_0) only linearly, with coefficient p^n
-        resid = rring.sub(g, phi_of(0, n))
-        for _ in range(n):
-            resid = rring.mul(resid, inv_p)
-        cs.append(resid)
+        cs.append(rring.div_int_exact(rring.sub(g, phi_of(0, n)), p ** n))
     return _images(rring, from_rat, cs, "BJ coordinate")
 
 
@@ -860,16 +843,16 @@ class BigWitt:
     def _ghosts(self) -> list:
         return ghost_big_in_ring(self)
 
-    def _solve(self, ring, gs, divide) -> "BigWitt":
+    def _solve(self, ring, gs) -> "BigWitt":
         """The series of order len(gs) over ring with ghost components gs,
-        by Newton's identities n f_n = -sum_{d=1}^n g_d f_{n-d}, where
-        divide(a, d) is a / d or None."""
+        by Newton's identities n f_n = -sum_{d=1}^n g_d f_{n-d}, divided by
+        ring.div_int_exact."""
         f = [ring.one]
         for n in range(1, len(gs) + 1):
             acc = ring.zero
             for d in range(1, n + 1):
                 acc = ring.add(acc, ring.mul(gs[d - 1], f[n - d]))
-            q = divide(ring.neg(acc), n)
+            q = ring.div_int_exact(ring.neg(acc), n)
             if q is None:
                 raise NonIntegralGhost(
                     "big Witt coefficient %d is not integral" % n)

@@ -1,15 +1,16 @@
 """The one ghost dispatch of p-typical and big Witt vectors on each of its
-branches: exact division in the ring (Z, Z[h]), the rationalization (B0),
-and an integral lift reduced back (Z/p^n, Z/p^n[h]); solving from given
-ghosts over Ring.rational_cover, which every ring constructor has; and the
-strict ghost map."""
+branches: exact division in the ring (Z, Z[h], B0) and an integral lift
+reduced back (Z/p^n, Z/p^n[h]); B0 against its former route over its
+rationalization; solving from given ghosts over Ring.rational_cover, which
+every ring constructor has; and the strict ghost map."""
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prismlab.qhopf import B0Ring
+from prismlab import witt
+from prismlab.qhopf import QH, B0Elem, B0Ring
 from prismlab.qprism import bhat_ring
 from prismlab.ringcore import (
     CyclotomicRing, DoesNotConverge, ExactInt, ExactRat, IntModRing, ModP,
@@ -18,7 +19,7 @@ from prismlab.ringcore import (
 )
 from prismlab.witt import (
     BigWitt, NonIntegralGhost, WittVector, frobenius_big, from_ghost, ghost,
-    ghost_big, teichmuller_big,
+    ghost_big, ghost_combine, teichmuller_big,
 )
 
 P = 3
@@ -80,6 +81,53 @@ def test_bigwitt_over_torsion_ring_is_integral_result_reduced(key, N, seed,
     x, y = down(a.coefficient(1)), down(b.coefficient(1))
     assert (teichmuller_big(ring, N, x) * teichmuller_big(ring, N, y)
             == teichmuller_big(ring, N, ring.mul(x, y)))
+
+
+def b0_over_q(vectors, combine):
+    """The reference route of a B0 ghost solve: over the rationalization
+    B0@Q, each result coefficient certified back into B0."""
+    rat = vectors[0].ring.rationalized()
+    ghosts = [v._map(rat[0], rat[1])._ghosts() for v in vectors]
+    return witt._solve_in_cover(vectors[0], rat, combine(rat[0], ghosts))
+
+
+def mul(r, g):
+    return list(map(r.mul, *g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(1, 6), seed=st.integers(0, 2 ** 32), data=st.data())
+def test_b0_solves_in_b0_as_over_its_rationalization(N, seed, data):
+    R = B0Ring()
+    assert R.is_torsion_free and witt._has_exact_division(R)
+    a, b = random_pair(R, N, random.Random(seed))
+    m = data.draw(st.integers(1, N))
+    prod = ghost_combine((a, b), mul)
+    assert prod.ring == R and prod.coeffs == b0_over_q((a, b), mul).coeffs
+    assert prod == a * b
+
+    def frob(r, g):
+        return g[0][m - 1::m]
+    assert (frobenius_big(a, m).coeffs
+            == ghost_combine((a,), frob).coeffs
+            == b0_over_q((a,), frob).coeffs)
+
+
+def test_b0_non_integral_input_raises():
+    R = B0Ring()
+    half = B0Elem((QH.make([Fraction(1, 2)]),))
+    a = big(R, 3, [R.one, half, R.zero])
+    one = teichmuller_big(R, 3, R.one)      # the unit 1 - z
+    for route in (ghost_combine, b0_over_q):
+        with pytest.raises(NonIntegralGhost):
+            route((a, one), mul)
+        with pytest.raises(NonIntegralGhost):
+            route((a,), lambda r, g: g[0])
+    # a p-typical solve certifies its first component too
+    x = WittVector(R, P, [half, R.zero])
+    for route in (ghost_combine, b0_over_q):
+        with pytest.raises(NonIntegralGhost):
+            route((x,), lambda r, g: g[0])
 
 
 @settings(max_examples=40, deadline=None)

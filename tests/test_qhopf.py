@@ -67,7 +67,7 @@ def test_c_monomial_is_the_falling_product():
     prod = QHT.one
     for n in range(13):
         assert repr(_c_monomial(n)) == repr(
-            QHT.mul(prod, QHT.inv_int(math.factorial(n))))
+            QHT.div_int_exact(prod, math.factorial(n)))
         prod = QHT.mul(prod, QHT.make([H(0, -n), QH.one]))
 
 
@@ -274,3 +274,13 @@ def test_b0ring_protocol():
     assert down(up(a)) == a
     half = B0Elem((QH.make([Fraction(1, 2)]),))
     assert down(half) is None
+
+
+def test_b0ring_div_int_exact_certifies_z_h_integrality():
+    c1 = B0Elem.t()
+    assert B0Ring().div_int_exact(c1, 2) is None
+    assert B0Ring(rational=True).div_int_exact(c1, 2) == B0Elem(
+        (QH.zero, H(Fraction(1, 2))))
+    # (4 + 2h c_1) / 2 = 2 + h c_1
+    a = B0Elem((H(4), H(0, 2)))
+    assert B0Ring().div_int_exact(a, 2) == B0Elem((H(2), H(0, 1)))

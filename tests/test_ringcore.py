@@ -5,7 +5,8 @@ from fractions import Fraction
 
 from prismlab.ringcore import (
     CyclotomicRing, DoesNotConverge, ExactInt, ExactRat, IntModRing, ModP,
-    NonIntegralCoefficient, NonzeroConstantTerm, QPoly, QSeriesRing,
+    NonIntegralCoefficient, NonzeroConstantTerm, PolyQuotRing, QPoly,
+    QSeriesRing,
     RingMismatch, TruncSeries, _log_term_bound, _padic_profile,
     clear_denominators, floor_log, h_element, padic_log, q_element,
     q_number as phi_p_element, series_arith, series_compose, series_exp, series_inverse,
@@ -24,8 +25,20 @@ def test_ring_basics():
     assert Q.mul(Fraction(1, 2), Fraction(2, 3)) == Fraction(1, 3)
     R = ModP(2, 4)
     assert R.add(9, 9) == 2
-    assert R.inv_int(3) == 11  # 3 * 11 = 33 = 1 mod 16
-    assert R.inv_int(2) is None
+    assert R.inv(3) == 11  # 3 * 11 = 33 = 1 mod 16
+    assert R.inv(2) is None
+
+
+def test_div_int_exact_over_z_mod_m_divides_the_representative():
+    R = IntModRing(9)
+    assert R.div_int_exact(6, 3) == 2 and R.div_int_exact(0, 3) == 0
+    assert R.div_int_exact(4, 3) is None
+    # 2 * 5 = 1 in Z/9, but the representative 1 of 1 is odd
+    assert R.div_int_exact(1, 2) is None
+    A = PolyQuotRing(R, (0, 0, 1), "a")
+    assert A.div_int_exact(A.make([6, 3]), 3) == A.make([2, 1])
+    assert A.div_int_exact(A.make([6, 1]), 3) is None
+    assert A.div_int_exact(A.one, 2) is None
 
 
 def test_qpoly_and_qseries():
