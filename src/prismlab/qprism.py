@@ -464,7 +464,7 @@ def q_log(a: GQPoint, n_p: int, n_q: int) -> tuple:
                           rring.mul(power, rring.make([Fraction((-1) ** (n - 1), n)])))
     inv = _h_over_log(n_q)
     val = rring.mul(log_u, inv)
-    val = rring.make([c / p for c in val])
+    val = rring.div_int_exact(val, p)
     loss = _precision_loss(p, inv)
     if n_p - loss < 1:
         raise TailNotStabilized(

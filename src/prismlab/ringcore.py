@@ -761,6 +761,14 @@ def ModP(p: int, n_p: int) -> IntModRing:
     return IntModRing(p ** n_p, p=p)
 
 
+def widened(ring, factor: int):
+    """Z/m, or a PolyQuotRing over it (nested or not), with Z/(m factor) in
+    place of Z/m; ring.lifted() reduces its elements onto ring."""
+    if type(ring) is IntModRing:
+        return IntModRing(ring.m * factor, ring.p)
+    return ring._over(widened(ring.scalar, factor))
+
+
 def QPoly() -> PolyQuotRing:
     """Z[q] represented on the basis of powers of h = q - 1."""
     return PolyQuotRing(IntRing(), None, "h")
@@ -1224,52 +1232,62 @@ def series_exp(f: TruncSeries) -> TruncSeries:
 
 def _rat_scalar(ring, frac: Fraction):
     """The element frac * 1 in a ring over Q."""
-    img = ring.from_rational(_as_rat_element(ring, frac))
+    img = ring.div_int_exact(ring.from_int(frac.numerator), frac.denominator)
     if img is None:
         raise NonIntegralCoefficient("ring does not contain %s" % frac)
     return img
-
-
-def _as_rat_element(ring, frac: Fraction):
-    if isinstance(ring, PolyQuotRing):
-        return (frac,)
-    return frac
 
 
 def padic_log(u: TruncSeries, n_terms: int | None = None) -> TruncSeries:
     """log of a series congruent to 1 modulo the augmentation ideal plus the
     topologically nilpotent part of the coefficient ring.
 
-    Both cases are computed exactly over the ring's rational cover and
-    cleared back (NonIntegralCoefficient if the result does not live in the
-    ring).  When the constant term differs from 1 the coefficient ring must
-    be a mod-p^n quotient; terms are then summed to the analytic
-    stabilization bound.
+    Computed exactly, over the ring's rational cover when the constant
+    term is 1, and cleared back (NonIntegralCoefficient if the result does
+    not live in the ring).  Otherwise the coefficient ring must be a mod-p^n
+    quotient; terms are then summed to the analytic stabilization bound.
     """
     r = u.ring
     w = u - TruncSeries.one(r, u.variables, u.order)
     if w.is_zero():
         return w
-    positive = w.low_order() and w.low_order() > 0
-    if not positive:
-        # constant part: need a p-adically truncated coefficient ring
-        bound = n_terms or _log_term_bound(r)
-        if bound is None or r.is_torsion_free:
-            raise DoesNotConverge("constant term differs from 1 and %s "
-                                  "carries no p-adic modulus" % r)
-    cover = r.rational_cover()
-    if cover is None:
-        raise DoesNotConverge("no exact cover for %s" % r)
-    rring, to_rat, _ = cover
-    if positive:
+    if w.low_order() and w.low_order() > 0:
+        cover = r.rational_cover()
+        if cover is None:
+            raise DoesNotConverge("no exact cover for %s" % r)
+        rring, to_rat, _ = cover
         return clear_denominators(series_log(u.map_coeffs(to_rat, rring)), r)
-    wq = w.map_coeffs(to_rat, rring)
-    out = TruncSeries.zero(r, u.variables, u.order)
-    power = TruncSeries.one(rring, u.variables, u.order)
+    # constant part: need a p-adically truncated coefficient ring
+    bound = n_terms or _log_term_bound(r)
+    if bound is None or r.is_torsion_free:
+        raise DoesNotConverge("constant term differs from 1 and %s "
+                              "carries no p-adic modulus" % r)
+    # each term w^n / n over Z of the representatives in [0, m), mapped back:
+    # the powers run mod M = m p^K, p^K <= bound, where the unit part of n is
+    # inverted and its p part p^v divided out; a = b mod M gives
+    # a / p^v = b / p^v mod m
+    p = _padic_profile(r)[0]
+    wide = widened(r, p ** floor_log(bound, p))
+    scalar = wide
+    while type(scalar) is PolyQuotRing:
+        scalar = scalar.scalar
+    reduce = r.lifted()[2]
+    w_wide = TruncSeries(wide, w.variables, w.coeffs, w.order)
+    power = TruncSeries.one(wide, w.variables, w.order)
+    out = TruncSeries.zero(r, w.variables, w.order)
     for n in range(1, bound + 1):
-        power = power * wq
-        term = power.scale(_rat_scalar(rring, Fraction((-1) ** (n - 1), n)))
-        out = out + clear_denominators(term, r)
+        power = power * w_wide
+        p_part = p ** valuation(n, p)
+        unit = scalar.inv((-1) ** (n - 1) * n // p_part)
+        term = {}
+        for e, c in power.coeffs.items():
+            x = (None if unit is None else
+                 wide.div_int_exact(wide.mul_int(c, unit), p_part))
+            if x is None:
+                raise NonIntegralCoefficient("w^%d / %d has no image in %s"
+                                             % (n, n, r))
+            term[e] = reduce(x)
+        out = out + TruncSeries(r, w.variables, term, w.order)
     return out
 
 

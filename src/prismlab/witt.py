@@ -25,7 +25,7 @@ from operator import or_
 
 from .ringcore import (
     IntModRing, IntRing, PolyQuotRing, PrecisionExhausted, PrismlabError,
-    Ring, RingMismatch, TruncSeries, series_inverse,
+    Ring, RingMismatch, TruncSeries, series_inverse, widened,
 )
 
 
@@ -229,10 +229,7 @@ def _bounded_lift(ring, p: int, L: int):
     scalar = ring.scalar if type(ring) is PolyQuotRing else ring
     out = None
     if type(scalar) is IntModRing and scalar.m % p == 0:
-        wide = IntModRing(scalar.m * p ** max(L - 1, 0), p)
-        if scalar is not ring:
-            wide = PolyQuotRing(wide, ring.modulus, ring.var)
-        out = wide, ring.lifted()[2]
+        out = widened(ring, p ** max(L - 1, 0)), ring.lifted()[2]
     _bounded_cache[key] = out
     return out
 

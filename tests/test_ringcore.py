@@ -8,9 +8,9 @@ from prismlab.ringcore import (
     NonIntegralCoefficient, NonzeroConstantTerm, PolyQuotRing, QPoly,
     QSeriesRing,
     RingMismatch, TruncSeries, _log_term_bound, _padic_profile,
-    clear_denominators, floor_log, h_element, padic_log, q_element,
-    q_number as phi_p_element, series_arith, series_compose, series_exp, series_inverse,
-    valuation,
+    clear_denominators, cyclotomic_modulus, floor_log, h_element, padic_log,
+    q_element, q_number as phi_p_element, series_arith, series_compose,
+    series_exp, series_inverse, valuation, widened,
 )
 
 
@@ -223,6 +223,64 @@ def test_padic_log_zeta_is_zero():
     u = TruncSeries.const(C, ("z",), 2, z)
     got = padic_log(u)
     assert got.is_zero()
+
+
+def test_padic_log_constant_term_over_a_nested_quotient():
+    # (Z/3^4[h]/(h^2))[zeta]: the terms run in the same ring over Z/3^8
+    R = PolyQuotRing(QSeriesRing(2, p=3, n_p=4), cyclotomic_modulus(3), "zeta")
+    assert widened(R, 3 ** 4) == PolyQuotRing(
+        QSeriesRing(2, p=3, n_p=8), cyclotomic_modulus(3), "zeta")
+    zeta = R.make([R.scalar.zero, R.scalar.one])
+    assert padic_log(TruncSeries.const(R, ("z",), 2, zeta)).is_zero()
+    a = R.make([R.scalar.make_ints([4, 3]), R.scalar.make_ints([3])])
+    log_a = padic_log(TruncSeries.const(R, ("z",), 2, a))
+    assert not log_a.is_zero()
+    # log(a zeta) = log a + log zeta = log a
+    assert padic_log(TruncSeries.const(R, ("z",), 2, R.mul(a, zeta))) == log_a
+
+
+def _log_over_cover(u, bound):
+    """The constant-term log as padic_log summed it before: each term over
+    the rational cover, cleared back on its own."""
+    r = u.ring
+    rring, to_rat, _ = r.rational_cover()
+    w = (u - TruncSeries.one(r, u.variables, u.order)).map_coeffs(to_rat, rring)
+    out = TruncSeries.zero(r, u.variables, u.order)
+    power = TruncSeries.one(rring, u.variables, u.order)
+    for n in range(1, bound + 1):
+        power = power * w
+        term = power.map_coeffs(
+            lambda c: rring.div_int_exact(rring.mul_int(c, (-1) ** (n - 1)), n))
+        out = out + clear_denominators(term, r)
+    return out
+
+
+@pytest.mark.parametrize("ring", [
+    ModP(3, 4), CyclotomicRing(2, n_p=5), CyclotomicRing(3, n_p=4),
+    QSeriesRing(3, p=3, n_p=3)], ids=repr)
+def test_padic_log_constant_term_matches_the_cover_sum(ring):
+    rng = random.Random(7)
+    p = _padic_profile(ring)[0]
+    for _ in range(8):
+        c = ring.add(ring.one, ring.mul_int(ring.rand(rng), rng.choice((1, p))))
+        if getattr(ring, "var", None) == "zeta":
+            c = ring.mul(c, ring.pow(q_element(ring), rng.randrange(p)))
+        u = TruncSeries(ring, ("z",), {(0,): c, (1,): ring.rand(rng)}, 2)
+        try:
+            want = _log_over_cover(u, _log_term_bound(ring))
+        except NonIntegralCoefficient:
+            with pytest.raises(NonIntegralCoefficient):
+                padic_log(u)
+        else:
+            assert padic_log(u) == want
+
+
+def test_padic_log_non_integral_term_raises():
+    # w = zeta is a unit, not topologically nilpotent: w^3 / 3 = 1 / 3
+    C = CyclotomicRing(3, n_p=4)
+    u = TruncSeries.const(C, ("z",), 1, C.make_ints([1, 1]))
+    with pytest.raises(NonIntegralCoefficient, match="w\\^3 / 3"):
+        padic_log(u)
 
 
 def test_padic_log_needs_modulus():
