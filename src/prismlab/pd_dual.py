@@ -17,7 +17,7 @@ from fractions import Fraction
 from .intpoly import binom_poly, gen_binom
 from .ringcore import (
     CyclotomicRing, IntRing, PolyQuotRing, PrismlabError, RatRing,
-    TruncSeries, padic_log, q_element, series_log,
+    TruncSeries, padic_log, q_element,
 )
 
 
@@ -361,30 +361,20 @@ def reduce_against_basis(f: PDElem, basis: dict, p: int) -> dict:
 # the exact sequence: log, mu_p, and the exponential pairing
 
 
-def exact_sequence_check(p: int, n_p: int, N: int) -> dict:
-    """(a) log(x^u) = u log(x) as series in Q[u][[x-1]] to order N;
-    (b) log vanishes on the mu_p classes mod p^n_p;
-    (c) exp(uv) exhibits gamma_n(u) and v^n as dual bases."""
-    out = {"log_xu": False, "log_mu_p": False, "exp_pairing": False}
+def log_and_pairing_check(N: int) -> dict:
+    """The parts of the exact sequence that do not depend on p, to order N:
+    log(x^u) = u log(x) in Q[u][[x-1]], log(1) = 0, and exp(uv) exhibiting
+    gamma_n(u) and v^n as dual bases (log_mu_p_vanishes has the rest)."""
     QU = PolyQuotRing(RatRing(), None, "u")
     u = QU.make([Fraction(0), Fraction(1)])
     # x^u = sum C(u,n) w^n with w = x - 1
     xu = TruncSeries(QU, ("w",), {
         (n,): binom_poly(n) for n in range(N + 1)}, N)
-    log_xu = series_log(xu)
+    log_xu = padic_log(xu)
     w = TruncSeries.var(QU, ("w",), N, "w")
     one = TruncSeries.one(QU, ("w",), N)
-    log_x = series_log(one + w)
-    out["log_xu"] = log_xu == log_x.scale(u)
-    # u = 0 sanity
-    out["log_at_zero"] = series_log(
-        TruncSeries.one(QU, ("w",), N)).is_zero()
-    # (b): log(zeta) = 0 mod p^n_p
-    C = CyclotomicRing(p, n_p=n_p)
-    zeta = q_element(C)
-    out["log_mu_p"] = padic_log(
-        TruncSeries.const(C, ("w",), 1, zeta)).is_zero()
-    # (c): exp(uv) = sum gamma_n(u) v^n, identity matrix in those bases
+    log_x = padic_log(one + w)
+    # exp(uv) = sum gamma_n(u) v^n, identity matrix in those bases
     Q2 = RatRing()
     exp_uv = TruncSeries.zero(Q2, ("u", "v"), None)
     for n in range(N + 1):
@@ -398,5 +388,12 @@ def exact_sequence_check(p: int, n_p: int, N: int) -> dict:
     matrix_ok = all(
         (exp_uv.coefficient((i, j)) * math.factorial(i) ==
          (1 if i == j else 0)) for i in range(N + 1) for j in range(N + 1))
-    out["exp_pairing"] = ok and matrix_ok
-    return out
+    return {"log_xu": log_xu == log_x.scale(u),
+            "log_at_zero": padic_log(one).is_zero(),   # u = 0 sanity
+            "exp_pairing": ok and matrix_ok}
+
+
+def log_mu_p_vanishes(p: int, n_p: int) -> bool:
+    """log vanishes on the mu_p classes: log(zeta) = 0 mod p^n_p."""
+    C = CyclotomicRing(p, n_p=n_p)
+    return padic_log(TruncSeries.const(C, ("w",), 1, q_element(C))).is_zero()

@@ -21,8 +21,8 @@ from typing import NamedTuple
 from .qhopf import _c_monomial, _from_monomial
 from .ringcore import (
     CyclotomicRing, IdentityFailed, PolyQuotRing, PrismlabError, QSeriesRing,
-    RatRing, TruncSeries, _padic_profile, h_element, q_element, q_number,
-    valuation,
+    RatRing, TruncSeries, _last_live_term, _log_term_ring, _padic_profile,
+    h_element, q_element, q_number, valuation,
 )
 from .witt import (
     DeltaRing, NonIntegralGhost, WittVector, from_ghost, ghost_combine,
@@ -447,6 +447,10 @@ def q_log(a: GQPoint, n_p: int, n_q: int) -> tuple:
 
     The division by p costs one digit: the result is valid mod p^(n_p - 1)
     and is returned together with its output ring at that precision.
+
+    The one log sum besides padic_log, kept over Q[h]: at p = 2, n_q >= 5
+    some terms (U - 1)^n / n are not p-integral, and padic_log, dividing
+    term by term, raises NonIntegralCoefficient where this sum succeeds.
     """
     ring = a.x.ring
     p = _padic_profile(ring)[0]
@@ -559,10 +563,15 @@ def equivariance_report(p: int, n: int, n_p: int, n_q: int, n_z: int) -> dict:
 
 def hodge_tate_check(p: int, n_p: int, order: int) -> dict:
     """(a) the logarithm map is additive for the law z1 + z2 + (zeta-1)z1z2;
-    (b) it kills z = 1 (the image of Z/p); (c) its linear coefficient is 1."""
+    (b) it kills z = 1 (the image of Z/p); (c) its linear coefficient is 1.
+
+    (b) sums lambda(1) to its last nonzero term: as (zeta-1)^(p-1) = p unit,
+    the n-th term (zeta-1)^(n-1)/n has (zeta-1)-adic valuation
+    n - 1 - (p - 1) v_p(n), so it is nonzero in Z/p^n_p[zeta] exactly when
+    floor((n-1)/(p-1)) - v_p(n) < n_p (_lambda_cut)."""
     C = CyclotomicRing(p, n_p=n_p)
     zeta = q_element(C)
-    lam = _lambda_series(C, p, n_p, order)
+    lam = _lambda_series(C, order)
     # (a) additivity
     z1 = TruncSeries.var(C, ("z1", "z2"), order, "z1")
     z2 = TruncSeries.var(C, ("z1", "z2"), order, "z2")
@@ -570,9 +579,8 @@ def hodge_tate_check(p: int, n_p: int, order: int) -> dict:
     lhs = lam.subs({"z": law})
     rhs = lam.subs({"z": z1}) + lam.subs({"z": z2})
     ok_add = lhs == rhs
-    # (b) lambda(1) = (zeta-1)^{-1} log(zeta) = 0: the infinite sum needs
-    # its own stabilization bound, (p-1) steps per p-adic digit
-    lam_1 = _lambda_series(C, p, n_p, (p - 1) * (n_p + 4) + 8)
+    # (b) lambda(1) = (zeta-1)^{-1} log(zeta) = 0
+    lam_1 = _lambda_series(C, _lambda_cut(p, n_p))
     ok_kernel = C.is_zero(reduce(C.add, lam_1.coeffs.values(), C.zero))
     # (c) leading coefficient
     ok_lead = C.eq(lam.coefficient((1,)), C.one)
@@ -580,22 +588,24 @@ def hodge_tate_check(p: int, n_p: int, order: int) -> dict:
             "leading_one": ok_lead, "zeta": zeta}
 
 
-def _lambda_series(C, p: int, n_p: int, order: int) -> TruncSeries:
-    """(zeta-1)^{-1} log(1 + (zeta-1) z) = sum (-1)^(n-1) (zeta-1)^(n-1)/n z^n,
-    coefficients computed exactly in Q(zeta) and certified p-integral."""
-    exact = CyclotomicRing(p)
-    rring, to_rat, _ = exact.rationalized()
-    zeta1 = rring.sub(q_element(rring), rring.one)
-    coeffs = {}
-    power = rring.one
+def _lambda_cut(p: int, n_p: int) -> int:
+    """The last n with n - 1 - (p - 1) v_p(n) < (p - 1) n_p: as v_p(n) <=
+    floor_log(n, p), none lies past _last_live_term(p, (p - 1) n_p, 1)."""
+    return max(n for n in range(1, _last_live_term(p, (p - 1) * n_p, 1) + 1)
+               if n - 1 - (p - 1) * valuation(n, p) < (p - 1) * n_p)
+
+
+def _lambda_series(C, order: int) -> TruncSeries:
+    """(zeta-1)^{-1} log(1 + (zeta-1) z) = sum (-1)^(n-1) (zeta-1)^(n-1)/n z^n
+    over C = CyclotomicRing(p, n_p), by padic_log's term routine."""
+    wide, term, reduce_ = _log_term_ring(C, order)
+    coeffs, power, zeta1 = {}, wide.one, h_element(wide)
     for n in range(1, order + 1):
-        if n > 1:
-            power = rring.mul(power, zeta1)
-        c = rring.mul(power, rring.make([Fraction((-1) ** (n - 1), n)]))
-        img = C.from_rational(c)
-        if img is None:
+        c = term(power, n)
+        if c is None:
             raise TailNotStabilized("lambda coefficient %d not p-integral" % n)
-        coeffs[(n,)] = img
+        coeffs[(n,)] = reduce_(c)
+        power = wide.mul(power, zeta1)
     return TruncSeries(C, ("z",), coeffs, order)
 
 

@@ -1194,25 +1194,6 @@ def series_inverse(f: TruncSeries) -> TruncSeries:
     return u
 
 
-def series_log(f: TruncSeries) -> TruncSeries:
-    """log f for f = 1 + u with u of positive order, over a Q-type ring."""
-    r = f.ring
-    u = f - TruncSeries.one(r, f.variables, f.order)
-    if u.low_order() in (0, None) and not u.is_zero():
-        raise NonzeroConstantTerm("log needs f = 1 + (positive order)")
-    if f.order is None:
-        raise PrecisionExhausted("log needs a finite order")
-    out = TruncSeries.zero(r, f.variables, f.order)
-    term = TruncSeries.one(r, f.variables, f.order)
-    for n in range(1, f.order + 1):
-        term = term * u
-        if term.is_zero():
-            break
-        coeff = Fraction((-1) ** (n - 1), n)
-        out = out + term.scale(_rat_scalar(r, coeff))
-    return out
-
-
 def series_exp(f: TruncSeries) -> TruncSeries:
     """exp f for f of positive order, over a Q-type ring."""
     r = f.ring
@@ -1223,93 +1204,100 @@ def series_exp(f: TruncSeries) -> TruncSeries:
     out = TruncSeries.one(r, f.variables, f.order)
     term = TruncSeries.one(r, f.variables, f.order)
     for n in range(1, f.order + 1):
-        term = term * f.scale(_rat_scalar(r, Fraction(1, n)))
+        inv_n = r.div_int_exact(r.one, n)
+        if inv_n is None:
+            raise NonIntegralCoefficient("ring does not contain 1/%d" % n)
+        term = term * f.scale(inv_n)
         if term.is_zero():
             break
         out = out + term
     return out
 
 
-def _rat_scalar(ring, frac: Fraction):
-    """The element frac * 1 in a ring over Q."""
-    img = ring.div_int_exact(ring.from_int(frac.numerator), frac.denominator)
-    if img is None:
-        raise NonIntegralCoefficient("ring does not contain %s" % frac)
-    return img
-
-
-def padic_log(u: TruncSeries, n_terms: int | None = None) -> TruncSeries:
-    """log of a series congruent to 1 modulo the augmentation ideal plus the
-    topologically nilpotent part of the coefficient ring.
-
-    Computed exactly, over the ring's rational cover when the constant
-    term is 1, and cleared back (NonIntegralCoefficient if the result does
-    not live in the ring).  Otherwise the coefficient ring must be a mod-p^n
-    quotient; terms are then summed to the analytic stabilization bound.
-    """
+def padic_log(u: TruncSeries) -> TruncSeries:
+    """log u = sum (-1)^(n-1) w^n / n with w = u - 1, term by term, each
+    term divided in the ring of _log_term_ring.  Over a torsion-free ring w
+    needs positive order and the terms stop at the series order; over a
+    mod-p^n quotient w(0) may lie in (p, q - 1, zeta - 1), and
+    _log_term_bound terms are summed.  The loop stops once w^n is zero.  A
+    term outside the ring raises NonIntegralCoefficient, a constant term
+    over a ring with no p-adic modulus DoesNotConverge."""
     r = u.ring
     w = u - TruncSeries.one(r, u.variables, u.order)
     if w.is_zero():
         return w
-    if w.low_order() and w.low_order() > 0:
-        cover = r.rational_cover()
-        if cover is None:
-            raise DoesNotConverge("no exact cover for %s" % r)
-        rring, to_rat, _ = cover
-        return clear_denominators(series_log(u.map_coeffs(to_rat, rring)), r)
-    # constant part: need a p-adically truncated coefficient ring
-    bound = n_terms or _log_term_bound(r)
-    if bound is None or r.is_torsion_free:
+    if r.is_torsion_free and not w.low_order():
         raise DoesNotConverge("constant term differs from 1 and %s "
                               "carries no p-adic modulus" % r)
-    # each term w^n / n over Z of the representatives in [0, m), mapped back:
-    # the powers run mod M = m p^K, p^K <= bound, where the unit part of n is
-    # inverted and its p part p^v divided out; a = b mod M gives
-    # a / p^v = b / p^v mod m
-    p = _padic_profile(r)[0]
-    wide = widened(r, p ** floor_log(bound, p))
-    scalar = wide
-    while type(scalar) is PolyQuotRing:
-        scalar = scalar.scalar
-    reduce = r.lifted()[2]
-    w_wide = TruncSeries(wide, w.variables, w.coeffs, w.order)
+    if w.order is None:
+        raise PrecisionExhausted("log needs a finite order")
+    bound = w.order if r.is_torsion_free else _log_term_bound(r, w.order)
+    wide, term, reduce = _log_term_ring(r, bound)
+    w = TruncSeries(wide, w.variables, w.coeffs, w.order)
     power = TruncSeries.one(wide, w.variables, w.order)
     out = TruncSeries.zero(r, w.variables, w.order)
     for n in range(1, bound + 1):
-        power = power * w_wide
-        p_part = p ** valuation(n, p)
-        unit = scalar.inv((-1) ** (n - 1) * n // p_part)
-        term = {}
-        for e, c in power.coeffs.items():
-            x = (None if unit is None else
-                 wide.div_int_exact(wide.mul_int(c, unit), p_part))
-            if x is None:
-                raise NonIntegralCoefficient("w^%d / %d has no image in %s"
-                                             % (n, n, r))
-            term[e] = reduce(x)
-        out = out + TruncSeries(r, w.variables, term, w.order)
+        power = power * w
+        if power.is_zero():
+            break
+        terms = _images(lambda c: term(c, n), power.coeffs.values())
+        if terms is None:
+            raise NonIntegralCoefficient("w^%d / %d has no image in %s"
+                                         % (n, n, r))
+        out = out + TruncSeries(r, w.variables, dict(
+            zip(power.coeffs, map(reduce, terms))), w.order)
     return out
 
 
-def _log_term_bound(ring) -> int | None:
-    """Terms needed for log series stabilization at the ring's precision,
-    None on a ring with no p-adic modulus.
-
-    Decay model: the n-th term (u-1)^n / n gains at least n/(p-1) in the
-    (p, q-1, zeta-1)-adic filtration and loses v_p(n); the bound makes the
-    net gain exceed the stored precision for every later term.
+def _log_term_ring(ring, bound: int) -> tuple:
+    """(wide, term, reduce): term(c, n) = (-1)^(n-1) c / n in wide, or None,
+    for n <= bound, and reduce maps wide onto ring.  A torsion-free ring
+    divides in itself.  A mod-p^n quotient runs in widened(ring, p^K),
+    p^K <= bound: the unit part of n is inverted and its p part p^v,
+    v <= K, divided out, and a = b mod m p^K gives a / p^v = b / p^v mod m.
     """
-    try:
-        p, n_p, extra = _padic_profile(ring)
-    except DoesNotConverge:
-        return None
-    target = n_p + extra
+    if ring.is_torsion_free:
+        return ring, (lambda c, n: ring.div_int_exact(
+            ring.mul_int(c, (-1) ** (n - 1)), n)), (lambda x: x)
+    p = _padic_profile(ring)[0]
+    wide = widened(ring, p ** floor_log(bound, p))
+    scalar = wide
+    while type(scalar) is PolyQuotRing:
+        scalar = scalar.scalar
+
+    def term(c, n):
+        p_part = p ** valuation(n, p)
+        unit = scalar.inv((-1) ** (n - 1) * n // p_part)
+        return (None if unit is None else
+                wide.div_int_exact(wide.mul_int(c, unit), p_part))
+    return wide, term, ring.lifted()[2]
+
+
+def _log_term_bound(ring, order: int) -> int:
+    """The last n at which w^n / n may be nonzero, for w of this order over
+    a mod-p^n quotient with w(0) in I = (p, q - 1, zeta - 1).
+
+    Weigh p as p - 1 and q - 1, zeta - 1 as 1: weights add in products, an
+    exact division by p^v takes (p - 1) v off, and with (p, n_p, extra) =
+    _padic_profile(ring) weight (p - 1)(n_p + extra) is zero.  The z^j
+    coefficient of w^k comes from w(0)^(k-i) (w - w(0))^i with
+    i <= j <= order, so it lies in I^(k-order) and w^k / k weighs at least
+    k - order - (p - 1) floor_log(k, p); the bound is the last k where that
+    is below (p - 1)(n_p + extra)."""
+    p, n_p, extra = _padic_profile(ring)
+    return _last_live_term(p, (p - 1) * (n_p + extra), order)
+
+
+def _last_live_term(p: int, target: int, shift: int) -> int:
+    """The last k >= 1 with F(k) = k - shift - (p - 1) floor_log(k, p)
+    below target, or 0.  F grows on each [p^e, p^(e+1)) and
+    F(p^(e+1)) - F(p^e) = (p - 1)(p^e - 1) >= 0, so F(k) >= target for
+    every k >= n once it holds at n and at the first power of p above n."""
     n = 1
-    while True:
-        if all(Fraction(k, p - 1) - floor_log(k, p) >= target
-               for k in range(n, 4 * n + 8)):
-            return 4 * n + 8
+    while (min(n, p ** (floor_log(n, p) + 1) - (p - 1))
+           - (p - 1) * floor_log(n, p) - shift < target):
         n += 1
+    return n - 1
 
 
 def _padic_profile(ring) -> tuple:

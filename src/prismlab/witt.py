@@ -689,18 +689,15 @@ class DeltaRing:
                                 % r.fmt(x))
         return out
 
-    def phi_iter(self, x, n: int):
-        for _ in range(n):
-            x = self.phi(x)
-        return x
-
 
 def joyal_lift(dr: DeltaRing, b, L: int) -> WittVector:
     """The unique delta-ring section of W(ring) -> ring, componentwise:
-    ghost_n = phi^n(b), Buium-Joyal coordinates (b, delta b, delta^2 b, ...)."""
-    to_rat = dr.ring.rational_cover()[1]
-    return from_ghost(dr.ring, dr.p, [to_rat(dr.phi_iter(b, n))
-                                      for n in range(L)])
+    ghost_n = phi^n(b), Buium-Joyal coordinates (b, delta b, delta^2 b, ...).
+    The ghosts are solved in dr.ring itself, which is torsion-free."""
+    ghosts = [b]
+    while len(ghosts) < L:
+        ghosts.append(dr.phi(ghosts[-1]))
+    return WittVector(dr.ring, dr.p, ())._solve(dr.ring, ghosts[:L])
 
 
 def bj_coordinates(dr: DeltaRing, b, L: int) -> list:

@@ -158,11 +158,10 @@ def test_ghost_is_strict_over_torsion_rings():
 
 
 @pytest.mark.parametrize("ring", [Z, ZH, ExactRat()], ids=repr)
-@pytest.mark.parametrize("n_terms", [None, 5])
-def test_padic_log_constant_term_needs_a_p_adic_ring(ring, n_terms):
+def test_padic_log_constant_term_needs_a_p_adic_ring(ring):
     u = TruncSeries(ring, ("z",), {(0,): ring.from_int(2), (1,): ring.one}, 3)
     with pytest.raises(DoesNotConverge):
-        padic_log(u, n_terms)
+        padic_log(u)
 
 
 @pytest.mark.parametrize("ring", [

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 from prismlab.intpoly import gen_binom
 from prismlab.pd_dual import (
-    DistrElem, NotPD, PDElem, delta_to_e, distr_mul, exact_sequence_check,
-    f_ab, gsharp_comparison, log_pd, log_sharp_power, mu_p_pd_check,
+    DistrElem, NotPD, PDElem, delta_to_e, distr_mul, f_ab, gsharp_comparison,
+    log_and_pairing_check, log_mu_p_vanishes, log_pd, log_sharp_power,
+    mu_p_pd_check,
     pair_distr, pair_xu, pairing_series, pd_normalize, rescaled_section, stirling_first,
 )
 
@@ -154,12 +155,12 @@ def test_gsharp_comparison():
 
 
 def test_exact_sequence_check():
-    for p in (2, 3):
-        rep = exact_sequence_check(p, 6, 5)
-        assert rep["log_xu"]
-        assert rep["log_at_zero"]
-        assert rep["log_mu_p"]
-        assert rep["exp_pairing"]
+    rep = log_and_pairing_check(5)
+    assert rep["log_xu"]
+    assert rep["log_at_zero"]
+    assert rep["exp_pairing"]
+    for p in (2, 3, 5, 7):
+        assert log_mu_p_vanishes(p, 6)
 
 
 def test_log_sharp_power_is_stirling():

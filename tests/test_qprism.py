@@ -18,7 +18,9 @@ from prismlab.qprism import (
     q_log_of_sigma, q_log_precision_loss, q_power_substitute, sample_gq,
     sigma_point, zp_action, bh_in_box, bhat_ring, frac_vp, vp_at_least,
 )
-from prismlab.ringcore import TruncSeries, h_element, q_element
+from prismlab.ringcore import (
+    CyclotomicRing, TruncSeries, h_element, q_element,
+)
 from prismlab.witt import WittVector, witt_op, zero_vector
 
 
@@ -274,6 +276,35 @@ def test_section_vanishes_exactly_on_cyclotomic_fiber():
             f = P.make_ints([rng.randrange(-9, 10) for _ in range(4)])
             if not P.is_zero(f):
                 assert not P.is_zero(P.mul(phi, f))
+
+
+def _lambda_over_q_zeta(C, p, order):
+    """_lambda_series as it was computed before: each coefficient
+    (-1)^(n-1) (zeta-1)^(n-1)/n in Q(zeta), certified p-integral by
+    C.from_rational."""
+    rring = CyclotomicRing(p).rationalized()[0]
+    zeta1 = rring.sub(q_element(rring), rring.one)
+    coeffs = {}
+    for n in range(1, order + 1):
+        c = rring.mul(rring.pow(zeta1, n - 1),
+                      rring.make([Fraction((-1) ** (n - 1), n)]))
+        coeffs[(n,)] = C.from_rational(c)
+    return TruncSeries(C, ("z",), coeffs, order)
+
+
+@pytest.mark.parametrize("p, cut", [(2, 8), (3, 12), (5, 25)])
+def test_lambda_series_matches_the_q_zeta_loop_and_ends_at_the_cut(p, cut):
+    C = CyclotomicRing(p, n_p=6)
+    assert qprism._lambda_cut(p, 6) == cut
+    lam = qprism._lambda_series(C, 3 * cut)
+    assert lam == _lambda_over_q_zeta(C, p, 3 * cut)
+    assert not C.is_zero(lam.coefficient((cut,)))
+    assert all(n <= cut for (n,) in lam.coeffs)
+    # so lambda(1) summed to the cut is the sum to three times it
+    total = C.zero
+    for c in lam.coeffs.values():
+        total = C.add(total, c)
+    assert C.is_zero(total)
 
 
 # --- exact valuations in the box checks ------------------------------------------

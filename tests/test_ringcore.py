@@ -5,9 +5,9 @@ from fractions import Fraction
 
 from prismlab.ringcore import (
     CyclotomicRing, DoesNotConverge, ExactInt, ExactRat, IntModRing, ModP,
-    NonIntegralCoefficient, NonzeroConstantTerm, PolyQuotRing, QPoly,
-    QSeriesRing,
-    RingMismatch, TruncSeries, _log_term_bound, _padic_profile,
+    NonIntegralCoefficient, NonzeroConstantTerm, PolyQuotRing,
+    PrecisionExhausted, QPoly, QSeriesRing, RingMismatch, TruncSeries,
+    _last_live_term, _log_term_bound, _padic_profile,
     clear_denominators, cyclotomic_modulus, floor_log, h_element, padic_log,
     q_element, q_number as phi_p_element, series_arith, series_compose,
     series_exp, series_inverse, valuation, widened,
@@ -267,7 +267,7 @@ def test_padic_log_constant_term_matches_the_cover_sum(ring):
             c = ring.mul(c, ring.pow(q_element(ring), rng.randrange(p)))
         u = TruncSeries(ring, ("z",), {(0,): c, (1,): ring.rand(rng)}, 2)
         try:
-            want = _log_over_cover(u, _log_term_bound(ring))
+            want = _log_over_cover(u, _log_term_bound(ring, u.order))
         except NonIntegralCoefficient:
             with pytest.raises(NonIntegralCoefficient):
                 padic_log(u)
@@ -357,19 +357,113 @@ def test_valuation_and_padic_profile():
             _padic_profile(ring)
 
 
-def test_log_term_bound_is_exact():
-    def bound(p, target):
-        n = 1
-        while not all(Fraction(k, p - 1) - (len(_digits(k, p)) - 1) >= target
-                      for k in range(n, 4 * n + 8)):
-            n += 1
-        return 4 * n + 8
+def _last_below(p, target, shift, window):
+    """The last k < window with k - shift - (p - 1) floor_log(k) < target,
+    by brute force over the whole window."""
+    return max([k for k in range(1, window)
+                if k - shift - (p - 1) * (len(_digits(k, p)) - 1) < target],
+               default=0)
 
-    for p, n_p in ((2, 4), (3, 4), (3, 8), (5, 3)):
-        assert _log_term_bound(ModP(p, n_p)) == bound(p, n_p)
-    # at 3^117 the window must step past k = 243, where floor-log is 5
-    assert _log_term_bound(ModP(3, 117)) == bound(3, 117) == 4 * 244 + 8
-    assert _log_term_bound(QSeriesRing(4)) is None
+
+def test_log_term_bound_is_exact():
+    # the certificate at n and the next power of p finds the same last
+    # live index as a scan over a window far past it
+    for p in (2, 3, 5, 7):
+        for target in (1, 2, 5, 12, 40):
+            for shift in (0, 1, 3, 8):
+                got = _last_live_term(p, target, shift)
+                assert got == _last_below(p, target, shift, 10 * got + 200)
+    # (p - 1)(n_p + extra) with extra = p - 1 for the cyclotomic layer
+    assert [_log_term_bound(CyclotomicRing(p, n_p=6), 1)
+            for p in (2, 3, 5)] == [10, 20, 48]
+    # at 3^117 the certificate must step past k = 243, where floor-log is 5
+    assert _log_term_bound(ModP(3, 117), 0) == 243
+    assert _log_term_bound(ModP(3, 117), 2) == 245
+    with pytest.raises(DoesNotConverge):
+        _log_term_bound(QSeriesRing(4), 2)
+    # a series of order None has no last term
+    for ring, coeffs in ((ModP(3, 4), {(0,): 4}),
+                         (ExactRat(), {(0,): 1, (1,): 3})):
+        u = TruncSeries(ring, ("z",), {e: ring.from_int(c)
+                                       for e, c in coeffs.items()}, None)
+        with pytest.raises(PrecisionExhausted):
+            padic_log(u)
+
+
+def _worst_case(ring, order, rng):
+    """u = a x^i + sum of unit multiples of z^j, with x = zeta, 1 + h or
+    1 + p and a = 1 mod p: the constant term of u - 1 has the least weight
+    the ideal allows, and every other coefficient lies outside it."""
+    p = _padic_profile(ring)[0]
+    a = ring.add(ring.one, ring.mul_int(ring.rand(rng), p))
+    x = q_element(ring) if getattr(ring, "var", None) else ring.from_int(1 + p)
+    coeffs = {(0,): ring.mul(a, ring.pow(x, rng.randrange(1, p + 1)))}
+    for j in range(1, order + 1):
+        coeffs[(j,)] = ring.from_int(rng.choice((1, -1, 2, p + 1)))
+    return TruncSeries(ring, ("z",), coeffs, order)
+
+
+@pytest.mark.parametrize("ring", [
+    ModP(3, 4), ModP(5, 3), CyclotomicRing(2, n_p=5), CyclotomicRing(3, n_p=4),
+    CyclotomicRing(5, n_p=3), QSeriesRing(3, p=3, n_p=3)], ids=repr)
+def test_log_term_bound_agrees_with_a_much_larger_one(ring):
+    rng = random.Random(11)
+    p = _padic_profile(ring)[0]
+    for order in sorted({1, p - 1}):
+        bound = _log_term_bound(ring, order)
+        for _ in range(3):
+            u = _worst_case(ring, order, rng)
+            assert padic_log(u) == _log_over_cover(u, 3 * bound + 10)
+
+
+def _series_log_over_cover(u):
+    """The positive-order log as padic_log computed it before: summed over
+    the rational cover to the series order, then cleared back."""
+    r = u.ring
+    rring, to_rat, _ = r.rational_cover()
+    one = TruncSeries.one(rring, u.variables, u.order)
+    w = u.map_coeffs(to_rat, rring) - one
+    out = TruncSeries.zero(rring, u.variables, u.order)
+    power = one
+    for n in range(1, u.order + 1):
+        power = power * w
+        out = out + power.map_coeffs(
+            lambda c: rring.div_int_exact(rring.mul_int(c, (-1) ** (n - 1)), n))
+    return clear_denominators(out, r)
+
+
+@pytest.mark.parametrize("ring", [
+    ModP(2, 5), ModP(3, 4), QSeriesRing(3, p=2, n_p=4),
+    QSeriesRing(3, p=3, n_p=3), CyclotomicRing(3, n_p=4),
+    CyclotomicRing(5, n_p=3)], ids=repr)
+@pytest.mark.parametrize("names", [("z",), ("z", "y")], ids=len)
+def test_padic_log_positive_order_matches_the_cover_route(ring, names):
+    rng = random.Random(17)
+    p = _padic_profile(ring)[0]
+    ideal = h_element(ring) if getattr(ring, "var", None) else ring.from_int(p)
+    for _ in range(20):
+        order = rng.randrange(1, p + 2)
+        coeffs = {}
+        for _ in range(rng.randrange(1, 4)):
+            e = tuple(rng.randrange(3) for _ in names)
+            if 0 < sum(e) <= order:
+                c = ring.rand(rng)
+                coeffs[e] = c if rng.random() < 0.4 else ring.mul(c, ideal)
+        u = TruncSeries(ring, names, coeffs, order) + TruncSeries.one(
+            ring, names, order)
+        try:
+            want = _series_log_over_cover(u)
+        except NonIntegralCoefficient:
+            with pytest.raises(NonIntegralCoefficient):
+                padic_log(u)
+        else:
+            assert padic_log(u) == want
+    # a unit coefficient of z at order p: z^p / p has no image either way
+    u = TruncSeries.one(ring, names, p) + TruncSeries.var(ring, names, p, "z")
+    with pytest.raises(NonIntegralCoefficient):
+        _series_log_over_cover(u)
+    with pytest.raises(NonIntegralCoefficient):
+        padic_log(u)
 
 
 def _digits(k, p):

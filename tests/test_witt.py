@@ -177,6 +177,22 @@ def test_joyal_lift_is_ring_hom():
             assert joyal_lift(dr, a * b, 3) == witt_op(joyal_lift(dr, a, 3), joyal_lift(dr, b, 3), "mul")
 
 
+def test_joyal_lift_solves_as_over_the_rational_cover():
+    # the ghosts are solved in the delta-ring itself; solving them over
+    # its rational cover and mapping back gives the same vector
+    P = QPoly()
+    p = 2
+    target = P.sub(P.pow(P.add(P.one, P.x), p), P.one)
+    dr = DeltaRing(P, p, lambda f: P.subst(f, target))
+    to_rat = P.rational_cover()[1]
+    rng = random.Random(8)
+    for _ in range(5):
+        b = P.make_ints([rng.randrange(-9, 10) for _ in range(3)])
+        ghosts = [b, dr.phi(b), dr.phi(dr.phi(b))]
+        want = from_ghost(P, p, [to_rat(g) for g in ghosts])
+        assert joyal_lift(dr, b, 3) == want
+
+
 # --- char p -----------------------------------------------------------------
 
 
