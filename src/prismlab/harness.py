@@ -4,12 +4,16 @@ emits machine-readable reports.
 Every check carries a stable id and a reference tag; a run is deterministic
 for a fixed (config, seed): randomized checks draw from per-check streams
 derived by hashing the seed with the check id, so execution order never
-matters.  Each suite registers once with `@suite(sid, ref)` and records its
-checks on a `Recorder`.  The twelve acceptance criteria are named groups of
-suites (CRITERIA): selecting `criteria.N`, `criteria` or `all` runs each
-member suite once and adds one `criteria.N` check that passes exactly when
-every check of its members passed.  Exit code 0 means every check passed,
-1 some check failed, 2 configuration error.
+matters.  Each suite registers once with `@suite(sid, ref, **params)`,
+declaring a `Param` (default and honoured range) for each precision field
+it reads, and records its checks on a `Recorder`.  Before any suite runs,
+`plan` fills in each suite's values and refuses a value outside a selected
+suite's range or read by no selected suite; every check records its
+suite's values as `params`.  The twelve acceptance criteria are named
+groups of suites (CRITERIA): selecting `criteria.N`, `criteria` or `all`
+runs each member suite once and adds one `criteria.N` check that passes
+exactly when every check of its members passed.  Exit code 0 means every
+check passed, 1 some check failed, 2 configuration error.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ import random
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 from .cartier_witt import (eigencheck_I, eigencheck_II, eigencheck_R,
@@ -65,7 +69,8 @@ from .witt import (BigWitt, check_universal_size, DeltaRing, frobenius,
                    wf_kernel_report, witt_neg, witt_op, witt_op_universal,
                    witt_pow, WittVector, zero_vector)
 
-SCHEMA = "prismlab-report/1"
+SCHEMA = "prismlab-report/2"
+PRECISION = ("n_p", "n_q", "n_z", "L", "N_big")
 
 
 class ConfigError(Exception):
@@ -77,15 +82,16 @@ class SuiteConfig:
     """What to run, and the truncation: coefficients are tracked mod
     p^n_p, n_q is the (q-1)-adic cutoff, n_z the series order cutoff per
     formal variable block, L the p-typical Witt length and N_big the
-    big-Witt series cutoff."""
+    big-Witt series cutoff.  A precision field left None takes each
+    suite's own value, its Param default."""
 
     suite: str = "all"
     p: int | None = None          # None: every prime in the suite's grid
-    n_p: int = 8
-    n_q: int = 8
-    n_z: int = 8
-    L: int = 4
-    N_big: int = 12
+    n_p: int | None = None
+    n_q: int | None = None
+    n_z: int | None = None
+    L: int | None = None
+    N_big: int | None = None
     trials: int | None = None     # None: the suite's documented count
     seed: int = 0
     format: str = "text"
@@ -97,26 +103,52 @@ class SuiteConfig:
     def count(self, default: int) -> int:
         return self.trials if self.trials is not None else default
 
+    def precision(self) -> dict:
+        """The precision fields that are set, by name."""
+        return {f: getattr(self, f) for f in PRECISION
+                if getattr(self, f) is not None}
+
     def validate(self):
-        """Raise ConfigError naming the first invalid field, or the first
-        universal table of a witt.universal run that is too large to build
-        (witt.check_universal_size)."""
+        """Raise ConfigError naming the first invalid field."""
         if self.p is not None and not is_prime(self.p):
             raise ConfigError("p must be prime")
-        for field in ("n_p", "n_q", "n_z", "L", "N_big", "trials"):
+        for field in PRECISION + ("trials",):
             value = getattr(self, field)
             if value is not None and value < 1:
                 raise ConfigError("%s must be >= 1" % field)
         if self.format not in ("text", "json"):
             raise ConfigError("format must be text or json")
-        if any(sid == "witt.universal" for sid, _, _ in
-               select_suites(self.suite)):
-            for p in self.primes(UNIVERSAL_PRIMES):
-                for op in ("add", "mul"):
-                    try:
-                        check_universal_size(op, p, self.L)
-                    except TableTooLarge as err:
-                        raise ConfigError("witt.universal: %s" % err) from err
+
+
+@dataclass(frozen=True)
+class Param:
+    """A precision field that a suite reads: its value where the config has
+    None, and the range lo..hi that the suite honours (hi None: no upper
+    end).  lo, hi and gate may be functions of the filled-in config; gate
+    returns the reason a value is refused, or None.  A tuple default is a
+    grid of values that all run; an explicit value replaces it."""
+
+    default: int | tuple
+    lo: object = 1
+    hi: object = None
+    gate: object = None
+
+    def fill(self, value):
+        """The config's value, or the default where it is None."""
+        if value is None:
+            return self.default
+        return (value,) if isinstance(self.default, tuple) else value
+
+    def refusal(self, cfg, name):
+        """Why cfg's value of `name` is outside the range, or None."""
+        value = getattr(cfg, name)
+        lo, hi = (b(cfg) if callable(b) else b for b in (self.lo, self.hi))
+        for v in value if isinstance(value, tuple) else (value,):
+            if v < lo or hi is not None and v > hi:
+                return "%s = %d is outside its range [%d, %s]" % (
+                    name, v, lo, "inf" if hi is None else hi)
+        why = self.gate and self.gate(cfg)
+        return why and "%s = %s is outside its range: %s" % (name, value, why)
 
 
 def check_stream(seed: int, check_id: str) -> random.Random:
@@ -126,18 +158,19 @@ def check_stream(seed: int, check_id: str) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
-def _record(cid, ref, ok, detail, elapsed) -> dict:
+def _record(cid, ref, ok, detail, params, elapsed) -> dict:
     return {"id": cid, "paper_ref": ref, "status": "pass" if ok else "fail",
-            "detail": detail, "elapsed": elapsed}
+            "detail": detail, "params": params, "elapsed": elapsed}
 
 
 class Recorder:
-    """The checks of one suite run.  A check's elapsed is the time since the
-    suite's previous check, or since the suite started, between offsets
+    """The checks of one suite run, each with `params`, the precision the
+    suite ran with (cfg.precision()).  A check's elapsed is the time since
+    the suite's previous check, or since the suite started, between offsets
     rounded to the microsecond: a suite's values add up to its time."""
 
     def __init__(self, cfg: SuiteConfig, ref: str):
-        self.cfg, self.ref = cfg, ref
+        self.cfg, self.ref, self.params = cfg, ref, cfg.precision()
         self.checks: list = []
         self._start = time.monotonic()
         self._offset = 0.0
@@ -146,6 +179,7 @@ class Recorder:
         """Record check `cid`, under the suite's reference tag or `ref`."""
         offset = round(time.monotonic() - self._start, 6)
         self.checks.append(_record(cid, ref or self.ref, ok, detail,
+                                   self.params,
                                    round(offset - self._offset, 6)))
         self._offset = offset
 
@@ -177,13 +211,17 @@ class Recorder:
 
 SUITES: list = []
 """(suite id, reference tag, suite function), in registration order."""
+PARAMS: dict = {}
+"""Suite id -> {precision field: Param} for each field the suite reads."""
 
 
-def suite(sid: str, ref: str):
+def suite(sid: str, ref: str, **params):
     """Register the decorated suite_* function as suite `sid`; its checks
-    take the reference tag `ref` unless they name their own."""
+    take the reference tag `ref` unless they name their own.  `params`
+    declares each precision field that the suite reads as a Param."""
     def register(fn):
         SUITES.append((sid, ref, fn))
+        PARAMS[sid] = params
         return fn
     return register
 
@@ -192,7 +230,7 @@ def suite(sid: str, ref: str):
 # suites
 
 
-@suite("ringcore.series_arith", "invented — artifact plumbing")
+@suite("ringcore.series_arith", "invented — artifact plumbing", n_z=Param(8))
 def suite_ringcore_series(cfg, out):
     Z = ExactInt()
 
@@ -247,10 +285,10 @@ def suite_ringcore_clear(cfg, out):
                "ringcore.clear")
 
 
-@suite("ringcore.padic_log", "e:restriction of H_Q^alg")
+@suite("ringcore.padic_log", "e:restriction of H_Q^alg", n_p=Param(6, hi=6))
 def suite_ringcore_padic_log(cfg, out):
     for p in cfg.primes((2, 3, 5)):
-        C = CyclotomicRing(p, n_p=min(cfg.n_p, 6))
+        C = CyclotomicRing(p, n_p=cfg.n_p)
         u = TruncSeries.const(C, ("z",), 1, q_element(C))
         out.check("ringcore.padic_log.zeta.p%d" % p, padic_log(u).is_zero())
     p = 3
@@ -268,13 +306,12 @@ def suite_ringcore_padic_log(cfg, out):
                "ringcore.padic_log")
 
 
-@suite("witt.ghost", "invented — artifact plumbing")
+@suite("witt.ghost", "invented — artifact plumbing", L=Param(4, hi=4))
 def suite_witt_ghost(cfg, out):
     Z = ExactInt()
     for p in cfg.primes((2, 3, 5)):
         def roundtrip(rng):
-            w = WittVector(Z, p, [rng.randrange(-9, 10)
-                                  for _ in range(min(cfg.L, 4))])
+            w = WittVector(Z, p, [rng.randrange(-9, 10) for _ in range(cfg.L)])
             return from_ghost(Z, p, ghost(w)) == w
 
         out.trials("witt.ghost_roundtrip.p%d" % p, 1000, roundtrip,
@@ -284,7 +321,19 @@ def suite_witt_ghost(cfg, out):
 UNIVERSAL_PRIMES = (2, 3, 5)
 
 
-@suite("witt.universal", "invented — artifact plumbing")
+def _universal_tables_fit(cfg):
+    """Why witt.universal could not build its add and mul tables at cfg.L,
+    or None (witt.check_universal_size)."""
+    try:
+        for p in cfg.primes(UNIVERSAL_PRIMES):
+            for op in ("add", "mul"):
+                check_universal_size(op, p, cfg.L)
+    except TableTooLarge as err:
+        return str(err)
+
+
+@suite("witt.universal", "invented — artifact plumbing",
+       L=Param(4, gate=_universal_tables_fit))
 def suite_witt_universal(cfg, out):
     Z = ExactInt()
     L = cfg.L
@@ -303,12 +352,12 @@ def suite_witt_universal(cfg, out):
                    "witt.universal.p%d" % p)
 
 
-@suite("witt.frobenius", "§sss:examples of group delta-schemes")
+@suite("witt.frobenius", "§sss:examples of group delta-schemes",
+       L=Param(4, hi=4), N_big=Param(12))
 def suite_witt_frobenius(cfg, out):
     Z = ExactInt()
+    L = cfg.L
     for p in cfg.primes((2, 3, 5)):
-        L = min(cfg.L, 4)
-
         def multiplicative(rng):
             a = WittVector(Z, p, [rng.randrange(-5, 6) for _ in range(L)])
             b = WittVector(Z, p, [rng.randrange(-5, 6) for _ in range(L)])
@@ -335,12 +384,12 @@ def suite_witt_frobenius(cfg, out):
         for w in ws), ref="Appendix C §sss:W_big")
 
 
-@suite("witt.joyal_lift", "e:psi")
+@suite("witt.joyal_lift", "e:psi", L=Param(3, hi=3))
 def suite_witt_joyal(cfg, out):
     Z = ExactInt()
+    L = cfg.L
     for p in cfg.primes((2, 3)):
         dr = DeltaRing(Z, p, lambda x: x)
-        L = min(cfg.L, 3)
 
         def hom(rng):
             a, b = rng.randrange(-9, 10), rng.randrange(-9, 10)
@@ -357,8 +406,7 @@ def suite_witt_joyal(cfg, out):
     dr = DeltaRing(P, p, lambda f: P.subst(f, target))
     q = q_element(P)
     out.check("witt.joyal_lift.teichmuller",
-              joyal_lift(dr, q, min(cfg.L, 3)) ==
-              teichmuller(P, p, min(cfg.L, 3), q))
+              joyal_lift(dr, q, L) == teichmuller(P, p, L, q))
 
 
 @suite("witt.wf_kernel", "Lemma l:W^F in characteristic p")
@@ -371,10 +419,10 @@ def suite_witt_wf_kernel(cfg, out):
                   "trials=%d" % rep["trials"])
 
 
-@suite("fgl.axioms", "e:group law for H_Q")
+@suite("fgl.axioms", "e:group law for H_Q", n_z=Param(8, lo=8))
 def suite_fgl_axioms(cfg, out):
     P = QPoly()
-    order = max(cfg.n_z, 8)
+    order = cfg.n_z
     for name, laws in (
             ("additive", [additive_law(P, order)]),
             ("multiplicative", [multiplicative_law(P, order)]),
@@ -396,11 +444,11 @@ def suite_fgl_axioms(cfg, out):
                   ref="Lemma l:s_Q generates H_Q")
 
 
-@suite("fgl.rescale", "e:action of alpha on morphisms")
+@suite("fgl.rescale", "e:action of alpha on morphisms", n_z=Param(8, lo=8))
 def suite_fgl_rescale(cfg, out):
     P = QPoly()
     h = h_element(P)
-    order = max(cfg.n_z, 8)
+    order = cfg.n_z
     out.check("fgl.rescale.h_law",
               rescale(multiplicative_law(P, order), h).law ==
               h_law(P, h, order).law)
@@ -418,10 +466,10 @@ def suite_fgl_rescale(cfg, out):
               ref="Lemma l:univ property of sX(-D)")
 
 
-@suite("fgl.deformation", "sss:deformation to normal cone")
+@suite("fgl.deformation", "sss:deformation to normal cone", n_z=Param(8, lo=6))
 def suite_fgl_deformation(cfg, out):
     Z = ExactInt()
-    order = max(cfg.n_z, 6)
+    order = cfg.n_z
     F = multiplicative_law(Z, order)
     fam = deformation_family(F)
     out.check("fgl.deformation.a0",
@@ -635,19 +683,19 @@ def suite_pd_gsharp(cfg, out):
             expected is None or tuple(rep["z_coords"]) == expected))
 
 
-@suite("pd_dual.exact_sequence", "e:G_m^sharp sequence")
+@suite("pd_dual.exact_sequence", "e:G_m^sharp sequence", n_p=Param(6, hi=6))
 def suite_pd_exact_sequence(cfg, out):
     # log(x^u) = u log x and the exp(uv) pairing do not depend on p
     rep = log_and_pairing_check(5)
     shared = rep["log_xu"] and rep["exp_pairing"]
     for p in cfg.primes((2, 3)):
         out.check("pd_dual.exact_sequence.p%d" % p,
-                  shared and log_mu_p_vanishes(p, min(cfg.n_p, 6)))
+                  shared and log_mu_p_vanishes(p, cfg.n_p))
 
 
-@suite("cartier_witt.universal_pairing", "e:Euler series")
+@suite("cartier_witt.universal_pairing", "e:Euler series", n_z=Param(8, hi=8))
 def suite_cw_universal(cfg, out):
-    f = universal_pairing(min(cfg.n_z, 8))
+    f = universal_pairing(cfg.n_z)
     out.check("cartier_witt.universal_pairing.equation", f.verify())
     h = QH.make([Fraction(0), Fraction(1)])
     spec = specialize_pairing_at_t(6, h)
@@ -657,7 +705,7 @@ def suite_cw_universal(cfg, out):
               ref="Prop p:G_Q^!=SpfB")
 
 
-@suite("cartier_witt.eigen", "e:G^!? in terms of big Witt")
+@suite("cartier_witt.eigen", "e:G^!? in terms of big Witt", N_big=Param(12))
 def suite_cw_eigen(cfg, out):
     N = cfg.N_big
     f = universal_pairing(N)
@@ -698,7 +746,7 @@ def suite_cw_eigen(cfg, out):
                ref="§sss:[h]")
 
 
-@suite("cartier_witt.psi", "e:3 Psi_n")
+@suite("cartier_witt.psi", "e:3 Psi_n", N_big=Param(12))
 def suite_cw_psi(cfg, out):
     P = QPoly()
     h, q = h_element(P), q_element(P)
@@ -735,9 +783,9 @@ def suite_cw_wf_ring(cfg, out):
                ref="§sss:proof of flatness of W^F")
 
 
-@suite("cartier_witt.m_series", "Lemma l:simple lemma")
+@suite("cartier_witt.m_series", "Lemma l:simple lemma", n_z=Param(6, hi=6))
 def suite_cw_m_series(cfg, out):
-    reps = [m_series_identity(m, min(cfg.n_z, 6)) for m in (1, 2, 3)]
+    reps = [m_series_identity(m, cfg.n_z) for m in (1, 2, 3)]
     out.check("cartier_witt.m_series", all(
         rep["power"] and rep["compose"] and rep["int_h1"] for rep in reps))
 
@@ -749,17 +797,15 @@ def suite_cw_hom_pullback(cfg, out):
         rep["scalar_identity"] and rep["hom"] for rep in reps))
 
 
-def _derham_grid(cfg):
-    """The (L, n_p) cells of derham.log_exp and derham.frobenius_power."""
-    if cfg.p is None:
-        return [(L, n_p) for L in (2, 3, 4) for n_p in (4, 6)]
-    return [(min(cfg.L, 4), cfg.n_p)]
+DERHAM_GRID = ((2, 3, 4), (4, 6))
+"""The default (L, n_p) grid of derham.log_exp."""
 
 
-@suite("derham.log_exp", "Lemma l:G_dR=W^{F=p}")
+@suite("derham.log_exp", "Lemma l:G_dR=W^{F=p}",
+       L=Param(DERHAM_GRID[0], hi=4), n_p=Param(DERHAM_GRID[1]))
 def suite_derham_log_exp(cfg, out):
     for p in cfg.primes((2, 3)):
-        for L, n_p in _derham_grid(cfg):
+        for L, n_p in itertools.product(cfg.L, cfg.n_p):
             R = ModP(p, n_p)
 
             def roundtrip(rng):
@@ -777,31 +823,32 @@ def suite_derham_log_exp(cfg, out):
                        roundtrip, then=inverse_and_additive)
 
 
-@suite("derham.frobenius_power", "e:Fx=h(x)")
+@suite("derham.frobenius_power", "e:Fx=h(x)",
+       n_p=Param(6, hi=6), L=Param(3, hi=3))
 def suite_derham_frobenius(cfg, out):
     for p in cfg.primes((2, 3)):
-        R = ModP(p, min(cfg.n_p, 6))
+        R = ModP(p, cfg.n_p)
 
         def identity(rng):
-            x = sample_gdr(R, p, min(cfg.L, 3), rng)
+            x = sample_gdr(R, p, cfg.L, rng)
             return frob_power_identity(x)["ok"]
 
         def on_grid(rng):  # one point in every cell of derham.log_exp's grid
             return all(
                 frob_power_identity(sample_gdr(ModP(p, n_p), p, L, rng))["ok"]
-                for L, n_p in _derham_grid(cfg))
+                for L, n_p in itertools.product(*DERHAM_GRID))
 
         out.trials("derham.frobenius_power.p%d" % p, 50, identity,
                    "derham.frob.p%d" % p, then=on_grid)
 
 
-@suite("derham.id_minus_v", "e:1-V")
+@suite("derham.id_minus_v", "e:1-V", n_p=Param(6, hi=6), L=Param(4, hi=4))
 def suite_derham_id_minus_v(cfg, out):
     for p in cfg.primes((2, 3)):
-        R = ModP(p, min(cfg.n_p, 6))
+        R = ModP(p, cfg.n_p)
 
         def inverts_v(rng):
-            y = sample_eigen(R, p, min(cfg.L, 4), rng)
+            y = sample_eigen(R, p, cfg.L, rng)
             z = id_minus_V(y)
             return frobenius(z).is_zero() and v_geometric(z) == y
 
@@ -841,10 +888,14 @@ def suite_derham_g_eta(cfg, out):
         out.trials("derham.g_eta.p%d" % p, 40, two_pairs)
 
 
-@suite("qprism.group_law", "e:G_Q(A)")
+QPRISM_PRECISION = dict(n_p=Param(4, hi=4), n_q=Param(4, hi=4))
+"""The precision of the q-deformed suites that build gq_ring(p, n_p, n_q)."""
+
+
+@suite("qprism.group_law", "e:G_Q(A)", **QPRISM_PRECISION)
 def suite_qprism_law(cfg, out):
     for p in cfg.primes((2, 3)):
-        ring = gq_ring(p, min(cfg.n_p, 4), min(cfg.n_q, 4))
+        ring = gq_ring(p, cfg.n_p, cfg.n_q)
         zero = GQPoint(zero_vector(ring, p, 2), check=False)
 
         def law(rng):
@@ -855,13 +906,13 @@ def suite_qprism_law(cfg, out):
                 gq_op(a, zero) == a
 
         out.trials("qprism.group_law.p%d" % p, 5, law, then=lambda rng:
-                   gq_at_q1_matches_derham(p, min(cfg.n_p, 4), 2, rng))
+                   gq_at_q1_matches_derham(p, cfg.n_p, 2, rng))
 
 
-@suite("qprism.sigma", "e:sigma(q)")
+@suite("qprism.sigma", "e:sigma(q)", **QPRISM_PRECISION)
 def suite_qprism_sigma(cfg, out):
     for p in cfg.primes((2, 3)):
-        ring = gq_ring(p, min(cfg.n_p, 4), min(cfg.n_q, 4))
+        ring = gq_ring(p, cfg.n_p, cfg.n_q)
         s = sigma_point(ring, p, 3)
         qp = ring.pow(q_element(ring), p)
         expected = witt_op(teichmuller(ring, p, 2, qp),
@@ -870,31 +921,38 @@ def suite_qprism_sigma(cfg, out):
                   frobenius_of_point(s).x == expected)
 
 
-@suite("qprism.q_exponential", "Prop p:G_Q^!=SpfB")
+@suite("qprism.q_exponential", "Prop p:G_Q^!=SpfB", **QPRISM_PRECISION)
 def suite_qprism_qexp(cfg, out):
     for p in cfg.primes((2, 3)):
-        rep = q_exp_agreement(p, min(cfg.n_p, 4), min(cfg.n_q, 4), 4)
+        rep = q_exp_agreement(p, cfg.n_p, cfg.n_q, 4)
         out.check("qprism.q_exponential.p%d" % p,
                   rep["coords_are_phi_powers"] and rep["agree"],
                   "tails=%s" % (rep["tails"],))
 
 
-@suite("qprism.canonical_point", "Prop p:formula for tilde x")
+@suite("qprism.canonical_point", "Prop p:formula for tilde x",
+       **QPRISM_PRECISION)
 def suite_qprism_canonical(cfg, out):
     for p in cfg.primes((2, 3)):
-        rep = canonical_point(p, min(cfg.n_p, 4), min(cfg.n_q, 4), L=2, t_deg=4)
+        rep = canonical_point(p, cfg.n_p, cfg.n_q, L=2, t_deg=4)
         ok = rep["teichmuller"] and rep["rank_one"] and rep["zeroth_component"]
         out.check("qprism.canonical_point.p%d" % p, ok and
-                  derham_specialization_of_x0(p, min(cfg.n_p, 4),
-                                              min(cfg.n_q, 4)),
+                  derham_specialization_of_x0(p, cfg.n_p, cfg.n_q),
                   "tail=%d" % rep["tail"])
 
 
-@suite("qprism.q_log", "e:t=log_q(u)")
+def _q_log_floor(cfg):
+    """q_log uses up q_log_precision_loss(p, n_q) digits; two must be left
+    at every prime of the suite."""
+    return max(q_log_precision_loss(p, cfg.n_q) + 2
+               for p in cfg.primes((2, 3)))
+
+
+@suite("qprism.q_log", "e:t=log_q(u)",
+       n_q=Param(4, hi=4), n_p=Param(6, lo=_q_log_floor, hi=6))
 def suite_qprism_qlog(cfg, out):
+    n_p, n_q = cfg.n_p, cfg.n_q
     for p in cfg.primes((2, 3)):
-        n_q = min(cfg.n_q, 4)
-        n_p = max(min(cfg.n_p, 6), q_log_precision_loss(p, n_q) + 2)
         ring = gq_ring(p, n_p, n_q)
 
         def additive(rng):
@@ -908,11 +966,11 @@ def suite_qprism_qlog(cfg, out):
                    then=lambda rng: q_log_of_sigma(p, n_p, n_q)[0])
 
 
-@suite("qprism.zp_action", "Cor c:Z_p^times-action on H_Q")
+@suite("qprism.zp_action", "Cor c:Z_p^times-action on H_Q",
+       n_p=Param(6, hi=6), n_q=Param(6, hi=6), n_z=Param(6, hi=6))
 def suite_qprism_zp(cfg, out):
     for p in cfg.primes((2, 3, 5)):
-        reps = [equivariance_report(p, n, min(cfg.n_p, 6), min(cfg.n_q, 6),
-                                    min(cfg.n_z, 6))
+        reps = [equivariance_report(p, n, cfg.n_p, cfg.n_q, cfg.n_z)
                 for n in (2, 3, 4) if n % p != 0]
         out.check("qprism.zp_action.p%d" % p, all(
             rep["equivariant"] and rep["composes"] and
@@ -997,15 +1055,41 @@ def select_suites(name: str) -> list:
     return chosen
 
 
-def run(cfg: SuiteConfig) -> tuple:
-    """Execute the configured suites; returns (report dict, exit code)."""
+def plan(cfg: SuiteConfig) -> list:
+    """The selected suites as (sid, ref, fn, filled): `filled` is cfg with
+    each precision field the suite declares set to the config's value, or
+    the suite's default where the config has None, and the others None.
+    Raises ConfigError on an invalid field, a value outside a selected
+    suite's range, or a value that no selected suite reads."""
     cfg.validate()
+    chosen = select_suites(cfg.suite)
+    for name, value in cfg.precision().items():
+        if not any(name in PARAMS.get(sid, {}) for sid, _, _ in chosen):
+            raise ConfigError("%s = %s is read by no selected suite"
+                              % (name, value))
+    planned = []
+    for sid, ref, fn in chosen:
+        declared = PARAMS.get(sid, {})
+        filled = replace(cfg, **{name: declared[name].fill(getattr(cfg, name))
+                                 if name in declared else None
+                                 for name in PRECISION})
+        for name, param in declared.items():
+            why = param.refusal(filled, name)
+            if why:
+                raise ConfigError("%s: %s" % (sid, why))
+        planned.append((sid, ref, fn, filled))
+    return planned
+
+
+def run(cfg: SuiteConfig) -> tuple:
+    """Execute the configured suites, each with its filled-in config from
+    plan; returns (report dict, exit code)."""
     checks: list = []
     produced: dict = {}
-    for sid, ref, fn in select_suites(cfg.suite):
-        out = Recorder(cfg, ref)
+    for sid, ref, fn, filled in plan(cfg):
+        out = Recorder(filled, ref)
         try:
-            fn(cfg, out)
+            fn(filled, out)
         except Exception as err:  # noqa: BLE001 - suites must not crash the run
             out.check(sid + ".error", False,
                       "%s: %s" % (type(err).__name__, err))
@@ -1017,7 +1101,7 @@ def run(cfg: SuiteConfig) -> tuple:
         detail = ("failing: " + ", ".join(bad) if bad else
                   "%d checks of %s" % (len(members), ", ".join(CRITERIA[num])))
         checks.append(_record("criteria.%d" % num, CRITERION_REFS[num],
-                              bool(members) and not bad, detail, 0.0))
+                              bool(members) and not bad, detail, {}, 0.0))
     failed = sum(1 for c in checks if c["status"] == "fail")
     report = {
         "schema": SCHEMA,
@@ -1053,12 +1137,13 @@ def main(argv=None) -> int:
         description="Run exact-arithmetic verification suites.")
     parser.add_argument("--suite", default="all")
     parser.add_argument("--p", type=int, default=None)
-    parser.add_argument("--padic-prec", type=int, default=8, dest="n_p")
-    parser.add_argument("--q-prec", type=int, default=8, dest="n_q")
-    parser.add_argument("--series-order", type=int, default=8, dest="n_z")
-    parser.add_argument("--witt-len", type=int, default=4, dest="L")
-    parser.add_argument("--bigwitt", type=int, default=12, dest="N_big")
-    parser.add_argument("--trials", type=int, default=None)
+    # a precision flag left out takes each suite's own value
+    parser.add_argument("--padic-prec", type=int, dest="n_p")
+    parser.add_argument("--q-prec", type=int, dest="n_q")
+    parser.add_argument("--series-order", type=int, dest="n_z")
+    parser.add_argument("--witt-len", type=int, dest="L")
+    parser.add_argument("--bigwitt", type=int, dest="N_big")
+    parser.add_argument("--trials", type=int)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", default=None)
@@ -1075,12 +1160,10 @@ def main(argv=None) -> int:
     except ValueError:
         print("error: PRISMLAB_SEED must be an integer", file=sys.stderr)
         return 2
-    cfg = SuiteConfig(suite=args.suite, p=args.p, n_p=args.n_p, n_q=args.n_q,
-                      n_z=args.n_z, L=args.L, N_big=args.N_big,
-                      trials=args.trials, seed=seed, format=args.format,
-                      out=args.out)
+    fields = {k: v for k, v in vars(args).items() if k != "list"}
+    cfg = SuiteConfig(**dict(fields, seed=seed))
     try:
-        cfg.validate()
+        plan(cfg)
         # open --out before any suite runs, so a bad path costs no run
         dest = open(cfg.out, "w") if cfg.out else nullcontext(sys.stdout)
     except (ConfigError, OSError) as err:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .intpoly import binom_poly, gen_binom
 from .ringcore import (
     CyclotomicRing, IntRing, PolyQuotRing, PrismlabError, RatRing,
-    TruncSeries, padic_log, q_element,
+    TruncSeries, padic_log, q_element, series_exp,
 )
 
 
@@ -374,23 +374,16 @@ def log_and_pairing_check(N: int) -> dict:
     w = TruncSeries.var(QU, ("w",), N, "w")
     one = TruncSeries.one(QU, ("w",), N)
     log_x = padic_log(one + w)
-    # exp(uv) = sum gamma_n(u) v^n, identity matrix in those bases
-    Q2 = RatRing()
-    exp_uv = TruncSeries.zero(Q2, ("u", "v"), None)
-    for n in range(N + 1):
-        exp_uv = exp_uv + TruncSeries(
-            Q2, ("u", "v"), {(n, n): Fraction(1, math.factorial(n))}, None)
-    ok = True
-    for (i, j), c in exp_uv.coeffs.items():
-        expected = Fraction(1, math.factorial(i)) if i == j else Fraction(0)
-        ok = ok and (c == expected)
-    # matrix in the bases gamma_i(u) = u^i/i! and v^j: entry = c * i!
-    matrix_ok = all(
-        (exp_uv.coefficient((i, j)) * math.factorial(i) ==
-         (1 if i == j else 0)) for i in range(N + 1) for j in range(N + 1))
+    # exp(uv) = sum gamma_n(u) v^n: at order 2N + 1 its matrix in the bases
+    # gamma_i(u) = u^i/i! and v^j, entry c_ij * i!, is the identity, i, j <= N
+    exp_uv = series_exp(TruncSeries(RatRing(), ("u", "v"),
+                                    {(1, 1): Fraction(1)}, 2 * N + 1))
+    exp_pairing = all(i <= N and j <= N for i, j in exp_uv.coeffs) and all(
+        exp_uv.coefficient((i, j)) * math.factorial(i) == int(i == j)
+        for i in range(N + 1) for j in range(N + 1))
     return {"log_xu": log_xu == log_x.scale(u),
             "log_at_zero": padic_log(one).is_zero(),   # u = 0 sanity
-            "exp_pairing": ok and matrix_ok}
+            "exp_pairing": exp_pairing}
 
 
 def log_mu_p_vanishes(p: int, n_p: int) -> bool:

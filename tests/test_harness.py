@@ -10,15 +10,14 @@ import pytest
 import prismlab
 from prismlab import harness
 from prismlab.harness import (
-    CRITERIA, ConfigError, SuiteConfig, check_stream, list_suites, run,
+    CRITERIA, ConfigError, SuiteConfig, check_stream, list_suites, plan, run,
     select_criteria, select_suites, strip_elapsed,
 )
 
 
 def fast_cfg(**kw):
-    base = dict(trials=3, seed=11, n_p=4, n_q=4, n_z=6, L=3, N_big=8)
-    base.update(kw)
-    return SuiteConfig(**base)
+    # precision fields stay None: each suite runs at its own values
+    return SuiteConfig(**{"trials": 3, "seed": 11, **kw})
 
 
 def test_list_suites_contents():
@@ -218,10 +217,107 @@ def test_p_must_be_prime():
 def test_run_exit_code_and_schema():
     report, code = run(fast_cfg(suite="fgl.deformation"))
     assert code == 0
-    assert report["schema"] == "prismlab-report/1"
+    assert report["schema"] == "prismlab-report/2"
     assert report["failed"] == 0
     for c in report["checks"]:
-        assert set(c) >= {"id", "paper_ref", "status", "detail", "elapsed"}
+        assert set(c) >= {"id", "paper_ref", "status", "detail", "params",
+                          "elapsed"}
+        assert c["params"] == {"n_z": 8}
+
+
+# The values each suite runs with under the default config; the suites
+# not listed read no precision field.
+DEFAULT_PARAMS = {
+    "ringcore.series_arith": {"n_z": 8},
+    "ringcore.padic_log": {"n_p": 6},
+    "witt.ghost": {"L": 4},
+    "witt.universal": {"L": 4},
+    "witt.frobenius": {"L": 4, "N_big": 12},
+    "witt.joyal_lift": {"L": 3},
+    "fgl.axioms": {"n_z": 8},
+    "fgl.rescale": {"n_z": 8},
+    "fgl.deformation": {"n_z": 8},
+    "pd_dual.exact_sequence": {"n_p": 6},
+    "cartier_witt.universal_pairing": {"n_z": 8},
+    "cartier_witt.eigen": {"N_big": 12},
+    "cartier_witt.psi": {"N_big": 12},
+    "cartier_witt.m_series": {"n_z": 6},
+    "derham.log_exp": {"L": (2, 3, 4), "n_p": (4, 6)},
+    "derham.frobenius_power": {"n_p": 6, "L": 3},
+    "derham.id_minus_v": {"n_p": 6, "L": 4},
+    "qprism.group_law": {"n_p": 4, "n_q": 4},
+    "qprism.sigma": {"n_p": 4, "n_q": 4},
+    "qprism.q_exponential": {"n_p": 4, "n_q": 4},
+    "qprism.canonical_point": {"n_p": 4, "n_q": 4},
+    "qprism.q_log": {"n_q": 4, "n_p": 6},
+    "qprism.zp_action": {"n_p": 6, "n_q": 6, "n_z": 6},
+}
+
+
+def test_default_params_of_every_suite():
+    got = {sid: cfg.precision() for sid, _, _, cfg in plan(SuiteConfig())}
+    assert len(got) == 43
+    assert {sid: v for sid, v in got.items() if v} == DEFAULT_PARAMS
+    for p in (2, 3):
+        [(_, _, _, cfg)] = plan(SuiteConfig(suite="qprism.q_log", p=p))
+        assert cfg.precision() == {"n_q": 4, "n_p": 6}
+
+
+def test_suites_run_with_their_params(monkeypatch):
+    seen = {}
+
+    def spy(sid):
+        def suite(cfg, out):
+            seen[sid] = {f: getattr(cfg, f) for f in harness.PRECISION}
+            out.check(sid + ".x", True)
+        return suite
+
+    monkeypatch.setattr(harness, "SUITES", [
+        (sid, ref, spy(sid)) for sid, ref, _ in harness.SUITES])
+    report, _ = run(SuiteConfig(suite="qprism"))
+    assert seen["qprism.q_log"] == dict(n_p=6, n_q=4, n_z=None, L=None,
+                                        N_big=None)
+    assert {c["id"]: c["params"] for c in report["checks"]}[
+        "qprism.zp_action.x"] == {"n_p": 6, "n_q": 6, "n_z": 6}
+
+
+@pytest.mark.parametrize("cfg, params", [
+    (dict(suite="witt.ghost", L=2), {"L": 2}),
+    (dict(suite="fgl.deformation", n_z=6), {"n_z": 6}),
+    (dict(suite="derham.log_exp", L=3), {"L": (3,), "n_p": (4, 6)}),
+    (dict(suite="derham.log_exp", p=3, L=4, n_p=40),
+     {"L": (4,), "n_p": (40,)}),
+    (dict(suite="qprism.q_log", p=3, n_p=4), {"n_q": 4, "n_p": 4}),
+    (dict(suite="witt.universal", p=3, L=5), {"L": 5}),
+])
+def test_explicit_values_in_range_are_honoured(cfg, params):
+    [(_, _, _, filled)] = plan(SuiteConfig(**cfg))
+    assert filled.precision() == params
+
+
+@pytest.mark.parametrize("cfg, reason", [
+    (dict(suite="witt.ghost", L=5), "witt.ghost: L = 5 is outside its "
+     "range [1, 4]"),
+    (dict(suite="fgl", n_z=7), "fgl.axioms: n_z = 7 is outside its range "
+     "[8, inf]"),
+    # q_log loses 4 digits at p = 2, n_q = 4 and keeps 2
+    (dict(suite="qprism.q_log", n_p=5), "qprism.q_log: n_p = 5 is outside "
+     "its range [6, 6]"),
+    (dict(suite="qprism.q_log", n_q=8), "qprism.q_log: n_q = 8 is outside "
+     "its range [1, 4]"),
+    (dict(suite="derham.log_exp", L=5), "derham.log_exp: L = 5 is outside "
+     "its range [1, 4]"),
+    (dict(suite="witt.universal", p=2, L=7), "witt.universal: L = 7 is "
+     "outside its range: the add table for p=2, L=7"),
+    (dict(suite="fgl.deformation", n_p=4), "n_p = 4 is read by no selected "
+     "suite"),
+    (dict(suite="all", p=5, L=4), "witt.joyal_lift: L = 4 is outside its "
+     "range [1, 3]"),
+])
+def test_plan_refuses(cfg, reason):
+    with pytest.raises(ConfigError) as err:
+        plan(SuiteConfig(**cfg))
+    assert str(err.value).startswith(reason)
 
 
 def test_determinism():
@@ -231,11 +327,10 @@ def test_determinism():
 
 
 # sha256 of json.dumps(strip_elapsed(report), indent=2) for
-# run(SuiteConfig(suite="all", trials=1, seed=0)), recorded before the
-# suites moved to one registration and one trial loop each.  It pins every
-# check id and its order, status, detail and paper_ref, and the params.
+# run(SuiteConfig(suite="all", trials=1, seed=0)).  It pins every check id
+# and its order, status, detail, paper_ref and params, and the run's params.
 GOLDEN_ALL_TRIALS1 = (
-    "5ab3196d12f96f8dba2bd2db70076cff41d624dadcc986639c509a2117832087")
+    "045096847cc9abc4553df5f5c336a75130ad40d145a278991b8805155cbb8e31")
 
 
 def test_golden_report():
@@ -309,6 +404,20 @@ def test_witt_universal_honours_witt_len(monkeypatch):
     monkeypatch.setattr(harness, "witt_op_universal", spy)
     assert run(fast_cfg(suite="witt.universal", p=2, L=5, trials=2))[1] == 0
     assert lengths and set(lengths) == {5}
+
+
+@pytest.mark.parametrize("args, reason", [
+    (("--suite", "qprism.q_log", "--q-prec", "8"),
+     "error: qprism.q_log: n_q = 8 is outside its range [1, 4]\n"),
+    (("--suite", "witt.ghost", "--witt-len", "6"),
+     "error: witt.ghost: L = 6 is outside its range [1, 4]\n"),
+    (("--suite", "intpoly", "--bigwitt", "12"),
+     "error: N_big = 12 is read by no selected suite\n"),
+])
+def test_cli_refuses_a_value_no_suite_honours(args, reason):
+    out = run_cli(*args)
+    assert out.returncode == 2
+    assert out.stdout == "" and out.stderr == reason
 
 
 def test_cli_bad_p():

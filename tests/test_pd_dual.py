@@ -4,6 +4,7 @@ import random
 import pytest
 from fractions import Fraction
 
+from prismlab import pd_dual
 from prismlab.intpoly import gen_binom
 from prismlab.pd_dual import (
     DistrElem, NotPD, PDElem, delta_to_e, distr_mul, f_ab, gsharp_comparison,
@@ -11,6 +12,7 @@ from prismlab.pd_dual import (
     mu_p_pd_check,
     pair_distr, pair_xu, pairing_series, pd_normalize, rescaled_section, stirling_first,
 )
+from prismlab.ringcore import TruncSeries, series_exp
 
 
 def test_pd_normalize_examples():
@@ -161,6 +163,20 @@ def test_exact_sequence_check():
     assert rep["exp_pairing"]
     for p in (2, 3, 5, 7):
         assert log_mu_p_vanishes(p, 6)
+
+
+@pytest.mark.parametrize("term, value", [
+    ((2, 2), Fraction(1, 3)), ((1, 2), Fraction(1)), ((6, 0), Fraction(1))])
+def test_exp_pairing_fails_on_one_wrong_exp_term(monkeypatch, term, value):
+    # a diagonal term off 1/n!, an off-diagonal one, one beyond i, j <= N
+    def wrong(f):
+        good = series_exp(f)
+        return TruncSeries(good.ring, good.variables,
+                           {**good.coeffs, term: value}, good.order)
+
+    monkeypatch.setattr(pd_dual, "series_exp", wrong)
+    rep = log_and_pairing_check(5)
+    assert rep["log_xu"] and rep["log_at_zero"] and not rep["exp_pairing"]
 
 
 def test_log_sharp_power_is_stirling():
