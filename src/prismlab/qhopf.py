@@ -271,17 +271,10 @@ def b0_from_filtration(f: IntPoly, n: int) -> B0Elem:
 
 
 class B0Ring(Ring):
-    """Ring protocol adapter; elements are B0Elem values.
+    """Ring protocol adapter; elements are B0Elem values, whose coordinates
+    are stored over Q[h] and certified to lie in Z[h] by div_int_exact."""
 
-    rational=True relaxes coordinates to Q[h] (the fraction cover used by
-    ghost arithmetic); the certificate back into the integral ring checks
-    Z[h]-ness of every coordinate.
-    """
-
-    def __init__(self, rational: bool = False):
-        self.rational = rational
-        self.is_torsion_free = True
-        self.name = "B0" if not rational else "B0@Q"
+    name = "B0"
 
     def add(self, a, b):
         return a + b
@@ -299,18 +292,10 @@ class B0Ring(Ring):
         return a.is_zero()
 
     def div_int_exact(self, a, n):
-        """a / n coordinate by coordinate; over Z[h] (rational=False) None
-        unless every coordinate of the quotient is in Z[h]."""
+        """a / n coordinate by coordinate; None unless every coordinate of
+        the quotient is in Z[h]."""
         out = B0Elem(tuple(QH.div_int_exact(c, n) for c in a.coords))
-        return out if self.rational or out.is_integral() else None
-
-    def from_rational(self, x: B0Elem):
-        if self.rational:
-            return x
-        return x if x.is_integral() else None
-
-    def rationalized(self):
-        return B0Ring(rational=True), (lambda a: a), self.from_rational
+        return out if out.is_integral() else None
 
     def rand(self, rng):
         coords = tuple(QH.make([Fraction(rng.randrange(-3, 4)),
@@ -322,10 +307,10 @@ class B0Ring(Ring):
         return repr(a)
 
     def __eq__(self, other):
-        return type(other) is B0Ring and other.rational == self.rational
+        return type(other) is B0Ring
 
     def __hash__(self):
-        return hash(("B0Ring", self.rational))
+        return hash("B0Ring")
 
 
 _B0 = B0Ring()

@@ -400,9 +400,9 @@ def q_power_substitute(ring: PolyQuotRing, elem, n: int):
 def sample_gq(ring, p, L, rng) -> GQPoint:
     """Random point: lift U = 1 + Phi_p(q) r exactly and solve the ghost
     equations of Phi_p([q]) x = [U] - 1 over Q[h], where Phi_p(q^(p^i)),
-    p modulo h, is a unit; from_ghost certifies p-integrality and reduces
-    back."""
-    rring = ring.rational_cover()[0]
+    p modulo h, is a unit; ring.from_rational certifies p-integrality of
+    each component and reduces it."""
+    rring = PolyQuotRing(RatRing(), ring.modulus, ring.var)
     phi = q_number(rring, p)
     for _ in range(32):
         r = [rng.randrange(-9, 10) for _ in range(ring.deg)]
@@ -414,7 +414,8 @@ def sample_gq(ring, p, L, rng) -> GQPoint:
                                       if i else phi))
                   for i in range(L)]
         try:
-            pt = GQPoint(from_ghost(ring, p, ghosts), check=False)
+            pt = GQPoint(from_ghost(rring, p, ghosts)._map(
+                ring, ring.from_rational), check=False)
         except NonIntegralGhost:
             continue
         if is_teichmuller(_one_plus_phi_x(pt.x, q_element(ring))):
@@ -454,8 +455,8 @@ def q_log(a: GQPoint, n_p: int, n_q: int) -> tuple:
     """
     ring = a.x.ring
     p = _padic_profile(ring)[0]
-    rring, to_rat, _ = ring.rational_cover()
-    U = to_rat(gq_to_unit(a))
+    rring = PolyQuotRing(RatRing(), ring.modulus, ring.var)
+    U = rring.make_ints(gq_to_unit(a))
     # log(U): U - 1 is in (p, h), so v_p of the n-th term grows like
     # n/(p-1)-ish minus log_p n; cut generously
     n_max = (n_p + n_q + 4) * max(1, p - 1)

@@ -156,31 +156,13 @@ class Ring:
         return None
 
     def from_rational(self, x):
-        """Image of a rationalized element, or None if not integral here."""
-        return None
-
-    def rationalized(self):
-        """(ring over Q, to_rat, from_rat) for torsion-free rings, else None."""
+        """Image of an element of the same ring over Q (Fraction scalars),
+        or None if a denominator is not invertible here."""
         return None
 
     def lifted(self):
         """(torsion-free cover, lift, reduce) for torsion rings, else None."""
         return None
-
-    def rational_cover(self):
-        """(ring over Q, to_rat, from_rat) where exact computations run:
-        rationalized(), else the rationalization of lifted() entered through
-        the lift and left by from_rational; None when neither exists."""
-        rat = self.rationalized()
-        if rat is not None:
-            return rat
-        lift = self.lifted()
-        rat = None if lift is None else lift[0].rationalized()
-        if rat is None:
-            return None
-        rring, to_rat, _ = rat
-        up = lift[1]
-        return rring, (lambda a: to_rat(up(a))), self.from_rational
 
     def rand(self, rng):
         raise NotImplementedError
@@ -231,9 +213,6 @@ class IntRing(Ring):
         x = Fraction(x)
         return int(x) if x.denominator == 1 else None
 
-    def rationalized(self):
-        return RatRing(), Fraction, self.from_rational
-
     def rand(self, rng):
         return rng.randrange(-9, 10)
 
@@ -274,9 +253,6 @@ class RatRing(Ring):
 
     def from_rational(self, x):
         return Fraction(x)
-
-    def rationalized(self):
-        return self, lambda a: a, lambda a: a
 
     def rand(self, rng):
         return Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
@@ -573,9 +549,6 @@ class PolyQuotRing(Ring):
     def from_rational(self, x):
         return self._image(x, self.scalar.from_rational)
 
-    def rationalized(self):
-        return _coefficientwise(self, self.scalar.rationalized())
-
     def lifted(self):
         return _coefficientwise(self, self.scalar.lifted())
 
@@ -633,10 +606,10 @@ def _images(fn, items):
 
 
 def _coefficientwise(ring, base):
-    """(ring over R, up, down) for base = (R, up, down) of the coefficient
-    ring of a PolyQuotRing or SeriesCoeffRing, mapping coefficient by
-    coefficient (down gives None where a coefficient has no image); None
-    without base.  This builds both rationalized() and lifted()."""
+    """lifted() of a PolyQuotRing or SeriesCoeffRing from base = (R, up,
+    down), that of its coefficient ring: (ring over R, up, down), mapping
+    coefficient by coefficient (down gives None where a coefficient has no
+    image); None without base."""
     if base is None:
         return None
     cring, up, down = base
@@ -879,9 +852,6 @@ class SeriesCoeffRing(Ring):
 
     def from_rational(self, x):
         return self._image(x, self.base.from_rational)
-
-    def rationalized(self):
-        return _coefficientwise(self, self.base.rationalized())
 
     def lifted(self):
         return _coefficientwise(self, self.base.lifted())
@@ -1144,7 +1114,7 @@ def series_compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
 
 
 def clear_denominators(f: TruncSeries, target: Ring) -> TruncSeries:
-    """Map a series over Q (or a rationalized quotient ring) into target.
+    """Map a series over Q (or a quotient ring over Q) into target.
 
     Each coefficient's denominator must be invertible in target; the error
     names the offending monomial.

@@ -9,8 +9,10 @@ over a polynomial ring over it, lifts to Z/(m p^(L-1)): since a = b mod
 p^k gives a^(p^j) = b^(p^j) mod p^(k+j), that bounded lift solves exactly
 mod m with integers below m p^(L-1) (`_bounded_lift`).  Other torsion
 rings, the F_p series ring of `derham.generic_vector` among them, lift to
-Z.  Solving from given ghosts (`from_ghost`, `from_ghost_big`) runs over
-`Ring.rational_cover`.  Every solve divides with its ring's
+Z.  Ghost components live in the coefficient ring itself, which must be
+torsion-free for them to determine the vector: `ghost`, `ghost_big`,
+`from_ghost`, `from_ghost_big`, `bj_to_witt` and `witt_to_bj` raise
+NonIntegralGhost on a torsion ring.  Every solve divides with its ring's
 `div_int_exact`, and a quotient outside the ring raises NonIntegralGhost.
 The memoized universal polynomial tables, evaluated in the coefficient
 ring with no lift, are an oracle only (`witt_op_universal`): no operation
@@ -173,35 +175,27 @@ def _has_exact_division(ring) -> bool:
     return ring.div_int_exact(ring.one, 1) is not None
 
 
+def _torsion_free(ring):
+    """ring, or NonIntegralGhost if it has torsion: the ghost map is defined
+    over every ring, but only over a torsion-free one is it injective, so
+    that ghost components determine the vector."""
+    if not ring.is_torsion_free:
+        raise NonIntegralGhost("ring %s has torsion: ghost components do "
+                               "not determine a Witt vector there" % ring)
+    return ring
+
+
 def ghost(w):
-    """Ghost components of a p-typical or big Witt vector in the
-    rationalized coefficient ring.  A torsion ring raises: there the ghosts
-    would depend on the lift chosen."""
-    rat = w.ring.rationalized()
-    if rat is None:
-        raise NonIntegralGhost("ring %s has no rationalization: its ghost "
-                               "components would depend on a lift" % w.ring)
-    return w._map(rat[0], rat[1])._ghosts()
-
-
-def _solve_in_cover(w, cover, ghosts):
-    """w's kind of vector over w.ring with these ghost components, which
-    live in the ring of cover = (ring over Q, to_rat, from_rat); the solve
-    runs there and from_rat certifies each result component."""
-    return w._solve(cover[0], ghosts)._map(w.ring, cover[2])
-
-
-def _cover(ring):
-    cover = ring.rational_cover()
-    if cover is None:
-        raise NonIntegralGhost("ring %s has no fraction cover" % ring)
-    return cover
+    """Ghost components of a p-typical or big Witt vector, in its
+    coefficient ring, which must be torsion-free."""
+    _torsion_free(w.ring)
+    return w._ghosts()
 
 
 def from_ghost(ring, p, ghosts) -> WittVector:
-    """Solve the ghost equations over ring.rational_cover(), in whose ring
-    the ghosts live; error if a component is not integral."""
-    return _solve_in_cover(WittVector(ring, p, ()), _cover(ring), ghosts)
+    """Solve the ghost equations over the torsion-free ring, in which the
+    ghosts live; error if a component is not integral."""
+    return WittVector(ring, p, ())._solve(_torsion_free(ring), ghosts)
 
 
 # (ring, p, L) -> the bounded lift of _bounded_lift, or None; two threads
@@ -665,7 +659,7 @@ class DeltaRing:
     """A torsion-free ring with a Frobenius lift phi; delta comes for free."""
 
     def __init__(self, ring: Ring, p: int, phi):
-        if ring.rationalized() is None:
+        if not ring.is_torsion_free:
             raise NotADeltaRing("delta structure needs a torsion-free ring")
         self.ring = ring
         self.p = p
@@ -730,24 +724,25 @@ def _formal_phi(ring, p, cs):
 
 
 def bj_to_witt(ring, p, coords) -> WittVector:
-    """Convert Buium-Joyal coordinates to Witt coordinates: the ghost
-    components are phi^n(c_0) under the formal Frobenius."""
-    cover = _cover(ring)
-    phi_of = _formal_phi(cover[0], p, [cover[1](c) for c in coords])
-    return _solve_in_cover(WittVector(ring, p, ()), cover,
-                           [phi_of(0, n) for n in range(len(coords))])
+    """Convert Buium-Joyal coordinates to Witt coordinates over a
+    torsion-free ring: the ghost components are phi^n(c_0) under the formal
+    Frobenius."""
+    phi_of = _formal_phi(ring, p, list(coords))
+    return from_ghost(ring, p, [phi_of(0, n) for n in range(len(coords))])
 
 
 def witt_to_bj(w: WittVector) -> list:
     """Buium-Joyal coordinates of a Witt vector (torsion-free rings)."""
     ring, p = w.ring, w.p
-    rring, _, from_rat = ring.rationalized()
     cs: list = []
-    phi_of = _formal_phi(rring, p, cs)
+    phi_of = _formal_phi(ring, p, cs)
     for n, g in enumerate(ghost(w)):
         # c_n enters phi^n(c_0) only linearly, with coefficient p^n
-        cs.append(rring.div_int_exact(rring.sub(g, phi_of(0, n)), p ** n))
-    return _images(rring, from_rat, cs, "BJ coordinate")
+        c = ring.div_int_exact(ring.sub(g, phi_of(0, n)), p ** n)
+        if c is None:
+            raise NonIntegralGhost("BJ coordinate %d is not integral" % n)
+        cs.append(c)
+    return cs
 
 
 # ---------------------------------------------------------------------------
@@ -888,14 +883,14 @@ def ghost_big_in_ring(w: BigWitt) -> list:
 
 
 def ghost_big(w: BigWitt) -> list:
-    """Ghost components over the rationalized ring."""
+    """Ghost components in the torsion-free coefficient ring."""
     return ghost(w)
 
 
 def from_ghost_big(ring, N, gs) -> BigWitt:
-    """Inverse of ghost_big with integrality certificate; ghosts live in the
-    ring of ring.rational_cover()."""
-    return _solve_in_cover(BigWitt.one(ring, N), _cover(ring), gs[:N])
+    """Inverse of ghost_big with integrality certificate, solved over the
+    torsion-free ring in which the ghosts live."""
+    return BigWitt.one(ring, N)._solve(_torsion_free(ring), gs[:N])
 
 
 def bigwitt_mul(a: BigWitt, b: BigWitt) -> BigWitt:

@@ -4,7 +4,7 @@ Z/(m p^(L-1)) instead of Z.  Every operation is checked against the
 universal polynomial tables, which are built from a ghost solve over Z
 once and evaluated in the coefficient ring, with no lift at all.  So is
 the F_p series ring of generic_vector, which runs on its lift to Z; a ring
-with neither a rationalization nor a lift is refused."""
+with neither exact division nor a lift is refused."""
 import random
 
 import pytest
@@ -123,11 +123,11 @@ def test_long_vectors_stay_exact():
 
 @pytest.mark.parametrize("p,L", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_generic_vector_runs_on_the_lift_and_matches_the_tables(p, L):
-    # generic_vector's F_p series ring has no rationalization: its
-    # coefficients lift to Z, and the result is reduced back.  The tables
-    # evaluate in the F_p series ring itself, with no lift at all.
+    # generic_vector's F_p series ring has torsion: its coefficients lift
+    # to Z, and the result is reduced back.  The tables evaluate in the F_p
+    # series ring itself, with no lift at all.
     ring, x = generic_vector(p, L)
-    assert ring.rationalized() is None and ring.lifted() is not None
+    assert not ring.is_torsion_free and ring.lifted() is not None
     assert witt._bounded_lift(ring, p, L) is None
     y = WittVector(ring, p, [ring.var(v) for v in reversed(ring.variables)])
     for a, b in ((x, y), (y, x)):
@@ -142,7 +142,7 @@ def test_generic_vector_runs_on_the_lift_and_matches_the_tables(p, L):
 
 
 class Opaque(Ring):
-    """A ring with neither a rationalization nor a lift."""
+    """A ring with neither exact division nor a lift."""
 
     name = "Opaque"
 

@@ -1,8 +1,9 @@
 """The one ghost dispatch of p-typical and big Witt vectors on each of its
 branches: exact division in the ring (Z, Z[h], B0) and an integral lift
-reduced back (Z/p^n, Z/p^n[h]); B0 against its former route over its
-rationalization; solving from given ghosts over Ring.rational_cover, which
-every ring constructor has; and the strict ghost map."""
+reduced back (Z/p^n, Z/p^n[h]), which every ring constructor reaches; B0
+against its former route over Q[h] coordinates; the route of
+qprism.sample_gq, solving from ghosts over Q[h] and certifying each
+component into Z/p^n[h]; and the ghost maps, which refuse torsion rings."""
 import random
 from fractions import Fraction
 
@@ -18,8 +19,9 @@ from prismlab.ringcore import (
     padic_log,
 )
 from prismlab.witt import (
-    BigWitt, NonIntegralGhost, WittVector, frobenius_big, from_ghost, ghost,
-    ghost_big, ghost_combine, teichmuller_big,
+    BigWitt, NonIntegralGhost, WittVector, bj_to_witt, frobenius_big,
+    from_ghost, from_ghost_big, ghost, ghost_big, ghost_combine,
+    teichmuller_big,
 )
 
 P = 3
@@ -49,13 +51,12 @@ def same(ring, xs, ys):
        seed=st.integers(0, 2 ** 32), data=st.data())
 def test_bigwitt_ghost_map_is_a_ring_map(key, N, seed, data):
     ring = TORSION_FREE[key]
-    rat = ring.rationalized()[0]
     a, b = random_pair(ring, N, random.Random(seed))
     m = data.draw(st.integers(1, N))
     ga, gb = ghost_big(a), ghost_big(b)
-    assert same(rat, ghost_big(a + b), list(map(rat.add, ga, gb)))
-    assert same(rat, ghost_big(a * b), list(map(rat.mul, ga, gb)))
-    assert same(rat, ghost_big(frobenius_big(a, m)), ga[m - 1::m])
+    assert same(ring, ghost_big(a + b), list(map(ring.add, ga, gb)))
+    assert same(ring, ghost_big(a * b), list(map(ring.mul, ga, gb)))
+    assert same(ring, ghost_big(frobenius_big(a, m)), ga[m - 1::m])
     x, y = a.coefficient(1), b.coefficient(1)
     assert (teichmuller_big(ring, N, x) * teichmuller_big(ring, N, y)
             == teichmuller_big(ring, N, ring.mul(x, y)))
@@ -83,12 +84,22 @@ def test_bigwitt_over_torsion_ring_is_integral_result_reduced(key, N, seed,
             == teichmuller_big(ring, N, ring.mul(x, y)))
 
 
+class B0OverQ(B0Ring):
+    """B0 with coordinates anywhere in Q[h]: division skips the Z[h] check."""
+
+    name = "B0@Q"
+
+    def div_int_exact(self, a, n):
+        return B0Elem(tuple(QH.div_int_exact(c, n) for c in a.coords))
+
+
 def b0_over_q(vectors, combine):
-    """The reference route of a B0 ghost solve: over the rationalization
-    B0@Q, each result coefficient certified back into B0."""
-    rat = vectors[0].ring.rationalized()
-    ghosts = [v._map(rat[0], rat[1])._ghosts() for v in vectors]
-    return witt._solve_in_cover(vectors[0], rat, combine(rat[0], ghosts))
+    """The reference route of a B0 ghost solve: over B0OverQ, each result
+    coefficient certified back into B0."""
+    rat = B0OverQ()
+    out = vectors[0]._solve(rat, combine(rat, [v._ghosts() for v in vectors]))
+    return out._map(vectors[0].ring,
+                    lambda a: a if a.is_integral() else None)
 
 
 def mul(r, g):
@@ -130,23 +141,32 @@ def test_b0_non_integral_input_raises():
             route((x,), lambda r, g: g[0])
 
 
+# Q[h]/(h^2), where qprism.sample_gq solves for a point over Z/p^n[h]
+QH2 = PolyQuotRing(ExactRat(), MODH.modulus, MODH.var)
+
+
+def solve_over_q_h(ghosts):
+    """sample_gq's route: solve over Q[h], certify each component down."""
+    return from_ghost(QH2, P, ghosts)._map(MODH, MODH.from_rational)
+
+
 @settings(max_examples=40, deadline=None)
 @given(L=st.integers(1, 4), seed=st.integers(0, 2 ** 32))
-def test_from_ghost_over_torsion_ring_is_the_reduction(L, seed):
+def test_solve_over_q_h_mapped_down_is_the_reduction(L, seed):
     rng = random.Random(seed)
     w = WittVector(ZH, P, [ZH.rand(rng) for _ in range(L)])
     down = MODH.lifted()[2]
-    assert (from_ghost(MODH, P, ghost(w))
+    ghosts = [QH2.make(map(Fraction, g)) for g in ghost(w)]
+    assert (solve_over_q_h(ghosts)
             == WittVector(MODH, P, map(down, w.components)))
 
 
-def test_from_ghost_over_torsion_ring_certifies_p_integrality():
-    qh = MODH.rational_cover()[0]
-    half = qh.make([Fraction(1, 2)])
+def test_solve_over_q_h_mapped_down_certifies_p_integrality():
+    half = QH2.make([Fraction(1, 2)])
     # 1/2 is 3-integral: 41 * 2 = 1 mod 81
-    assert from_ghost(MODH, P, [half]).components == (MODH.make([41]),)
+    assert solve_over_q_h([half]).components == (MODH.make([41]),)
     with pytest.raises(NonIntegralGhost):
-        from_ghost(MODH, P, [qh.zero, qh.one])    # x_1 = 1/3
+        solve_over_q_h([QH2.zero, QH2.one])    # x_1 = 1/3
 
 
 def test_ghost_is_strict_over_torsion_rings():
@@ -155,6 +175,16 @@ def test_ghost_is_strict_over_torsion_rings():
                          (ghost_big, big(MOD, 3, [1, 2, 3]))):
         with pytest.raises(NonIntegralGhost):
             ghost_map(w)
+
+
+def test_solving_from_ghosts_refuses_torsion_rings():
+    # over Z/p^n the ghost map is not injective: ghosts do not determine a
+    # vector, even when they are the ghosts of one
+    for solve in (lambda: from_ghost(MOD, P, [1, 1]),
+                  lambda: from_ghost_big(MOD, 2, [1, 1]),
+                  lambda: bj_to_witt(MOD, P, [1, 0])):
+        with pytest.raises(NonIntegralGhost, match="torsion"):
+            solve()
 
 
 @pytest.mark.parametrize("ring", [Z, ZH, ExactRat()], ids=repr)
@@ -170,6 +200,9 @@ def test_padic_log_constant_term_needs_a_p_adic_ring(ring):
     CyclotomicRing(3, n_p=2), SeriesCoeffRing(ModP(2, 1), ("x", "y"), 4),
     SeriesCoeffRing(ExactInt(), ("x",), 4), B0Ring(), bhat_ring(3),
 ], ids=repr)
-def test_every_ring_constructor_has_a_rational_cover(ring):
-    # so the ghost dispatch reaches every ring the library builds
-    assert ring.rational_cover() is not None
+def test_every_ring_constructor_reaches_the_ghost_dispatch(ring):
+    # exact division in the ring, or an integral lift to solve in
+    assert ((ring.is_torsion_free and witt._has_exact_division(ring))
+            or ring.lifted() is not None)
+    one = teichmuller_big(ring, 3, ring.one)
+    assert one * one == one

@@ -251,6 +251,7 @@ DEFAULT_PARAMS = {
     "qprism.canonical_point": {"n_p": 4, "n_q": 4},
     "qprism.q_log": {"n_q": 4, "n_p": 6},
     "qprism.zp_action": {"n_p": 6, "n_q": 6, "n_z": 6},
+    "qprism.hodge_tate": {"n_p": 6, "n_z": 5},
 }
 
 
@@ -289,6 +290,7 @@ def test_suites_run_with_their_params(monkeypatch):
      {"L": (4,), "n_p": (40,)}),
     (dict(suite="qprism.q_log", p=3, n_p=4), {"n_q": 4, "n_p": 4}),
     (dict(suite="witt.universal", p=3, L=5), {"L": 5}),
+    (dict(suite="qprism.hodge_tate", n_p=8), {"n_p": 8, "n_z": 5}),
 ])
 def test_explicit_values_in_range_are_honoured(cfg, params):
     [(_, _, _, filled)] = plan(SuiteConfig(**cfg))
@@ -313,6 +315,9 @@ def test_explicit_values_in_range_are_honoured(cfg, params):
      "suite"),
     (dict(suite="all", p=5, L=4), "witt.joyal_lift: L = 4 is outside its "
      "range [1, 3]"),
+    # additivity sees the (zeta-1) z1 z2 term of the law from order 2 on
+    (dict(suite="qprism.hodge_tate", n_z=1), "qprism.hodge_tate: n_z = 1 is "
+     "outside its range [2, inf]"),
 ])
 def test_plan_refuses(cfg, reason):
     with pytest.raises(ConfigError) as err:
@@ -330,7 +335,7 @@ def test_determinism():
 # run(SuiteConfig(suite="all", trials=1, seed=0)).  It pins every check id
 # and its order, status, detail, paper_ref and params, and the run's params.
 GOLDEN_ALL_TRIALS1 = (
-    "045096847cc9abc4553df5f5c336a75130ad40d145a278991b8805155cbb8e31")
+    "8b8e27ebfa8f75fcfa9a94ec793eb5a100b018679f235cd9cde1c676dac0724e")
 
 
 def test_golden_report():
@@ -413,6 +418,12 @@ def test_witt_universal_honours_witt_len(monkeypatch):
      "error: witt.ghost: L = 6 is outside its range [1, 4]\n"),
     (("--suite", "intpoly", "--bigwitt", "12"),
      "error: N_big = 12 is read by no selected suite\n"),
+    # the third Frobenius of eigen_II needs N_big >= 9, and the composition
+    # F_2 F_3 = F_6 of witt.frobenius_big needs N_big >= 6
+    (("--suite", "cartier_witt.eigen", "--bigwitt", "8"),
+     "error: cartier_witt.eigen: N_big = 8 is outside its range [9, inf]\n"),
+    (("--suite", "witt.frobenius", "--bigwitt", "5"),
+     "error: witt.frobenius: N_big = 5 is outside its range [6, inf]\n"),
 ])
 def test_cli_refuses_a_value_no_suite_honours(args, reason):
     out = run_cli(*args)

@@ -19,7 +19,8 @@ from prismlab.qprism import (
     sigma_point, zp_action, bh_in_box, bhat_ring, frac_vp, vp_at_least,
 )
 from prismlab.ringcore import (
-    CyclotomicRing, TruncSeries, h_element, q_element,
+    CyclotomicRing, ExactRat, PolyQuotRing, TruncSeries, cyclotomic_modulus,
+    h_element, q_element,
 )
 from prismlab.witt import WittVector, witt_op, zero_vector
 
@@ -282,7 +283,7 @@ def _lambda_over_q_zeta(C, p, order):
     """_lambda_series as it was computed before: each coefficient
     (-1)^(n-1) (zeta-1)^(n-1)/n in Q(zeta), certified p-integral by
     C.from_rational."""
-    rring = CyclotomicRing(p).rationalized()[0]
+    rring = PolyQuotRing(ExactRat(), cyclotomic_modulus(p), "zeta")
     zeta1 = rring.sub(q_element(rring), rring.one)
     coeffs = {}
     for n in range(1, order + 1):

@@ -11,14 +11,14 @@ import pytest
 from prismlab.qhopf import QH, QHT
 from prismlab.qprism import bhat_ring
 from prismlab.ringcore import (
-    CyclotomicRing, ExactInt, IntModRing, IntRing, ModP, PolyQuotRing,
-    RatRing,
+    ExactInt, IntModRing, IntRing, ModP, PolyQuotRing, RatRing,
+    cyclotomic_modulus,
 )
 
 RINGS = {
     "Q[h]": QH,
     "Q[h]/(h^5)": PolyQuotRing(RatRing(), (0,) * 5 + (1,), "h"),
-    "Q(zeta_5)": CyclotomicRing(5).rationalized()[0],
+    "Q(zeta_5)": PolyQuotRing(RatRing(), cyclotomic_modulus(5), "zeta"),
     "Q[h][t]": QHT,
     "bhat_ring(4)": bhat_ring(4),
     "Z": ExactInt(),

@@ -13,6 +13,8 @@ from prismlab.ringcore import (
     series_exp, series_inverse, valuation, widened,
 )
 
+from rational_twin import rational_twin
+
 
 def z_series(ring, order, var="z"):
     return TruncSeries.var(ring, (var,), order, var)
@@ -241,9 +243,9 @@ def test_padic_log_constant_term_over_a_nested_quotient():
 
 def _log_over_cover(u, bound):
     """The constant-term log as padic_log summed it before: each term over
-    the rational cover, cleared back on its own."""
+    the ring's rational twin, cleared back on its own."""
     r = u.ring
-    rring, to_rat, _ = r.rational_cover()
+    rring, to_rat = rational_twin(r)
     w = (u - TruncSeries.one(r, u.variables, u.order)).map_coeffs(to_rat, rring)
     out = TruncSeries.zero(r, u.variables, u.order)
     power = TruncSeries.one(rring, u.variables, u.order)
@@ -418,9 +420,9 @@ def test_log_term_bound_agrees_with_a_much_larger_one(ring):
 
 def _series_log_over_cover(u):
     """The positive-order log as padic_log computed it before: summed over
-    the rational cover to the series order, then cleared back."""
+    the ring's rational twin to the series order, then cleared back."""
     r = u.ring
-    rring, to_rat, _ = r.rational_cover()
+    rring, to_rat = rational_twin(r)
     one = TruncSeries.one(rring, u.variables, u.order)
     w = u.map_coeffs(to_rat, rring) - one
     out = TruncSeries.zero(rring, u.variables, u.order)

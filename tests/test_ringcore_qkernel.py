@@ -8,7 +8,7 @@ from prismlab.qhopf import QH, QHT
 from prismlab.qprism import bhat_ring
 from prismlab.ringcore import (
     CyclotomicRing, PolyQuotRing, QPoly, QSeriesRing, RatRing,
-    _kronecker_mul, h_element,
+    _kronecker_mul, cyclotomic_modulus, h_element,
 )
 
 
@@ -28,10 +28,13 @@ def truncated_q(n):
     return PolyQuotRing(RatRing(), (0,) * n + (1,), "h")
 
 
+def q_zeta(p):
+    return PolyQuotRing(RatRing(), cyclotomic_modulus(p), "zeta")
+
+
 UNIVARIATE = {"QH": QH, "Q[h]/(h^1)": truncated_q(1),
               "Q[h]/(h^4)": truncated_q(4), "Q[h]/(h^8)": truncated_q(8),
-              "Q(zeta_3)": CyclotomicRing(3).rationalized()[0],
-              "Q(zeta_5)": CyclotomicRing(5).rationalized()[0]}
+              "Q(zeta_3)": q_zeta(3), "Q(zeta_5)": q_zeta(5)}
 BIVARIATE = {"bhat_ring(4)": bhat_ring(4), "QHT": QHT}
 
 # large and pairwise coprime denominators, next to small ones

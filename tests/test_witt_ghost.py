@@ -15,6 +15,8 @@ from prismlab.witt import (
     teichmuller, witt_neg, witt_op, witt_op_universal, witt_pow, zero_vector,
 )
 
+from rational_twin import rational_twin
+
 
 def double_and_add(n, w, add=lambda a, b: witt_op(a, b, "add"), neg=witt_neg):
     if n < 0:
@@ -36,10 +38,11 @@ def scalar_mul_table(n, w):
 
 def ghost_power(w, n):
     """w^n as one ghost power, ghost(w^n) = ghost(w)^n, solved over the
-    rational cover of the coefficient ring."""
-    rring, to_rat, _ = w.ring.rational_cover()
-    x = WittVector(rring, w.p, [to_rat(c) for c in w.components])
-    return from_ghost(w.ring, w.p, [rring.pow(g, n) for g in ghost_in_ring(x)])
+    rational twin of the coefficient ring and certified back."""
+    rring, to_rat = rational_twin(w.ring)
+    x = w._map(rring, to_rat)
+    return from_ghost(rring, w.p, [rring.pow(g, n) for g in ghost_in_ring(x)]
+                      )._map(w.ring, w.ring.from_rational)
 
 
 def power_by_products(ring, x, e):
