@@ -160,10 +160,6 @@ class Ring:
         or None if a denominator is not invertible here."""
         return None
 
-    def lifted(self):
-        """(torsion-free cover, lift, reduce) for torsion rings, else None."""
-        return None
-
     def rand(self, rng):
         raise NotImplementedError
 
@@ -316,9 +312,6 @@ class IntModRing(Ring):
         if inv is None:
             return None
         return (x.numerator * inv) % self.m
-
-    def lifted(self):
-        return IntRing(), lambda a: a, lambda a: a % self.m
 
     def rand(self, rng):
         return rng.randrange(self.m)
@@ -549,9 +542,6 @@ class PolyQuotRing(Ring):
     def from_rational(self, x):
         return self._image(x, self.scalar.from_rational)
 
-    def lifted(self):
-        return _coefficientwise(self, self.scalar.lifted())
-
     def rand(self, rng):
         n = self.deg if self.deg is not None else rng.randrange(1, 4)
         return self._strip([self.scalar.rand(rng) for _ in range(n)])
@@ -603,19 +593,6 @@ def _images(fn, items):
             return None
         out.append(img)
     return out
-
-
-def _coefficientwise(ring, base):
-    """lifted() of a PolyQuotRing or SeriesCoeffRing from base = (R, up,
-    down), that of its coefficient ring: (ring over R, up, down), mapping
-    coefficient by coefficient (down gives None where a coefficient has no
-    image); None without base."""
-    if base is None:
-        return None
-    cring, up, down = base
-    over = ring._over(cring)
-    return (over, lambda a: over._image(a, up),
-            lambda a: ring._image(a, down))
 
 
 # --- the integer kernel behind mul over Q and series over Z ---------------
@@ -734,12 +711,30 @@ def ModP(p: int, n_p: int) -> IntModRing:
     return IntModRing(p ** n_p, p=p)
 
 
+def _same(a):
+    return a
+
+
 def widened(ring, factor: int):
-    """Z/m, or a PolyQuotRing over it (nested or not), with Z/(m factor) in
-    place of Z/m; ring.lifted() reduces its elements onto ring."""
+    """(wide, up, down), the one change of ring: wide is ring, Z/m or a
+    PolyQuotRing or SeriesCoeffRing over it (nested or not), with
+    Z/(m factor) in place of Z/m; up carries ring into wide and down
+    reduces wide onto ring, coefficient by coefficient.  up is _same where
+    an element of ring is one of wide as it stands (ints in [0, m) and
+    tuples of them); a series is re-wrapped.  None on any other ring."""
     if type(ring) is IntModRing:
-        return IntModRing(ring.m * factor, ring.p)
-    return ring._over(widened(ring.scalar, factor))
+        m = ring.m
+        return IntModRing(m * factor, ring.p), _same, lambda a: a % m
+    if type(ring) not in (PolyQuotRing, SeriesCoeffRing):
+        return None
+    poly = type(ring) is PolyQuotRing
+    inner = widened(ring.scalar if poly else ring.base, factor)
+    if inner is None:
+        return None
+    cring, cup, down = inner
+    wide = ring._over(cring)
+    up = cup if poly and cup is _same else (lambda a: wide._image(a, cup))
+    return wide, up, lambda a: ring._image(a, down)
 
 
 def QPoly() -> PolyQuotRing:
@@ -852,9 +847,6 @@ class SeriesCoeffRing(Ring):
 
     def from_rational(self, x):
         return self._image(x, self.base.from_rational)
-
-    def lifted(self):
-        return _coefficientwise(self, self.base.lifted())
 
     def rand(self, rng):
         return TruncSeries(self.base, self.variables,
@@ -1221,16 +1213,17 @@ def padic_log(u: TruncSeries) -> TruncSeries:
 
 def _log_term_ring(ring, bound: int) -> tuple:
     """(wide, term, reduce): term(c, n) = (-1)^(n-1) c / n in wide, or None,
-    for n <= bound, and reduce maps wide onto ring.  A torsion-free ring
-    divides in itself.  A mod-p^n quotient runs in widened(ring, p^K),
-    p^K <= bound: the unit part of n is inverted and its p part p^v,
-    v <= K, divided out, and a = b mod m p^K gives a / p^v = b / p^v mod m.
+    for n <= bound, and reduce, widened's down, maps wide onto ring.  A
+    torsion-free ring divides in itself.  A mod-p^n quotient runs in
+    widened(ring, p^K), p^K <= bound: the unit part of n is inverted and its
+    p part p^v, v <= K, divided out, and a = b mod m p^K gives
+    a / p^v = b / p^v mod m.
     """
     if ring.is_torsion_free:
         return ring, (lambda c, n: ring.div_int_exact(
-            ring.mul_int(c, (-1) ** (n - 1)), n)), (lambda x: x)
+            ring.mul_int(c, (-1) ** (n - 1)), n)), _same
     p = _padic_profile(ring)[0]
-    wide = widened(ring, p ** floor_log(bound, p))
+    wide, _, reduce = widened(ring, p ** floor_log(bound, p))
     scalar = wide
     while type(scalar) is PolyQuotRing:
         scalar = scalar.scalar
@@ -1240,7 +1233,7 @@ def _log_term_ring(ring, bound: int) -> tuple:
         unit = scalar.inv((-1) ** (n - 1) * n // p_part)
         return (None if unit is None else
                 wide.div_int_exact(wide.mul_int(c, unit), p_part))
-    return wide, term, ring.lifted()[2]
+    return wide, term, reduce
 
 
 def _log_term_bound(ring, order: int) -> int:

@@ -2,32 +2,30 @@
 
 Every Witt operation, p-typical or big, is one ghost solve through one
 dispatch (`ghost_combine`, which also runs whole expressions), on one of
-three paths: over the ring itself when it is torsion-free and divides
-exactly (B_0 among them), over the bounded lift, or over the integral
-lift reduced back.  A p-typical vector of length L over Z/m with p | m, or
-over a polynomial ring over it, lifts to Z/(m p^(L-1)): since a = b mod
-p^k gives a^(p^j) = b^(p^j) mod p^(k+j), that bounded lift solves exactly
-mod m with integers below m p^(L-1) (`_bounded_lift`).  Other torsion
-rings, the F_p series ring of `derham.generic_vector` among them, lift to
-Z.  Ghost components live in the coefficient ring itself, which must be
-torsion-free for them to determine the vector: `ghost`, `ghost_big`,
-`from_ghost`, `from_ghost_big`, `bj_to_witt` and `witt_to_bj` raise
-NonIntegralGhost on a torsion ring.  Every solve divides with its ring's
-`div_int_exact`, and a quotient outside the ring raises NonIntegralGhost.
-The memoized universal polynomial tables, evaluated in the coefficient
-ring with no lift, are an oracle only (`witt_op_universal`): no operation
-falls back to them, and over Z the two must agree (`verify --suite
-witt.universal`).
+two paths: over the ring itself when it is torsion-free and divides
+exactly (B_0 among them), or over the bounded lift reduced back: Z/m, or a
+polynomial or series ring over it, solves exactly mod m in the same ring
+over Z/(m p^(L-1)) for length L, over Z/(m N!) for big Witt order N
+(`_bounded_lift`).  Ghost components live in the coefficient ring itself,
+which must be torsion-free for them to determine the vector: `ghost`,
+`ghost_big`, `from_ghost`, `from_ghost_big`, `bj_to_witt` and `witt_to_bj`
+raise NonIntegralGhost on a torsion ring.  Every solve divides with its
+ring's `div_int_exact`, and a quotient outside the ring raises
+NonIntegralGhost.  The memoized universal polynomial tables, evaluated
+in the coefficient ring with no lift, are an oracle only
+(`witt_op_universal`): no operation falls back to them, and over Z the two
+must agree (`verify --suite witt.universal`).
 """
 from __future__ import annotations
 
+import math
 import threading
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import or_
 
 from .ringcore import (
-    IntModRing, IntRing, PolyQuotRing, PrecisionExhausted, PrismlabError,
-    Ring, RingMismatch, TruncSeries, series_inverse, widened,
+    IntModRing, IntRing, PrecisionExhausted, PrismlabError,
+    Ring, RingMismatch, TruncSeries, _same, series_inverse, widened,
 )
 
 
@@ -131,8 +129,10 @@ class WittVector:
 
 
 def _images(ring, fn, items, what: str) -> list:
-    """[fn(c) for c in items]; NonIntegralGhost at the first c with fn(c)
-    None, i.e. with no image in the target ring."""
+    """[fn(c) for c in items], or items as they stand if fn is _same;
+    NonIntegralGhost at the first c with fn(c) None (no image there)."""
+    if fn is _same:
+        return items
     out = [fn(c) for c in items]
     for n, img in enumerate(out):
         if img is None:
@@ -198,69 +198,51 @@ def from_ghost(ring, p, ghosts) -> WittVector:
     return WittVector(ring, p, ())._solve(_torsion_free(ring), ghosts)
 
 
-# (ring, p, L) -> the bounded lift of _bounded_lift, or None; two threads
-# that miss at once build equal entries, so no lock is needed
-_bounded_cache: dict = {}
+@lru_cache(maxsize=None)
+def _bounded_lift(ring, factor: int):
+    """widened(ring, factor), memoized per (ring, factor): a PolyQuotRing is
+    too costly to build per operation.
 
-
-def _bounded_lift(ring, p: int, L: int):
-    """(Z/M ring, reduce) for p-typical vectors of length at most L over
-    Z/m, or over a PolyQuotRing over Z/m, with p | m: the same ring with
-    Z/M, M = m p^(L-1), in place of Z/m, whose div_int_exact divides the
-    representatives in [0, M); reduction mod m.  None on any other ring.
-
-    A ghost solve of length at most L run there agrees mod m with the solve
-    over Z.  With p | m, a = b mod m p^j gives a^p = b^p mod m p^(j+1), so
-    if the components x_i solved so far are exact mod m p^(L-1-i), every
-    p^i x_i^(p^(n-i)) is exact mod M, and dividing the numerator of x_n by
-    p^n leaves it exact mod m p^(L-1-n).  Memoized per (ring, p, L): a
-    PolyQuotRing is too costly to build per operation."""
-    key = (ring, p, L)
-    try:
-        return _bounded_cache[key]
-    except KeyError:
-        pass
-    scalar = ring.scalar if type(ring) is PolyQuotRing else ring
-    out = None
-    if type(scalar) is IntModRing and scalar.m % p == 0:
-        out = widened(ring, p ** max(L - 1, 0)), ring.lifted()[2]
-    _bounded_cache[key] = out
-    return out
+    Factor p^(L-1) makes a p-typical solve of length at most L exact mod m:
+    for j >= 1, a = b mod m p^j gives a^p = b^p mod m p^(j+1), p | m or
+    not.  So if the x_i solved so far, i < n <= L-1, are exact mod
+    m p^(L-1-i), every p^i x_i^(p^(n-i)) is exact mod m p^(L-1), and
+    dividing the numerator of x_n by p^n leaves x_n exact mod m p^(L-1-n).  Factor N! makes a big Witt solve of order at most N
+    exact mod m: step n of Newton's recurrence n f_n = -sum g_d f_(n-d)
+    divides by n a value known mod m N!/(n-1)!, a multiple of n, so f_n is
+    exact mod m N!/n! and f_N mod m."""
+    return widened(ring, factor)
 
 
 def ghost_combine(vectors, combine):
     """The Witt vector, p-typical or big, whose ghost components are
     combine(R, ghosts), where ghosts holds the ghost lists of the vectors
-    computed in the ring R, on one of three paths: the coefficient ring
+    computed in the ring R, on one of two paths: the coefficient ring
     itself when it is torsion-free and divides exactly (Z, Q, the
-    polynomial and series rings over them, B_0); for p-typical vectors
-    over Z/m with p | m, or a PolyQuotRing over it, the bounded lift
-    Z/(m p^(L-1)) of _bounded_lift; else the integral lift.  A lifted
-    result is reduced back (reduction W(lift) -> W(ring) is a ring map).
+    polynomial and series rings over them, B_0); else its bounded lift
+    (_bounded_lift), factor p^(L-1) at length L or N! at order N, with the
+    result reduced back (reduction W(lift) -> W(ring) is a ring map).
     Every solve divides with its ring's div_int_exact.  One ghost solve
     however many operations combine makes.  combine must send ghost lists
     of Witt vectors to the ghost list of a Witt vector: ring operations per
     component, F (drop the first component) and V (g_n -> p g_(n-1)); its
     output is no longer than its longest input.  NonIntegralGhost on a ring
-    with neither exact division nor a lift."""
+    with neither exact division nor a bounded lift."""
     w, ring = vectors[0], vectors[0].ring
     if ring.is_torsion_free and _has_exact_division(ring):
         ghosts = [v._ghosts() for v in vectors]
         return w._solve(ring, combine(ring, ghosts))
     if isinstance(w, WittVector):
-        bounded = _bounded_lift(ring, w.p, max(v.L for v in vectors))
-        if bounded is not None:
-            bring, down = bounded
-            ghosts = [WittVector(bring, v.p, v.components)._ghosts()
-                      for v in vectors]
-            return w._solve(bring, combine(bring, ghosts))._map(ring, down)
-    lifted = ring.lifted()
-    if lifted is None:
+        factor = w.p ** max(max(v.L for v in vectors) - 1, 0)
+    else:
+        factor = math.factorial(max(v.N for v in vectors))
+    bounded = _bounded_lift(ring, factor)
+    if bounded is None:
         raise NonIntegralGhost("ring %s has neither exact division nor a "
-                               "lift" % ring)
-    lring, up, down = lifted
-    out = ghost_combine([v._map(lring, up) for v in vectors], combine)
-    return out._map(ring, down)
+                               "bounded lift" % ring)
+    wide, up, down = bounded
+    ghosts = [v._map(wide, up)._ghosts() for v in vectors]
+    return w._solve(wide, combine(wide, ghosts))._map(ring, down)
 
 
 # --- universal polynomial tables, the oracle --------------------------------

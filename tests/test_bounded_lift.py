@@ -1,17 +1,17 @@
-"""The bounded lift of the ghost dispatch: p-typical Witt vectors over Z/m,
-or a PolyQuotRing over Z/m, with p | m run their ghost solve in
-Z/(m p^(L-1)) instead of Z.  Every operation is checked against the
-universal polynomial tables, which are built from a ghost solve over Z
-once and evaluated in the coefficient ring, with no lift at all.  So is
-the F_p series ring of generic_vector, which runs on its lift to Z; a ring
-with neither exact division nor a lift is refused."""
+"""The bounded lift of the ghost dispatch: p-typical Witt vectors of length
+L over Z/m, or over a PolyQuotRing or SeriesCoeffRing over Z/m, run their
+ghost solve in the same ring over Z/(m p^(L-1)), whether or not p | m.
+Every operation is checked against the universal polynomial tables, which
+are built from a ghost solve over Z once and evaluated in the coefficient
+ring, with no lift at all.  So is the F_p series ring of generic_vector; a
+ring with neither exact division nor a bounded lift is refused."""
 import random
 
 import pytest
 
 from prismlab import witt
 from prismlab.derham import generic_vector
-from prismlab.ringcore import IntModRing, ModP, PolyQuotRing, Ring
+from prismlab.ringcore import IntModRing, ModP, PolyQuotRing, Ring, _same
 from prismlab.witt import (
     NonIntegralGhost, WittVector, frobenius, ghost_combine, scalar_mul,
     witt_neg, witt_op, witt_op_universal, witt_sub,
@@ -84,29 +84,31 @@ def check_against_tables(ring, p, L, rng, count):
 
 @pytest.mark.parametrize("ring,p,L", BOUNDED, ids=lambda v: str(v))
 def test_bounded_lift_matches_universal_tables(ring, p, L):
-    assert witt._bounded_lift(ring, p, L) is not None
+    assert witt._bounded_lift(ring, p ** (L - 1)) is not None
     check_against_tables(ring, p, L, random.Random(L * 1000 + p), 20)
 
 
 def test_bounded_modulus_is_m_times_p_to_the_L_minus_1():
-    assert witt._bounded_lift(ModP(3, 4), 3, 4)[0].m == 3 ** 4 * 3 ** 3
-    assert witt._bounded_lift(IntModRing(24, 2), 2, 3)[0].m == 24 * 4
-    wide = witt._bounded_lift(zp2_trunc(3), 3, 2)[0]
+    assert witt._bounded_lift(ModP(3, 4), 3 ** 3)[0].m == 3 ** 4 * 3 ** 3
+    assert witt._bounded_lift(IntModRing(24, 2), 4)[0].m == 24 * 4
+    wide = witt._bounded_lift(zp2_trunc(3), 3)[0]
     assert type(wide) is PolyQuotRing and wide.scalar.m == 9 * 3
     assert wide.modulus == (0, 0, 1)
 
 
 def test_bounded_lift_is_built_once_per_ring():
-    first = witt._bounded_lift(fp_trunc(3), 3, 3)
-    assert witt._bounded_lift(fp_trunc(3), 3, 3) is first
+    first = witt._bounded_lift(fp_trunc(3), 9)
+    assert witt._bounded_lift(fp_trunc(3), 9) is first
 
 
 @pytest.mark.parametrize("ring,p,L", [(ModP(3, 2), 2, 3), (IntModRing(25), 2, 4),
                                       (PolyQuotRing(ModP(3, 2), (0, 0, 1), "a"), 2, 3)],
                          ids=lambda v: str(v))
-def test_p_not_dividing_m_stays_on_the_integral_lift(ring, p, L):
-    # the congruence a = b mod m p^j => a^p = b^p mod m p^(j+1) needs p | m
-    assert witt._bounded_lift(ring, p, L) is None
+def test_p_not_dividing_m_runs_on_the_bounded_lift(ring, p, L):
+    # a = b mod m p^j => a^p = b^p mod m p^(j+1) holds for j >= 1 whether
+    # or not p | m, and only x_0, ..., x_(L-2), known mod m p^j with
+    # j >= 1, are raised to powers in a solve of length L
+    assert witt._bounded_lift(ring, p ** (L - 1)) is not None
     check_against_tables(ring, p, L, random.Random(p + L), 20)
 
 
@@ -123,12 +125,15 @@ def test_long_vectors_stay_exact():
 
 @pytest.mark.parametrize("p,L", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_generic_vector_runs_on_the_lift_and_matches_the_tables(p, L):
-    # generic_vector's F_p series ring has torsion: its coefficients lift
-    # to Z, and the result is reduced back.  The tables evaluate in the F_p
-    # series ring itself, with no lift at all.
+    # generic_vector's F_p series ring has torsion: it solves in the same
+    # series ring over Z/p^L, its series re-wrapped there, and the result
+    # is reduced back.  The tables evaluate in the F_p series ring itself,
+    # with no lift at all.
     ring, x = generic_vector(p, L)
-    assert not ring.is_torsion_free and ring.lifted() is not None
-    assert witt._bounded_lift(ring, p, L) is None
+    assert not ring.is_torsion_free
+    wide, up, _ = witt._bounded_lift(ring, p ** (L - 1))
+    assert wide.base.m == p ** L and up is not _same
+    assert up(x.components[0]).ring == wide.base
     y = WittVector(ring, p, [ring.var(v) for v in reversed(ring.variables)])
     for a, b in ((x, y), (y, x)):
         assert witt_op(a, b, "add") == witt_op_universal(a, b, "add")
@@ -142,7 +147,7 @@ def test_generic_vector_runs_on_the_lift_and_matches_the_tables(p, L):
 
 
 class Opaque(Ring):
-    """A ring with neither exact division nor a lift."""
+    """A ring with neither exact division nor a bounded lift."""
 
     name = "Opaque"
 
@@ -150,7 +155,8 @@ class Opaque(Ring):
         return n
 
 
-def test_ring_without_rationalization_or_lift_raises():
+def test_ring_without_exact_division_or_bounded_lift_raises():
     w = WittVector(Opaque(), 2, [0, 0])
-    with pytest.raises(NonIntegralGhost, match="Opaque has neither"):
+    with pytest.raises(NonIntegralGhost, match="Opaque has neither exact "
+                       "division nor a bounded lift"):
         ghost_combine((w,), lambda r, g: g[0])

@@ -50,8 +50,8 @@ def test_sample_gdr_and_roundtrip():
 
 
 def test_sample_over_polynomial_ring_over_z_mod_p_to_the_n():
-    # p x = value is divided on the integral lift Z[a]/(a^2), not only on
-    # bare Z/p^n ints
+    # p x = value is divided coefficient by coefficient on the
+    # representatives in Z/p^n[a]/(a^2), not only on bare Z/p^n ints
     R, p = PolyQuotRing(ModP(3, 3), (0, 0, 1), "a"), 3
     a = sample_gdr(R, p, 2, random.Random(1))
     assert a.x == WittVector(R, p, [R.from_int(6), R.from_int(6)])

@@ -1,7 +1,7 @@
 """The one ghost dispatch of p-typical and big Witt vectors on each of its
-branches: exact division in the ring (Z, Z[h], B0) and an integral lift
-reduced back (Z/p^n, Z/p^n[h]), which every ring constructor reaches; B0
-against its former route over Q[h] coordinates; the route of
+two paths: exact division in the ring (Z, Z[h], B0) and the bounded lift
+reduced back (Z/p^n, Z/24, Z/p^n[h]), which every ring constructor
+reaches; B0 against its former route over Q[h] coordinates; the route of
 qprism.sample_gq, solving from ghosts over Q[h] and certifying each
 component into Z/p^n[h]; and the ghost maps, which refuse torsion rings."""
 import random
@@ -16,7 +16,7 @@ from prismlab.qprism import bhat_ring
 from prismlab.ringcore import (
     CyclotomicRing, DoesNotConverge, ExactInt, ExactRat, IntModRing, ModP,
     PolyQuotRing, QPoly, QSeriesRing, SeriesCoeffRing, TruncSeries,
-    padic_log,
+    padic_log, widened,
 )
 from prismlab.witt import (
     BigWitt, NonIntegralGhost, WittVector, bj_to_witt, frobenius_big,
@@ -30,8 +30,9 @@ ZH = PolyQuotRing(Z, (0, 0, 1), "h")
 MOD = ModP(P, 4)
 MODH = PolyQuotRing(MOD, (0, 0, 1), "h")
 TORSION_FREE = {"Z": Z, "Z[h]": ZH, "B0": B0Ring()}
-# torsion ring -> its integral lift
-TORSION = {"Z/p^n": (MOD, Z), "Z/p^n[h]": (MODH, ZH)}
+# torsion ring -> the torsion-free ring whose solve, reduced, it must match
+TORSION = {"Z/p^n": (MOD, Z), "Z/24": (IntModRing(24), Z),
+           "Z/p^n[h]": (MODH, ZH)}
 
 
 def big(ring, N, coeffs):
@@ -63,12 +64,13 @@ def test_bigwitt_ghost_map_is_a_ring_map(key, N, seed, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(key=st.sampled_from(sorted(TORSION)), N=st.integers(1, 6),
+@given(key=st.sampled_from(sorted(TORSION)), N=st.integers(1, 9),
        seed=st.integers(0, 2 ** 32), data=st.data())
 def test_bigwitt_over_torsion_ring_is_integral_result_reduced(key, N, seed,
                                                               data):
+    # the bounded lift Z/(m N!) must reproduce the solve over Z mod m
     ring, lift = TORSION[key]
-    down = ring.lifted()[2]
+    down = widened(ring, 1)[2]
 
     def red(w):
         return BigWitt(ring, w.N, {n: down(c) for n, c in w.coeffs.items()})
@@ -108,7 +110,7 @@ def mul(r, g):
 
 @settings(max_examples=40, deadline=None)
 @given(N=st.integers(1, 6), seed=st.integers(0, 2 ** 32), data=st.data())
-def test_b0_solves_in_b0_as_over_its_rationalization(N, seed, data):
+def test_b0_solves_in_b0_as_over_q_h(N, seed, data):
     R = B0Ring()
     assert R.is_torsion_free and witt._has_exact_division(R)
     a, b = random_pair(R, N, random.Random(seed))
@@ -155,7 +157,7 @@ def solve_over_q_h(ghosts):
 def test_solve_over_q_h_mapped_down_is_the_reduction(L, seed):
     rng = random.Random(seed)
     w = WittVector(ZH, P, [ZH.rand(rng) for _ in range(L)])
-    down = MODH.lifted()[2]
+    down = widened(MODH, 1)[2]
     ghosts = [QH2.make(map(Fraction, g)) for g in ghost(w)]
     assert (solve_over_q_h(ghosts)
             == WittVector(MODH, P, map(down, w.components)))
@@ -201,8 +203,8 @@ def test_padic_log_constant_term_needs_a_p_adic_ring(ring):
     SeriesCoeffRing(ExactInt(), ("x",), 4), B0Ring(), bhat_ring(3),
 ], ids=repr)
 def test_every_ring_constructor_reaches_the_ghost_dispatch(ring):
-    # exact division in the ring, or an integral lift to solve in
+    # exact division in the ring, or a bounded lift to solve in
     assert ((ring.is_torsion_free and witt._has_exact_division(ring))
-            or ring.lifted() is not None)
+            or widened(ring, 1) is not None)
     one = teichmuller_big(ring, 3, ring.one)
     assert one * one == one

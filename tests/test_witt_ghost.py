@@ -1,6 +1,6 @@
 """Ghost-side Witt operations checked against independent algorithms:
 scalar_mul against n-fold Witt addition by double-and-add, witt_pow against
-one ghost power on an integral lift, both against the universal tables on
+one ghost power over the rational twin, both against the universal tables on
 generic_vector's F_p series ring, and the p-power ladders of the ghost maps
 against the ghost formula written out term by term."""
 from functools import reduce
@@ -129,8 +129,8 @@ def test_witt_pow_rejects_negative_exponent():
 @given(n=st.sampled_from([0, 1, -1, 2, -3, 5 ** 5])
        | st.integers(-(2 ** 20 - 1), 2 ** 20 - 1))
 def test_universal_fallback_matches_integral_ghosts(p, L, n):
-    # generic_vector's F_p series ring runs its ghost solves on the lift to
-    # Z coefficients.  Independent references: n-fold sums and products on
+    # generic_vector's F_p series ring runs its ghost solves on the bounded
+    # lift, the same series ring over Z/p^L.  Independent references: n-fold sums and products on
     # the universal tables, which evaluate in the F_p ring itself, and the
     # same symbolic vector over Z, since reduction mod p is a ring map.
     ring, x = generic_vector(p, L)
