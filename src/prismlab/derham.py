@@ -7,13 +7,20 @@ The series, the eigen test F y = p y, the V-series and the group law are
 each one ghost solve (`witt.ghost_combine`).  A series sum c_n x^n is
 Horner's rule on every ghost component of x; its cutoff is certified by
 solving its last two terms c_n x^n separately and requiring both to
-vanish as Witt vectors.  Every eigen-space input is certified
-first, since for p = 2 the exponential's coefficients do not tend to zero
-and only the argument's nilpotence makes the sum finite.
+vanish as Witt vectors; f_log and g_exp derive their integer
+coefficients once per (p, n_p, bound).  Every eigen-space input is
+certified first, since for p = 2 the exponential's coefficients do not
+tend to zero and only the argument's nilpotence makes the sum finite.
+
+The samplers solve one digit at a time, each equation on the shortest
+prefix that holds it: truncation W_L -> W_k is a ring map commuting with
+F, so component i of p . x (k = i + 1) or F x (k = i + 2) is as at L.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .ringcore import (
     DoesNotConverge, EigenCheckFailed, IdentityFailed, ModP, PrismlabError,
@@ -109,10 +116,13 @@ def witt_series_eval(coeff, x: WittVector, bound: int) -> WittVector:
     under Witt multiplication), so the cutoff is certified by checking that
     the final terms, n = bound - 1 and bound, contribute nothing.
     """
-    p, L = x.p, x.L
-    # integer representatives at the ring's precision plus a margin
-    # covering scalar-multiplication slack
     n_p = _padic_profile(x.ring)[1]
+    return _series_sum(_integer_coeffs(coeff, x.p, n_p, bound), x)
+
+
+def _integer_coeffs(coeff, p: int, n_p: int, bound: int) -> tuple:
+    """coeff(1), ..., coeff(bound) as integer representatives at the
+    ring's precision plus a margin covering scalar-multiplication slack."""
     target = ModP(p, n_p + 4)
     cs = []
     for n in range(1, bound + 1):
@@ -121,18 +131,34 @@ def witt_series_eval(coeff, x: WittVector, bound: int) -> WittVector:
         if c is None:
             raise DoesNotConverge("coefficient %s is not p-integral" % frac)
         cs.append(c)
+    return tuple(cs)
+
+
+@lru_cache(maxsize=None)
+def _series_coeffs(name: str, p: int, n_p: int, bound: int) -> tuple:
+    """f_log's ("log") or g_exp's ("exp") integer coefficients, derived
+    once per (p, n_p, bound)."""
+    term = {"log": lambda n: Fraction((-p) ** (n - 1), n),
+            "exp": lambda n: Fraction(p ** (n - 1), math.factorial(n))}[name]
+    return _integer_coeffs(term, p, n_p, bound)
+
+
+def _series_sum(cs, x: WittVector) -> WittVector:
+    """sum c_n x^n over the integers cs, its cutoff certified as in
+    witt_series_eval."""
+    bound = len(cs)
     for n in range(max(bound - 1, 1), bound + 1):
-        if not _witt_poly([0] * (n - 1) + cs[n - 1:n], x, L).is_zero():
+        if not _witt_poly((0,) * (n - 1) + cs[n - 1:n], x, x.L).is_zero():
             raise DoesNotConverge(
                 "series did not stabilize within %d terms" % bound)
-    return _witt_poly(cs, x, L)
+    return _witt_poly(cs, x, x.L)
 
 
 def f_log(a: GdRPoint) -> WittVector:
     """p^{-1} log(1 + px) evaluated in the Witt ring; lands in {Fy = py}."""
     x = a.x
     p, n_p, _ = _padic_profile(x.ring)
-    y = witt_series_eval(lambda n: Fraction((-p) ** (n - 1), n), x, n_p + 2)
+    y = _series_sum(_series_coeffs("log", p, n_p, n_p + 2), x)
     if not is_eigen(y):
         raise EigenCheckFailed("f_log output broke F y = p y")
     return y
@@ -152,16 +178,12 @@ def g_exp(y: WittVector) -> GdRPoint:
     if not is_eigen(y):
         raise EigenCheckFailed("g_exp needs Fy = py")
     p, n_p, _ = _padic_profile(y.ring)
-    import math
-    x = witt_series_eval(lambda n: Fraction(p ** (n - 1), math.factorial(n)),
-                         y, n_p + 2)
-    return GdRPoint(x)
+    return GdRPoint(_series_sum(_series_coeffs("exp", p, n_p, n_p + 2), y))
 
 
 def frob_power_identity(a: GdRPoint) -> dict:
     """F x equals the p-th power of x for the rescaled group operation:
     h(x) = ((1+px)^p - 1)/p = sum C(p,i) p^(i-1) x^i."""
-    import math
     x = a.x
     p = x.p
     h = _witt_poly([math.comb(p, i) * p ** (i - 1) for i in range(1, p + 1)],
@@ -216,12 +238,13 @@ def sample_gdr(ring, p, L, rng) -> GdRPoint:
 
 def _solve_scalar_p(target: WittVector, rng):
     """Solve p . x = target for x, one component at a time; (p.x)_i is
-    p x_i plus a polynomial in earlier components."""
+    p x_i plus a polynomial in earlier components, the same on the
+    length-(i+1) prefix as at L since truncation is a ring map."""
     ring, p, L = target.ring, target.p, target.L
     n_p = _padic_profile(ring)[1]
     comps = []
     for i in range(L):
-        partial = WittVector(ring, p, comps + [ring.zero] * (L - i))
+        partial = WittVector(ring, p, comps + [ring.zero])
         base = scalar_mul(p, partial).components[i]
         resid = ring.sub(target.components[i], base)
         div = ring.div_int_exact(resid, p)
@@ -237,13 +260,15 @@ def _solve_scalar_p(target: WittVector, rng):
 
 def sample_eigen(ring, p, L, rng) -> WittVector:
     """Random y with Fy = py: solve F(y) - p.y = 0 triangularly; y_{i+1}
-    enters the i-th equation linearly with coefficient p."""
+    enters the i-th equation linearly with coefficient p.  Both sides are
+    read off one length-(i+2) prefix, whose ghosts serve both: truncation
+    is a ring map commuting with F, so they are as at length L."""
     n_p = _padic_profile(ring)[1]
     for _ in range(64):
         comps = [ring.mul_int(ring.from_int(rng.randrange(p ** (n_p - 1))), p)]
         ok = True
         for i in range(L - 1):
-            partial = WittVector(ring, p, comps + [ring.zero] * (L - 1 - i))
+            partial = WittVector(ring, p, comps + [ring.zero])
             lhs = frobenius(partial).components[i]
             rhs = scalar_mul(p, partial).components[i]
             resid = ring.sub(rhs, lhs)

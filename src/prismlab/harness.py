@@ -860,18 +860,25 @@ def suite_derham_id_minus_v(cfg, out):
 @suite("derham.discrepancy", "e:f_naive & f")
 def suite_derham_discrepancy(cfg, out):
     for p in cfg.primes((2, 3)):
+        cid = "derham.discrepancy.p%d" % p
         R = PolyQuotRing(ModP(p, 1), (0, 0, 0, 1), "a")
         elems = [R.make_ints(v) for v in itertools.product(range(p), repeat=3)]
         nilp = [c for c in elems if R.is_zero(R.pow(c, p))]
-        xs = [WittVector(R, p, comps)
-              for comps in itertools.product(nilp, repeat=3)]
+        vectors = list(itertools.product(nilp, repeat=3))
+        how = "exhaustive over %d kernel vectors" % len(vectors)
+        if p >= 5:
+            k = min(cfg.count(729), len(vectors))
+            how = "sampled %d of %d kernel vectors, seed %d" % (
+                k, len(vectors), cfg.seed)
+            vectors = check_stream(cfg.seed, cid).sample(vectors, k)
+        xs = [WittVector(R, p, comps) for comps in vectors]
         rep = discrepancy_check(R, p, 3, xs)
         # the kernel lemma: Fx = 0 gives px = x^p = 0
         kernel = all(frobenius(x).is_zero() and scalar_mul(p, x).is_zero()
                      and witt_pow(x, p).is_zero() for x in xs)
-        out.check("derham.discrepancy.p%d" % p,
+        out.check(cid,
                   not rep["failures"] and rep["differs_from_identity"] and kernel,
-                  "exhaustive over %d kernel vectors" % rep["count"])
+                  how)
 
 
 @suite("derham.g_eta", "Prop p:G_eta")

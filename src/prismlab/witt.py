@@ -6,10 +6,12 @@ two paths: over the ring itself when it is torsion-free and divides
 exactly (B_0 among them), or over the bounded lift reduced back: Z/m, or a
 polynomial or series ring over it, solves exactly mod m in the same ring
 over Z/(m p^(L-1)) for length L, over Z/(m N!) for big Witt order N
-(`_bounded_lift`).  Ghost components live in the coefficient ring itself,
-which must be torsion-free for them to determine the vector: `ghost`,
-`ghost_big`, `from_ghost`, `from_ghost_big`, `bj_to_witt` and `witt_to_bj`
-raise NonIntegralGhost on a torsion ring.  Every solve divides with its
+(`_bounded_lift`).  Each vector keeps its ghost components in the last
+ring a solve needed them in and computes them again only in another
+ring.  Ghost components live in the coefficient ring itself, which must
+be torsion-free for them to determine the vector: `ghost`, `ghost_big`,
+`from_ghost`, `from_ghost_big`, `bj_to_witt` and `witt_to_bj` raise
+NonIntegralGhost on a torsion ring.  Every solve divides with its
 ring's `div_int_exact`, and a quotient outside the ring raises
 NonIntegralGhost.  The memoized universal polynomial tables, evaluated
 in the coefficient ring with no lift, are an oracle only
@@ -48,12 +50,13 @@ class TableTooLarge(PrismlabError):
 class WittVector:
     """Witt coordinates (x_0, ..., x_{L-1}) over a coefficient ring."""
 
-    __slots__ = ("ring", "p", "components")
+    __slots__ = ("ring", "p", "components", "_ghost_memo")
 
     def __init__(self, ring: Ring, p: int, components):
         self.ring = ring
         self.p = p
         self.components = tuple(components)
+        self._ghost_memo = None
 
     @property
     def L(self) -> int:
@@ -216,7 +219,7 @@ def _bounded_lift(ring, factor: int):
 
 def ghost_combine(vectors, combine):
     """The Witt vector, p-typical or big, whose ghost components are
-    combine(R, ghosts), where ghosts holds the ghost lists of the vectors
+    combine(R, ghosts), where ghosts holds the ghost tuples of the vectors
     computed in the ring R, on one of two paths: the coefficient ring
     itself when it is torsion-free and divides exactly (Z, Q, the
     polynomial and series rings over them, B_0); else its bounded lift
@@ -227,22 +230,33 @@ def ghost_combine(vectors, combine):
     of Witt vectors to the ghost list of a Witt vector: ring operations per
     component, F (drop the first component) and V (g_n -> p g_(n-1)); its
     output is no longer than its longest input.  NonIntegralGhost on a ring
-    with neither exact division nor a bounded lift."""
+    with neither exact division nor a bounded lift.
+
+    Each input keeps (R, its ghosts in R), R the bounded lift or the ring
+    itself, so a vector solved again in the same R is not ghosted again;
+    beside a longer partner R has a larger factor, and they are
+    recomputed.  The memo holds tuples, which no combine can mutate."""
     w, ring = vectors[0], vectors[0].ring
     if ring.is_torsion_free and _has_exact_division(ring):
-        ghosts = [v._ghosts() for v in vectors]
-        return w._solve(ring, combine(ring, ghosts))
-    if isinstance(w, WittVector):
-        factor = w.p ** max(max(v.L for v in vectors) - 1, 0)
+        wide, up = ring, _same
     else:
-        factor = math.factorial(max(v.N for v in vectors))
-    bounded = _bounded_lift(ring, factor)
-    if bounded is None:
-        raise NonIntegralGhost("ring %s has neither exact division nor a "
-                               "bounded lift" % ring)
-    wide, up, down = bounded
-    ghosts = [v._map(wide, up)._ghosts() for v in vectors]
-    return w._solve(wide, combine(wide, ghosts))._map(ring, down)
+        if isinstance(w, WittVector):
+            factor = w.p ** max(max(v.L for v in vectors) - 1, 0)
+        else:
+            factor = math.factorial(max(v.N for v in vectors))
+        bounded = _bounded_lift(ring, factor)
+        if bounded is None:
+            raise NonIntegralGhost("ring %s has neither exact division nor "
+                                   "a bounded lift" % ring)
+        wide, up, down = bounded
+    ghosts = []
+    for v in vectors:
+        if v._ghost_memo is None or v._ghost_memo[0] != wide:
+            lifted = v if wide is v.ring else v._map(wide, up)
+            v._ghost_memo = (wide, tuple(lifted._ghosts()))
+        ghosts.append(v._ghost_memo[1])
+    out = w._solve(wide, combine(wide, ghosts))
+    return out if wide is ring else out._map(ring, down)
 
 
 # --- universal polynomial tables, the oracle --------------------------------
@@ -734,13 +748,14 @@ def witt_to_bj(w: WittVector) -> list:
 class BigWitt:
     """Group of series 1 + z A[[z]] mod z^(N+1); addition is series product."""
 
-    __slots__ = ("ring", "N", "coeffs")
+    __slots__ = ("ring", "N", "coeffs", "_ghost_memo")
 
     def __init__(self, ring: Ring, N: int, coeffs: dict):
         self.ring = ring
         self.N = N
         self.coeffs = {n: c for n, c in coeffs.items()
                        if 1 <= n <= N and not ring.is_zero(c)}
+        self._ghost_memo = None
 
     @classmethod
     def one(cls, ring, N):

@@ -6,15 +6,17 @@ from fractions import Fraction
 import pytest
 
 from prismlab.derham import (
-    EigenCheckFailed, GdRPoint, NotTeichmuller, f_log,
+    EigenCheckFailed, GdRPoint, NotTeichmuller, _series_coeffs, f_log,
     frob_power_identity, g_eta_check, g_exp, gdr_op, gdr_zero,
     generic_vector, id_minus_V, is_eigen, sample_eigen,
     sample_gdr, v_geometric, witt_series_eval,
 )
-from prismlab.ringcore import DoesNotConverge, ExactInt, ModP, PolyQuotRing
+from prismlab.ringcore import (
+    DoesNotConverge, ExactInt, ModP, PolyQuotRing, _padic_profile,
+)
 from prismlab.witt import (
     WittVector, frobenius, sample_f_kernel, scalar_mul, teichmuller,
-    verschiebung, witt_op, zero_vector,
+    verschiebung, witt_op, witt_sub, zero_vector,
 )
 
 
@@ -352,3 +354,89 @@ def test_high_precision_round_trip():
         assert is_eigen(y) and g_exp(y) == a
         assert y == series_by_steps(lambda n: Fraction((-p) ** (n - 1), n),
                                     a.x, 42, 40)
+
+
+# --- the samplers' digit loops as they were before the prefix solves: each
+# digit read off a full-length vector padded with zeros
+
+
+def solve_scalar_p_full_length(target, rng):
+    ring, p, L = target.ring, target.p, target.L
+    n_p = _padic_profile(ring)[1]
+    comps = []
+    for i in range(L):
+        partial = WittVector(ring, p, comps + [ring.zero] * (L - i))
+        resid = ring.sub(target.components[i],
+                         scalar_mul(p, partial).components[i])
+        div = ring.div_int_exact(resid, p)
+        if div is None:
+            return None
+        comps.append(ring.add(div, ring.from_int(
+            p ** (n_p - 1) * rng.randrange(p))))
+    x = WittVector(ring, p, comps)
+    return x if scalar_mul(p, x) == target else None
+
+
+def sample_gdr_full_length(ring, p, L, rng):
+    one = teichmuller(ring, p, L, ring.one)
+    n_p = _padic_profile(ring)[1]
+    for _ in range(64):
+        u = ring.from_int(1 + p * rng.randrange(p ** (n_p - 1)))
+        x = solve_scalar_p_full_length(
+            witt_sub(teichmuller(ring, p, L, u), one), rng)
+        if x is not None:
+            return GdRPoint(x)
+    raise DoesNotConverge("no de Rham point found")
+
+
+def sample_eigen_full_length(ring, p, L, rng):
+    n_p = _padic_profile(ring)[1]
+    for _ in range(64):
+        comps = [ring.mul_int(ring.from_int(rng.randrange(p ** (n_p - 1))), p)]
+        for i in range(L - 1):
+            partial = WittVector(ring, p, comps + [ring.zero] * (L - 1 - i))
+            resid = ring.sub(scalar_mul(p, partial).components[i],
+                             frobenius(partial).components[i])
+            div = ring.div_int_exact(resid, p)
+            if div is None:
+                break
+            comps.append(ring.add(div, ring.from_int(
+                p ** (n_p - 1) * rng.randrange(p))))
+        else:
+            y = WittVector(ring, p, comps)
+            if is_eigen(y):
+                return y
+    raise DoesNotConverge("no eigen point found")
+
+
+@pytest.mark.parametrize("p,L,n_p", MODP_CELLS)
+def test_prefix_samplers_match_the_full_length_digit_loops(p, L, n_p):
+    # same components and the same rng state after each draw, seeds 0-19
+    R = ModP(p, n_p)
+    for seed in range(20):
+        for sample, oracle in ((sample_gdr, sample_gdr_full_length),
+                               (sample_eigen, sample_eigen_full_length)):
+            rng, twin = random.Random(seed), random.Random(seed)
+            got, want = sample(R, p, L, rng), oracle(R, p, L, twin)
+            if isinstance(got, GdRPoint):
+                got, want = got.x, want.x
+            assert got.components == want.components
+            assert rng.getrandbits(64) == twin.getrandbits(64)
+
+
+def test_f_log_and_g_exp_derive_their_coefficients_once():
+    _series_coeffs.cache_clear()
+    rng = random.Random(5)
+    for p, n_p in ((2, 4), (3, 6)):
+        R = ModP(p, n_p)
+        for _ in range(3):
+            a = sample_gdr(R, p, 3, rng)
+            y = f_log(a)
+            assert y == witt_series_eval(
+                lambda n: Fraction((-p) ** (n - 1), n), a.x, n_p + 2)
+            assert g_exp(y).x == witt_series_eval(
+                lambda n: Fraction(p ** (n - 1), math.factorial(n)), y,
+                n_p + 2)
+    # one entry per (series, p, n_p, bound), every later call a hit
+    info = _series_coeffs.cache_info()
+    assert (info.misses, info.currsize) == (4, 4) and info.hits > 4

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from prismlab.harness import (
     CRITERIA, ConfigError, SuiteConfig, check_stream, list_suites, plan, run,
     select_criteria, select_suites, strip_elapsed,
 )
+from prismlab.ringcore import ModP, PolyQuotRing
 
 
 def fast_cfg(**kw):
@@ -346,6 +348,32 @@ def test_golden_report():
     # each check is timed on its own: 729 kernel vectors take longer than 8
     elapsed = {c["id"]: c["elapsed"] for c in report["checks"]}
     assert elapsed["derham.discrepancy.p3"] > elapsed["derham.discrepancy.p2"]
+
+
+@pytest.mark.parametrize("p,total", [(5, 15625), (7, 117649)])
+def test_discrepancy_samples_its_kernel_vectors_from_p5(monkeypatch, p, total):
+    # p^6 kernel vectors: from p = 5 on, cfg.count(729) of them drawn from
+    # the check's own stream, which the detail names by its seed
+    drawn = []
+    check = harness.discrepancy_check
+
+    def recording(ring, p_, L, xs):
+        drawn.extend(x.components for x in xs)
+        return check(ring, p_, L, xs)
+
+    monkeypatch.setattr(harness, "discrepancy_check", recording)
+    report, code = run(SuiteConfig(suite="derham.discrepancy", p=p, trials=3,
+                                   seed=7))
+    [c] = report["checks"]
+    assert code == 0 and c["status"] == "pass"
+    assert c["detail"] == "sampled 3 of %d kernel vectors, seed 7" % total
+    R = PolyQuotRing(ModP(p, 1), (0, 0, 0, 1), "a")
+    nilp = [R.make_ints(v) for v in itertools.product(range(p), repeat=3)
+            if v[0] == 0]       # c^p = 0 in F_p[a]/(a^3): no constant term
+    every = list(itertools.product(nilp, repeat=3))
+    assert len(every) == total
+    stream = check_stream(7, "derham.discrepancy.p%d" % p)
+    assert drawn == stream.sample(every, 3)
 
 
 def test_check_streams_independent():
