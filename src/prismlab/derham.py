@@ -117,19 +117,26 @@ def witt_series_eval(coeff, x: WittVector, bound: int) -> WittVector:
     the final terms, n = bound - 1 and bound, contribute nothing.
     """
     n_p = _padic_profile(x.ring)[1]
-    return _series_sum(_integer_coeffs(coeff, x.p, n_p, bound), x)
+    cs = _integer_coeffs(coeff, x.p, n_p, bound)
+    for n in range(max(bound - 1, 1), bound + 1):
+        if not _witt_poly((0,) * (n - 1) + cs[n - 1:n], x, x.L).is_zero():
+            raise DoesNotConverge(
+                "series did not stabilize within %d terms" % bound)
+    return _witt_poly(cs, x, x.L)
 
 
 def _integer_coeffs(coeff, p: int, n_p: int, bound: int) -> tuple:
     """coeff(1), ..., coeff(bound) as integer representatives at the
-    ring's precision plus a margin covering scalar-multiplication slack."""
+    ring's precision plus a margin covering scalar-multiplication slack;
+    an int needs no inverse, so it is reduced as it stands."""
     target = ModP(p, n_p + 4)
     cs = []
     for n in range(1, bound + 1):
-        frac = Fraction(coeff(n))
-        c = target.from_rational(frac)
+        c = coeff(n)
+        c = c % target.m if type(c) is int else target.from_rational(c)
         if c is None:
-            raise DoesNotConverge("coefficient %s is not p-integral" % frac)
+            raise DoesNotConverge("coefficient %s is not p-integral"
+                                  % Fraction(coeff(n)))
         cs.append(c)
     return tuple(cs)
 
@@ -143,22 +150,12 @@ def _series_coeffs(name: str, p: int, n_p: int, bound: int) -> tuple:
     return _integer_coeffs(term, p, n_p, bound)
 
 
-def _series_sum(cs, x: WittVector) -> WittVector:
-    """sum c_n x^n over the integers cs, its cutoff certified as in
-    witt_series_eval."""
-    bound = len(cs)
-    for n in range(max(bound - 1, 1), bound + 1):
-        if not _witt_poly((0,) * (n - 1) + cs[n - 1:n], x, x.L).is_zero():
-            raise DoesNotConverge(
-                "series did not stabilize within %d terms" % bound)
-    return _witt_poly(cs, x, x.L)
-
-
 def f_log(a: GdRPoint) -> WittVector:
     """p^{-1} log(1 + px) evaluated in the Witt ring; lands in {Fy = py}."""
     x = a.x
     p, n_p, _ = _padic_profile(x.ring)
-    y = _series_sum(_series_coeffs("log", p, n_p, n_p + 2), x)
+    cs = _series_coeffs("log", p, n_p, n_p + 2)
+    y = witt_series_eval(lambda n: cs[n - 1], x, n_p + 2)
     if not is_eigen(y):
         raise EigenCheckFailed("f_log output broke F y = p y")
     return y
@@ -178,7 +175,8 @@ def g_exp(y: WittVector) -> GdRPoint:
     if not is_eigen(y):
         raise EigenCheckFailed("g_exp needs Fy = py")
     p, n_p, _ = _padic_profile(y.ring)
-    return GdRPoint(_series_sum(_series_coeffs("exp", p, n_p, n_p + 2), y))
+    cs = _series_coeffs("exp", p, n_p, n_p + 2)
+    return GdRPoint(witt_series_eval(lambda n: cs[n - 1], y, n_p + 2))
 
 
 def frob_power_identity(a: GdRPoint) -> dict:
