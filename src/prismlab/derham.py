@@ -129,14 +129,14 @@ def _integer_coeffs(coeff, p: int, n_p: int, bound: int) -> tuple:
     """coeff(1), ..., coeff(bound) as integer representatives at the
     ring's precision plus a margin covering scalar-multiplication slack;
     an int needs no inverse, so it is reduced as it stands."""
-    target = ModP(p, n_p + 4)
+    mod = ModP(p, n_p + 4)
     cs = []
     for n in range(1, bound + 1):
-        c = coeff(n)
-        c = c % target.m if type(c) is int else target.from_rational(c)
+        frac = coeff(n)
+        c = frac % mod.m if type(frac) is int else mod.from_rational(frac)
         if c is None:
             raise DoesNotConverge("coefficient %s is not p-integral"
-                                  % Fraction(coeff(n)))
+                                  % Fraction(frac))
         cs.append(c)
     return tuple(cs)
 

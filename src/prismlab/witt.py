@@ -251,10 +251,11 @@ def ghost_combine(vectors, combine):
         wide, up, down = bounded
     ghosts = []
     for v in vectors:
-        if v._ghost_memo is None or v._ghost_memo[0] != wide:
+        memo = v._ghost_memo
+        if memo is None or memo[0] != wide:
             lifted = v if wide is v.ring else v._map(wide, up)
-            v._ghost_memo = (wide, tuple(lifted._ghosts()))
-        ghosts.append(v._ghost_memo[1])
+            memo = v._ghost_memo = (wide, tuple(lifted._ghosts()))
+        ghosts.append(memo[1])
     out = w._solve(wide, combine(wide, ghosts))
     return out if wide is ring else out._map(ring, down)
 
