@@ -235,7 +235,15 @@ def ghost_combine(vectors, combine):
     Each input keeps (R, its ghosts in R), R the bounded lift or the ring
     itself, so a vector solved again in the same R is not ghosted again;
     beside a longer partner R has a larger factor, and they are
-    recomputed.  The memo holds tuples, which no combine can mutate."""
+    recomputed.  The memo holds tuples, which no combine can mutate.
+
+    The result keeps (R, gs), gs the combine output it was solved from.
+    Both solves are exact in R: div_int_exact returns q with q n equal to
+    the representative it divides, p^n in step n of the p-typical solve
+    and n in step n of the big-Witt Newton step.  So the solved vector in
+    W(R) has ghost components exactly gs.  It lifts the reduced result, and
+    the bounded solve is exact mod m for any lift of its inputs, so gs
+    serves the reduced result as well as any lift's ghosts would."""
     w, ring = vectors[0], vectors[0].ring
     if ring.is_torsion_free and _has_exact_division(ring):
         wide, up = ring, _same
@@ -256,8 +264,12 @@ def ghost_combine(vectors, combine):
             lifted = v if wide is v.ring else v._map(wide, up)
             memo = v._ghost_memo = (wide, tuple(lifted._ghosts()))
         ghosts.append(memo[1])
-    out = w._solve(wide, combine(wide, ghosts))
-    return out if wide is ring else out._map(ring, down)
+    gs = tuple(combine(wide, ghosts))
+    out = w._solve(wide, gs)
+    if wide is not ring:
+        out = out._map(ring, down)
+    out._ghost_memo = (wide, gs)
+    return out
 
 
 # --- universal polynomial tables, the oracle --------------------------------
@@ -625,17 +637,10 @@ def scalar_mul(n: int, w: WittVector) -> WittVector:
 
 
 def witt_pow(w: WittVector, n: int) -> WittVector:
-    """w^n for an integer n >= 0, by square-and-multiply on Witt products."""
+    """w^n for an integer n >= 0, one ghost solve: ghost(w^n) = ghost(w)^n."""
     if n < 0:
         raise ValueError("negative powers not supported")
-    acc = teichmuller(w.ring, w.p, w.L, w.ring.one)
-    while n:
-        if n & 1:
-            acc = witt_op(acc, w, "mul")
-        n >>= 1
-        if n:
-            w = witt_op(w, w, "mul")
-    return acc
+    return ghost_combine((w,), lambda r, g: [r.pow(x, n) for x in g[0]])
 
 
 def frobenius(w: WittVector) -> WittVector:
@@ -894,7 +899,9 @@ def from_ghost_big(ring, N, gs) -> BigWitt:
 def bigwitt_mul(a: BigWitt, b: BigWitt) -> BigWitt:
     a._check(b)
     N = min(a.N, b.N)
-    return ghost_combine((a.truncate(N), b.truncate(N)),
+    # a vector of order N passes as it stands, with its ghost memo
+    return ghost_combine(tuple(v if v.N == N else v.truncate(N)
+                               for v in (a, b)),
                          lambda r, g: list(map(r.mul, *g)))
 
 

@@ -1,10 +1,12 @@
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
+from prismlab import derham
 from prismlab.derham import (
     EigenCheckFailed, GdRPoint, NotTeichmuller, _series_coeffs, f_log,
     frob_power_identity, g_eta_check, g_exp, gdr_op, gdr_zero,
@@ -13,6 +15,7 @@ from prismlab.derham import (
 )
 from prismlab.ringcore import (
     DoesNotConverge, ExactInt, ModP, PolyQuotRing, _padic_profile,
+    newton_inverse,
 )
 from prismlab.witt import (
     WittVector, frobenius, sample_f_kernel, scalar_mul, teichmuller,
@@ -193,6 +196,33 @@ def test_gdr_vs_qprism_law_shape():
         direct = witt_op(witt_op(a.x, b.x, "add"),
                          scalar_mul(3, witt_op(a.x, b.x, "mul")), "add")
         assert gdr_op(a, b).x == direct
+
+
+@pytest.mark.parametrize("p,sample", [(2, 8), (3, 81)])
+def test_discrepancy_class_test_agrees_with_the_newton_inverse(
+        monkeypatch, p, sample):
+    # discrepancy_check tests (1 + V(point.x)) (1 + V(x)) = 1; the Newton
+    # loop inverts 1 + V(point.x) and compares with 1 + V(x).  Each kernel
+    # vector is paired with its own point and with its neighbour's, whose
+    # class differs from its own unless only the last components differ
+    R = fp_poly_ring(p, 3)
+    elems = [R.make_ints(v) for v in itertools.product(range(p), repeat=3)]
+    nilp = [c for c in elems if R.is_zero(R.pow(c, p))]
+    xs = [WittVector(R, p, c) for c in itertools.product(nilp, repeat=3)]
+    xs = random.Random(21).sample(xs, sample)
+    one = teichmuller(R, p, 3, R.one)
+    points = [g_exp(v_geometric(witt_sub(verschiebung(x), x))) for x in xs]
+    seen = set()
+    for i, x in enumerate(xs):
+        for point in (points[i], points[i - 1]):
+            monkeypatch.setattr(derham, "g_exp", lambda y, pt=point: pt)
+            failures = derham.discrepancy_check(R, p, 3, [x])["failures"]
+            inverse = newton_inverse(one + verschiebung(point.x), one, one,
+                                     operator.mul, operator.sub, 2)
+            agrees = inverse == one + verschiebung(x)
+            assert (("class mismatch", repr(x)) not in failures) == agrees
+            seen.add((point is points[i], agrees))
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def test_exception_classes_are_defined_once():

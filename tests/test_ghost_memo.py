@@ -1,10 +1,12 @@
 """Each Witt vector computes its ghost components once per ring: it keeps
 (ring, ghosts) for the last ring in which ghost_combine needed them, the
 bounded lift on a torsion ring and the ring itself on a torsion-free one,
-and recomputes them in any other ring."""
+and recomputes them in any other ring.  A result of ghost_combine keeps
+the ghosts it was solved from, keyed by the ring it was solved in."""
 import math
 import random
 
+from prismlab import witt
 from prismlab.derham import generic_vector
 from prismlab.ringcore import ExactInt, IntModRing, ModP, PolyQuotRing
 from prismlab.witt import (
@@ -116,3 +118,92 @@ def test_memo_entries_are_tuples():
         assert isinstance(v._ghost_memo[1], tuple)
     # ghost() keeps its list
     assert isinstance(ghost(vectors[1]), list)
+
+
+def solved_back(v, factor):
+    """The vector solved from v's kept ghosts, reduced onto v's ring."""
+    wide, gs = v._ghost_memo
+    out = v._solve(wide, gs)
+    return out if wide is v.ring else out._map(
+        v.ring, _bounded_lift(v.ring, factor)[2])
+
+
+def test_a_result_keeps_the_ghosts_it_was_solved_from():
+    rng = random.Random(5)
+    for p in (2, 3):
+        for ring in (ExactInt(), ModP(p, 3),
+                     PolyQuotRing(ModP(p, 1), (0, 0, 0, 1), "a")):
+            a, b, c = (random_vector(ring, p, 3, rng) for _ in range(3))
+            wide = ring if ring.is_torsion_free else \
+                _bounded_lift(ring, p ** 2)[0]
+            for first in (add, mul, triple):
+                r = ghost_combine((a, b), first)
+                assert r._ghost_memo[0] == wide
+                assert solved_back(r, p ** 2) == r
+                if ring.is_torsion_free:
+                    assert list(r._ghost_memo[1]) == ghost(fresh(r))
+                for then in (add, mul, triple):
+                    assert ghost_combine((r, c), then) == \
+                        ghost_combine((fresh(r), c), then)
+                # a chain of results, each solved from the last one's ghosts
+                chained = scalar_mul(p + 1, ghost_combine((r, r), mul))
+                assert chained == scalar_mul(
+                    p + 1, ghost_combine((fresh(r), fresh(r)), mul))
+
+
+def test_a_big_witt_result_keeps_its_ghosts_over_z24():
+    R = IntModRing(24)
+    rng = random.Random(7)
+    for n in (2, 3, 4):
+        a, b, c = (BigWitt(R, n, {i: R.rand(rng) for i in range(1, n + 1)})
+                   for _ in range(3))
+        for first in (add, mul, triple):
+            r = ghost_combine((a, b), first)
+            assert r._ghost_memo[0] == _bounded_lift(R, math.factorial(n))[0]
+            assert solved_back(r, math.factorial(n)) == r
+            for then in (add, mul):
+                assert ghost_combine((r, c), then) == \
+                    ghost_combine((fresh(r), c), then)
+            assert r * r * c == fresh(r) * fresh(r) * fresh(c)
+
+
+def test_a_result_recomputes_its_ghosts_beside_a_longer_partner():
+    # a length-2 result keeps ghosts over Z/(m p); beside a length-4
+    # vector they are computed again over Z/(m p^3), and generic_vector's
+    # series ring, whose elements carry their ring, would not pass a stale
+    # entry
+    rng = random.Random(11)
+    rings = [(ModP(2, 3), 2), (ModP(3, 3), 3),
+             (PolyQuotRing(ModP(3, 2), (0, 0, 1), "a"), 3)]
+    cases = [(R, p, random_vector(R, p, 4, rng)) for R, p in rings]
+    cases += [(R, p, x) for p in (2, 3) for R, x in [generic_vector(p, 4)]]
+    for ring, p, long in cases:
+        short = WittVector(ring, p, long.components[:2])
+        for combine in (add, mul):
+            r = scalar_mul(p + 1, short)
+            assert r._ghost_memo[0] == _bounded_lift(ring, p)[0]
+            got = ghost_combine((r, long), combine)
+            assert r._ghost_memo[0] == _bounded_lift(ring, p ** 3)[0]
+            assert got == ghost_combine((fresh(r), long), combine)
+
+
+def test_bigwitt_mul_serves_equal_orders_from_the_memo(monkeypatch):
+    R = IntModRing(24)
+    a = BigWitt(R, 4, {1: 5, 2: 7, 4: 11})
+    b = BigWitt(R, 4, {1: 3, 3: 2})
+    first = a * b
+    assert a._ghost_memo is not None and b._ghost_memo is not None
+    ghosted = []
+    real = witt.ghost_big_in_ring
+    monkeypatch.setattr(witt, "ghost_big_in_ring",
+                        lambda w: ghosted.append(w) or real(w))
+    again = a * b
+    chained = first * a
+    assert ghosted == []
+    assert again == first
+    assert chained == fresh(first) * fresh(a)
+    # a longer partner is truncated, a copy that computes its ghosts
+    c = BigWitt(R, 6, {1: 1, 5: 9})
+    ghosted.clear()
+    assert a * c == fresh(a) * c.truncate(4)
+    assert len(ghosted) == 3

@@ -118,6 +118,42 @@ def test_witt_pow_adds_exponents(data):
         witt_pow(w, a), witt_pow(w, b), "mul").components
 
 
+def square_and_multiply(w, n):
+    """w^n by square-and-multiply on Witt products."""
+    acc = teichmuller(w.ring, w.p, w.L, w.ring.one)
+    while n:
+        if n & 1:
+            acc = witt_op(acc, w, "mul")
+        n >>= 1
+        if n:
+            w = witt_op(w, w, "mul")
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_witt_pow_matches_square_and_multiply(data):
+    w, _ = data.draw(vectors())
+    n = data.draw(st.sampled_from([0, 1, 2, w.p, w.p + 1])
+                  | st.integers(0, 12))
+    assert witt_pow(w, n).components == square_and_multiply(w, n).components
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_witt_pow_zero_and_one(p):
+    # over Z, Z/p^3 and F_p[a]/(a^3): w^0 is the unit [1], w^1 is w
+    fp_a3 = trunc_poly(ModP(p, 1))
+    polys = [fp_a3.make_ints(c) for c in ([1, 1], [0, 1], [1, 0, 1])]
+    for ring, comps in ((ExactInt(), [-7, 4, 11]), (ModP(p, 3), [5, 0, 3]),
+                        (fp_a3, polys)):
+        w = WittVector(ring, p, comps)
+        one = teichmuller(ring, p, 3, ring.one)
+        assert witt_pow(w, 0).components == one.components
+        assert witt_pow(w, 1).components == w.components
+        assert square_and_multiply(w, 0) == one
+        assert square_and_multiply(w, 1) == w
+
+
 def test_witt_pow_rejects_negative_exponent():
     w = teichmuller(ExactInt(), 2, 3, 5)
     with pytest.raises(ValueError):
