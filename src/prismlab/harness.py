@@ -588,7 +588,7 @@ def suite_qhopf_adams(cfg, out):
     out.trials("qhopf.adams.ring_hom", 10, ring_hom, "qhopf.adams")
     out.trials("qhopf.adams.semigroup", 10, semigroup, "qhopf.adams")
 
-    def coproduct(n, d):
+    def coproduct(n, v, d):
         x = B0Elem.basis(d)
         lhs = b0_coproduct(adams(n, x))
         rhs = {}
@@ -596,12 +596,13 @@ def suite_qhopf_adams(cfg, out):
             for k, f in enumerate(c):
                 if f:
                     term = QH.mul(QH.make([Fraction(0)] * k + [f]),
-                                  QH.pow(v_scalar(n), i + j + k))
+                                  QH.pow(v, i + j + k))
                     rhs[(i, j)] = QH.add(rhs.get((i, j), QH.zero), term)
-        return lhs == {k: v for k, v in rhs.items() if not QH.is_zero(v)}
+        return lhs == {ij: c for ij, c in rhs.items() if not QH.is_zero(c)}
 
+    v_n = {n: v_scalar(n) for n in (2, 3, 4)}
     out.check("qhopf.adams.coproduct",
-              all(coproduct(n, d) for n in (2, 3, 4) for d in range(9)))
+              all(coproduct(n, v, d) for n, v in v_n.items() for d in range(9)))
 
 
 @suite("qhopf.delta", "e:defining relation")

@@ -127,8 +127,7 @@ def to_binomial(poly) -> IntPoly:
     current = poly
     n = 0
     while current:
-        a = R.subst(current, Fraction(0))
-        a = a[0] if a else Fraction(0)
+        a = current[0]          # Delta^n f(0)
         if a.denominator != 1:
             raise NotIntegerValued("difference Delta^%d f(0) = %s is not an integer"
                                    % (n, a))

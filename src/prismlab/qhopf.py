@@ -21,7 +21,8 @@ from fractions import Fraction
 from .intpoly import IntPoly, vandermonde
 from .pd_dual import stirling_first
 from .ringcore import (
-    IntRing, PolyQuotRing, PrismlabError, RatRing, Ring, q_number,
+    IntRing, PolyQuotRing, PrismlabError, RatRing, Ring, _kronecker_mul,
+    _numerators, _over_den, q_number,
 )
 
 
@@ -182,20 +183,48 @@ class B0Elem:
         return " + ".join(parts)
 
 
+def _coord_numerators(a: B0Elem) -> tuple:
+    """(integer numerators of each coordinate, their one common
+    denominator)."""
+    nums, den = _numerators([f for c in a.coords for f in c])
+    out, i = [], 0
+    for c in a.coords:
+        out.append(nums[i:i + len(c)])
+        i += len(c)
+    return out, den
+
+
+def _from_numerators(rows: list, den: int) -> B0Elem:
+    """The element whose n-th coordinate is rows[n] / den."""
+    for row in rows:
+        while row and not row[-1]:
+            row.pop()
+    return B0Elem(tuple(_over_den(row, den) for row in rows))
+
+
 def b0_mul(a: B0Elem, b: B0Elem) -> B0Elem:
-    out = [QH.zero] * (len(a.coords) + len(b.coords) - 1)
-    zero = QH.scalar.zero
-    for m, am in enumerate(a.coords):
+    """c_m c_n = sum_k g h^(m+n-k) c_k (vandermonde) on integer numerators:
+    one Kronecker product per pair of coordinates, added with its shift
+    into one integer accumulator per k."""
+    if not a.coords or not b.coords:
+        return B0Elem(())
+    na, da = _coord_numerators(a)
+    nb, db = _coord_numerators(b)
+    # a pair's product has h-degree below the sum of the longest
+    # coordinates, and its shift m + n - k is at most min(m, n)
+    width = (max(map(len, na)) + max(map(len, nb))
+             + min(len(na), len(nb)) - 2)
+    out = [[0] * width for _ in range(len(na) + len(nb) - 1)]
+    for m, am in enumerate(na):
         if am:
-            for n, bn in enumerate(b.coords):
+            for n, bn in enumerate(nb):
                 if bn:
-                    scale = QH.mul(am, bn)
-                    # g h^j scale: scale multiplied by g and shifted by j
+                    prod = _kronecker_mul(am, bn)
                     for k, g in vandermonde(m, n):
-                        term = (zero,) * (m + n - k) + (
-                            scale if g == 1 else tuple([g * x for x in scale]))
-                        out[k] = QH.add(out[k], term)
-    return B0Elem(tuple(out))
+                        acc, shift = out[k], m + n - k
+                        for i, x in enumerate(prod, shift):
+                            acc[i] += g * x
+    return _from_numerators(out, da * db)
 
 
 def b0_coproduct(a: B0Elem) -> dict:
@@ -211,24 +240,27 @@ def v_scalar(n: int) -> tuple:
 
 
 def adams(n: int, a: B0Elem) -> B0Elem:
-    """psi^n: multiplication by ((q^n-1)/(q-1))^d on the degree-d piece."""
+    """psi^n: multiplication by ((q^n-1)/(q-1))^d on the degree-d piece,
+    on integer numerators: f h^j in coordinate m adds f v^(m+j), shifted
+    by j."""
     if n < 1:
         raise ValueError("Adams operations are indexed by positive integers")
-    v = v_scalar(n)
-    powers = [QH.one]           # powers[k] = v^k
-    zero = QH.scalar.zero
+    v = _numerators(v_scalar(n))[0]
+    powers = [[1]]              # powers[k] = v^k
+    rows, den = _coord_numerators(a)
     out: list = []
-    for m, c in enumerate(a.coords):
-        acc = QH.zero
+    for m, c in enumerate(rows):
+        acc: list = []
         for j, f in enumerate(c):
             if f:
                 while len(powers) <= m + j:
-                    powers.append(QH.mul(powers[-1], v))
-                # f h^j v^(m+j): v^(m+j) scaled by f and shifted by j
-                term = (zero,) * j + tuple([f * x for x in powers[m + j]])
-                acc = QH.add(acc, term)
+                    powers.append(_kronecker_mul(powers[-1], v))
+                power = powers[m + j]
+                acc += [0] * (j + len(power) - len(acc))
+                for i, x in enumerate(power, j):
+                    acc[i] += f * x
         out.append(acc)
-    return B0Elem(tuple(out))
+    return _from_numerators(out, den)
 
 
 def b0_delta(a: B0Elem, p: int) -> B0Elem:

@@ -362,6 +362,11 @@ class PolyQuotRing(Ring):
             self._int_twin = PolyQuotRing(IntRing(), self.modulus, var)
             self.mul = self._mul_rat
             self.add = self._add_rat
+            if self.modulus is None:
+                # one packed power; under a modulus square-and-multiply
+                # reduces every factor, where the unreduced a^n would have
+                # n deg(a) + 1 digits of about n bits each
+                self.pow = self._pow_rat
         elif (type(scalar) is PolyQuotRing and type(scalar.scalar) is RatRing
               and self.modulus is None
               and (scalar.modulus is None or scalar._monomial)):
@@ -472,16 +477,40 @@ class PolyQuotRing(Ring):
     def _mul_rat(self, a, b):
         """mul over Q: each operand as integer numerators over one common
         denominator, one Kronecker product, the reduction on integers and
-        one Fraction per coefficient of the result."""
+        one Fraction per coefficient of the result.  An operand c x^k (a
+        constant or a monomial) is no product at all: the other operand's
+        numerators are shifted by k and scaled by c's numerator."""
         if not a or not b:
             return ()
+        if any(b[:-1]):
+            if any(a[:-1]):
+                na, da = _numerators(a)
+                nb, db = _numerators(b)
+                return _over_den(self._int_twin._reduce(
+                    _kronecker_mul(na, nb)), da * db)
+            a, b = b, a
         na, da = _numerators(a)
-        nb, db = _numerators(b)
-        prod = self._int_twin._reduce(_kronecker_mul(na, nb))
-        d = da * db
-        if d == 1:
-            return tuple(map(Fraction, prod))
-        return tuple([Fraction(c, d) for c in prod])
+        c = b[-1]
+        prod = [0] * (len(b) - 1) + [x * c.numerator for x in na]
+        return _over_den(self._int_twin._reduce(prod), da * c.denominator)
+
+    def _pow_rat(self, a, n):
+        """pow over Q[x]: the numerators of a packed into one integer in
+        digits of w bits and raised to the n-th power as that integer, one
+        unpacking, and one division by den^n per coefficient.  Every
+        coefficient of a^n is at most sum |a_i| ^ n in absolute value, the
+        value of (sum |a_i| x^i)^n at x = 1, so w is wide enough for it
+        with its sign."""
+        if n < 0:
+            raise ValueError("negative powers not supported")
+        if not n:
+            return self.one
+        if not a:
+            return ()
+        na, den = _numerators(a)
+        w = (sum(map(abs, na)) ** n).bit_length() + 1
+        prod = _unpack(_pack(na, w) ** n, w, n * (len(na) - 1) + 1)
+        return _over_den(self._int_twin._reduce(prod), den ** n)
 
     def _mul_rat_bivariate(self, a, b):
         """mul over Q[h][t] or Q[h]/(h^N)[t]: the coefficient of t^i h^j
@@ -501,8 +530,7 @@ class PolyQuotRing(Ring):
             block = prod[i:i + keep]
             while block and not block[-1]:
                 block.pop()
-            out.append(tuple(map(Fraction, block)) if d == 1 else
-                       tuple([Fraction(c, d) for c in block]))
+            out.append(_over_den(block, d))
         while out and not out[-1]:
             out.pop()
         return tuple(out)
@@ -553,12 +581,11 @@ class PolyQuotRing(Ring):
         return self._strip(list(a[1:])), a[0]
 
     def subst(self, a, value):
-        """Evaluate the polynomial a at a ring element."""
+        """Evaluate the polynomial a at a ring element, by Horner's rule:
+        one mul per coefficient."""
         acc = self.zero
-        power = self.one
-        for c in a:
-            acc = self.add(acc, self.mul(self._strip([c]), power))
-            power = self.mul(power, value)
+        for c in reversed(a):
+            acc = self.add(self.mul(acc, value), self._strip([c]))
         return acc
 
     def fmt(self, a):
@@ -604,6 +631,13 @@ def _numerators(coeffs) -> tuple:
     if den == 1:
         return [c.numerator for c in coeffs], 1
     return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _over_den(nums, den: int) -> tuple:
+    """The Fractions nums[i] / den, one per coefficient."""
+    if den == 1:
+        return tuple(map(Fraction, nums))
+    return tuple([Fraction(c, den) for c in nums])
 
 
 def _flatten(a, stride: int) -> list:

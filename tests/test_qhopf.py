@@ -3,6 +3,7 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import example, given, settings, strategies as st
 
 from prismlab.harness import SuiteConfig, run
 from prismlab.intpoly import IntPoly, int_mul
@@ -281,3 +282,75 @@ def test_b0ring_div_int_exact_certifies_z_h_integrality():
     # (4 + 2h c_1) / 2 = 2 + h c_1
     a = B0Elem((H(4), H(0, 2)))
     assert B0Ring().div_int_exact(a, 2) == B0Elem((H(2), H(0, 1)))
+
+
+# --- the integer B_0 kernels against Fraction references -------------------
+
+def _ref_mul(x, y):
+    """x y over Q, coefficient by coefficient as Fractions."""
+    out = [Fraction(0)] * max(len(x) + len(y) - 1, 0)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] += a * b
+    return out
+
+
+def _ref_add_at(acc, shift, x):
+    acc += [Fraction(0)] * (shift + len(x) - len(acc))
+    for i, a in enumerate(x, shift):
+        acc[i] += a
+
+
+def b0_mul_reference(a, b):
+    """sum_k C(k, m) C(m, m+n-k) h^(m+n-k) a_m b_n c_k in Fractions."""
+    out = [[] for _ in range(len(a.coords) + len(b.coords))]
+    for m, am in enumerate(a.coords):
+        for n, bn in enumerate(b.coords):
+            for k in range(max(m, n), m + n + 1):
+                g = math.comb(k, m) * math.comb(m, m + n - k)
+                _ref_add_at(out[k], m + n - k,
+                            [g * c for c in _ref_mul(am, bn)])
+    return B0Elem(tuple(QH.make(c) for c in out))
+
+
+def adams_reference(n, a):
+    """f h^j c_m -> f h^j v^(m+j) c_m, v = ((1+h)^n - 1)/h, in Fractions."""
+    v = [Fraction(math.comb(n, j + 1)) for j in range(n)]
+    out = []
+    for m, c in enumerate(a.coords):
+        acc = []
+        for j, f in enumerate(c):
+            power = [Fraction(1)]
+            for _ in range(m + j):
+                power = _ref_mul(power, v)
+            _ref_add_at(acc, j, [f * x for x in power])
+        out.append(QH.make(acc))
+    return B0Elem(tuple(out))
+
+
+# denominators, negative coefficients and zero coordinates
+b0_rationals = st.builds(Fraction, st.integers(-9, 9),
+                         st.sampled_from((1, 1, 2, 3, 10 ** 9 + 7)))
+b0_elems = st.builds(
+    lambda cs: B0Elem(tuple(QH.make(c) for c in cs)),
+    st.lists(st.lists(b0_rationals, max_size=4), max_size=6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=b0_elems, b=b0_elems)
+@example(a=B0Elem(()), b=B0Elem.t())
+@example(a=B0Elem.basis(3), b=B0Elem.basis(2))
+@example(a=B0Elem((H(0), H(0, 1))), b=B0Elem((QH.zero, QH.zero, H(-2, 3))))
+@example(a=B0Elem((QH.make([Fraction(1, 2)]), QH.make([0, Fraction(-1, 3)]))),
+         b=B0Elem((H(1), QH.zero, QH.make([Fraction(5, 7)]))))
+def test_integer_b0_mul_matches_fraction_reference(a, b):
+    assert repr(b0_mul(a, b).coords) == repr(b0_mul_reference(a, b).coords)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 6), a=b0_elems)
+@example(n=1, a=B0Elem(()))
+@example(n=2, a=B0Elem.basis(4))
+@example(n=3, a=B0Elem((QH.zero, QH.make([Fraction(-1, 6), 0, Fraction(2)]))))
+def test_integer_adams_matches_fraction_reference(n, a):
+    assert repr(adams(n, a).coords) == repr(adams_reference(n, a).coords)

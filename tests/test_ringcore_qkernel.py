@@ -1,5 +1,7 @@
-"""The integer kernel of PolyQuotRing.mul over Fraction coefficients,
-checked against the Fraction schoolbook that every other ring uses."""
+"""The integer kernels of PolyQuotRing over Fraction coefficients (mul, the
+monomial products and pow) and Horner evaluation, each checked against the
+path it replaces: the Fraction schoolbook that every other ring uses,
+square-and-multiply, and term-by-term evaluation."""
 import pytest
 from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from prismlab.qhopf import QH, QHT
 from prismlab.qprism import bhat_ring
 from prismlab.ringcore import (
-    CyclotomicRing, PolyQuotRing, QPoly, QSeriesRing, RatRing,
+    CyclotomicRing, PolyQuotRing, QPoly, QSeriesRing, RatRing, Ring,
     _kronecker_mul, cyclotomic_modulus, h_element,
 )
 
@@ -19,7 +21,7 @@ def schoolbook(ring):
     if isinstance(scalar, PolyQuotRing):
         scalar = schoolbook(scalar)
     oracle = PolyQuotRing(scalar, ring.modulus, ring.var)
-    for attr in ("mul", "add"):
+    for attr in ("mul", "add", "pow"):
         vars(oracle).pop(attr, None)
     return oracle
 
@@ -131,8 +133,11 @@ def test_kernel_chosen_at_construction():
         assert not {"mul", "add"} & set(vars(ring))
     for ring in UNIVARIATE.values():
         assert {"mul", "add"} <= set(vars(ring))
+        # pow only without a modulus: a truncating one keeps square-and-
+        # multiply, whose products it truncates
+        assert ("pow" in vars(ring)) == (ring.modulus is None)
     for ring in BIVARIATE.values():
-        assert "mul" in vars(ring) and "add" not in vars(ring)
+        assert "mul" in vars(ring) and not {"add", "pow"} & set(vars(ring))
 
 
 def test_monomial_modulus_truncates():
@@ -145,3 +150,95 @@ def test_monomial_modulus_truncates():
     C = CyclotomicRing(3)
     assert C.make_ints([0, 0, 0, 1]) == (1,)
     assert "_reduce" in vars(M) and "_reduce" not in vars(C)
+
+
+# --- monomial products, the Q[h] power and Horner evaluation ---------------
+
+monomials = st.builds(lambda k, c: [Fraction(0)] * k + [c],
+                      st.integers(0, 9), rationals)
+
+
+@pytest.mark.parametrize("name", sorted(UNIVARIATE))
+@settings(max_examples=60, deadline=None)
+@given(a=coefficient_lists, m=monomials)
+@example(a=[Fraction(2), 0, Fraction(-5)], m=[Fraction(3)])
+@example(a=[Fraction(1, 3), Fraction(-1, 5)], m=[0, 0, Fraction(-7, 2)])
+@example(a=[0, Fraction(4)], m=[0, Fraction(0)])
+@example(a=[], m=[0, Fraction(1, 9)])
+@example(a=[Fraction(-1, 2 ** 61 - 1)] * 3, m=[Fraction(1)])
+def test_monomial_product_matches_schoolbook(name, a, m):
+    # c x^k shifts and scales the other operand, on either side, over every
+    # modulus; c = 0 and a = 0 give the zero element
+    ring = UNIVARIATE[name]
+    a, m = ring.make(a), ring.make(m)
+    assert_same_product(ring, a, m)
+    assert_same_product(ring, m, a)
+
+
+def test_monomial_product_of_an_unstripped_zero():
+    long = QH.make([Fraction(-3 ** 60, 7)] * 12)
+    for zero in ((Fraction(0),), (0, 0, Fraction(0))):
+        assert QH.mul(zero, long) == () == QH.mul(long, zero)
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=st.lists(rationals, max_size=6), n=st.integers(0, 12))
+@example(a=[], n=0)
+@example(a=[], n=5)
+@example(a=[Fraction(3)], n=7)
+@example(a=[0, 0, Fraction(-5, 3)], n=4)
+@example(a=[Fraction(-1)] * 5, n=12)
+@example(a=[Fraction(1, 2), Fraction(-1, 3)], n=2)
+def test_q_power_matches_square_and_multiply(a, n):
+    # the packed power against Ring.pow, which multiplies through the
+    # kernel; a monomial's top coefficient is exactly sum |a_i| ^ n, the
+    # digit bound
+    a = QH.make(a)
+    assert repr(QH.pow(a, n)) == repr(Ring.pow(QH, a, n))
+
+
+def test_q_power_rejects_negative_exponents():
+    for a in ((), QH.one, QH.make([Fraction(1, 2), Fraction(1)])):
+        with pytest.raises(ValueError):
+            QH.pow(a, -1)
+
+
+def term_by_term(ring, a, value):
+    """sum a_i value^i, one power of value after the other."""
+    acc, power = ring.zero, ring.one
+    for c in a:
+        acc = ring.add(acc, ring.mul(ring._strip([c]), power))
+        power = ring.mul(power, value)
+    return acc
+
+
+SUBST_RINGS = dict(UNIVARIATE, **{
+    "Z[h]": QPoly(), "Z/81[h]/(h^4)": QSeriesRing(4, p=3, n_p=4),
+    "Z[zeta_5]": CyclotomicRing(5), "Z/8[zeta_3]": CyclotomicRing(3, n_p=3)})
+small_rationals = st.builds(Fraction, st.integers(-50, 50),
+                            st.sampled_from((1, 2, 3, 7, 10 ** 9 + 7)))
+
+
+@pytest.mark.parametrize("name", sorted(SUBST_RINGS))
+@settings(max_examples=40, deadline=None)
+@given(a=st.lists(small_rationals, max_size=8),
+       value=st.lists(small_rationals, max_size=4))
+@example(a=[Fraction(1), Fraction(2), Fraction(3)], value=[Fraction(2)])
+@example(a=[Fraction(-1, 3), 0, Fraction(5)], value=[])
+@example(a=[], value=[Fraction(1), Fraction(1)])
+def test_horner_subst_matches_term_by_term(name, a, value):
+    ring = SUBST_RINGS[name]
+    if type(ring.scalar) is RatRing:
+        a, value = ring.make(a), ring.make(value)
+    else:
+        a = ring.make_ints([c.numerator for c in a])
+        value = ring.make_ints([c.numerator for c in value])
+    got = ring.subst(a, value)
+    assert repr(got) == repr(term_by_term(ring, a, value))
+
+
+def test_subst_at_a_nonzero_constant_is_the_value():
+    f = QH.make([Fraction(1, 2), Fraction(-3), 0, Fraction(5, 7)])
+    for x in (Fraction(2), Fraction(-1, 3)):
+        want = sum(c * x ** i for i, c in enumerate(f))
+        assert QH.subst(f, QH.make([x])) == QH.make([want])
