@@ -210,8 +210,8 @@ def b0_mul(a: B0Elem, b: B0Elem) -> B0Elem:
         return B0Elem(())
     na, da = _coord_numerators(a)
     nb, db = _coord_numerators(b)
-    # a pair's product has h-degree below the sum of the longest
-    # coordinates, and its shift m + n - k is at most min(m, n)
+    # a pair's product has at most max|a_m| + max|b_n| - 1 coefficients,
+    # shifted by m + n - k <= min(m, n)
     width = (max(map(len, na)) + max(map(len, nb))
              + min(len(na), len(nb)) - 2)
     out = [[0] * width for _ in range(len(na) + len(nb) - 1)]

@@ -332,11 +332,15 @@ class PolyQuotRing(Ring):
 
     Over Fraction scalars (Q[x], Q[x]/(modulus), and Q[h][t] or
     Q[h]/(h^N)[t]) mul is an integer kernel that __init__ binds to the
-    instance; over Q[x] and Q[x]/(modulus) so is add, which adds two
-    integral coefficients as integers.  Every other ring multiplies by the
-    class method, the schoolbook, and adds in one pass through the scalar
-    ring's add.  Elements stay tuples of Fractions over Q: the integer work
-    happens inside each operation.
+    instance; a constant or monomial operand c x^k is shifted and scaled
+    instead of multiplied.  Over Q[x] and Q[x]/(modulus) add is bound too,
+    and adds two integral coefficients as integers; over Q[x] so is pow,
+    one big-integer power of the packed numerators.  Every other ring
+    multiplies by the class method, the schoolbook, adds in one pass
+    through the scalar ring's add and raises powers by square-and-multiply.
+    Elements stay tuples of Fractions over Q: the integer work happens
+    inside each operation, with one Fraction per coefficient of its
+    result.  subst evaluates by Horner's rule on every ring.
     """
 
     zero = ()
