@@ -332,10 +332,10 @@ class PolyQuotRing(Ring):
 
     Over Fraction scalars (Q[x], Q[x]/(modulus), and Q[h][t] or
     Q[h]/(h^N)[t]) mul is an integer kernel that __init__ binds to the
-    instance; a constant or monomial operand c x^k is shifted and scaled
-    instead of multiplied.  Over Q[x] and Q[x]/(modulus) add is bound too,
-    and adds two integral coefficients as integers; over Q[x] so is pow,
-    one big-integer power of the packed numerators.  Every other ring
+    instance.  Over Q[x] and Q[x]/(modulus) a constant or monomial operand
+    c x^k makes mul a shift and scaling of the other operand, and add is
+    bound too, adding two integral coefficients as integers; over Q[x] so
+    is pow, one big-integer power of the packed numerators.  Every other ring
     multiplies by the class method, the schoolbook, adds in one pass
     through the scalar ring's add and raises powers by square-and-multiply.
     Elements stay tuples of Fractions over Q: the integer work happens
