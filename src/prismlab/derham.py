@@ -28,7 +28,7 @@ from .ringcore import (  # noqa: F401 - IdentityFailed is re-exported
 )
 from .witt import (
     WittVector, frobenius, ghost_combine, scalar_mul, teichmuller,
-    verschiebung, witt_neg, witt_op, witt_sub, zero_vector,
+    verschiebung, witt_neg, witt_op, witt_sub,
 )
 
 
@@ -84,10 +84,6 @@ def gdr_op(a: GdRPoint, b: GdRPoint) -> GdRPoint:
         r.add(r.add(g1, g2), r.mul_int(r.mul(g1, g2), p))
         for g1, g2 in zip(*g)])
     return GdRPoint(out, check=False)
-
-
-def gdr_zero(ring, p, L) -> GdRPoint:
-    return GdRPoint(zero_vector(ring, p, L), check=False)
 
 
 # --- series evaluation on Witt vectors ---------------------------------------

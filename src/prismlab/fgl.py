@@ -98,10 +98,6 @@ def _low_diff(a, b):
     return d.low_order()
 
 
-def make_law(expr: TruncSeries) -> FormalGroupLaw:
-    return FormalGroupLaw(expr)
-
-
 def additive_law(ring: Ring, order: int) -> FormalGroupLaw:
     return FormalGroupLaw(TruncSeries(
         ring, LAW_VARS, {(1, 0): ring.one, (0, 1): ring.one}, order),
@@ -166,11 +162,6 @@ def verify_hom(f: FGLHom) -> dict:
             "intertwining fails at degree %s" % _low_diff(lhs, rhs)}
 
 
-def identity_hom(law: FormalGroupLaw) -> FGLHom:
-    z = TruncSeries.var(law.ring, ("z",), law.order, "z")
-    return FGLHom(z, law, law, check=False)
-
-
 def n_series(law: FormalGroupLaw, n: int) -> FGLHom:
     """[n](z), the multiplication-by-n endomorphism series."""
     ring, order = law.ring, law.order
@@ -214,16 +205,6 @@ def rescale(law: FormalGroupLaw, alpha) -> FormalGroupLaw:
                           check=False)
 
 
-def rescale_hom(f: FGLHom, alpha, source: FormalGroupLaw,
-                target: FormalGroupLaw) -> FGLHom:
-    """alpha^{-1} f(alpha z): coefficient of z^n picks up alpha^(n-1)."""
-    ring = f.series.ring
-    out = {e: ring.mul(ring.pow(alpha, e[0] - 1), c)
-           for e, c in f.series.coeffs.items()}
-    return FGLHom(TruncSeries(ring, f.series.variables, out, f.series.order),
-                  source, target, check=False)
-
-
 def scaling_map(law_rescaled: FormalGroupLaw, law: FormalGroupLaw,
                 alpha) -> FGLHom:
     """psi_alpha: multiplication by alpha, a hom from the rescaled law."""
@@ -249,22 +230,6 @@ def specialize_deformation(family: FormalGroupLaw, value) -> FormalGroupLaw:
     collapsed = family.law.map_coeffs(
         lambda c: ext.eval_at(c, {"a": value}), ext.base)
     return FormalGroupLaw(collapsed, check=False)
-
-
-def algebraize(law: FormalGroupLaw) -> FormalGroupLaw:
-    """Promote a law whose series terminates below its truncation order to an
-    exact polynomial law (order None), verifying the axioms exactly."""
-    if law.order is None:
-        return law
-    if law.law.degree() >= law.order:
-        raise NotPolynomial(
-            "series still has terms at the truncation boundary (degree %d)"
-            % law.law.degree())
-    exact = TruncSeries(law.ring, LAW_VARS, dict(law.law.coeffs), None)
-    failure = law_axiom_failure(exact)
-    if failure is not None:
-        raise NotPolynomial("polynomial axioms fail: %s" % failure)
-    return FormalGroupLaw(exact, check=False)
 
 
 def phi_q_hom(ring: Ring, p: int, order: int) -> FGLHom:

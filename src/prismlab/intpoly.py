@@ -210,12 +210,6 @@ def delta_p(x: IntPoly, p: int) -> IntPoly:
     return _pointwise(x, p, delta)
 
 
-def difference(x: IntPoly) -> tuple[IntPoly, int]:
-    """(Delta x, least m with Delta^m x = 0); Delta shifts the coordinates
-    down by one place."""
-    return IntPoly(x.coords[1:]), len(x.coords)
-
-
 def mahler_table(x: IntPoly, p: int, n: int) -> dict:
     """Smallest period p^k with x(a) = x(b) mod p^n whenever a = b mod p^k,
     plus the residue table.

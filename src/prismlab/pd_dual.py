@@ -183,20 +183,6 @@ def pair_distr(d: DistrElem, f: PDElem) -> Fraction:
                         for n, c in enumerate(d.coords)), top)
 
 
-def f_ab(a: int, b: int) -> tuple:
-    """f_{a,b}(u) = prod_{i=a}^{b} (u - i) as integer coefficients."""
-    R = PolyQuotRing(IntRing(), None, "u")
-    acc = R.one
-    for i in range(a, b + 1):
-        acc = R.mul(acc, R.make_ints([-i, 1]))
-    return acc
-
-
-def pairing_series(N: int) -> list:
-    """[f_{0,n}(u)] for n = 0..N."""
-    return [f_ab(0, n) for n in range(N + 1)]
-
-
 # ---------------------------------------------------------------------------
 # the logarithm and Stirling certification
 

@@ -154,9 +154,6 @@ class B0Elem:
         """Multiply by a scalar in Q[h]."""
         return B0Elem(tuple(QH.mul(c, x) for x in self.coords))
 
-    def scale_int(self, n: int) -> "B0Elem":
-        return self.scale(QH.make([Fraction(n)]))
-
     def __pow__(self, n: int) -> "B0Elem":
         return _B0.pow(self, n)
 

@@ -578,12 +578,6 @@ class PolyQuotRing(Ring):
         n = self.deg if self.deg is not None else rng.randrange(1, 4)
         return self._strip([self.scalar.rand(rng) for _ in range(n)])
 
-    def div_by_x(self, a):
-        """(a / x, constant remainder); exact shift in the variable."""
-        if not a:
-            return (), self.scalar.zero
-        return self._strip(list(a[1:])), a[0]
-
     def subst(self, a, value):
         """Evaluate the polynomial a at a ring element, by Horner's rule:
         one mul per coefficient."""
@@ -942,11 +936,6 @@ class TruncSeries:
         e[variables.index(name)] = 1
         return cls(ring, variables, {tuple(e): ring.one}, order)
 
-    @classmethod
-    def from_int_terms(cls, ring, variables, order, terms):
-        return cls(ring, variables,
-                   {e: ring.from_int(c) for e, c in terms.items()}, order)
-
     # --- bookkeeping --------------------------------------------------------
 
     def _check(self, other):
@@ -1038,9 +1027,6 @@ class TruncSeries:
         r = self.ring
         return self.map_coeffs(lambda x: r.mul(c, x))
 
-    def scale_int(self, n):
-        return self.scale(self.ring.from_int(n))
-
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative series power")
@@ -1129,18 +1115,6 @@ class TruncSeries:
 
 # ---------------------------------------------------------------------------
 # spec-level operations
-
-
-def series_arith(a: TruncSeries, b: TruncSeries, op: str) -> TruncSeries:
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError("op must be 'add' or 'mul'")
-
-
-def series_compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
-    return f.compose(g)
 
 
 def clear_denominators(f: TruncSeries, target: Ring) -> TruncSeries:

@@ -5,18 +5,17 @@ dispatch (`ghost_combine`, which also runs whole expressions), on one of
 two paths: over the ring itself when it is torsion-free and divides
 exactly (B_0 among them), or over the bounded lift reduced back: Z/m, or a
 polynomial or series ring over it, solves exactly mod m in the same ring
-over Z/(m p^(L-1)) for length L, over Z/(m N!) for big Witt order N
-(`_bounded_lift`).  Each vector keeps its ghost components in the last
+over Z/(m p^(L-1)) for length L, over Z/(m lcm(1..N)) for big Witt order
+N (`_bounded_lift`).  Each vector keeps its ghost components in the last
 ring a solve needed them in and computes them again only in another
 ring.  Ghost components live in the coefficient ring itself, which must
-be torsion-free for them to determine the vector: `ghost`, `ghost_big`,
-`from_ghost`, `from_ghost_big`, `bj_to_witt` and `witt_to_bj` raise
-NonIntegralGhost on a torsion ring.  Every solve divides with its
-ring's `div_int_exact`, and a quotient outside the ring raises
-NonIntegralGhost.  The memoized universal polynomial tables, evaluated
-in the coefficient ring with no lift, are an oracle only
-(`witt_op_universal`): no operation falls back to them, and over Z the two
-must agree (`verify --suite witt.universal`).
+be torsion-free for them to determine the vector: `ghost`, `from_ghost`,
+`from_ghost_big`, `bj_to_witt` and `witt_to_bj` raise NonIntegralGhost on
+a torsion ring.  Every solve divides with its ring's `div_int_exact`, and
+a quotient outside the ring raises NonIntegralGhost.  The memoized
+universal polynomial tables, evaluated in the coefficient ring with no
+lift, are an oracle only (`witt_op_universal`): no operation falls back to
+them, and over Z the two must agree (`verify --suite witt.universal`).
 """
 from __future__ import annotations
 
@@ -206,14 +205,27 @@ def _bounded_lift(ring, factor: int):
     """widened(ring, factor), memoized per (ring, factor): a PolyQuotRing is
     too costly to build per operation.
 
-    Factor p^(L-1) makes a p-typical solve of length at most L exact mod m:
-    for j >= 1, a = b mod m p^j gives a^p = b^p mod m p^(j+1), p | m or
-    not.  So if the x_i solved so far, i < n <= L-1, are exact mod
-    m p^(L-1-i), every p^i x_i^(p^(n-i)) is exact mod m p^(L-1), and
-    dividing the numerator of x_n by p^n leaves x_n exact mod m p^(L-1-n).  Factor N! makes a big Witt solve of order at most N
-    exact mod m: step n of Newton's recurrence n f_n = -sum g_d f_(n-d)
-    divides by n a value known mod m N!/(n-1)!, a multiple of n, so f_n is
-    exact mod m N!/n! and f_N mod m."""
+    The factor is M, the lcm of the truncation set S: p^(L-1) for
+    S = {1, p, ..., p^(L-1)} at length L, lcm(1..N) for S = {1, ..., N} at
+    big Witt order N.  It makes a solve exact mod m, for any lift of the
+    inputs and any choice among the quotients div_int_exact may return.
+    The ring is B/m and the lift B/(m M), B free over Z (Z, or a
+    polynomial or series ring over Z).  The inputs lift to B, where
+    combine gives the ghosts of a vector y.  Step n of the solve makes
+    ghost n of its result x equal to combine's g_n in B/(m M), so any lift
+    of x to B has ghost(x) = ghost(y) mod m M.  In Witt coordinates (a big
+    Witt series is prod (1 - x_k z^k), an integral change of coordinates
+    both ways), ghost n is the sum over k in S dividing n of k x_k^(n/k).
+
+    Prime by prime: let q be a prime dividing m, a = v_q(m) and
+    e = v_q(M), the largest v_q(k) for k in S: floor(log_q N) for
+    lcm(1..N).  By induction on n in S, x_n = y_n mod q^(a+e-v_q(n)).
+    For k < n in S this holds mod some q^c with c >= a >= 1, and u = v mod
+    q^c gives u^j = v^j mod q^(c+v_q(j)), so k (x_k^(n/k) - y_k^(n/k))
+    vanishes mod q^(a+e).  Then so does n (x_n - y_n), and x_n = y_n mod
+    q^(a+e-v_q(n)), at least mod q^a since v_q(n) <= e.  Over all q,
+    x = y mod m.  With M / q in place of M, the same argument gives step
+    n = q^e only mod q^(a-1)."""
     return widened(ring, factor)
 
 
@@ -223,8 +235,9 @@ def ghost_combine(vectors, combine):
     computed in the ring R, on one of two paths: the coefficient ring
     itself when it is torsion-free and divides exactly (Z, Q, the
     polynomial and series rings over them, B_0); else its bounded lift
-    (_bounded_lift), factor p^(L-1) at length L or N! at order N, with the
-    result reduced back (reduction W(lift) -> W(ring) is a ring map).
+    (_bounded_lift), factor p^(L-1) at length L or lcm(1..N) at order N,
+    with the result reduced back (reduction W(lift) -> W(ring) is a ring
+    map).
     Every solve divides with its ring's div_int_exact.  One ghost solve
     however many operations combine makes.  combine must send ghost lists
     of Witt vectors to the ghost list of a Witt vector: ring operations per
@@ -234,7 +247,7 @@ def ghost_combine(vectors, combine):
 
     Each input keeps (R, its ghosts in R), R the bounded lift or the ring
     itself, so a vector solved again in the same R is not ghosted again;
-    beside a longer partner R has a larger factor, and they are
+    beside a longer partner R can have a larger factor, and then they are
     recomputed.  The memo holds tuples, which no combine can mutate.
 
     The result keeps (R, gs), gs the combine output it was solved from.
@@ -251,7 +264,7 @@ def ghost_combine(vectors, combine):
         if isinstance(w, WittVector):
             factor = w.p ** max(max(v.L for v in vectors) - 1, 0)
         else:
-            factor = math.factorial(max(v.N for v in vectors))
+            factor = math.lcm(*range(1, max(v.N for v in vectors) + 1))
         bounded = _bounded_lift(ring, factor)
         if bounded is None:
             raise NonIntegralGhost("ring %s has neither exact division nor "
@@ -658,7 +671,7 @@ def verschiebung(w: WittVector) -> WittVector:
 
 
 class DeltaRing:
-    """A torsion-free ring with a Frobenius lift phi; delta comes for free."""
+    """A torsion-free ring with a Frobenius lift phi."""
 
     def __init__(self, ring: Ring, p: int, phi):
         if not ring.is_torsion_free:
@@ -676,15 +689,6 @@ class DeltaRing:
                 raise NotADeltaRing("phi is not a Frobenius lift at %s"
                                     % r.fmt(x))
 
-    def delta(self, x):
-        r = self.ring
-        num = r.sub(self.phi(x), r.pow(x, self.p))
-        out = r.div_int_exact(num, self.p)
-        if out is None:
-            raise NotADeltaRing("(phi(x) - x^p)/p is not integral at %s"
-                                % r.fmt(x))
-        return out
-
 
 def joyal_lift(dr: DeltaRing, b, L: int) -> WittVector:
     """The unique delta-ring section of W(ring) -> ring, componentwise:
@@ -694,14 +698,6 @@ def joyal_lift(dr: DeltaRing, b, L: int) -> WittVector:
     while len(ghosts) < L:
         ghosts.append(dr.phi(ghosts[-1]))
     return WittVector(dr.ring, dr.p, ())._solve(dr.ring, ghosts[:L])
-
-
-def bj_coordinates(dr: DeltaRing, b, L: int) -> list:
-    """(b, delta b, delta^2 b, ...)."""
-    out = [b]
-    for _ in range(L - 1):
-        out.append(dr.delta(out[-1]))
-    return out
 
 
 def _formal_phi(ring, p, cs):
@@ -767,10 +763,6 @@ class BigWitt:
     def one(cls, ring, N):
         """Additive unit: the series 1."""
         return cls(ring, N, {})
-
-    @classmethod
-    def from_series_coeffs(cls, ring, N, seq):
-        return cls(ring, N, {n: c for n, c in enumerate(seq) if n >= 1})
 
     def coefficient(self, n: int):
         if n == 0:
@@ -885,14 +877,9 @@ def ghost_big_in_ring(w: BigWitt) -> list:
     return gs[1:]
 
 
-def ghost_big(w: BigWitt) -> list:
-    """Ghost components in the torsion-free coefficient ring."""
-    return ghost(w)
-
-
 def from_ghost_big(ring, N, gs) -> BigWitt:
-    """Inverse of ghost_big with integrality certificate, solved over the
-    torsion-free ring in which the ghosts live."""
+    """Inverse of the big ghost map with integrality certificate, solved
+    over the torsion-free ring in which the ghosts live."""
     return BigWitt.one(ring, N)._solve(_torsion_free(ring), gs[:N])
 
 

@@ -1,14 +1,15 @@
 """The one ghost dispatch of p-typical and big Witt vectors on each of its
 two paths: exact division in the ring (Z, Z[h], B0) and the bounded lift
-reduced back (Z/p^n, Z/24, Z/p^n[h]), which every ring constructor
-reaches; B0 against its former route over Q[h] coordinates; the route of
-qprism.sample_gq, solving from ghosts over Q[h] and certifying each
-component into Z/p^n[h]; and the ghost maps, which refuse torsion rings."""
+reduced back (Z/m and Z/m[h]/(h^2) for m up to 81), which every ring
+constructor reaches; B0 against its former route over Q[h] coordinates;
+the route of qprism.sample_gq, solving from ghosts over Q[h] and
+certifying each component into Z/p^n[h]; and the ghost maps, which refuse
+torsion rings."""
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from prismlab import witt
 from prismlab.qhopf import QH, B0Elem, B0Ring
@@ -20,7 +21,7 @@ from prismlab.ringcore import (
 )
 from prismlab.witt import (
     BigWitt, NonIntegralGhost, WittVector, bj_to_witt, frobenius_big,
-    from_ghost, from_ghost_big, ghost, ghost_big, ghost_combine,
+    from_ghost, from_ghost_big, ghost, ghost_combine,
     teichmuller_big,
 )
 
@@ -30,9 +31,6 @@ ZH = PolyQuotRing(Z, (0, 0, 1), "h")
 MOD = ModP(P, 4)
 MODH = PolyQuotRing(MOD, (0, 0, 1), "h")
 TORSION_FREE = {"Z": Z, "Z[h]": ZH, "B0": B0Ring()}
-# torsion ring -> the torsion-free ring whose solve, reduced, it must match
-TORSION = {"Z/p^n": (MOD, Z), "Z/24": (IntModRing(24), Z),
-           "Z/p^n[h]": (MODH, ZH)}
 
 
 def big(ring, N, coeffs):
@@ -54,33 +52,38 @@ def test_bigwitt_ghost_map_is_a_ring_map(key, N, seed, data):
     ring = TORSION_FREE[key]
     a, b = random_pair(ring, N, random.Random(seed))
     m = data.draw(st.integers(1, N))
-    ga, gb = ghost_big(a), ghost_big(b)
-    assert same(ring, ghost_big(a + b), list(map(ring.add, ga, gb)))
-    assert same(ring, ghost_big(a * b), list(map(ring.mul, ga, gb)))
-    assert same(ring, ghost_big(frobenius_big(a, m)), ga[m - 1::m])
+    ga, gb = ghost(a), ghost(b)
+    assert same(ring, ghost(a + b), list(map(ring.add, ga, gb)))
+    assert same(ring, ghost(a * b), list(map(ring.mul, ga, gb)))
+    assert same(ring, ghost(frobenius_big(a, m)), ga[m - 1::m])
     x, y = a.coefficient(1), b.coefficient(1)
     assert (teichmuller_big(ring, N, x) * teichmuller_big(ring, N, y)
             == teichmuller_big(ring, N, ring.mul(x, y)))
 
 
-@settings(max_examples=40, deadline=None)
-@given(key=st.sampled_from(sorted(TORSION)), N=st.integers(1, 9),
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 81), h=st.booleans(), N=st.integers(1, 12),
        seed=st.integers(0, 2 ** 32), data=st.data())
-def test_bigwitt_over_torsion_ring_is_integral_result_reduced(key, N, seed,
+@example(m=8, h=False, N=2, seed=0, data=None)
+@example(m=9, h=True, N=3, seed=1, data=None)
+def test_bigwitt_over_torsion_ring_is_integral_result_reduced(m, h, N, seed,
                                                               data):
-    # the bounded lift Z/(m N!) must reproduce the solve over Z mod m
-    ring, lift = TORSION[key]
+    # over Z/m or Z/m[h]/(h^2), the bounded lift Z/(m lcm(1..N)) must
+    # reproduce the solve over Z or Z[h]/(h^2) mod m, for any lift
+    ring, lift = IntModRing(m), Z
+    if h:
+        ring, lift = PolyQuotRing(ring, (0, 0, 1), "h"), ZH
     down = widened(ring, 1)[2]
 
     def red(w):
         return BigWitt(ring, w.N, {n: down(c) for n, c in w.coeffs.items()})
 
     a, b = random_pair(lift, N, random.Random(seed))
-    m = data.draw(st.integers(1, N))
+    k = data.draw(st.integers(1, N)) if data else N
     # raw coefficients: the results must be reduced, not just congruent
     assert (red(a) + red(b)).coeffs == red(a + b).coeffs
     assert (red(a) * red(b)).coeffs == red(a * b).coeffs
-    assert frobenius_big(red(a), m).coeffs == red(frobenius_big(a, m)).coeffs
+    assert frobenius_big(red(a), k).coeffs == red(frobenius_big(a, k)).coeffs
     x, y = down(a.coefficient(1)), down(b.coefficient(1))
     assert (teichmuller_big(ring, N, x) * teichmuller_big(ring, N, y)
             == teichmuller_big(ring, N, ring.mul(x, y)))
@@ -172,11 +175,10 @@ def test_solve_over_q_h_mapped_down_certifies_p_integrality():
 
 
 def test_ghost_is_strict_over_torsion_rings():
-    for ghost_map, w in ((ghost, WittVector(MOD, P, [1, 2])),
-                         (ghost, WittVector(MODH, P, [MODH.one])),
-                         (ghost_big, big(MOD, 3, [1, 2, 3]))):
+    for w in (WittVector(MOD, P, [1, 2]), WittVector(MODH, P, [MODH.one]),
+              big(MOD, 3, [1, 2, 3])):
         with pytest.raises(NonIntegralGhost):
-            ghost_map(w)
+            ghost(w)
 
 
 def test_solving_from_ghosts_refuses_torsion_rings():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from prismlab.intpoly import (
     _RATPOLY, IntPoly, NotIntegerValued, adams, binom_poly,
-    delta_basis_combine, delta_basis_expand, delta_p, difference, gen_binom,
+    delta_basis_combine, delta_basis_expand, delta_p, gen_binom,
     int_mul, lambda_op, mahler_table, to_binomial, vandermonde,
 )
 
@@ -127,13 +127,6 @@ def test_wilkerson_congruence():
             x = IntPoly(tuple(rng.randrange(-9, 10) for _ in range(6)))
             diff = (x ** p) - x
             assert all(c % p == 0 for c in diff.coords)
-
-
-def test_difference():
-    dx, m = difference(IntPoly.basis(4))
-    assert dx == IntPoly.basis(3)
-    assert m == 5
-    assert difference(IntPoly(()))[1] == 0
 
 
 def test_mahler_u():

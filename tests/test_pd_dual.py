@@ -7,10 +7,10 @@ from fractions import Fraction
 from prismlab import pd_dual
 from prismlab.intpoly import gen_binom
 from prismlab.pd_dual import (
-    DistrElem, NotPD, PDElem, delta_to_e, distr_mul, f_ab, gsharp_comparison,
+    DistrElem, NotPD, PDElem, delta_to_e, distr_mul, gsharp_comparison,
     log_and_pairing_check, log_mu_p_vanishes, log_pd, log_sharp_power,
     mu_p_pd_check,
-    pair_distr, pair_xu, pairing_series, pd_normalize, rescaled_section, stirling_first,
+    pair_distr, pair_xu, pd_normalize, rescaled_section, stirling_first,
 )
 from prismlab.ringcore import TruncSeries, series_exp
 
@@ -67,14 +67,6 @@ def test_pair_delta0():
 def test_pairing_linear():
     f = PDElem((2, -3, 5))
     assert pair_xu(4, f) == 2 - 3 * 4 + 5 * 6
-
-
-def test_f_ab_example():
-    f = f_ab(0, 2)  # u(u-1)(u-2)
-    # evaluate at u = 2
-    val = sum(c * 2 ** i for i, c in enumerate(f))
-    assert val == 0
-    assert len(pairing_series(4)) == 5
 
 
 def test_bialgebra_duality():

@@ -202,6 +202,6 @@ def test_newton_inverse_returns_none_when_steps_run_out():
 @settings(max_examples=20, deadline=None)
 @given(N=st.integers(1, 8), cs=st.lists(st.integers(-20, 20), max_size=8))
 def test_bigwitt_negation(ring, N, cs):
-    w = BigWitt.from_series_coeffs(ring, N, [1] + [ring.from_int(c)
-                                                   for c in cs])
+    w = BigWitt(ring, N, {n: ring.from_int(c)
+                          for n, c in enumerate(cs, start=1)})
     assert w + (-w) == BigWitt.one(ring, N)
