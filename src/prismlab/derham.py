@@ -72,10 +72,6 @@ class GdRPoint:
     def __repr__(self):
         return "GdR(%r)" % (self.x,)
 
-    def unit(self):
-        """The unit u with [u] = 1 + px."""
-        return one_plus_p_x(self.x).components[0]
-
 
 def gdr_op(a: GdRPoint, b: GdRPoint) -> GdRPoint:
     """x1 + x2 + p x1 x2 in the Witt ring, one ghost solve."""

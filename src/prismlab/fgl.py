@@ -36,7 +36,8 @@ class FormalGroupLaw:
 
     def __init__(self, law: TruncSeries, check: bool = True):
         if law.variables != LAW_VARS:
-            law = law.extend_vars(LAW_VARS)
+            raise RingMismatch("a law is a series in %s, not %s"
+                               % (LAW_VARS, law.variables))
         self.law = law
         self.ring = law.ring
         self.order = law.order
@@ -58,12 +59,6 @@ class FormalGroupLaw:
 
     def apply(self, a: TruncSeries, b: TruncSeries) -> TruncSeries:
         return self.law.subs({"z1": a, "z2": b})
-
-    def coefficient(self, i: int, j: int):
-        return self.law.coefficient((i, j))
-
-    def truncate(self, order):
-        return FormalGroupLaw(self.law.truncate(order), check=False)
 
 
 def law_axiom_failure(law: TruncSeries):

@@ -22,7 +22,6 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import random
 import sys
 import time
@@ -210,9 +209,8 @@ class Recorder:
 
 
 SUITES: list = []
-"""(suite id, reference tag, suite function), in registration order."""
-PARAMS: dict = {}
-"""Suite id -> {precision field: Param} for each field the suite reads."""
+"""(suite id, reference tag, suite function, {precision field: Param} for
+each field the suite reads), in registration order."""
 
 
 def suite(sid: str, ref: str, **params):
@@ -220,8 +218,7 @@ def suite(sid: str, ref: str, **params):
     take the reference tag `ref` unless they name their own.  `params`
     declares each precision field that the suite reads as a Param."""
     def register(fn):
-        SUITES.append((sid, ref, fn))
-        PARAMS[sid] = params
+        SUITES.append((sid, ref, fn, params))
         return fn
     return register
 
@@ -967,8 +964,8 @@ def suite_qprism_qlog(cfg, out):
         def additive(rng):
             a = sample_gq(ring, p, 2, rng)
             b = sample_gq(ring, p, 2, rng)
-            oring, vs = q_log(gq_op(a, b), n_p, n_q)
-            va, vb = q_log(a, n_p, n_q)[1], q_log(b, n_p, n_q)[1]
+            oring, vs = q_log(gq_op(a, b))
+            va, vb = q_log(a)[1], q_log(b)[1]
             return oring.eq(vs, oring.add(va, vb))
 
         out.trials("qprism.q_log.p%d" % p, 3, additive,
@@ -1006,36 +1003,25 @@ def suite_qprism_sections(cfg, out):
 
 
 CRITERIA = {
-    1: ("witt.ghost", "witt.universal", "witt.frobenius"),
-    2: ("derham.log_exp", "derham.frobenius_power"),
-    3: ("derham.discrepancy",),
-    4: ("qprism.canonical_point",),
-    5: ("qprism.q_exponential",),
-    6: ("qhopf.structure_constants", "qhopf.adams"),
-    7: ("cartier_witt.eigen",),
-    8: ("pd_dual.pairing", "pd_dual.log_sharp", "pd_dual.mu_p",
-        "pd_dual.gsharp"),
-    9: ("intpoly.wilkerson", "intpoly.mahler", "intpoly.delta_basis"),
-    10: ("qprism.zp_action",),
-    11: ("qprism.hodge_tate",),
-    12: ("fgl.axioms",),
+    1: ("invented — artifact plumbing",
+        ("witt.ghost", "witt.universal", "witt.frobenius")),
+    2: ("Lemma l:G_dR=W^{F=p}", ("derham.log_exp", "derham.frobenius_power")),
+    3: ("e:f_naive & f", ("derham.discrepancy",)),
+    4: ("Prop p:formula for tilde x", ("qprism.canonical_point",)),
+    5: ("Prop p:G_Q^!=SpfB", ("qprism.q_exponential",)),
+    6: ("Prop p:G=Spec B_0", ("qhopf.structure_constants", "qhopf.adams")),
+    7: ("e:G^!? in terms of big Witt", ("cartier_witt.eigen",)),
+    8: ("Lemma l:factorization of log",
+        ("pd_dual.pairing", "pd_dual.log_sharp", "pd_dual.mu_p",
+         "pd_dual.gsharp")),
+    9: ("Lemma l:Fr=id",
+        ("intpoly.wilkerson", "intpoly.mahler", "intpoly.delta_basis")),
+    10: ("Prop p:sigma^* is equivariant", ("qprism.zp_action",)),
+    11: ("e:restriction of H_Q^alg to Delta_0_Q", ("qprism.hodge_tate",)),
+    12: ("e:group law for H_Q", ("fgl.axioms",)),
 }
-"""Acceptance criterion number -> the suites whose checks make it up."""
-
-CRITERION_REFS = {
-    1: "invented — artifact plumbing",
-    2: "Lemma l:G_dR=W^{F=p}",
-    3: "e:f_naive & f",
-    4: "Prop p:formula for tilde x",
-    5: "Prop p:G_Q^!=SpfB",
-    6: "Prop p:G=Spec B_0",
-    7: "e:G^!? in terms of big Witt",
-    8: "Lemma l:factorization of log",
-    9: "Lemma l:Fr=id",
-    10: "Prop p:sigma^* is equivariant",
-    11: "e:restriction of H_Q^alg to Delta_0_Q",
-    12: "e:group law for H_Q",
-}
+"""Acceptance criterion number -> (reference tag, the suites whose checks
+make it up)."""
 
 
 def _named(sid: str, name: str) -> bool:
@@ -1045,10 +1031,9 @@ def _named(sid: str, name: str) -> bool:
 def list_suites() -> list:
     """Suite ids with their reference tags, then each criterion with its
     member suites."""
-    return ([("%s — %s" % (sid, ref)) for sid, ref, _ in SUITES] +
-            ["criteria.%d — %s — runs %s" % (num, CRITERION_REFS[num],
-                                             ", ".join(members))
-             for num, members in CRITERIA.items()])
+    return ([("%s — %s" % (sid, ref)) for sid, ref, _, _ in SUITES] +
+            ["criteria.%d — %s — runs %s" % (num, ref, ", ".join(members))
+             for num, (ref, members) in CRITERIA.items()])
 
 
 def select_criteria(name: str) -> list:
@@ -1059,7 +1044,8 @@ def select_criteria(name: str) -> list:
 def select_suites(name: str) -> list:
     """The suites that `name` selects, directly or as criterion members,
     each once and in registry order."""
-    members = {sid for num in select_criteria(name) for sid in CRITERIA[num]}
+    members = {sid for num in select_criteria(name)
+               for sid in CRITERIA[num][1]}
     chosen = [s for s in SUITES if s[0] in members or _named(s[0], name)]
     if not chosen:
         raise ConfigError("unknown suite %r" % name)
@@ -1075,12 +1061,11 @@ def plan(cfg: SuiteConfig) -> list:
     cfg.validate()
     chosen = select_suites(cfg.suite)
     for name, value in cfg.precision().items():
-        if not any(name in PARAMS.get(sid, {}) for sid, _, _ in chosen):
+        if not any(name in declared for _, _, _, declared in chosen):
             raise ConfigError("%s = %s is read by no selected suite"
                               % (name, value))
     planned = []
-    for sid, ref, fn in chosen:
-        declared = PARAMS.get(sid, {})
+    for sid, ref, fn, declared in chosen:
         filled = replace(cfg, **{name: declared[name].fill(getattr(cfg, name))
                                  if name in declared else None
                                  for name in PRECISION})
@@ -1107,11 +1092,12 @@ def run(cfg: SuiteConfig) -> tuple:
         produced[sid] = out.checks
         checks += out.checks
     for num in select_criteria(cfg.suite):
-        members = [c for sid in CRITERIA[num] for c in produced[sid]]
+        ref, suites = CRITERIA[num]
+        members = [c for sid in suites for c in produced[sid]]
         bad = [c["id"] for c in members if c["status"] != "pass"]
         detail = ("failing: " + ", ".join(bad) if bad else
-                  "%d checks of %s" % (len(members), ", ".join(CRITERIA[num])))
-        checks.append(_record("criteria.%d" % num, CRITERION_REFS[num],
+                  "%d checks of %s" % (len(members), ", ".join(suites)))
+        checks.append(_record("criteria.%d" % num, ref,
                               bool(members) and not bad, detail, {}, 0.0))
     failed = sum(1 for c in checks if c["status"] == "fail")
     report = {
@@ -1155,7 +1141,7 @@ def main(argv=None) -> int:
     parser.add_argument("--witt-len", type=int, dest="L")
     parser.add_argument("--bigwitt", type=int, dest="N_big")
     parser.add_argument("--trials", type=int)
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", default=None)
     parser.add_argument("--list", action="store_true",
@@ -1165,14 +1151,7 @@ def main(argv=None) -> int:
     if args.list:
         print("\n".join(list_suites()))
         return 0
-    try:
-        seed = (int(os.environ.get("PRISMLAB_SEED", "0"))
-                if args.seed is None else args.seed)
-    except ValueError:
-        print("error: PRISMLAB_SEED must be an integer", file=sys.stderr)
-        return 2
-    fields = {k: v for k, v in vars(args).items() if k != "list"}
-    cfg = SuiteConfig(**dict(fields, seed=seed))
+    cfg = SuiteConfig(**{k: v for k, v in vars(args).items() if k != "list"})
     try:
         plan(cfg)
         # open --out before any suite runs, so a bad path costs no run

@@ -61,10 +61,6 @@ class IntPoly:
         return cls((0,) * n + (1,))
 
     @classmethod
-    def from_int(cls, n: int) -> "IntPoly":
-        return cls((n,))
-
-    @classmethod
     def u(cls) -> "IntPoly":
         return cls.basis(1)
 
@@ -191,11 +187,6 @@ def lambda_op(n: int, x: IntPoly) -> IntPoly:
     if n < 0:
         raise ValueError("lambda operations are indexed by n >= 0")
     return _pointwise(x, n, lambda v: gen_binom(v, n))
-
-
-def adams(n: int, x: IntPoly) -> IntPoly:
-    """psi^n on this ring is the identity for every n."""
-    return x
 
 
 def delta_p(x: IntPoly, p: int) -> IntPoly:

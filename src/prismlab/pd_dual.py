@@ -3,9 +3,9 @@ ind-group of integer points, distribution algebras, the evaluation pairing,
 powers of the logarithm, and the mu_p and rescaled-group comparisons.
 
 A PD element is an integer vector against gamma_n = (x-1)^n / n! (so
-gamma_m gamma_n = C(m+n, n) gamma_{m+n}), optionally carrying an x^{-k}
-unit prefactor.  Distributions are integer vectors against
-e_n = (delta_1 - delta_0)^n / n! with delta_m delta_n = delta_{m+n}.
+gamma_m gamma_n = C(m+n, n) gamma_{m+n}).  Distributions are integer
+vectors against e_n = (delta_1 - delta_0)^n / n! with
+delta_m delta_n = delta_{m+n}.
 """
 from __future__ import annotations
 
@@ -31,10 +31,9 @@ class ReductionFailure(PrismlabError):
 
 @dataclass(frozen=True)
 class PDElem:
-    """x^{-unit_power} * sum coords[n] gamma_n with integer coordinates."""
+    """sum coords[n] gamma_n with integer coordinates."""
 
     coords: tuple
-    unit_power: int = 0
 
     def __post_init__(self):
         coords = tuple(self.coords)
@@ -53,18 +52,12 @@ class PDElem:
     def coord(self, n: int) -> int:
         return self.coords[n] if n < len(self.coords) else 0
 
-    def degree(self) -> int:
-        return len(self.coords) - 1 if self.coords else -1
-
     def __add__(self, other):
-        if self.unit_power != other.unit_power:
-            raise NotPD("unit powers differ; normalize first")
         n = max(len(self.coords), len(other.coords))
-        return PDElem(tuple(self.coord(i) + other.coord(i) for i in range(n)),
-                      self.unit_power)
+        return PDElem(tuple(self.coord(i) + other.coord(i) for i in range(n)))
 
     def __neg__(self):
-        return PDElem(tuple(-c for c in self.coords), self.unit_power)
+        return PDElem(tuple(-c for c in self.coords))
 
     def __sub__(self, other):
         return self + (-other)
@@ -79,23 +72,21 @@ class PDElem:
                     k = m + n
                     out[k] = out.get(k, 0) + a * b * math.comb(k, n)
         size = max(out, default=-1) + 1
-        return PDElem(tuple(out.get(i, 0) for i in range(size)),
-                      self.unit_power + other.unit_power)
+        return PDElem(tuple(out.get(i, 0) for i in range(size)))
 
     def scale(self, n: int) -> "PDElem":
-        return PDElem(tuple(n * c for c in self.coords), self.unit_power)
+        return PDElem(tuple(n * c for c in self.coords))
 
     def __repr__(self):
-        head = "" if not self.unit_power else "x^%d * " % (-self.unit_power)
         if not self.coords:
-            return head + "0"
+            return "0"
         parts = []
         for n, c in enumerate(self.coords):
             if c:
                 base = "1" if n == 0 else "g%d" % n
                 parts.append(base if c == 1 and n else
                              str(c) if n == 0 else "%d*%s" % (c, base))
-        return head + " + ".join(parts)
+        return " + ".join(parts)
 
 
 def pd_normalize(series) -> PDElem:
@@ -165,16 +156,12 @@ def distr_mul(a: DistrElem, b: DistrElem) -> DistrElem:
 def pair_xu(m: int, f: PDElem) -> int:
     """Cartier pairing of the integer point m against a PD function:
     sum a_n C(m, n), from the expansion x^m = sum C(m,n) (x-1)^n."""
-    if f.unit_power:
-        raise NotPD("pairing needs a pure PD element (unit_power 0)")
     return sum(a * gen_binom(m, n) for n, a in enumerate(f.coords))
 
 
 def pair_distr(d: DistrElem, f: PDElem) -> Fraction:
     """Bilinear extension: <e_n, gamma_n> = 1/n!; integer on distributions
     that come from integer points."""
-    if f.unit_power:
-        raise NotPD("pairing needs a pure PD element (unit_power 0)")
     if not d.coords:
         return Fraction(0)
     top = math.factorial(len(d.coords) - 1)

@@ -124,9 +124,6 @@ class B0Elem:
     def coord(self, n: int) -> tuple:
         return self.coords[n] if n < len(self.coords) else QH.zero
 
-    def degree(self) -> int:
-        return len(self.coords) - 1 if self.coords else -1
-
     def is_zero(self) -> bool:
         return not self.coords
 

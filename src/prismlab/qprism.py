@@ -441,20 +441,22 @@ def _precision_loss(p: int, h_over_log: tuple) -> int:
                     if v is not None and v < 0], default=0)
 
 
-def q_log(a: GQPoint, n_p: int, n_q: int) -> tuple:
+def q_log(a: GQPoint) -> tuple:
     """(q-1) log_q of the point's unit, normalized so that sigma goes to
     q - 1: computed as log(U) (q-1)/(p log q), exactly over Q[h] with the
     p-adic tail cut certified, then reduced.
 
-    The division by p costs one digit: the result is valid mod p^(n_p - 1)
-    and is returned together with its output ring at that precision.
+    The precision is the one the point's ring Z/p^n_p[q]/((q-1)^n_q)
+    carries.  The division by p costs one digit: the result is valid mod
+    p^(n_p - 1) and is returned together with its output ring at that
+    precision.
 
     The one log sum besides padic_log, kept over Q[h]: at p = 2, n_q >= 5
     some terms (U - 1)^n / n are not p-integral, and padic_log, dividing
     term by term, raises NonIntegralCoefficient where this sum succeeds.
     """
     ring = a.x.ring
-    p = _padic_profile(ring)[0]
+    p, n_p, n_q = _padic_profile(ring)
     rring = PolyQuotRing(RatRing(), ring.modulus, ring.var)
     U = rring.make_ints(gq_to_unit(a))
     # log(U): U - 1 is in (p, h), so v_p of the n-th term grows like
@@ -490,7 +492,7 @@ def q_log_precision_loss(p: int, n_q: int) -> int:
 
 def q_log_of_sigma(p: int, n_p: int, n_q: int):
     ring = gq_ring(p, n_p, n_q)
-    out_ring, val = q_log(sigma_point(ring, p, 2), n_p, n_q)
+    out_ring, val = q_log(sigma_point(ring, p, 2))
     return out_ring.eq(val, h_element(out_ring)), val
 
 

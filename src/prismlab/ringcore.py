@@ -198,9 +198,6 @@ class IntRing(Ring):
     def mul_int(self, a, n):
         return a * n
 
-    def inv(self, a):
-        return a if a in (1, -1) else None
-
     def div_int_exact(self, a, n):
         q, r = divmod(a, n)
         return q if r == 0 else None
@@ -237,9 +234,6 @@ class RatRing(Ring):
 
     def is_zero(self, a):
         return not a
-
-    def pow(self, a, n):
-        return a ** n
 
     def inv(self, a):
         return 1 / Fraction(a) if a else None
@@ -961,31 +955,14 @@ class TruncSeries:
     def constant_term(self):
         return self.coefficient((0,) * len(self.variables))
 
-    def degree(self):
-        return max((sum(e) for e in self.coeffs), default=0)
-
     def low_order(self):
         """Smallest total degree with a nonzero coefficient; None if zero."""
         return min((sum(e) for e in self.coeffs), default=None)
-
-    def truncate(self, order):
-        return TruncSeries(self.ring, self.variables, self.coeffs, order)
 
     def map_coeffs(self, fn, ring=None):
         ring = ring or self.ring
         return TruncSeries(ring, self.variables,
                            {e: fn(c) for e, c in self.coeffs.items()}, self.order)
-
-    def extend_vars(self, variables):
-        variables = tuple(variables)
-        pos = [variables.index(v) for v in self.variables]
-        out = {}
-        for e, c in self.coeffs.items():
-            ne = [0] * len(variables)
-            for i, x in zip(pos, e):
-                ne[i] = x
-            out[tuple(ne)] = c
-        return TruncSeries(self.ring, variables, out, self.order)
 
     # --- arithmetic ---------------------------------------------------------
 

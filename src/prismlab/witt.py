@@ -680,15 +680,6 @@ class DeltaRing:
         self.p = p
         self.phi = phi
 
-    def verify(self, samples) -> None:
-        """Check phi(x) = x^p mod p on sample elements."""
-        r = self.ring
-        for x in samples:
-            diff = r.sub(self.phi(x), r.pow(x, self.p))
-            if r.div_int_exact(diff, self.p) is None:
-                raise NotADeltaRing("phi is not a Frobenius lift at %s"
-                                    % r.fmt(x))
-
 
 def joyal_lift(dr: DeltaRing, b, L: int) -> WittVector:
     """The unique delta-ring section of W(ring) -> ring, componentwise:
@@ -784,13 +775,6 @@ class BigWitt:
         r = self.ring
         return all(r.eq(self.coefficient(n), other.coefficient(n))
                    for n in range(1, self.N + 1))
-
-    def eq(self, other, N=None):
-        self._check(other)
-        N = N if N is not None else min(self.N, other.N)
-        r = self.ring
-        return all(r.eq(self.coefficient(n), other.coefficient(n))
-                   for n in range(1, N + 1))
 
     def to_series(self) -> TruncSeries:
         ts = {(0,): self.ring.one}

@@ -7,7 +7,9 @@ from prismlab.fgl import (
     f_pullback_h_law, h_law, inverse_series, multiplicative_law, n_series,
     phi_q_hom, rescale, scaling_map, specialize_deformation, verify_hom,
 )
-from prismlab.ringcore import ExactInt, QPoly, TruncSeries, h_element
+from prismlab.ringcore import (
+    ExactInt, QPoly, RingMismatch, TruncSeries, h_element,
+)
 
 
 def test_h_law_specializations():
@@ -24,6 +26,10 @@ def test_make_law_verifies_axioms():
     with pytest.raises(AxiomFailure) as err:
         FormalGroupLaw(bad)
     assert "unit" in str(err.value)
+    # a law is a series in ("z1", "z2") and nothing else
+    renamed = TruncSeries(Z, ("x", "y"), good.coeffs, 6)
+    with pytest.raises(RingMismatch):
+        FormalGroupLaw(renamed)
 
 
 def test_builtin_laws_axioms_order8():

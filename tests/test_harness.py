@@ -44,10 +44,10 @@ def test_select_by_prefix():
 
 
 def test_criteria_members_are_registered_suites():
-    ids = [sid for sid, _, _ in harness.SUITES]
+    ids = [sid for sid, _, _, _ in harness.SUITES]
     assert sorted(CRITERIA) == list(range(1, 13))
-    for num, members in CRITERIA.items():
-        assert members and len(set(members)) == len(members)
+    for num, (ref, members) in CRITERIA.items():
+        assert ref and members and len(set(members)) == len(members)
         assert set(members) <= set(ids), num
 
 
@@ -67,7 +67,8 @@ def fake_suites(monkeypatch):
         return suite
 
     monkeypatch.setattr(harness, "SUITES", [
-        (sid, ref, fake(sid)) for sid, ref, _ in harness.SUITES])
+        (sid, ref, fake(sid), params)
+        for sid, ref, _, params in harness.SUITES])
     return calls, behaviour
 
 
@@ -105,9 +106,9 @@ def test_each_member_suite_runs_once(fake_suites, suite):
     calls, _ = fake_suites
     report, code = run(SuiteConfig(suite=suite))
     assert code == 0
-    members = {sid for group in CRITERIA.values() for sid in group}
+    members = {sid for _, group in CRITERIA.values() for sid in group}
     expected = members if suite == "criteria" else {
-        sid for sid, _, _ in harness.SUITES}
+        sid for sid, _, _, _ in harness.SUITES}
     assert calls == {sid: 1 for sid in expected}
     ids = [c["id"] for c in report["checks"]]
     assert ids[-12:] == ["criteria.%d" % n for n in range(1, 13)]
@@ -185,7 +186,7 @@ def test_elapsed_is_each_checks_own_interval(monkeypatch):
             now[0] += seconds
             out.check(cid, True)
 
-    monkeypatch.setattr(harness, "SUITES", [("t", "-", timed)])
+    monkeypatch.setattr(harness, "SUITES", [("t", "-", timed, {})])
     report, code = run(SuiteConfig(suite="t"))
     assert code == 0
     assert [c["elapsed"] for c in report["checks"]] == [1.5, 0.25, 2.0]
@@ -204,9 +205,9 @@ def test_suite_config_validates():
 
 
 def test_every_suite_registers_once():
-    ids = [sid for sid, _, _ in harness.SUITES]
+    ids = [sid for sid, _, _, _ in harness.SUITES]
     assert len(ids) == len(set(ids)) == 43
-    for sid, ref, fn in harness.SUITES:
+    for sid, ref, fn, _ in harness.SUITES:
         assert fn.__name__.startswith("suite_") and ref
         assert getattr(harness, fn.__name__) is fn
 
@@ -276,7 +277,8 @@ def test_suites_run_with_their_params(monkeypatch):
         return suite
 
     monkeypatch.setattr(harness, "SUITES", [
-        (sid, ref, spy(sid)) for sid, ref, _ in harness.SUITES])
+        (sid, ref, spy(sid), params)
+        for sid, ref, _, params in harness.SUITES])
     report, _ = run(SuiteConfig(suite="qprism"))
     assert seen["qprism.q_log"] == dict(n_p=6, n_q=4, n_z=None, L=None,
                                         N_big=None)
@@ -384,14 +386,14 @@ def test_check_streams_independent():
     assert check_stream(1, "x").randrange(1 << 30) == a
 
 
-def run_cli(*args, **env):
+def run_cli(*args):
     # the child imports the same prismlab as this process, installed or not
     src = os.path.dirname(os.path.dirname(prismlab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "prismlab.harness", *args],
         capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=path, **env))
+        env=dict(os.environ, PYTHONPATH=path))
 
 
 def test_cli_smoke():
@@ -400,13 +402,6 @@ def test_cli_smoke():
     assert out.returncode == 0
     rep = json.loads(out.stdout)
     assert rep["failed"] == 0
-
-
-def test_cli_bad_env_seed():
-    out = run_cli("--suite", "fgl.deformation", PRISMLAB_SEED="abc")
-    assert out.returncode == 2
-    assert out.stderr == "error: PRISMLAB_SEED must be an integer\n"
-    assert out.stdout == ""
 
 
 def test_cli_unwritable_out(tmp_path):

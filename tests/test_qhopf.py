@@ -217,7 +217,7 @@ def test_b0_to_int_h():
     # c_n -> h^n C(u,n); t -> h u
     for n in range(4):
         img = b0_to_int_h(B0Elem.basis(n))
-        assert img == {n: IntPoly.basis(n)} if n else img == {0: IntPoly.from_int(1)}
+        assert img == {n: IntPoly.basis(n)} if n else img == {0: IntPoly((1,))}
     assert b0_to_int_h(B0Elem.t()) == {1: IntPoly.u()}
 
 

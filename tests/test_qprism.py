@@ -207,7 +207,7 @@ def test_q_log_of_sigma():
 def test_q_log_of_unit_point():
     ring = gq_ring(3, 4, 4)
     zero = GQPoint(zero_vector(ring, 3, 2), check=False)
-    out_ring, val = q_log(zero, 4, 4)
+    out_ring, val = q_log(zero)
     assert out_ring.is_zero(val)
 
 
@@ -217,9 +217,9 @@ def test_q_log_additive():
         ring = gq_ring(p, n_p, 4)
         for _ in range(5):
             a, b = sample_gq(ring, p, 2, rng), sample_gq(ring, p, 2, rng)
-            oring, vs = q_log(gq_op(a, b), n_p, 4)
-            _, va = q_log(a, n_p, 4)
-            _, vb = q_log(b, n_p, 4)
+            oring, vs = q_log(gq_op(a, b))
+            _, va = q_log(a)
+            _, vb = q_log(b)
             assert oring.eq(vs, oring.add(va, vb))
 
 
@@ -228,7 +228,7 @@ def test_q_log_precision_guard():
     ring = gq_ring(3, 2, 4)
     s = sigma_point(ring, 3, 2)
     with pytest.raises(TailNotStabilized):
-        q_log(s, 2, 4)
+        q_log(s)
 
 
 # --- unit action -----------------------------------------------------------------
