@@ -74,9 +74,6 @@ class PDElem:
         size = max(out, default=-1) + 1
         return PDElem(tuple(out.get(i, 0) for i in range(size)))
 
-    def scale(self, n: int) -> "PDElem":
-        return PDElem(tuple(n * c for c in self.coords))
-
     def __repr__(self):
         if not self.coords:
             return "0"

@@ -147,10 +147,6 @@ class B0Elem:
     def __mul__(self, other):
         return b0_mul(self, other)
 
-    def scale(self, c) -> "B0Elem":
-        """Multiply by a scalar in Q[h]."""
-        return B0Elem(tuple(QH.mul(c, x) for x in self.coords))
-
     def __pow__(self, n: int) -> "B0Elem":
         return _B0.pow(self, n)
 

@@ -406,7 +406,11 @@ class PolyQuotRing(Ring):
         return self._strip(coeffs)
 
     def make(self, coeffs) -> tuple:
-        """Element from an iterable of scalar coefficients, low degree first."""
+        """Element from an iterable of scalar coefficients, low degree first;
+        over Z/m each is taken into [0, m), as from_int does."""
+        if type(self.scalar) is IntModRing:
+            m = self.scalar.m
+            return self._reduce([c % m for c in coeffs])
         return self._reduce(list(coeffs))
 
     def make_ints(self, coeffs) -> tuple:

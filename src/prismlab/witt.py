@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_right
 from functools import lru_cache, reduce
-from operator import or_
+from operator import itemgetter, neg, or_
 
 from .ringcore import (
     IntModRing, IntRing, PrecisionExhausted, PrismlabError,
@@ -294,10 +295,13 @@ def ghost_combine(vectors, combine):
 # one int addition.  The width B is fixed by (p, L), not chosen: with a_i and
 # b_i of weight p^i, every polynomial the build forms is isobaric of weight
 # at most p^(L-1) in the a's and, separately, in the b's, so no exponent
-# exceeds p^(L-1).  B holds that bound plus a guard bit, so adding two
-# in-bound fields never carries.  Every product checks its operands' guard
-# bits and the unpacked exponents are checked against the bound, so an
-# overflow raises instead of corrupting a table.
+# exceeds p^(L-1).  B is that bound's bit length plus a guard bit, rounded
+# up to whole bytes, so a field is one byte in every table up to p^(L-1) =
+# 127 and unpacks with one int.to_bytes per monomial.  The guard bit is the
+# top bit of each field: an in-bound field stays below it, so adding two
+# never carries into the next field.  Every product checks its operands'
+# guard bits and the unpacked exponents are checked against the bound, so
+# an overflow raises instead of corrupting a table.
 
 # (op, p, L) -> (polynomials, their compiled evaluators or None)
 _universal_cache: dict = {}
@@ -390,7 +394,18 @@ def _pk_solve_ghosts(p, ghosts, guard) -> list:
 
 
 def _pk_unpack(poly: dict, nvars: int, width: int, bound: int) -> dict:
-    """{exponent tuple: coefficient}; raises if an exponent exceeds bound."""
+    """{exponent tuple: coefficient}; raises if an exponent exceeds bound
+    or a monomial has bits above its nvars fields."""
+    if width == 8:
+        try:
+            keys = [e.to_bytes(nvars, "little") for e in poly]
+        except OverflowError:
+            keys = None
+        if keys is None or max(b"".join(keys), default=0) > bound:
+            e = next(e for e in poly if e >> (nvars * 8)
+                     or max(e.to_bytes(nvars, "little")) > bound)
+            raise PrismlabError("packed exponent %#x exceeds %d" % (e, bound))
+        return dict(zip(map(tuple, keys), poly.values()))
     mask = (1 << width) - 1
     out = {}
     for e, c in poly.items():
@@ -403,7 +418,7 @@ def _pk_unpack(poly: dict, nvars: int, width: int, bound: int) -> dict:
 
 def _build_universal(op: str, p: int, L: int) -> tuple:
     bound = p ** (L - 1) if L else 1
-    width = bound.bit_length() + 1
+    width = -(-(bound.bit_length() + 1) // 8) * 8
     guard = sum(1 << (i * width + width - 1) for i in range(2 * L))
     avars = tuple("a%d" % i for i in range(L))
     if op in ("add", "mul"):
@@ -491,14 +506,17 @@ def witt_universal(op: str, p: int, L: int):
 def _table_evaluators(op: str, p: int, L: int) -> list:
     """The compiled evaluators of the components of a memoized table,
     compiled under the table's lock the first time an evaluation over Z or
-    Z/m asks for them and kept with the polynomials in _universal_cache."""
+    Z/m asks for them and kept with the polynomials in _universal_cache.
+    A product table's evaluators nest its a's outside its b's
+    (_horner_source's split)."""
     key = (op, p, L)
     polys, evaluators = _universal_cache[key]
     if evaluators is None:
         with _universal_locks[key]:
             polys, evaluators = _universal_cache[key]
             if evaluators is None:
-                evaluators = [_compile_int_poly(s) for s in polys]
+                evaluators = [_compile_int_poly(s, op == "mul")
+                              for s in polys]
                 _universal_cache[key] = (polys, evaluators)
     return evaluators
 
@@ -508,68 +526,95 @@ def _table_evaluators(op: str, p: int, L: int) -> list:
 _HORNER_DEPTH = 64
 
 
-def _horner_source(poly: TruncSeries, maxdeg: list) -> str:
+def _horner_source(poly: TruncSeries, maxdeg: list,
+                   split: bool = False) -> str:
     """Source of _f(_p0, _p1, ...) computing poly in nested Horner form from
     one power table _pi per variable: the terms are grouped by the exponent
     of the outer variable, each group's cofactor is a polynomial in the
     remaining variables, and a gap between two exponents is one factor
-    _pi[gap], bound once to a local.  The variables nest by falling degree.
-    In a table a_i and b_i both have degree p^(n-i) in component n, so the
-    order interleaves them, a0, b0, a1, b1, ...: the outer levels split on
-    the variables with the most distinct exponents, and the cofactors
-    inside stay few and small."""
+    _pi[gap], bound once to a local.  The variables nest by falling degree,
+    and with split the first half of them (a table's a's) nest outside the
+    second (its b's), each half by falling degree.  In a table a_i and b_i
+    both have degree p^(n-i) in component n.  An addition component is
+    isobaric in the a's and b's together, so the order interleaves them,
+    a0, b0, a1, b1, ...: the outer levels split on the variables with the
+    most distinct exponents, and the cofactors inside stay few and small.
+    A product component is isobaric in the a's and, separately, in the b's
+    (_table_evaluators splits it), so its a-monomials are few (82 at p=5,
+    L=4): with the a's outside, the outer levels run over them and each
+    carries one polynomial in the b's, which the interleaved order would
+    cut apart at every level of an a.  Each order measured the faster, to
+    emit, compile and call, on its own kind of table."""
     nv = len(maxdeg)
-    order = sorted(range(nv), key=lambda i: -maxdeg[i])
-    terms = sorted(((tuple(e[i] for i in order), c)
-                    for e, c in poly.coeffs.items()), reverse=True)
-    powers: set = set()
+    order = sorted(range(nv),
+                   key=lambda i: (split and 2 * i >= nv, -maxdeg[i]))
+    perm = itemgetter(*order) if nv > 1 else tuple
+    coeffs = poly.coeffs
+    coeff = dict(zip(map(perm, coeffs), coeffs.values()))
+    terms = sorted(coeff, reverse=True)
+    # within a run of terms that agree before level d, column d falls, so
+    # the run of one exponent at d ends where bisecting the negated column
+    # puts it
+    cols = list(zip(*terms))
+    # names[d][x] is the local that holds variable order[d] to the power x,
+    # named once; used[d] collects the x the body refers to
+    names = [["_x%d_%d" % (i, x) for x in range(maxdeg[i] + 1)]
+             for i in order]
+    used = [set() for _ in order]
     hoisted: list = []
-
-    def power(d, x):
-        powers.add((order[d], x))
-        return "_x%d_%d" % (order[d], x)
 
     def emit(lo, hi, d):
         # (expression, parenthesis depth) for the sum of terms[lo:hi]
         if hi - lo == 1:
-            e, c = terms[lo]
-            factors = [power(k, e[k]) for k in range(d, nv) if e[k]]
+            e = terms[lo]
+            c = coeff[e]
+            factors = []
+            for k in range(d, nv):
+                x = e[k]
+                if x:
+                    used[k].add(x)
+                    factors.append(names[k][x])
             return "*".join(factors if c == 1 and factors
                             else [repr(c)] + factors), 0
+        col, name, use = cols[d], names[d], used[d]
         out = depth = prev = None
         while lo < hi:
-            x = terms[lo][0][d]
-            mid = lo + 1
-            while mid < hi and terms[mid][0][d] == x:
-                mid += 1
+            x = col[lo]
+            mid = bisect_right(col, -x, lo + 1, hi, key=neg)
             inner, idepth = emit(lo, mid, d + 1)
             if out is None:
                 out, depth = inner, idepth
             else:
-                out = "%s+%s*(%s)" % (inner, power(d, prev - x), out)
+                use.add(prev - x)
+                out = "%s+%s*(%s)" % (inner, name[prev - x], out)
                 depth = max(idepth, depth + 1)
             if depth >= _HORNER_DEPTH:
                 hoisted.append("    _t%d = %s" % (len(hoisted), out))
                 out, depth = "_t%d" % (len(hoisted) - 1), 0
             prev, lo = x, mid
         if prev:
-            return "%s*(%s)" % (power(d, prev), out), depth + 1
+            use.add(prev)
+            return "%s*(%s)" % (name[prev], out), depth + 1
         return out, depth
 
     body = emit(0, len(terms), 0)[0] if terms else "0"
+    del cols, coeff, terms, names
+    powers = sorted((i, x) for i, use in zip(order, used) for x in use)
     return "\n".join(
         ["def _f(%s):" % ", ".join("_p%d" % i for i in range(nv))]
-        + ["    _x%d_%d = _p%d[%d]" % (i, x, i, x) for i, x in sorted(powers)]
+        + ["    _x%d_%d = _p%d[%d]" % (i, x, i, x) for i, x in powers]
         + hoisted + ["    return " + body])
 
 
-def _compile_int_poly(poly: TruncSeries):
+def _compile_int_poly(poly: TruncSeries, split: bool = False):
     """The plain-int evaluator of an integer polynomial, a function of one
-    power table per variable, with the table lengths it needs."""
-    nv = len(poly.variables)
-    maxdeg = [max((e[i] for e in poly.coeffs), default=0) for i in range(nv)]
+    power table per variable, with the table lengths it needs; split is
+    _horner_source's."""
+    maxdeg = (list(map(max, zip(*poly.coeffs))) if poly.coeffs
+              else [0] * len(poly.variables))
     ns: dict = {}
-    exec(_horner_source(poly, maxdeg), ns)  # noqa: S102 - from a trusted table
+    source = _horner_source(poly, maxdeg, split)
+    exec(source, ns)  # noqa: S102 - from a trusted table
     return ns["_f"], maxdeg
 
 

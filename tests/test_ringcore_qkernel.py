@@ -234,6 +234,18 @@ def test_horner_subst_matches_term_by_term(name, a, value):
     assert repr(got) == repr(term_by_term(ring, a, value))
 
 
+def test_make_over_z_mod_m_takes_each_coefficient_mod_m():
+    """make over Z/81 gives the element make_ints gives, so Horner's rule,
+    which passes the constant term through at zero, stays canonical."""
+    ring = QSeriesRing(4, p=3, n_p=4)
+    a = ring.make([-1, 0, 5])
+    assert a == ring.make_ints([-1, 0, 5]) == (80, 0, 5)
+    assert ring.make([81, -162]) == ()
+    assert ring.subst(a, ring.zero) == (80,)
+    for value in (ring.zero, ring.one, ring.make([-2, 7]), ring.make([0, -1])):
+        assert ring.subst(a, value) == term_by_term(ring, a, value)
+
+
 def test_subst_at_a_nonzero_constant_is_the_value():
     f = QH.make([Fraction(1, 2), Fraction(-3), 0, Fraction(5, 7)])
     for x in (Fraction(2), Fraction(-1, 3)):

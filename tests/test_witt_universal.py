@@ -131,7 +131,8 @@ def test_horner_evaluator_edge_polynomials(coeffs):
     Z, R = ExactInt(), ModP(3, 4)
     nv = len(next(iter(coeffs), (0, 0)))
     poly = TruncSeries(Z, ("x", "y")[:nv], coeffs, None)
-    for f in (witt._compile_int_poly(poly), None):
+    for f in (witt._compile_int_poly(poly), witt._compile_int_poly(poly, True),
+              None):
         for values in ([0] * nv, [1] * nv, [-3, 2][:nv], [7, -1][:nv]):
             assert eval_int_poly(poly, Z, values, f) == \
                 direct_eval(poly, values)
@@ -242,6 +243,54 @@ def test_packed_exponent_overflow_raises():
     with pytest.raises(PrismlabError):
         witt._pk_mul({4: 1}, {1: 1}, 0b100100)
     assert witt._pk_unpack({3 | 2 << 3: 5}, 2, 3, 3) == {(3, 2): 5}
+
+
+def test_byte_wide_packed_exponent_overflow_raises():
+    # width 8, the width of every table up to p^(L-1) = 127: the byte path
+    # of _pk_unpack, with the guard bit 0x80 at the top of each field
+    assert witt._pk_unpack({125 | 3 << 8: 7, 1 << 8: -2}, 2, 8, 125) == \
+        {(125, 3): 7, (0, 1): -2}
+    for packed in (126, 126 << 8, 3 | 127 << 8, 0x80):
+        with pytest.raises(PrismlabError):
+            witt._pk_unpack({1: 1, packed: 1}, 2, 8, 125)
+    for packed in (1 << 16, 5 | 1 << 23, 1 << 40):
+        with pytest.raises(PrismlabError):
+            witt._pk_unpack({packed: 1}, 2, 8, 125)
+    for operand in (0x80, 0x8000, 0xff, 1 | 0x80 << 8):
+        with pytest.raises(PrismlabError):
+            witt._pk_mul({operand: 1}, {1: 1}, 0x8080)
+        with pytest.raises(PrismlabError):
+            witt._pk_mul({1: 1}, {operand: 1}, 0x8080)
+    assert witt._pk_mul({0x7f: 2}, {0x7f << 8: 3}, 0x8080) == {0x7f7f: 6}
+    assert witt._pk_mul({0x7f: 1}, {0x7f: 1}, 0x8080) == {0xfe: 1}
+
+
+def test_products_nest_the_as_outside_the_bs(monkeypatch):
+    """Only the product tables split their variables, a's outside b's;
+    the order changes the source, not the value."""
+    Z = ExactInt()
+    poly = TruncSeries(Z, ("a0", "b0"), {(1, 1): 1, (1, 0): 1, (0, 2): 1},
+                       None)
+    # by falling degree b0 nests outside a0; split, a0 nests outside b0
+    assert witt._horner_source(poly, [1, 2]).endswith(
+        "return _x0_1+_x1_1*(_x0_1+_x1_1*(1))")
+    assert witt._horner_source(poly, [1, 2], True).endswith(
+        "return _x1_2+_x0_1*(1+_x1_1*(1))")
+    monkeypatch.setattr(witt, "_universal_cache", {})
+    monkeypatch.setattr(witt, "_universal_locks", {})
+    real = witt._compile_int_poly
+    splits = {}
+
+    def compile_int_poly(poly, split=False):
+        splits.setdefault(op, set()).add(split)
+        return real(poly, split)
+
+    monkeypatch.setattr(witt, "_compile_int_poly", compile_int_poly)
+    for op in ("add", "mul", "neg", "frobenius"):
+        witt.witt_universal(op, 3, 3)
+        witt._table_evaluators(op, 3, 3)
+    assert splits == {"add": {False}, "mul": {True}, "neg": {False},
+                      "frobenius": {False}}
 
 
 @pytest.mark.parametrize("op,p,L,bound", [
