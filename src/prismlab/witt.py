@@ -598,6 +598,7 @@ def _horner_source(poly: TruncSeries, maxdeg: list,
         return out, depth
 
     body = emit(0, len(terms), 0)[0] if terms else "0"
+    # free the emission tables before the source is joined
     del cols, coeff, terms, names
     powers = sorted((i, x) for i, use in zip(order, used) for x in use)
     return "\n".join(
