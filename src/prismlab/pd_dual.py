@@ -17,7 +17,8 @@ from fractions import Fraction
 from .intpoly import binom_poly, gen_binom
 from .ringcore import (
     CyclotomicRing, IntRing, PolyQuotRing, PrismlabError, RatRing,
-    TruncSeries, padic_log, q_element, series_exp,
+    TruncSeries, _kronecker_mul, _numerators, padic_log, q_element,
+    series_exp,
 )
 
 
@@ -63,16 +64,7 @@ class PDElem:
         return self + (-other)
 
     def __mul__(self, other):
-        out: dict = {}
-        for m, a in enumerate(self.coords):
-            if not a:
-                continue
-            for n, b in enumerate(other.coords):
-                if b:
-                    k = m + n
-                    out[k] = out.get(k, 0) + a * b * math.comb(k, n)
-        size = max(out, default=-1) + 1
-        return PDElem(tuple(out.get(i, 0) for i in range(size)))
+        return PDElem(tuple(_binomial_convolution(self.coords, other.coords)))
 
     def __repr__(self):
         if not self.coords:
@@ -84,6 +76,37 @@ class PDElem:
                 parts.append(base if c == 1 and n else
                              str(c) if n == 0 else "%d*%s" % (c, base))
         return " + ".join(parts)
+
+
+def _binomial_convolution(a, b, size: int | None = None) -> list:
+    """c_k = sum_{m+n=k} a_m b_n C(k, n) for k < size (all k when size is
+    None): the product of gamma- and of e-coordinates.  With M and N the
+    last indices of a and b, A_m = a_m M!/m! and B_n = b_n N!/n! are
+    integers with (AB)_k = sum a_m b_n M! N! / (m! n!), so one Kronecker
+    product AB and the exact divisions c_k = k! (AB)_k / (M! N!) give
+    every c_k."""
+    if size is not None:
+        a, b = a[:size], b[:size]
+    if not a or not b:
+        return []
+    prod = _kronecker_mul(_by_falling_factorial(a), _by_falling_factorial(b))
+    den = math.factorial(len(a) - 1) * math.factorial(len(b) - 1)
+    out, fact = [], 1
+    for k, c in enumerate(prod[:size]):
+        if k:
+            fact *= k
+        out.append(fact * c // den)
+    return out
+
+
+def _by_falling_factorial(coords) -> list:
+    """[c_m M!/m!] for the coordinates c_0..c_M."""
+    out, f = list(coords), 1
+    for m in range(len(out) - 1, 0, -1):
+        out[m] *= f
+        f *= m
+    out[0] *= f
+    return out
 
 
 def pd_normalize(series) -> PDElem:
@@ -120,14 +143,8 @@ class DistrElem:
 
     def __mul__(self, other):
         order = min(self.order, other.order)
-        out = [0] * (order + 1)
-        for m, a in enumerate(self.coords):
-            if not a or m > order:
-                continue
-            for n, b in enumerate(other.coords):
-                if b and m + n <= order:
-                    out[m + n] += a * b * math.comb(m + n, n)
-        return DistrElem(tuple(out), order)
+        out = _binomial_convolution(self.coords, other.coords, order + 1)
+        return DistrElem(tuple(out + [0] * (order + 1 - len(out))), order)
 
     def __eq__(self, other):
         if not isinstance(other, DistrElem):
@@ -141,9 +158,13 @@ class DistrElem:
 
 def delta_to_e(m: int, order: int = 12) -> DistrElem:
     """delta_m = sum_n C(m,n) n! e_n, valid for every integer m (negative m
-    is the truncated expansion of delta_1^{-1})."""
-    return DistrElem(tuple(gen_binom(m, n) * math.factorial(n)
-                           for n in range(order + 1)), order)
+    is the truncated expansion of delta_1^{-1}); C(m,n) n! is the falling
+    factorial m (m-1) ... (m-n+1)."""
+    coords, f = [], 1
+    for n in range(order + 1):
+        coords.append(f)
+        f *= m - n
+    return DistrElem(tuple(coords), order)
 
 
 def distr_mul(a: DistrElem, b: DistrElem) -> DistrElem:
@@ -293,33 +314,47 @@ def gsharp_comparison(p: int, max_degree: int, trials: int, rng) -> dict:
         except ReductionFailure as err:
             report["failures"].append(str(err))
             continue
-        back = [Fraction(0)] * (max_degree + 1)
-        for n, c in coords.items():
+        # the round trip on integers: D f = sum (D c_n) basis[n], with D the
+        # common denominator of the c_n
+        nums, den = _numerators(list(coords.values()))
+        back = [0] * (max_degree + 1)
+        for n, c in zip(coords, nums):
             for i, v in enumerate(basis[n].coords):
                 back[i] += c * v
-        if any(back[i] != f.coord(i) for i in range(max_degree + 1)):
+        if any(back[i] != den * f.coord(i) for i in range(max_degree + 1)):
             report["failures"].append("roundtrip mismatch for %r" % (f,))
     return report
 
 
 def reduce_against_basis(f: PDElem, basis: dict, p: int) -> dict:
-    """Triangular reduction on the top degree; coefficients must be
-    p-integral rationals (here the random integer inputs make them integers
-    whenever the proposition holds)."""
+    """The coefficients c_n with f = sum c_n basis[n], by triangular
+    reduction on the top degree; each must be p-integral.  They need not be
+    integers: at p = 2 random integer inputs give denominators such as 25,
+    63 and 10395, all odd.
+
+    The reduction runs on M f, with M the product of the leading
+    coordinates of basis[0..deg f]: the residual after the steps down to
+    degree n has denominators dividing the leads above n, so the scaled
+    residual stays integral and each step's M c_n is an exact quotient by
+    the lead at n; a remainder raises ReductionFailure.  Each c_n is the
+    one Fraction (M c_n) / M."""
     coords: dict = {}
-    residual = [Fraction(c) for c in f.coords]
-    while residual and residual[-1] == 0:
-        residual.pop()
+    scale = math.prod(basis[n].coord(n) for n in range(len(f.coords)))
+    residual = [scale * c for c in f.coords]
     while residual:
         n = len(residual) - 1
-        lead_b = basis[n].coord(n)
-        c = residual[n] / lead_b
+        q, r = divmod(residual[n], basis[n].coord(n))
+        if r:
+            raise ReductionFailure(
+                "coefficient %s at degree %d is not an exact quotient"
+                % (Fraction(residual[n], scale * basis[n].coord(n)), n))
+        c = Fraction(q, scale)
         if c.denominator % p == 0:
             raise ReductionFailure(
                 "coefficient %s at degree %d is not p-integral" % (c, n))
         coords[n] = c
         for i, v in enumerate(basis[n].coords):
-            residual[i] -= c * v
+            residual[i] -= q * v
         while residual and residual[-1] == 0:
             residual.pop()
         if len(residual) - 1 >= n and residual:

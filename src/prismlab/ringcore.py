@@ -8,6 +8,7 @@ rings are stateless and freely shareable across threads.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -324,17 +325,23 @@ class PolyQuotRing(Ring):
     with trailing zeros stripped.  modulus is a monic integer polynomial
     given by its coefficient tuple; None means no reduction.
 
-    Over Fraction scalars (Q[x], Q[x]/(modulus), and Q[h][t] or
-    Q[h]/(h^N)[t]) mul is an integer kernel that __init__ binds to the
-    instance.  Over Q[x] and Q[x]/(modulus) a constant or monomial operand
-    c x^k makes mul a shift and scaling of the other operand, and add is
-    bound too, adding two integral coefficients as integers; over Q[x] so
-    is pow, one big-integer power of the packed numerators.  Every other ring
-    multiplies by the class method, the schoolbook, adds in one pass
-    through the scalar ring's add and raises powers by square-and-multiply.
-    Elements stay tuples of Fractions over Q: the integer work happens
-    inside each operation, with one Fraction per coefficient of its
-    result.  subst evaluates by Horner's rule on every ring.
+    Over Z (Z[x] and Z[x]/(modulus)) mul is one Kronecker product that
+    __init__ binds to the instance, and a modulus that is not a monomial
+    x^N binds an integer _reduce, which folds each coefficient above the
+    degree through the modulus's nonzero terms with plain operators.  Over
+    Fraction scalars (Q[x], Q[x]/(modulus), and Q[h][t] or Q[h]/(h^N)[t])
+    mul is an integer kernel bound the same way, reducing in the twin over
+    Z.  Over Q[x] and Q[x]/(modulus) a constant or monomial operand c x^k
+    makes mul a shift and scaling of the other operand, and add is bound
+    too, adding two integral coefficients as integers; over Q[x] so is pow,
+    one big-integer power of the packed numerators.  Every other ring (over
+    Z/m, or over another polynomial ring over Z) multiplies by the class
+    method, the schoolbook, and reduces through the scalar ring.  The rings
+    not over Q add in one pass through the scalar ring's add, and every
+    ring but Q[x] raises powers by square-and-multiply.  Elements stay tuples of Fractions over Q: the
+    integer work happens inside each operation, with one Fraction per
+    coefficient of its result.  subst evaluates by Horner's rule on every
+    ring.
     """
 
     zero = ()
@@ -353,9 +360,15 @@ class PolyQuotRing(Ring):
             self._monomial = not any(self.modulus[:-1])
             if self._monomial:
                 self._reduce = self._truncate
+            elif type(scalar) is IntRing:
+                self._top_terms = tuple((j, t) for j, t in enumerate(self._top)
+                                        if t)
+                self._reduce = self._reduce_int
         else:
             self.deg = None
-        if type(scalar) is RatRing:
+        if type(scalar) is IntRing:
+            self.mul = self._mul_int
+        elif type(scalar) is RatRing:
             # integer products are reduced in this twin, then divided once
             self._int_twin = PolyQuotRing(IntRing(), self.modulus, var)
             self.mul = self._mul_rat
@@ -399,6 +412,22 @@ class PolyQuotRing(Ring):
                     coeffs[i - d + j] = s.add(coeffs[i - d + j], s.mul(c, t))
             coeffs.pop()
         return self._strip(coeffs)
+
+    def _reduce_int(self, coeffs: list) -> tuple:
+        """_reduce over Z for a modulus that is not a monomial, bound in
+        __init__: each coefficient above the degree folds into those below
+        it through the nonzero terms of x^deg = -(m_0 + m_1 x + ...), on
+        plain integers."""
+        d = self.deg
+        terms = self._top_terms
+        for i in range(len(coeffs) - 1, d - 1, -1):
+            c = coeffs.pop()
+            if c:
+                for j, t in terms:
+                    coeffs[i - d + j] += c * t
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        return tuple(coeffs)
 
     def _truncate(self, coeffs: list) -> tuple:
         """_reduce for a modulus x^deg, bound in __init__: x^deg = 0."""
@@ -459,6 +488,13 @@ class PolyQuotRing(Ring):
     def mul_int(self, a, n):
         s = self.scalar
         return self._strip([s.mul_int(c, n) for c in a])
+
+    def _mul_int(self, a, b):
+        """mul over Z, Z[x]/(modulus) included: one Kronecker product of the
+        coefficient tuples, then the reduction."""
+        if not a or not b:
+            return ()
+        return self._reduce(_kronecker_mul(a, b))
 
     def _add_rat(self, a, b):
         """add over Q: two integral coefficients add as integers, the rest
@@ -658,9 +694,12 @@ def _kronecker_mul(a: list, b: list) -> list:
 
 
 # Packing and unpacking by shifts copy the growing integer once per
-# coefficient, quadratic in the length; but over 85 % of the products this
-# library forms have at most 17 coefficients, and on all of them together
-# the shifts take about 55 % of the time of a linear path through bytes.
+# coefficient, quadratic in the length; but most products this library
+# forms have at most 17 coefficients: 84 % of the 14,474 of the verify_cli
+# benchmark's suites at their calls per round, 94 % of a qdeform round's
+# 2,496 and 87 % of the 10,885 of `verify --suite all --trials 1`.  On all
+# of them together the shifts take about 70 % of the time of a linear path
+# through bytes (half of it up to 17 coefficients, as much above).
 
 
 def _pack(coeffs: list, w: int) -> int:
@@ -686,33 +725,32 @@ def _unpack(x: int, w: int, n: int) -> list:
     return out
 
 
-def _int_series_mul(a: dict, b: dict, nvars: int, order) -> dict:
-    """The product of two series over Z, {exponents: coefficient}, by one
-    Kronecker product.  The monomial with exponents e goes to slot
-    sum e_i R_i with mixed-radix strides R_0 = 1, R_(i+1) = R_i s_i, where
-    s_i is one more than the largest i-th exponent in a plus that in b, so
-    adding slots adds exponents without a carry from one variable into the
-    next.  The strides come from the operands, not from order: an operand
-    of order None may carry exponents above the other one's order.  Terms
-    of total degree above order are dropped."""
+def _int_series_mul(a: dict, b: dict, order):
+    """The product of two series over Z, {exponents: coefficient}, with no
+    zero coefficient and no term of total degree above order, by one
+    Kronecker product; None when the operands are too sparse for it.
+
+    Each operand fills the box of exponents 0 <= e_i < s_i, where s_i is one
+    more than the largest i-th exponent in a plus that in b, so adding slots
+    adds exponents without a carry from one variable into the next.  The
+    strides come from the operands, not from order: an operand of order
+    None may carry exponents above the other one's order.  A box with more
+    slots than there are pairs of terms would pack and unpack mostly zeros,
+    so then the caller multiplies term by term.  Otherwise the monomial
+    with exponents e goes to slot sum e_i R_i, with the last variable
+    running fastest (R_(n-1) = 1, R_i = R_(i+1) s_(i+1)), so the slots of
+    the product come out in the order of itertools.product over the box."""
     if not a or not b:
         return {}
-    sizes = tuple(max(e[i] for e in a) + max(e[i] for e in b) + 1
-                  for i in range(nvars))
-    radices = [math.prod(sizes[:i]) for i in range(nvars)]
+    sizes = [x + y + 1 for x, y in zip(map(max, zip(*a)), map(max, zip(*b)))]
+    if math.prod(sizes) > len(a) * len(b):
+        return None
+    radices = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
     prod = _kronecker_mul(_dense(a, radices), _dense(b, radices))
-    radices.reverse()
-    out = {}
-    for slot, c in enumerate(prod):
-        if c:
-            e = []
-            for radix in radices:
-                x, slot = divmod(slot, radix)
-                e.append(x)
-            e.reverse()
-            if order is None or sum(e) <= order:
-                out[tuple(e)] = c
-    return out
+    slots = zip(itertools.product(*map(range, sizes)), prod)
+    if order is None:
+        return {e: c for e, c in slots if c}
+    return {e: c for e, c in slots if c and sum(e) <= order}
 
 
 def _dense(terms: dict, radices: list) -> list:
@@ -915,6 +953,15 @@ class TruncSeries:
     # --- constructors -----------------------------------------------------
 
     @classmethod
+    def _reduced(cls, ring, variables: tuple, coeffs: dict, order):
+        """A series from coefficients already free of zeros and of terms
+        above order, kept as they are."""
+        self = cls.__new__(cls)
+        self.ring, self.variables, self.coeffs, self.order = (
+            ring, variables, coeffs, order)
+        return self
+
+    @classmethod
     def zero(cls, ring, variables, order):
         return cls(ring, variables, {}, order)
 
@@ -989,10 +1036,9 @@ class TruncSeries:
         order = self._join_order(other)
         r = self.ring
         if type(r) is IntRing:
-            return TruncSeries(r, self.variables,
-                               _int_series_mul(self.coeffs, other.coeffs,
-                                               len(self.variables), order),
-                               order)
+            coeffs = _int_series_mul(self.coeffs, other.coeffs, order)
+            if coeffs is not None:
+                return TruncSeries._reduced(r, self.variables, coeffs, order)
         out = {}
         for e1, c1 in self.coeffs.items():
             d1 = sum(e1)

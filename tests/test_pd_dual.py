@@ -3,11 +3,13 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import example, given, settings, strategies as st
 
 from prismlab import pd_dual
 from prismlab.intpoly import gen_binom
 from prismlab.pd_dual import (
-    DistrElem, NotPD, PDElem, delta_to_e, distr_mul, gsharp_comparison,
+    DistrElem, NotPD, PDElem, ReductionFailure, _gsharp_basis_elem,
+    _gamma_op, delta_to_e, distr_mul, gsharp_comparison,
     log_and_pairing_check, log_mu_p_vanishes, log_pd, log_sharp_power,
     mu_p_pd_check,
     pair_distr, pair_xu, pd_normalize, rescaled_section, stirling_first,
@@ -132,7 +134,7 @@ def test_rescaled_section():
 
 def test_gsharp_reduction_example_p2():
     # gamma_2(t) = z - t
-    from prismlab.pd_dual import _gsharp_basis_elem, reduce_against_basis
+    from prismlab.pd_dual import reduce_against_basis
     z = rescaled_section(2)
     basis = {0: PDElem.from_int(1), 1: PDElem.gamma(1), 2: z}
     coords = reduce_against_basis(PDElem.gamma(2), basis, 2)
@@ -215,3 +217,128 @@ def test_pair_distr_matches_fraction_sum():
     f = PDElem((2, 1, 1, 1))
     assert pair_distr(d, f) == old_pair_distr(d, f) == Fraction(8, 3)
     assert pair_distr(DistrElem((), 0), f) == 0
+
+
+# --- the binomial convolution and the scaled reduction against oracles -----
+
+
+def comb_product(a, b, top=None):
+    """c_k = sum a_m b_n C(m + n, n), one pair of coordinates at a time, for
+    k <= top (every k when top is None)."""
+    out = {}
+    for m, x in enumerate(a):
+        for n, y in enumerate(b):
+            if top is None or m + n <= top:
+                out[m + n] = out.get(m + n, 0) + x * y * math.comb(m + n, n)
+    size = max(out, default=-1) + 1 if top is None else top + 1
+    return tuple(out.get(k, 0) for k in range(size))
+
+
+coordinates = st.lists(st.integers(-10 ** 25, 10 ** 25) | st.integers(-5, 5),
+                       max_size=16)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=coordinates, b=coordinates)
+@example(a=[], b=[1, 2])
+@example(a=[0, 0, 0], b=[7])
+@example(a=[1] + [0] * 20, b=[0] * 20 + [1])
+@example(a=[-1] * 16, b=[10 ** 25] * 16)
+def test_pd_product_matches_comb_double_loop(a, b):
+    got = PDElem(tuple(a)) * PDElem(tuple(b))
+    assert got == PDElem(comb_product(a, b))
+    assert all(type(c) is int for c in got.coords)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=coordinates, b=coordinates, order_a=st.integers(0, 20),
+       order_b=st.integers(0, 20))
+@example(a=[], b=[], order_a=0, order_b=3)
+@example(a=[1, 2, 3, 4, 5], b=[5, 4, 3], order_a=2, order_b=9)
+def test_distr_product_matches_comb_double_loop(a, b, order_a, order_b):
+    # coordinates past an operand's order are kept and must not leak in
+    got = DistrElem(tuple(a), order_a) * DistrElem(tuple(b), order_b)
+    order = min(order_a, order_b)
+    assert got.order == order
+    assert got.coords == comb_product(a, b, order)
+
+
+def test_delta_to_e_is_gen_binom_times_factorial():
+    for m in range(-12, 13):
+        for order in range(16):
+            assert delta_to_e(m, order).coords == tuple(
+                gen_binom(m, n) * math.factorial(n) for n in range(order + 1))
+
+
+def fraction_reduction(f, basis, p):
+    """The reduction on Fractions, one coordinate at a time: the reference
+    for the scaled integer reduction."""
+    coords = {}
+    residual = [Fraction(c) for c in f.coords]
+    while residual:
+        n = len(residual) - 1
+        c = residual[n] / basis[n].coord(n)
+        assert c.denominator % p
+        coords[n] = c
+        for i, v in enumerate(basis[n].coords):
+            residual[i] -= c * v
+        while residual and residual[-1] == 0:
+            residual.pop()
+    return coords
+
+
+def gsharp_basis(p, max_degree=12):
+    z_iter = [rescaled_section(p)]
+    while p ** len(z_iter) <= max_degree:
+        z_iter.append(_gamma_op(z_iter[-1], p))
+    return {n: _gsharp_basis_elem(n, p, z_iter) for n in range(max_degree + 1)}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_reduction_matches_fraction_reference(p):
+    from prismlab.pd_dual import reduce_against_basis
+    basis = gsharp_basis(p)
+    rng = random.Random(p)
+    denominators = set()
+    for _ in range(40):
+        size = rng.randrange(14)
+        f = PDElem(tuple(rng.randrange(-9, 10) for _ in range(size)))
+        got = reduce_against_basis(f, basis, p)
+        assert got == fraction_reduction(f, basis, p)
+        assert list(got) == list(fraction_reduction(f, basis, p))
+        denominators |= {c.denominator for c in got.values()}
+    # p-integral, not integral: at p = 2 the denominators are odd numbers
+    # such as 25, 63 and 10395
+    assert max(denominators) > 1
+
+
+def test_reduction_refuses_what_is_not_p_integral_or_exact(monkeypatch):
+    from prismlab.pd_dual import reduce_against_basis
+    basis = {0: PDElem((1,)), 1: PDElem((0, 3))}
+    assert reduce_against_basis(PDElem((0, 1)), basis, 2) == {1: Fraction(1, 3)}
+    with pytest.raises(ReductionFailure, match="not p-integral"):
+        reduce_against_basis(PDElem((0, 1)), basis, 3)
+    with pytest.raises(ReductionFailure, match="degree 0 is not p-integral"):
+        reduce_against_basis(PDElem((1,)), {0: PDElem((2,))}, 2)
+    # a scale that does not clear the lead leaves a remainder, which raises
+    # instead of being floored away
+    monkeypatch.setattr(pd_dual.math, "prod", lambda leads: 1)
+    with pytest.raises(ReductionFailure, match="not an exact quotient"):
+        reduce_against_basis(PDElem((0, 1)), basis, 2)
+
+
+def test_gsharp_round_trip_catches_a_wrong_coefficient(monkeypatch):
+    # the integer round trip is as strict as the Fraction one: one
+    # coefficient moved by 1/M shows as a mismatch
+    good = pd_dual.reduce_against_basis
+
+    def off(f, basis, p):
+        coords = good(f, basis, p)
+        n = max(coords)
+        coords[n] += Fraction(1, 10 ** 9 + 7)
+        return coords
+
+    monkeypatch.setattr(pd_dual, "reduce_against_basis", off)
+    rep = gsharp_comparison(3, 12, 5, random.Random(4))
+    assert len(rep["failures"]) == 5
+    assert all(f.startswith("roundtrip mismatch") for f in rep["failures"])

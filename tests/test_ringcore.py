@@ -1,7 +1,11 @@
+import itertools
 import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
+
+from prismlab import ringcore
 
 from prismlab.ringcore import (
     CyclotomicRing, DoesNotConverge, ExactInt, ExactRat, IntModRing, ModP,
@@ -554,3 +558,82 @@ def test_int_series_mul_edge_operands():
     # no variables at all
     c = TruncSeries(Z, (), {(): -4}, None)
     assert (c * c).coeffs == {(): 16}
+
+
+def generic_series_mul(a, b):
+    """a * b through the generic term-by-term path of TruncSeries.__mul__,
+    which multiplies over Q one pair of terms at a time with the ring's mul
+    and add, carried back to Z."""
+    Q = ExactRat()
+    prod = a.map_coeffs(Fraction, Q) * b.map_coeffs(Fraction, Q)
+    assert all(c.denominator == 1 for c in prod.coeffs.values())
+    return prod.map_coeffs(int, ExactInt())
+
+
+def sparse_xyz_series(rng, terms, order=8):
+    """terms distinct monomials of total degree <= order in x, y, z."""
+    monomials = [e for e in itertools.product(range(order + 1), repeat=3)
+                 if sum(e) <= order]
+    return TruncSeries(ExactInt(), ("x", "y", "z"),
+                       {e: rng.choice((-1, 1)) * rng.randrange(1, 10)
+                        for e in rng.sample(monomials, terms)}, order)
+
+
+def test_sparse_int_series_skip_the_kernel(monkeypatch):
+    # 42 and 44 terms in a box of 17^3 slots: the dense vectors would be
+    # mostly zeros, and the product runs one pair of terms at a time
+    rng = random.Random(8)
+    a, b = sparse_xyz_series(rng, 42), sparse_xyz_series(rng, 44)
+    want = generic_series_mul(a, b)
+
+    def refuse(*args):
+        raise AssertionError("the Kronecker kernel ran on sparse operands")
+
+    monkeypatch.setattr(ringcore, "_kronecker_mul", refuse)
+    assert a * b == want
+    assert (a * b).order == 8
+
+
+def test_dense_int_series_use_the_kernel(monkeypatch):
+    calls = []
+    kronecker = ringcore._kronecker_mul
+
+    def spy(x, y):
+        calls.append(len(x) * len(y))
+        return kronecker(x, y)
+
+    monkeypatch.setattr(ringcore, "_kronecker_mul", spy)
+    rng = random.Random(9)
+    xy = ("x", "y")
+    a, b = (TruncSeries(ExactInt(), xy, {(i, j): rng.randrange(-4, 5) or 1
+                                         for i in range(3) for j in range(3)},
+                        8) for _ in range(2))
+    assert a * b == generic_series_mul(a, b) and len(calls) == 1
+    # a dense series of all 165 monomials of degree <= 8 in three variables
+    c = sparse_xyz_series(rng, 165)
+    assert c * c == generic_series_mul(c, c) and len(calls) == 2
+
+
+@st.composite
+def int_series(draw, variables):
+    order = draw(st.sampled_from((None, 0, 3, 8)))
+    top = 6 if order is None else order
+    exps = st.tuples(*[st.integers(0, top)] * len(variables))
+    coeffs = draw(st.dictionaries(
+        exps, st.integers(-10 ** 20, 10 ** 20) | st.integers(-3, 3),
+        max_size=draw(st.sampled_from((3, 12, 40)))))
+    return TruncSeries(ExactInt(), variables, coeffs, order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), nvars=st.integers(0, 3))
+def test_int_series_mul_matches_generic_path(data, nvars):
+    # both branches of the integer product, the kernel on dense operands
+    # and the pairs on sparse ones, against the path every other ring takes
+    variables = ("x", "y", "z")[:nvars]
+    a = data.draw(int_series(variables))
+    b = data.draw(int_series(variables))
+    prod = a * b
+    want = generic_series_mul(a, b)
+    assert prod == want and prod.order == want.order
+    assert all(type(c) is int and c for c in prod.coeffs.values())

@@ -1,7 +1,8 @@
-"""The integer kernels of PolyQuotRing over Fraction coefficients (mul, the
-monomial products and pow) and Horner evaluation, each checked against the
-path it replaces: the Fraction schoolbook that every other ring uses,
-square-and-multiply, and term-by-term evaluation."""
+"""The integer kernels of PolyQuotRing over Fraction and over integer
+coefficients (mul, the monomial products and pow) and Horner evaluation,
+each checked against the path it replaces: the Fraction schoolbook that the
+rings over Z/m still use, square-and-multiply, and term-by-term
+evaluation."""
 import pytest
 from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
@@ -9,19 +10,22 @@ from hypothesis import example, given, settings, strategies as st
 from prismlab.qhopf import QH, QHT
 from prismlab.qprism import bhat_ring
 from prismlab.ringcore import (
-    CyclotomicRing, PolyQuotRing, QPoly, QSeriesRing, RatRing, Ring,
+    CyclotomicRing, IntRing, PolyQuotRing, QPoly, QSeriesRing, RatRing, Ring,
     _kronecker_mul, cyclotomic_modulus, h_element,
 )
 
+from rational_twin import rational_twin
+
 
 def schoolbook(ring):
-    """The same ring with the Fraction schoolbook at every level: dropping
-    the kernels chosen at construction leaves the class methods."""
+    """The same ring with the schoolbook at every level: dropping the
+    kernels and the reductions chosen at construction leaves the class
+    methods, which go through the scalar ring's add and mul."""
     scalar = ring.scalar
     if isinstance(scalar, PolyQuotRing):
         scalar = schoolbook(scalar)
     oracle = PolyQuotRing(scalar, ring.modulus, ring.var)
-    for attr in ("mul", "add", "pow"):
+    for attr in ("mul", "add", "pow", "_reduce"):
         vars(oracle).pop(attr, None)
     return oracle
 
@@ -127,11 +131,14 @@ def test_rat_kernel_edge_cases():
 
 
 def test_kernel_chosen_at_construction():
-    # rings over Z, Z/m and the cyclotomic rings keep the class schoolbook:
-    # no per-instance kernel, so mul costs them nothing extra; add is bound
-    # over Q only, and the bivariate rings add through it
-    for ring in (QPoly(), QSeriesRing(4), QSeriesRing(4, p=3, n_p=4),
-                 CyclotomicRing(3), CyclotomicRing(5, n_p=3),
+    # rings over Z multiply by one Kronecker product and nothing else; rings
+    # over Z/m, and polynomial rings over a polynomial ring over Z, keep the
+    # class schoolbook: no per-instance kernel, so mul costs them nothing
+    # extra; add is bound over Q only, and the bivariate rings add through it
+    for ring in INTEGER.values():
+        assert vars(ring)["mul"] == ring._mul_int
+        assert not {"add", "pow"} & set(vars(ring))
+    for ring in (QSeriesRing(4, p=3, n_p=4), CyclotomicRing(5, n_p=3),
                  PolyQuotRing(QSeriesRing(3), None, "t")):
         assert not {"mul", "add"} & set(vars(ring))
     for ring in UNIVARIATE.values():
@@ -148,11 +155,74 @@ def test_monomial_modulus_truncates():
     h = h_element(M)
     assert M.make_ints([1, 2, 3, 4, 5]) == (1, 2, 3)
     assert M.pow(h, 3) == ()
-    # Phi_3 = 1 + q + q^2 is not monomial: q^3 = 1 still reduces, through
-    # the class method, with no per-instance truncation in front of it
+    assert vars(M)["_reduce"] == M._truncate
+    # Phi_3 = 1 + q + q^2 is not monomial: q^3 = 1 still reduces.  Over Z
+    # the fold runs on plain integers, bound per instance; over Z/27 it
+    # runs through the class method and the scalar ring's add and mul
     C = CyclotomicRing(3)
     assert C.make_ints([0, 0, 0, 1]) == (1,)
-    assert "_reduce" in vars(M) and "_reduce" not in vars(C)
+    assert vars(C)["_reduce"] == C._reduce_int
+    C27 = CyclotomicRing(3, n_p=3)
+    assert C27.make_ints([0, 0, 0, 1]) == (1,)
+    assert "_reduce" not in vars(C27)
+    # the fold uses only the nonzero terms of the modulus
+    assert C._top_terms == ((0, -1), (1, -1))
+    assert INTEGER["Z[x]/(x^5 - 1)"]._top_terms == ((0, 1),)
+
+
+# --- rings over Z: the Kronecker product and the integer fold ---------------
+
+def x_p_minus_one(p):
+    return PolyQuotRing(IntRing(), (-1,) + (0,) * (p - 1) + (1,), "x")
+
+
+INTEGER = {"Z[h]": QPoly(), "Z[h]/(h^1)": QSeriesRing(1),
+           "Z[h]/(h^6)": QSeriesRing(6), "Z[x]/(x^2 - 1)": x_p_minus_one(2),
+           "Z[x]/(x^5 - 1)": x_p_minus_one(5),
+           "Z[x]/(x^7 - 1)": x_p_minus_one(7), "Z[zeta_3]": CyclotomicRing(3),
+           "Z[zeta_7]": CyclotomicRing(7),
+           # a modulus with a coefficient other than 0 and -1 to fold with
+           "Z[x]/(x^3 - 2x + 5)": PolyQuotRing(IntRing(), (5, -2, 0, 1), "x")}
+# a leading run of zeros makes products that h^N truncates to zero
+integer_lists = st.builds(
+    lambda shift, cs: [0] * shift + cs, st.integers(0, 4),
+    st.lists(st.integers(-10 ** 30, 10 ** 30) | st.integers(-9, 9),
+             max_size=12))
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER))
+@settings(max_examples=60, deadline=None)
+@given(a=integer_lists, b=integer_lists)
+@example(a=[], b=[1])
+@example(a=[0, 0, 0, 0, 0, 0, 0, 1], b=[0, 0, 0, 0, 0, 0, 0, 1])
+@example(a=[-1, 1], b=[1, 1, 1, 1, 1, 1, 1])
+@example(a=[2 ** 64 - 1] * 9, b=[-(2 ** 64 - 1)] * 9)
+def test_int_kernel_matches_rational_twin(name, a, b):
+    # the product over Z, carried into the ring over Q, is the product
+    # there: by the Q kernel and by the Fraction schoolbook with the class
+    # reduction, which shares no code with the integer fold
+    ring = INTEGER[name]
+    a, b = ring.make_ints(a), ring.make_ints(b)
+    got = ring.mul(a, b)
+    assert all(type(c) is int for c in got) and (not got or got[-1])
+    twin, up = rational_twin(ring)
+    assert up(got) == twin.mul(up(a), up(b))
+    assert up(got) == PolyQuotRing.mul(schoolbook(twin), up(a), up(b))
+    assert got == PolyQuotRing.mul(schoolbook(ring), a, b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_int_kernel_powers_in_the_group_ring_of_mu_p(p):
+    # in Z[x]/(x^p - 1), x^n = x^(n mod p), and (x - 1)^p is divisible by p
+    # with quotient in (x - 1): the two facts pd_dual.mu_p checks
+    ring = x_p_minus_one(p)
+    x = ring.make_ints([0, 1])
+    for n in range(3 * p):
+        assert ring.pow(x, n) == ring.make_ints([0] * (n % p) + [1])
+    xm1 = ring.make_ints([-1, 1])
+    fp = ring.pow(xm1, p)
+    assert all(c % p == 0 for c in fp) and sum(fp) == 0
+    assert fp == Ring.pow(schoolbook(ring), xm1, p)
 
 
 # --- monomial products, the Q[h] power and Horner evaluation ---------------
