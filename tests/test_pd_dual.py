@@ -11,7 +11,7 @@ from prismlab.pd_dual import (
     DistrElem, NotPD, PDElem, ReductionFailure, _gsharp_basis_elem,
     _gamma_op, delta_to_e, distr_mul, gsharp_comparison,
     log_and_pairing_check, log_mu_p_vanishes, log_pd, log_sharp_power,
-    mu_p_pd_check,
+    mu_p_pd_check, reduce_against_basis,
     pair_distr, pair_xu, pd_normalize, rescaled_section, stirling_first,
 )
 from prismlab.ringcore import TruncSeries, series_exp
@@ -134,7 +134,6 @@ def test_rescaled_section():
 
 def test_gsharp_reduction_example_p2():
     # gamma_2(t) = z - t
-    from prismlab.pd_dual import reduce_against_basis
     z = rescaled_section(2)
     basis = {0: PDElem.from_int(1), 1: PDElem.gamma(1), 2: z}
     coords = reduce_against_basis(PDElem.gamma(2), basis, 2)
@@ -296,7 +295,6 @@ def gsharp_basis(p, max_degree=12):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_reduction_matches_fraction_reference(p):
-    from prismlab.pd_dual import reduce_against_basis
     basis = gsharp_basis(p)
     rng = random.Random(p)
     denominators = set()
@@ -313,7 +311,6 @@ def test_reduction_matches_fraction_reference(p):
 
 
 def test_reduction_refuses_what_is_not_p_integral_or_exact(monkeypatch):
-    from prismlab.pd_dual import reduce_against_basis
     basis = {0: PDElem((1,)), 1: PDElem((0, 3))}
     assert reduce_against_basis(PDElem((0, 1)), basis, 2) == {1: Fraction(1, 3)}
     with pytest.raises(ReductionFailure, match="not p-integral"):
