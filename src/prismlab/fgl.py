@@ -17,10 +17,6 @@ class AxiomFailure(PrismlabError):
     pass
 
 
-class NotPolynomial(PrismlabError):
-    pass
-
-
 class HomCheckFailure(PrismlabError):
     pass
 
@@ -158,35 +154,15 @@ def verify_hom(f: FGLHom) -> dict:
 
 
 def n_series(law: FormalGroupLaw, n: int) -> FGLHom:
-    """[n](z), the multiplication-by-n endomorphism series."""
+    """[n](z), the multiplication-by-n endomorphism series, for n >= 0."""
+    if n < 0:
+        raise ValueError("n_series takes n >= 0, not %d" % n)
     ring, order = law.ring, law.order
     z = TruncSeries.var(ring, ("z",), order, "z")
-    if n < 0:
-        inv = inverse_series(law)
-        pos = n_series(law, -n)
-        return FGLHom(inv(pos.series), law, law, check=False)
     acc = TruncSeries.zero(ring, ("z",), order)
     for _ in range(n):
         acc = law.apply(acc, z)
     return FGLHom(acc, law, law, check=False)
-
-
-def inverse_series(law: FormalGroupLaw) -> FGLHom:
-    """[-1](z): the unique series i with F(z, i(z)) = 0."""
-    ring, order = law.ring, law.order
-    if order is None:
-        raise NotPolynomial("inverse series needs a finite order")
-    z = TruncSeries.var(ring, ("z",), order, "z")
-    inv = -z
-    for n in range(2, order + 1):
-        resid = law.apply(z, inv)
-        c = resid.coefficient((n,))
-        if not ring.is_zero(c):
-            inv = inv - TruncSeries(ring, ("z",), {(n,): c}, order)
-    resid = law.apply(z, inv)
-    if not resid.is_zero():
-        raise AxiomFailure("no inverse series at order %s" % order)
-    return FGLHom(inv, law, law, check=False)
 
 
 def rescale(law: FormalGroupLaw, alpha) -> FormalGroupLaw:

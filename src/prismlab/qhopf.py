@@ -325,9 +325,6 @@ class B0Ring(Ring):
                        for _ in range(rng.randrange(1, 4)))
         return B0Elem(coords)
 
-    def fmt(self, a):
-        return repr(a)
-
     def __eq__(self, other):
         return type(other) is B0Ring
 

@@ -245,9 +245,6 @@ class RatRing(Ring):
     def from_rational(self, x):
         return Fraction(x)
 
-    def rand(self, rng):
-        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
-
     def __eq__(self, other):
         return type(other) is RatRing
 
@@ -915,14 +912,6 @@ class SeriesCoeffRing(Ring):
 
     def from_rational(self, x):
         return self._image(x, self.base.from_rational)
-
-    def rand(self, rng):
-        return TruncSeries(self.base, self.variables,
-                           {(n,) + (0,) * (len(self.variables) - 1): self.base.rand(rng)
-                            for n in range(2)}, self.order)
-
-    def fmt(self, a):
-        return repr(a)
 
     def __eq__(self, other):
         return (type(other) is SeriesCoeffRing and other.base == self.base

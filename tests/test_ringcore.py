@@ -35,6 +35,25 @@ def test_ring_basics():
     assert R.inv(2) is None
 
 
+def test_ring_protocol_defaults():
+    # the base class: its arithmetic is abstract, and it can neither divide
+    # exactly nor take an image of Q
+    base = ringcore.Ring()
+    for call in (lambda: base.add(1, 2), lambda: base.neg(1),
+                 lambda: base.mul(1, 2), lambda: base.from_int(1),
+                 lambda: base.rand(random.Random(0))):
+        with pytest.raises(NotImplementedError):
+            call()
+    assert base.div_int_exact(6, 3) is None
+    assert base.from_rational(Fraction(1, 2)) is None
+
+    class Ints(ringcore.Ring):
+        from_int = staticmethod(int)
+    assert Ints().is_zero(0) and not Ints().is_zero(3)
+    # over Q the image of Q is the identity, not "no image"
+    assert ExactRat().from_rational(Fraction(1, 3)) == Fraction(1, 3)
+
+
 def test_div_int_exact_over_z_mod_m_divides_the_representative():
     R = IntModRing(9)
     assert R.div_int_exact(6, 3) == 2 and R.div_int_exact(0, 3) == 0
