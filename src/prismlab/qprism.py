@@ -13,16 +13,15 @@ in this representation, so no precision is lost inside a computation.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 from .qhopf import _c_monomial, _from_monomial
 from .ringcore import (
     CyclotomicRing, IdentityFailed, PolyQuotRing, PrismlabError, QSeriesRing,
     RatRing, TruncSeries, _last_live_term, _log_term_ring, _padic_profile,
-    h_element, q_element, q_number, valuation,
+    build_once, h_element, q_element, q_number, valuation,
 )
 from .witt import (
     DeltaRing, NonIntegralGhost, WittVector, from_ghost, ghost_combine,
@@ -54,18 +53,11 @@ def bh_phi_scalar(R: PolyQuotRing, p: int):
     return q_number(_hring(R), p)
 
 
-_c_mono_in_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _c_mono_in(R: PolyQuotRing, n: int) -> tuple:
     """c_n(t, h) inside the truncated exact ring, memoized per (R, n)."""
-    key = (R, n)
-    hit = _c_mono_in_cache.get(key)
-    if hit is None:
-        H = _hring(R)
-        hit = R.make([H.make(list(c)) for c in _c_monomial(n)])
-        hit = _c_mono_in_cache.setdefault(key, hit)
-    return hit
+    H = _hring(R)
+    return R.make([H.make(list(c)) for c in _c_monomial(n)])
 
 
 def frac_vp(f: Fraction, p: int) -> int | None:
@@ -222,29 +214,10 @@ class _Canonical(NamedTuple):
     tail: int
 
 
-_canonical_cache: dict = {}
-_canonical_locks: dict = {}
-_canonical_lock = threading.Lock()
-
-
+@build_once
 def _canonical_construction(p: int, n_p: int, n_q: int, L: int) -> _Canonical:
     """The construction behind canonical_point, built once per
-    (p, n_p, n_q, L), under a lock per key, however many threads ask."""
-    key = (p, n_p, n_q, L)
-    built = _canonical_cache.get(key)
-    if built is not None:
-        return built
-    with _canonical_lock:
-        key_lock = _canonical_locks.setdefault(key, threading.Lock())
-    with key_lock:
-        built = _canonical_cache.get(key)
-        if built is None:
-            built = _build_canonical(p, n_p, n_q, L)
-            _canonical_cache[key] = built
-    return built
-
-
-def _build_canonical(p: int, n_p: int, n_q: int, L: int) -> _Canonical:
+    (p, n_p, n_q, L) (ringcore.build_once), however many threads ask."""
     slack = L + 6
     h_prec = n_q
     R = bhat_ring(h_prec)
@@ -274,8 +247,10 @@ def canonical_point(p: int, n_p: int, n_q: int, L: int = 2,
     series, 1 + Phi_p([q]) x is the Teichmuller lift of X componentwise in
     the box, and phi(X) = X^p (the rank-one condition).
 
-    The construction is memoized per (p, n_p, n_q, L); the box checks at
-    t_deg run on every call, and every call returns a new dict."""
+    The construction is built once per (p, n_p, n_q, L) by
+    ringcore.build_once: concurrent first callers wait for one build and
+    share it.  The box checks at t_deg run on every call, and every call
+    returns a new dict."""
     c = _canonical_construction(p, n_p, n_q, L)
     R = c.ring
     teich_ok = all(bh_eq_box(R, a, b, p, n_p, n_q, t_deg)

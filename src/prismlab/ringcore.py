@@ -8,9 +8,11 @@ rings are stateless and freely shareable across threads.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
+import threading
 from fractions import Fraction
 
 
@@ -79,6 +81,33 @@ def valuation(n: int, p: int) -> int:
     return v
 
 
+def build_once(build):
+    """build memoized per tuple of positional arguments, safe under threads:
+    the first caller of a key builds it under that key's lock, later callers
+    wait for it and get the same object, and a build that raises stores
+    nothing.  The memo's dict, keyed by the argument tuples, is the
+    wrapper's `cache`."""
+    cache: dict = {}
+    locks: dict = {}
+    guard = threading.Lock()
+
+    @functools.wraps(build)
+    def once(*key):
+        try:
+            return cache[key]
+        except KeyError:
+            pass
+        with guard:
+            lock = locks.setdefault(key, threading.Lock())
+        with lock:
+            if key not in cache:
+                cache[key] = build(*key)
+        return cache[key]
+
+    once.cache = cache
+    return once
+
+
 # ---------------------------------------------------------------------------
 # scalar rings
 
@@ -87,7 +116,10 @@ class Ring:
     """Protocol shared by all coefficient rings.
 
     Elements are plain immutable values (int, Fraction, tuples of those);
-    all arithmetic goes through the ring object.
+    all arithmetic goes through the ring object.  Each ring defines its own
+    is_zero, and a ring that receives elements over Q defines
+    from_rational: the image of an element of the same ring over Q
+    (Fraction scalars), or None if a denominator is not invertible there.
     """
 
     name = "?"
@@ -115,9 +147,6 @@ class Ring:
     @property
     def one(self):
         return self.from_int(1)
-
-    def is_zero(self, a) -> bool:
-        return a == self.zero
 
     def eq(self, a, b) -> bool:
         return self.is_zero(self.sub(a, b))
@@ -154,11 +183,6 @@ class Ring:
         ring x is unique.  On Z/m it is the quotient of the representative
         of a in [0, m) when n divides that integer, else None, so 1 / 2 in
         Z/9 is None although 2 * 5 = 1 there."""
-        return None
-
-    def from_rational(self, x):
-        """Image of an element of the same ring over Q (Fraction scalars),
-        or None if a denominator is not invertible here."""
         return None
 
     def rand(self, rng):
@@ -322,23 +346,22 @@ class PolyQuotRing(Ring):
     with trailing zeros stripped.  modulus is a monic integer polynomial
     given by its coefficient tuple; None means no reduction.
 
-    Over Z (Z[x] and Z[x]/(modulus)) mul is one Kronecker product that
-    __init__ binds to the instance, and a modulus that is not a monomial
-    x^N binds an integer _reduce, which folds each coefficient above the
-    degree through the modulus's nonzero terms with plain operators.  Over
-    Fraction scalars (Q[x], Q[x]/(modulus), and Q[h][t] or Q[h]/(h^N)[t])
-    mul is an integer kernel bound the same way, reducing in the twin over
-    Z.  Over Q[x] and Q[x]/(modulus) a constant or monomial operand c x^k
-    makes mul a shift and scaling of the other operand, and add is bound
-    too, adding two integral coefficients as integers; over Q[x] so is pow,
-    one big-integer power of the packed numerators.  Every other ring (over
-    Z/m, or over another polynomial ring over Z) multiplies by the class
-    method, the schoolbook, and reduces through the scalar ring.  The rings
-    not over Q add in one pass through the scalar ring's add, and every
-    ring but Q[x] raises powers by square-and-multiply.  Elements stay tuples of Fractions over Q: the
-    integer work happens inside each operation, with one Fraction per
-    coefficient of its result.  subst evaluates by Horner's rule on every
-    ring.
+    Over Fraction scalars (Q[x], Q[x]/(modulus), and Q[h][t] or
+    Q[h]/(h^N)[t]) __init__ binds mul to the instance: an integer kernel,
+    one Kronecker product of the numerators reduced in the twin over Z.
+    Over Q[x] and Q[x]/(modulus) a constant or monomial operand c x^k makes
+    mul a shift and scaling of the other operand, and over Q[x] pow is
+    bound too, one big-integer power of the packed numerators.  Every other
+    ring (over Z, Z/m, or another polynomial ring over Z) multiplies by the
+    class method, the schoolbook through the scalar ring.  Over Z a modulus
+    that is not a monomial x^N binds an integer _reduce, which folds each
+    coefficient above the degree through the modulus's nonzero terms with
+    plain operators; the rings over other scalars reduce through the scalar
+    ring.  Every ring adds in one pass through the scalar ring's add, and
+    every ring but Q[x] raises powers by square-and-multiply.  Elements
+    stay tuples of Fractions over Q: the integer work happens inside each
+    operation, with one Fraction per coefficient of its result.  subst
+    evaluates by Horner's rule on every ring.
     """
 
     zero = ()
@@ -363,13 +386,10 @@ class PolyQuotRing(Ring):
                 self._reduce = self._reduce_int
         else:
             self.deg = None
-        if type(scalar) is IntRing:
-            self.mul = self._mul_int
-        elif type(scalar) is RatRing:
+        if type(scalar) is RatRing:
             # integer products are reduced in this twin, then divided once
             self._int_twin = PolyQuotRing(IntRing(), self.modulus, var)
             self.mul = self._mul_rat
-            self.add = self._add_rat
             if self.modulus is None:
                 # one packed power; under a modulus square-and-multiply
                 # reduces every factor, where the unreduced a^n would have
@@ -485,29 +505,6 @@ class PolyQuotRing(Ring):
     def mul_int(self, a, n):
         s = self.scalar
         return self._strip([s.mul_int(c, n) for c in a])
-
-    def _mul_int(self, a, b):
-        """mul over Z, Z[x]/(modulus) included: one Kronecker product of the
-        coefficient tuples, then the reduction."""
-        if not a or not b:
-            return ()
-        return self._reduce(_kronecker_mul(a, b))
-
-    def _add_rat(self, a, b):
-        """add over Q: two integral coefficients add as integers, the rest
-        as Fractions."""
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            x = out[i]
-            if x.denominator == 1 == c.denominator:
-                out[i] = Fraction(x.numerator + c.numerator)
-            else:
-                out[i] = x + c
-        while out and not out[-1]:
-            out.pop()
-        return tuple(out)
 
     def _mul_rat(self, a, b):
         """mul over Q: each operand as integer numerators over one common

@@ -20,14 +20,14 @@ them, and over Z the two must agree (`verify --suite witt.universal`).
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_right
 from functools import lru_cache, reduce
 from operator import itemgetter, neg, or_
 
 from .ringcore import (
     IntModRing, IntRing, PrecisionExhausted, PrismlabError,
-    Ring, RingMismatch, TruncSeries, _same, series_inverse, widened,
+    Ring, RingMismatch, TruncSeries, _same, build_once, series_inverse,
+    widened,
 )
 
 
@@ -303,10 +303,6 @@ def ghost_combine(vectors, combine):
 # guard bits and the unpacked exponents are checked against the bound, so
 # an overflow raises instead of corrupting a table.
 
-# (op, p, L) -> (polynomials, their compiled evaluators or None)
-_universal_cache: dict = {}
-_universal_locks: dict = {}
-_universal_lock = threading.Lock()
 _UNIVERSAL_OPS = ("add", "mul", "neg", "frobenius")
 # (5, 4) addition, the largest table in use, has 37,760 monomials in its
 # last component and builds in about 1.5 s; (3, 5) addition (83,640) takes
@@ -480,45 +476,37 @@ def check_universal_size(op: str, p: int, L: int) -> None:
 
 
 def witt_universal(op: str, p: int, L: int):
-    """Universal polynomials for add/mul/neg/frobenius, memoized per (p, L, op).
+    """Universal polynomials for add/mul/neg/frobenius, memoized per (op, p, L).
 
     add/mul: polynomials in a0..a_{L-1}, b0..b_{L-1}; neg: in a_i;
-    frobenius: L-1 polynomials in a0..a_{L-1}.  Each table is built once,
-    under a lock per (op, p, L), however many threads ask for it; one that
-    check_universal_size refuses raises TableTooLarge before any build.
+    frobenius: L-1 polynomials in a0..a_{L-1}.  Each table is built once
+    (ringcore.build_once), however many threads ask for it; one that
+    check_universal_size refuses raises TableTooLarge unbuilt, and nothing
+    is stored for it.
     """
     if op not in _UNIVERSAL_OPS:
         raise ValueError("unknown op %r" % op)
-    key = (op, p, L)
-    entry = _universal_cache.get(key)
-    if entry is not None:
-        return entry[0]
+    return _universal_table(op, p, L)
+
+
+@build_once
+def _universal_table(op: str, p: int, L: int) -> tuple:
     check_universal_size(op, p, L)
-    with _universal_lock:
-        key_lock = _universal_locks.setdefault(key, threading.Lock())
-    with key_lock:
-        entry = _universal_cache.get(key)
-        if entry is None:
-            entry = _universal_cache[key] = (_build_universal(op, p, L), None)
-    return entry[0]
+    return _build_universal(op, p, L)
 
 
+# (op, p, L) -> the polynomials of that table
+_universal_cache = _universal_table.cache
+
+
+@build_once
 def _table_evaluators(op: str, p: int, L: int) -> list:
-    """The compiled evaluators of the components of a memoized table,
-    compiled under the table's lock the first time an evaluation over Z or
-    Z/m asks for them and kept with the polynomials in _universal_cache.
-    A product table's evaluators nest its a's outside its b's
+    """The compiled evaluators of the components of a table, compiled once
+    (ringcore.build_once) the first time an evaluation over Z or Z/m asks
+    for them.  A product table's evaluators nest its a's outside its b's
     (_horner_source's split)."""
-    key = (op, p, L)
-    polys, evaluators = _universal_cache[key]
-    if evaluators is None:
-        with _universal_locks[key]:
-            polys, evaluators = _universal_cache[key]
-            if evaluators is None:
-                evaluators = [_compile_int_poly(s, op == "mul")
-                              for s in polys]
-                _universal_cache[key] = (polys, evaluators)
-    return evaluators
+    return [_compile_int_poly(s, op == "mul")
+            for s in _universal_table(op, p, L)]
 
 
 # Parentheses a Horner evaluator nests before it moves the expression to a

@@ -30,11 +30,10 @@ KEEP = {
     **dict.fromkeys(["ringcore.Ring." + m for m in (
         "add", "neg", "mul", "from_int", "rand")],
         RING + "the Ring protocol's abstract arithmetic"),
-    **dict.fromkeys(["ringcore.Ring." + m for m in (
-        "is_zero", "div_int_exact", "from_rational")],
-        RING + "the Ring protocol's defaults"),
-    "ringcore.RatRing.from_rational": RING + "the identity; without it Q "
-        "would inherit the base class's None, no image",
+    "ringcore.Ring.div_int_exact": RING + "the Ring protocol's default, "
+        "no division",
+    "ringcore.RatRing.from_rational": RING + "the identity, the image of Q "
+        "in itself",
     "ringcore.IntRing.rand": "tests/test_ghost_dispatch.py::test_bigwitt_"
         "ghost_map_is_a_ring_map: a test input",
     "qhopf.B0Ring.rand": "tests/test_qhopf.py::test_b0ring_protocol: a test "

@@ -1,12 +1,11 @@
-import random
-
 import pytest
 
 from prismlab.fgl import (
     AxiomFailure, FGLHom, FormalGroupLaw, additive_law, deformation_family,
-    f_pullback_h_law, h_law, multiplicative_law, n_series,
-    phi_q_hom, rescale, scaling_map, specialize_deformation, verify_hom,
+    h_law, multiplicative_law, n_series, phi_q_hom, rescale,
+    specialize_deformation, verify_hom,
 )
+from prismlab.harness import SuiteConfig, run
 from prismlab.ringcore import (
     ExactInt, QPoly, RingMismatch, TruncSeries, h_element,
 )
@@ -30,13 +29,6 @@ def test_make_law_verifies_axioms():
     renamed = TruncSeries(Z, ("x", "y"), good.coeffs, 6)
     with pytest.raises(RingMismatch):
         FormalGroupLaw(renamed)
-
-
-def test_builtin_laws_axioms_order8():
-    P = QPoly()
-    for law in (additive_law(P, 8), multiplicative_law(P, 8),
-                h_law(P, h_element(P), 8), f_pullback_h_law(P, 3, 8)):
-        assert law.law == FormalGroupLaw(law.law).law
 
 
 def test_two_series():
@@ -73,25 +65,13 @@ def test_n_series_composition():
 
 
 def test_p_series_height_bookkeeping():
-    # [p] of the q-deformed law: coefficients below degree p die mod (p, q-1),
-    # and mod p alone the z^p coefficient is (q-1)^(p-1)
+    # [p] of the q-deformed law: mod p alone the z^p coefficient is
+    # (q-1)^(p-1); that the coefficients below degree p die mod (p, q-1) is
+    # the check fgl.p_series.height
     for p in (2, 3, 5):
         P = QPoly()
-        F = h_law(P, h_element(P), p + 2)
-        sp = n_series(F, p).series
-        for n in range(1, p):
-            c = sp.coefficient((n,))
-            # c = binom(p, n) (q-1)^(n-1): reduce mod (p, q-1)
-            const = c[0] if c else 0
-            assert const % p == 0
-        lead = sp.coefficient((p,))
-        assert lead == P.pow(h_element(P), p - 1)
-
-
-def test_rescale_multiplicative_gives_h_law():
-    P = QPoly()
-    h = h_element(P)
-    assert rescale(multiplicative_law(P, 8), h).law == h_law(P, h, 8).law
+        sp = n_series(h_law(P, h_element(P), p + 2), p).series
+        assert sp.coefficient((p,)) == P.pow(h_element(P), p - 1)
 
 
 def test_rescale_unit_and_zero():
@@ -101,35 +81,28 @@ def test_rescale_unit_and_zero():
     assert rescale(F, 0).law == additive_law(Z, 8).law
 
 
-def test_rescale_monoidal():
-    Z = ExactInt()
-    F = multiplicative_law(Z, 8)
-    rng = random.Random(0)
-    for _ in range(5):
-        a, b = rng.randrange(-5, 6), rng.randrange(-5, 6)
-        assert rescale(rescale(F, a), b).law == rescale(F, a * b).law
-
-
-def test_scaling_map_intertwines():
-    P = QPoly()
-    h = h_element(P)
-    F = multiplicative_law(P, 8)
-    Fh = rescale(F, h)
-    psi = scaling_map(Fh, F, h)
-    assert verify_hom(psi)["ok"]
-
-
 def test_deformation_family():
-    Z = ExactInt()
-    F = multiplicative_law(Z, 6)
-    fam = deformation_family(F)
-    assert specialize_deformation(fam, 0).law == additive_law(Z, 6).law
-    assert specialize_deformation(fam, 1).law == F.law
+    # the fibres at a = 0 and a = 1 are the checks fgl.deformation.a0, .a1
     P = QPoly()
     h = h_element(P)
     famh = deformation_family(h_law(P, h, 6))
     # generic fibre: specializing a to a scalar c gives the (c h)-law
     assert specialize_deformation(famh, P.from_int(2)).law == h_law(P, P.mul_int(h, 2), 6).law
+
+
+def test_fgl_checks_pass():
+    # the harness checks the axioms of the built-in laws (the pullback law at
+    # p = 2 and 3), the height bookkeeping of [p] at p = 2, 3, 5, rescaling
+    # (the h-law, 20 trials of monoidality, the scaling map) and the
+    # deformation's fibres at a = 0 and 1, each at order 8
+    report, code = run(SuiteConfig(suite="fgl"))
+    assert code == 0, [c for c in report["checks"] if c["status"] != "pass"]
+    assert {c["id"] for c in report["checks"]} == {
+        "fgl.axioms.additive", "fgl.axioms.multiplicative", "fgl.axioms.h_law",
+        "fgl.axioms.pullback", "fgl.p_series.height.p2",
+        "fgl.p_series.height.p3", "fgl.p_series.height.p5",
+        "fgl.rescale.h_law", "fgl.rescale.monoidal", "fgl.rescale.psi_alpha",
+        "fgl.deformation.a0", "fgl.deformation.a1"}
 
 
 def test_phi_q_hom_passes():

@@ -1,5 +1,8 @@
 import itertools
 import random
+import sys
+import threading
+import time
 
 import pytest
 from fractions import Fraction
@@ -36,8 +39,8 @@ def test_ring_basics():
 
 
 def test_ring_protocol_defaults():
-    # the base class: its arithmetic is abstract, and it can neither divide
-    # exactly nor take an image of Q
+    # the base class: its arithmetic is abstract, and it cannot divide
+    # exactly; is_zero and the image of Q are each ring's own
     base = ringcore.Ring()
     for call in (lambda: base.add(1, 2), lambda: base.neg(1),
                  lambda: base.mul(1, 2), lambda: base.from_int(1),
@@ -45,13 +48,49 @@ def test_ring_protocol_defaults():
         with pytest.raises(NotImplementedError):
             call()
     assert base.div_int_exact(6, 3) is None
-    assert base.from_rational(Fraction(1, 2)) is None
-
-    class Ints(ringcore.Ring):
-        from_int = staticmethod(int)
-    assert Ints().is_zero(0) and not Ints().is_zero(3)
-    # over Q the image of Q is the identity, not "no image"
+    assert not hasattr(base, "is_zero") and not hasattr(base, "from_rational")
+    # over Q the image of Q is the identity
     assert ExactRat().from_rational(Fraction(1, 3)) == Fraction(1, 3)
+
+
+def test_build_once_builds_each_key_once():
+    builds = []
+
+    def slow_build(*key):
+        builds.append(key)
+        time.sleep(0.05)
+        return object()
+
+    memo = ringcore.build_once(slow_build)
+    workers = 4
+    barrier = threading.Barrier(workers)
+    results = [None] * workers
+
+    def ask(i):
+        barrier.wait(timeout=10)
+        results[i] = memo("add", 3, 3)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(i,))
+                   for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert builds == [("add", 3, 3)]
+    assert all(r is results[0] for r in results)
+    assert memo.cache == {("add", 3, 3): results[0]}
+    # a build that raises stores nothing, so the next call builds again
+    inverse = ringcore.build_once(lambda n: 1 // n)
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError):
+            inverse(0)
+    assert inverse(1) == 1 and inverse.cache == {(1,): 1}
 
 
 def test_div_int_exact_over_z_mod_m_divides_the_representative():

@@ -1,7 +1,7 @@
-"""The integer kernels of PolyQuotRing over Fraction and over integer
-coefficients (mul, the monomial products and pow) and Horner evaluation,
-each checked against the path it replaces: the Fraction schoolbook that the
-rings over Z/m still use, square-and-multiply, and term-by-term
+"""The integer kernels of PolyQuotRing over Fraction coefficients (mul, the
+monomial products and pow), the integer fold over Z and Horner evaluation,
+each checked against the path it replaces: the class schoolbook through the
+scalar ring, the class reduction, square-and-multiply, and term-by-term
 evaluation."""
 import pytest
 from fractions import Fraction
@@ -131,18 +131,15 @@ def test_rat_kernel_edge_cases():
 
 
 def test_kernel_chosen_at_construction():
-    # rings over Z multiply by one Kronecker product and nothing else; rings
-    # over Z/m, and polynomial rings over a polynomial ring over Z, keep the
-    # class schoolbook: no per-instance kernel, so mul costs them nothing
-    # extra; add is bound over Q only, and the bivariate rings add through it
-    for ring in INTEGER.values():
-        assert vars(ring)["mul"] == ring._mul_int
-        assert not {"add", "pow"} & set(vars(ring))
-    for ring in (QSeriesRing(4, p=3, n_p=4), CyclotomicRing(5, n_p=3),
-                 PolyQuotRing(QSeriesRing(3), None, "t")):
-        assert not {"mul", "add"} & set(vars(ring))
+    # rings over Z, over Z/m, and polynomial rings over a polynomial ring
+    # over Z keep the class schoolbook and the class add: no per-instance
+    # kernel, so mul costs them nothing extra; add is bound nowhere
+    others = (QSeriesRing(4, p=3, n_p=4), CyclotomicRing(5, n_p=3),
+              PolyQuotRing(QSeriesRing(3), None, "t"))
+    for ring in (*INTEGER.values(), *others):
+        assert not {"mul", "add", "pow"} & set(vars(ring))
     for ring in UNIVARIATE.values():
-        assert {"mul", "add"} <= set(vars(ring))
+        assert "mul" in vars(ring) and "add" not in vars(ring)
         # pow only without a modulus: a modulus keeps square-and-multiply,
         # which reduces every factor
         assert ("pow" in vars(ring)) == (ring.modulus is None)
@@ -170,7 +167,7 @@ def test_monomial_modulus_truncates():
     assert INTEGER["Z[x]/(x^5 - 1)"]._top_terms == ((0, 1),)
 
 
-# --- rings over Z: the Kronecker product and the integer fold ---------------
+# --- rings over Z: the schoolbook and the integer fold ----------------------
 
 def x_p_minus_one(p):
     return PolyQuotRing(IntRing(), (-1,) + (0,) * (p - 1) + (1,), "x")

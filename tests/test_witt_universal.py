@@ -6,9 +6,6 @@ import hashlib
 import json
 import pathlib
 import random
-import sys
-import threading
-import time
 
 import pytest
 import sympy
@@ -99,7 +96,8 @@ def test_mod_pn_evaluation_is_integer_evaluation_reduced(op, p, L):
             assert eval_int_poly(poly, R, values, f) == exact % m
             if trial == 0:
                 assert exact == direct_eval(poly, values)
-    assert witt._universal_cache[(op, p, L)] == (table, evaluators)
+    assert witt._universal_cache[(op, p, L)] is table
+    assert witt._table_evaluators(op, p, L) is evaluators
 
 
 def test_horner_evaluator_matches_direct_evaluation():
@@ -141,26 +139,29 @@ def test_horner_evaluator_edge_polynomials(coeffs):
 
 
 def test_compiled_evaluator_follows_its_polynomial(monkeypatch):
-    """Evaluators are kept with their table, so a rebuilt table compiles
-    its own; a polynomial outside the tables is evaluated from its terms,
+    """A table rebuilt after both memos are cleared compiles its own
+    evaluators; a polynomial outside the tables is evaluated from its terms,
     so a fresh one that may reuse a freed id gets its own value."""
-    monkeypatch.setattr(witt, "_universal_cache", {})
-    monkeypatch.setattr(witt, "_universal_locks", {})
     Z = ExactInt()
     a = witt.WittVector(Z, 3, [2, -1, 4])
     b = witt.WittVector(Z, 3, [-5, 3, 1])
     values = list(a.components + b.components)
+    memos = (witt._universal_cache, witt._table_evaluators.cache)
     for op in ("add", "mul"):
+        key = (op, 3, 3)
+        for cache in memos:
+            monkeypatch.delitem(cache, key, raising=False)
         first = witt.witt_op_universal(a, b, op)
-        polys, evaluators = witt._universal_cache[(op, 3, 3)]
+        polys, evaluators = (cache[key] for cache in memos)
         assert len(evaluators) == len(polys) == 3
         assert list(first.components) == [direct_eval(s, values)
                                           for s in polys]
-        witt._universal_cache.clear()
+        for cache in memos:
+            del cache[key]
         del polys
         gc.collect()
         assert witt.witt_op_universal(a, b, op) == first
-        assert witt._universal_cache[(op, 3, 3)][1] is not evaluators
+        assert witt._table_evaluators.cache[key] is not evaluators
 
     def poly(scale):
         return TruncSeries(Z, ("x", "y"), {(i, j): scale * (i + 2 * j + 1)
@@ -196,42 +197,6 @@ def test_fresh_polynomials_are_not_retained():
     finally:
         tracemalloc.stop()
     assert grown < 64 * 1024, grown
-
-
-def test_concurrent_requests_build_a_table_once(monkeypatch):
-    monkeypatch.setattr(witt, "_universal_cache", {})
-    monkeypatch.setattr(witt, "_universal_locks", {})
-    real_build = witt._build_universal
-    builds = []
-
-    def slow_build(op, p, L):
-        builds.append((op, p, L))
-        time.sleep(0.05)
-        return real_build(op, p, L)
-
-    monkeypatch.setattr(witt, "_build_universal", slow_build)
-    workers = 4
-    barrier = threading.Barrier(workers)
-    results = [None] * workers
-
-    def ask(i):
-        barrier.wait(timeout=10)
-        results[i] = witt_universal("add", 3, 3)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=ask, args=(i,))
-                   for i in range(workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert builds == [("add", 3, 3)]
-    assert all(r is results[0] for r in results)
 
 
 def test_packed_exponent_overflow_raises():
@@ -276,8 +241,6 @@ def test_products_nest_the_as_outside_the_bs(monkeypatch):
         "return _x0_1+_x1_1*(_x0_1+_x1_1*(1))")
     assert witt._horner_source(poly, [1, 2], True).endswith(
         "return _x1_2+_x0_1*(1+_x1_1*(1))")
-    monkeypatch.setattr(witt, "_universal_cache", {})
-    monkeypatch.setattr(witt, "_universal_locks", {})
     real = witt._compile_int_poly
     splits = {}
 
@@ -287,8 +250,8 @@ def test_products_nest_the_as_outside_the_bs(monkeypatch):
 
     monkeypatch.setattr(witt, "_compile_int_poly", compile_int_poly)
     for op in ("add", "mul", "neg", "frobenius"):
-        witt.witt_universal(op, 3, 3)
-        witt._table_evaluators(op, 3, 3)
+        # the build behind the memo, which compiles on every call
+        witt._table_evaluators.__wrapped__(op, 3, 3)
     assert splits == {"add": {False}, "mul": {True}, "neg": {False},
                       "frobenius": {False}}
 
@@ -310,8 +273,6 @@ def test_size_bound_covers_every_reference_table():
 
 
 def test_infeasible_table_is_refused_unbuilt(monkeypatch):
-    monkeypatch.setattr(witt, "_universal_cache", {})
-
     def no_build(op, p, L):
         raise AssertionError("built %s table for p=%d, L=%d" % (op, p, L))
 
@@ -321,4 +282,5 @@ def test_infeasible_table_is_refused_unbuilt(monkeypatch):
             witt_universal(op, p, L)
         assert "p=%d, L=%d" % (p, L) in str(err.value)
         assert str(witt.UNIVERSAL_MAX_MONOMIALS) in str(err.value)
+        assert (op, p, L) not in witt._universal_cache
     assert issubclass(TableTooLarge, PrismlabError)
