@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 from prismlab.fgl import (
     AxiomFailure, FGLHom, FormalGroupLaw, additive_law, deformation_family,
-    h_law, multiplicative_law, n_series, phi_q_hom, rescale,
-    specialize_deformation, verify_hom,
+    f_pullback_h_law, h_law, multiplicative_law, n_series, phi_q_hom,
+    rescale, scaling_map, specialize_deformation, verify_hom,
 )
 from prismlab.harness import SuiteConfig, run
 from prismlab.ringcore import (
@@ -29,6 +31,13 @@ def test_make_law_verifies_axioms():
     renamed = TruncSeries(Z, ("x", "y"), good.coeffs, 6)
     with pytest.raises(RingMismatch):
         FormalGroupLaw(renamed)
+
+
+def test_builtin_laws_axioms_order8():
+    P = QPoly()
+    for law in (additive_law(P, 8), multiplicative_law(P, 8),
+                h_law(P, h_element(P), 8), f_pullback_h_law(P, 3, 8)):
+        assert law.law == FormalGroupLaw(law.law).law
 
 
 def test_two_series():
@@ -74,11 +83,35 @@ def test_p_series_height_bookkeeping():
         assert sp.coefficient((p,)) == P.pow(h_element(P), p - 1)
 
 
+def test_rescale_multiplicative_gives_h_law():
+    P = QPoly()
+    h = h_element(P)
+    assert rescale(multiplicative_law(P, 8), h).law == h_law(P, h, 8).law
+
+
 def test_rescale_unit_and_zero():
     Z = ExactInt()
     F = multiplicative_law(Z, 8)
     assert rescale(F, 1).law == F.law
     assert rescale(F, 0).law == additive_law(Z, 8).law
+
+
+def test_rescale_monoidal():
+    Z = ExactInt()
+    F = multiplicative_law(Z, 8)
+    rng = random.Random(0)
+    for _ in range(5):
+        a, b = rng.randrange(-5, 6), rng.randrange(-5, 6)
+        assert rescale(rescale(F, a), b).law == rescale(F, a * b).law
+
+
+def test_scaling_map_intertwines():
+    P = QPoly()
+    h = h_element(P)
+    F = multiplicative_law(P, 8)
+    Fh = rescale(F, h)
+    psi = scaling_map(Fh, F, h)
+    assert verify_hom(psi)["ok"]
 
 
 def test_deformation_family():

@@ -1,5 +1,8 @@
 import hashlib
 import random
+import sys
+import threading
+import time
 
 import pytest
 from fractions import Fraction
@@ -142,6 +145,44 @@ def test_canonical_point_returns_a_new_dict():
     second = canonical_point(2, 2, 2, L=2, t_deg=2)
     assert second is not first
     assert second["x0"] is not None and second["teichmuller"]
+
+
+def test_concurrent_requests_build_the_canonical_point_once(monkeypatch):
+    monkeypatch.delitem(qprism._canonical_construction.cache, (2, 2, 2, 2),
+                        raising=False)
+    real_cut = qprism.tail_cut
+    builds = []
+
+    # tail_cut runs once in each build of the construction
+    def slow_cut(*args):
+        builds.append(args)
+        time.sleep(0.05)
+        return real_cut(*args)
+
+    monkeypatch.setattr(qprism, "tail_cut", slow_cut)
+    workers = 4
+    barrier = threading.Barrier(workers)
+    results = [None] * workers
+
+    def ask(i):
+        barrier.wait(timeout=10)
+        results[i] = canonical_point(2, 2, 2, L=2, t_deg=2 + i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(i,))
+                   for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert builds == [(2, 2, 2, 8)]
+    assert all(r["x"] is results[0]["x"] for r in results)
+    assert all(r["teichmuller"] and r["rank_one"] for r in results)
 
 
 def test_canonical_point_derham_specialization():

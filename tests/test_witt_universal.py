@@ -6,6 +6,9 @@ import hashlib
 import json
 import pathlib
 import random
+import sys
+import threading
+import time
 
 import pytest
 import sympy
@@ -197,6 +200,42 @@ def test_fresh_polynomials_are_not_retained():
     finally:
         tracemalloc.stop()
     assert grown < 64 * 1024, grown
+
+
+def test_concurrent_requests_build_a_table_once(monkeypatch):
+    key = ("add", 3, 3)
+    monkeypatch.delitem(witt._universal_cache, key, raising=False)
+    real_build = witt._build_universal
+    builds = []
+
+    def slow_build(op, p, L):
+        builds.append((op, p, L))
+        time.sleep(0.05)
+        return real_build(op, p, L)
+
+    monkeypatch.setattr(witt, "_build_universal", slow_build)
+    workers = 4
+    barrier = threading.Barrier(workers)
+    results = [None] * workers
+
+    def ask(i):
+        barrier.wait(timeout=10)
+        results[i] = witt_universal(*key)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(i,))
+                   for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert builds == [key]
+    assert all(r is results[0] for r in results)
 
 
 def test_packed_exponent_overflow_raises():
