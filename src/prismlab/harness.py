@@ -1128,26 +1128,29 @@ def strip_elapsed(report: dict) -> dict:
     return out
 
 
+# built once at import: main may be called many times in one process
+_PARSER = argparse.ArgumentParser(
+    prog="verify",
+    description="Run exact-arithmetic verification suites.")
+_PARSER.add_argument("--suite", default="all")
+_PARSER.add_argument("--p", type=int, default=None)
+# a precision flag left out takes each suite's own value
+_PARSER.add_argument("--padic-prec", type=int, dest="n_p")
+_PARSER.add_argument("--q-prec", type=int, dest="n_q")
+_PARSER.add_argument("--series-order", type=int, dest="n_z")
+_PARSER.add_argument("--witt-len", type=int, dest="L")
+_PARSER.add_argument("--bigwitt", type=int, dest="N_big")
+_PARSER.add_argument("--trials", type=int)
+_PARSER.add_argument("--seed", type=int, default=0)
+_PARSER.add_argument("--format", choices=("text", "json"), default="text")
+_PARSER.add_argument("--out", default=None)
+_PARSER.add_argument("--list", action="store_true",
+                     help="list suite ids with their reference tags, and "
+                          "each criterion with its member suites")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="verify",
-        description="Run exact-arithmetic verification suites.")
-    parser.add_argument("--suite", default="all")
-    parser.add_argument("--p", type=int, default=None)
-    # a precision flag left out takes each suite's own value
-    parser.add_argument("--padic-prec", type=int, dest="n_p")
-    parser.add_argument("--q-prec", type=int, dest="n_q")
-    parser.add_argument("--series-order", type=int, dest="n_z")
-    parser.add_argument("--witt-len", type=int, dest="L")
-    parser.add_argument("--bigwitt", type=int, dest="N_big")
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--list", action="store_true",
-                        help="list suite ids with their reference tags, and "
-                             "each criterion with its member suites")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.list:
         print("\n".join(list_suites()))
         return 0

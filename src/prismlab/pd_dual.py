@@ -200,17 +200,32 @@ def log_pd(N: int) -> PDElem:
 
 
 def log_sharp_power(k: int, N: int) -> PDElem:
-    """(log x)^k / k! with certified integral PD coordinates."""
+    """(log x)^k / k! to order N with certified integral PD coordinates.
+
+    Step j multiplies the integral (log x)^(j-1) / (j-1)! by log x and
+    divides by j, certifying each division exact; since the step before
+    is integral, that is the same test as (log x)^j divisible by j!.
+    Each (j, N) is memoized by _log_sharp_step, and the steps are filled
+    upward in a loop, so no call recurses more than one level."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    for j in range(1, k + 1):
+        out = _log_sharp_step(j, N)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _log_sharp_step(k: int, N: int) -> PDElem:
+    """(log x)^k / k! to order N from the memoized (k - 1, N) value."""
     log = log_pd(N)
-    acc = log
-    for _ in range(k - 1):
-        # gamma_m gamma_n = C(m+n, n) gamma_(m+n) never lowers the degree
-        acc = PDElem((acc * log).coords[:N + 1])
+    if k == 1:
+        return log
+    # gamma_m gamma_n = C(m+n, n) gamma_(m+n) never lowers the degree, so
+    # the product cut at gamma_N is the cut of the full product
     out = []
-    for n, c in enumerate(acc.coords):
-        q, r = divmod(c, math.factorial(k))
+    for n, c in enumerate(_binomial_convolution(
+            _log_sharp_step(k - 1, N).coords, log.coords, N + 1)):
+        q, r = divmod(c, k)
         if r:
             raise NotPD("(log x)^%d not divisible by %d! at gamma_%d"
                         % (k, k, n))

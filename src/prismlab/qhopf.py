@@ -195,9 +195,16 @@ def _from_numerators(rows: list, den: int) -> B0Elem:
 def b0_mul(a: B0Elem, b: B0Elem) -> B0Elem:
     """c_m c_n = sum_k g h^(m+n-k) c_k (vandermonde) on integer numerators:
     one Kronecker product per pair of coordinates, added with its shift
-    into one integer accumulator per k."""
+    into one integer accumulator per k.  An operand f c_0 with one
+    coordinate takes no structure constants: c_0 c_n = c_n, so the product
+    is f times each coordinate of the other operand, one QH.mul each."""
     if not a.coords or not b.coords:
         return B0Elem(())
+    if len(b.coords) == 1:
+        a, b = b, a
+    if len(a.coords) == 1:
+        f = a.coords[0]
+        return B0Elem(tuple(QH.mul(f, c) for c in b.coords))
     na, da = _coord_numerators(a)
     nb, db = _coord_numerators(b)
     # a pair's product has at most max|a_m| + max|b_n| - 1 coefficients,

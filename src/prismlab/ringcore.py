@@ -1041,16 +1041,21 @@ class TruncSeries:
         return self.map_coeffs(lambda x: r.mul(c, x))
 
     def __pow__(self, n):
+        """Square-and-multiply as Ring.pow: at most floor(log2 n) squarings
+        and popcount(n) - 1 further products, none by one; n = 0 gives
+        one."""
         if n < 0:
             raise ValueError("negative series power")
-        result = TruncSeries.one(self.ring, self.variables, self.order)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return (TruncSeries.one(self.ring, self.variables, self.order)
+                if result is None else result)
 
     def eq(self, other, order=None):
         self._check(other)
@@ -1076,21 +1081,25 @@ class TruncSeries:
     def subs(self, mapping: dict):
         """Substitute series for variables.  Every variable occurring in a
         monomial with positive exponent must be mapped; values must share
-        ring, variables and order."""
+        ring, variables and order.  The powers of each value are built
+        once, and each term c * (product of powers) is added, coefficient
+        by coefficient, into one dict that becomes a series at the end."""
         template = next(iter(mapping.values()))
         r = template.ring
         if r != self.ring:
             raise RingMismatch("substitution into a different ring")
         order = template.order
-        out = TruncSeries.zero(r, template.variables, order)
-        powers = {v: [TruncSeries.one(r, template.variables, order)]
-                  for v in mapping}
+        out: dict = {}
+        powers = {v: [None, mapping[v]] for v in mapping}
 
         def power(v, n):
             cache = powers[v]
             while len(cache) <= n:
                 cache.append(cache[-1] * mapping[v])
             return cache[n]
+
+        def accumulate(e, x):
+            out[e] = r.add(out[e], x) if e in out else x
 
         for e, c in self.coeffs.items():
             term = None
@@ -1099,9 +1108,12 @@ class TruncSeries:
                     if v not in mapping:
                         raise RingMismatch("no substitution given for %s" % v)
                     term = power(v, n) if term is None else term * power(v, n)
-            out = out + (TruncSeries.const(r, template.variables, order, c)
-                         if term is None else term.scale(c))
-        return out
+            if term is None:
+                accumulate((0,) * len(template.variables), c)
+            else:
+                for e2, x in term.coeffs.items():
+                    accumulate(e2, r.mul(c, x))
+        return TruncSeries(r, template.variables, out, order)
 
     def compose(self, g: "TruncSeries"):
         """f(g) for univariate f; g must have zero constant term unless f is
@@ -1134,11 +1146,13 @@ def clear_denominators(f: TruncSeries, target: Ring) -> TruncSeries:
     """Map a series over Q (or a quotient ring over Q) into target.
 
     Each coefficient's denominator must be invertible in target; the error
-    names the offending monomial.
+    names the offending monomial and the ring.  A ring that defines no
+    from_rational receives no coefficient at all.
     """
+    image = getattr(target, "from_rational", None)
     out = {}
     for e, c in f.coeffs.items():
-        img = target.from_rational(c)
+        img = None if image is None else image(c)
         if img is None:
             mono = "*".join("%s^%d" % (v, n) if n > 1 else v
                             for v, n in zip(f.variables, e) if n) or "1"

@@ -404,6 +404,21 @@ def test_cli_smoke():
     assert rep["failed"] == 0
 
 
+def test_main_called_twice_in_one_process_matches_separate_runs(tmp_path):
+    # the parser is built once at import; no flag of the first call may
+    # reach the second, whose omitted flags take their defaults
+    calls = [("--suite", "fgl.deformation", "--trials", "2", "--seed", "5"),
+             ("--suite", "intpoly.basis")]
+    for i, args in enumerate(calls):
+        path = tmp_path / ("%d.json" % i)
+        argv = [*args, "--format", "json", "--out", str(path)]
+        assert harness.main(argv) == 0
+        alone = run_cli(*args, "--format", "json")
+        assert alone.returncode == 0
+        assert (strip_elapsed(json.loads(path.read_text()))
+                == strip_elapsed(json.loads(alone.stdout)))
+
+
 def test_cli_unwritable_out(tmp_path):
     path = tmp_path / "missing" / "x.json"
     out = run_cli("--suite", "fgl.deformation", "--out", str(path))

@@ -182,15 +182,24 @@ def test_log_sharp_power_is_stirling():
 
 
 def test_log_sharp_power_is_prefix_of_full_power():
-    # the untruncated (log x)^k / k!, with its k N + 1 coordinates
-    for N in range(13):
+    # the untruncated (log x)^k / k!, with its k N + 1 coordinates, for
+    # k <= 12 and N <= 24: descending from a cleared memo, then ascending
+    # through a full one
+    want = {}
+    for N in range(25):
         log = log_pd(N)
         acc = log
-        for k in range(1, 5):
+        for k in range(1, 13):
             if k > 1:
                 acc = acc * log
-            full = [c // math.factorial(k) for c in acc.coords[:N + 1]]
-            assert log_sharp_power(k, N) == PDElem(tuple(full)), (k, N)
+            full = acc.coords[:N + 1]
+            assert all(c % math.factorial(k) == 0 for c in full)
+            want[k, N] = PDElem(tuple(c // math.factorial(k) for c in full))
+    pd_dual._log_sharp_step.cache_clear()
+    for k, N in sorted(want, reverse=True):
+        assert log_sharp_power(k, N) == want[k, N], (k, N)
+    for k, N in sorted(want):
+        assert log_sharp_power(k, N) == want[k, N], (k, N)
 
 
 def old_pair_distr(d, f):

@@ -284,6 +284,31 @@ def test_b0ring_div_int_exact_certifies_z_h_integrality():
     assert B0Ring().div_int_exact(a, 2) == B0Elem((H(2), H(0, 1)))
 
 
+def monomial_form(a):
+    """a over Q[h][t]: sum_n a_n c_n with c_n in monomial form."""
+    out = QHT.zero
+    for n, c in enumerate(a.coords):
+        if c:
+            out = QHT.add(out, QHT.mul((c,), _c_monomial(n)))
+    return out
+
+
+@pytest.mark.parametrize("f", [H(3), QH.make([Fraction(-1, 2)]), H(0, 0, 2),
+                               QH.make([Fraction(1, 3), 0, Fraction(-5, 2)])],
+                         ids=["constant", "rational", "monomial", "general"])
+def test_one_coordinate_operand_matches_the_monomial_oracle(f):
+    scalar = B0Elem((f,))
+    others = [B0Elem((H(1), H(0, 2), QH.zero, QH.make([Fraction(-3, 4), 1]))),
+              B0Elem((QH.zero, QH.zero, H(5))), B0Elem.from_int(-2), scalar]
+    for b in others:
+        for x, y in ((scalar, b), (b, scalar)):
+            want = B0Elem.from_monomial(QHT.mul(monomial_form(x),
+                                                monomial_form(y)))
+            got = b0_mul(x, y)
+            assert got == want
+            assert repr(got.coords) == repr(b0_mul_reference(x, y).coords)
+
+
 # --- the integer B_0 kernels against Fraction references -------------------
 
 def _ref_mul(x, y):

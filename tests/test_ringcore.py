@@ -9,6 +9,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from prismlab import ringcore
+from prismlab.qhopf import QH, B0Ring
 
 from prismlab.ringcore import (
     CyclotomicRing, DoesNotConverge, ExactInt, ExactRat, IntModRing, ModP,
@@ -253,6 +254,11 @@ def test_clear_denominators_examples():
                            ModP(2, 4))
     f = TruncSeries(Q, ("z",), {(1,): Fraction(1)}, 2)
     assert clear_denominators(f, ExactInt()).coefficient((1,)) == 1
+    # B0 defines no from_rational: no coefficient has an image there
+    with pytest.raises(NonIntegralCoefficient,
+                       match=r"Fraction\(1, 2\) of z has no image in B0"):
+        clear_denominators(TruncSeries(Q, ("z",), {(1,): Fraction(1, 2)}, 4),
+                           B0Ring())
 
 
 def test_clear_denominators_roundtrip():
@@ -695,3 +701,92 @@ def test_int_series_mul_matches_generic_path(data, nvars):
     want = generic_series_mul(a, b)
     assert prod == want and prod.order == want.order
     assert all(type(c) is int and c for c in prod.coeffs.values())
+
+
+# --- series powers and substitution against term-by-term references ---------
+
+SERIES_RINGS = {"Z": ExactInt(), "Z/81": ModP(3, 4), "Q[h]": QH,
+                "B0": B0Ring()}
+
+
+def rand_coeff(ring, rng):
+    if ring == QH:
+        return QH.make([Fraction(rng.randrange(-3, 4), rng.choice((1, 2, 3)))
+                        for _ in range(2)])
+    return ring.rand(rng)
+
+
+def rand_series(ring, rng, variables, order, constant=True):
+    exps = [e for e in itertools.product(range(order + 1),
+                                         repeat=len(variables))
+            if sum(e) <= order and (constant or sum(e))]
+    return TruncSeries(ring, variables,
+                       {e: rand_coeff(ring, rng) for e in exps}, order)
+
+
+@pytest.mark.parametrize("name", ["Z", "Z/81", "B0"])
+def test_series_pow_is_repeated_multiplication(name, monkeypatch):
+    ring = SERIES_RINGS[name]
+    f = rand_series(ring, random.Random(5), ("x", "y"), 3)
+    one = TruncSeries.one(ring, f.variables, f.order)
+    products = []
+    mul = TruncSeries.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    want = one
+    for n in range(10):
+        products.clear()
+        monkeypatch.setattr(TruncSeries, "__mul__", counted)
+        got = f ** n
+        monkeypatch.setattr(TruncSeries, "__mul__", mul)
+        assert got == want, n
+        # floor(log2 n) squarings and popcount(n) - 1 further products
+        bound = n.bit_length() + bin(n).count("1") - 2 if n else 0
+        assert len(products) <= bound, n
+        assert not any(a == one or b == one for a, b in products), n
+        want = want * f
+
+
+def subs_reference(f, mapping):
+    """f(mapping) term by term: each coefficient times its variables'
+    values, multiplied in one at a time, added to a running sum."""
+    template = next(iter(mapping.values()))
+    r, variables, order = template.ring, template.variables, template.order
+    out = TruncSeries.zero(r, variables, order)
+    for e, c in f.coeffs.items():
+        term = TruncSeries.const(r, variables, order, c)
+        for v, n in zip(f.variables, e):
+            for _ in range(n):
+                term = term * mapping[v]
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("name", list(SERIES_RINGS))
+def test_subs_and_compose_match_term_by_term(name):
+    ring = SERIES_RINGS[name]
+    rng = random.Random(11)
+    g = rand_series(ring, rng, ("s", "t"), 3, constant=False)
+    h = rand_series(ring, rng, ("s", "t"), 3)
+    f = rand_series(ring, rng, ("x", "y"), 3)
+    assert f.constant_term() != ring.zero
+    got = f.subs({"x": g, "y": h})
+    assert got == subs_reference(f, {"x": g, "y": h})
+    # x^2 and -y cancel under y = x^2, leaving the constant term
+    c = rand_coeff(ring, rng)
+    f = TruncSeries(ring, ("x", "y"), {(0, 0): c, (2, 0): ring.one,
+                                       (0, 1): ring.neg(ring.one)}, 3)
+    mapping = {"x": g, "y": g * g}
+    assert f.subs(mapping) == subs_reference(f, mapping)
+    assert f.subs(mapping) == TruncSeries.const(ring, ("s", "t"), 3, c)
+    # everything cancels under x = y
+    f = TruncSeries(ring, ("x", "y"), {(1, 0): ring.one,
+                                       (0, 1): ring.neg(ring.one)}, 3)
+    assert f.subs({"x": h, "y": h}).is_zero()
+    # compose: a univariate outer series with a constant term
+    u = rand_series(ring, rng, ("z",), 4)
+    v = rand_series(ring, rng, ("z",), 4, constant=False)
+    assert u.compose(v) == subs_reference(u, {"z": v})
