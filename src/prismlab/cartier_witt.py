@@ -15,17 +15,13 @@ from fractions import Fraction
 from .fgl import h_law, n_series
 from .intpoly import IntPoly, lambda_op
 from .qhopf import QH, QHT, B0Elem, B0Ring, _c_monomial
-from .ringcore import (  # noqa: F401 - the exception classes are re-exported
-    EigenCheckFailed, IdentityFailed, PrismlabError, TruncSeries, h_element,
+from .ringcore import (
+    BoundExceeded, DomainError, NotIntegral, TruncSeries, h_element,
     q_element, q_number,
 )
 from .witt import (
     BigWitt, frobenius_big, from_int_vector, teich_mul, witt_to_bj,
 )
-
-
-class BoundExceeded(PrismlabError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -40,7 +36,7 @@ class MultHomSeries:
     def __post_init__(self):
         ring = self.series.ring
         if not ring.eq(self.series.constant_term(), ring.one):
-            raise IdentityFailed("constant term must be 1")
+            raise DomainError("constant term must be 1")
         if self.tag not in ("R", "G"):
             raise ValueError("tag must be R or G")
 
@@ -82,14 +78,14 @@ def specialize_pairing_at_t(N: int, t_value) -> TruncSeries:
 def embed_R(f: MultHomSeries) -> BigWitt:
     """f -> f(1 - z): w = y - 1 becomes -z."""
     if f.tag != "R":
-        raise IdentityFailed("embed_R needs an R-type series")
+        raise DomainError("embed_R needs an R-type series")
     return _embed_minus_z(f.series)
 
 
 def embed_G_I(f: MultHomSeries) -> BigWitt:
     """f -> f(-z)."""
     if f.tag != "G":
-        raise IdentityFailed("embed_G_I needs a G-type series")
+        raise DomainError("embed_G_I needs a G-type series")
     return _embed_minus_z(f.series)
 
 
@@ -103,7 +99,7 @@ def _embed_minus_z(series: TruncSeries) -> BigWitt:
 def embed_G_II(f: MultHomSeries) -> BigWitt:
     """f -> f(z/(z-1)) = f(-z - z^2 - z^3 - ...)."""
     if f.tag != "G":
-        raise IdentityFailed("embed_G_II needs a G-type series")
+        raise DomainError("embed_G_II needs a G-type series")
     ring = f.series.ring
     N = f.series.order
     inner = TruncSeries(ring, ("z",),
@@ -247,7 +243,7 @@ def _basis_at_mt(n: int, m: int) -> B0Elem:
     scaled = tuple(QH.mul_int(c, m ** i) for i, c in enumerate(mono))
     elem = B0Elem.from_monomial(scaled)
     if not elem.is_integral():
-        raise IdentityFailed("c_%d(%dt, h) is not integral" % (n, m))
+        raise NotIntegral("c_%d(%dt, h) is not integral" % (n, m))
     return elem
 
 

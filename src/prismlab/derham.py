@@ -22,18 +22,14 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .ringcore import (  # noqa: F401 - IdentityFailed is re-exported
-    DoesNotConverge, EigenCheckFailed, IdentityFailed, ModP, PrismlabError,
+from .ringcore import (
+    BoundExceeded, DomainError, IdentityFailed, ModP, NotIntegral,
     _padic_profile,
 )
 from .witt import (
     WittVector, frobenius, ghost_combine, scalar_mul, teichmuller,
     verschiebung, witt_neg, witt_op, witt_sub,
 )
-
-
-class NotTeichmuller(PrismlabError):
-    pass
 
 
 def _wadd(a, b):
@@ -61,7 +57,7 @@ class GdRPoint:
 
     def __init__(self, x: WittVector, check: bool = True):
         if check and not is_teichmuller(one_plus_p_x(x)):
-            raise NotTeichmuller("1 + px is not a Teichmuller unit")
+            raise DomainError("1 + px is not a Teichmuller unit")
         self.x = x
 
     def __eq__(self, other):
@@ -112,7 +108,7 @@ def witt_series_eval(coeff, x: WittVector, bound: int) -> WittVector:
     cs = _integer_coeffs(coeff, x.p, n_p, bound)
     for n in range(max(bound - 1, 1), bound + 1):
         if not _witt_poly((0,) * (n - 1) + cs[n - 1:n], x, x.L).is_zero():
-            raise DoesNotConverge(
+            raise BoundExceeded(
                 "series did not stabilize within %d terms" % bound)
     return _witt_poly(cs, x, x.L)
 
@@ -127,8 +123,8 @@ def _integer_coeffs(coeff, p: int, n_p: int, bound: int) -> tuple:
         frac = coeff(n)
         c = frac % mod.m if type(frac) is int else mod.from_rational(frac)
         if c is None:
-            raise DoesNotConverge("coefficient %s is not p-integral"
-                                  % Fraction(frac))
+            raise NotIntegral("coefficient %s is not p-integral"
+                              % Fraction(frac))
         cs.append(c)
     return tuple(cs)
 
@@ -149,7 +145,7 @@ def f_log(a: GdRPoint) -> WittVector:
     cs = _series_coeffs("log", p, n_p, n_p + 2)
     y = witt_series_eval(lambda n: cs[n - 1], x, n_p + 2)
     if not is_eigen(y):
-        raise EigenCheckFailed("f_log output broke F y = p y")
+        raise IdentityFailed("f_log output broke F y = p y")
     return y
 
 
@@ -165,7 +161,7 @@ def is_eigen(y: WittVector) -> bool:
 def g_exp(y: WittVector) -> GdRPoint:
     """(exp(py) - 1)/p, defined only on certified {Fy = py} points."""
     if not is_eigen(y):
-        raise EigenCheckFailed("g_exp needs Fy = py")
+        raise DomainError("g_exp needs Fy = py")
     p, n_p, _ = _padic_profile(y.ring)
     cs = _series_coeffs("exp", p, n_p, n_p + 2)
     return GdRPoint(witt_series_eval(lambda n: cs[n - 1], y, n_p + 2))
@@ -186,10 +182,10 @@ def id_minus_V(y: WittVector) -> WittVector:
     """y - Vy, mapping {Fy = py} into the kernel of F; the inverse is
     summing Verschiebung iterates."""
     if not is_eigen(y):
-        raise EigenCheckFailed("id - V is certified on Fy = py only")
+        raise DomainError("id - V is certified on Fy = py only")
     out = witt_sub(y, verschiebung(y))
     if not frobenius(out).is_zero():
-        raise EigenCheckFailed("F(y - Vy) did not vanish")
+        raise IdentityFailed("F(y - Vy) did not vanish")
     return out
 
 
@@ -223,7 +219,7 @@ def sample_gdr(ring, p, L, rng) -> GdRPoint:
         x = _solve_scalar_p(target, rng)
         if x is not None:
             return GdRPoint(x)
-    raise DoesNotConverge("no de Rham point found")
+    raise BoundExceeded("no de Rham point found")
 
 
 def _solve_scalar_p(target: WittVector, rng):
@@ -273,7 +269,7 @@ def sample_eigen(ring, p, L, rng) -> WittVector:
         y = WittVector(ring, p, comps)
         if is_eigen(y):
             return y
-    raise DoesNotConverge("no eigen point found")
+    raise BoundExceeded("no eigen point found")
 
 
 # --- characteristic-p checks ---------------------------------------------------

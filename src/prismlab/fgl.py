@@ -8,17 +8,9 @@ by a ring element, and the deformation to the additive law.
 from __future__ import annotations
 
 from .ringcore import (
-    PrismlabError, Ring, RingMismatch, SeriesCoeffRing, TruncSeries,
+    DomainError, IdentityFailed, Ring, SeriesCoeffRing, TruncSeries,
     q_element, q_number,
 )
-
-
-class AxiomFailure(PrismlabError):
-    pass
-
-
-class HomCheckFailure(PrismlabError):
-    pass
 
 
 LAW_VARS = ("z1", "z2")
@@ -32,15 +24,15 @@ class FormalGroupLaw:
 
     def __init__(self, law: TruncSeries, check: bool = True):
         if law.variables != LAW_VARS:
-            raise RingMismatch("a law is a series in %s, not %s"
-                               % (LAW_VARS, law.variables))
+            raise DomainError("a law is a series in %s, not %s"
+                              % (LAW_VARS, law.variables))
         self.law = law
         self.ring = law.ring
         self.order = law.order
         if check:
             failure = law_axiom_failure(law)
             if failure is not None:
-                raise AxiomFailure(failure)
+                raise IdentityFailed(failure)
 
     def __eq__(self, other):
         if not isinstance(other, FormalGroupLaw):
@@ -120,16 +112,16 @@ class FGLHom:
     def __init__(self, series: TruncSeries, source: FormalGroupLaw,
                  target: FormalGroupLaw, check: bool = True):
         if len(series.variables) != 1:
-            raise RingMismatch("hom series must be univariate")
+            raise DomainError("hom series must be univariate")
         if not series.ring.is_zero(series.constant_term()):
-            raise AxiomFailure("hom series has a constant term")
+            raise DomainError("hom series has a constant term")
         self.series = series
         self.source = source
         self.target = target
         if check:
             rep = verify_hom(self)
             if not rep["ok"]:
-                raise HomCheckFailure(rep["detail"])
+                raise IdentityFailed(rep["detail"])
 
     def __call__(self, arg: TruncSeries) -> TruncSeries:
         return self.series.subs({self.series.variables[0]: arg})
@@ -197,7 +189,7 @@ def specialize_deformation(family: FormalGroupLaw, value) -> FormalGroupLaw:
     """Evaluate the deformation parameter at a base-ring element."""
     ext = family.ring
     if not isinstance(ext, SeriesCoeffRing):
-        raise RingMismatch("not a deformation family")
+        raise DomainError("not a deformation family")
     collapsed = family.law.map_coeffs(
         lambda c: ext.eval_at(c, {"a": value}), ext.base)
     return FormalGroupLaw(collapsed, check=False)

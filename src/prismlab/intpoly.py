@@ -15,11 +15,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ringcore import PolyQuotRing, PrismlabError, RatRing
-
-
-class NotIntegerValued(PrismlabError):
-    pass
+from .ringcore import (
+    BoundExceeded, DomainError, IdentityFailed, NotIntegral, PolyQuotRing,
+    RatRing,
+)
 
 
 _RATPOLY = PolyQuotRing(RatRing(), None, "u")
@@ -125,8 +124,8 @@ def to_binomial(poly) -> IntPoly:
     while current:
         a = current[0]          # Delta^n f(0)
         if a.denominator != 1:
-            raise NotIntegerValued("difference Delta^%d f(0) = %s is not an integer"
-                                   % (n, a))
+            raise NotIntegral("difference Delta^%d f(0) = %s is not an integer"
+                              % (n, a))
         coords.append(int(a))
         # Delta f(u) = f(u+1) - f(u)
         shifted = _shift_one(current)
@@ -195,8 +194,8 @@ def delta_p(x: IntPoly, p: int) -> IntPoly:
     def delta(v):
         q, r = divmod(v - v ** p, p)
         if r:
-            raise NotIntegerValued("%d - %d^%d is not divisible by %d"
-                                   % (v, v, p, p))
+            raise NotIntegral("%d - %d^%d is not divisible by %d"
+                              % (v, v, p, p))
         return q
     return _pointwise(x, p, delta)
 
@@ -215,7 +214,7 @@ def mahler_table(x: IntPoly, p: int, n: int) -> dict:
             period = p ** k
             return {"period": period,
                     "residues": [x(r) % mod for r in range(period)]}
-    raise NotIntegerValued("no period found below p^%d" % cap)
+    raise BoundExceeded("no period found below p^%d" % cap)
 
 
 def _shift_by(x: IntPoly, s: int) -> IntPoly:
@@ -261,7 +260,7 @@ def delta_basis_expand(x: IntPoly, p: int, deg: int) -> dict:
     """Coordinates of x against the monomials prod delta^i(u)^{d_i} with
     0 <= d_i < p, as p-integral rationals, by triangular degree reduction."""
     if x.degree() >= p ** (deg + 1):
-        raise NotIntegerValued("degree %d exceeds p^(deg+1)" % x.degree())
+        raise DomainError("degree %d exceeds p^(deg+1)" % x.degree())
     R = _RATPOLY
     residual = x.to_rational()
     coords: dict = {}
@@ -270,12 +269,12 @@ def delta_basis_expand(x: IntPoly, p: int, deg: int) -> dict:
         basis = delta_basis(p, n)
         c = residual[-1] / basis[-1]
         if c.denominator % p == 0:
-            raise NotIntegerValued(
+            raise NotIntegral(
                 "leading coordinate %s at degree %d is not p-integral" % (c, n))
         coords[n] = c
         residual = R.sub(residual, tuple(c * b for b in basis))
         if len(residual) - 1 >= n and residual:
-            raise NotIntegerValued("reduction failed to lower the degree")
+            raise IdentityFailed("reduction failed to lower the degree")
     return coords
 
 

@@ -16,18 +16,10 @@ from fractions import Fraction
 
 from .intpoly import binom_poly, gen_binom
 from .ringcore import (
-    CyclotomicRing, IntRing, PolyQuotRing, PrismlabError, RatRing,
-    TruncSeries, _kronecker_mul, _numerators, padic_log, q_element,
+    CyclotomicRing, IdentityFailed, IntRing, NotIntegral, PolyQuotRing,
+    RatRing, TruncSeries, _kronecker_mul, _numerators, padic_log, q_element,
     series_exp,
 )
-
-
-class NotPD(PrismlabError):
-    pass
-
-
-class ReductionFailure(PrismlabError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -116,8 +108,8 @@ def pd_normalize(series) -> PDElem:
     for n, a in enumerate(series):
         c = Fraction(a) * math.factorial(n)
         if c.denominator != 1:
-            raise NotPD("coefficient of (x-1)^%d is %s; n! a_n is not integral"
-                        % (n, Fraction(a)))
+            raise NotIntegral("coefficient of (x-1)^%d is %s; n! a_n is not "
+                              "integral" % (n, Fraction(a)))
         coords.append(int(c))
     return PDElem(tuple(coords))
 
@@ -227,8 +219,8 @@ def _log_sharp_step(k: int, N: int) -> PDElem:
             _log_sharp_step(k - 1, N).coords, log.coords, N + 1)):
         q, r = divmod(c, k)
         if r:
-            raise NotPD("(log x)^%d not divisible by %d! at gamma_%d"
-                        % (k, k, n))
+            raise NotIntegral("(log x)^%d not divisible by %d! at gamma_%d"
+                              % (k, k, n))
         out.append(q)
     return PDElem(tuple(out))
 
@@ -286,7 +278,7 @@ def _gamma_op(w: PDElem, p: int) -> PDElem:
     for c in acc.coords:
         q, r = divmod(c, p)
         if r:
-            raise ReductionFailure("w^p not divisible by p")
+            raise NotIntegral("w^p not divisible by p")
         out.append(q)
     return PDElem(tuple(out))
 
@@ -326,7 +318,7 @@ def gsharp_comparison(p: int, max_degree: int, trials: int, rng) -> dict:
         f = PDElem(tuple(rng.randrange(-9, 10) for _ in range(max_degree + 1)))
         try:
             coords = reduce_against_basis(f, basis, p)
-        except ReductionFailure as err:
+        except (NotIntegral, IdentityFailed) as err:
             report["failures"].append(str(err))
             continue
         # the round trip on integers: D f = sum (D c_n) basis[n], with D the
@@ -351,7 +343,7 @@ def reduce_against_basis(f: PDElem, basis: dict, p: int) -> dict:
     coordinates of basis[0..deg f]: the residual after the steps down to
     degree n has denominators dividing the leads above n, so the scaled
     residual stays integral and each step's M c_n is an exact quotient by
-    the lead at n; a remainder raises ReductionFailure.  Each c_n is the
+    the lead at n; a remainder raises NotIntegral.  Each c_n is the
     one Fraction (M c_n) / M."""
     coords: dict = {}
     scale = math.prod(basis[n].coord(n) for n in range(len(f.coords)))
@@ -360,12 +352,12 @@ def reduce_against_basis(f: PDElem, basis: dict, p: int) -> dict:
         n = len(residual) - 1
         q, r = divmod(residual[n], basis[n].coord(n))
         if r:
-            raise ReductionFailure(
+            raise NotIntegral(
                 "coefficient %s at degree %d is not an exact quotient"
                 % (Fraction(residual[n], scale * basis[n].coord(n)), n))
         c = Fraction(q, scale)
         if c.denominator % p == 0:
-            raise ReductionFailure(
+            raise NotIntegral(
                 "coefficient %s at degree %d is not p-integral" % (c, n))
         coords[n] = c
         for i, v in enumerate(basis[n].coords):
@@ -373,7 +365,7 @@ def reduce_against_basis(f: PDElem, basis: dict, p: int) -> dict:
         while residual and residual[-1] == 0:
             residual.pop()
         if len(residual) - 1 >= n and residual:
-            raise ReductionFailure("degree did not drop at %d" % n)
+            raise IdentityFailed("degree did not drop at %d" % n)
     return coords
 
 

@@ -21,17 +21,9 @@ from fractions import Fraction
 from .intpoly import IntPoly, vandermonde
 from .pd_dual import stirling_first
 from .ringcore import (
-    IntRing, PolyQuotRing, PrismlabError, RatRing, Ring, _kronecker_mul,
-    _numerators, _over_den, q_number,
+    DomainError, IdentityFailed, IntRing, NotIntegral, PolyQuotRing, RatRing,
+    Ring, _kronecker_mul, _numerators, _over_den, q_number,
 )
-
-
-class NonIntegralStructureConstant(PrismlabError):
-    pass
-
-
-class DegreeExceedsFiltration(PrismlabError):
-    pass
 
 
 ZH = PolyQuotRing(IntRing(), None, "h")
@@ -68,7 +60,7 @@ def _from_monomial(P: tuple) -> tuple:
         coords[n] = coord
         P = QHT.sub(P, QHT.mul((coord,), _c_monomial(n)))
         if len(P) - 1 >= n and P:
-            raise NonIntegralStructureConstant("triangular reduction stalled")
+            raise IdentityFailed("triangular reduction stalled")
     return tuple(coords)
 
 
@@ -265,7 +257,7 @@ def b0_delta(a: B0Elem, p: int) -> B0Elem:
     num = adams(p, a) - a ** p
     out = B0Elem(tuple(QH.div_int_exact(c, p) for c in num.coords))
     if not out.is_p_integral(p):
-        raise NonIntegralStructureConstant(
+        raise NotIntegral(
             "(psi^p - (.)^p)/p left a p in a denominator: %r" % (out,))
     return out
 
@@ -273,7 +265,7 @@ def b0_delta(a: B0Elem, p: int) -> B0Elem:
 def b0_to_int_h(a: B0Elem) -> dict:
     """Image in Int[h] under c_n -> h^n C(u,n): {h-degree: IntPoly}."""
     if not a.is_integral():
-        raise NonIntegralStructureConstant("element is not in the integral form")
+        raise NotIntegral("element is not in the integral form")
     out: dict = {}
     for n, c in enumerate(a.coords):
         for j, f in enumerate(c):
@@ -287,7 +279,7 @@ def b0_to_int_h(a: B0Elem) -> dict:
 def b0_from_filtration(f: IntPoly, n: int) -> B0Elem:
     """h^n f under the inverse comparison, defined when deg f <= n."""
     if f.degree() > n:
-        raise DegreeExceedsFiltration(
+        raise DomainError(
             "degree %d exceeds filtration level %d" % (f.degree(), n))
     coords = []
     for m, a in enumerate(f.coords):

@@ -19,19 +19,15 @@ from typing import NamedTuple
 
 from .qhopf import _c_monomial, _from_monomial
 from .ringcore import (
-    CyclotomicRing, IdentityFailed, PolyQuotRing, PrismlabError, QSeriesRing,
-    RatRing, TruncSeries, _last_live_term, _log_term_ring, _padic_profile,
-    build_once, h_element, q_element, q_number, valuation,
+    BoundExceeded, CyclotomicRing, DomainError, NotIntegral, PolyQuotRing,
+    QSeriesRing, RatRing, TruncSeries, _last_live_term, _log_term_ring,
+    _padic_profile, build_once, h_element, q_element, q_number, valuation,
 )
 from .witt import (
-    DeltaRing, NonIntegralGhost, WittVector, from_ghost, ghost_combine,
+    DeltaRing, WittVector, from_ghost, ghost_combine,
     joyal_lift, teichmuller, witt_sub,
 )
-from .derham import NotTeichmuller, is_teichmuller
-
-
-class TailNotStabilized(PrismlabError):
-    pass
+from .derham import is_teichmuller
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +142,7 @@ def q_exponential(p: int, n_p: int, n_q: int) -> dict:
     # certificate: the next coordinate Phi^(n_max+1) is already in the box
     nxt = H.mul(power, phi)
     if not bh_in_box(R, R.make([nxt]), p, n_p, n_q):
-        raise TailNotStabilized("Phi^%d not yet inside the box" % (n_max + 1))
+        raise BoundExceeded("Phi^%d not yet inside the box" % (n_max + 1))
     return {"ring": R, "element": acc, "tail": n_max}
 
 
@@ -315,7 +311,7 @@ class GQPoint:
 
     def __init__(self, x: WittVector, check: bool = True):
         if check and not is_teichmuller(_one_plus_phi_x(x, q_element(x.ring))):
-            raise NotTeichmuller("1 + Phi_p([q]) x is not Teichmuller")
+            raise DomainError("1 + Phi_p([q]) x is not Teichmuller")
         self.x = x
 
     def __eq__(self, other):
@@ -391,11 +387,11 @@ def sample_gq(ring, p, L, rng) -> GQPoint:
         try:
             pt = GQPoint(from_ghost(rring, p, ghosts)._map(
                 ring, ring.from_rational), check=False)
-        except NonIntegralGhost:
+        except NotIntegral:
             continue
         if is_teichmuller(_one_plus_phi_x(pt.x, q_element(ring))):
             return pt
-    raise TailNotStabilized("no q-deformed point found")
+    raise BoundExceeded("no q-deformed point found")
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +424,7 @@ def q_log(a: GQPoint) -> tuple:
 
     The one log sum besides padic_log, kept over Q[h]: at p = 2, n_q >= 5
     some terms (U - 1)^n / n are not p-integral, and padic_log, dividing
-    term by term, raises NonIntegralCoefficient where this sum succeeds.
+    term by term, raises NotIntegral where this sum succeeds.
     """
     ring = a.x.ring
     p, n_p, n_q = _padic_profile(ring)
@@ -449,12 +445,12 @@ def q_log(a: GQPoint) -> tuple:
     val = rring.div_int_exact(val, p)
     loss = _precision_loss(p, inv)
     if n_p - loss < 1:
-        raise TailNotStabilized(
+        raise BoundExceeded(
             "q-log needs input precision above %d at n_q = %d" % (loss, n_q))
     out_ring = QSeriesRing(n_q, p=p, n_p=n_p - loss)
     out = out_ring.from_rational(val)
     if out is None:
-        raise TailNotStabilized("q-log value is not p-integral at this precision")
+        raise NotIntegral("q-log value is not p-integral at this precision")
     return out_ring, out
 
 
@@ -492,7 +488,7 @@ def zp_action(ring, n: int, order: int) -> TruncSeries:
     vn = q_number(ring, n)
     inv = ring.inv(vn)
     if inv is None:
-        raise IdentityFailed("h_n(1, q) is not invertible for n = %d" % n)
+        raise NotIntegral("h_n(1, q) is not invertible for n = %d" % n)
     return hn.scale(inv)
 
 
@@ -581,7 +577,7 @@ def _lambda_series(C, order: int) -> TruncSeries:
     for n in range(1, order + 1):
         c = term(power, n)
         if c is None:
-            raise TailNotStabilized("lambda coefficient %d not p-integral" % n)
+            raise NotIntegral("lambda coefficient %d not p-integral" % n)
         coeffs[(n,)] = reduce_(c)
         power = wide.mul(power, zeta1)
     return TruncSeries(C, ("z",), coeffs, order)

@@ -4,7 +4,9 @@ Everything downstream (Witt vectors, formal group laws, the q-binomial Hopf
 algebra) runs over the small ring protocol defined here: exact integers and
 rationals, integers mod p^n, polynomial and series quotients in h = q - 1,
 and the cyclotomic quotient Z[q]/(Phi_p(q)).  All values are immutable;
-rings are stateless and freely shareable across threads.
+rings are stateless and freely shareable across threads.  The four
+library errors are defined here, once, each for one way a map can fail
+(`DomainError`, `NotIntegral`, `BoundExceeded`, `IdentityFailed`).
 """
 from __future__ import annotations
 
@@ -17,35 +19,26 @@ from fractions import Fraction
 
 
 class PrismlabError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; each is one of the four below."""
 
 
-class RingMismatch(PrismlabError):
-    pass
+class DomainError(PrismlabError):
+    """An argument the map does not accept: mismatched rings, variables or
+    lengths, a ring of the wrong kind, a required constant term, degree,
+    order or series tag, or an input's membership certificate."""
 
 
-class NonzeroConstantTerm(PrismlabError):
-    pass
+class NotIntegral(PrismlabError):
+    """An inexact division, a denominator or unit with no inverse, or a
+    value that is not integral or not p-integral."""
 
 
-class NonIntegralCoefficient(PrismlabError):
-    pass
-
-
-class DoesNotConverge(PrismlabError):
-    pass
-
-
-class PrecisionExhausted(PrismlabError):
-    pass
-
-
-class EigenCheckFailed(PrismlabError):
-    pass
+class BoundExceeded(PrismlabError):
+    """A series, search, precision or size budget that ran out."""
 
 
 class IdentityFailed(PrismlabError):
-    pass
+    """An output or internal certificate that did not hold."""
 
 
 def is_prime(n: int) -> bool:
@@ -971,10 +964,10 @@ class TruncSeries:
 
     def _check(self, other):
         if self.ring != other.ring:
-            raise RingMismatch("%s vs %s" % (self.ring, other.ring))
+            raise DomainError("%s vs %s" % (self.ring, other.ring))
         if self.variables != other.variables:
-            raise RingMismatch("variable sets differ: %s vs %s"
-                               % (self.variables, other.variables))
+            raise DomainError("variable sets differ: %s vs %s"
+                              % (self.variables, other.variables))
 
     def _join_order(self, other):
         if self.order is None:
@@ -1087,7 +1080,7 @@ class TruncSeries:
         template = next(iter(mapping.values()))
         r = template.ring
         if r != self.ring:
-            raise RingMismatch("substitution into a different ring")
+            raise DomainError("substitution into a different ring")
         order = template.order
         out: dict = {}
         powers = {v: [None, mapping[v]] for v in mapping}
@@ -1106,7 +1099,7 @@ class TruncSeries:
             for v, n in zip(self.variables, e):
                 if n:
                     if v not in mapping:
-                        raise RingMismatch("no substitution given for %s" % v)
+                        raise DomainError("no substitution given for %s" % v)
                     term = power(v, n) if term is None else term * power(v, n)
             if term is None:
                 accumulate((0,) * len(template.variables), c)
@@ -1119,9 +1112,9 @@ class TruncSeries:
         """f(g) for univariate f; g must have zero constant term unless f is
         a polynomial (finite, untruncated)."""
         if len(self.variables) != 1:
-            raise RingMismatch("compose needs a univariate outer series")
+            raise DomainError("compose needs a univariate outer series")
         if not g.ring.is_zero(g.constant_term()) and self.order is not None:
-            raise NonzeroConstantTerm("inner series has nonzero constant term")
+            raise DomainError("inner series has nonzero constant term")
         return self.subs({self.variables[0]: g})
 
     def __repr__(self):
@@ -1156,7 +1149,7 @@ def clear_denominators(f: TruncSeries, target: Ring) -> TruncSeries:
         if img is None:
             mono = "*".join("%s^%d" % (v, n) if n > 1 else v
                             for v, n in zip(f.variables, e) if n) or "1"
-            raise NonIntegralCoefficient(
+            raise NotIntegral(
                 "coefficient %s of %s has no image in %s"
                 % (f.ring.fmt(c), mono, target))
         out[e] = img
@@ -1184,9 +1177,9 @@ def series_inverse(f: TruncSeries) -> TruncSeries:
     r = f.ring
     inv0 = r.inv(f.constant_term())
     if inv0 is None:
-        raise NonzeroConstantTerm("constant term is not a visible unit")
+        raise NotIntegral("constant term is not a visible unit")
     if f.order is None:
-        raise PrecisionExhausted("series inverse needs a finite order")
+        raise DomainError("series inverse needs a finite order")
     one = TruncSeries.one(r, f.variables, f.order)
     u = newton_inverse(f, TruncSeries.const(r, f.variables, f.order, inv0), one,
                        operator.mul, operator.sub, f.order.bit_length())
@@ -1199,15 +1192,15 @@ def series_exp(f: TruncSeries) -> TruncSeries:
     """exp f for f of positive order, over a Q-type ring."""
     r = f.ring
     if f.low_order() in (0,) and not f.is_zero():
-        raise NonzeroConstantTerm("exp needs positive order")
+        raise DomainError("exp needs positive order")
     if f.order is None:
-        raise PrecisionExhausted("exp needs a finite order")
+        raise DomainError("exp needs a finite order")
     out = TruncSeries.one(r, f.variables, f.order)
     term = TruncSeries.one(r, f.variables, f.order)
     for n in range(1, f.order + 1):
         inv_n = r.div_int_exact(r.one, n)
         if inv_n is None:
-            raise NonIntegralCoefficient("ring does not contain 1/%d" % n)
+            raise NotIntegral("ring does not contain 1/%d" % n)
         term = term * f.scale(inv_n)
         if term.is_zero():
             break
@@ -1221,17 +1214,17 @@ def padic_log(u: TruncSeries) -> TruncSeries:
     needs positive order and the terms stop at the series order; over a
     mod-p^n quotient w(0) may lie in (p, q - 1, zeta - 1), and
     _log_term_bound terms are summed.  The loop stops once w^n is zero.  A
-    term outside the ring raises NonIntegralCoefficient, a constant term
-    over a ring with no p-adic modulus DoesNotConverge."""
+    term outside the ring raises NotIntegral, a constant term over a ring
+    with no p-adic modulus DomainError."""
     r = u.ring
     w = u - TruncSeries.one(r, u.variables, u.order)
     if w.is_zero():
         return w
     if r.is_torsion_free and not w.low_order():
-        raise DoesNotConverge("constant term differs from 1 and %s "
-                              "carries no p-adic modulus" % r)
+        raise DomainError("constant term differs from 1 and %s "
+                          "carries no p-adic modulus" % r)
     if w.order is None:
-        raise PrecisionExhausted("log needs a finite order")
+        raise DomainError("log needs a finite order")
     bound = w.order if r.is_torsion_free else _log_term_bound(r, w.order)
     wide, term, reduce = _log_term_ring(r, bound)
     w = TruncSeries(wide, w.variables, w.coeffs, w.order)
@@ -1243,8 +1236,8 @@ def padic_log(u: TruncSeries) -> TruncSeries:
             break
         terms = _images(lambda c: term(c, n), power.coeffs.values())
         if terms is None:
-            raise NonIntegralCoefficient("w^%d / %d has no image in %s"
-                                         % (n, n, r))
+            raise NotIntegral("w^%d / %d has no image in %s"
+                              % (n, n, r))
         out = out + TruncSeries(r, w.variables, dict(
             zip(power.coeffs, map(reduce, terms))), w.order)
     return out
@@ -1305,10 +1298,10 @@ def _last_live_term(p: int, target: int, shift: int) -> int:
 def _padic_profile(ring) -> tuple:
     """(p, n_p, extra_steps) of a mod-p^n quotient: Z/m with its prime p
     and n_p = v_p(m), or a PolyQuotRing over one, each of whose degrees
-    adds extra steps.  DoesNotConverge on a ring with no p-adic modulus."""
+    adds extra steps.  DomainError on a ring with no p-adic modulus."""
     scalar, extra = ring, 0
     while isinstance(scalar, PolyQuotRing):
         scalar, extra = scalar.scalar, extra + (scalar.deg or 0)
     if not isinstance(scalar, IntModRing) or scalar.p is None:
-        raise DoesNotConverge("%s carries no p-adic modulus" % ring)
+        raise DomainError("%s carries no p-adic modulus" % ring)
     return scalar.p, valuation(scalar.m, scalar.p), extra

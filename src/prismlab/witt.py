@@ -10,9 +10,9 @@ N (`_bounded_lift`).  Each vector keeps its ghost components in the last
 ring a solve needed them in and computes them again only in another
 ring.  Ghost components live in the coefficient ring itself, which must
 be torsion-free for them to determine the vector: `ghost`, `from_ghost`,
-`from_ghost_big`, `bj_to_witt` and `witt_to_bj` raise NonIntegralGhost on
-a torsion ring.  Every solve divides with its ring's `div_int_exact`, and
-a quotient outside the ring raises NonIntegralGhost.  The memoized
+`from_ghost_big`, `bj_to_witt` and `witt_to_bj` raise DomainError on a
+torsion ring.  Every solve divides with its ring's `div_int_exact`, and a
+quotient outside the ring raises NotIntegral.  The memoized
 universal polynomial tables, evaluated in the coefficient ring with no
 lift, are an oracle only (`witt_op_universal`): no operation falls back to
 them, and over Z the two must agree (`verify --suite witt.universal`).
@@ -25,22 +25,10 @@ from functools import lru_cache, reduce
 from operator import itemgetter, neg, or_
 
 from .ringcore import (
-    IntModRing, IntRing, PrecisionExhausted, PrismlabError,
-    Ring, RingMismatch, TruncSeries, _same, build_once, series_inverse,
+    BoundExceeded, DomainError, IdentityFailed, IntModRing, IntRing,
+    NotIntegral, Ring, TruncSeries, _same, build_once, series_inverse,
     widened,
 )
-
-
-class NonIntegralGhost(PrismlabError):
-    pass
-
-
-class NotADeltaRing(PrismlabError):
-    pass
-
-
-class TableTooLarge(PrismlabError):
-    """A universal table over UNIVERSAL_MAX_MONOMIALS, refused unbuilt."""
 
 
 # ---------------------------------------------------------------------------
@@ -64,9 +52,9 @@ class WittVector:
 
     def _check(self, other: "WittVector"):
         if self.ring != other.ring or self.p != other.p:
-            raise RingMismatch("incompatible Witt vectors")
+            raise DomainError("incompatible Witt vectors")
         if len(self.components) != len(other.components):
-            raise RingMismatch("Witt lengths differ")
+            raise DomainError("Witt lengths differ")
 
     def truncate(self, L: int) -> "WittVector":
         return WittVector(self.ring, self.p, self.components[:L])
@@ -119,7 +107,7 @@ class WittVector:
                 acc = ring.sub(acc, ring.mul_int(x, p ** i))
             acc = ring.div_int_exact(acc, p ** n)
             if acc is None:
-                raise NonIntegralGhost(
+                raise NotIntegral(
                     "ghost component %d is not integral" % n)
             comps.append(acc)
             pows.append(acc)
@@ -133,14 +121,14 @@ class WittVector:
 
 def _images(ring, fn, items, what: str) -> list:
     """[fn(c) for c in items], or items as they stand if fn is _same;
-    NonIntegralGhost at the first c with fn(c) None (no image there)."""
+    NotIntegral at the first c with fn(c) None (no image there)."""
     if fn is _same:
         return items
     out = [fn(c) for c in items]
     for n, img in enumerate(out):
         if img is None:
-            raise NonIntegralGhost("%s %d solves to %s"
-                                   % (what, n, ring.fmt(items[n])))
+            raise NotIntegral("%s %d solves to %s"
+                              % (what, n, ring.fmt(items[n])))
     return out
 
 
@@ -149,7 +137,7 @@ def zero_vector(ring, p, L) -> WittVector:
 
 
 def teichmuller(ring, p, L, a) -> WittVector:
-    return WittVector(ring, p, [a] + [ring.zero] * (L - 1))
+    return WittVector(ring, p, [a][:L] + [ring.zero] * (L - 1))
 
 
 def from_int_vector(ring, p, L, n: int) -> WittVector:
@@ -179,12 +167,12 @@ def _has_exact_division(ring) -> bool:
 
 
 def _torsion_free(ring):
-    """ring, or NonIntegralGhost if it has torsion: the ghost map is defined
+    """ring, or DomainError if it has torsion: the ghost map is defined
     over every ring, but only over a torsion-free one is it injective, so
     that ghost components determine the vector."""
     if not ring.is_torsion_free:
-        raise NonIntegralGhost("ring %s has torsion: ghost components do "
-                               "not determine a Witt vector there" % ring)
+        raise DomainError("ring %s has torsion: ghost components do "
+                          "not determine a Witt vector there" % ring)
     return ring
 
 
@@ -243,8 +231,8 @@ def ghost_combine(vectors, combine):
     however many operations combine makes.  combine must send ghost lists
     of Witt vectors to the ghost list of a Witt vector: ring operations per
     component, F (drop the first component) and V (g_n -> p g_(n-1)); its
-    output is no longer than its longest input.  NonIntegralGhost on a ring
-    with neither exact division nor a bounded lift.
+    output is no longer than its longest input.  DomainError on a ring with
+    neither exact division nor a bounded lift.
 
     Each input keeps (R, its ghosts in R), R the bounded lift or the ring
     itself, so a vector solved again in the same R is not ghosted again;
@@ -268,8 +256,8 @@ def ghost_combine(vectors, combine):
             factor = math.lcm(*range(1, max(v.N for v in vectors) + 1))
         bounded = _bounded_lift(ring, factor)
         if bounded is None:
-            raise NonIntegralGhost("ring %s has neither exact division nor "
-                                   "a bounded lift" % ring)
+            raise DomainError("ring %s has neither exact division nor "
+                              "a bounded lift" % ring)
         wide, up, down = bounded
     ghosts = []
     for v in vectors:
@@ -313,7 +301,7 @@ UNIVERSAL_MAX_MONOMIALS = 200_000
 def _pk_mul(a: dict, b: dict, guard: int) -> dict:
     """Product of packed polynomials; a square visits each pair once."""
     if (reduce(or_, a, 0) | reduce(or_, b, 0)) & guard:
-        raise PrismlabError("packed exponent reached its guard bit")
+        raise IdentityFailed("packed exponent reached its guard bit")
     out: dict = {}
     get = out.get
     if a is b:
@@ -362,7 +350,7 @@ def _pk_div_exact(a: dict, d: int) -> dict:
     for e, c in a.items():
         q, r = divmod(c, d)
         if r:
-            raise NonIntegralGhost("universal polynomial solve hit %s/%s" % (c, d))
+            raise NotIntegral("universal polynomial solve hit %s/%s" % (c, d))
         out[e] = q
     return out
 
@@ -400,14 +388,14 @@ def _pk_unpack(poly: dict, nvars: int, width: int, bound: int) -> dict:
         if keys is None or max(b"".join(keys), default=0) > bound:
             e = next(e for e in poly if e >> (nvars * 8)
                      or max(e.to_bytes(nvars, "little")) > bound)
-            raise PrismlabError("packed exponent %#x exceeds %d" % (e, bound))
+            raise IdentityFailed("packed exponent %#x exceeds %d" % (e, bound))
         return dict(zip(map(tuple, keys), poly.values()))
     mask = (1 << width) - 1
     out = {}
     for e, c in poly.items():
         exps = tuple((e >> (i * width)) & mask for i in range(nvars))
         if max(exps) > bound or e >> (nvars * width):
-            raise PrismlabError("packed exponent %#x exceeds %d" % (e, bound))
+            raise IdentityFailed("packed exponent %#x exceeds %d" % (e, bound))
         out[exps] = c
     return out
 
@@ -458,19 +446,19 @@ def universal_size_bound(op: str, p: int, L: int) -> int:
 
 
 def check_universal_size(op: str, p: int, L: int) -> None:
-    """Raise TableTooLarge if the (op, p, L) table may exceed
+    """Raise BoundExceeded if the (op, p, L) table may exceed
     UNIVERSAL_MAX_MONOMIALS.  A weight p^(L-1) above the limit is refused
     uncounted: the count would take that many steps, and the build raises
     polynomials to that power."""
     limit = UNIVERSAL_MAX_MONOMIALS
     weight = p ** (L - 1) if L else 0
     if weight > limit:
-        raise TableTooLarge(
+        raise BoundExceeded(
             "the %s table for p=%d, L=%d has weight p^(L-1) = %d, over the "
             "limit of %d monomials" % (op, p, L, weight, limit))
     estimate = universal_size_bound(op, p, L)
     if estimate > limit:
-        raise TableTooLarge(
+        raise BoundExceeded(
             "the %s table for p=%d, L=%d may have %d monomials in one "
             "polynomial, over the limit of %d" % (op, p, L, estimate, limit))
 
@@ -481,7 +469,7 @@ def witt_universal(op: str, p: int, L: int):
     add/mul: polynomials in a0..a_{L-1}, b0..b_{L-1}; neg: in a_i;
     frobenius: L-1 polynomials in a0..a_{L-1}.  Each table is built once
     (ringcore.build_once), however many threads ask for it; one that
-    check_universal_size refuses raises TableTooLarge unbuilt, and nothing
+    check_universal_size refuses raises BoundExceeded unbuilt, and nothing
     is stored for it.
     """
     if op not in _UNIVERSAL_OPS:
@@ -709,7 +697,7 @@ class DeltaRing:
 
     def __init__(self, ring: Ring, p: int, phi):
         if not ring.is_torsion_free:
-            raise NotADeltaRing("delta structure needs a torsion-free ring")
+            raise DomainError("delta structure needs a torsion-free ring")
         self.ring = ring
         self.p = p
         self.phi = phi
@@ -763,7 +751,7 @@ def witt_to_bj(w: WittVector) -> list:
         # c_n enters phi^n(c_0) only linearly, with coefficient p^n
         c = ring.div_int_exact(ring.sub(g, phi_of(0, n)), p ** n)
         if c is None:
-            raise NonIntegralGhost("BJ coordinate %d is not integral" % n)
+            raise NotIntegral("BJ coordinate %d is not integral" % n)
         cs.append(c)
     return cs
 
@@ -799,7 +787,7 @@ class BigWitt:
 
     def _check(self, other):
         if self.ring != other.ring:
-            raise RingMismatch("big Witt rings differ")
+            raise DomainError("big Witt rings differ")
 
     def __eq__(self, other):
         if not isinstance(other, BigWitt):
@@ -818,9 +806,9 @@ class BigWitt:
     @classmethod
     def from_series(cls, f: TruncSeries) -> "BigWitt":
         if len(f.variables) != 1:
-            raise RingMismatch("big Witt vectors are univariate series")
+            raise DomainError("big Witt vectors are univariate series")
         if not f.ring.eq(f.constant_term(), f.ring.one):
-            raise NonIntegralGhost("constant term must be 1")
+            raise DomainError("constant term must be 1")
         return cls(f.ring, f.order,
                    {e[0]: c for e, c in f.coeffs.items() if e[0] >= 1})
 
@@ -856,7 +844,7 @@ class BigWitt:
                 acc = ring.add(acc, ring.mul(gs[d - 1], f[n - d]))
             q = ring.div_int_exact(ring.neg(acc), n)
             if q is None:
-                raise NonIntegralGhost(
+                raise NotIntegral(
                     "big Witt coefficient %d is not integral" % n)
             f.append(q)
         return BigWitt(ring, len(gs), dict(enumerate(f)))
@@ -915,7 +903,7 @@ def frobenius_big(w: BigWitt, m: int) -> BigWitt:
     if m < 1:
         raise ValueError("m must be >= 1")
     if w.N < m:
-        raise PrecisionExhausted("need N_big >= %d for F_%d" % (m, m))
+        raise BoundExceeded("need N_big >= %d for F_%d" % (m, m))
     return ghost_combine((w,), lambda r, g: g[0][m - 1::m])
 
 

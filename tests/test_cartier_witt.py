@@ -4,14 +4,14 @@ import pytest
 from fractions import Fraction
 
 from prismlab.cartier_witt import (
-    BoundExceeded, MultHomSeries, embed_G_I, embed_G_II, embed_R,
+    MultHomSeries, embed_G_I, embed_G_II, embed_R,
     eigencheck_I, eigencheck_II, eigencheck_R, eval_bj_poly,
     fixed_point_bj_values, hom_pullback_check, m_series_identity, psi_map,
     specialize_pairing_at_t, universal_pairing, wf_ring_reduce,
 )
 from prismlab.qhopf import QH, B0Elem, B0Ring
 from prismlab.ringcore import (
-    ExactInt, QPoly, TruncSeries, h_element, q_element,
+    BoundExceeded, ExactInt, QPoly, TruncSeries, h_element, q_element,
 )
 from prismlab.witt import BigWitt, teichmuller_big
 

@@ -3,13 +3,13 @@ import random
 import pytest
 
 from prismlab.fgl import (
-    AxiomFailure, FGLHom, FormalGroupLaw, additive_law, deformation_family,
+    FGLHom, FormalGroupLaw, additive_law, deformation_family,
     f_pullback_h_law, h_law, multiplicative_law, n_series, phi_q_hom,
     rescale, scaling_map, specialize_deformation, verify_hom,
 )
 from prismlab.harness import SuiteConfig, run
 from prismlab.ringcore import (
-    ExactInt, QPoly, RingMismatch, TruncSeries, h_element,
+    DomainError, ExactInt, IdentityFailed, QPoly, TruncSeries, h_element,
 )
 
 
@@ -24,12 +24,12 @@ def test_make_law_verifies_axioms():
     good = TruncSeries(Z, ("z1", "z2"), {(1, 0): 1, (0, 1): 1, (1, 1): 1}, 6)
     FormalGroupLaw(good)
     bad = TruncSeries(Z, ("z1", "z2"), {(1, 0): 1, (0, 1): 1, (2, 0): 1}, 6)
-    with pytest.raises(AxiomFailure) as err:
+    with pytest.raises(IdentityFailed) as err:
         FormalGroupLaw(bad)
     assert "unit" in str(err.value)
     # a law is a series in ("z1", "z2") and nothing else
     renamed = TruncSeries(Z, ("x", "y"), good.coeffs, 6)
-    with pytest.raises(RingMismatch):
+    with pytest.raises(DomainError):
         FormalGroupLaw(renamed)
 
 
@@ -171,3 +171,22 @@ def test_hom_factors_through_rescaling():
     g_recovered = FGLHom(TruncSeries(P, ("z",), divided, 8), Fh, Fh)
     assert verify_hom(g_recovered)["ok"]
     assert g_recovered.series == g.series
+
+
+@pytest.mark.parametrize("error, failing", [
+    (IdentityFailed("unit axiom fails"), "fgl.axioms.additive"),
+    (TypeError("a law builder broke"), "fgl.axioms.error")])
+def test_axiom_suite_reports_broken_axioms_and_surfaces_bugs(
+        monkeypatch, error, failing):
+    # a broken axiom is a failed check of its law; any other exception is
+    # a bug, reported as the suite's error check
+    from prismlab import harness
+
+    def law(series):
+        raise error
+    monkeypatch.setattr(harness, "FormalGroupLaw", law)
+    report, code = run(SuiteConfig(suite="fgl.axioms"))
+    bad = {c["id"]: c["detail"] for c in report["checks"]
+           if c["status"] != "pass"}
+    assert code == 1 and failing in bad and str(error) in bad[failing]
+    assert ("fgl.axioms.error" in bad) == isinstance(error, TypeError)

@@ -312,7 +312,7 @@ def test_explicit_values_in_range_are_honoured(cfg, params):
     (dict(suite="qprism.q_log", n_q=8), "qprism.q_log: n_q = 8 is outside "
      "its range [1, 4]"),
     (dict(suite="derham.log_exp", L=5), "derham.log_exp: L = 5 is outside "
-     "its range [1, 4]"),
+     "its range [2, 4]"),
     (dict(suite="witt.universal", p=2, L=7), "witt.universal: L = 7 is "
      "outside its range: the add table for p=2, L=7"),
     (dict(suite="fgl.deformation", n_p=4), "n_p = 4 is read by no selected "
@@ -322,6 +322,10 @@ def test_explicit_values_in_range_are_honoured(cfg, params):
     # additivity sees the (zeta-1) z1 z2 term of the law from order 2 on
     (dict(suite="qprism.hodge_tate", n_z=1), "qprism.hodge_tate: n_z = 1 is "
      "outside its range [2, inf]"),
+    # at L = 1 the Teichmuller condition on 1 + px is empty: x is any
+    # element of Z/p^n and g_exp's series need not converge
+    (dict(suite="derham.log_exp", L=1), "derham.log_exp: L = 1 is outside "
+     "its range [2, 4]"),
 ])
 def test_plan_refuses(cfg, reason):
     with pytest.raises(ConfigError) as err:

@@ -7,10 +7,11 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from prismlab.intpoly import (
-    _RATPOLY, IntPoly, NotIntegerValued, binom_poly,
+    _RATPOLY, IntPoly, binom_poly,
     delta_basis_combine, delta_basis_expand, delta_p, gen_binom,
     int_mul, lambda_op, mahler_table, to_binomial, vandermonde,
 )
+from prismlab.ringcore import NotIntegral
 
 
 def test_gen_binom():
@@ -27,7 +28,7 @@ def test_to_binomial_u_squared():
 
 
 def test_to_binomial_rejects_u_half():
-    with pytest.raises(NotIntegerValued):
+    with pytest.raises(NotIntegral):
         to_binomial((Fraction(0), Fraction(1, 2)))
 
 

@@ -8,18 +8,20 @@ from hypothesis import example, given, settings, strategies as st
 from prismlab import pd_dual
 from prismlab.intpoly import gen_binom
 from prismlab.pd_dual import (
-    DistrElem, NotPD, PDElem, ReductionFailure, _gsharp_basis_elem,
+    DistrElem, PDElem, _gsharp_basis_elem,
     _gamma_op, delta_to_e, distr_mul, gsharp_comparison,
     log_and_pairing_check, log_mu_p_vanishes, log_pd, log_sharp_power,
     mu_p_pd_check, reduce_against_basis,
     pair_distr, pair_xu, pd_normalize, rescaled_section, stirling_first,
 )
-from prismlab.ringcore import TruncSeries, series_exp
+from prismlab.ringcore import (
+    IdentityFailed, NotIntegral, TruncSeries, series_exp,
+)
 
 
 def test_pd_normalize_examples():
     assert pd_normalize([0, 0, Fraction(1, 2)]) == PDElem.gamma(2)
-    with pytest.raises(NotPD):
+    with pytest.raises(NotIntegral):
         pd_normalize([0, Fraction(1, 2)])
     assert pd_normalize([0, 1]) == PDElem.gamma(1)
 
@@ -322,14 +324,14 @@ def test_reduction_matches_fraction_reference(p):
 def test_reduction_refuses_what_is_not_p_integral_or_exact(monkeypatch):
     basis = {0: PDElem((1,)), 1: PDElem((0, 3))}
     assert reduce_against_basis(PDElem((0, 1)), basis, 2) == {1: Fraction(1, 3)}
-    with pytest.raises(ReductionFailure, match="not p-integral"):
+    with pytest.raises(NotIntegral, match="not p-integral"):
         reduce_against_basis(PDElem((0, 1)), basis, 3)
-    with pytest.raises(ReductionFailure, match="degree 0 is not p-integral"):
+    with pytest.raises(NotIntegral, match="degree 0 is not p-integral"):
         reduce_against_basis(PDElem((1,)), {0: PDElem((2,))}, 2)
     # a scale that does not clear the lead leaves a remainder, which raises
     # instead of being floored away
     monkeypatch.setattr(pd_dual.math, "prod", lambda leads: 1)
-    with pytest.raises(ReductionFailure, match="not an exact quotient"):
+    with pytest.raises(NotIntegral, match="not an exact quotient"):
         reduce_against_basis(PDElem((0, 1)), basis, 2)
 
 
@@ -348,3 +350,13 @@ def test_gsharp_round_trip_catches_a_wrong_coefficient(monkeypatch):
     rep = gsharp_comparison(3, 12, 5, random.Random(4))
     assert len(rep["failures"]) == 5
     assert all(f.startswith("roundtrip mismatch") for f in rep["failures"])
+
+
+@pytest.mark.parametrize("error", [NotIntegral("not p-integral"),
+                                   IdentityFailed("degree did not drop")])
+def test_gsharp_records_each_reduction_failure(monkeypatch, error):
+    def fails(f, basis, p):
+        raise error
+    monkeypatch.setattr(pd_dual, "reduce_against_basis", fails)
+    rep = gsharp_comparison(3, 12, 5, random.Random(4))
+    assert rep["failures"] == [str(error)] * 5

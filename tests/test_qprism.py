@@ -8,9 +8,8 @@ import pytest
 from fractions import Fraction
 
 from prismlab import qprism
-from prismlab.derham import NotTeichmuller
 from prismlab.qprism import (
-    GQPoint, TailNotStabilized, bh_coords,
+    GQPoint, bh_coords,
     canonical_point, derham_specialization_of_x0,
     factorization_identity, frobenius_of_point, gq_at_q1_matches_derham,
     gq_op, gq_ring, gq_to_unit, phi_of_section_identity,
@@ -19,8 +18,8 @@ from prismlab.qprism import (
     sigma_point, zp_action, bh_in_box, bhat_ring, frac_vp, vp_at_least,
 )
 from prismlab.ringcore import (
-    CyclotomicRing, ExactRat, PolyQuotRing, TruncSeries, cyclotomic_modulus,
-    h_element, q_element,
+    BoundExceeded, CyclotomicRing, DomainError, ExactRat, PolyQuotRing,
+    TruncSeries, cyclotomic_modulus, h_element, q_element,
 )
 from prismlab.witt import WittVector, witt_op, zero_vector
 
@@ -56,7 +55,7 @@ def test_sigma_is_delta_point():
 def test_gq_membership_enforced():
     ring = gq_ring(3, 4, 4)
     bad = WittVector(ring, 3, [ring.one, ring.one])
-    with pytest.raises(NotTeichmuller):
+    with pytest.raises(DomainError):
         GQPoint(bad)
 
 
@@ -228,7 +227,7 @@ def test_q_log_precision_guard():
     assert q_log_precision_loss(3, 4) == 2
     ring = gq_ring(3, 2, 4)
     s = sigma_point(ring, 3, 2)
-    with pytest.raises(TailNotStabilized):
+    with pytest.raises(BoundExceeded):
         q_log(s)
 
 

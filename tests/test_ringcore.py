@@ -12,9 +12,8 @@ from prismlab import ringcore
 from prismlab.qhopf import QH, B0Ring
 
 from prismlab.ringcore import (
-    CyclotomicRing, DoesNotConverge, ExactInt, ExactRat, IntModRing, ModP,
-    NonIntegralCoefficient, NonzeroConstantTerm, PolyQuotRing,
-    PrecisionExhausted, QPoly, QSeriesRing, RingMismatch, TruncSeries,
+    CyclotomicRing, DomainError, ExactInt, ExactRat, IntModRing, ModP,
+    NotIntegral, PolyQuotRing, QPoly, QSeriesRing, TruncSeries,
     _last_live_term, _log_term_bound, _padic_profile,
     clear_denominators, cyclotomic_modulus, floor_log, h_element, padic_log,
     q_element, q_number as phi_p_element, series_exp, series_inverse,
@@ -170,7 +169,7 @@ def test_series_convolution_truncates():
 
 def test_series_ring_mismatch():
     Z, Q = ExactInt(), ExactRat()
-    with pytest.raises(RingMismatch):
+    with pytest.raises(DomainError):
         z_series(Z, 2) + z_series(Q, 2)
 
 
@@ -211,7 +210,7 @@ def test_compose_rejects_constant_term():
     Q = ExactRat()
     z = z_series(Q, 3)
     one = TruncSeries.one(Q, ("z",), 3)
-    with pytest.raises(NonzeroConstantTerm):
+    with pytest.raises(DomainError):
         series_exp(z).compose(one + z)
 
 
@@ -249,13 +248,13 @@ def test_clear_denominators_examples():
     f = TruncSeries(Q, ("z",), {(3,): Fraction(4, 3)}, 4)
     got = clear_denominators(f, ModP(2, 4))
     assert got.coefficient((3,)) == 12
-    with pytest.raises(NonIntegralCoefficient):
+    with pytest.raises(NotIntegral):
         clear_denominators(TruncSeries(Q, ("z",), {(1,): Fraction(1, 2)}, 2),
                            ModP(2, 4))
     f = TruncSeries(Q, ("z",), {(1,): Fraction(1)}, 2)
     assert clear_denominators(f, ExactInt()).coefficient((1,)) == 1
     # B0 defines no from_rational: no coefficient has an image there
-    with pytest.raises(NonIntegralCoefficient,
+    with pytest.raises(NotIntegral,
                        match=r"Fraction\(1, 2\) of z has no image in B0"):
         clear_denominators(TruncSeries(Q, ("z",), {(1,): Fraction(1, 2)}, 4),
                            B0Ring())
@@ -338,8 +337,8 @@ def test_padic_log_constant_term_matches_the_cover_sum(ring):
         u = TruncSeries(ring, ("z",), {(0,): c, (1,): ring.rand(rng)}, 2)
         try:
             want = _log_over_cover(u, _log_term_bound(ring, u.order))
-        except NonIntegralCoefficient:
-            with pytest.raises(NonIntegralCoefficient):
+        except NotIntegral:
+            with pytest.raises(NotIntegral):
                 padic_log(u)
         else:
             assert padic_log(u) == want
@@ -349,7 +348,7 @@ def test_padic_log_non_integral_term_raises():
     # w = zeta is a unit, not topologically nilpotent: w^3 / 3 = 1 / 3
     C = CyclotomicRing(3, n_p=4)
     u = TruncSeries.const(C, ("z",), 1, C.make_ints([1, 1]))
-    with pytest.raises(NonIntegralCoefficient, match="w\\^3 / 3"):
+    with pytest.raises(NotIntegral, match="w\\^3 / 3"):
         padic_log(u)
 
 
@@ -357,7 +356,7 @@ def test_padic_log_needs_modulus():
     C = CyclotomicRing(3)  # exact: the log of zeta never stabilizes
     z = q_element(C)
     u = TruncSeries.const(C, ("z",), 2, z)
-    with pytest.raises(DoesNotConverge):
+    with pytest.raises(DomainError):
         padic_log(u)
 
 
@@ -423,7 +422,7 @@ def test_valuation_and_padic_profile():
             assert _padic_profile(ModP(p, n_p)) == (p, n_p, 0)
     # no prime to measure against: Z/25 built without p, and Z[h]/(h^4)
     for ring in (IntModRing(25), QSeriesRing(4)):
-        with pytest.raises(DoesNotConverge, match="no p-adic modulus"):
+        with pytest.raises(DomainError, match="no p-adic modulus"):
             _padic_profile(ring)
 
 
@@ -449,14 +448,14 @@ def test_log_term_bound_is_exact():
     # at 3^117 the certificate must step past k = 243, where floor-log is 5
     assert _log_term_bound(ModP(3, 117), 0) == 243
     assert _log_term_bound(ModP(3, 117), 2) == 245
-    with pytest.raises(DoesNotConverge):
+    with pytest.raises(DomainError):
         _log_term_bound(QSeriesRing(4), 2)
     # a series of order None has no last term
     for ring, coeffs in ((ModP(3, 4), {(0,): 4}),
                          (ExactRat(), {(0,): 1, (1,): 3})):
         u = TruncSeries(ring, ("z",), {e: ring.from_int(c)
                                        for e, c in coeffs.items()}, None)
-        with pytest.raises(PrecisionExhausted):
+        with pytest.raises(DomainError):
             padic_log(u)
 
 
@@ -523,16 +522,16 @@ def test_padic_log_positive_order_matches_the_cover_route(ring, names):
             ring, names, order)
         try:
             want = _series_log_over_cover(u)
-        except NonIntegralCoefficient:
-            with pytest.raises(NonIntegralCoefficient):
+        except NotIntegral:
+            with pytest.raises(NotIntegral):
                 padic_log(u)
         else:
             assert padic_log(u) == want
     # a unit coefficient of z at order p: z^p / p has no image either way
     u = TruncSeries.one(ring, names, p) + TruncSeries.var(ring, names, p, "z")
-    with pytest.raises(NonIntegralCoefficient):
+    with pytest.raises(NotIntegral):
         _series_log_over_cover(u)
-    with pytest.raises(NonIntegralCoefficient):
+    with pytest.raises(NotIntegral):
         padic_log(u)
 
 

@@ -4,10 +4,10 @@ import pytest
 from fractions import Fraction
 
 from prismlab.ringcore import (
-    ExactInt, ModP, PolyQuotRing, QPoly, h_element, q_element,
+    ExactInt, ModP, NotIntegral, PolyQuotRing, QPoly, h_element, q_element,
 )
 from prismlab.witt import (
-    BigWitt, DeltaRing, NonIntegralGhost, WittVector, bj_to_witt,
+    BigWitt, DeltaRing, WittVector, bj_to_witt,
     frobenius, frobenius_big, from_ghost, from_ghost_big, from_int_vector,
     ghost, joyal_lift, scalar_mul, teich_mul,
     teichmuller, teichmuller_big, verschiebung, wf_kernel_report,
@@ -38,7 +38,7 @@ def test_from_ghost_example():
 
 def test_from_ghost_non_integral():
     Z = ExactInt()
-    with pytest.raises(NonIntegralGhost):
+    with pytest.raises(NotIntegral):
         from_ghost(Z, 2, [Fraction(0), Fraction(1)])
 
 
@@ -91,6 +91,19 @@ def test_frobenius_of_teichmuller():
     for p in (2, 3, 5):
         w = teichmuller(Z, p, 3, 3)
         assert frobenius(w) == teichmuller(Z, p, 2, 3 ** p)
+
+
+def test_length_zero_vectors_are_empty():
+    # F: W_1 -> W_0 and FV = p at length 1 compare against length-0 vectors
+    Z = ExactInt()
+    for p in (2, 3, 5):
+        assert teichmuller(Z, p, 0, 3).components == ()
+        assert from_int_vector(Z, p, 0, 7).components == ()
+        assert frobenius(teichmuller(Z, p, 1, 3)) == \
+            teichmuller(Z, p, 0, 3 ** p)
+        assert frobenius(verschiebung(teichmuller(Z, p, 1, 1))) == \
+            from_int_vector(Z, p, 0, p)
+        assert teichmuller(Z, p, 1, 3).components == (3,)
 
 
 def test_fv_is_p():
