@@ -540,9 +540,7 @@ def suite_qhopf_structure(cfg, out):
         for m in range(7) for n in range(m, 13 - m)))
 
     def at_h1(x):
-        return sum((IntPoly.basis(n).scale(int(c[0] if c else 0))
-                    for n, c in enumerate(x.specialize_h(Fraction(1)))),
-                   IntPoly(()))
+        return sum(b0_to_int_h(x).values(), IntPoly(()))
 
     def h1_product(rng):
         a = B0Elem(tuple(QH.make([Fraction(rng.randrange(-3, 4))])

@@ -6,8 +6,9 @@ Under c_n -> h^n C(u, n) the basis is Int's binomial basis with h-weights,
 so the structure constants are closed forms:
 c_m c_n = sum_k C(k, m) C(m, m+n-k) h^(m+n-k) c_k (the Vandermonde constants
 of `intpoly.vandermonde`) and Delta c_n = sum_{i+j=n} c_i (x) c_j.  The
-monomial form of c_n over Q[h][t] comes from the signed Stirling numbers;
-`_from_monomial` re-expresses a monomial-form element in the basis by
+monomial form of c_n over Q[h][t], or over the truncated Q[h]/(h^N)[t] of
+`qprism.bhat_ring`, comes from the signed Stirling numbers; `_from_monomial`
+re-expresses a monomial-form element of either ring in the basis by
 triangular elimination, which is also the harness's oracle for the closed
 forms.
 """
@@ -39,26 +40,31 @@ def _h_monomial(c, j: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def _c_monomial(n: int) -> tuple:
-    """c_n in monomial form over Q[h][t]: sum_k s(n, k) t^k h^(n-k) / n!."""
+def _c_monomial(n: int, R: PolyQuotRing = QHT) -> tuple:
+    """c_n in monomial form over R = Q[h][t] or Q[h]/(h^N)[t]:
+    sum_k s(n, k) t^k h^(n-k) / n!, memoized per (n, R)."""
     nf = math.factorial(n)
-    return QHT.make([_h_monomial(Fraction(stirling_first(n, k), nf), n - k)
-                     for k in range(n + 1)])
+    H = R.scalar
+    return R.make([H.make(_h_monomial(Fraction(stirling_first(n, k), nf),
+                                      n - k))
+                   for k in range(n + 1)])
 
 
-def _from_monomial(P: tuple) -> tuple:
-    """Coordinates against the basis, by triangular elimination on the
-    t-degree (c_n has leading t-coefficient 1/n!)."""
+def _from_monomial(P: tuple, R: PolyQuotRing = QHT) -> tuple:
+    """Coordinates against the basis of an element P of R = Q[h][t] or
+    Q[h]/(h^N)[t], by triangular elimination on the t-degree (c_n has
+    leading t-coefficient 1/n!).  Every step is Q[h]-linear, so in
+    Q[h]/(h^N)[t] it gives the coordinates over Q[h] cut mod h^N."""
+    H = R.scalar
     coords: list = []
     P = tuple(P)
     while P:
         n = len(P) - 1
-        lead = P[n]
-        coord = QH.mul_int(lead, math.factorial(n))
+        coord = H.mul_int(P[n], math.factorial(n))
         while len(coords) <= n:
-            coords.append(QH.zero)
+            coords.append(H.zero)
         coords[n] = coord
-        P = QHT.sub(P, QHT.mul((coord,), _c_monomial(n)))
+        P = R.sub(P, R.mul((coord,), _c_monomial(n, R)))
         if len(P) - 1 >= n and P:
             raise IdentityFailed("triangular reduction stalled")
     return tuple(coords)

@@ -4,17 +4,21 @@ the q-exponential, the q-logarithm, the unit-group action, and the
 cyclotomic (Hodge-Tate) specialization.
 
 The completed ring (infinite sums sum a_n c_n with a_n -> 0 in the
-(p, q-1)-adic topology) is modeled exactly: elements live in Q[t,h]/(h^N)
-with Fraction coefficients, infinite sums are cut at an explicit tail index,
-and every comparison happens inside the box (p^n_p, h^n_q) with the tail
-error certified to fall outside it.  Divisions by p or by Phi_p(q) are exact
-in this representation, so no precision is lost inside a computation.
+(p, q-1)-adic topology) is modeled exactly: elements live in
+Q[h]/(h^n_q)[t] (bhat_ring) with Fraction coefficients, infinite sums are
+cut at an explicit tail index, and every comparison happens inside the box
+(p^n_p, h^n_q) with the tail error certified to fall outside it.  The box's
+h-cut is the ring's own truncation, so a box check reads only p^n_p.  The
+basis c_n and the coordinates against it are qhopf's (_c_monomial,
+_from_monomial), computed in this truncated ring.  Divisions by p or by
+Phi_p(q) are exact in this representation, so no precision is lost inside
+a computation.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import NamedTuple
 
 from .qhopf import _c_monomial, _from_monomial
@@ -35,25 +39,15 @@ from .derham import is_teichmuller
 
 
 def bhat_ring(h_prec: int) -> PolyQuotRing:
-    """Q[t, h]/(h^h_prec): the exact cover of the completed ring."""
+    """Q[h]/(h^h_prec)[t]: the exact cover of the completed ring, whose
+    h-cut is the h-side of the box."""
     hring = PolyQuotRing(RatRing(), (0,) * h_prec + (1,), "h")
     return PolyQuotRing(hring, None, "t")
 
 
-def _hring(R: PolyQuotRing) -> PolyQuotRing:
-    return R.scalar
-
-
 def bh_phi_scalar(R: PolyQuotRing, p: int):
     """Phi_p(q) as an h-ring scalar."""
-    return q_number(_hring(R), p)
-
-
-@lru_cache(maxsize=None)
-def _c_mono_in(R: PolyQuotRing, n: int) -> tuple:
-    """c_n(t, h) inside the truncated exact ring, memoized per (R, n)."""
-    H = _hring(R)
-    return R.make([H.make(list(c)) for c in _c_monomial(n)])
+    return q_number(R.scalar, p)
 
 
 def frac_vp(f: Fraction, p: int) -> int | None:
@@ -68,26 +62,21 @@ def vp_at_least(f: Fraction, p: int, n: int) -> bool:
     return f == 0 or frac_vp(f, p) >= n
 
 
-def bh_in_box(R: PolyQuotRing, a, p: int, n_p: int, n_q: int,
-              t_deg: int | None = None) -> bool:
-    """Whether a vanishes mod (p^n_p, h^n_q), optionally only on the
-    monomials of t-degree <= t_deg."""
-    for i, hc in enumerate(a):
-        if t_deg is not None and i > t_deg:
-            continue
-        for j, f in enumerate(hc):
-            if j < n_q and not vp_at_least(f, p, n_p):
-                return False
-    return True
+def bh_in_box(a, p: int, n_p: int, t_deg: int | None = None) -> bool:
+    """Whether an element of bhat_ring(n_q) vanishes mod (p^n_p, h^n_q),
+    optionally only on the monomials of t-degree <= t_deg.  The ring keeps
+    no h^n_q, so only the p-side is left to check."""
+    return all(vp_at_least(f, p, n_p)
+               for hc in (a if t_deg is None else a[:t_deg + 1]) for f in hc)
 
 
-def bh_eq_box(R, a, b, p, n_p, n_q, t_deg=None) -> bool:
-    return bh_in_box(R, R.sub(a, b), p, n_p, n_q, t_deg)
+def bh_eq_box(R, a, b, p, n_p, t_deg=None) -> bool:
+    return bh_in_box(R.sub(a, b), p, n_p, t_deg)
 
 
 def bh_phi_endo(R: PolyQuotRing, p: int):
     """The Frobenius lift: q -> q^p (h -> (1+h)^p - 1) and t -> Phi_p(q) t."""
-    H = _hring(R)
+    H = R.scalar
     hp = H.sub(H.pow(H.make([Fraction(1), Fraction(1)]), p), H.one)
     phi = bh_phi_scalar(R, p)
 
@@ -107,43 +96,43 @@ def bh_phi_endo(R: PolyQuotRing, p: int):
     return apply
 
 
-def bh_coords(R: PolyQuotRing, a) -> list:
-    """Coordinates of a against c_n(t, h), as h-ring scalars (exact)."""
-    H = _hring(R)
-    # reuse the Hopf-side triangular elimination by mapping into Q[h][t]
-    from .qhopf import QH, QHT
-    lift = QHT.make([QH.make([Fraction(f) for f in hc]) for hc in a])
-    coords = _from_monomial(lift)
-    return [H.make([Fraction(f) for f in c]) for c in coords]
+def bh_coords(R: PolyQuotRing, a) -> tuple:
+    """Coordinates of a against c_n(t, h), as h-ring scalars (exact): the
+    triangular elimination of qhopf, run in R itself."""
+    return _from_monomial(a, R)
 
 
 # ---------------------------------------------------------------------------
 # the q-exponential, two ways
 
 
-def tail_cut(p: int, n_p: int, n_q: int, slack: int) -> int:
-    return n_p + n_q + slack
+def _phi_series(p: int, n_p: int, n_q: int, slack: int) -> tuple:
+    """(R, x0, X, tail) with R = bhat_ring(n_q), tail = n_p + n_q + slack,
+    x0 = sum_{1 <= n <= tail} c_n Phi_p(q)^(n-1) and X = 1 + Phi_p(q) x0 =
+    sum_{n <= tail} c_n Phi_p(q)^n: X - 1 = Phi x0 needs no division."""
+    R = bhat_ring(n_q)
+    H = R.scalar
+    phi = bh_phi_scalar(R, p)
+    tail = n_p + n_q + slack
+    x0 = R.zero
+    power = H.one
+    for n in range(1, tail + 1):
+        if n > 1:
+            power = H.mul(power, phi)
+        x0 = R.add(x0, R.mul(R.make([power]), _c_monomial(n, R)))
+    return R, x0, R.add(R.one, R.mul(R.make([phi]), x0)), tail
 
 
 def q_exponential(p: int, n_p: int, n_q: int) -> dict:
-    """X = sum c_n(t,h) Phi_p(q)^n, cut where Phi^n falls outside the box.
+    """X = sum c_n(t,h) Phi_p(q)^n, cut where Phi^n falls outside the box:
+    the X of the canonical point at L = 2.
 
     Returns the ring, the element, and the bookkeeping of the cut."""
-    R = bhat_ring(n_q)
-    H = _hring(R)
-    phi = bh_phi_scalar(R, p)
-    n_max = tail_cut(p, n_p, n_q, 8)
-    acc = R.zero
-    power = H.one
-    for n in range(n_max + 1):
-        if n:
-            power = H.mul(power, phi)
-        acc = R.add(acc, R.mul(R.make([power]), _c_mono_in(R, n)))
-    # certificate: the next coordinate Phi^(n_max+1) is already in the box
-    nxt = H.mul(power, phi)
-    if not bh_in_box(R, R.make([nxt]), p, n_p, n_q):
-        raise BoundExceeded("Phi^%d not yet inside the box" % (n_max + 1))
-    return {"ring": R, "element": acc, "tail": n_max}
+    R, _, X, tail = _phi_series(p, n_p, n_q, 8)
+    # certificate: the next coordinate Phi^(tail+1) is already in the box
+    if not bh_in_box((R.scalar.pow(bh_phi_scalar(R, p), tail + 1),), p, n_p):
+        raise BoundExceeded("Phi^%d not yet inside the box" % (tail + 1))
+    return {"ring": R, "element": X, "tail": tail}
 
 
 def q_exp_alt(p: int, n_p: int, n_q: int, t_deg: int) -> dict:
@@ -160,8 +149,8 @@ def q_exp_alt(p: int, n_p: int, n_q: int, t_deg: int) -> dict:
 
 def _alpha_n(R: PolyQuotRing, n: int, p: int) -> tuple:
     """c_n(p t, h) in the exact ring."""
-    mono = _c_mono_in(R, n)
-    return R.make([_hring(R).mul_int(c, p ** i) for i, c in enumerate(mono)])
+    return R.make([R.scalar.mul_int(c, p ** i)
+                   for i, c in enumerate(_c_monomial(n, R))])
 
 
 def q_exp_agreement(p: int, n_p: int, n_q: int, t_deg: int) -> dict:
@@ -170,7 +159,7 @@ def q_exp_agreement(p: int, n_p: int, n_q: int, t_deg: int) -> dict:
     e1 = q_exponential(p, n_p, n_q)
     e2 = q_exp_alt(p, n_p, n_q, t_deg)
     R = e1["ring"]
-    H = _hring(R)
+    H = R.scalar
     c1 = bh_coords(R, e1["element"])
     c2 = bh_coords(R, e2["element"])
     phi = bh_phi_scalar(R, p)
@@ -179,16 +168,10 @@ def q_exp_agreement(p: int, n_p: int, n_q: int, t_deg: int) -> dict:
     for k in range(t_deg + 1):
         if k:
             power = H.mul(power, phi)
-        got = c1[k] if k < len(c1) else H.zero
-        ok_phi = ok_phi and H.eq(got, power)
-    ok_agree = True
-    for k in range(t_deg + 1):
-        a = c1[k] if k < len(c1) else H.zero
-        b = c2[k] if k < len(c2) else H.zero
-        diff = H.sub(a, b)
-        ok_agree = ok_agree and all(
-            vp_at_least(f, p, n_p) for j, f in enumerate(diff) if j < n_q)
-    return {"coords_are_phi_powers": ok_phi, "agree": ok_agree,
+        ok_phi = ok_phi and H.eq(R.coeff(c1, k), power)
+    # coordinate vectors subtract coefficientwise, as elements of R do
+    return {"coords_are_phi_powers": ok_phi,
+            "agree": bh_eq_box(R, c1, c2, p, n_p, t_deg),
             "tails": (e1["tail"], e2["tail"])}
 
 
@@ -214,27 +197,15 @@ class _Canonical(NamedTuple):
 def _canonical_construction(p: int, n_p: int, n_q: int, L: int) -> _Canonical:
     """The construction behind canonical_point, built once per
     (p, n_p, n_q, L) (ringcore.build_once), however many threads ask."""
-    slack = L + 6
-    h_prec = n_q
-    R = bhat_ring(h_prec)
-    H = _hring(R)
-    phi_s = bh_phi_scalar(R, p)
-    n_max = tail_cut(p, n_p, n_q, slack)
-    # X - 1 = Phi * x0 with x0 = sum_{n>=1} c_n Phi^(n-1): no division needed
-    x0 = R.zero
-    power = H.one
-    for n in range(1, n_max + 1):
-        if n > 1:
-            power = H.mul(power, phi_s)
-        x0 = R.add(x0, R.mul(R.make([power]), _c_mono_in(R, n)))
-    X = R.add(R.one, R.mul(R.make([phi_s]), x0))
+    R, x0, X, tail = _phi_series(p, n_p, n_q, L + 6)
+    H = R.scalar
     phi_endo = bh_phi_endo(R, p)
     dr = DeltaRing(R, p, phi_endo)
     x = joyal_lift(dr, x0, L)
     # Teichmuller identity: 1 + Phi_p([q]) x = [X], with q = 1 + h
     lhs = _one_plus_phi_x(x, R.make([H.make([Fraction(1), Fraction(1)])]))
     rhs = teichmuller(R, p, L, X)
-    return _Canonical(R, x0, X, x, phi_endo(X), R.pow(X, p), lhs, rhs, n_max)
+    return _Canonical(R, x0, X, x, phi_endo(X), R.pow(X, p), lhs, rhs, tail)
 
 
 def canonical_point(p: int, n_p: int, n_q: int, L: int = 2,
@@ -249,10 +220,10 @@ def canonical_point(p: int, n_p: int, n_q: int, L: int = 2,
     returns a new dict."""
     c = _canonical_construction(p, n_p, n_q, L)
     R = c.ring
-    teich_ok = all(bh_eq_box(R, a, b, p, n_p, n_q, t_deg)
+    teich_ok = all(bh_eq_box(R, a, b, p, n_p, t_deg)
                    for a, b in zip(c.teich_lhs.components,
                                    c.teich_rhs.components))
-    rank_one = bh_eq_box(R, c.phi_X, c.X_p, p, n_p, n_q, t_deg)
+    rank_one = bh_eq_box(R, c.phi_X, c.X_p, p, n_p, t_deg)
     # 0-th component is the explicit series by construction
     zeroth = c.x.components[0] == c.x0
     return {"ring": R, "x": c.x, "X": c.X, "x0": c.x0,
@@ -264,9 +235,8 @@ def derham_specialization_of_x0(p: int, n_p: int, n_q: int) -> bool:
     """At q = 1 the 0-th component becomes (exp(pt) - 1)/p, checked up to
     t^6."""
     c = _canonical_construction(p, n_p, n_q, 2)
-    x0 = c.x0
     for i in range(1, 7):
-        hc = x0[i] if i < len(x0) else _hring(c.ring).zero
+        hc = c.ring.coeff(c.x0, i)
         const = hc[0] if hc else Fraction(0)
         if const != Fraction(p ** (i - 1), math.factorial(i)):
             return False
@@ -278,11 +248,10 @@ def r0_relation_check(p: int, n_p: int, n_q: int, t_deg: int = 4) -> dict:
     plus its t = 0 and q = 1 degenerations."""
     cp = canonical_point(p, n_p, n_q, L=2, t_deg=t_deg)
     c = _canonical_construction(p, n_p, n_q, 2)
-    X = c.X
-    H = _hring(c.ring)
+    R = c.ring
     out = {"rank_one": cp["rank_one"]}
     # t = 0 fiber: X(0) = 1
-    out["t0_fiber"] = H.eq(X[0] if X else H.zero, H.one)
+    out["t0_fiber"] = R.scalar.eq(R.coeff(c.X, 0), R.scalar.one)
     # q = 1 fiber: phi(X) and X^p both specialize to exp(p^2 t) in the box
     lhs, rhs = c.phi_X, c.X_p
     ok = True

@@ -5,13 +5,15 @@ import pytest
 from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
+from prismlab import qhopf
 from prismlab.harness import SuiteConfig, run
 from prismlab.intpoly import IntPoly, int_mul
 from prismlab.qhopf import (
-    QH, QHT, B0Elem, B0Ring, _c_monomial, adams,
+    QH, QHT, B0Elem, B0Ring, _c_monomial, _from_monomial, adams,
     b0_coproduct, b0_delta, b0_from_filtration, b0_mul, b0_to_int_h,
 )
-from prismlab.ringcore import DomainError
+from prismlab.qprism import bhat_ring
+from prismlab.ringcore import DomainError, IdentityFailed
 
 
 def H(*ints):
@@ -380,3 +382,37 @@ def test_integer_b0_mul_matches_fraction_reference(a, b):
 @example(n=3, a=B0Elem((QH.zero, QH.make([Fraction(-1, 6), 0, Fraction(2)]))))
 def test_integer_adams_matches_fraction_reference(n, a):
     assert repr(adams(n, a).coords) == repr(adams_reference(n, a).coords)
+
+
+# --- the elimination in the truncated ring of qprism ------------------------
+
+monomial_forms = st.builds(
+    lambda rows: QHT.make([QH.make(row) for row in rows]),
+    st.lists(st.lists(b0_rationals, max_size=8), max_size=7))
+
+
+@settings(max_examples=80, deadline=None)
+@given(P=monomial_forms, N=st.integers(1, 6))
+@example(P=QHT.zero, N=1)
+@example(P=QHT.mul(_c_monomial(3), _c_monomial(4)), N=2)
+@example(P=QHT.make([QH.zero, H(0, 0, 1)]), N=2)
+def test_truncated_elimination_is_the_cut_of_the_full_one(P, N):
+    # every step is Q[h]-linear, so the elimination in Q[h]/(h^N)[t] gives
+    # the coordinates over Q[h] cut mod h^N, a lead killed by the cut
+    # included
+    R = bhat_ring(N)
+
+    def cut(x):
+        return R.make([R.scalar.make(list(c)) for c in x])
+
+    assert _from_monomial(cut(P), R) == cut(_from_monomial(P))
+
+
+def test_elimination_stalls_when_the_lead_does_not_cancel(monkeypatch):
+    # 2 c_n leaves -lead in t-degree n, in either ring
+    real = qhopf._c_monomial
+    monkeypatch.setattr(qhopf, "_c_monomial",
+                        lambda n, R=QHT: R.add(real(n, R), real(n, R)))
+    for R in (QHT, bhat_ring(3)):
+        with pytest.raises(IdentityFailed, match="stalled"):
+            _from_monomial(R.make([R.scalar.zero, R.scalar.one]), R)

@@ -21,6 +21,7 @@ from prismlab.ringcore import (
     BoundExceeded, CyclotomicRing, DomainError, ExactRat, PolyQuotRing,
     TruncSeries, cyclotomic_modulus, h_element, q_element,
 )
+from prismlab.qhopf import _c_monomial
 from prismlab.witt import WittVector, witt_op, zero_vector
 
 
@@ -104,15 +105,31 @@ def test_q_exp_mod_q_minus_1():
             assert const == p ** k
 
 
-def test_c_mono_in_memo_is_per_ring():
+def test_q_exponential_is_the_canonical_X():
+    # the direct sum of c_n Phi^n up to the tail, and the X of the
+    # canonical point at L = 2, which sums the same series as 1 + Phi x0
+    for p in (2, 3):
+        e = q_exponential(p, 4, 4)
+        assert e["element"] == canonical_point(p, 4, 4, L=2)["X"]
+        R = e["ring"]
+        phi = qprism.bh_phi_scalar(R, p)
+        direct, power = R.zero, R.scalar.one
+        for n in range(e["tail"] + 1):
+            direct = R.add(direct, R.mul(R.make([power]), _c_monomial(n, R)))
+            power = R.scalar.mul(power, phi)
+        assert e["element"] == direct
+
+
+def test_c_monomial_memo_is_per_ring():
     # c_n truncated at h^2 and at h^5 differ from n = 3 on; the memo must
-    # serve each ring its own, in either order
-    from prismlab.qhopf import _c_monomial
+    # serve each ring its own, in either order, and one ring equal to
+    # another shares its entries
     for h_prec in (2, 5, 2):
         R = bhat_ring(h_prec)
         for n in range(7):
             want = R.make([R.scalar.make(list(c)) for c in _c_monomial(n)])
-            assert qprism._c_mono_in(R, n) == want
+            assert _c_monomial(n, R) == want
+            assert _c_monomial(n, R) is _c_monomial(n, bhat_ring(h_prec))
 
 
 # --- canonical point -----------------------------------------------------------
@@ -149,16 +166,16 @@ def test_canonical_point_returns_a_new_dict():
 def test_concurrent_requests_build_the_canonical_point_once(monkeypatch):
     monkeypatch.delitem(qprism._canonical_construction.cache, (2, 2, 2, 2),
                         raising=False)
-    real_cut = qprism.tail_cut
+    real_series = qprism._phi_series
     builds = []
 
-    # tail_cut runs once in each build of the construction
-    def slow_cut(*args):
+    # the Phi-power series is summed once in each build of the construction
+    def slow_series(*args):
         builds.append(args)
         time.sleep(0.05)
-        return real_cut(*args)
+        return real_series(*args)
 
-    monkeypatch.setattr(qprism, "tail_cut", slow_cut)
+    monkeypatch.setattr(qprism, "_phi_series", slow_series)
     workers = 4
     barrier = threading.Barrier(workers)
     results = [None] * workers
@@ -329,13 +346,18 @@ def test_frac_vp_is_exact():
 def test_bh_in_box_at_the_boundary():
     R = bhat_ring(4)
     H = R.scalar
+    R3 = bhat_ring(3)
     for p, n_p in ((2, 4), (3, 5)):
         inside = R.make([H.make([Fraction(p ** n_p, 11)])])
         outside = R.make([H.make([Fraction(p ** (n_p - 1))])])
-        assert bh_in_box(R, inside, p, n_p, 4)
-        assert not bh_in_box(R, outside, p, n_p, 4)
-        # h^n_q lies outside the checked h-degrees, t^2 outside t_deg 1
-        far = R.make([H.make([0, 0, 0, Fraction(1)])])
-        assert bh_in_box(R, far, p, n_p, 3)
-        assert bh_in_box(R, R.make([(), (), H.one]), p, n_p, 4, t_deg=1)
-        assert not bh_in_box(R, R.make([(), (), H.one]), p, n_p, 4, t_deg=2)
+        assert bh_in_box(inside, p, n_p)
+        assert not bh_in_box(outside, p, n_p)
+        # the h-side of the box is the ring's own cut: h^3 is checked in
+        # the ring cut at h^4 and is zero in the ring cut at h^3; t^2 lies
+        # outside t_deg 1
+        assert not bh_in_box(R.make([H.make([0, 0, 0, Fraction(1)])]),
+                             p, n_p)
+        far = R3.make([R3.scalar.make([0, 0, 0, Fraction(1)])])
+        assert bh_in_box(far, p, n_p)
+        assert bh_in_box(R.make([(), (), H.one]), p, n_p, t_deg=1)
+        assert not bh_in_box(R.make([(), (), H.one]), p, n_p, t_deg=2)
