@@ -1,23 +1,24 @@
 """Integer-valued polynomials in the binomial basis.
 
 An element is a finite integer vector (a_0, ..., a_d) standing for
-sum a_n * C(u, n).  Products use the Vandermonde constants of the basis
-(`vandermonde`).  Powers, lambda-operations and the delta operator work in
-value space: an element of degree <= D is fixed by its values at 0..D, the
-operation is integer work per value, and the coordinates are read back as
-forward differences at 0.  Monomial form over Q is kept for the oracle
-`int_mul_rational` and for the delta-basis expansion.
+sum a_n * C(u, n), a `ringcore.BasisVector` over Z; Int is the h = 1 fibre
+of qhopf's B_0 under c_n -> C(u, n).  Products use the Vandermonde
+constants of the basis (`vandermonde`).  Powers, lambda-operations and the
+delta operator work in value space: an element of degree <= D is fixed by
+its values at 0..D, the operation is integer work per value, and the
+coordinates are read back as forward differences at 0.  Monomial form
+over Q is kept for the oracle `int_mul_rational` and for the delta-basis
+expansion.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .ringcore import (
-    BoundExceeded, DomainError, IdentityFailed, NotIntegral, PolyQuotRing,
-    RatRing,
+    BasisVector, BoundExceeded, DomainError, IdentityFailed, IntRing,
+    NotIntegral, PolyQuotRing, RatRing,
 )
 
 
@@ -43,21 +44,11 @@ def binom_poly(n: int) -> tuple:
     return tuple(c / math.factorial(n) for c in out)
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(BasisVector):
     """Finite integer coordinate vector against the basis C(u, n)."""
 
-    coords: tuple
-
-    def __post_init__(self):
-        coords = tuple(self.coords)
-        while coords and coords[-1] == 0:
-            coords = coords[:-1]
-        object.__setattr__(self, "coords", coords)
-
-    @classmethod
-    def basis(cls, n: int) -> "IntPoly":
-        return cls((0,) * n + (1,))
+    scalars = IntRing()
+    symbol = "C(u,%d)"
 
     @classmethod
     def u(cls) -> "IntPoly":
@@ -65,9 +56,6 @@ class IntPoly:
 
     def degree(self) -> int:
         return len(self.coords) - 1 if self.coords else -1
-
-    def coord(self, n: int) -> int:
-        return self.coords[n] if n < len(self.coords) else 0
 
     def __call__(self, m: int) -> int:
         return sum(a * gen_binom(m, n) for n, a in enumerate(self.coords))
@@ -80,16 +68,6 @@ class IntPoly:
                 acc = R.add(acc, tuple(Fraction(a) * c for c in binom_poly(n)))
         return acc
 
-    def __add__(self, other):
-        n = max(len(self.coords), len(other.coords))
-        return IntPoly(tuple(self.coord(i) + other.coord(i) for i in range(n)))
-
-    def __neg__(self):
-        return IntPoly(tuple(-a for a in self.coords))
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         return int_mul(self, other)
 
@@ -100,17 +78,6 @@ class IntPoly:
         if n < 0:
             raise ValueError("negative powers not supported")
         return _pointwise(self, n, lambda v: v ** n)
-
-    def __repr__(self):
-        if not self.coords:
-            return "0"
-        parts = []
-        for n, a in enumerate(self.coords):
-            if a:
-                base = "1" if n == 0 else "C(u,%d)" % n
-                parts.append(base if a == 1 and n > 0 else
-                             "%d" % a if n == 0 else "%d*%s" % (a, base))
-        return " + ".join(parts)
 
 
 def to_binomial(poly) -> IntPoly:
@@ -210,7 +177,7 @@ def mahler_table(x: IntPoly, p: int, n: int) -> dict:
     mod = p ** n
     cap = n + d + 2
     for k in range(cap + 1):
-        if _coords_vanish_mod(_shift_by(x, p ** k) - x, mod):
+        if all(a % mod == 0 for a in (_shift_by(x, p ** k) - x).coords):
             period = p ** k
             return {"period": period,
                     "residues": [x(r) % mod for r in range(period)]}
@@ -225,10 +192,6 @@ def _shift_by(x: IntPoly, s: int) -> IntPoly:
             for j in range(n + 1):
                 out[j] += a * gen_binom(s, n - j)
     return IntPoly(tuple(out))
-
-
-def _coords_vanish_mod(x: IntPoly, mod: int) -> bool:
-    return all(a % mod == 0 for a in x.coords)
 
 
 @functools.lru_cache(maxsize=None)

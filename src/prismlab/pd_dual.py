@@ -3,9 +3,10 @@ ind-group of integer points, distribution algebras, the evaluation pairing,
 powers of the logarithm, and the mu_p and rescaled-group comparisons.
 
 A PD element is an integer vector against gamma_n = (x-1)^n / n! (so
-gamma_m gamma_n = C(m+n, n) gamma_{m+n}).  Distributions are integer
-vectors against e_n = (delta_1 - delta_0)^n / n! with
-delta_m delta_n = delta_{m+n}.
+gamma_m gamma_n = C(m+n, n) gamma_{m+n}), a `ringcore.BasisVector` over Z;
+the divided-power hull is the h = 0 fibre of qhopf's B_0 under
+c_n -> gamma_n.  Distributions are integer vectors against
+e_n = (delta_1 - delta_0)^n / n! with delta_m delta_n = delta_{m+n}.
 """
 from __future__ import annotations
 
@@ -16,58 +17,24 @@ from fractions import Fraction
 
 from .intpoly import binom_poly, gen_binom
 from .ringcore import (
-    CyclotomicRing, IdentityFailed, IntRing, NotIntegral, PolyQuotRing,
-    RatRing, TruncSeries, _kronecker_mul, _numerators, padic_log, q_element,
-    series_exp,
+    BasisVector, CyclotomicRing, IdentityFailed, IntRing, NotIntegral,
+    PolyQuotRing, RatRing, TruncSeries, _kronecker_mul, _numerators,
+    padic_log, q_element, series_exp,
 )
 
 
-@dataclass(frozen=True)
-class PDElem:
+class PDElem(BasisVector):
     """sum coords[n] gamma_n with integer coordinates."""
 
-    coords: tuple
-
-    def __post_init__(self):
-        coords = tuple(self.coords)
-        while coords and coords[-1] == 0:
-            coords = coords[:-1]
-        object.__setattr__(self, "coords", coords)
+    scalars = IntRing()
+    symbol = "g%d"
 
     @classmethod
     def gamma(cls, n: int) -> "PDElem":
-        return cls((0,) * n + (1,))
-
-    @classmethod
-    def from_int(cls, n: int) -> "PDElem":
-        return cls((n,))
-
-    def coord(self, n: int) -> int:
-        return self.coords[n] if n < len(self.coords) else 0
-
-    def __add__(self, other):
-        n = max(len(self.coords), len(other.coords))
-        return PDElem(tuple(self.coord(i) + other.coord(i) for i in range(n)))
-
-    def __neg__(self):
-        return PDElem(tuple(-c for c in self.coords))
-
-    def __sub__(self, other):
-        return self + (-other)
+        return cls.basis(n)
 
     def __mul__(self, other):
         return PDElem(tuple(_binomial_convolution(self.coords, other.coords)))
-
-    def __repr__(self):
-        if not self.coords:
-            return "0"
-        parts = []
-        for n, c in enumerate(self.coords):
-            if c:
-                base = "1" if n == 0 else "g%d" % n
-                parts.append(base if c == 1 and n else
-                             str(c) if n == 0 else "%d*%s" % (c, base))
-        return " + ".join(parts)
 
 
 def _binomial_convolution(a, b, size: int | None = None) -> list:

@@ -1,6 +1,9 @@
 """The graded Hopf algebra over Z[h] on the q-binomial basis
 c_n = t(t-h)...(t-(n-1)h)/n! = h^n C(t/h, n), with Adams operations, the
 delta operator, and the comparison with integer-valued polynomials at h = 1.
+An element is a `ringcore.BasisVector` against c_n over Q[h]; its h = 1
+fibre is Int against C(u, n) (`b0_at_h1`) and its h = 0 fibre the
+divided-power hull against gamma_n (`pd_dual.PDElem`).
 
 Under c_n -> h^n C(u, n) the basis is Int's binomial basis with h-weights,
 so the structure constants are closed forms:
@@ -16,14 +19,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .intpoly import IntPoly, vandermonde
 from .pd_dual import stirling_first
 from .ringcore import (
-    DomainError, IdentityFailed, IntRing, NotIntegral, PolyQuotRing, RatRing,
-    Ring, _kronecker_mul, _numerators, _over_den, q_number,
+    BasisVector, DomainError, IdentityFailed, IntRing, NotIntegral,
+    PolyQuotRing, RatRing, Ring, _kronecker_mul, _numerators, _over_den,
+    q_number,
 )
 
 
@@ -83,33 +86,16 @@ def structure_constants(m: int, n: int) -> tuple:
     return hit
 
 
-def _qh_integral(c):
-    return ZH.from_rational(c)
-
-
-def _qh_p_integral(c, p: int) -> bool:
-    return all(f.denominator % p != 0 for f in c)
-
-
-@dataclass(frozen=True)
-class B0Elem:
+class B0Elem(BasisVector):
     """Coordinates (elements of Q[h], canonically Z[h]) against c_n."""
 
-    coords: tuple
+    scalars = QH
+    symbol = "c%d"
+    term = "(%s)*%s"
 
-    def __post_init__(self):
-        coords = tuple(map(QH.make, self.coords))
-        while coords and not coords[-1]:
-            coords = coords[:-1]
-        object.__setattr__(self, "coords", coords)
-
-    @classmethod
-    def basis(cls, n: int) -> "B0Elem":
-        return cls(((),) * n + (QH.one,))
-
-    @classmethod
-    def from_int(cls, n: int) -> "B0Elem":
-        return cls((QH.make([Fraction(n)]),))
+    @staticmethod
+    def _normalise(coords):
+        return tuple(map(QH.make, coords))
 
     @classmethod
     def t(cls) -> "B0Elem":
@@ -119,28 +105,14 @@ class B0Elem:
     def q_scalar(cls) -> tuple:
         return QH.make([Fraction(1), Fraction(1)])
 
-    def coord(self, n: int) -> tuple:
-        return self.coords[n] if n < len(self.coords) else QH.zero
-
     def is_zero(self) -> bool:
         return not self.coords
 
     def is_integral(self) -> bool:
-        return all(_qh_integral(c) is not None for c in self.coords)
+        return all(ZH.from_rational(c) is not None for c in self.coords)
 
     def is_p_integral(self, p: int) -> bool:
-        return all(_qh_p_integral(c, p) for c in self.coords)
-
-    def __add__(self, other):
-        n = max(len(self.coords), len(other.coords))
-        return B0Elem(tuple(QH.add(self.coord(i), other.coord(i))
-                            for i in range(n)))
-
-    def __neg__(self):
-        return B0Elem(tuple(QH.neg(c) for c in self.coords))
-
-    def __sub__(self, other):
-        return self + (-other)
+        return all(f.denominator % p for c in self.coords for f in c)
 
     def __mul__(self, other):
         return b0_mul(self, other)
@@ -156,19 +128,6 @@ class B0Elem:
         """Coordinates with h evaluated at a rational; same basis index."""
         return tuple(QH.subst(c, QH.make([Fraction(value)]))
                      for c in self.coords)
-
-    def __repr__(self):
-        if not self.coords:
-            return "0"
-        parts = []
-        for n, c in enumerate(self.coords):
-            if QH.is_zero(c):
-                continue
-            cs = QH.fmt(c)
-            base = "1" if n == 0 else "c%d" % n
-            parts.append(base if cs == "1" and n else
-                         cs if n == 0 else "(%s)*%s" % (cs, base))
-        return " + ".join(parts)
 
 
 def _coord_numerators(a: B0Elem) -> tuple:
@@ -279,7 +238,14 @@ def b0_to_int_h(a: B0Elem) -> dict:
                 k = n + j
                 cur = out.get(k, IntPoly(()))
                 out[k] = cur + IntPoly.basis(n).scale(int(f))
-    return {k: v for k, v in out.items() if v.coords}
+    # each term at h^k is at its own C(u, n), so no entry sums to zero
+    return out
+
+
+def b0_at_h1(a: B0Elem) -> IntPoly:
+    """The h = 1 fibre: the image in Int under c_n -> C(u, n), the sum of
+    b0_to_int_h over the h-degrees."""
+    return sum(b0_to_int_h(a).values(), IntPoly(()))
 
 
 def b0_from_filtration(f: IntPoly, n: int) -> B0Elem:
@@ -287,10 +253,8 @@ def b0_from_filtration(f: IntPoly, n: int) -> B0Elem:
     if f.degree() > n:
         raise DomainError(
             "degree %d exceeds filtration level %d" % (f.degree(), n))
-    coords = []
-    for m, a in enumerate(f.coords):
-        coords.append(QH.make([Fraction(0)] * (n - m) + [Fraction(a)]))
-    return B0Elem(tuple(coords))
+    return B0Elem(tuple(_h_monomial(a, n - m)
+                        for m, a in enumerate(f.coords)))
 
 
 # ---------------------------------------------------------------------------

@@ -106,10 +106,13 @@ def bh_coords(R: PolyQuotRing, a) -> tuple:
 # the q-exponential, two ways
 
 
+@build_once
 def _phi_series(p: int, n_p: int, n_q: int, slack: int) -> tuple:
     """(R, x0, X, tail) with R = bhat_ring(n_q), tail = n_p + n_q + slack,
     x0 = sum_{1 <= n <= tail} c_n Phi_p(q)^(n-1) and X = 1 + Phi_p(q) x0 =
-    sum_{n <= tail} c_n Phi_p(q)^n: X - 1 = Phi x0 needs no division."""
+    sum_{n <= tail} c_n Phi_p(q)^n: X - 1 = Phi x0 needs no division.
+    Built once per key (ringcore.build_once): q_exponential and the
+    canonical construction at L = 2 share the key (p, n_p, n_q, 8)."""
     R = bhat_ring(n_q)
     H = R.scalar
     phi = bh_phi_scalar(R, p)

@@ -7,6 +7,10 @@ and the cyclotomic quotient Z[q]/(Phi_p(q)).  All values are immutable;
 rings are stateless and freely shareable across threads.  The four
 library errors are defined here, once, each for one way a map can fail
 (`DomainError`, `NotIntegral`, `BoundExceeded`, `IdentityFailed`).
+`BasisVector` is the one finite coordinate vector against a basis: the
+elements of B_0 against c_n over Q[h] (`qhopf.B0Elem`), of its h = 1 fibre
+Int against C(u, n) (`intpoly.IntPoly`) and of its h = 0 fibre, the
+divided-power hull, against gamma_n (`pd_dual.PDElem`) subclass it.
 """
 from __future__ import annotations
 
@@ -15,6 +19,7 @@ import itertools
 import math
 import operator
 import threading
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -191,6 +196,7 @@ class Ring:
 class IntRing(Ring):
     name = "Z"
     zero = 0
+    one = 1
 
     def add(self, a, b):
         return a + b
@@ -747,6 +753,61 @@ def _dense(terms: dict, radices: list) -> list:
     for slot, c in slots.items():
         vec[slot] = c
     return vec
+
+
+# ---------------------------------------------------------------------------
+# vectors against a basis
+
+
+@dataclass(frozen=True)
+class BasisVector:
+    """sum coords[n] e_n over the scalar ring `scalars`, e_n printed as
+    `symbol` % n (e_0 as 1) and c e_n as `term` % (c, e_n): subclasses set
+    these and keep their own products.  `_normalise` maps the coordinates
+    to scalars and trailing zeros (the one falsy scalar) are stripped, so
+    each element has one coords tuple; elements of two classes are never
+    equal."""
+
+    coords: tuple
+    _normalise = staticmethod(tuple)
+    term = "%s*%s"
+
+    def __post_init__(self):
+        coords = self._normalise(self.coords)
+        while coords and not coords[-1]:
+            coords = coords[:-1]
+        object.__setattr__(self, "coords", coords)
+
+    @classmethod
+    def basis(cls, n: int):
+        return cls((cls.scalars.zero,) * n + (cls.scalars.one,))
+
+    @classmethod
+    def from_int(cls, n: int):
+        return cls((cls.scalars.from_int(n),))
+
+    def coord(self, n: int):
+        return self.coords[n] if n < len(self.coords) else self.scalars.zero
+
+    def __add__(self, other):
+        pairs = itertools.zip_longest(self.coords, other.coords,
+                                      fillvalue=self.scalars.zero)
+        return type(self)(tuple(itertools.starmap(self.scalars.add, pairs)))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(tuple(map(self.scalars.neg, self.coords)))
+
+    def __repr__(self):
+        parts = []
+        for n, c in enumerate(self.coords):
+            if c:
+                cs = self.scalars.fmt(c)
+                parts.append(cs if n == 0 else self.symbol % n if cs == "1"
+                             else self.term % (cs, self.symbol % n))
+        return " + ".join(parts) or "0"
 
 
 # --- named constructors ----------------------------------------------------

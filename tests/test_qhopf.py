@@ -9,11 +9,11 @@ from prismlab import qhopf
 from prismlab.harness import SuiteConfig, run
 from prismlab.intpoly import IntPoly, int_mul
 from prismlab.qhopf import (
-    QH, QHT, B0Elem, B0Ring, _c_monomial, _from_monomial, adams,
+    QH, QHT, B0Elem, B0Ring, _c_monomial, _from_monomial, adams, b0_at_h1,
     b0_coproduct, b0_delta, b0_from_filtration, b0_mul, b0_to_int_h,
 )
 from prismlab.qprism import bhat_ring
-from prismlab.ringcore import DomainError, IdentityFailed
+from prismlab.ringcore import DomainError, IdentityFailed, NotIntegral
 
 
 def H(*ints):
@@ -222,6 +222,20 @@ def test_b0_to_int_h():
         img = b0_to_int_h(B0Elem.basis(n))
         assert img == {n: IntPoly.basis(n)} if n else img == {0: IntPoly((1,))}
     assert b0_to_int_h(B0Elem.t()) == {1: IntPoly.u()}
+
+
+def test_b0_at_h1_is_the_h1_fibre():
+    # c_n -> C(u, n) and h -> 1, against specialize_h at h = 1
+    rng = random.Random(8)
+    for _ in range(10):
+        a = B0Elem(tuple(H(*(rng.randrange(-3, 4) for _ in range(3)))
+                         for _ in range(4)))
+        want = IntPoly(tuple(sum(c) for c in a.specialize_h(Fraction(1))))
+        assert b0_at_h1(a) == want
+    assert b0_at_h1(B0Elem((QH.zero, H(0, 1)))) == IntPoly.u()
+    assert b0_at_h1(B0Elem(())) == IntPoly(())
+    with pytest.raises(NotIntegral):
+        b0_at_h1(B0Elem((QH.make([Fraction(1, 2)]),)))
 
 
 def test_b0_to_int_h_ring_hom():

@@ -120,6 +120,28 @@ def test_q_exponential_is_the_canonical_X():
         assert e["element"] == direct
 
 
+def test_q_exponential_reuses_the_canonical_phi_series(monkeypatch):
+    monkeypatch.delitem(qprism._phi_series.cache, (2, 4, 4, 8),
+                        raising=False)
+    monkeypatch.delitem(qprism._canonical_construction.cache, (2, 4, 4, 2),
+                        raising=False)
+    real_ring = qprism.bhat_ring
+    builds = []
+
+    # each build of the Phi-power series makes its ring once
+    def counted_ring(h_prec):
+        builds.append(h_prec)
+        return real_ring(h_prec)
+
+    monkeypatch.setattr(qprism, "bhat_ring", counted_ring)
+    X = canonical_point(2, 4, 4)["X"]
+    assert builds == [4]
+    e = q_exponential(2, 4, 4)
+    assert builds == [4]
+    assert e["element"] is X
+    assert (2, 4, 4, 8) in qprism._phi_series.cache
+
+
 def test_c_monomial_memo_is_per_ring():
     # c_n truncated at h^2 and at h^5 differ from n = 3 on; the memo must
     # serve each ring its own, in either order, and one ring equal to

@@ -789,3 +789,76 @@ def test_subs_and_compose_match_term_by_term(name):
     u = rand_series(ring, rng, ("z",), 4)
     v = rand_series(ring, rng, ("z",), 4, constant=False)
     assert u.compose(v) == subs_reference(u, {"z": v})
+
+
+def test_basis_vector_reprs_are_pinned():
+    from prismlab.intpoly import IntPoly
+    from prismlab.pd_dual import PDElem
+    from prismlab.qhopf import B0Elem
+    assert repr(IntPoly((1, 0, 2))) == "1 + 2*C(u,2)"
+    assert repr(IntPoly((0, 1, -3))) == "C(u,1) + -3*C(u,2)"
+    assert repr(IntPoly((0, 0))) == "0"
+    assert repr(PDElem((3, 1, 0, -2))) == "3 + g1 + -2*g3"
+    assert repr(PDElem(())) == "0"
+    h = QH.make([Fraction(0), Fraction(1)])
+    half = QH.make([Fraction(1, 2), Fraction(0), Fraction(-3)])
+    assert repr(B0Elem((QH.make([Fraction(2)]), h, QH.one, half))) == (
+        "Fraction(2, 1) + (Fraction(1, 1)*h)*c1 + (Fraction(1, 1))*c2"
+        " + (Fraction(1, 2) + Fraction(-3, 1)*h^2)*c3")
+    assert repr(B0Elem((QH.zero,))) == "0"
+
+
+class _E(ringcore.BasisVector):
+    scalars = ringcore.IntRing()
+    symbol = "e%d"
+
+
+class _F(ringcore.BasisVector):
+    scalars = ringcore.IntRing()
+    symbol = "f%d"
+
+
+def test_basis_vector_strips_trailing_zeros():
+    assert _E([1, 0, 2, 0, 0]).coords == (1, 0, 2)
+    assert _E((0, 0)).coords == ()
+    assert _E(iter([3])).coords == (3,)
+    assert _E((1, 2)).coord(1) == 2 and _E((1, 2)).coord(5) == 0
+
+
+def test_basis_vector_basis_and_from_int():
+    assert _E.basis(0) == _E((1,)) == _E.from_int(1)
+    assert _E.basis(3).coords == (0, 0, 0, 1)
+    assert _E.from_int(0) == _E(())
+    assert type(_F.basis(2)) is _F
+
+    class OverQH(ringcore.BasisVector):
+        scalars = QH
+        symbol = "c%d"
+        _normalise = staticmethod(lambda cs: tuple(map(QH.make, cs)))
+
+    # the hook makes each coordinate a scalar before the zeros are stripped
+    assert OverQH.basis(2).coords == ((), (), (Fraction(1),))
+    assert OverQH((QH.one, [Fraction(0)])).coords == ((Fraction(1),),)
+
+
+def test_basis_vector_add_neg_sub():
+    a, b = _E((1, 2, 3)), _E((4, -2))
+    assert a + b == _E((5, 0, 3))
+    assert -a == _E((-1, -2, -3))
+    assert a - b == _E((-3, 4, 3))
+    assert a - a == _E(()) and (a - a).coords == ()
+    assert b + _E((0, 2)) == _E((4,))
+    assert type(a + b) is _E and type(-a) is _E and type(a - b) is _E
+
+
+def test_basis_vector_subclasses_compare_by_class():
+    assert _E((1, 2)) != _F((1, 2))
+    assert _E((1, 2)) == _E((1, 2, 0))
+    assert repr(_E((1, 2))) == "1 + 2*e1" and repr(_F((0, 1))) == "f1"
+
+
+def test_basis_vector_hashes_by_coords():
+    assert hash(_E((1, 2, 0))) == hash(_E((1, 2)))
+    assert len({_E((1, 2)), _E([1, 2, 0]), _E((2,))}) == 2
+    with pytest.raises(AttributeError):
+        _E((1,)).coords = (2,)
