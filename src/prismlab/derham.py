@@ -12,9 +12,11 @@ integer coefficients once per (p, n_p, bound).  Every eigen-space input is
 certified first, since for p = 2 the exponential's coefficients do not
 tend to zero and only the argument's nilpotence makes the sum finite.
 
-The samplers solve one digit at a time, each equation on the shortest
-prefix that holds it: truncation W_L -> W_k is a ring map commuting with
-F, so component i of p . x (k = i + 1) or F x (k = i + 2) is as at L.
+The samplers draw one digit at a time, with one ghost step
+(`witt._GhostStep`) per side of each equation over the bounded lift of
+length L, and solve no prefix.  A solve there is exact mod m for any lift
+factor at least p^(len-1) (`witt._bounded_lift`), so the digits and the
+rng draws are those of solving each prefix at its own length.
 """
 from __future__ import annotations
 
@@ -27,8 +29,8 @@ from .ringcore import (
     _padic_profile,
 )
 from .witt import (
-    WittVector, frobenius, ghost_combine, scalar_mul, teichmuller,
-    verschiebung, witt_neg, witt_op, witt_sub,
+    WittVector, _bounded_lift, _GhostStep, frobenius, ghost_combine,
+    scalar_mul, teichmuller, verschiebung, witt_neg, witt_op, witt_sub,
 )
 
 
@@ -210,65 +212,73 @@ def v_geometric(x: WittVector) -> WittVector:
 
 def sample_gdr(ring, p, L, rng) -> GdRPoint:
     """Random point: pick a unit u in 1 + pA and solve p . x = [u] - 1
-    triangularly, choosing p-adic digit branches at random."""
+    triangularly, choosing p-adic digit branches at random.  (p.x)_i is
+    p x_i plus a polynomial in earlier components: the step solving p.x
+    from its ghosts p g_i(x_0, ..., x_(i-1), 0) gives that base, and x_i
+    adds p^(i+1) x_i to the ghost, so p x_i to the component, which
+    amend puts in place.  The digits of [u] - 1, whose ghosts are
+    u^(p^i) - 1, come from a step too.  Returned only once the dispatch
+    certifies p . x = [u] - 1."""
     one = teichmuller(ring, p, L, ring.one)
     n_p = _padic_profile(ring)[1]
+    wide, up, down = _bounded_lift(ring, p ** (L - 1))
     for _ in range(64):
         u = ring.from_int(1 + p * rng.randrange(p ** (n_p - 1)))
-        target = witt_sub(teichmuller(ring, p, L, u), one)
-        x = _solve_scalar_p(target, rng)
-        if x is not None:
-            return GdRPoint(x)
+        xs, px, target = (_GhostStep(wide, p) for _ in range(3))
+        power, comps = up(u), []
+        for i in range(L):
+            if i:
+                power = wide.pow(power, p)
+            have = down(target.solve(wide.sub(power, wide.one)))
+            base = px.solve(wide.mul_int(xs.ghost(wide.zero), p))
+            x = _digit(ring, p, n_p, have, down(base), rng)
+            if x is None:
+                break
+            comps.append(x)
+            xs.amend(up(x))
+            px.amend(wide.add(base, wide.mul_int(up(x), p)))
+        else:
+            x = WittVector(ring, p, comps)
+            if scalar_mul(p, x) == witt_sub(teichmuller(ring, p, L, u), one):
+                return GdRPoint(x)
     raise BoundExceeded("no de Rham point found")
 
 
-def _solve_scalar_p(target: WittVector, rng):
-    """Solve p . x = target for x, one component at a time; (p.x)_i is
-    p x_i plus a polynomial in earlier components, the same on the
-    length-(i+1) prefix as at L since truncation is a ring map."""
-    ring, p, L = target.ring, target.p, target.L
-    n_p = _padic_profile(ring)[1]
-    comps = []
-    for i in range(L):
-        partial = WittVector(ring, p, comps + [ring.zero])
-        base = scalar_mul(p, partial).components[i]
-        resid = ring.sub(target.components[i], base)
-        div = ring.div_int_exact(resid, p)
-        if div is None:
-            return None
-        comps.append(ring.add(div, ring.from_int(
-            p ** (n_p - 1) * rng.randrange(p))))
-    x = WittVector(ring, p, comps)
-    if scalar_mul(p, x) != target:
+def _digit(ring, p, n_p, have, base, rng):
+    """x_i with p x_i = have - base on the representatives, plus a random
+    branch p^(n_p-1) r; None, drawing nothing, if p does not divide."""
+    div = ring.div_int_exact(ring.sub(have, base), p)
+    if div is None:
         return None
-    return x
+    return ring.add(div, ring.from_int(p ** (n_p - 1) * rng.randrange(p)))
 
 
 def sample_eigen(ring, p, L, rng) -> WittVector:
-    """Random y with Fy = py: solve F(y) - p.y = 0 triangularly; y_{i+1}
-    enters the i-th equation linearly with coefficient p.  Both sides are
-    read off one length-(i+2) prefix, whose ghosts serve both: truncation
-    is a ring map commuting with F, so they are as at length L."""
+    """Random y with Fy = py: solve F(y) - p.y = 0 triangularly; y_(i+1)
+    enters equation i linearly with coefficient p.  The p side's step is
+    fed p g_i, the F side's g_(i+1) of (y_0, ..., y_i, 0), whose component
+    then grows by p y_(i+1); returned only once is_eigen certifies it."""
     n_p = _padic_profile(ring)[1]
+    wide, up, down = _bounded_lift(ring, p ** (L - 1))
     for _ in range(64):
         comps = [ring.mul_int(ring.from_int(rng.randrange(p ** (n_p - 1))), p)]
-        ok = True
+        ys, fy, py = (_GhostStep(wide, p) for _ in range(3))
+        g = ys.ghost(up(comps[0]))
         for i in range(L - 1):
-            partial = WittVector(ring, p, comps + [ring.zero])
-            lhs = frobenius(partial).components[i]
-            rhs = scalar_mul(p, partial).components[i]
-            resid = ring.sub(rhs, lhs)
-            div = ring.div_int_exact(resid, p)
-            if div is None:
-                ok = False
+            have = down(py.solve(wide.mul_int(g, p)))
+            pre = ys.ghost(wide.zero)
+            base = fy.solve(pre)
+            y = _digit(ring, p, n_p, have, down(base), rng)
+            if y is None:
                 break
-            comps.append(ring.add(div, ring.from_int(
-                p ** (n_p - 1) * rng.randrange(p))))
-        if not ok:
-            continue
-        y = WittVector(ring, p, comps)
-        if is_eigen(y):
-            return y
+            comps.append(y)
+            ys.amend(up(y))
+            fy.amend(wide.add(base, wide.mul_int(up(y), p)))
+            g = wide.add(pre, wide.mul_int(up(y), p ** (i + 1)))
+        else:
+            y = WittVector(ring, p, comps)
+            if is_eigen(y):
+                return y
     raise BoundExceeded("no eigen point found")
 
 

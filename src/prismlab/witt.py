@@ -11,11 +11,13 @@ ring a solve needed them in and computes them again only in another
 ring.  Ghost components live in the coefficient ring itself, which must
 be torsion-free for them to determine the vector: `ghost`, `from_ghost`,
 `from_ghost_big`, `bj_to_witt` and `witt_to_bj` raise DomainError on a
-torsion ring.  Every solve divides with its ring's `div_int_exact`, and a
-quotient outside the ring raises NotIntegral.  The memoized
-universal polynomial tables, evaluated in the coefficient ring with no
-lift, are an oracle only (`witt_op_universal`): no operation falls back to
-them, and over Z the two must agree (`verify --suite witt.universal`).
+torsion ring.  A p-typical solve or ghost map is one step per component
+(`_GhostStep`), on plain ints over Z and Z/m; every solve divides with
+its ring's `div_int_exact`, and a quotient outside the ring raises
+NotIntegral.  The memoized universal polynomial tables, evaluated in the
+coefficient ring with no lift, are an oracle only (`witt_op_universal`):
+no operation falls back to them, and over Z the two must agree
+(`verify --suite witt.universal`).
 """
 from __future__ import annotations
 
@@ -94,24 +96,10 @@ class WittVector:
         return ghost_in_ring(self)
 
     def _solve(self, ring, ghosts) -> "WittVector":
-        """The vector over ring with these ghost components:
-        x_n = (g_n - sum_{i<n} p^i x_i^(p^(n-i))) / p^n, divided by
-        ring.div_int_exact, which also certifies x_0 = g_0 / 1; pows[i]
-        holds x_i^(p^(n-i)) as in ghost_in_ring."""
-        p = self.p
-        comps: list = []
-        pows: list = []
-        for n, acc in enumerate(ghosts):
-            pows = [ring.pow(x, p) for x in pows]
-            for i, x in enumerate(pows):
-                acc = ring.sub(acc, ring.mul_int(x, p ** i))
-            acc = ring.div_int_exact(acc, p ** n)
-            if acc is None:
-                raise NotIntegral(
-                    "ghost component %d is not integral" % n)
-            comps.append(acc)
-            pows.append(acc)
-        return WittVector(ring, p, comps)
+        """The vector over ring with these ghost components, one _GhostStep
+        solve per component."""
+        step = _GhostStep(ring, self.p)
+        return WittVector(ring, self.p, [step.solve(g) for g in ghosts])
 
     def _map(self, ring, fn) -> "WittVector":
         """fn applied to each component, into ring."""
@@ -150,16 +138,70 @@ def from_int_vector(ring, p, L, n: int) -> WittVector:
 
 def ghost_in_ring(w: WittVector) -> list:
     """Ghost components computed with the vector's own ring arithmetic
-    (polynomial data, no division).  pows[i] holds x_i^(p^(n-i)) and is
-    raised to the p-th power once per step."""
-    ring, p = w.ring, w.p
-    out: list = []
-    pows: list = []
-    for x in w.components:
-        pows = [ring.pow(y, p) for y in pows] + [x]
-        out.append(reduce(ring.add, [ring.mul_int(y, p ** i)
-                                     for i, y in enumerate(pows)]))
-    return out
+    (polynomial data, no division), one _GhostStep per component."""
+    step = _GhostStep(w.ring, w.p)
+    return [step.ghost(x) for x in w.components]
+
+
+class _GhostStep:
+    """The ghost map of one p-typical vector, one index n at a time, both
+    ways: ghost(x_n) gives g_n, and solve(g_n) gives x_n = (g_n -
+    sum_{i<n} p^i x_i^(p^(n-i))) / p^n by ring.div_int_exact, which also
+    certifies x_0 = g_0 / 1; each pushes x_n.  pows holds the
+    x_i^(p^(n-1-i)), raised to the p-th power once per index.  Over Z and
+    Z/M (IntRing, IntModRing) it works on plain ints: running powers, an
+    unreduced weighted sum, one % M and one divmod by p^n; other rings use
+    their own arithmetic.  amend(x) takes x as the last component in place
+    of the one pushed, any x whose ghost the caller knows, as the de Rham
+    samplers do."""
+
+    __slots__ = ("ring", "p", "pows", "mod")
+
+    def __init__(self, ring, p: int):
+        self.ring, self.p, self.pows = ring, p, []
+        # the modulus of Z/M, 0 over Z (no reduction), None elsewhere
+        kind = type(ring)
+        self.mod = (ring.m if kind is IntModRing
+                    else 0 if kind is IntRing else None)
+
+    def ghost(self, x):
+        p, mod = self.p, self.mod
+        if mod is None:
+            r = self.ring
+            self.pows = pows = [r.pow(y, p) for y in self.pows] + [x]
+            return reduce(r.add, [r.mul_int(y, p ** i)
+                                  for i, y in enumerate(pows)])
+        self.pows = pows = [pow(y, p, mod or None) for y in self.pows] + [x]
+        acc, pk = 0, 1
+        for y in pows:
+            acc += pk * y
+            pk *= p
+        return acc % mod if mod else acc
+
+    def solve(self, g):
+        p, mod = self.p, self.mod
+        if mod is None:
+            r = self.ring
+            self.pows = pows = [r.pow(y, p) for y in self.pows]
+            for i, y in enumerate(pows):
+                g = r.sub(g, r.mul_int(y, p ** i))
+            x = r.div_int_exact(g, p ** len(pows))
+        else:
+            self.pows = pows = [pow(y, p, mod or None) for y in self.pows]
+            pk = 1
+            for y in pows:
+                g -= pk * y
+                pk *= p
+            x, rem = divmod(g % mod if mod else g, pk)
+            x = None if rem else x
+        if x is None:
+            raise NotIntegral("ghost component %d is not integral"
+                              % len(pows))
+        pows.append(x)
+        return x
+
+    def amend(self, x):
+        self.pows[-1] = x
 
 
 def _has_exact_division(ring) -> bool:

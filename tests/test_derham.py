@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import operator
@@ -445,6 +446,46 @@ def test_prefix_samplers_match_the_full_length_digit_loops(p, L, n_p):
                 got, want = got.x, want.x
             assert got.components == want.components
             assert rng.getrandbits(64) == twin.getrandbits(64)
+
+
+# sha256 of 5 draws per cell and rng.random() after them, one digest per
+# sampler, as the samplers drew them when each digit re-solved its prefix
+SAMPLER_DIGESTS = {
+    "sample_gdr":
+        "520c8d6b0cd06222ccf820c8af3c9e304c5076c92a71b00443a8b621d426d620",
+    "sample_eigen":
+        "135d89e61567ab3b00c83cbfae9bc08270f08d0dadc7fa9b876bbdfa059ee3a2",
+}
+
+
+def sampler_cells():
+    for p in (2, 3, 5, 7):
+        for L in range(1, 5):
+            for n_p in (2, 4, 6):
+                yield "%d/%d/%d" % (p, L, n_p), ModP(p, n_p), p, L
+    R = PolyQuotRing(ModP(3, 3), (0, 0, 1), "a")
+    for L in range(1, 5):
+        yield "3[a]/%d" % L, R, 3, L
+
+
+@pytest.mark.parametrize("sample", [sample_gdr, sample_eigen],
+                         ids=lambda f: f.__name__)
+def test_sampler_draws_are_pinned(sample):
+    # the same rng calls in the same order and the same vectors, over
+    # Z/p^n for p in {2, 3, 5, 7}, L in 1..4, n_p in {2, 4, 6}, and over
+    # Z/27[a]/(a^2); a seed per cell
+    h = hashlib.sha256()
+    for seed, (name, R, p, L) in enumerate(sampler_cells()):
+        rng = random.Random(seed)
+        for _ in range(5):
+            try:
+                got = sample(R, p, L, rng)
+                out = (got.x if isinstance(got, GdRPoint) else got).components
+            except BoundExceeded as err:
+                out = repr(err)
+            h.update(repr((name, out)).encode())
+        h.update(repr(rng.random()).encode())
+    assert h.hexdigest() == SAMPLER_DIGESTS[sample.__name__]
 
 
 def test_f_log_and_g_exp_derive_their_coefficients_once():

@@ -3,16 +3,21 @@ scalar_mul against n-fold Witt addition by double-and-add, witt_pow against
 one ghost power over the rational twin, both against the universal tables on
 generic_vector's F_p series ring, and the p-power ladders of the ghost maps
 against the ghost formula written out term by term."""
+import random
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from prismlab.derham import generic_vector
-from prismlab.ringcore import ExactInt, ModP, PolyQuotRing, SeriesCoeffRing
+from prismlab.ringcore import (
+    ExactInt, ExactRat, IntModRing, ModP, NotIntegral, PolyQuotRing,
+    SeriesCoeffRing,
+)
 from prismlab.witt import (
-    WittVector, _universal, from_ghost, ghost, ghost_in_ring, scalar_mul,
-    teichmuller, witt_neg, witt_op, witt_op_universal, witt_pow, zero_vector,
+    WittVector, _GhostStep, _universal, from_ghost, ghost, ghost_in_ring,
+    scalar_mul, teichmuller, witt_neg, witt_op, witt_op_universal, witt_pow,
+    zero_vector,
 )
 
 from rational_twin import rational_twin
@@ -208,3 +213,73 @@ def test_ghost_ladder_matches_direct_formula(w):
     ghosts = ghost_in_ring(w)
     assert ghosts == ghost_direct(w)
     assert from_ghost(w.ring, w.p, ghost(w)).components == w.components
+
+
+def solve_outcome(ring, p, ghosts):
+    try:
+        return WittVector(ring, p, ())._solve(ring, ghosts).components
+    except NotIntegral as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_int_kernel_matches_the_ring_api_path(p):
+    # over Z and Z/p^(n_p+L-1) the step runs on plain ints; the constant
+    # polynomials of scalar[x] take the ring-API path over the same scalar
+    rng = random.Random(p)
+    for L in range(1, 6):
+        n_p = rng.randrange(1, 5)
+        M = p ** (n_p + L - 1)
+        for scalar, draw in ((ExactInt(), lambda: rng.randrange(-50, 51)),
+                             (IntModRing(M, p), lambda: rng.randrange(M))):
+            P = PolyQuotRing(scalar, None, "x")
+
+            def const(values):
+                return [P.make([c]) for c in values]
+
+            def scalars(elems):
+                # the generic path's values, each a constant, as scalars
+                assert all(len(e) <= 1 for e in elems)
+                return tuple(P.coeff(e, 0) for e in elems)
+            for _ in range(10):
+                comps = [draw() for _ in range(L)]
+                ghosts = ghost_in_ring(WittVector(scalar, p, comps))
+                assert tuple(ghosts) == scalars(ghost_in_ring(
+                    WittVector(P, p, const(comps))))
+                # integral ghosts, and arbitrary ones, mostly not integral
+                for gs in (ghosts, [draw() for _ in range(L)]):
+                    want = solve_outcome(P, p, const(gs))
+                    assert solve_outcome(scalar, p, gs) == (
+                        scalars(want) if isinstance(want, tuple) else want)
+    # the same non-integral ghost: (0 - 1^p) / p
+    for scalar in (ExactInt(), IntModRing(p ** 3, p)):
+        P = PolyQuotRing(scalar, None, "x")
+        msg = "ghost component 1 is not integral"
+        assert solve_outcome(scalar, p, [1, 0]) == msg
+        assert solve_outcome(P, p, [P.one, P.zero]) == msg
+
+
+def test_int_kernel_chosen_at_construction():
+    # Z/M and Z take the plain-int kernel, every other ring (a subclass of
+    # IntModRing among them) its own arithmetic
+    class Sub(IntModRing):
+        pass
+    assert _GhostStep(ModP(3, 4), 3).mod == 81
+    assert _GhostStep(ExactInt(), 3).mod == 0
+    for ring in (ExactRat(), Sub(81, 3), trunc_poly(ModP(3, 4)),
+                 PolyQuotRing(ExactInt(), None, "x")):
+        assert _GhostStep(ring, 3).mod is None
+    # a solve over Z/81 calls none of the ring's methods
+    R = ModP(3, 4)
+    w = WittVector(R, 3, [5, 7, 11])
+    gs = ghost_in_ring(w)
+    # x_2 is 11 only mod 3^(4-2): a solve over Z/81 is not unique
+    solved = WittVector(R, 3, ())._solve(R, gs).components
+    assert solved == (5, 7, 2)
+
+    def refuse(*args):
+        raise AssertionError("ring method called")
+    for name in ("add", "sub", "pow", "mul_int", "div_int_exact"):
+        setattr(R, name, refuse)
+    assert ghost_in_ring(w) == gs
+    assert WittVector(R, 3, ())._solve(R, gs).components == solved
