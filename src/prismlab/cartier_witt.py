@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fgl import h_law, n_series
+from .fgl import FGLHom, h_law, n_series, verify_hom
 from .intpoly import IntPoly, lambda_op
 from .qhopf import QH, QHT, B0Elem, B0Ring, _c_monomial, b0_at_h1
 from .ringcore import (
-    BoundExceeded, DomainError, NotIntegral, TruncSeries, h_element,
-    q_element, q_number,
+    BoundExceeded, DomainError, ExactInt, NotIntegral, QPoly, TruncSeries,
+    h_element, q_element, q_number,
 )
 from .witt import (
     BigWitt, frobenius_big, from_int_vector, teich_mul, witt_to_bj,
@@ -47,9 +47,8 @@ class MultHomSeries:
         var = self.series.variables[0]
         z1 = TruncSeries.var(ring, ("z1", "z2"), order, "z1")
         z2 = TruncSeries.var(ring, ("z1", "z2"), order, "z2")
-        cross = z1 * z2 if self.tag == "R" else (z1 * z2).scale(self.h)
-        arg = z1 + z2 + cross
-        lhs = self.series.subs({var: arg})
+        law = h_law(ring, ring.one if self.tag == "R" else self.h, order)
+        lhs = self.series.subs({var: law.apply(z1, z2)})
         rhs = self.series.subs({var: z1}) * self.series.subs({var: z2})
         return lhs == rhs
 
@@ -70,8 +69,7 @@ def specialize_pairing_at_t(N: int, t_value) -> TruncSeries:
     out = {}
     for n in range(N + 1):
         mono = _c_monomial(n)
-        val = QHT.subst(mono, (t_value,))
-        out[(n,)] = val[0] if val else QH.zero
+        out[(n,)] = QHT.coeff(QHT.subst(mono, (t_value,)), 0)
     return TruncSeries(QH, ("z",), out, N)
 
 
@@ -155,11 +153,7 @@ def wf_ring_reduce(expr: dict, p: int, bound: int) -> dict:
         e, c = work.popitem()
         idx = next((i for i, v in enumerate(e) if v >= p), None)
         if idx is None:
-            cur = out.get(e, 0) + c
-            if cur:
-                out[e] = cur
-            else:
-                out.pop(e, None)
+            _acc(out, e, c)
             continue
         if idx + 1 > bound:
             raise BoundExceeded("rewrite needs x_%d beyond bound %d"
@@ -197,7 +191,6 @@ def eval_bj_poly(expr: dict, values: list) -> int:
 
 def fixed_point_bj_values(m: int, p: int, L: int) -> list:
     """Buium-Joyal coordinates of the F-fixed Witt vector m*1 over Z."""
-    from .ringcore import ExactInt
     w = from_int_vector(ExactInt(), p, L, m)
     return witt_to_bj(w)
 
@@ -246,8 +239,6 @@ def hom_pullback_check(n: int) -> dict:
     """z = (q^n - 1)/(q - 1) y is a hom from the law with parameter q^n - 1
     to the law with parameter q - 1, to order 6; exact on the polynomial
     side."""
-    from .fgl import FGLHom, verify_hom
-    from .ringcore import QPoly
     order = 6
     P = QPoly()
     q = q_element(P)

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from .ringcore import (
     BoundExceeded, DomainError, IdentityFailed, ModP, NotIntegral,
-    _padic_profile,
+    SeriesCoeffRing, _padic_profile,
 )
 from .witt import (
     WittVector, _bounded_lift, _GhostStep, frobenius, ghost_combine,
@@ -34,41 +34,44 @@ from .witt import (
 )
 
 
-def _wadd(a, b):
-    return witt_op(a, b, "add")
-
-
-def _wmul(a, b):
-    return witt_op(a, b, "mul")
-
-
 def one_plus_p_x(x: WittVector) -> WittVector:
     p = x.p
     one = teichmuller(x.ring, p, x.L, x.ring.one)
-    return _wadd(one, scalar_mul(p, x))
+    return witt_op(one, scalar_mul(p, x), "add")
 
 
 def is_teichmuller(w: WittVector) -> bool:
     return w == teichmuller(w.ring, w.p, w.L, w.components[0])
 
 
-class GdRPoint:
-    """A Witt vector x over Z/p^n with 1 + px Teichmuller."""
+class _RescaledPoint:
+    """A Witt vector x with _unit(x) Teichmuller: 1 + px (GdRPoint), the
+    q = 1 case of 1 + Phi_p([q]) x (qprism.GQPoint).  Subclasses set _unit,
+    refusal and tag; points of two classes are never equal."""
 
     __slots__ = ("x",)
 
     def __init__(self, x: WittVector, check: bool = True):
-        if check and not is_teichmuller(one_plus_p_x(x)):
-            raise DomainError("1 + px is not a Teichmuller unit")
+        if check and not is_teichmuller(self._unit(x)):
+            raise DomainError(self.refusal)
         self.x = x
 
     def __eq__(self, other):
-        if not isinstance(other, GdRPoint):
+        if type(other) is not type(self):
             return NotImplemented
         return self.x == other.x
 
     def __repr__(self):
-        return "GdR(%r)" % (self.x,)
+        return "%s(%r)" % (self.tag, self.x)
+
+
+class GdRPoint(_RescaledPoint):
+    """A Witt vector x over Z/p^n with 1 + px Teichmuller."""
+
+    __slots__ = ()
+    _unit = staticmethod(one_plus_p_x)
+    refusal = "1 + px is not a Teichmuller unit"
+    tag = "GdR"
 
 
 def gdr_op(a: GdRPoint, b: GdRPoint) -> GdRPoint:
@@ -337,7 +340,7 @@ def g_eta_check(ring, p: int, L: int, xs_pairs) -> dict:
     v1 = verschiebung(teichmuller(ring, p, L, ring.one))
     failures = []
     for x, y in xs_pairs:
-        lhs = _wmul(v1, x)
+        lhs = witt_op(v1, x, "mul")
         # V maps length L-1 into length L: V(Fx) uses every component of Fx
         rhs = WittVector(ring, p, (ring.zero,) + frobenius(x).components)
         if lhs != rhs:
@@ -347,8 +350,9 @@ def g_eta_check(ring, p: int, L: int, xs_pairs) -> dict:
         if in_kernel_v != in_kernel_f:
             failures.append(("kernel mismatch", repr(x)))
         if in_kernel_f and frobenius(y).is_zero():
-            law = _wadd(_wadd(x, y), _wmul(v1, _wmul(x, y)))
-            if law != _wadd(x, y):
+            xy = witt_op(x, y, "add")
+            law = witt_op(xy, witt_op(v1, witt_op(x, y, "mul"), "mul"), "add")
+            if law != xy:
                 failures.append(("law not additive", (repr(x), repr(y))))
     return {"failures": failures}
 
@@ -357,7 +361,6 @@ def generic_vector(p: int, L: int):
     """A Witt vector whose components are polynomial generators over F_p,
     for symbolic identity checks; the degree cap covers the largest power
     a length-L identity can produce."""
-    from .ringcore import SeriesCoeffRing
     base = ModP(p, 1)
     names = tuple("x%d" % i for i in range(L))
     ring = SeriesCoeffRing(base, names, p ** L + 2)

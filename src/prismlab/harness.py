@@ -438,7 +438,7 @@ def suite_fgl_axioms(cfg, out):
         sp = n_series(h_law(P, h_element(P), p + 2), p).series
         consts = (sp.coefficient((n,)) for n in range(1, p))
         out.check("fgl.p_series.height.p%d" % p,
-                  all((c[0] if c else 0) % p == 0 for c in consts),
+                  all(P.coeff(c, 0) % p == 0 for c in consts),
                   ref="Lemma l:s_Q generates H_Q")
 
 
@@ -551,7 +551,7 @@ def suite_qhopf_structure(cfg, out):
     out.trials("qhopf.h1_matches_int", 20, h1_product, "qhopf.structure",
                ref="e:B_0 in terms of Int")
     out.check("qhopf.h0_divided_powers", all(
-        (c[0] if c else 0) == (math.comb(m + n, n) if k == m + n else 0)
+        QH.coeff(c, 0) == (math.comb(m + n, n) if k == m + n else 0)
         for m in range(5) for n in range(5)
         for k, c in enumerate(b0_mul(B0Elem.basis(m), B0Elem.basis(n))
                               .specialize_h(Fraction(0)))),

@@ -25,8 +25,8 @@ from .intpoly import IntPoly, vandermonde
 from .pd_dual import stirling_first
 from .ringcore import (
     BasisVector, DomainError, IdentityFailed, IntRing, NotIntegral,
-    PolyQuotRing, RatRing, Ring, _kronecker_mul, _numerators, _over_den,
-    q_number,
+    PolyQuotRing, RatRing, Ring, _kronecker_mul, _numerators,
+    _rows_numerators, _rows_over_den, q_number,
 )
 
 
@@ -125,28 +125,16 @@ class B0Elem(BasisVector):
         return cls(_from_monomial(P))
 
     def specialize_h(self, value: Fraction) -> tuple:
-        """Coordinates with h evaluated at a rational; same basis index."""
-        return tuple(QH.subst(c, QH.make([Fraction(value)]))
-                     for c in self.coords)
-
-
-def _coord_numerators(a: B0Elem) -> tuple:
-    """(integer numerators of each coordinate, their one common
-    denominator)."""
-    nums, den = _numerators([f for c in a.coords for f in c])
-    out, i = [], 0
-    for c in a.coords:
-        out.append(nums[i:i + len(c)])
-        i += len(c)
-    return out, den
-
-
-def _from_numerators(rows: list, den: int) -> B0Elem:
-    """The element whose n-th coordinate is rows[n] / den."""
-    for row in rows:
-        while row and not row[-1]:
-            row.pop()
-    return B0Elem(tuple(_over_den(row, den) for row in rows))
+        """Coordinates with h evaluated at a rational, each a constant of
+        Q[h]; same basis index.  Horner's rule on the Fractions."""
+        v = Fraction(value)
+        out = []
+        for c in self.coords:
+            acc = 0
+            for f in reversed(c):
+                acc = acc * v + f
+            out.append((acc,) if acc else ())
+        return tuple(out)
 
 
 def b0_mul(a: B0Elem, b: B0Elem) -> B0Elem:
@@ -162,8 +150,8 @@ def b0_mul(a: B0Elem, b: B0Elem) -> B0Elem:
     if len(a.coords) == 1:
         f = a.coords[0]
         return B0Elem(tuple(QH.mul(f, c) for c in b.coords))
-    na, da = _coord_numerators(a)
-    nb, db = _coord_numerators(b)
+    na, da = _rows_numerators(a.coords)
+    nb, db = _rows_numerators(b.coords)
     # a pair's product has at most max|a_m| + max|b_n| - 1 coefficients,
     # shifted by m + n - k <= min(m, n)
     width = (max(map(len, na)) + max(map(len, nb))
@@ -178,7 +166,7 @@ def b0_mul(a: B0Elem, b: B0Elem) -> B0Elem:
                         acc, shift = out[k], m + n - k
                         for i, x in enumerate(prod, shift):
                             acc[i] += g * x
-    return _from_numerators(out, da * db)
+    return B0Elem(_rows_over_den(out, da * db))
 
 
 def b0_coproduct(a: B0Elem) -> dict:
@@ -201,7 +189,7 @@ def adams(n: int, a: B0Elem) -> B0Elem:
         raise ValueError("Adams operations are indexed by positive integers")
     v = _numerators(v_scalar(n))[0]
     powers = [[1]]              # powers[k] = v^k
-    rows, den = _coord_numerators(a)
+    rows, den = _rows_numerators(a.coords)
     out: list = []
     for m, c in enumerate(rows):
         acc: list = []
@@ -214,7 +202,7 @@ def adams(n: int, a: B0Elem) -> B0Elem:
                 for i, x in enumerate(power, j):
                     acc[i] += f * x
         out.append(acc)
-    return _from_numerators(out, den)
+    return B0Elem(_rows_over_den(out, den))
 
 
 def b0_delta(a: B0Elem, p: int) -> B0Elem:

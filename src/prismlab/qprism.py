@@ -21,17 +21,19 @@ from fractions import Fraction
 from functools import reduce
 from typing import NamedTuple
 
+from .derham import _RescaledPoint, gdr_op, sample_gdr
+from .fgl import FGLHom, additive_law, h_law, verify_hom
 from .qhopf import _c_monomial, _from_monomial
 from .ringcore import (
-    BoundExceeded, CyclotomicRing, DomainError, NotIntegral, PolyQuotRing,
-    QSeriesRing, RatRing, TruncSeries, _last_live_term, _log_term_ring,
-    _padic_profile, build_once, h_element, q_element, q_number, valuation,
+    BoundExceeded, CyclotomicRing, DomainError, ModP, NotIntegral,
+    PolyQuotRing, QPoly, QSeriesRing, RatRing, TruncSeries, _last_live_term,
+    _log_term_ring, _padic_profile, build_once, h_element, q_element,
+    q_number, valuation,
 )
 from .witt import (
-    DeltaRing, WittVector, from_ghost, ghost_combine,
+    DeltaRing, WittVector, frobenius, from_ghost, ghost_combine,
     joyal_lift, teichmuller, witt_sub,
 )
-from .derham import is_teichmuller
 
 
 # ---------------------------------------------------------------------------
@@ -43,11 +45,6 @@ def bhat_ring(h_prec: int) -> PolyQuotRing:
     h-cut is the h-side of the box."""
     hring = PolyQuotRing(RatRing(), (0,) * h_prec + (1,), "h")
     return PolyQuotRing(hring, None, "t")
-
-
-def bh_phi_scalar(R: PolyQuotRing, p: int):
-    """Phi_p(q) as an h-ring scalar."""
-    return q_number(R.scalar, p)
 
 
 def frac_vp(f: Fraction, p: int) -> int | None:
@@ -78,7 +75,7 @@ def bh_phi_endo(R: PolyQuotRing, p: int):
     """The Frobenius lift: q -> q^p (h -> (1+h)^p - 1) and t -> Phi_p(q) t."""
     H = R.scalar
     hp = H.sub(H.pow(H.make([Fraction(1), Fraction(1)]), p), H.one)
-    phi = bh_phi_scalar(R, p)
+    phi = q_number(H, p)
 
     def apply(a):
         out = R.zero
@@ -96,12 +93,6 @@ def bh_phi_endo(R: PolyQuotRing, p: int):
     return apply
 
 
-def bh_coords(R: PolyQuotRing, a) -> tuple:
-    """Coordinates of a against c_n(t, h), as h-ring scalars (exact): the
-    triangular elimination of qhopf, run in R itself."""
-    return _from_monomial(a, R)
-
-
 # ---------------------------------------------------------------------------
 # the q-exponential, two ways
 
@@ -115,7 +106,7 @@ def _phi_series(p: int, n_p: int, n_q: int, slack: int) -> tuple:
     canonical construction at L = 2 share the key (p, n_p, n_q, 8)."""
     R = bhat_ring(n_q)
     H = R.scalar
-    phi = bh_phi_scalar(R, p)
+    phi = q_number(H, p)
     tail = n_p + n_q + slack
     x0 = R.zero
     power = H.one
@@ -133,7 +124,7 @@ def q_exponential(p: int, n_p: int, n_q: int) -> dict:
     Returns the ring, the element, and the bookkeeping of the cut."""
     R, _, X, tail = _phi_series(p, n_p, n_q, 8)
     # certificate: the next coordinate Phi^(tail+1) is already in the box
-    if not bh_in_box((R.scalar.pow(bh_phi_scalar(R, p), tail + 1),), p, n_p):
+    if not bh_in_box((R.scalar.pow(q_number(R.scalar, p), tail + 1),), p, n_p):
         raise BoundExceeded("Phi^%d not yet inside the box" % (tail + 1))
     return {"ring": R, "element": X, "tail": tail}
 
@@ -146,14 +137,10 @@ def q_exp_alt(p: int, n_p: int, n_q: int, t_deg: int) -> dict:
     n_max = t_deg + n_q
     acc = R.zero
     for n in range(n_max + 1):
-        acc = R.add(acc, _alpha_n(R, n, p))
+        # c_n(p t, h): the t^i coefficient of c_n picks up p^i
+        acc = R.add(acc, R.make([R.scalar.mul_int(c, p ** i)
+                                 for i, c in enumerate(_c_monomial(n, R))]))
     return {"ring": R, "element": acc, "tail": n_max}
-
-
-def _alpha_n(R: PolyQuotRing, n: int, p: int) -> tuple:
-    """c_n(p t, h) in the exact ring."""
-    return R.make([R.scalar.mul_int(c, p ** i)
-                   for i, c in enumerate(_c_monomial(n, R))])
 
 
 def q_exp_agreement(p: int, n_p: int, n_q: int, t_deg: int) -> dict:
@@ -163,9 +150,9 @@ def q_exp_agreement(p: int, n_p: int, n_q: int, t_deg: int) -> dict:
     e2 = q_exp_alt(p, n_p, n_q, t_deg)
     R = e1["ring"]
     H = R.scalar
-    c1 = bh_coords(R, e1["element"])
-    c2 = bh_coords(R, e2["element"])
-    phi = bh_phi_scalar(R, p)
+    c1 = _from_monomial(e1["element"], R)
+    c2 = _from_monomial(e2["element"], R)
+    phi = q_number(H, p)
     ok_phi = True
     power = H.one
     for k in range(t_deg + 1):
@@ -238,12 +225,9 @@ def derham_specialization_of_x0(p: int, n_p: int, n_q: int) -> bool:
     """At q = 1 the 0-th component becomes (exp(pt) - 1)/p, checked up to
     t^6."""
     c = _canonical_construction(p, n_p, n_q, 2)
-    for i in range(1, 7):
-        hc = c.ring.coeff(c.x0, i)
-        const = hc[0] if hc else Fraction(0)
-        if const != Fraction(p ** (i - 1), math.factorial(i)):
-            return False
-    return True
+    H = c.ring.scalar
+    return all(H.coeff(c.ring.coeff(c.x0, i), 0)
+               == Fraction(p ** (i - 1), math.factorial(i)) for i in range(1, 7))
 
 
 def r0_relation_check(p: int, n_p: int, n_q: int, t_deg: int = 4) -> dict:
@@ -256,15 +240,10 @@ def r0_relation_check(p: int, n_p: int, n_q: int, t_deg: int = 4) -> dict:
     # t = 0 fiber: X(0) = 1
     out["t0_fiber"] = R.scalar.eq(R.coeff(c.X, 0), R.scalar.one)
     # q = 1 fiber: phi(X) and X^p both specialize to exp(p^2 t) in the box
-    lhs, rhs = c.phi_X, c.X_p
-    ok = True
-    for i in range(t_deg + 1):
-        la = lhs[i][0] if i < len(lhs) and lhs[i] else Fraction(0)
-        rb = rhs[i][0] if i < len(rhs) and rhs[i] else Fraction(0)
-        target = Fraction(p ** (2 * i), math.factorial(i))
-        ok = ok and vp_at_least(la - target, p, n_p) \
-            and vp_at_least(rb - target, p, n_p)
-    out["q1_fiber"] = ok
+    out["q1_fiber"] = all(
+        vp_at_least(R.scalar.coeff(R.coeff(a, i), 0)
+                    - Fraction(p ** (2 * i), math.factorial(i)), p, n_p)
+        for i in range(t_deg + 1) for a in (c.phi_X, c.X_p))
     return out
 
 
@@ -276,25 +255,6 @@ def gq_ring(p: int, n_p: int, n_q: int) -> PolyQuotRing:
     return QSeriesRing(n_q, p=p, n_p=n_p)
 
 
-class GQPoint:
-    """(q, x): x a Witt vector with 1 + Phi_p([q]) x Teichmuller."""
-
-    __slots__ = ("x",)
-
-    def __init__(self, x: WittVector, check: bool = True):
-        if check and not is_teichmuller(_one_plus_phi_x(x, q_element(x.ring))):
-            raise DomainError("1 + Phi_p([q]) x is not Teichmuller")
-        self.x = x
-
-    def __eq__(self, other):
-        if not isinstance(other, GQPoint):
-            return NotImplemented
-        return self.x == other.x
-
-    def __repr__(self):
-        return "GQ(%r)" % (self.x,)
-
-
 def _one_plus_phi_x(x: WittVector, q) -> WittVector:
     """1 + Phi_p([q]) x, one ghost solve: [q] has n-th ghost q^(p^n), so
     Phi_p([q]) = 1 + [q] + ... + [q^(p-1)] has n-th ghost Phi_p(q^(p^n))."""
@@ -303,8 +263,20 @@ def _one_plus_phi_x(x: WittVector, q) -> WittVector:
         r.add(r.one, r.mul(q_number(r, p, gq), gx)) for gx, gq in zip(*g)])
 
 
+class GQPoint(_RescaledPoint):
+    """(q, x): x a Witt vector with 1 + Phi_p([q]) x Teichmuller."""
+
+    __slots__ = ()
+    refusal = "1 + Phi_p([q]) x is not Teichmuller"
+    tag = "GQ"
+
+    @staticmethod
+    def _unit(x: WittVector) -> WittVector:
+        return _one_plus_phi_x(x, q_element(x.ring))
+
+
 def gq_to_unit(a: GQPoint):
-    return _one_plus_phi_x(a.x, q_element(a.x.ring)).components[0]
+    return GQPoint._unit(a.x).components[0]
 
 
 def gq_op(a: GQPoint, b: GQPoint) -> GQPoint:
@@ -330,7 +302,6 @@ def sigma_point(ring, p, L) -> GQPoint:
 
 def frobenius_of_point(a: GQPoint) -> GQPoint:
     """F(q, x) = (q^p, F x), landing over the subring generated by q^p."""
-    from .witt import frobenius
     return GQPoint(frobenius(a.x), check=False)
 
 
@@ -357,12 +328,10 @@ def sample_gq(ring, p, L, rng) -> GQPoint:
                                       if i else phi))
                   for i in range(L)]
         try:
-            pt = GQPoint(from_ghost(rring, p, ghosts)._map(
-                ring, ring.from_rational), check=False)
-        except NotIntegral:
+            return GQPoint(from_ghost(rring, p, ghosts)._map(
+                ring, ring.from_rational))
+        except (NotIntegral, DomainError):
             continue
-        if is_teichmuller(_one_plus_phi_x(pt.x, q_element(ring))):
-            return pt
     raise BoundExceeded("no q-deformed point found")
 
 
@@ -493,7 +462,6 @@ def equivariance_report(p: int, n: int, n_p: int, n_q: int, n_z: int) -> dict:
         direct = zp_action(ring, m * n, n_z)
         ok_comp = ok_comp and composed == direct
     # division-free global identity over Z[q]: (q-1) h_n + 1 = (1+(q-1)z)^n
-    from .ringcore import QPoly
     P = QPoly()
     zP = TruncSeries.var(P, ("z",), n_z, "z")
     lhsP = TruncSeries.one(P, ("z",), n_z) + \
@@ -518,13 +486,9 @@ def hodge_tate_check(p: int, n_p: int, order: int) -> dict:
     C = CyclotomicRing(p, n_p=n_p)
     zeta = q_element(C)
     lam = _lambda_series(C, order)
-    # (a) additivity
-    z1 = TruncSeries.var(C, ("z1", "z2"), order, "z1")
-    z2 = TruncSeries.var(C, ("z1", "z2"), order, "z2")
-    law = z1 + z2 + (z1 * z2).scale(h_element(C))
-    lhs = lam.subs({"z": law})
-    rhs = lam.subs({"z": z1}) + lam.subs({"z": z2})
-    ok_add = lhs == rhs
+    # (a) additivity: a hom from the law to the additive one
+    ok_add = verify_hom(FGLHom(lam, h_law(C, h_element(C), order),
+                               additive_law(C, order), check=False))["ok"]
     # (b) lambda(1) = (zeta-1)^{-1} log(zeta) = 0
     lam_1 = _lambda_series(C, _lambda_cut(p, n_p))
     ok_kernel = C.is_zero(reduce(C.add, lam_1.coeffs.values(), C.zero))
@@ -561,7 +525,6 @@ def _lambda_series(C, order: int) -> TruncSeries:
 
 def factorization_identity(p: int) -> bool:
     """q^p - 1 = (q - 1) Phi_p(q) in Z[q]."""
-    from .ringcore import QPoly
     P = QPoly()
     q = q_element(P)
     return P.eq(P.sub(P.pow(q, p), P.one),
@@ -572,7 +535,6 @@ def phi_of_section_identity(p: int) -> bool:
     """The [p]-series of the deformed law at z = Phi_p(q) equals
     (q^(p^2)-1)/(q-1), which also factors as Phi_p(q) Phi_p(q^p)+...;
     both closed forms agree exactly in Z[q]."""
-    from .ringcore import QPoly
     P = QPoly()
     q = q_element(P)
     h = h_element(P)
@@ -590,8 +552,6 @@ def phi_of_section_identity(p: int) -> bool:
 def gq_at_q1_matches_derham(p: int, n_p: int, L: int, rng) -> bool:
     """Specializing q to 1 collapses the deformed law onto the de Rham one,
     on five random pairs."""
-    from .derham import gdr_op, GdRPoint, sample_gdr
-    from .ringcore import ModP
     ring = gq_ring(p, n_p, 1)  # h = 0: the ring is Z/p^n_p itself in degree 0
     base = ModP(p, n_p)
     for _ in range(5):
@@ -602,6 +562,6 @@ def gq_at_q1_matches_derham(p: int, n_p: int, L: int, rng) -> bool:
         bx = WittVector(ring, p, [ring.make_ints([c]) for c in b.x.components])
         got = gq_op(GQPoint(ax, check=False), GQPoint(bx, check=False))
         expect = gdr_op(a, b)
-        if [c[0] if c else 0 for c in got.x.components] != list(expect.x.components):
+        if [ring.coeff(c, 0) for c in got.x.components] != list(expect.x.components):
             return False
     return True

@@ -187,7 +187,7 @@ class Ring:
         raise NotImplementedError
 
     def fmt(self, a) -> str:
-        return repr(a)
+        return str(a)
 
     def __repr__(self):
         return self.name
@@ -263,7 +263,7 @@ class RatRing(Ring):
         return 1 / Fraction(a) if a else None
 
     def div_int_exact(self, a, n):
-        return a / n
+        return a / n if type(a) is Fraction else Fraction(a, n)
 
     def from_rational(self, x):
         return Fraction(x)
@@ -554,17 +554,9 @@ class PolyQuotRing(Ring):
         na, da = _numerators(_flatten(a, stride))
         nb, db = _numerators(_flatten(b, stride))
         prod = _kronecker_mul(na, nb)
-        d = da * db
         keep = stride if self.scalar.deg is None else min(stride, self.scalar.deg)
-        out = []
-        for i in range(0, len(prod), stride):
-            block = prod[i:i + keep]
-            while block and not block[-1]:
-                block.pop()
-            out.append(_over_den(block, d))
-        while out and not out[-1]:
-            out.pop()
-        return tuple(out)
+        return _rows_over_den([prod[i:i + keep]
+                               for i in range(0, len(prod), stride)], da * db)
 
     def from_int(self, n):
         c = self.scalar.from_int(n)
@@ -663,6 +655,28 @@ def _over_den(nums, den: int) -> tuple:
     if den == 1:
         return tuple(map(Fraction, nums))
     return tuple([Fraction(c, den) for c in nums])
+
+
+def _rows_numerators(rows) -> tuple:
+    """(integer rows, one common denominator) of rows of rationals."""
+    nums, den = _numerators([f for row in rows for f in row])
+    out, i = [], 0
+    for row in rows:
+        out.append(nums[i:i + len(row)])
+        i += len(row)
+    return out, den
+
+
+def _rows_over_den(rows: list, den: int) -> tuple:
+    """The rows rows[n] / den, trailing zeros and empty rows stripped."""
+    out = []
+    for row in rows:
+        while row and not row[-1]:
+            row.pop()
+        out.append(_over_den(row, den))
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def _flatten(a, stride: int) -> list:
@@ -1111,10 +1125,9 @@ class TruncSeries:
         return (TruncSeries.one(self.ring, self.variables, self.order)
                 if result is None else result)
 
-    def eq(self, other, order=None):
+    def eq(self, other):
         self._check(other)
-        if order is None:
-            order = self._join_order(other)
+        order = self._join_order(other)
         d = self - other
         if order is None:
             return d.is_zero()

@@ -224,6 +224,21 @@ def test_b0_to_int_h():
     assert b0_to_int_h(B0Elem.t()) == {1: IntPoly.u()}
 
 
+def test_specialize_h_matches_horner_through_q_h():
+    rng = random.Random(9)
+    for _ in range(30):
+        a = B0Elem(tuple(
+            QH.make([Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+                     for _ in range(rng.randrange(0, 5))])
+            for _ in range(rng.randrange(0, 6))))
+        for value in (0, 1, Fraction(3, 2)):
+            want = tuple(QH.subst(c, QH.make([Fraction(value)]))
+                         for c in a.coords)
+            got = a.specialize_h(value)
+            assert got == want
+            assert all(type(f) is Fraction for c in got for f in c)
+
+
 def test_b0_at_h1_is_the_h1_fibre():
     # c_n -> C(u, n) and h -> 1, against specialize_h at h = 1
     rng = random.Random(8)

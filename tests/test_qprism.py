@@ -7,10 +7,11 @@ import time
 import pytest
 from fractions import Fraction
 
-from prismlab import qprism
+from prismlab import fgl, qprism
+from prismlab.derham import GdRPoint, sample_gdr
 from prismlab.qprism import (
-    GQPoint, bh_coords,
-    canonical_point, derham_specialization_of_x0,
+    GQPoint,
+    canonical_point, hodge_tate_check, derham_specialization_of_x0,
     factorization_identity, frobenius_of_point, gq_at_q1_matches_derham,
     gq_op, gq_ring, gq_to_unit, phi_of_section_identity,
     q_exponential, q_log,
@@ -18,10 +19,10 @@ from prismlab.qprism import (
     sigma_point, zp_action, bh_in_box, bhat_ring, frac_vp, vp_at_least,
 )
 from prismlab.ringcore import (
-    BoundExceeded, CyclotomicRing, DomainError, ExactRat, PolyQuotRing,
-    TruncSeries, cyclotomic_modulus, h_element, q_element,
+    BoundExceeded, CyclotomicRing, DomainError, ExactRat, ModP, PolyQuotRing,
+    TruncSeries, cyclotomic_modulus, h_element, q_element, q_number,
 )
-from prismlab.qhopf import _c_monomial
+from prismlab.qhopf import _c_monomial, _from_monomial
 from prismlab.witt import WittVector, witt_op, zero_vector
 
 
@@ -60,6 +61,50 @@ def test_gq_membership_enforced():
         GQPoint(bad)
 
 
+# --- the one rescaled-point type -------------------------------------------
+
+
+def test_each_point_class_refuses_with_its_own_message():
+    R = ModP(3, 2)
+    with pytest.raises(DomainError, match=r"^1 \+ px is not a Teichmuller "
+                       r"unit$"):
+        GdRPoint(WittVector(R, 3, [1, 1]))
+    ring = gq_ring(3, 2, 2)
+    with pytest.raises(DomainError, match=r"^1 \+ Phi_p\(\[q\]\) x is not "
+                       r"Teichmuller$"):
+        GQPoint(WittVector(ring, 3, [ring.one, ring.one]))
+
+
+def test_de_rham_and_q_points_never_compare_equal():
+    ring = gq_ring(3, 2, 1)
+    for x in (zero_vector(ring, 3, 2),
+              WittVector(ring, 3, [ring.make_ints([3]), ring.make_ints([6])])):
+        a, b = GdRPoint(x, check=False), GQPoint(x, check=False)
+        assert a.x == b.x
+        assert a != b and b != a and not a == b and not b == a
+        assert a == GdRPoint(x, check=False) and b == GQPoint(x, check=False)
+
+
+def test_point_reprs_are_pinned():
+    a = sample_gdr(ModP(3, 2), 3, 2, random.Random(0))
+    assert repr(a) == "GdR(W(3, 6))"
+    b = sample_gq(gq_ring(3, 2, 2), 3, 2, random.Random(0))
+    assert repr(b) == "GQ(W(3 + 4*h, 3 + 7*h))"
+
+
+def test_hodge_tate_additivity_fails_for_a_wrong_law(monkeypatch):
+    assert hodge_tate_check(3, 2, 6)["additive"]
+
+    def doubled(ring, h, order):
+        # z1 + z2 + 2(zeta - 1) z1 z2, not the law of the cyclotomic fiber
+        return fgl.h_law(ring, ring.mul_int(h, 2), order)
+    monkeypatch.setattr(qprism, "h_law", doubled)
+    for p in (2, 3, 5):
+        rep = hodge_tate_check(p, 2, 6)
+        assert not rep["additive"]
+        assert rep["kills_torsion_point"] and rep["leading_one"]
+
+
 def test_gq_group_unit():
     rng = random.Random(0)
     for p in (2, 3):
@@ -89,7 +134,7 @@ def test_gq_law_at_q1_is_derham():
 
 def test_q_exponential_constant_term():
     e = q_exponential(2, 4, 4)
-    coords = bh_coords(e["ring"], e["element"])
+    coords = _from_monomial(e["element"], e["ring"])
     H = e["ring"].scalar
     assert H.eq(coords[0], H.one)
 
@@ -98,7 +143,7 @@ def test_q_exp_mod_q_minus_1():
     # at q = 1 the coordinates Phi^k become p^k, the divided-power shape
     for p in (2, 3):
         e = q_exponential(p, 4, 4)
-        coords = bh_coords(e["ring"], e["element"])
+        coords = _from_monomial(e["element"], e["ring"])
         for k in range(5):
             c = coords[k] if k < len(coords) else ()
             const = c[0] if c else Fraction(0)
@@ -112,7 +157,7 @@ def test_q_exponential_is_the_canonical_X():
         e = q_exponential(p, 4, 4)
         assert e["element"] == canonical_point(p, 4, 4, L=2)["X"]
         R = e["ring"]
-        phi = qprism.bh_phi_scalar(R, p)
+        phi = q_number(R.scalar, p)
         direct, power = R.zero, R.scalar.one
         for n in range(e["tail"] + 1):
             direct = R.add(direct, R.mul(R.make([power]), _c_monomial(n, R)))

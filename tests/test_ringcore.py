@@ -19,6 +19,7 @@ from prismlab.ringcore import (
     q_element, q_number as phi_p_element, series_exp, series_inverse,
     valuation, widened,
 )
+from prismlab.witt import from_ghost
 
 from rational_twin import rational_twin
 
@@ -103,6 +104,17 @@ def test_div_int_exact_over_z_mod_m_divides_the_representative():
     assert A.div_int_exact(A.make([6, 3]), 3) == A.make([2, 1])
     assert A.div_int_exact(A.make([6, 1]), 3) is None
     assert A.div_int_exact(A.one, 2) is None
+
+
+def test_div_int_exact_over_q_is_exact_for_ints_and_fractions():
+    Q = ExactRat()
+    for a, n, want in ((3, 2, Fraction(3, 2)), (6, 3, Fraction(2)),
+                       (Fraction(3, 4), 3, Fraction(1, 4))):
+        got = Q.div_int_exact(a, n)
+        assert type(got) is Fraction and got == want
+    comps = from_ghost(Q, 2, [1, 3]).components
+    assert list(comps) == [Fraction(1), Fraction(1)]
+    assert all(type(c) is Fraction for c in comps)
 
 
 def test_qpoly_and_qseries():
@@ -255,7 +267,7 @@ def test_clear_denominators_examples():
     assert clear_denominators(f, ExactInt()).coefficient((1,)) == 1
     # B0 defines no from_rational: no coefficient has an image there
     with pytest.raises(NotIntegral,
-                       match=r"Fraction\(1, 2\) of z has no image in B0"):
+                       match=r"coefficient 1/2 of z has no image in B0"):
         clear_denominators(TruncSeries(Q, ("z",), {(1,): Fraction(1, 2)}, 4),
                            B0Ring())
 
@@ -802,9 +814,11 @@ def test_basis_vector_reprs_are_pinned():
     assert repr(PDElem(())) == "0"
     h = QH.make([Fraction(0), Fraction(1)])
     half = QH.make([Fraction(1, 2), Fraction(0), Fraction(-3)])
+    # Q[h] coordinates print through RatRing.fmt, str: c_2 with coordinate
+    # 1 prints as c2
     assert repr(B0Elem((QH.make([Fraction(2)]), h, QH.one, half))) == (
-        "Fraction(2, 1) + (Fraction(1, 1)*h)*c1 + (Fraction(1, 1))*c2"
-        " + (Fraction(1, 2) + Fraction(-3, 1)*h^2)*c3")
+        "2 + (h)*c1 + c2 + (1/2 + -3*h^2)*c3")
+    assert repr(B0Elem.basis(1)) == "c1"
     assert repr(B0Elem((QH.zero,))) == "0"
 
 
