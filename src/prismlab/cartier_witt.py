@@ -10,11 +10,10 @@ condition in the big Witt ring, which is what gets checked here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fgl import FGLHom, h_law, n_series, verify_hom
 from .intpoly import IntPoly, lambda_op
-from .qhopf import QH, QHT, B0Elem, B0Ring, _c_monomial, b0_at_h1
+from .qhopf import QH, QHT, B0Elem, B0Ring, _c_at_mt, _c_monomial, b0_at_h1
 from .ringcore import (
     BoundExceeded, DomainError, ExactInt, NotIntegral, QPoly, TruncSeries,
     h_element, q_element, q_number,
@@ -59,7 +58,7 @@ def universal_pairing(N: int) -> MultHomSeries:
     R = B0Ring()
     series = TruncSeries(R, ("z",), {(n,): B0Elem.basis(n)
                                      for n in range(N + 1)}, N)
-    h_elem = B0Elem((QH.make([Fraction(0), Fraction(1)]),))
+    h_elem = B0Elem((QH.x,))
     return MultHomSeries(series, "G", h_elem)
 
 
@@ -210,7 +209,7 @@ def m_series_identity(m: int, N: int) -> dict:
         (n,): _basis_at_mt(n, m) for n in range(N + 1)}, N)
     power = pairing ** m
     # [m]-series of z1 + z2 + h z1 z2 over B0
-    h_elem = B0Elem((QH.make([Fraction(0), Fraction(1)]),))
+    h_elem = B0Elem((QH.x,))
     law = h_law(R, h_elem, N)
     mz = n_series(law, m).series
     composed = pairing.compose(mz)
@@ -227,9 +226,7 @@ def m_series_identity(m: int, N: int) -> dict:
 
 def _basis_at_mt(n: int, m: int) -> B0Elem:
     """c_n(m t, h) expanded in the basis, certified integral."""
-    mono = _c_monomial(n)
-    scaled = tuple(QH.mul_int(c, m ** i) for i, c in enumerate(mono))
-    elem = B0Elem.from_monomial(scaled)
+    elem = B0Elem.from_monomial(_c_at_mt(n, m))
     if not elem.is_integral():
         raise NotIntegral("c_%d(%dt, h) is not integral" % (n, m))
     return elem

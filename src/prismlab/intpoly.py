@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
 from .ringcore import (
     BasisVector, BoundExceeded, DomainError, IdentityFailed, IntRing,
-    NotIntegral, PolyQuotRing, RatRing,
+    NotIntegral, PolyQuotRing, RatPoly, RatRing,
 )
 
 
@@ -35,13 +34,13 @@ def gen_binom(m: int, n: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def binom_poly(n: int) -> tuple:
-    """C(u, n) = u(u-1)...(u-n+1)/n! as a rational polynomial, memoized."""
+def binom_poly(n: int) -> RatPoly:
+    """C(u, n) = u(u-1)...(u-n+1)/n! in Q[u], memoized."""
     R = _RATPOLY
     out = R.one
     for i in range(n):
-        out = R.mul(out, R.make([Fraction(-i), Fraction(1)]))
-    return tuple(c / math.factorial(n) for c in out)
+        out = R.mul(out, R.make([-i, 1]))
+    return R.div_int_exact(out, math.factorial(n))
 
 
 class IntPoly(BasisVector):
@@ -60,12 +59,12 @@ class IntPoly(BasisVector):
     def __call__(self, m: int) -> int:
         return sum(a * gen_binom(m, n) for n, a in enumerate(self.coords))
 
-    def to_rational(self) -> tuple:
+    def to_rational(self) -> RatPoly:
         R = _RATPOLY
         acc = R.zero
         for n, a in enumerate(self.coords):
             if a:
-                acc = R.add(acc, tuple(Fraction(a) * c for c in binom_poly(n)))
+                acc = R.add(acc, R.mul_int(binom_poly(n), a))
         return acc
 
     def __mul__(self, other):
@@ -81,29 +80,21 @@ class IntPoly(BasisVector):
 
 
 def to_binomial(poly) -> IntPoly:
-    """Convert a rational polynomial (tuple of Fractions, low degree first)
-    to binomial coordinates via iterated finite differences at 0."""
-    poly = tuple(Fraction(c) for c in poly)
+    """Convert a rational polynomial (an element of Q[u], or its ints and
+    Fractions, low degree first) to binomial coordinates via iterated
+    finite differences at 0."""
     R = _RATPOLY
     coords = []
-    current = poly
-    n = 0
+    current = R.make(poly)
     while current:
-        a = current[0]          # Delta^n f(0)
+        a = current[0]          # Delta^n f(0), n = len(coords)
         if a.denominator != 1:
             raise NotIntegral("difference Delta^%d f(0) = %s is not an integer"
-                              % (n, a))
+                              % (len(coords), a))
         coords.append(int(a))
         # Delta f(u) = f(u+1) - f(u)
-        shifted = _shift_one(current)
-        current = R.sub(shifted, current)
-        n += 1
+        current = R.sub(R.subst(current, R.make([1, 1])), current)
     return IntPoly(tuple(coords))
-
-
-def _shift_one(poly: tuple) -> tuple:
-    R = _RATPOLY
-    return R.subst(poly, R.make([Fraction(1), Fraction(1)]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -203,7 +194,7 @@ def _delta_iterate(p: int, i: int) -> IntPoly:
 
 
 @functools.lru_cache(maxsize=None)
-def delta_basis(p: int, n: int) -> tuple:
+def delta_basis(p: int, n: int) -> RatPoly:
     """The basis monomial prod delta^i(u)^{d_i} indexed by the base-p digits
     d_i of n, as a rational polynomial (degree exactly n)."""
     R = _RATPOLY
@@ -235,16 +226,16 @@ def delta_basis_expand(x: IntPoly, p: int, deg: int) -> dict:
             raise NotIntegral(
                 "leading coordinate %s at degree %d is not p-integral" % (c, n))
         coords[n] = c
-        residual = R.sub(residual, tuple(c * b for b in basis))
+        residual = R.sub(residual, R.mul(R.make([c]), basis))
         if len(residual) - 1 >= n and residual:
             raise IdentityFailed("reduction failed to lower the degree")
     return coords
 
 
-def delta_basis_combine(coords: dict, p: int) -> tuple:
+def delta_basis_combine(coords: dict, p: int) -> RatPoly:
     """Rational polynomial sum of coords[n] * basis_n (roundtrip check)."""
     R = _RATPOLY
     acc = R.zero
     for n, c in coords.items():
-        acc = R.add(acc, tuple(c * b for b in delta_basis(p, n)))
+        acc = R.add(acc, R.mul(R.make([c]), delta_basis(p, n)))
     return acc

@@ -345,7 +345,7 @@ def log_and_pairing_check(N: int) -> dict:
     log(x^u) = u log(x) in Q[u][[x-1]], log(1) = 0, and exp(uv) exhibiting
     gamma_n(u) and v^n as dual bases (log_mu_p_vanishes has the rest)."""
     QU = PolyQuotRing(RatRing(), None, "u")
-    u = QU.make([Fraction(0), Fraction(1)])
+    u = QU.x
     # x^u = sum C(u,n) w^n with w = x - 1
     xu = TruncSeries(QU, ("w",), {
         (n,): binom_poly(n) for n in range(N + 1)}, N)

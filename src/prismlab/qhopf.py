@@ -3,17 +3,19 @@ c_n = t(t-h)...(t-(n-1)h)/n! = h^n C(t/h, n), with Adams operations, the
 delta operator, and the comparison with integer-valued polynomials at h = 1.
 An element is a `ringcore.BasisVector` against c_n over Q[h]; its h = 1
 fibre is Int against C(u, n) (`b0_at_h1`) and its h = 0 fibre the
-divided-power hull against gamma_n (`pd_dual.PDElem`).
+divided-power hull against gamma_n (`pd_dual.PDElem`).  Its coordinates
+are `ringcore.RatPoly` values, integer numerators over one denominator,
+which `b0_mul`, `adams` and `specialize_h` read directly.
 
 Under c_n -> h^n C(u, n) the basis is Int's binomial basis with h-weights,
 so the structure constants are closed forms:
 c_m c_n = sum_k C(k, m) C(m, m+n-k) h^(m+n-k) c_k (the Vandermonde constants
 of `intpoly.vandermonde`) and Delta c_n = sum_{i+j=n} c_i (x) c_j.  The
 monomial form of c_n over Q[h][t], or over the truncated Q[h]/(h^N)[t] of
-`qprism.bhat_ring`, comes from the signed Stirling numbers; `_from_monomial`
-re-expresses a monomial-form element of either ring in the basis by
-triangular elimination, which is also the harness's oracle for the closed
-forms.
+`qprism.bhat_ring`, comes from the signed Stirling numbers, and c_n(m t, h)
+from it (`_c_at_mt`); `_from_monomial` re-expresses a monomial-form element
+of either ring in the basis by triangular elimination, which is also the
+harness's oracle for the closed forms.
 """
 from __future__ import annotations
 
@@ -24,22 +26,20 @@ from fractions import Fraction
 from .intpoly import IntPoly, vandermonde
 from .pd_dual import stirling_first
 from .ringcore import (
-    BasisVector, DomainError, IdentityFailed, IntRing, NotIntegral,
-    PolyQuotRing, RatRing, Ring, _kronecker_mul, _numerators,
-    _rows_numerators, _rows_over_den, q_number,
+    BasisVector, DomainError, IdentityFailed, NotIntegral, PolyQuotRing,
+    RatPoly, RatRing, Ring, _common_den, _kronecker_mul, q_number,
 )
 
 
-ZH = PolyQuotRing(IntRing(), None, "h")
 QH = PolyQuotRing(RatRing(), None, "h")
 QHT = PolyQuotRing(QH, None, "t")
 
 _gamma_cache: dict = {}
 
 
-def _h_monomial(c, j: int) -> tuple:
-    """c h^j in Q[h] for a rational c."""
-    return (QH.scalar.zero,) * j + (Fraction(c),) if c else QH.zero
+def _h_monomial(c, j: int) -> RatPoly:
+    """c h^j in Q[h] for an int or Fraction c."""
+    return QH.make((0,) * j + (c,))
 
 
 @functools.lru_cache(maxsize=None)
@@ -51,6 +51,16 @@ def _c_monomial(n: int, R: PolyQuotRing = QHT) -> tuple:
     return R.make([H.make(_h_monomial(Fraction(stirling_first(n, k), nf),
                                       n - k))
                    for k in range(n + 1)])
+
+
+def _c_at_mt(n: int, m, R: PolyQuotRing = QHT) -> tuple:
+    """c_n(m t, h) in monomial form over R = Q[h][t] or Q[h]/(h^N)[t], for
+    a rational m = u / w: the t^i coefficient of _c_monomial(n, R) with its
+    numerators times u^i and its denominator times w^i."""
+    H, m = R.scalar, Fraction(m)
+    return R.make([H.div_int_exact(H.mul_int(c, m.numerator ** i),
+                                   m.denominator ** i)
+                   for i, c in enumerate(_c_monomial(n, R))])
 
 
 def _from_monomial(P: tuple, R: PolyQuotRing = QHT) -> tuple:
@@ -102,17 +112,17 @@ class B0Elem(BasisVector):
         return cls.basis(1)
 
     @classmethod
-    def q_scalar(cls) -> tuple:
-        return QH.make([Fraction(1), Fraction(1)])
+    def q_scalar(cls) -> RatPoly:
+        return QH.make([1, 1])
 
     def is_zero(self) -> bool:
         return not self.coords
 
     def is_integral(self) -> bool:
-        return all(ZH.from_rational(c) is not None for c in self.coords)
+        return all(c.den == 1 for c in self.coords)
 
     def is_p_integral(self, p: int) -> bool:
-        return all(f.denominator % p for c in self.coords for f in c)
+        return all(c.den % p for c in self.coords)
 
     def __mul__(self, other):
         return b0_mul(self, other)
@@ -125,24 +135,28 @@ class B0Elem(BasisVector):
         return cls(_from_monomial(P))
 
     def specialize_h(self, value: Fraction) -> tuple:
-        """Coordinates with h evaluated at a rational, each a constant of
-        Q[h]; same basis index.  Horner's rule on the Fractions."""
+        """Coordinates with h evaluated at a rational u / w, each a constant
+        of Q[h]; same basis index.  Horner's rule on the numerators: a
+        coordinate sum_j n_j h^j / d becomes sum_j n_j u^j w^(k-j) / (d w^k)
+        with k its degree."""
         v = Fraction(value)
+        u, w = v.numerator, v.denominator
         out = []
         for c in self.coords:
-            acc = 0
-            for f in reversed(c):
-                acc = acc * v + f
-            out.append((acc,) if acc else ())
+            acc, wk = 0, 1
+            for x in reversed(c.nums):
+                acc, wk = acc * u + x * wk, wk * w
+            out.append(QH.from_numerators([acc], c.den * wk // w) if c else c)
         return tuple(out)
 
 
 def b0_mul(a: B0Elem, b: B0Elem) -> B0Elem:
-    """c_m c_n = sum_k g h^(m+n-k) c_k (vandermonde) on integer numerators:
-    one Kronecker product per pair of coordinates, added with its shift
-    into one integer accumulator per k.  An operand f c_0 with one
-    coordinate takes no structure constants: c_0 c_n = c_n, so the product
-    is f times each coordinate of the other operand, one QH.mul each."""
+    """c_m c_n = sum_k g h^(m+n-k) c_k (vandermonde) on integer numerators,
+    each operand over one denominator: one Kronecker product per pair of
+    coordinates, added with its shift into one integer accumulator per k.
+    An operand f c_0 with one coordinate takes no structure constants:
+    c_0 c_n = c_n, so the product is f times each coordinate of the other
+    operand, one QH.mul each."""
     if not a.coords or not b.coords:
         return B0Elem(())
     if len(b.coords) == 1:
@@ -150,8 +164,8 @@ def b0_mul(a: B0Elem, b: B0Elem) -> B0Elem:
     if len(a.coords) == 1:
         f = a.coords[0]
         return B0Elem(tuple(QH.mul(f, c) for c in b.coords))
-    na, da = _rows_numerators(a.coords)
-    nb, db = _rows_numerators(b.coords)
+    na, da = _common_den(a.coords)
+    nb, db = _common_den(b.coords)
     # a pair's product has at most max|a_m| + max|b_n| - 1 coefficients,
     # shifted by m + n - k <= min(m, n)
     width = (max(map(len, na)) + max(map(len, nb))
@@ -166,7 +180,7 @@ def b0_mul(a: B0Elem, b: B0Elem) -> B0Elem:
                         acc, shift = out[k], m + n - k
                         for i, x in enumerate(prod, shift):
                             acc[i] += g * x
-    return B0Elem(_rows_over_den(out, da * db))
+    return B0Elem(tuple(QH.from_numerators(row, da * db) for row in out))
 
 
 def b0_coproduct(a: B0Elem) -> dict:
@@ -176,7 +190,7 @@ def b0_coproduct(a: B0Elem) -> dict:
             for i in range(n, -1, -1)}
 
 
-def v_scalar(n: int) -> tuple:
+def v_scalar(n: int) -> RatPoly:
     """(q^n - 1)/(q - 1) = 1 + q + ... + q^(n-1) in Q[h]."""
     return q_number(QH, n, B0Elem.q_scalar())
 
@@ -184,16 +198,15 @@ def v_scalar(n: int) -> tuple:
 def adams(n: int, a: B0Elem) -> B0Elem:
     """psi^n: multiplication by ((q^n-1)/(q-1))^d on the degree-d piece,
     on integer numerators: f h^j in coordinate m adds f v^(m+j), shifted
-    by j."""
+    by j, over that coordinate's denominator."""
     if n < 1:
         raise ValueError("Adams operations are indexed by positive integers")
-    v = _numerators(v_scalar(n))[0]
+    v = v_scalar(n).nums        # an integer polynomial
     powers = [[1]]              # powers[k] = v^k
-    rows, den = _rows_numerators(a.coords)
     out: list = []
-    for m, c in enumerate(rows):
+    for m, c in enumerate(a.coords):
         acc: list = []
-        for j, f in enumerate(c):
+        for j, f in enumerate(c.nums):
             if f:
                 while len(powers) <= m + j:
                     powers.append(_kronecker_mul(powers[-1], v))
@@ -201,8 +214,8 @@ def adams(n: int, a: B0Elem) -> B0Elem:
                 acc += [0] * (j + len(power) - len(acc))
                 for i, x in enumerate(power, j):
                     acc[i] += f * x
-        out.append(acc)
-    return B0Elem(_rows_over_den(out, den))
+        out.append(QH.from_numerators(acc, c.den))
+    return B0Elem(tuple(out))
 
 
 def b0_delta(a: B0Elem, p: int) -> B0Elem:
@@ -221,11 +234,11 @@ def b0_to_int_h(a: B0Elem) -> dict:
         raise NotIntegral("element is not in the integral form")
     out: dict = {}
     for n, c in enumerate(a.coords):
-        for j, f in enumerate(c):
+        for j, f in enumerate(c.nums):
             if f:
                 k = n + j
                 cur = out.get(k, IntPoly(()))
-                out[k] = cur + IntPoly.basis(n).scale(int(f))
+                out[k] = cur + IntPoly.basis(n).scale(f)
     # each term at h^k is at its own C(u, n), so no entry sums to zero
     return out
 
@@ -277,8 +290,7 @@ class B0Ring(Ring):
         return out if out.is_integral() else None
 
     def rand(self, rng):
-        coords = tuple(QH.make([Fraction(rng.randrange(-3, 4)),
-                                Fraction(rng.randrange(-2, 3))])
+        coords = tuple(QH.make([rng.randrange(-3, 4), rng.randrange(-2, 3)])
                        for _ in range(rng.randrange(1, 4)))
         return B0Elem(coords)
 

@@ -5,7 +5,7 @@ cyclotomic (Hodge-Tate) specialization.
 
 The completed ring (infinite sums sum a_n c_n with a_n -> 0 in the
 (p, q-1)-adic topology) is modeled exactly: elements live in
-Q[h]/(h^n_q)[t] (bhat_ring) with Fraction coefficients, infinite sums are
+Q[h]/(h^n_q)[t] (bhat_ring) with rational coefficients, infinite sums are
 cut at an explicit tail index, and every comparison happens inside the box
 (p^n_p, h^n_q) with the tail error certified to fall outside it.  The box's
 h-cut is the ring's own truncation, so a box check reads only p^n_p.  The
@@ -23,12 +23,12 @@ from typing import NamedTuple
 
 from .derham import _RescaledPoint, gdr_op, sample_gdr
 from .fgl import FGLHom, additive_law, h_law, verify_hom
-from .qhopf import _c_monomial, _from_monomial
+from .qhopf import _c_at_mt, _c_monomial, _from_monomial
 from .ringcore import (
     BoundExceeded, CyclotomicRing, DomainError, ModP, NotIntegral,
-    PolyQuotRing, QPoly, QSeriesRing, RatRing, TruncSeries, _last_live_term,
-    _log_term_ring, _padic_profile, build_once, h_element, q_element,
-    q_number, valuation,
+    PolyQuotRing, QPoly, QSeriesRing, RatPoly, RatRing, TruncSeries,
+    _last_live_term, _log_term_ring, _padic_profile, build_once, h_element,
+    q_element, q_number, valuation,
 )
 from .witt import (
     DeltaRing, WittVector, frobenius, from_ghost, ghost_combine,
@@ -63,8 +63,8 @@ def bh_in_box(a, p: int, n_p: int, t_deg: int | None = None) -> bool:
     """Whether an element of bhat_ring(n_q) vanishes mod (p^n_p, h^n_q),
     optionally only on the monomials of t-degree <= t_deg.  The ring keeps
     no h^n_q, so only the p-side is left to check."""
-    return all(vp_at_least(f, p, n_p)
-               for hc in (a if t_deg is None else a[:t_deg + 1]) for f in hc)
+    return all(x % p ** (n_p + valuation(hc.den, p)) == 0
+               for hc in (a if t_deg is None else a[:t_deg + 1]) for x in hc.nums)
 
 
 def bh_eq_box(R, a, b, p, n_p, t_deg=None) -> bool:
@@ -74,23 +74,9 @@ def bh_eq_box(R, a, b, p, n_p, t_deg=None) -> bool:
 def bh_phi_endo(R: PolyQuotRing, p: int):
     """The Frobenius lift: q -> q^p (h -> (1+h)^p - 1) and t -> Phi_p(q) t."""
     H = R.scalar
-    hp = H.sub(H.pow(H.make([Fraction(1), Fraction(1)]), p), H.one)
-    phi = q_number(H, p)
-
-    def apply(a):
-        out = R.zero
-        tpow = R.one
-        t_image = R.make([H.zero, phi])
-        for i, hc in enumerate(a):
-            if i:
-                tpow = R.mul(tpow, t_image)
-            if H.is_zero(hc):
-                continue
-            coeff = H.subst(hc, hp)
-            out = R.add(out, R.mul(R.make([coeff]), tpow))
-        return out
-
-    return apply
+    hp = H.sub(H.pow(H.make([1, 1]), p), H.one)
+    t_image = R.make([H.zero, q_number(H, p)])
+    return lambda a: R.subst(R.make([H.subst(hc, hp) for hc in a]), t_image)
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +123,7 @@ def q_exp_alt(p: int, n_p: int, n_q: int, t_deg: int) -> dict:
     n_max = t_deg + n_q
     acc = R.zero
     for n in range(n_max + 1):
-        # c_n(p t, h): the t^i coefficient of c_n picks up p^i
-        acc = R.add(acc, R.make([R.scalar.mul_int(c, p ** i)
-                                 for i, c in enumerate(_c_monomial(n, R))]))
+        acc = R.add(acc, _c_at_mt(n, p, R))
     return {"ring": R, "element": acc, "tail": n_max}
 
 
@@ -193,7 +177,7 @@ def _canonical_construction(p: int, n_p: int, n_q: int, L: int) -> _Canonical:
     dr = DeltaRing(R, p, phi_endo)
     x = joyal_lift(dr, x0, L)
     # Teichmuller identity: 1 + Phi_p([q]) x = [X], with q = 1 + h
-    lhs = _one_plus_phi_x(x, R.make([H.make([Fraction(1), Fraction(1)])]))
+    lhs = _one_plus_phi_x(x, R.make([H.make([1, 1])]))
     rhs = teichmuller(R, p, L, X)
     return _Canonical(R, x0, X, x, phi_endo(X), R.pow(X, p), lhs, rhs, tail)
 
@@ -320,8 +304,7 @@ def sample_gq(ring, p, L, rng) -> GQPoint:
     phi = q_number(rring, p)
     for _ in range(32):
         r = [rng.randrange(-9, 10) for _ in range(ring.deg)]
-        U = rring.add(rring.one,
-                      rring.mul(phi, rring.make([Fraction(c) for c in r])))
+        U = rring.add(rring.one, rring.mul(phi, rring.make(r)))
         # ghost_i(x) = (U^(p^i) - 1) / Phi_p(q^(p^i))
         ghosts = [rring.mul(rring.sub(rring.pow(U, p ** i), rring.one),
                             rring.inv(q_power_substitute(rring, phi, p ** i)
@@ -339,14 +322,14 @@ def sample_gq(ring, p, L, rng) -> GQPoint:
 # the q-logarithm
 
 
-def _h_over_log(n_q: int) -> tuple:
+def _h_over_log(n_q: int) -> RatPoly:
     """h / log(1+h), the inverse of R_log = log(1+h)/h, in Q[h]/(h^n_q)."""
     rring = PolyQuotRing(RatRing(), (0,) * n_q + (1,), "h")
     return rring.inv(rring.make([Fraction((-1) ** k, k + 1)
                                  for k in range(n_q)]))
 
 
-def _precision_loss(p: int, h_over_log: tuple) -> int:
+def _precision_loss(p: int, h_over_log: RatPoly) -> int:
     """One digit for the division by p plus the worst p-adic denominator
     among the coefficients of h/log(1+h)."""
     return 1 + max([-v for v in (frac_vp(c, p) for c in h_over_log)

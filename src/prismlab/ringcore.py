@@ -113,9 +113,9 @@ def build_once(build):
 class Ring:
     """Protocol shared by all coefficient rings.
 
-    Elements are plain immutable values (int, Fraction, tuples of those);
-    all arithmetic goes through the ring object.  Each ring defines its own
-    is_zero, and a ring that receives elements over Q defines
+    Elements are plain immutable values (int, Fraction, tuples of those,
+    RatPoly); all arithmetic goes through the ring object.  Each ring
+    defines its own is_zero, and a ring that receives elements over Q defines
     from_rational: the image of an element of the same ring over Q
     (Fraction scalars), or None if a denominator is not invertible there.
     """
@@ -343,27 +343,25 @@ class PolyQuotRing(Ring):
 
     Elements are tuples of scalar elements (coefficients of 1, x, x^2, ...)
     with trailing zeros stripped.  modulus is a monic integer polynomial
-    given by its coefficient tuple; None means no reduction.
+    given by its coefficient tuple; None means no reduction.  Over Q the
+    constructor returns a RatPolyRing, whose elements are RatPoly values.
 
-    Over Fraction scalars (Q[x], Q[x]/(modulus), and Q[h][t] or
-    Q[h]/(h^N)[t]) __init__ binds mul to the instance: an integer kernel,
-    one Kronecker product of the numerators reduced in the twin over Z.
-    Over Q[x] and Q[x]/(modulus) a constant or monomial operand c x^k makes
-    mul a shift and scaling of the other operand, and over Q[x] pow is
-    bound too, one big-integer power of the packed numerators.  Every other
-    ring (over Z, Z/m, or another polynomial ring over Z) multiplies by the
-    class method, the schoolbook through the scalar ring.  Over Z a modulus
-    that is not a monomial x^N binds an integer _reduce, which folds each
-    coefficient above the degree through the modulus's nonzero terms with
-    plain operators; the rings over other scalars reduce through the scalar
-    ring.  Every ring adds in one pass through the scalar ring's add, and
-    every ring but Q[x] raises powers by square-and-multiply.  Elements
-    stay tuples of Fractions over Q: the integer work happens inside each
-    operation, with one Fraction per coefficient of its result.  subst
-    evaluates by Horner's rule on every ring.
+    Every other ring adds in one pass through the scalar ring's add, raises
+    powers by square-and-multiply and multiplies by the schoolbook through
+    the scalar ring, except Q[h][t] and Q[h]/(h^N)[t], which bind mul to
+    _mul_nested, one Kronecker product of the numerators.  Over Z and Q a
+    modulus that is not a monomial x^N binds _reduce_int, the fold of each
+    coefficient above the degree on plain integers.  subst evaluates by
+    Horner's rule.
     """
 
     zero = ()
+
+    def __new__(cls, scalar: Ring = None, *args, **kwargs):
+        # no argument when copy and pickle rebuild an instance
+        if cls is PolyQuotRing and type(scalar) is RatRing:
+            cls = RatPolyRing
+        return super().__new__(cls)
 
     def __init__(self, scalar: Ring, modulus: tuple | None, var: str = "h"):
         self.scalar = scalar
@@ -374,30 +372,19 @@ class PolyQuotRing(Ring):
             if self.modulus[-1] != 1:
                 raise ValueError("modulus must be monic")
             self.deg = len(self.modulus) - 1
-            # x^deg = -(m_0 + m_1 x + ...): precompute the scalar images
-            self._top = tuple(scalar.from_int(-c) for c in self.modulus[:-1])
             self._monomial = not any(self.modulus[:-1])
+            # x^deg = -(m_0 + m_1 x + ...): its nonzero terms
+            self._top_terms = tuple((j, -c) for j, c in
+                                    enumerate(self.modulus[:-1]) if c)
             if self._monomial:
                 self._reduce = self._truncate
-            elif type(scalar) is IntRing:
-                self._top_terms = tuple((j, t) for j, t in enumerate(self._top)
-                                        if t)
+            elif type(scalar) in (IntRing, RatRing):
                 self._reduce = self._reduce_int
         else:
             self.deg = None
-        if type(scalar) is RatRing:
-            # integer products are reduced in this twin, then divided once
-            self._int_twin = PolyQuotRing(IntRing(), self.modulus, var)
-            self.mul = self._mul_rat
-            if self.modulus is None:
-                # one packed power; under a modulus square-and-multiply
-                # reduces every factor, where the unreduced a^n would have
-                # n deg(a) + 1 digits of about n bits each
-                self.pow = self._pow_rat
-        elif (type(scalar) is PolyQuotRing and type(scalar.scalar) is RatRing
-              and self.modulus is None
-              and (scalar.modulus is None or scalar._monomial)):
-            self.mul = self._mul_rat_bivariate
+        if (type(scalar) is RatPolyRing and self.modulus is None
+                and (scalar.modulus is None or scalar._monomial)):
+            self.mul = self._mul_nested
         self.is_torsion_free = scalar.is_torsion_free
         mod_tag = "" if modulus is None else "/(%s)" % self._fmt_modulus()
         self.name = "%s[%s]%s" % (scalar.name, var, mod_tag)
@@ -417,22 +404,22 @@ class PolyQuotRing(Ring):
         return tuple(coeffs)
 
     def _reduce(self, coeffs: list) -> tuple:
-        if self.modulus is None:
-            return self._strip(coeffs)
-        d = self.deg
-        s = self.scalar
-        for i in range(len(coeffs) - 1, d - 1, -1):
-            c = coeffs[i]
-            if not s.is_zero(c):
-                for j, t in enumerate(self._top):
-                    coeffs[i - d + j] = s.add(coeffs[i - d + j], s.mul(c, t))
-            coeffs.pop()
+        """Each coefficient above the degree folds into those below it
+        through the nonzero terms of x^deg, by the scalar ring's add and
+        mul_int."""
+        if self.modulus is not None:
+            s, d = self.scalar, self.deg
+            for i in range(len(coeffs) - 1, d - 1, -1):
+                c = coeffs.pop()
+                if not s.is_zero(c):
+                    for j, t in self._top_terms:
+                        coeffs[i - d + j] = s.add(coeffs[i - d + j],
+                                                  s.mul_int(c, t))
         return self._strip(coeffs)
 
     def _reduce_int(self, coeffs: list) -> tuple:
-        """_reduce over Z for a modulus that is not a monomial, bound in
-        __init__: each coefficient above the degree folds into those below
-        it through the nonzero terms of x^deg = -(m_0 + m_1 x + ...), on
+        """_reduce over Z, or of integer numerators over Q, bound in
+        __init__ for a modulus that is not a monomial: the same fold on
         plain integers."""
         d = self.deg
         terms = self._top_terms
@@ -441,9 +428,7 @@ class PolyQuotRing(Ring):
             if c:
                 for j, t in terms:
                     coeffs[i - d + j] += c * t
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        return tuple(coeffs)
+        return self._strip(coeffs)
 
     def _truncate(self, coeffs: list) -> tuple:
         """_reduce for a modulus x^deg, bound in __init__: x^deg = 0."""
@@ -452,10 +437,13 @@ class PolyQuotRing(Ring):
 
     def make(self, coeffs) -> tuple:
         """Element from an iterable of scalar coefficients, low degree first;
-        over Z/m each is taken into [0, m), as from_int does."""
-        if type(self.scalar) is IntModRing:
-            m = self.scalar.m
-            return self._reduce([c % m for c in coeffs])
+        over Z/m each is taken into [0, m), as from_int does, and over a
+        polynomial ring each is that ring's make of it."""
+        s = self.scalar
+        if type(s) is IntModRing:
+            return self._reduce([c % s.m for c in coeffs])
+        if isinstance(s, PolyQuotRing):
+            coeffs = map(s.make, coeffs)
         return self._reduce(list(coeffs))
 
     def make_ints(self, coeffs) -> tuple:
@@ -505,58 +493,29 @@ class PolyQuotRing(Ring):
         s = self.scalar
         return self._strip([s.mul_int(c, n) for c in a])
 
-    def _mul_rat(self, a, b):
-        """mul over Q: each operand as integer numerators over one common
-        denominator, one Kronecker product, the reduction on integers and
-        one Fraction per coefficient of the result.  An operand c x^k (a
-        constant or a monomial) is no product at all: the other operand's
-        numerators are shifted by k and scaled by c's numerator."""
-        if not a or not b:
-            return ()
-        if any(b[:-1]):
-            if any(a[:-1]):
-                na, da = _numerators(a)
-                nb, db = _numerators(b)
-                return _over_den(self._int_twin._reduce(
-                    _kronecker_mul(na, nb)), da * db)
-            a, b = b, a
-        na, da = _numerators(a)
-        c = b[-1]
-        prod = [0] * (len(b) - 1) + [x * c.numerator for x in na]
-        return _over_den(self._int_twin._reduce(prod), da * c.denominator)
-
-    def _pow_rat(self, a, n):
-        """pow over Q[x]: the numerators of a packed into one integer in
-        digits of w bits and raised to the n-th power as that integer, one
-        unpacking, and one division by den^n per coefficient.  Every
-        coefficient of a^n is at most sum |a_i| ^ n in absolute value, the
-        value of (sum |a_i| x^i)^n at x = 1, so w is wide enough for it
-        with its sign."""
-        if n < 0:
-            raise ValueError("negative powers not supported")
-        if not n:
-            return self.one
-        if not a:
-            return ()
-        na, den = _numerators(a)
-        w = (sum(map(abs, na)) ** n).bit_length() + 1
-        prod = _unpack(_pack(na, w) ** n, w, n * (len(na) - 1) + 1)
-        return _over_den(self._int_twin._reduce(prod), den ** n)
-
-    def _mul_rat_bivariate(self, a, b):
-        """mul over Q[h][t] or Q[h]/(h^N)[t]: the coefficient of t^i h^j
-        goes to slot i*S + j of one integer vector, with S one more than the
+    def _mul_nested(self, a, b):
+        """mul over Q[h][t] or Q[h]/(h^N)[t], bound in __init__: over each
+        operand's common denominator, the numerators of the t^i coefficient
+        go to slot i*S of one integer vector, with S one more than the
         largest h-degree of the product, so a single Kronecker product
         multiplies in both variables at once."""
         if not a or not b:
             return ()
         stride = max(map(len, a)) + max(map(len, b)) - 1
-        na, da = _numerators(_flatten(a, stride))
-        nb, db = _numerators(_flatten(b, stride))
+
+        def flat(x):
+            rows, den = _common_den(x)
+            out = [0] * (stride * (len(x) - 1) + len(x[-1]))
+            for i, row in enumerate(rows):
+                out[i * stride:i * stride + len(row)] = row
+            return out, den
+
+        (na, da), (nb, db) = flat(a), flat(b)
         prod = _kronecker_mul(na, nb)
-        keep = stride if self.scalar.deg is None else min(stride, self.scalar.deg)
-        return _rows_over_den([prod[i:i + keep]
-                               for i in range(0, len(prod), stride)], da * db)
+        keep = stride if self.scalar.deg is None else min(stride,
+                                                          self.scalar.deg)
+        return self._strip([_ratpoly(prod[i:i + keep], da * db)
+                            for i in range(0, len(prod), stride)])
 
     def from_int(self, n):
         c = self.scalar.from_int(n)
@@ -576,7 +535,7 @@ class PolyQuotRing(Ring):
         inv0 = self.scalar.inv(self.coeff(a, 0))
         if inv0 is None:
             return None
-        return newton_inverse(a, self._strip([inv0]), self.one, self.mul,
+        return newton_inverse(a, self.make([inv0]), self.one, self.mul,
                               self.sub, self.deg.bit_length())
 
     def _over(self, scalar) -> "PolyQuotRing":
@@ -602,7 +561,7 @@ class PolyQuotRing(Ring):
         one mul per coefficient."""
         acc = self.zero
         for c in reversed(a):
-            acc = self.add(self.mul(acc, value), self._strip([c]))
+            acc = self.add(self.mul(acc, value), self.make([c]))
         return acc
 
     def fmt(self, a):
@@ -621,11 +580,157 @@ class PolyQuotRing(Ring):
         return " + ".join(parts)
 
     def __eq__(self, other):
-        return (type(other) is PolyQuotRing and other.scalar == self.scalar
+        return (isinstance(other, PolyQuotRing) and other.scalar == self.scalar
                 and other.modulus == self.modulus and other.var == self.var)
 
     def __hash__(self):
         return hash(("PolyQuot", self.scalar, self.modulus, self.var))
+
+
+class RatPoly:
+    """An element of a polynomial ring over Q: integer numerators `nums`
+    (low degree first, no trailing zero) over one denominator `den` > 0
+    prime to them, so == and hash are structural.  len, truth value,
+    iteration, [i] and repr are those of its tuple of Fractions; == with a
+    plain tuple or list raises TypeError, so a missed conversion fails
+    loudly.  _ratpoly builds it in this normal form."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: tuple, den: int = 1):
+        self.nums, self.den = nums, den
+
+    def __len__(self):
+        return len(self.nums)
+
+    def __iter__(self):
+        if self.den == 1:
+            return map(Fraction, self.nums)
+        return (Fraction(n, self.den) for n in self.nums)
+
+    def __getitem__(self, i):
+        return Fraction(self.nums[i], self.den)
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, list)):
+            raise TypeError("%r compared with a plain %s"
+                            % (self, type(other).__name__))
+        return (type(other) is RatPoly and self.den == other.den
+                and self.nums == other.nums)
+
+    def __hash__(self):
+        return hash((self.nums, self.den))
+
+
+def _ratpoly(nums, den: int) -> RatPoly:
+    """nums / den in normal form, for integers nums (trailing zeros
+    allowed) and den > 0."""
+    n = len(nums)
+    while n and not nums[n - 1]:
+        n -= 1
+    if not n:
+        return _ZERO
+    nums = nums[:n]
+    g = math.gcd(den, *nums) if den != 1 else 1
+    if g != 1:
+        nums, den = [c // g for c in nums], den // g
+    return RatPoly(tuple(nums), den)
+
+
+_ZERO = RatPoly(())
+
+
+class RatPolyRing(PolyQuotRing):
+    """PolyQuotRing over Q, which PolyQuotRing(RatRing(), ...) returns.  Its
+    elements are RatPoly values and each operation runs on the numerators:
+    a sum over the lcm of the denominators, a product as one Kronecker
+    product, a power over Q[x] as one packed big-integer power, _reduce on
+    integers, and one _ratpoly per result."""
+
+    zero, one = _ZERO, RatPoly((1,))
+
+    def make(self, coeffs) -> RatPoly:
+        """From ints and Fractions, low degree first, reduced; DomainError on
+        any other coefficient.  An element comes back as it is, reduced if
+        it has more coefficients than the modulus allows."""
+        if type(coeffs) is RatPoly:
+            if self.deg is None or len(coeffs) <= self.deg:
+                return coeffs
+            return self.from_numerators(coeffs.nums, coeffs.den)
+        coeffs = list(coeffs)
+        for c in coeffs:
+            if not isinstance(c, (int, Fraction)):
+                raise DomainError("coefficient %r of an element of %s is not "
+                                  "an int or a Fraction" % (c, self))
+        nums, den = _numerators(coeffs)       # a new list, for _reduce
+        return _ratpoly(self._reduce(nums), den)
+
+    make_ints = from_rational = make
+
+    def from_numerators(self, nums, den: int = 1) -> RatPoly:
+        """sum nums[i] x^i / den, reduced, for integers nums and den > 0."""
+        return _ratpoly(self._reduce(list(nums)), den)
+
+    def from_int(self, n):
+        return RatPoly((n,)) if n else _ZERO
+
+    def add(self, a, b):
+        """a + b over the lcm of the denominators."""
+        if not b:
+            return a
+        na, nb, den = a.nums, b.nums, a.den
+        if den != b.den:
+            g = math.gcd(den, b.den)
+            na, nb = [x * (b.den // g) for x in na], [y * (den // g) for y in nb]
+            den *= b.den // g
+        out = list(na) + [0] * (len(nb) - len(na))
+        for i, y in enumerate(nb):
+            out[i] += y
+        return _ratpoly(out, den)
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def neg(self, a):
+        return RatPoly(tuple([-x for x in a.nums]), a.den)
+
+    def mul(self, a, b):
+        """One Kronecker product of the numerators; an operand c x^k (a
+        constant or a monomial) shifts and scales the other one instead."""
+        na, nb = a.nums, b.nums
+        if not na or not nb:
+            return _ZERO
+        if any(nb[:-1]):
+            if any(na[:-1]):
+                return _ratpoly(self._reduce(_kronecker_mul(na, nb)),
+                                a.den * b.den)
+            na, nb = nb, na
+        return _ratpoly(self._reduce([0] * (len(nb) - 1)
+                                     + [x * nb[-1] for x in na]), a.den * b.den)
+
+    def pow(self, a, n):
+        """Over Q[x] the numerators packed in digits of w bits, wide enough
+        for sum |a_i| ^ n, and raised as one integer; by Gauss's lemma a^n
+        comes in normal form.  Under a modulus square-and-multiply reduces
+        every factor."""
+        if self.deg is not None or n < 1 or not a:
+            return Ring.pow(self, a, n)
+        na = a.nums
+        w = (sum(map(abs, na)) ** n).bit_length() + 1
+        return RatPoly(tuple(_unpack(_pack(na, w) ** n, w,
+                                     n * (len(na) - 1) + 1)), a.den ** n)
+
+    def mul_int(self, a, n):
+        return _ratpoly([x * n for x in a.nums], a.den)
+
+    def div_int_exact(self, a, n):
+        if not n:
+            raise ZeroDivisionError("%r / 0" % (a,))
+        return _ratpoly([-x for x in a.nums] if n < 0 else a.nums,
+                        a.den * abs(n))
 
 
 def _images(fn, items):
@@ -650,41 +755,12 @@ def _numerators(coeffs) -> tuple:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _over_den(nums, den: int) -> tuple:
-    """The Fractions nums[i] / den, one per coefficient."""
-    if den == 1:
-        return tuple(map(Fraction, nums))
-    return tuple([Fraction(c, den) for c in nums])
-
-
-def _rows_numerators(rows) -> tuple:
-    """(integer rows, one common denominator) of rows of rationals."""
-    nums, den = _numerators([f for row in rows for f in row])
-    out, i = [], 0
-    for row in rows:
-        out.append(nums[i:i + len(row)])
-        i += len(row)
-    return out, den
-
-
-def _rows_over_den(rows: list, den: int) -> tuple:
-    """The rows rows[n] / den, trailing zeros and empty rows stripped."""
-    out = []
-    for row in rows:
-        while row and not row[-1]:
-            row.pop()
-        out.append(_over_den(row, den))
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
-def _flatten(a, stride: int) -> list:
-    """The coefficients of a bivariate element, t^i h^j at i*stride + j."""
-    flat = [0] * (stride * (len(a) - 1) + len(a[-1]))
-    for i, hc in enumerate(a):
-        flat[i * stride:i * stride + len(hc)] = hc
-    return flat
+def _common_den(elems) -> tuple:
+    """(numerator rows, den): RatPoly elements over the lcm of their
+    denominators."""
+    den = math.lcm(*[c.den for c in elems])
+    return [c.nums if c.den == den else [x * (den // c.den) for x in c.nums]
+            for c in elems], den
 
 
 def _kronecker_mul(a: list, b: list) -> list:

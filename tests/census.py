@@ -34,6 +34,9 @@ KEEP = {
         "no division",
     "ringcore.RatRing.from_rational": RING + "the identity, the image of Q "
         "in itself",
+    "ringcore.RatRing.neg": "tests/test_ringcore.py::test_ring_basics: the "
+        "Ring protocol's negation over Q, which Ring.sub and the negation of "
+        "a series over Q go through; the rings over Q negate numerators",
     "ringcore.IntRing.rand": "tests/test_ghost_dispatch.py::test_bigwitt_"
         "ghost_map_is_a_ring_map: a test input",
     "qhopf.B0Ring.rand": "tests/test_qhopf.py::test_b0ring_protocol: a test "

@@ -86,7 +86,7 @@ def _rat_mul(a, b):
 
 def _rat_sub(a, b):
     from prismlab.intpoly import _RATPOLY
-    return _RATPOLY.sub(a, b)
+    return _RATPOLY.sub(a, _RATPOLY.make(b))
 
 
 def test_lambda_addition_formula():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -64,6 +65,16 @@ def test_structure_constant_and_adams_checks_pass():
             "qhopf.adams.ring_hom", "qhopf.adams.semigroup",
             "qhopf.adams.coproduct"} <= ids
     assert code == 0, [c for c in report["checks"] if c["status"] != "pass"]
+
+
+def test_structure_constants_digest_is_pinned():
+    # the digest the qdeform benchmark checks (as structure_constants_digest
+    # in perfbench/workloads.py): the repr of gamma^k_mn for m + n <= 12
+    # prints each Q[h] coefficient as its tuple of Fractions
+    got = hashlib.sha256(repr([
+        (m, n, qhopf.structure_constants(m, n))
+        for m in range(7) for n in range(m, 13 - m)]).encode()).hexdigest()
+    assert got[:16] == "9a000d2d4cc00a6d"
 
 
 def test_c_monomial_is_the_falling_product():

@@ -33,6 +33,7 @@ def test_ring_basics():
     assert Z.add(2, 3) == 5
     Q = ExactRat()
     assert Q.mul(Fraction(1, 2), Fraction(2, 3)) == Fraction(1, 3)
+    assert Q.neg(Fraction(1, 2)) == Q.sub(0, Fraction(1, 2)) == Fraction(-1, 2)
     R = ModP(2, 4)
     assert R.add(9, 9) == 2
     assert R.inv(3) == 11  # 3 * 11 = 33 = 1 mod 16
@@ -851,8 +852,8 @@ def test_basis_vector_basis_and_from_int():
         _normalise = staticmethod(lambda cs: tuple(map(QH.make, cs)))
 
     # the hook makes each coordinate a scalar before the zeros are stripped
-    assert OverQH.basis(2).coords == ((), (), (Fraction(1),))
-    assert OverQH((QH.one, [Fraction(0)])).coords == ((Fraction(1),),)
+    assert OverQH.basis(2).coords == (QH.zero, QH.zero, QH.make([1]))
+    assert OverQH((QH.one, [Fraction(0)])).coords == (QH.make([1]),)
 
 
 def test_basis_vector_add_neg_sub():
