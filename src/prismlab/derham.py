@@ -3,12 +3,13 @@ mutually inverse log/exp maps onto the Frobenius eigen-space {Fy = py},
 the kernel description of the special fiber, and the characteristic-p
 discrepancy between the two identifications.
 
-The series, the eigen test F y = p y, the V-series, the group law and the
-discrepancy's unit test are each one ghost solve (`witt.ghost_combine`).
-A series sum c_n x^n is Horner's rule on every ghost component of x; its
-cutoff is certified by solving its last two terms c_n x^n separately and
-requiring both to vanish as Witt vectors; f_log and g_exp derive their
-integer coefficients once per (p, n_p, bound).  Every eigen-space input is
+The unit map 1 + px (a de Rham draw's certificate) and the group law
+(`_RescaledPoint`'s), the series, the eigen test F y = p y, the V-series
+and the discrepancy's unit test are each one ghost solve.  A series sum
+c_n x^n is Horner's rule on every ghost component of x; its cutoff is
+certified by solving its last two terms c_n x^n separately and requiring
+both to vanish as Witt vectors; f_log and g_exp derive their integer
+coefficients once per (p, n_p, bound).  Every eigen-space input is
 certified first, since for p = 2 the exponential's coefficients do not
 tend to zero and only the argument's nilpotence makes the sum finite.
 
@@ -35,9 +36,9 @@ from .witt import (
 
 
 def one_plus_p_x(x: WittVector) -> WittVector:
-    p = x.p
-    one = teichmuller(x.ring, p, x.L, x.ring.one)
-    return witt_op(one, scalar_mul(p, x), "add")
+    """1 + px in two solves, the reference for GdRPoint.unit's one."""
+    one = teichmuller(x.ring, x.p, x.L, x.ring.one)
+    return witt_op(one, scalar_mul(x.p, x), "add")
 
 
 def is_teichmuller(w: WittVector) -> bool:
@@ -45,16 +46,34 @@ def is_teichmuller(w: WittVector) -> bool:
 
 
 class _RescaledPoint:
-    """A Witt vector x with _unit(x) Teichmuller: 1 + px (GdRPoint), the
-    q = 1 case of 1 + Phi_p([q]) x (qprism.GQPoint).  Subclasses set _unit,
-    refusal and tag; points of two classes are never equal."""
+    """A Witt vector x with 1 + s x Teichmuller: s = p (GdRPoint), the q = 1
+    case of s = Phi_p([q]) (qprism.GQPoint).  A subclass sets refusal, tag
+    and one hook, _scalar(x, q) -> (vectors, times), times(r, g, *gs) being
+    g times the n-th ghost of s given the n-th ghosts gs of the vectors.
+    Points of two classes are never equal."""
 
     __slots__ = ("x",)
 
     def __init__(self, x: WittVector, check: bool = True):
-        if check and not is_teichmuller(self._unit(x)):
+        if check and not is_teichmuller(self.unit(x)):
             raise DomainError(self.refusal)
         self.x = x
+
+    @classmethod
+    def unit(cls, x: WittVector, q=None) -> WittVector:
+        """1 + s x, one ghost solve; q overrides GQPoint's q_element."""
+        scalars, times = cls._scalar(x, q)
+        return ghost_combine((x,) + scalars, lambda r, g: [
+            r.add(r.one, times(r, *c)) for c in zip(*g)])
+
+    def op(self, other):
+        """x1 + x2 + s x1 x2, the group law, one ghost solve."""
+        self.x._check(other.x)
+        scalars, times = self._scalar(self.x, None)
+        out = ghost_combine((self.x, other.x) + scalars, lambda r, g: [
+            r.add(r.add(g1, g2), times(r, r.mul(g1, g2), *gs))
+            for g1, g2, *gs in zip(*g)])
+        return type(self)(out, check=False)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -69,18 +88,13 @@ class GdRPoint(_RescaledPoint):
     """A Witt vector x over Z/p^n with 1 + px Teichmuller."""
 
     __slots__ = ()
-    _unit = staticmethod(one_plus_p_x)
     refusal = "1 + px is not a Teichmuller unit"
     tag = "GdR"
 
-
-def gdr_op(a: GdRPoint, b: GdRPoint) -> GdRPoint:
-    """x1 + x2 + p x1 x2 in the Witt ring, one ghost solve."""
-    p = a.x.p
-    out = ghost_combine((a.x, b.x), lambda r, g: [
-        r.add(r.add(g1, g2), r.mul_int(r.mul(g1, g2), p))
-        for g1, g2 in zip(*g)])
-    return GdRPoint(out, check=False)
+    @staticmethod
+    def _scalar(x, q):
+        """s = p, every ghost p: an integer multiple."""
+        return (), lambda r, g: r.mul_int(g, x.p)
 
 
 # --- series evaluation on Witt vectors ---------------------------------------
@@ -220,9 +234,8 @@ def sample_gdr(ring, p, L, rng) -> GdRPoint:
     from its ghosts p g_i(x_0, ..., x_(i-1), 0) gives that base, and x_i
     adds p^(i+1) x_i to the ghost, so p x_i to the component, which
     amend puts in place.  The digits of [u] - 1, whose ghosts are
-    u^(p^i) - 1, come from a step too.  Returned only once the dispatch
-    certifies p . x = [u] - 1."""
-    one = teichmuller(ring, p, L, ring.one)
+    u^(p^i) - 1, come from a step too.  Returned only once the unit map
+    certifies 1 + p x = [u], the point's own invariant: one solve."""
     n_p = _padic_profile(ring)[1]
     wide, up, down = _bounded_lift(ring, p ** (L - 1))
     for _ in range(64):
@@ -242,8 +255,8 @@ def sample_gdr(ring, p, L, rng) -> GdRPoint:
             px.amend(wide.add(base, wide.mul_int(up(x), p)))
         else:
             x = WittVector(ring, p, comps)
-            if scalar_mul(p, x) == witt_sub(teichmuller(ring, p, L, u), one):
-                return GdRPoint(x)
+            if GdRPoint.unit(x) == teichmuller(ring, p, L, u):
+                return GdRPoint(x, check=False)
     raise BoundExceeded("no de Rham point found")
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import NamedTuple
 
-from .derham import _RescaledPoint, gdr_op, sample_gdr
+from .derham import _RescaledPoint, sample_gdr
 from .fgl import FGLHom, additive_law, h_law, verify_hom
 from .qhopf import _c_at_mt, _c_monomial, _from_monomial
 from .ringcore import (
@@ -31,8 +31,8 @@ from .ringcore import (
     q_element, q_number, valuation,
 )
 from .witt import (
-    DeltaRing, WittVector, frobenius, from_ghost, ghost_combine,
-    joyal_lift, teichmuller, witt_sub,
+    DeltaRing, WittVector, frobenius, from_ghost, joyal_lift, teichmuller,
+    witt_sub,
 )
 
 
@@ -176,8 +176,8 @@ def _canonical_construction(p: int, n_p: int, n_q: int, L: int) -> _Canonical:
     phi_endo = bh_phi_endo(R, p)
     dr = DeltaRing(R, p, phi_endo)
     x = joyal_lift(dr, x0, L)
-    # Teichmuller identity: 1 + Phi_p([q]) x = [X], with q = 1 + h
-    lhs = _one_plus_phi_x(x, R.make([H.make([1, 1])]))
+    # 1 + Phi_p([q]) x = [X] at q = 1 + h (R's q_element is 1 + t)
+    lhs = GQPoint.unit(x, R.make([H.make([1, 1])]))
     rhs = teichmuller(R, p, L, X)
     return _Canonical(R, x0, X, x, phi_endo(X), R.pow(X, p), lhs, rhs, tail)
 
@@ -239,14 +239,6 @@ def gq_ring(p: int, n_p: int, n_q: int) -> PolyQuotRing:
     return QSeriesRing(n_q, p=p, n_p=n_p)
 
 
-def _one_plus_phi_x(x: WittVector, q) -> WittVector:
-    """1 + Phi_p([q]) x, one ghost solve: [q] has n-th ghost q^(p^n), so
-    Phi_p([q]) = 1 + [q] + ... + [q^(p-1)] has n-th ghost Phi_p(q^(p^n))."""
-    p = x.p
-    return ghost_combine((x, teichmuller(x.ring, p, x.L, q)), lambda r, g: [
-        r.add(r.one, r.mul(q_number(r, p, gq), gx)) for gx, gq in zip(*g)])
-
-
 class GQPoint(_RescaledPoint):
     """(q, x): x a Witt vector with 1 + Phi_p([q]) x Teichmuller."""
 
@@ -255,25 +247,15 @@ class GQPoint(_RescaledPoint):
     tag = "GQ"
 
     @staticmethod
-    def _unit(x: WittVector) -> WittVector:
-        return _one_plus_phi_x(x, q_element(x.ring))
+    def _scalar(x, q):
+        """s = Phi_p([q]), whose n-th ghost is Phi_p(gq), gq = q^(p^n)."""
+        q = q_element(x.ring) if q is None else q
+        tq = teichmuller(x.ring, x.p, x.L, q)
+        return (tq,), lambda r, g, gq: r.mul(q_number(r, x.p, gq), g)
 
 
 def gq_to_unit(a: GQPoint):
-    return GQPoint._unit(a.x).components[0]
-
-
-def gq_op(a: GQPoint, b: GQPoint) -> GQPoint:
-    """x1 + x2 + Phi_p([q]) x1 x2, one ghost solve, with the ghosts of
-    Phi_p([q]) as in _one_plus_phi_x."""
-    x1, x2 = a.x, b.x
-    x1._check(x2)
-    p = x1.p
-    tq = teichmuller(x1.ring, p, x1.L, q_element(x1.ring))
-    out = ghost_combine((x1, x2, tq), lambda r, g: [
-        r.add(r.add(g1, g2), r.mul(q_number(r, p, gq), r.mul(g1, g2)))
-        for g1, g2, gq in zip(*g)])
-    return GQPoint(out, check=False)
+    return GQPoint.unit(a.x).components[0]
 
 
 def sigma_point(ring, p, L) -> GQPoint:
@@ -533,8 +515,10 @@ def phi_of_section_identity(p: int) -> bool:
 
 
 def gq_at_q1_matches_derham(p: int, n_p: int, L: int, rng) -> bool:
-    """Specializing q to 1 collapses the deformed law onto the de Rham one,
-    on five random pairs."""
+    """The specialisation h = 0 on five random pairs: GQPoint's scalar hook
+    reads Phi_p(1) = p, as GdRPoint's does.  Both laws are one
+    _RescaledPoint.op, so this checks no second derivation; the law's
+    independent evidence is qprism.group_law, unit(a b) = unit(a) unit(b)."""
     ring = gq_ring(p, n_p, 1)  # h = 0: the ring is Z/p^n_p itself in degree 0
     base = ModP(p, n_p)
     for _ in range(5):
@@ -543,8 +527,8 @@ def gq_at_q1_matches_derham(p: int, n_p: int, L: int, rng) -> bool:
         # transport to the h-adic ring with h = 0
         ax = WittVector(ring, p, [ring.make_ints([c]) for c in a.x.components])
         bx = WittVector(ring, p, [ring.make_ints([c]) for c in b.x.components])
-        got = gq_op(GQPoint(ax, check=False), GQPoint(bx, check=False))
-        expect = gdr_op(a, b)
+        got = GQPoint(ax, check=False).op(GQPoint(bx, check=False))
+        expect = a.op(b)
         if [ring.coeff(c, 0) for c in got.x.components] != list(expect.x.components):
             return False
     return True

@@ -945,7 +945,8 @@ def frobenius_big(w: BigWitt, m: int) -> BigWitt:
     if m < 1:
         raise ValueError("m must be >= 1")
     if w.N < m:
-        raise BoundExceeded("need N_big >= %d for F_%d" % (m, m))
+        raise BoundExceeded("F_%d needs order >= %d, got a vector of order "
+                            "%d" % (m, m, w.N))
     return ghost_combine((w,), lambda r, g: g[0][m - 1::m])
 
 

@@ -50,6 +50,11 @@ KEEP = {
         "vector's ring down from its lift",
     "intpoly.int_mul_rational": "tests/test_intpoly.py::test_int_mul_matches_"
         "rational_oracle: the oracle that int_mul is compared against",
+    "derham.one_plus_p_x": "perfbench/test_perfbench.py::test_tracer_"
+        "rebinds_and_restores and tests/test_derham.py::test_unit_map_"
+        "matches_one_plus_p_x: 1 + px by witt_op and scalar_mul, the "
+        "step-by-step reference for GdRPoint.unit; the tracer test reads "
+        "its spans",
     "witt.bj_to_witt": "tests/test_witt.py::test_bj_roundtrip_over_z: the "
         "other half of the witt_to_bj round trip",
     "witt.from_ghost_big": "tests/test_witt.py::test_big_roundtrip: the "

@@ -10,7 +10,7 @@ import pytest
 from prismlab import derham
 from prismlab.derham import (
     GdRPoint, _series_coeffs, f_log,
-    frob_power_identity, g_eta_check, g_exp, gdr_op,
+    frob_power_identity, g_eta_check, g_exp,
     generic_vector, id_minus_V, is_eigen, one_plus_p_x, sample_eigen,
     sample_gdr, v_geometric, witt_series_eval,
 )
@@ -110,7 +110,7 @@ def test_f_log_is_group_hom():
         for _ in range(10):
             a = sample_gdr(R, p, 3, rng)
             b = sample_gdr(R, p, 3, rng)
-            lhs = f_log(gdr_op(a, b))
+            lhs = f_log(a.op(b))
             rhs = witt_op(f_log(a), f_log(b), "add")
             assert lhs == rhs
 
@@ -190,14 +190,14 @@ def test_g_eta_projection_formula_symbolic():
 
 
 def test_gdr_vs_qprism_law_shape():
-    # the group law x1 + x2 + p x1 x2 via gdr_op agrees with direct formula
+    # the group law x1 + x2 + p x1 x2 via GdRPoint.op agrees with steps
     rng = random.Random(8)
     R = ModP(3, 4)
     for _ in range(5):
         a, b = sample_gdr(R, 3, 3, rng), sample_gdr(R, 3, 3, rng)
         direct = witt_op(witt_op(a.x, b.x, "add"),
                          scalar_mul(3, witt_op(a.x, b.x, "mul")), "add")
-        assert gdr_op(a, b).x == direct
+        assert a.op(b).x == direct
 
 
 @pytest.mark.parametrize("p,sample", [(2, 8), (3, 81)])
@@ -264,7 +264,7 @@ def v_geometric_by_steps(x):
     return acc
 
 
-def gdr_op_by_steps(x1, x2):
+def law_by_steps(x1, x2):
     return witt_op(witt_op(x1, x2, "add"),
                    scalar_mul(x1.p, witt_op(x1, x2, "mul")), "add")
 
@@ -348,8 +348,8 @@ def test_eigen_geometric_group_law_and_h_match_steps(p, L, n_p):
         assert is_eigen(x) == is_eigen_by_steps(x)
         assert v_geometric(x) == v_geometric_by_steps(x)
         a, b = sample_gdr(R, p, L, rng), sample_gdr(R, p, L, rng)
-        assert gdr_op(a, b).x == gdr_op_by_steps(a.x, b.x)
-        assert gdr_op(GdRPoint(x, check=False), b).x == gdr_op_by_steps(x, b.x)
+        assert a.op(b).x == law_by_steps(a.x, b.x)
+        assert GdRPoint(x, check=False).op(b).x == law_by_steps(x, b.x)
         rep = frob_power_identity(a)
         assert rep["ok"] and rep["h"] == frob_power_h_by_steps(a.x)
         assert frob_power_identity(GdRPoint(x, check=False))["h"] == \
@@ -504,3 +504,53 @@ def test_f_log_and_g_exp_derive_their_coefficients_once():
     # one entry per (series, p, n_p, bound), every later call a hit
     info = _series_coeffs.cache_info()
     assert (info.misses, info.currsize) == (4, 4) and info.hits > 4
+
+
+# --- the one-solve unit map and its solve count
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_unit_map_matches_one_plus_p_x(p):
+    # GdRPoint.unit is one ghost solve of 1 + p g_n; one_plus_p_x adds [1]
+    # to scalar_mul(p, x).  Random vectors are mostly not points
+    rng = random.Random(p)
+    points = 0
+    for L in range(1, 5):
+        for n_p in range(1, 7):
+            R = ModP(p, n_p)
+            xs = [random_vector(R, p, L, rng, rng.choice([1, p]))
+                  for _ in range(3)]
+            if n_p > 1 and L > 1:
+                xs.append(sample_gdr(R, p, L, rng).x)
+            for x in xs:
+                unit = GdRPoint.unit(x)
+                assert unit == one_plus_p_x(x)
+                points += derham.is_teichmuller(unit)
+    assert 0 < points < 4 * 6 * 3  # points and non-points both ran
+
+
+def count_solves(monkeypatch):
+    from prismlab import witt
+    calls = []
+
+    def counted(vectors, combine, solve=witt.ghost_combine):
+        calls.append(len(vectors))
+        return solve(vectors, combine)
+    for mod in (witt, derham):
+        monkeypatch.setattr(mod, "ghost_combine", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p,L,n_p", [(2, 4, 6), (3, 3, 4), (5, 4, 4)])
+def test_a_draw_and_a_point_check_are_one_solve_each(monkeypatch, p, L, n_p):
+    R, rng = ModP(p, n_p), random.Random(L)
+    calls = count_solves(monkeypatch)
+    a = sample_gdr(R, p, L, rng)
+    assert calls == [1]
+    calls.clear()
+    assert GdRPoint(a.x) == a
+    assert calls == [1]
+    calls.clear()
+    with pytest.raises(DomainError):
+        GdRPoint(teichmuller(R, p, L, R.one))
+    assert calls == [1]

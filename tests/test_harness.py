@@ -466,11 +466,29 @@ def test_witt_universal_honours_witt_len(monkeypatch):
      "error: cartier_witt.eigen: N_big = 8 is outside its range [9, inf]\n"),
     (("--suite", "witt.frobenius", "--bigwitt", "5"),
      "error: witt.frobenius: N_big = 5 is outside its range [6, inf]\n"),
+    # eigencheck_II applies F_2 to psi_map's output, of order N_big // 2
+    (("--suite", "cartier_witt.psi", "--bigwitt", "3"),
+     "error: cartier_witt.psi: N_big = 3 is outside its range [4, inf]\n"),
+    # over F_p sample_gdr's digit branches reach dead ends
+    (("--suite", "derham.log_exp", "--padic-prec", "1", "--p", "5"),
+     "error: derham.log_exp: n_p = 1 is outside its range [2, inf]\n"),
+    (("--suite", "derham.frobenius_power", "--padic-prec", "1", "--p", "7"),
+     "error: derham.frobenius_power: n_p = 1 is outside its range [2, 6]\n"),
 ])
 def test_cli_refuses_a_value_no_suite_honours(args, reason):
     out = run_cli(*args)
     assert out.returncode == 2
     assert out.stdout == "" and out.stderr == reason
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(suite="cartier_witt.psi", N_big=4),
+    *(dict(suite=s, p=p, n_p=2) for s in ("derham.log_exp",
+                                          "derham.frobenius_power")
+      for p in (5, 7)),
+])
+def test_lowest_honoured_value_passes(cfg):
+    assert run(fast_cfg(**cfg))[1] == 0
 
 
 def test_cli_bad_p():

@@ -13,7 +13,7 @@ from prismlab.qprism import (
     GQPoint,
     canonical_point, hodge_tate_check, derham_specialization_of_x0,
     factorization_identity, frobenius_of_point, gq_at_q1_matches_derham,
-    gq_op, gq_ring, gq_to_unit, phi_of_section_identity,
+    gq_ring, gq_to_unit, phi_of_section_identity,
     q_exponential, q_log,
     q_log_of_sigma, q_log_precision_loss, q_power_substitute, sample_gq,
     sigma_point, zp_action, bh_in_box, bhat_ring, frac_vp, vp_at_least,
@@ -23,7 +23,7 @@ from prismlab.ringcore import (
     TruncSeries, cyclotomic_modulus, h_element, q_element, q_number,
 )
 from prismlab.qhopf import _c_monomial, _from_monomial
-from prismlab.witt import WittVector, witt_op, zero_vector
+from prismlab.witt import WittVector, teichmuller, witt_op, zero_vector
 
 
 def test_factorization_and_section_identities():
@@ -85,6 +85,47 @@ def test_de_rham_and_q_points_never_compare_equal():
         assert a == GdRPoint(x, check=False) and b == GQPoint(x, check=False)
 
 
+def phi_of_q_by_steps(ring, p, L, q):
+    """Phi_p([q]) = [1] + [q] + ... + [q^(p-1)] by witt_op additions."""
+    acc, power = zero_vector(ring, p, L), ring.one
+    for _ in range(p):
+        acc = witt_op(acc, teichmuller(ring, p, L, power), "add")
+        power = ring.mul(power, q)
+    return acc
+
+
+def gq_unit_and_law_by_steps(x1, x2, q):
+    """1 + Phi_p([q]) x1 and x1 + x2 + Phi_p([q]) x1 x2 by witt_op steps."""
+    ring, p, L = x1.ring, x1.p, x1.L
+    phi = phi_of_q_by_steps(ring, p, L, q)
+    unit = witt_op(teichmuller(ring, p, L, ring.one), witt_op(phi, x1, "mul"),
+                   "add")
+    law = witt_op(witt_op(x1, x2, "add"),
+                  witt_op(phi, witt_op(x1, x2, "mul"), "mul"), "add")
+    return unit, law
+
+
+def test_gq_unit_map_and_law_match_steps():
+    rng = random.Random(6)
+    for p, n_p, n_q in ((2, 4, 4), (3, 4, 4), (5, 3, 2)):
+        ring = gq_ring(p, n_p, n_q)
+        points = [sample_gq(ring, p, 2, rng) for _ in range(3)]
+        for a, b in zip(points, points[1:] + points[:1]):
+            unit, law = gq_unit_and_law_by_steps(a.x, b.x, q_element(ring))
+            assert GQPoint.unit(a.x) == unit and a.op(b).x == law
+    # the canonical point's ring Q[h]/(h^n_q)[t] takes q = 1 + h explicitly:
+    # its q_element is 1 + t
+    c = qprism._canonical_construction(2, 4, 4, 2)
+    R = c.ring
+    q = R.make([R.scalar.make([1, 1])])
+    unit, law = gq_unit_and_law_by_steps(c.x, c.x, q)
+    assert GQPoint.unit(c.x, q) == unit == c.teich_lhs
+    assert GQPoint.unit(c.x) != unit
+    # op reads the ring's q_element: there the law of 1 + t, on that vector
+    a = GQPoint(c.x, check=False)
+    assert a.op(a).x == gq_unit_and_law_by_steps(c.x, c.x, q_element(R))[1]
+
+
 def test_point_reprs_are_pinned():
     a = sample_gdr(ModP(3, 2), 3, 2, random.Random(0))
     assert repr(a) == "GdR(W(3, 6))"
@@ -111,7 +152,7 @@ def test_gq_group_unit():
         ring = gq_ring(p, 4, 4)
         a = sample_gq(ring, p, 2, rng)
         zero = GQPoint(zero_vector(ring, p, 2), check=False)
-        assert gq_op(a, zero) == a
+        assert a.op(zero) == a
 
 
 def test_gq_to_unit_multiplicative():
@@ -119,7 +160,7 @@ def test_gq_to_unit_multiplicative():
     ring = gq_ring(3, 4, 4)
     for _ in range(5):
         a, b = sample_gq(ring, 3, 2, rng), sample_gq(ring, 3, 2, rng)
-        s = gq_op(a, b)
+        s = a.op(b)
         assert ring.eq(gq_to_unit(s), ring.mul(gq_to_unit(a), gq_to_unit(b)))
 
 
@@ -301,7 +342,7 @@ def test_q_log_additive():
         ring = gq_ring(p, n_p, 4)
         for _ in range(5):
             a, b = sample_gq(ring, p, 2, rng), sample_gq(ring, p, 2, rng)
-            oring, vs = q_log(gq_op(a, b))
+            oring, vs = q_log(a.op(b))
             _, va = q_log(a)
             _, vb = q_log(b)
             assert oring.eq(vs, oring.add(va, vb))

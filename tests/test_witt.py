@@ -4,7 +4,8 @@ import pytest
 from fractions import Fraction
 
 from prismlab.ringcore import (
-    ExactInt, ModP, NotIntegral, PolyQuotRing, QPoly, h_element, q_element,
+    BoundExceeded, ExactInt, ModP, NotIntegral, PolyQuotRing, QPoly,
+    h_element, q_element,
 )
 from prismlab.witt import (
     BigWitt, DeltaRing, WittVector, bj_to_witt,
@@ -281,6 +282,18 @@ def test_frobenius_big_teichmuller():
     for m in (2, 3, 4):
         fm = frobenius_big(w, m)
         assert fm == teichmuller_big(P, 12 // m, P.pow(h, m))
+
+
+def test_frobenius_big_names_the_order_it_was_given():
+    # psi_map("II", 2, .) halves the order: F_2 of its output at N_big = 3
+    # is refused for that order, 1, not for the N_big = 3 the caller chose
+    Z = ExactInt()
+    w = frobenius_big(teichmuller_big(Z, 3, 2), 2)
+    with pytest.raises(BoundExceeded, match=r"^F_2 needs order >= 2, got a "
+                       r"vector of order 1$"):
+        frobenius_big(w, 2)
+    assert frobenius_big(frobenius_big(teichmuller_big(Z, 4, 2), 2), 2) == \
+        teichmuller_big(Z, 1, 16)
 
 
 def test_frobenius_big_composition():
