@@ -48,7 +48,7 @@ def is_teichmuller(w: WittVector) -> bool:
 class _RescaledPoint:
     """A Witt vector x with 1 + s x Teichmuller: s = p (GdRPoint), the q = 1
     case of s = Phi_p([q]) (qprism.GQPoint).  A subclass sets refusal, tag
-    and one hook, _scalar(x, q) -> (vectors, times), times(r, g, *gs) being
+    and one hook, _scalar(x) -> (vectors, times), times(r, g, *gs) being
     g times the n-th ghost of s given the n-th ghosts gs of the vectors.
     Points of two classes are never equal."""
 
@@ -60,16 +60,16 @@ class _RescaledPoint:
         self.x = x
 
     @classmethod
-    def unit(cls, x: WittVector, q=None) -> WittVector:
-        """1 + s x, one ghost solve; q overrides GQPoint's q_element."""
-        scalars, times = cls._scalar(x, q)
+    def unit(cls, x: WittVector, *q) -> WittVector:
+        """1 + s x, one ghost solve; only GQPoint's _scalar takes a q."""
+        scalars, times = cls._scalar(x, *q)
         return ghost_combine((x,) + scalars, lambda r, g: [
             r.add(r.one, times(r, *c)) for c in zip(*g)])
 
     def op(self, other):
         """x1 + x2 + s x1 x2, the group law, one ghost solve."""
         self.x._check(other.x)
-        scalars, times = self._scalar(self.x, None)
+        scalars, times = self._scalar(self.x)
         out = ghost_combine((self.x, other.x) + scalars, lambda r, g: [
             r.add(r.add(g1, g2), times(r, r.mul(g1, g2), *gs))
             for g1, g2, *gs in zip(*g)])
@@ -92,8 +92,8 @@ class GdRPoint(_RescaledPoint):
     tag = "GdR"
 
     @staticmethod
-    def _scalar(x, q):
-        """s = p, every ghost p: an integer multiple."""
+    def _scalar(x):
+        """s = p, every ghost p: an integer multiple; there is no q."""
         return (), lambda r, g: r.mul_int(g, x.p)
 
 

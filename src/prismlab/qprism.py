@@ -247,8 +247,8 @@ class GQPoint(_RescaledPoint):
     tag = "GQ"
 
     @staticmethod
-    def _scalar(x, q):
-        """s = Phi_p([q]), whose n-th ghost is Phi_p(gq), gq = q^(p^n)."""
+    def _scalar(x, q=None):
+        """s = Phi_p([q]), ghosts Phi_p(q^(p^n)); q defaults to q_element."""
         q = q_element(x.ring) if q is None else q
         tq = teichmuller(x.ring, x.p, x.L, q)
         return (tq,), lambda r, g, gq: r.mul(q_number(r, x.p, gq), g)

@@ -529,6 +529,14 @@ def test_unit_map_matches_one_plus_p_x(p):
     assert 0 < points < 4 * 6 * 3  # points and non-points both ran
 
 
+def test_unit_map_refuses_a_q_for_the_de_rham_scalar():
+    # s = p has no q: a q given to GdRPoint.unit must not be dropped
+    R = ModP(3, 2)
+    x = sample_gdr(R, 3, 2, random.Random(0)).x
+    with pytest.raises(TypeError):
+        GdRPoint.unit(x, R.one)
+
+
 def count_solves(monkeypatch):
     from prismlab import witt
     calls = []
