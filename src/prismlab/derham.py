@@ -236,10 +236,10 @@ def sample_gdr(ring, p, L, rng) -> GdRPoint:
     amend puts in place.  The digits of [u] - 1, whose ghosts are
     u^(p^i) - 1, come from a step too.  Returned only once the unit map
     certifies 1 + p x = [u], the point's own invariant: one solve."""
-    n_p = _padic_profile(ring)[1]
+    branch = p ** (_padic_profile(ring)[1] - 1)
     wide, up, down = _bounded_lift(ring, p ** (L - 1))
     for _ in range(64):
-        u = ring.from_int(1 + p * rng.randrange(p ** (n_p - 1)))
+        u = ring.from_int(1 + p * rng.randrange(branch))
         xs, px, target = (_GhostStep(wide, p) for _ in range(3))
         power, comps = up(u), []
         for i in range(L):
@@ -247,7 +247,7 @@ def sample_gdr(ring, p, L, rng) -> GdRPoint:
                 power = wide.pow(power, p)
             have = down(target.solve(wide.sub(power, wide.one)))
             base = px.solve(wide.mul_int(xs.ghost(wide.zero), p))
-            x = _digit(ring, p, n_p, have, down(base), rng)
+            x = _digit(ring, p, branch, have, down(base), rng)
             if x is None:
                 break
             comps.append(x)
@@ -260,13 +260,14 @@ def sample_gdr(ring, p, L, rng) -> GdRPoint:
     raise BoundExceeded("no de Rham point found")
 
 
-def _digit(ring, p, n_p, have, base, rng):
+def _digit(ring, p, branch, have, base, rng):
     """x_i with p x_i = have - base on the representatives, plus a random
-    branch p^(n_p-1) r; None, drawing nothing, if p does not divide."""
+    branch r branch, r < p, for branch = p^(n_p-1); None, drawing nothing,
+    if p does not divide."""
     div = ring.div_int_exact(ring.sub(have, base), p)
     if div is None:
         return None
-    return ring.add(div, ring.from_int(p ** (n_p - 1) * rng.randrange(p)))
+    return ring.add(div, ring.from_int(branch * rng.randrange(p)))
 
 
 def sample_eigen(ring, p, L, rng) -> WittVector:
@@ -274,17 +275,17 @@ def sample_eigen(ring, p, L, rng) -> WittVector:
     enters equation i linearly with coefficient p.  The p side's step is
     fed p g_i, the F side's g_(i+1) of (y_0, ..., y_i, 0), whose component
     then grows by p y_(i+1); returned only once is_eigen certifies it."""
-    n_p = _padic_profile(ring)[1]
+    branch = p ** (_padic_profile(ring)[1] - 1)
     wide, up, down = _bounded_lift(ring, p ** (L - 1))
     for _ in range(64):
-        comps = [ring.mul_int(ring.from_int(rng.randrange(p ** (n_p - 1))), p)]
+        comps = [ring.mul_int(ring.from_int(rng.randrange(branch)), p)]
         ys, fy, py = (_GhostStep(wide, p) for _ in range(3))
         g = ys.ghost(up(comps[0]))
         for i in range(L - 1):
             have = down(py.solve(wide.mul_int(g, p)))
             pre = ys.ghost(wide.zero)
             base = fy.solve(pre)
-            y = _digit(ring, p, n_p, have, down(base), rng)
+            y = _digit(ring, p, branch, have, down(base), rng)
             if y is None:
                 break
             comps.append(y)

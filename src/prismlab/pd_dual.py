@@ -17,9 +17,9 @@ from fractions import Fraction
 
 from .intpoly import binom_poly, gen_binom
 from .ringcore import (
-    BasisVector, CyclotomicRing, IdentityFailed, IntRing, NotIntegral,
-    PolyQuotRing, RatRing, TruncSeries, _kronecker_mul, _numerators,
-    padic_log, q_element, series_exp,
+    BasisVector, IdentityFailed, IntRing, NotIntegral, PolyQuotRing,
+    RatRing, TruncSeries, _kronecker_mul, _numerators, padic_log,
+    q_element, series_exp,
 )
 
 
@@ -365,7 +365,7 @@ def log_and_pairing_check(N: int) -> dict:
             "exp_pairing": exp_pairing}
 
 
-def log_mu_p_vanishes(p: int, n_p: int) -> bool:
-    """log vanishes on the mu_p classes: log(zeta) = 0 mod p^n_p."""
-    C = CyclotomicRing(p, n_p=n_p)
+def log_mu_p_vanishes(C) -> bool:
+    """log vanishes on the mu_p classes: log(zeta) = 0 in C =
+    CyclotomicRing(p, n_p), so mod p^n_p."""
     return padic_log(TruncSeries.const(C, ("w",), 1, q_element(C))).is_zero()

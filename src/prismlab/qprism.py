@@ -25,10 +25,10 @@ from .derham import _RescaledPoint, sample_gdr
 from .fgl import FGLHom, additive_law, h_law, verify_hom
 from .qhopf import _c_at_mt, _c_monomial, _from_monomial
 from .ringcore import (
-    BoundExceeded, CyclotomicRing, DomainError, ModP, NotIntegral,
-    PolyQuotRing, QPoly, QSeriesRing, RatPoly, RatRing, TruncSeries,
-    _last_live_term, _log_term_ring, _padic_profile, build_once, h_element,
-    q_element, q_number, valuation,
+    BoundExceeded, DomainError, NotIntegral, PolyQuotRing, QPoly,
+    QSeriesRing, RatPoly, RatRing, TruncSeries, _last_live_term,
+    _log_term_ring, _padic_profile, build_once, h_element, q_element,
+    q_number, valuation,
 )
 from .witt import (
     DeltaRing, WittVector, frobenius, from_ghost, joyal_lift, teichmuller,
@@ -65,10 +65,6 @@ def bh_in_box(a, p: int, n_p: int, t_deg: int | None = None) -> bool:
     no h^n_q, so only the p-side is left to check."""
     return all(x % p ** (n_p + valuation(hc.den, p)) == 0
                for hc in (a if t_deg is None else a[:t_deg + 1]) for x in hc.nums)
-
-
-def bh_eq_box(R, a, b, p, n_p, t_deg=None) -> bool:
-    return bh_in_box(R.sub(a, b), p, n_p, t_deg)
 
 
 def bh_phi_endo(R: PolyQuotRing, p: int):
@@ -115,7 +111,7 @@ def q_exponential(p: int, n_p: int, n_q: int) -> dict:
     return {"ring": R, "element": X, "tail": tail}
 
 
-def q_exp_alt(p: int, n_p: int, n_q: int, t_deg: int) -> dict:
+def q_exp_alt(p: int, n_q: int, t_deg: int) -> dict:
     """sum_n c_n(pt, h): the c_k-coordinate of the n-th summand is an
     integer polynomial divisible by h^(n-k), so coordinates of degree <= K
     receive no contribution past n = K + n_q."""
@@ -127,11 +123,13 @@ def q_exp_alt(p: int, n_p: int, n_q: int, t_deg: int) -> dict:
     return {"ring": R, "element": acc, "tail": n_max}
 
 
+# canonical_point, r0_relation_check and q_exp_agreement keep (p, n_p, n_q):
+# perfbench/workloads.py calls them so
 def q_exp_agreement(p: int, n_p: int, n_q: int, t_deg: int) -> dict:
     """The two sums agree coordinatewise mod (p^n_p, h^n_q) up to t_deg;
     coordinates of the first form are exactly Phi^k."""
     e1 = q_exponential(p, n_p, n_q)
-    e2 = q_exp_alt(p, n_p, n_q, t_deg)
+    e2 = q_exp_alt(p, n_q, t_deg)
     R = e1["ring"]
     H = R.scalar
     c1 = _from_monomial(e1["element"], R)
@@ -145,7 +143,7 @@ def q_exp_agreement(p: int, n_p: int, n_q: int, t_deg: int) -> dict:
         ok_phi = ok_phi and H.eq(R.coeff(c1, k), power)
     # coordinate vectors subtract coefficientwise, as elements of R do
     return {"coords_are_phi_powers": ok_phi,
-            "agree": bh_eq_box(R, c1, c2, p, n_p, t_deg),
+            "agree": bh_in_box(R.sub(c1, c2), p, n_p, t_deg),
             "tails": (e1["tail"], e2["tail"])}
 
 
@@ -194,10 +192,10 @@ def canonical_point(p: int, n_p: int, n_q: int, L: int = 2,
     returns a new dict."""
     c = _canonical_construction(p, n_p, n_q, L)
     R = c.ring
-    teich_ok = all(bh_eq_box(R, a, b, p, n_p, t_deg)
+    teich_ok = all(bh_in_box(R.sub(a, b), p, n_p, t_deg)
                    for a, b in zip(c.teich_lhs.components,
                                    c.teich_rhs.components))
-    rank_one = bh_eq_box(R, c.phi_X, c.X_p, p, n_p, t_deg)
+    rank_one = bh_in_box(R.sub(c.phi_X, c.X_p), p, n_p, t_deg)
     # 0-th component is the explicit series by construction
     zeroth = c.x.components[0] == c.x0
     return {"ring": R, "x": c.x, "X": c.X, "x0": c.x0,
@@ -233,10 +231,6 @@ def r0_relation_check(p: int, n_p: int, n_q: int, t_deg: int = 4) -> dict:
 
 # ---------------------------------------------------------------------------
 # concrete points over Z[q]/((q-1)^n_q, p^n_p)
-
-
-def gq_ring(p: int, n_p: int, n_q: int) -> PolyQuotRing:
-    return QSeriesRing(n_q, p=p, n_p=n_p)
 
 
 class GQPoint(_RescaledPoint):
@@ -367,9 +361,9 @@ def q_log_precision_loss(p: int, n_q: int) -> int:
     return _precision_loss(p, _h_over_log(n_q))
 
 
-def q_log_of_sigma(p: int, n_p: int, n_q: int):
-    ring = gq_ring(p, n_p, n_q)
-    out_ring, val = q_log(sigma_point(ring, p, 2))
+def q_log_of_sigma(ring):
+    """q_log(sigma(q)) = q - 1 over QSeriesRing(n_q, p, n_p)."""
+    out_ring, val = q_log(sigma_point(ring, _padic_profile(ring)[0], 2))
     return out_ring.eq(val, h_element(out_ring)), val
 
 
@@ -404,10 +398,11 @@ def sigma_star(ring, z: TruncSeries) -> TruncSeries:
     return one + z.scale(h_element(ring))
 
 
-def equivariance_report(p: int, n: int, n_p: int, n_q: int, n_z: int) -> dict:
-    """sigma* intertwines the action with n-th powers, and the action
-    composes: action(m) after action(n) = action(mn)."""
-    ring = gq_ring(p, n_p, n_q)
+def equivariance_report(ring, n: int, n_z: int) -> dict:
+    """sigma* intertwines the action with n-th powers over
+    QSeriesRing(n_q, p, n_p), and the action composes: action(m) after
+    action(n) = action(mn)."""
+    p = _padic_profile(ring)[0]
     z = TruncSeries.var(ring, ("z",), n_z, "z")
     act = zp_action(ring, n, n_z)
     # equivariance: the image point has base q^n and coordinate act(z), so
@@ -440,15 +435,16 @@ def equivariance_report(p: int, n: int, n_p: int, n_q: int, n_z: int) -> dict:
 # the cyclotomic fiber
 
 
-def hodge_tate_check(p: int, n_p: int, order: int) -> dict:
-    """(a) the logarithm map is additive for the law z1 + z2 + (zeta-1)z1z2;
-    (b) it kills z = 1 (the image of Z/p); (c) its linear coefficient is 1.
+def hodge_tate_check(C, order: int) -> dict:
+    """Over C = CyclotomicRing(p, n_p): (a) the logarithm map is additive
+    for the law z1 + z2 + (zeta-1)z1z2; (b) it kills z = 1 (the image of
+    Z/p); (c) its linear coefficient is 1.
 
     (b) sums lambda(1) to its last nonzero term: as (zeta-1)^(p-1) = p unit,
     the n-th term (zeta-1)^(n-1)/n has (zeta-1)-adic valuation
     n - 1 - (p - 1) v_p(n), so it is nonzero in Z/p^n_p[zeta] exactly when
     floor((n-1)/(p-1)) - v_p(n) < n_p (_lambda_cut)."""
-    C = CyclotomicRing(p, n_p=n_p)
+    p, n_p, _ = _padic_profile(C)
     zeta = q_element(C)
     lam = _lambda_series(C, order)
     # (a) additivity: a hom from the law to the additive one
@@ -514,13 +510,14 @@ def phi_of_section_identity(p: int) -> bool:
     return ok1 and ok2
 
 
-def gq_at_q1_matches_derham(p: int, n_p: int, L: int, rng) -> bool:
-    """The specialisation h = 0 on five random pairs: GQPoint's scalar hook
-    reads Phi_p(1) = p, as GdRPoint's does.  Both laws are one
-    _RescaledPoint.op, so this checks no second derivation; the law's
-    independent evidence is qprism.group_law, unit(a b) = unit(a) unit(b)."""
-    ring = gq_ring(p, n_p, 1)  # h = 0: the ring is Z/p^n_p itself in degree 0
-    base = ModP(p, n_p)
+def gq_at_q1_matches_derham(base, L: int, rng) -> bool:
+    """The specialisation h = 0 on five random pairs over base = Z/p^n_p:
+    GQPoint's scalar hook reads Phi_p(1) = p, as GdRPoint's does.  Both
+    laws are one _RescaledPoint.op, so this checks no second derivation;
+    the law's independent evidence is qprism.group_law, unit(a b) =
+    unit(a) unit(b)."""
+    p, n_p, _ = _padic_profile(base)
+    ring = QSeriesRing(1, p=p, n_p=n_p)  # h = 0: base itself in degree 0
     for _ in range(5):
         a = sample_gdr(base, p, L, rng)
         b = sample_gdr(base, p, L, rng)

@@ -907,10 +907,6 @@ def ExactInt() -> IntRing:
     return IntRing()
 
 
-def ExactRat() -> RatRing:
-    return RatRing()
-
-
 def ModP(p: int, n_p: int) -> IntModRing:
     if not is_prime(p):
         raise ValueError("p must be prime")

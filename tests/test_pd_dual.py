@@ -15,7 +15,7 @@ from prismlab.pd_dual import (
     pair_distr, pair_xu, pd_normalize, rescaled_section, stirling_first,
 )
 from prismlab.ringcore import (
-    IdentityFailed, NotIntegral, TruncSeries, series_exp,
+    CyclotomicRing, IdentityFailed, NotIntegral, TruncSeries, series_exp,
 )
 
 
@@ -157,7 +157,7 @@ def test_exact_sequence_check():
     assert rep["log_at_zero"]
     assert rep["exp_pairing"]
     for p in (2, 3, 5, 7):
-        assert log_mu_p_vanishes(p, 6)
+        assert log_mu_p_vanishes(CyclotomicRing(p, n_p=6))
 
 
 @pytest.mark.parametrize("term, value", [

@@ -13,14 +13,15 @@ from prismlab.qprism import (
     GQPoint,
     canonical_point, hodge_tate_check, derham_specialization_of_x0,
     factorization_identity, frobenius_of_point, gq_at_q1_matches_derham,
-    gq_ring, gq_to_unit, phi_of_section_identity,
+    gq_to_unit, phi_of_section_identity,
     q_exponential, q_log,
     q_log_of_sigma, q_log_precision_loss, q_power_substitute, sample_gq,
     sigma_point, zp_action, bh_in_box, bhat_ring, frac_vp, vp_at_least,
 )
 from prismlab.ringcore import (
-    BoundExceeded, CyclotomicRing, DomainError, ExactRat, ModP, PolyQuotRing,
-    TruncSeries, cyclotomic_modulus, h_element, q_element, q_number,
+    BoundExceeded, CyclotomicRing, DomainError, ModP, PolyQuotRing,
+    QSeriesRing, RatRing, TruncSeries, cyclotomic_modulus, h_element,
+    q_element, q_number,
 )
 from prismlab.qhopf import _c_monomial, _from_monomial
 from prismlab.witt import WittVector, teichmuller, witt_op, zero_vector
@@ -35,7 +36,7 @@ def test_factorization_and_section_identities():
 
 def test_sigma_unit_is_qp():
     for p in (2, 3):
-        ring = gq_ring(p, 4, 4)
+        ring = QSeriesRing(4, p=p, n_p=4)
         s = sigma_point(ring, p, 2)
         assert ring.eq(gq_to_unit(s), ring.pow(q_element(ring), p))
 
@@ -43,7 +44,7 @@ def test_sigma_unit_is_qp():
 def test_sigma_is_delta_point():
     # F(sigma(q)) = sigma(q^p): the Witt Frobenius matches the base map
     for p in (2, 3):
-        ring = gq_ring(p, 4, 4)
+        ring = QSeriesRing(4, p=p, n_p=4)
         s = sigma_point(ring, p, 3)
         fs = frobenius_of_point(s)
         # sigma at base q^p: x = [q^p] - 1
@@ -55,7 +56,7 @@ def test_sigma_is_delta_point():
 
 
 def test_gq_membership_enforced():
-    ring = gq_ring(3, 4, 4)
+    ring = QSeriesRing(4, p=3, n_p=4)
     bad = WittVector(ring, 3, [ring.one, ring.one])
     with pytest.raises(DomainError):
         GQPoint(bad)
@@ -69,14 +70,14 @@ def test_each_point_class_refuses_with_its_own_message():
     with pytest.raises(DomainError, match=r"^1 \+ px is not a Teichmuller "
                        r"unit$"):
         GdRPoint(WittVector(R, 3, [1, 1]))
-    ring = gq_ring(3, 2, 2)
+    ring = QSeriesRing(2, p=3, n_p=2)
     with pytest.raises(DomainError, match=r"^1 \+ Phi_p\(\[q\]\) x is not "
                        r"Teichmuller$"):
         GQPoint(WittVector(ring, 3, [ring.one, ring.one]))
 
 
 def test_de_rham_and_q_points_never_compare_equal():
-    ring = gq_ring(3, 2, 1)
+    ring = QSeriesRing(1, p=3, n_p=2)
     for x in (zero_vector(ring, 3, 2),
               WittVector(ring, 3, [ring.make_ints([3]), ring.make_ints([6])])):
         a, b = GdRPoint(x, check=False), GQPoint(x, check=False)
@@ -108,7 +109,7 @@ def gq_unit_and_law_by_steps(x1, x2, q):
 def test_gq_unit_map_and_law_match_steps():
     rng = random.Random(6)
     for p, n_p, n_q in ((2, 4, 4), (3, 4, 4), (5, 3, 2)):
-        ring = gq_ring(p, n_p, n_q)
+        ring = QSeriesRing(n_q, p=p, n_p=n_p)
         points = [sample_gq(ring, p, 2, rng) for _ in range(3)]
         for a, b in zip(points, points[1:] + points[:1]):
             unit, law = gq_unit_and_law_by_steps(a.x, b.x, q_element(ring))
@@ -129,19 +130,19 @@ def test_gq_unit_map_and_law_match_steps():
 def test_point_reprs_are_pinned():
     a = sample_gdr(ModP(3, 2), 3, 2, random.Random(0))
     assert repr(a) == "GdR(W(3, 6))"
-    b = sample_gq(gq_ring(3, 2, 2), 3, 2, random.Random(0))
+    b = sample_gq(QSeriesRing(2, p=3, n_p=2), 3, 2, random.Random(0))
     assert repr(b) == "GQ(W(3 + 4*h, 3 + 7*h))"
 
 
 def test_hodge_tate_additivity_fails_for_a_wrong_law(monkeypatch):
-    assert hodge_tate_check(3, 2, 6)["additive"]
+    assert hodge_tate_check(CyclotomicRing(3, n_p=2), 6)["additive"]
 
     def doubled(ring, h, order):
         # z1 + z2 + 2(zeta - 1) z1 z2, not the law of the cyclotomic fiber
         return fgl.h_law(ring, ring.mul_int(h, 2), order)
     monkeypatch.setattr(qprism, "h_law", doubled)
     for p in (2, 3, 5):
-        rep = hodge_tate_check(p, 2, 6)
+        rep = hodge_tate_check(CyclotomicRing(p, n_p=2), 6)
         assert not rep["additive"]
         assert rep["kills_torsion_point"] and rep["leading_one"]
 
@@ -149,7 +150,7 @@ def test_hodge_tate_additivity_fails_for_a_wrong_law(monkeypatch):
 def test_gq_group_unit():
     rng = random.Random(0)
     for p in (2, 3):
-        ring = gq_ring(p, 4, 4)
+        ring = QSeriesRing(4, p=p, n_p=4)
         a = sample_gq(ring, p, 2, rng)
         zero = GQPoint(zero_vector(ring, p, 2), check=False)
         assert a.op(zero) == a
@@ -157,7 +158,7 @@ def test_gq_group_unit():
 
 def test_gq_to_unit_multiplicative():
     rng = random.Random(1)
-    ring = gq_ring(3, 4, 4)
+    ring = QSeriesRing(4, p=3, n_p=4)
     for _ in range(5):
         a, b = sample_gq(ring, 3, 2, rng), sample_gq(ring, 3, 2, rng)
         s = a.op(b)
@@ -167,7 +168,7 @@ def test_gq_to_unit_multiplicative():
 def test_gq_law_at_q1_is_derham():
     rng = random.Random(2)
     for p in (2, 3):
-        assert gq_at_q1_matches_derham(p, 4, 2, rng)
+        assert gq_at_q1_matches_derham(ModP(p, 4), 2, rng)
 
 
 # --- q-exponential ------------------------------------------------------------
@@ -325,12 +326,12 @@ def test_r0_relation():
 
 
 def test_q_log_of_sigma():
-    assert q_log_of_sigma(3, 4, 4)[0]
-    assert q_log_of_sigma(2, 6, 4)[0]
+    assert q_log_of_sigma(QSeriesRing(4, p=3, n_p=4))[0]
+    assert q_log_of_sigma(QSeriesRing(4, p=2, n_p=6))[0]
 
 
 def test_q_log_of_unit_point():
-    ring = gq_ring(3, 4, 4)
+    ring = QSeriesRing(4, p=3, n_p=4)
     zero = GQPoint(zero_vector(ring, 3, 2), check=False)
     out_ring, val = q_log(zero)
     assert out_ring.is_zero(val)
@@ -339,7 +340,7 @@ def test_q_log_of_unit_point():
 def test_q_log_additive():
     for p, n_p in ((3, 4), (2, 7)):
         rng = random.Random(3)
-        ring = gq_ring(p, n_p, 4)
+        ring = QSeriesRing(4, p=p, n_p=n_p)
         for _ in range(5):
             a, b = sample_gq(ring, p, 2, rng), sample_gq(ring, p, 2, rng)
             oring, vs = q_log(a.op(b))
@@ -350,7 +351,7 @@ def test_q_log_additive():
 
 def test_q_log_precision_guard():
     assert q_log_precision_loss(3, 4) == 2
-    ring = gq_ring(3, 2, 4)
+    ring = QSeriesRing(4, p=3, n_p=2)
     s = sigma_point(ring, 3, 2)
     with pytest.raises(BoundExceeded):
         q_log(s)
@@ -360,7 +361,7 @@ def test_q_log_precision_guard():
 
 
 def test_zp_action_formula_n2():
-    ring = gq_ring(3, 4, 6)
+    ring = QSeriesRing(6, p=3, n_p=4)
     act = zp_action(ring, 2, 6)
     # z -> (2z + (q-1)z^2)/(q+1)
     q = q_element(ring)
@@ -371,7 +372,7 @@ def test_zp_action_formula_n2():
 
 
 def test_zp_action_identity():
-    ring = gq_ring(3, 4, 6)
+    ring = QSeriesRing(6, p=3, n_p=4)
     act = zp_action(ring, 1, 6)
     assert act == TruncSeries.var(ring, ("z",), 6, "z")
 
@@ -380,7 +381,7 @@ def test_zp_action_identity():
 
 
 def test_q_power_substitute():
-    ring = gq_ring(3, 4, 4)
+    ring = QSeriesRing(4, p=3, n_p=4)
     q = q_element(ring)
     got = q_power_substitute(ring, q, 3)
     assert ring.eq(got, ring.pow(q, 3))
@@ -408,7 +409,7 @@ def _lambda_over_q_zeta(C, p, order):
     """_lambda_series as it was computed before: each coefficient
     (-1)^(n-1) (zeta-1)^(n-1)/n in Q(zeta), certified p-integral by
     C.from_rational."""
-    rring = PolyQuotRing(ExactRat(), cyclotomic_modulus(p), "zeta")
+    rring = PolyQuotRing(RatRing(), cyclotomic_modulus(p), "zeta")
     zeta1 = rring.sub(q_element(rring), rring.one)
     coeffs = {}
     for n in range(1, order + 1):

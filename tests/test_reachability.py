@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import census
-from prismlab import cartier_witt, derham, fgl, qprism, witt
+from prismlab import cartier_witt, derham, fgl, pd_dual, qprism, witt
 from prismlab.ringcore import (
     BoundExceeded, CyclotomicRing, DomainError, ExactInt, IdentityFailed,
     IntModRing, ModP, NotIntegral, PrismlabError, QPoly, QSeriesRing,
@@ -97,6 +97,53 @@ def test_one_set_of_exception_classes():
     assert all(c.__bases__ == (PrismlabError,) for c in KINDS)
 
 
+# the defs of src/prismlab that take p^n_p as a loose int: the ring
+# constructors, the three entry points perfbench/workloads.py calls with
+# (p, n_p, n_q), the canonical family whose memos those three ints key, and
+# the box check and coefficient helpers those use; every other function
+# reads p, n_p and n_q from its ring with ringcore._padic_profile
+LOOSE_N_P = {
+    "ringcore.ModP", "ringcore.QSeriesRing", "ringcore.CyclotomicRing",
+    "qprism.canonical_point", "qprism.r0_relation_check",
+    "qprism.q_exp_agreement", "qprism.q_exponential", "qprism._phi_series",
+    "qprism._canonical_construction", "qprism.derham_specialization_of_x0",
+    "qprism.bh_in_box", "qprism._lambda_cut", "derham._integer_coeffs",
+    "derham._series_coeffs",
+}
+
+
+def test_one_precision_object_on_the_p_side():
+    taking = {}
+    for path in sorted(census.SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                taking["%s.%s" % (path.stem, node.name)] = {
+                    x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+    assert {name for name, args in taking.items()
+            if "n_p" in args} == LOOSE_N_P
+    # none of them also takes the ring that would know n_p
+    assert not [name for name in LOOSE_N_P
+                if taking[name] & {"ring", "R", "C", "base"}]
+
+
+@pytest.mark.parametrize("ring", [QSeriesRing(4), CyclotomicRing(3)],
+                         ids=["Z[q]/(q-1)^4", "Z[zeta_3]"])
+@pytest.mark.parametrize("call", [
+    qprism.q_log_of_sigma, lambda r: qprism.equivariance_report(r, 2, 3),
+    lambda r: qprism.hodge_tate_check(r, 3), pd_dual.log_mu_p_vanishes],
+    ids=["q_log_of_sigma", "equivariance_report", "hodge_tate_check",
+         "log_mu_p_vanishes"])
+def test_ring_taking_checks_refuse_a_ring_with_no_p_adic_modulus(ring, call):
+    # the three qprism checks read p (and n_p) with _padic_profile before
+    # anything else; log(zeta) over a torsion-free ring stops at padic_log's
+    # own guard, with the same reason
+    with pytest.raises(DomainError, match="carries no p-adic modulus") as err:
+        call(ring)
+    assert err.traceback[-1].name == (
+        "padic_log" if call is pd_dual.log_mu_p_vanishes else "_padic_profile")
+
+
 def _series(ring, coeffs, order=3):
     return TruncSeries(ring, ("z",), {(n,): c for n, c in coeffs.items()},
                        order)
@@ -109,7 +156,7 @@ def _not_eigen():
 def _q_log_of_unit_one_plus_h(monkeypatch):
     # log(1 + h) (h / log(1 + h)) / 3 = h / 3 is not 3-integral
     monkeypatch.setattr(qprism, "gq_to_unit", lambda a: (1, 1))
-    ring = qprism.gq_ring(3, 4, 4)
+    ring = QSeriesRing(4, p=3, n_p=4)
     qprism.q_log(qprism.GQPoint(witt.zero_vector(ring, 3, 2), check=False))
 
 

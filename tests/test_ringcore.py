@@ -12,8 +12,8 @@ from prismlab import ringcore
 from prismlab.qhopf import QH, B0Ring
 
 from prismlab.ringcore import (
-    CyclotomicRing, DomainError, ExactInt, ExactRat, IntModRing, ModP,
-    NotIntegral, PolyQuotRing, QPoly, QSeriesRing, TruncSeries,
+    CyclotomicRing, DomainError, ExactInt, IntModRing, ModP, NotIntegral,
+    PolyQuotRing, QPoly, QSeriesRing, RatRing, TruncSeries,
     _last_live_term, _log_term_bound, _padic_profile,
     clear_denominators, cyclotomic_modulus, floor_log, h_element, padic_log,
     q_element, q_number as phi_p_element, series_exp, series_inverse,
@@ -31,7 +31,7 @@ def z_series(ring, order, var="z"):
 def test_ring_basics():
     Z = ExactInt()
     assert Z.add(2, 3) == 5
-    Q = ExactRat()
+    Q = RatRing()
     assert Q.mul(Fraction(1, 2), Fraction(2, 3)) == Fraction(1, 3)
     assert Q.neg(Fraction(1, 2)) == Q.sub(0, Fraction(1, 2)) == Fraction(-1, 2)
     R = ModP(2, 4)
@@ -52,7 +52,7 @@ def test_ring_protocol_defaults():
     assert base.div_int_exact(6, 3) is None
     assert not hasattr(base, "is_zero") and not hasattr(base, "from_rational")
     # over Q the image of Q is the identity
-    assert ExactRat().from_rational(Fraction(1, 3)) == Fraction(1, 3)
+    assert RatRing().from_rational(Fraction(1, 3)) == Fraction(1, 3)
 
 
 def test_build_once_builds_each_key_once():
@@ -108,7 +108,7 @@ def test_div_int_exact_over_z_mod_m_divides_the_representative():
 
 
 def test_div_int_exact_over_q_is_exact_for_ints_and_fractions():
-    Q = ExactRat()
+    Q = RatRing()
     for a, n, want in ((3, 2, Fraction(3, 2)), (6, 3, Fraction(2)),
                        (Fraction(3, 4), 3, Fraction(1, 4))):
         got = Q.div_int_exact(a, n)
@@ -181,7 +181,7 @@ def test_series_convolution_truncates():
 
 
 def test_series_ring_mismatch():
-    Z, Q = ExactInt(), ExactRat()
+    Z, Q = ExactInt(), RatRing()
     with pytest.raises(DomainError):
         z_series(Z, 2) + z_series(Q, 2)
 
@@ -195,7 +195,7 @@ def test_compose_trivial():
 
 
 def test_compose_exp_2z():
-    Q = ExactRat()
+    Q = RatRing()
     z = z_series(Q, 4)
     f = series_exp(z)
     g = z.scale(Fraction(2))
@@ -208,7 +208,7 @@ def test_compose_exp_2z():
 
 def test_compose_rational_oracle():
     # f = z/(1+z) composed with itself gives z/(1+2z)
-    Q = ExactRat()
+    Q = RatRing()
     z = z_series(Q, 3)
     one = TruncSeries.one(Q, ("z",), 3)
     f = z * series_inverse(one + z)
@@ -220,7 +220,7 @@ def test_compose_rational_oracle():
 
 
 def test_compose_rejects_constant_term():
-    Q = ExactRat()
+    Q = RatRing()
     z = z_series(Q, 3)
     one = TruncSeries.one(Q, ("z",), 3)
     with pytest.raises(DomainError):
@@ -257,7 +257,7 @@ def test_ring_axioms_random_triples():
 
 
 def test_clear_denominators_examples():
-    Q = ExactRat()
+    Q = RatRing()
     f = TruncSeries(Q, ("z",), {(3,): Fraction(4, 3)}, 4)
     got = clear_denominators(f, ModP(2, 4))
     assert got.coefficient((3,)) == 12
@@ -274,7 +274,7 @@ def test_clear_denominators_examples():
 
 
 def test_clear_denominators_roundtrip():
-    Z, Q = ExactInt(), ExactRat()
+    Z, Q = ExactInt(), RatRing()
     rng = random.Random(3)
     f = TruncSeries(Z, ("z",), {(n,): rng.randrange(-9, 10) for n in range(5)}, 4)
     up = f.map_coeffs(Fraction, Q)
@@ -282,7 +282,7 @@ def test_clear_denominators_roundtrip():
 
 
 def test_padic_log_exact():
-    Q = ExactRat()
+    Q = RatRing()
     z = z_series(Q, 3)
     one = TruncSeries.one(Q, ("z",), 3)
     got = padic_log(one + z)
@@ -291,7 +291,7 @@ def test_padic_log_exact():
 
 
 def test_padic_log_inverse_of_exp():
-    Q = ExactRat()
+    Q = RatRing()
     z = z_series(Q, 4)
     p = 3
     f = series_exp(z.scale(Fraction(p)))
@@ -465,7 +465,7 @@ def test_log_term_bound_is_exact():
         _log_term_bound(QSeriesRing(4), 2)
     # a series of order None has no last term
     for ring, coeffs in ((ModP(3, 4), {(0,): 4}),
-                         (ExactRat(), {(0,): 1, (1,): 3})):
+                         (RatRing(), {(0,): 1, (1,): 3})):
         u = TruncSeries(ring, ("z",), {e: ring.from_int(c)
                                        for e, c in coeffs.items()}, None)
         with pytest.raises(DomainError):
@@ -640,7 +640,7 @@ def generic_series_mul(a, b):
     """a * b through the generic term-by-term path of TruncSeries.__mul__,
     which multiplies over Q one pair of terms at a time with the ring's mul
     and add, carried back to Z."""
-    Q = ExactRat()
+    Q = RatRing()
     prod = a.map_coeffs(Fraction, Q) * b.map_coeffs(Fraction, Q)
     assert all(c.denominator == 1 for c in prod.coeffs.values())
     return prod.map_coeffs(int, ExactInt())

@@ -181,7 +181,7 @@ def assert_same_product(ring, a, b):
 @example(a=[0, 0, 0, Fraction(1)], b=[0, Fraction(-1, 3)])
 # integral operands: every denominator is 1
 @example(a=[Fraction(2), 0, Fraction(-5)], b=[Fraction(3), Fraction(1)])
-def test_rat_kernel_matches_schoolbook(name, a, b):
+def test_ratpolyring_mul_matches_schoolbook(name, a, b):
     ring = UNIVARIATE[name]
     a, b = ring.make(a), ring.make(b)
     assert_same_product(ring, a, b)
@@ -196,7 +196,7 @@ def test_rat_kernel_matches_schoolbook(name, a, b):
 @example(a=[[], [0, 0, Fraction(1)]], b=[[0, 0, Fraction(7, 9)]])
 @example(a=[[Fraction(2)], [0, Fraction(-1)]],
          b=[[Fraction(3), Fraction(1)], [Fraction(4)]])
-def test_rat_bivariate_kernel_matches_schoolbook(name, a, b):
+def test_nested_q_product_matches_schoolbook(name, a, b):
     R = BIVARIATE[name]
     assert_same_product(R, make(R, a), make(R, b))
 
@@ -252,7 +252,7 @@ def test_kronecker_mul_matches_integer_schoolbook(a, b):
     assert _kronecker_mul(a, b) == want
 
 
-def test_rat_kernel_edge_cases():
+def test_ratpolyring_mul_and_nested_product_edge_cases():
     H = truncated_q(4)
     h2 = H.make([0, 0, Fraction(1, 3)])
     assert H.mul(h2, h2) == H.zero
