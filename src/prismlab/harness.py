@@ -4,7 +4,10 @@ emits machine-readable reports.
 Every check carries a stable id and a reference tag; a run is deterministic
 for a fixed (config, seed): randomized checks draw from per-check streams
 derived by hashing the seed with the check id, so execution order never
-matters.  Each suite registers once with `@suite(sid, ref, **params)`,
+matters.  `Recorder.trials` is the one trial loop: the library's
+randomized checks each judge one draw and return a bool, and a failing
+check names its trial's index, the trial count and the seed that replays
+it.  Each suite registers once with `@suite(sid, ref, **params)`,
 declaring a `Param` (default and honoured range) for each precision field
 it reads, and records its checks on a `Recorder`.  Before any suite runs,
 `plan` fills in each suite's values and refuses a value outside a selected
@@ -36,17 +39,17 @@ from .cartier_witt import (eigencheck_I, eigencheck_II, eigencheck_R,
                            specialize_pairing_at_t, universal_pairing,
                            wf_ring_reduce)
 from .derham import (discrepancy_check, f_log, frob_power_identity,
-                     g_eta_check, g_exp, id_minus_V, is_eigen, sample_eigen,
-                     sample_gdr, v_geometric)
+                     g_eta_identities, g_exp, id_minus_V, is_eigen,
+                     sample_eigen, sample_gdr, v_geometric)
 from .fgl import (additive_law, deformation_family, f_pullback_h_law,
                   FormalGroupLaw, h_law, multiplicative_law, n_series, rescale,
                   scaling_map, specialize_deformation, verify_hom)
 from .intpoly import (delta_basis_combine, delta_basis_expand, gen_binom,
                       int_mul, IntPoly, mahler_table, to_binomial)
-from .pd_dual import (delta_to_e, distr_mul, gsharp_comparison,
+from .pd_dual import (delta_to_e, distr_mul, gsharp_basis, gsharp_reduces,
                       log_and_pairing_check, log_mu_p_vanishes,
-                      log_sharp_power, mu_p_pd_check, pair_distr, pair_xu,
-                      PDElem, stirling_first)
+                      log_sharp_power, mu_p_in_pd_hull, pair_distr, pair_xu,
+                      PDElem, rescaled_section, stirling_first)
 from .qhopf import (_c_monomial, _from_monomial, adams, b0_at_h1,
                     b0_coproduct, b0_delta, b0_from_filtration, b0_mul,
                     b0_to_int_h, B0Elem, QH, QHT, structure_constants,
@@ -62,12 +65,11 @@ from .ringcore import (BoundExceeded, clear_denominators, CyclotomicRing,
                        ExactInt, h_element, IdentityFailed, is_prime, ModP,
                        NotIntegral, padic_log, PolyQuotRing, q_element, QPoly,
                        QSeriesRing, RatRing, TruncSeries)
-from .witt import (BigWitt, check_universal_size, DeltaRing, frobenius,
-                   frobenius_big, from_ghost, from_int_vector, ghost,
-                   joyal_lift, sample_f_kernel, scalar_mul, teichmuller,
-                   teichmuller_big, verschiebung,
-                   wf_kernel_report, witt_neg, witt_op, witt_op_universal,
-                   witt_pow, WittVector, zero_vector)
+from .witt import (BigWitt, check_universal_size, DeltaRing,
+                   f_kernel_lemma, frobenius, frobenius_big, from_ghost,
+                   from_int_vector, ghost, joyal_lift, sample_f_kernel,
+                   teichmuller, teichmuller_big, verschiebung, witt_neg,
+                   witt_op, witt_op_universal, WittVector, zero_vector)
 
 SCHEMA = "prismlab-report/2"
 PRECISION = ("n_p", "n_q", "n_z", "L", "N_big")
@@ -410,10 +412,8 @@ def suite_witt_joyal(cfg, out):
 def suite_witt_wf_kernel(cfg, out):
     for p in cfg.primes((2, 3)):
         R = PolyQuotRing(ModP(p, 1), (0, 0, 0, 1), "a")
-        rng = check_stream(cfg.seed, "witt.wf_kernel.p%d" % p)
-        rep = wf_kernel_report(R, p, 3, cfg.count(200), rng)
-        out.check("witt.wf_kernel.p%d" % p, not rep["failures"],
-                  "trials=%d" % rep["trials"])
+        out.trials("witt.wf_kernel.p%d" % p, 200, lambda rng:
+                   f_kernel_lemma(sample_f_kernel(R, p, 3, rng)))
 
 
 @suite("fgl.axioms", "e:group law for H_Q", n_z=Param(8, lo=8))
@@ -654,20 +654,28 @@ def suite_pd_log_sharp(cfg, out):
 @suite("pd_dual.mu_p", "Lemma l:mu_p in G_m^sharp")
 def suite_pd_mu_p(cfg, out):
     for p in cfg.primes((2, 3, 5)):
-        rng = check_stream(cfg.seed, "pd_dual.mu_p.p%d" % p)
-        rep = mu_p_pd_check(p, cfg.count(200), rng)
-        out.check("pd_dual.mu_p.p%d" % p, not rep["failures"],
-                  "trials=%d" % rep["trials"])
+        Rq = PolyQuotRing(ExactInt(), (-1,) + (0,) * (p - 1) + (1,), "x")
+        xm1 = Rq.make_ints([-1, 1])
+
+        def in_pd_hull(rng):  # f = (x - 1) g for a random g
+            g = Rq.make_ints([rng.randrange(-9, 10) for _ in range(p)])
+            return mu_p_in_pd_hull(Rq, Rq.mul(xm1, g))
+
+        out.trials("pd_dual.mu_p.p%d" % p, 200, in_pd_hull)
 
 
 @suite("pd_dual.gsharp", "Prop p:G_m^sharp/mu_p")
 def suite_pd_gsharp(cfg, out):
     for p in cfg.primes((2, 3)):
-        rng = check_stream(cfg.seed, "pd_dual.gsharp.p%d" % p)
-        rep = gsharp_comparison(p, 12, cfg.count(25), rng)
+        basis = gsharp_basis(p, 12)
         expected = {2: (0, 1, 1), 3: (0, 1, 2, 2)}.get(p)
-        out.check("pd_dual.gsharp.p%d" % p, not rep["failures"] and (
-            expected is None or tuple(rep["z_coords"]) == expected))
+
+        def reduces(rng):
+            f = PDElem(tuple(rng.randrange(-9, 10) for _ in range(13)))
+            return gsharp_reduces(f, basis, p)
+
+        out.trials("pd_dual.gsharp.p%d" % p, 25, reduces, then=lambda rng:
+                   expected is None or rescaled_section(p).coords == expected)
 
 
 @suite("pd_dual.exact_sequence", "e:G_m^sharp sequence", n_p=Param(6, hi=6))
@@ -863,12 +871,8 @@ def suite_derham_discrepancy(cfg, out):
             vectors = check_stream(cfg.seed, cid).sample(vectors, k)
         xs = [WittVector(R, p, comps) for comps in vectors]
         rep = discrepancy_check(R, p, 3, xs)
-        # the kernel lemma: Fx = 0 gives px = x^p = 0
-        kernel = all(frobenius(x).is_zero() and scalar_mul(p, x).is_zero()
-                     and witt_pow(x, p).is_zero() for x in xs)
-        out.check(cid,
-                  not rep["failures"] and rep["differs_from_identity"] and kernel,
-                  how)
+        out.check(cid, not rep["failures"] and rep["differs_from_identity"]
+                  and all(map(f_kernel_lemma, xs)), how)
 
 
 @suite("derham.g_eta", "Prop p:G_eta")
@@ -881,7 +885,7 @@ def suite_derham_g_eta(cfg, out):
                       sample_f_kernel(R, p, 3, rng)),
                      (WittVector(R, p, [R.rand(rng) for _ in range(3)]),
                       sample_f_kernel(R, p, 3, rng))]
-            return not g_eta_check(R, p, 3, pairs)["failures"]
+            return all(g_eta_identities(x, y) for x, y in pairs)
 
         out.trials("derham.g_eta.p%d" % p, 40, two_pairs)
 

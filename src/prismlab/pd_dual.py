@@ -207,23 +207,13 @@ def stirling_first(n: int, k: int) -> int:
 # mu_p inside the PD hull
 
 
-def mu_p_pd_check(p: int, trials: int, rng) -> dict:
-    """In Z[x]/(x^p - 1): f in (x-1) implies f^p in p (x-1)."""
-    modulus = tuple([-1] + [0] * (p - 1) + [1])
-    Rq = PolyQuotRing(IntRing(), modulus, "x")
-    xm1 = Rq.make_ints([-1, 1])
-    failures = []
-    for _ in range(trials):
-        g = Rq.make_ints([rng.randrange(-9, 10) for _ in range(p)])
-        f = Rq.mul(xm1, g)
-        fp = Rq.pow(f, p)
-        if any(c % p for c in fp):
-            failures.append(Rq.fmt(f))
-            continue
-        quot = tuple(c // p for c in fp)
-        if sum(quot) != 0:  # evaluation at x = 1 detects (x-1)-membership
-            failures.append(Rq.fmt(f))
-    return {"trials": trials, "failures": failures}
+def mu_p_in_pd_hull(Rq, f) -> bool:
+    """In Rq = Z[x]/(x^p - 1): f^p is in p (x - 1), as the lemma says it is
+    for f in (x - 1); for no other f, since f^p(1) = f(1)^p."""
+    p = Rq.deg
+    fp = Rq.pow(f, p)
+    # evaluation at x = 1 detects (x-1)-membership
+    return not any(c % p for c in fp) and sum(c // p for c in fp) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -268,36 +258,33 @@ def _gsharp_basis_elem(n: int, p: int, z_iterates: list) -> PDElem:
     return acc
 
 
-def gsharp_comparison(p: int, max_degree: int, trials: int, rng) -> dict:
-    """(a) integer PD coordinates of z = ((1+t)^p - 1)/p; (b) triangular
-    reduction expressing random PD elements as combinations of the basis
-    t^{d_0} prod gamma^{i-1}(z)^{d_i} with p-integral coefficients."""
-    z = rescaled_section(p)
-    report = {"z_coords": list(z.coords), "failures": [], "trials": trials}
+def gsharp_basis(p: int, max_degree: int) -> dict:
+    """{n: t^{d_0} prod_{i>=1} gamma^{i-1}(z)^{d_i}} for n <= max_degree,
+    the basis of the G_m^sharp/mu_p comparison, with z = ((1+t)^p - 1)/p."""
     depth = 1
     while p ** (depth + 1) <= max_degree:
         depth += 1
-    z_iter = [z]
+    z_iter = [rescaled_section(p)]
     for _ in range(depth):
         z_iter.append(_gamma_op(z_iter[-1], p))
-    basis = {n: _gsharp_basis_elem(n, p, z_iter) for n in range(max_degree + 1)}
-    for _ in range(trials):
-        f = PDElem(tuple(rng.randrange(-9, 10) for _ in range(max_degree + 1)))
-        try:
-            coords = reduce_against_basis(f, basis, p)
-        except (NotIntegral, IdentityFailed) as err:
-            report["failures"].append(str(err))
-            continue
-        # the round trip on integers: D f = sum (D c_n) basis[n], with D the
-        # common denominator of the c_n
-        nums, den = _numerators(list(coords.values()))
-        back = [0] * (max_degree + 1)
-        for n, c in zip(coords, nums):
-            for i, v in enumerate(basis[n].coords):
-                back[i] += c * v
-        if any(back[i] != den * f.coord(i) for i in range(max_degree + 1)):
-            report["failures"].append("roundtrip mismatch for %r" % (f,))
-    return report
+    return {n: _gsharp_basis_elem(n, p, z_iter) for n in range(max_degree + 1)}
+
+
+def gsharp_reduces(f: PDElem, basis: dict, p: int) -> bool:
+    """f reduces by triangular reduction against gsharp_basis to a
+    combination with p-integral coefficients c_n, and the round trip holds
+    on integers: D f = sum (D c_n) basis[n], with D the common denominator
+    of the c_n."""
+    try:
+        coords = reduce_against_basis(f, basis, p)
+    except (NotIntegral, IdentityFailed):
+        return False
+    nums, den = _numerators(list(coords.values()))
+    back = [0] * len(basis)
+    for n, c in zip(coords, nums):
+        for i, v in enumerate(basis[n].coords):
+            back[i] += c * v
+    return all(back[i] == den * f.coord(i) for i in range(len(basis)))
 
 
 def reduce_against_basis(f: PDElem, basis: dict, p: int) -> dict:

@@ -10,7 +10,7 @@ import pytest
 from prismlab import derham
 from prismlab.derham import (
     GdRPoint, _series_coeffs, f_log,
-    frob_power_identity, g_eta_check, g_exp,
+    frob_power_identity, g_eta_identities, g_exp,
     generic_vector, id_minus_V, is_eigen, one_plus_p_x, sample_eigen,
     sample_gdr, v_geometric, witt_series_eval,
 )
@@ -164,19 +164,17 @@ def test_eigen_condition_is_kernel_in_char_p():
             assert frobenius(y).is_zero()
 
 
-def test_g_eta_check():
+def test_g_eta_identities():
     rng = random.Random(7)
     for p in (2, 3):
         R = fp_poly_ring(p, 3)
-        pairs = []
         for _ in range(20):
-            pairs.append((sample_f_kernel(R, p, 3, rng),
-                          sample_f_kernel(R, p, 3, rng)))
+            assert g_eta_identities(sample_f_kernel(R, p, 3, rng),
+                                    sample_f_kernel(R, p, 3, rng))
             # also non-kernel vectors for the kernel-comparison clause
-            pairs.append((WittVector(R, p, [R.rand(rng) for _ in range(3)]),
-                          sample_f_kernel(R, p, 3, rng)))
-        rep = g_eta_check(R, p, 3, pairs)
-        assert not rep["failures"]
+            assert g_eta_identities(
+                WittVector(R, p, [R.rand(rng) for _ in range(3)]),
+                sample_f_kernel(R, p, 3, rng))
 
 
 def test_g_eta_projection_formula_symbolic():
@@ -252,7 +250,8 @@ def series_by_steps(coeff, x, bound, n_p):
 
 
 def is_eigen_by_steps(y):
-    return frobenius(y) == scalar_mul(y.p, y).truncate(y.L - 1)
+    return frobenius(y) == WittVector(y.ring, y.p,
+                                      scalar_mul(y.p, y).components[:-1])
 
 
 def v_geometric_by_steps(x):
@@ -278,7 +277,7 @@ def frob_power_h_by_steps(x):
                       "add")
         if i < p:
             power = witt_op(power, x, "mul")
-    return acc.truncate(x.L - 1)
+    return WittVector(x.ring, p, acc.components[:-1])
 
 
 def outcome(fn, *args):

@@ -177,6 +177,25 @@ def test_trials_then_runs_after_passing_trials():
         ("fail", "failed at trial index 0 of 3 trials, seed 2")]
 
 
+@pytest.mark.parametrize("sid, predicate", [
+    ("witt.wf_kernel", "f_kernel_lemma"), ("pd_dual.mu_p", "mu_p_in_pd_hull"),
+    ("pd_dual.gsharp", "gsharp_reduces")])
+def test_library_checks_fail_at_a_named_trial(monkeypatch, sid, predicate):
+    # the library judges one draw; Recorder.trials names the failing one
+    calls = []
+    real = getattr(harness, predicate)
+
+    def fails_at_trial_2(*args):
+        calls.append(args)
+        return len(calls) != 3 and real(*args)
+
+    monkeypatch.setattr(harness, predicate, fails_at_trial_2)
+    report, code = run(SuiteConfig(suite=sid, p=2, trials=5, seed=9))
+    [check] = report["checks"]
+    assert code == 1 and check["status"] == "fail" and len(calls) == 3
+    assert check["detail"] == "failed at trial index 2 of 5 trials, seed 9"
+
+
 def test_elapsed_is_each_checks_own_interval(monkeypatch):
     now = [100.0]
     monkeypatch.setattr(harness.time, "monotonic", lambda: now[0])
@@ -343,7 +362,7 @@ def test_determinism():
 # run(SuiteConfig(suite="all", trials=1, seed=0)).  It pins every check id
 # and its order, status, detail, paper_ref and params, and the run's params.
 GOLDEN_ALL_TRIALS1 = (
-    "8b8e27ebfa8f75fcfa9a94ec793eb5a100b018679f235cd9cde1c676dac0724e")
+    "65c9a6ea9c5d1d259dd80482982b050dc696672813291700a55c8d13733afeb1")
 
 
 def test_golden_report():

@@ -8,15 +8,24 @@ from hypothesis import example, given, settings, strategies as st
 from prismlab import pd_dual
 from prismlab.intpoly import gen_binom
 from prismlab.pd_dual import (
-    DistrElem, PDElem, _gsharp_basis_elem,
-    _gamma_op, delta_to_e, distr_mul, gsharp_comparison,
+    DistrElem, PDElem, delta_to_e, distr_mul, gsharp_basis, gsharp_reduces,
     log_and_pairing_check, log_mu_p_vanishes, log_pd, log_sharp_power,
-    mu_p_pd_check, reduce_against_basis,
+    mu_p_in_pd_hull, reduce_against_basis,
     pair_distr, pair_xu, pd_normalize, rescaled_section, stirling_first,
 )
 from prismlab.ringcore import (
-    CyclotomicRing, IdentityFailed, NotIntegral, TruncSeries, series_exp,
+    CyclotomicRing, ExactInt, IdentityFailed, NotIntegral, PolyQuotRing,
+    TruncSeries, series_exp,
 )
+
+
+def group_ring_of_mu_p(p):
+    """Z[x]/(x^p - 1)."""
+    return PolyQuotRing(ExactInt(), (-1,) + (0,) * (p - 1) + (1,), "x")
+
+
+def random_pd(rng, max_degree=12):
+    return PDElem(tuple(rng.randrange(-9, 10) for _ in range(max_degree + 1)))
 
 
 def test_pd_normalize_examples():
@@ -116,17 +125,28 @@ def test_stirling_first_is_falling_factorial_coefficients():
                    for k in range(n + 2)]
 
 
-def test_mu_p_pd_check():
+def test_mu_p_in_pd_hull():
     rng = random.Random(1)
     for p in (2, 3, 5):
-        rep = mu_p_pd_check(p, 50, rng)
-        assert not rep["failures"]
+        Rq = group_ring_of_mu_p(p)
+        xm1 = Rq.make_ints([-1, 1])
+        assert all(mu_p_in_pd_hull(Rq, Rq.mul(xm1, Rq.make_ints(
+            [rng.randrange(-9, 10) for _ in range(p)]))) for _ in range(50))
+        # outside (x - 1): x^p = 1 is not in p Rq, and (x + p - 1)^p is in
+        # p Rq but takes the value p^p at x = 1
+        assert not mu_p_in_pd_hull(Rq, Rq.x)
+        assert not mu_p_in_pd_hull(Rq, Rq.make_ints([p - 1, 1]))
 
 
 def test_mu_p_example_p2():
     # f = x - 1 in Z[x]/(x^2-1): f^2 = -2(x-1)
-    rep = mu_p_pd_check(2, 1, random.Random(2))
-    assert not rep["failures"]
+    Rq = group_ring_of_mu_p(2)
+    xm1 = Rq.make_ints([-1, 1])
+    assert Rq.pow(xm1, 2) == Rq.make_ints([2, -2])
+    assert mu_p_in_pd_hull(Rq, xm1)
+    rng = random.Random(2)
+    assert mu_p_in_pd_hull(Rq, Rq.mul(xm1, Rq.make_ints(
+        [rng.randrange(-9, 10) for _ in range(2)])))
 
 
 def test_rescaled_section():
@@ -142,13 +162,14 @@ def test_gsharp_reduction_example_p2():
     assert coords == {2: Fraction(1), 1: Fraction(-1)}
 
 
-def test_gsharp_comparison():
+def test_gsharp_reduces():
     rng = random.Random(3)
     for p in (2, 3):
-        rep = gsharp_comparison(p, 12, 25, rng)
-        assert not rep["failures"]
-        expected = rescaled_section(p).coords
-        assert tuple(rep["z_coords"]) == expected
+        basis = gsharp_basis(p, 12)
+        assert all(gsharp_reduces(random_pd(rng), basis, p)
+                   for _ in range(25))
+        # the basis element of t-degree p is z itself
+        assert basis[p] == rescaled_section(p)
 
 
 def test_exact_sequence_check():
@@ -297,16 +318,9 @@ def fraction_reduction(f, basis, p):
     return coords
 
 
-def gsharp_basis(p, max_degree=12):
-    z_iter = [rescaled_section(p)]
-    while p ** len(z_iter) <= max_degree:
-        z_iter.append(_gamma_op(z_iter[-1], p))
-    return {n: _gsharp_basis_elem(n, p, z_iter) for n in range(max_degree + 1)}
-
-
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_reduction_matches_fraction_reference(p):
-    basis = gsharp_basis(p)
+    basis = gsharp_basis(p, 12)
     rng = random.Random(p)
     denominators = set()
     for _ in range(40):
@@ -346,10 +360,12 @@ def test_gsharp_round_trip_catches_a_wrong_coefficient(monkeypatch):
         coords[n] += Fraction(1, 10 ** 9 + 7)
         return coords
 
+    basis = gsharp_basis(3, 12)
+    rng = random.Random(4)
+    fs = [random_pd(rng) for _ in range(5)]
+    assert all(gsharp_reduces(f, basis, 3) for f in fs)
     monkeypatch.setattr(pd_dual, "reduce_against_basis", off)
-    rep = gsharp_comparison(3, 12, 5, random.Random(4))
-    assert len(rep["failures"]) == 5
-    assert all(f.startswith("roundtrip mismatch") for f in rep["failures"])
+    assert not any(gsharp_reduces(f, basis, 3) for f in fs)
 
 
 @pytest.mark.parametrize("error", [NotIntegral("not p-integral"),
@@ -357,6 +373,8 @@ def test_gsharp_round_trip_catches_a_wrong_coefficient(monkeypatch):
 def test_gsharp_records_each_reduction_failure(monkeypatch, error):
     def fails(f, basis, p):
         raise error
+    basis = gsharp_basis(3, 12)
+    rng = random.Random(4)
+    fs = [random_pd(rng) for _ in range(5)]
     monkeypatch.setattr(pd_dual, "reduce_against_basis", fails)
-    rep = gsharp_comparison(3, 12, 5, random.Random(4))
-    assert rep["failures"] == [str(error)] * 5
+    assert not any(gsharp_reduces(f, basis, 3) for f in fs)

@@ -127,6 +127,19 @@ def test_one_precision_object_on_the_p_side():
                 if taking[name] & {"ring", "R", "C", "base"}]
 
 
+def test_one_trial_loop():
+    # Recorder.trials runs every randomized check's trials: no def of
+    # src/prismlab outside the harness takes a trial count
+    taking = ["%s.%s" % (path.stem, node.name)
+              for path in sorted(census.SRC.glob("*.py"))
+              if path.stem != "harness"
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and "trials" in {a.arg for a in node.args.posonlyargs +
+                               node.args.args + node.args.kwonlyargs}]
+    assert taking == []
+
+
 @pytest.mark.parametrize("ring", [QSeriesRing(4), CyclotomicRing(3)],
                          ids=["Z[q]/(q-1)^4", "Z[zeta_3]"])
 @pytest.mark.parametrize("call", [

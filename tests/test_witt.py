@@ -10,8 +10,8 @@ from prismlab.ringcore import (
 from prismlab.witt import (
     BigWitt, DeltaRing, WittVector, bj_to_witt,
     frobenius, frobenius_big, from_ghost, from_ghost_big, from_int_vector,
-    ghost, joyal_lift, scalar_mul, teich_mul,
-    teichmuller, teichmuller_big, verschiebung, wf_kernel_report,
+    f_kernel_lemma, ghost, joyal_lift, sample_f_kernel, scalar_mul,
+    teich_mul, teichmuller, teichmuller_big, verschiebung,
     witt_op, witt_op_universal, witt_pow, witt_to_bj,
     zero_vector,
 )
@@ -225,12 +225,14 @@ def test_wf_kernel_v_of_teichmuller():
         assert witt_pow(x, p).is_zero()
 
 
-def test_wf_kernel_report():
+def test_f_kernel_lemma():
     for p in (2, 3):
         R = fp_poly_ring(p, 3)
-        rep = wf_kernel_report(R, p, 3, 50, random.Random(7))
-        assert not rep["failures"]
-        assert rep["checks"]["fx0_px"] == 50
+        rng = random.Random(7)
+        assert all(f_kernel_lemma(sample_f_kernel(R, p, 3, rng))
+                   for _ in range(50))
+        # outside ker F the lemma's hypothesis fails
+        assert not f_kernel_lemma(teichmuller(R, p, 3, R.one))
 
 
 # --- big Witt ---------------------------------------------------------------
